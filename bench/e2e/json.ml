@@ -1,0 +1,198 @@
+(* Just enough JSON for BENCHMARK.json and the benchmark's own result
+   lines: a value type, a strict parser and a printer. *)
+
+type t =
+  | Null
+  | Bool of bool
+  | Num of float
+  | Str of string
+  | Arr of t list
+  | Obj of (string * t) list
+
+exception Error of string
+
+let parse s =
+  let n = String.length s in
+  let pos = ref 0 in
+  let fail msg = raise (Error (Printf.sprintf "%s at byte %d" msg !pos)) in
+  let peek () = if !pos < n then s.[!pos] else '\000' in
+  let rec skip_ws () =
+    match peek () with
+    | ' ' | '\t' | '\n' | '\r' ->
+        incr pos;
+        skip_ws ()
+    | _ -> ()
+  in
+  let expect c =
+    skip_ws ();
+    if peek () <> c then fail (Printf.sprintf "expected '%c'" c);
+    incr pos
+  in
+  let literal word v =
+    if !pos + String.length word <= n && String.sub s !pos (String.length word) = word
+    then begin
+      pos := !pos + String.length word;
+      v
+    end
+    else fail "bad literal"
+  in
+  let string () =
+    expect '"';
+    let b = Buffer.create 16 in
+    let rec go () =
+      if !pos >= n then fail "unterminated string";
+      let c = s.[!pos] in
+      incr pos;
+      match c with
+      | '"' -> Buffer.contents b
+      | '\\' ->
+          if !pos >= n then fail "bad escape";
+          let e = s.[!pos] in
+          incr pos;
+          (match e with
+          | '"' | '\\' | '/' -> Buffer.add_char b e
+          | 'n' -> Buffer.add_char b '\n'
+          | 't' -> Buffer.add_char b '\t'
+          | 'r' -> Buffer.add_char b '\r'
+          | 'b' -> Buffer.add_char b '\b'
+          | 'f' -> Buffer.add_char b '\012'
+          | 'u' ->
+              if !pos + 4 > n then fail "bad \\u escape";
+              let code = int_of_string ("0x" ^ String.sub s !pos 4) in
+              pos := !pos + 4;
+              Buffer.add_utf_8_uchar b (Uchar.of_int code)
+          | _ -> fail "bad escape");
+          go ()
+      | c ->
+          Buffer.add_char b c;
+          go ()
+    in
+    go ()
+  in
+  let number () =
+    let start = !pos in
+    while
+      !pos < n
+      && match s.[!pos] with
+         | '0' .. '9' | '-' | '+' | '.' | 'e' | 'E' -> true
+         | _ -> false
+    do
+      incr pos
+    done;
+    match float_of_string_opt (String.sub s start (!pos - start)) with
+    | Some f -> Num f
+    | None -> fail "bad number"
+  in
+  let rec value () =
+    skip_ws ();
+    match peek () with
+    | '{' ->
+        incr pos;
+        skip_ws ();
+        if peek () = '}' then begin
+          incr pos;
+          Obj []
+        end
+        else
+          let rec fields acc =
+            let k = string () in
+            expect ':';
+            let v = value () in
+            skip_ws ();
+            match peek () with
+            | ',' ->
+                incr pos;
+                fields ((k, v) :: acc)
+            | '}' ->
+                incr pos;
+                Obj (List.rev ((k, v) :: acc))
+            | _ -> fail "expected ',' or '}'"
+          in
+          fields []
+    | '[' ->
+        incr pos;
+        skip_ws ();
+        if peek () = ']' then begin
+          incr pos;
+          Arr []
+        end
+        else
+          let rec items acc =
+            let v = value () in
+            skip_ws ();
+            match peek () with
+            | ',' ->
+                incr pos;
+                items (v :: acc)
+            | ']' ->
+                incr pos;
+                Arr (List.rev (v :: acc))
+            | _ -> fail "expected ',' or ']'"
+          in
+          items []
+    | '"' -> Str (string ())
+    | 't' -> literal "true" (Bool true)
+    | 'f' -> literal "false" (Bool false)
+    | 'n' -> literal "null" Null
+    | _ -> number ()
+  in
+  let v = value () in
+  skip_ws ();
+  if !pos <> n then fail "trailing characters";
+  v
+
+let of_file path =
+  let ic = open_in_bin path in
+  let s =
+    Fun.protect
+      ~finally:(fun () -> close_in ic)
+      (fun () -> really_input_string ic (in_channel_length ic))
+  in
+  parse s
+
+(* Numbers keep all their digits: integers print as integers, other
+   floats with 17 significant digits (exact round trip). *)
+let number f =
+  if Float.is_integer f && Float.abs f < 1e15 then Printf.sprintf "%.0f" f
+  else if Float.is_finite f then Printf.sprintf "%.17g" f
+  else "null"
+
+let rec to_buffer b = function
+  | Null -> Buffer.add_string b "null"
+  | Bool x -> Buffer.add_string b (string_of_bool x)
+  | Num f -> Buffer.add_string b (number f)
+  | Str s -> Printf.bprintf b "%S" s
+  | Arr xs ->
+      Buffer.add_char b '[';
+      List.iteri
+        (fun i x ->
+          if i > 0 then Buffer.add_string b ", ";
+          to_buffer b x)
+        xs;
+      Buffer.add_char b ']'
+  | Obj kvs ->
+      Buffer.add_char b '{';
+      List.iteri
+        (fun i (k, v) ->
+          if i > 0 then Buffer.add_string b ", ";
+          Printf.bprintf b "%S: " k;
+          to_buffer b v)
+        kvs;
+      Buffer.add_char b '}'
+
+let to_string v =
+  let b = Buffer.create 256 in
+  to_buffer b v;
+  Buffer.contents b
+
+(* {1 Accessors} *)
+
+let member k = function
+  | Obj kvs -> ( match List.assoc_opt k kvs with Some v -> v | None -> Null)
+  | _ -> Null
+
+let to_list = function Arr xs -> xs | _ -> []
+
+let to_num = function Num f -> Some f | _ -> None
+
+let to_str = function Str s -> Some s | _ -> None

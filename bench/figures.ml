@@ -181,7 +181,7 @@ let table2 () =
     Sim.Engine.run ~until:(Sim.Cycles.of_sec 20.) engine;
     let umem_rejects =
       Array.fold_left
-        (fun acc fm -> acc + Rakis.Xsk_fm.desc_rejects fm)
+        (fun acc fm -> acc + Rakis.Umem.rejects (Rakis.Xsk_fm.umem fm))
         0
         (Rakis.Runtime.xsk_fms runtime)
     in

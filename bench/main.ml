@@ -111,7 +111,7 @@ let zc_counters h prefix =
           if
             List.exists
               (fun suffix -> Filename.check_suffix name suffix)
-              [ ".zc_sends"; ".zc_fallbacks"; ".zc_notifs"; ".zc_leaks" ]
+              [ ".zc_sends"; ".zc_fallbacks"; ".zc_notifs" ]
           then Some (prefix ^ "_" ^ name, I v)
           else None)
         (Obs.Metrics.counters (Obs.metrics (Rakis.Runtime.obs rt)))

@@ -59,7 +59,7 @@ let () =
     (Sgx.Enclave.exits (Rakis.Runtime.enclave runtime) - boot_exits);
   Format.printf "XSK FM: %d frames in, %d frames out, %d descriptor rejects@."
     (Rakis.Xsk_fm.rx_packets fm) (Rakis.Xsk_fm.tx_packets fm)
-    (Rakis.Xsk_fm.desc_rejects fm);
+    (Rakis.Umem.rejects (Rakis.Xsk_fm.umem fm));
   Format.printf "MM wakeup syscalls (outside the enclave): %d@."
     (Rakis.Monitor.wakeup_syscalls (Rakis.Runtime.monitor runtime));
   Format.printf "ring invariants: %s@."

@@ -244,9 +244,6 @@ let retry_successes t = Obs.Metrics.value t.retry_success
 
 let retries_exhausted t = Obs.Metrics.value t.retry_exhausted
 
-let ring_check_failures t =
-  Rings.Certified.failures t.sq + Rings.Certified.failures t.cq
-
 let burst_counters t =
   List.map
     (fun (name, ring) ->
@@ -260,24 +257,7 @@ let inflight t = Hashtbl.length t.pending
 
 let sheds t = Obs.Metrics.value t.sheds
 
-let zc_enabled t = t.zc <> None
-
 let zc_pool t = Option.map (fun z -> z.pool) t.zc
-
-let zc_sends t =
-  match t.zc with None -> 0 | Some z -> Obs.Metrics.value z.zc_sends
-
-let zc_fallbacks t =
-  match t.zc with None -> 0 | Some z -> Obs.Metrics.value z.zc_fallbacks
-
-let zc_notifs t =
-  match t.zc with None -> 0 | Some z -> Obs.Metrics.value z.zc_notifs
-
-let zc_notif_rejects t =
-  match t.zc with
-  | None -> 0
-  | Some z ->
-      Obs.Metrics.value z.zc_notif_early + Obs.Metrics.value z.zc_notif_stray
 
 (* Completed-but-unnotified sends: at quiescence each is a frame the
    host is sitting on by withholding its notif — the dropped-notif

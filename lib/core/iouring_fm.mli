@@ -132,9 +132,6 @@ val sq_ring : t -> Rings.Certified.t
 val cq_ring : t -> Rings.Certified.t
 (** The certified iCompl (completion) ring. *)
 
-val ring_check_failures : t -> int
-(** Index rejections summed over iSub and iCompl. *)
-
 val cqe_rejects : t -> int
 (** CQEs refused for wrong user_data or out-of-range result. *)
 
@@ -174,29 +171,18 @@ val accounting_holds : t -> bool
     frame conservation holds with exactly one notif-pending entry per
     [Registered] frame.  Rolled into {!Runtime.invariant_holds}. *)
 
-(** {1 Zero-copy introspection} *)
+(** {1 Zero-copy introspection}
 
-val zc_enabled : t -> bool
+    The zero-copy counters live only in the registry: ["<name>.zc_sends"]
+    (frames lent to SEND_ZC), ["<name>.zc_fallbacks"] (ops degraded to
+    the copy path: dry pool or bounced submission), ["<name>.zc_notifs"]
+    (validated notifs) and the refused notifs ["<name>.zc_notif_early"]
+    and ["<name>.zc_notif_stray"], which also count under
+    {!cqe_rejects}. *)
 
 val zc_pool : t -> Umem.t option
 (** The zero-copy frame pool's ownership map ([None] on the copy
     path). *)
-
-val zc_sends : t -> int
-(** Frames lent out on SEND_ZC submissions (["<name>.zc_sends"]). *)
-
-val zc_fallbacks : t -> int
-(** Operations that degraded to the copy path because the pool was dry
-    or a zero-copy submission bounced (["<name>.zc_fallbacks"]). *)
-
-val zc_notifs : t -> int
-(** Notifs validated — frames returned from [Registered] to the pool
-    (["<name>.zc_notifs"]). *)
-
-val zc_notif_rejects : t -> int
-(** Refused notifs: forged-early (["<name>.zc_notif_early"]) plus
-    duplicated/fabricated (["<name>.zc_notif_stray"]).  Each also
-    counts under {!cqe_rejects}. *)
 
 val zc_leaks : t -> int
 (** Completed sends whose notif never arrived.  At quiescence each is a

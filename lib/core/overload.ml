@@ -278,20 +278,11 @@ let edge_throttle t =
 
 (* {1 Accounting} *)
 
-let admitted t =
-  Obs.Metrics.value t.admitted_data + Obs.Metrics.value t.admitted_control
-
 let data_admitted t = Obs.Metrics.value t.admitted_data
 
 let control_admitted t = Obs.Metrics.value t.admitted_control
 
-let data_shed t = Obs.Metrics.value t.shed_data
-
 let deadline_shed t = Obs.Metrics.value t.shed_deadline
-
-let control_shed _t = 0 (* by construction: Control is never refused *)
-
-let edge_throttle_count t = Obs.Metrics.value t.edge_throttles
 
 let sojourn_histogram t = t.sojourn_hist
 

@@ -101,22 +101,11 @@ val now : t -> int64
 
 (** {1 Accounting} *)
 
-val admitted : t -> int
-
 val data_admitted : t -> int
 
 val control_admitted : t -> int
 
-val data_shed : t -> int
-(** Total [Data] refusals (including deadline sheds). *)
-
 val deadline_shed : t -> int
-
-val control_shed : t -> int
-(** Always [0] — [Control] is never refused; exposed so the soak
-    assertions read a counter, not a comment. *)
-
-val edge_throttle_count : t -> int
 
 val sojourn_histogram : t -> Obs.Metrics.histogram
 

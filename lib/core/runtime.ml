@@ -84,9 +84,6 @@ let xsk_fms t = Array.concat (Array.to_list (Array.map (fun sh -> sh.sh_fms) t.s
 
 let owns_port t port = Hashtbl.mem t.owned_ports port
 
-let tx_round_robin t =
-  Array.fold_left (fun acc sh -> acc + sh.tx_counter) 0 t.shards
-
 let xsk_breaker t = t.shards.(0).sh_breaker
 
 let uring_breaker t = t.uring_breaker
@@ -398,16 +395,16 @@ let boot kernel ~sgx ?(config = Config.default) () =
               (* XSK initialization runs outside the enclave (paper
                  §4.1): one OCALL covers the setup syscall batch. *)
               Sgx.Enclave.ocall enclave;
-              let fd, xsk =
-                Hostos.Kernel.xsk_create kernel ~alloc:shared_alloc
-                  ~umem_size:config.umem_size ~frame_size:config.frame_size
-                  ~ring_size:config.ring_size
-              in
-              Hostos.Xdp.set_shard xsk k;
               let name =
                 if sharded then Printf.sprintf "xsk.%d.%d" k i
                 else "xsk" ^ string_of_int i
               in
+              let fd, xsk =
+                Hostos.Kernel.xsk_create ~obs ~name:(name ^ ".xdp") kernel
+                  ~alloc:shared_alloc ~umem_size:config.umem_size
+                  ~frame_size:config.frame_size ~ring_size:config.ring_size
+              in
+              Hostos.Xdp.set_shard xsk k;
               match
                 Xsk_fm.create ~obs ~name ~enclave ~config ~stack ~fd ~xsk ()
               with
@@ -901,42 +898,40 @@ let syncproxy thread = thread.proxy
 
 let thread_runtime thread = thread.runtime
 
-(* {1 Introspection} *)
+(* {1 Introspection}
+
+   Each counter total is one registry query (DESIGN.md §7) over the
+   instance names [boot] and [new_thread] give out; the name patterns
+   live only here. *)
+
+let query ?infix t ~prefix ~suffix =
+  Obs.Metrics.sum_counters ?infix (Obs.metrics t.obs) ~prefix ~suffix
 
 let total_ring_check_failures t =
-  Array.fold_left
-    (fun acc sh ->
-      acc
-      + Array.fold_left
-          (fun acc fm -> acc + Xsk_fm.ring_check_failures fm)
-          0 sh.sh_fms)
-    0 t.shards
-  + List.fold_left
-      (fun acc th -> acc + Iouring_fm.ring_check_failures (Syncproxy.fm th.proxy))
-      0 t.threads
+  query t ~prefix:"xsk" ~suffix:".failures"
+  + query t ~prefix:"uring" ~suffix:".failures"
 
+(* Not the zero-copy pool's "uring<n>.zc.rejects": a hostile CQE naming
+   a bad zc frame already counts under ".cqe_rejects". *)
 let total_desc_rejects t =
-  Array.fold_left
-    (fun acc sh ->
-      acc
-      + Array.fold_left (fun acc fm -> acc + Xsk_fm.desc_rejects fm) 0 sh.sh_fms)
-    0 t.shards
-  + List.fold_left
-      (fun acc th -> acc + Iouring_fm.cqe_rejects (Syncproxy.fm th.proxy))
-      0 t.threads
+  query t ~prefix:"xsk" ~suffix:".umem.rejects"
+  + query t ~prefix:"uring" ~suffix:".cqe_rejects"
 
-let sum_uring t f =
-  List.fold_left (fun acc th -> acc + f (Syncproxy.fm th.proxy)) 0 t.threads
+let total_zc_sends t = query t ~prefix:"uring" ~suffix:".zc_sends"
 
-let total_zc_sends t = sum_uring t Iouring_fm.zc_sends
+let total_zc_fallbacks t = query t ~prefix:"uring" ~suffix:".zc_fallbacks"
 
-let total_zc_fallbacks t = sum_uring t Iouring_fm.zc_fallbacks
+let total_zc_notifs t = query t ~prefix:"uring" ~suffix:".zc_notifs"
 
-let total_zc_notifs t = sum_uring t Iouring_fm.zc_notifs
+let total_zc_notif_rejects t =
+  query t ~prefix:"uring" ~suffix:".zc_notif_early"
+  + query t ~prefix:"uring" ~suffix:".zc_notif_stray"
 
-let total_zc_notif_rejects t = sum_uring t Iouring_fm.zc_notif_rejects
-
-let total_zc_leaks t = sum_uring t Iouring_fm.zc_leaks
+(* Not a counter: derived from each FM's pending-notif table. *)
+let total_zc_leaks t =
+  List.fold_left
+    (fun acc th -> acc + Iouring_fm.zc_leaks (Syncproxy.fm th.proxy))
+    0 t.threads
 
 (* {1 Overload introspection (DESIGN.md §15)} *)
 
@@ -944,50 +939,28 @@ let shard_overload t k = t.shards.(k).sh_overload
 
 let uring_overload t = t.uring_overload
 
-let overload_controllers t =
-  List.filter_map Fun.id
-    (Array.to_list (Array.map (fun sh -> sh.sh_overload) t.shards))
-  @ (match t.uring_overload with Some ov -> [ ov ] | None -> [])
-
-let total_overload_shed t =
-  List.fold_left (fun acc ov -> acc + Overload.data_shed ov) 0
-    (overload_controllers t)
+let total_overload_shed t = query t ~prefix:"overload" ~suffix:".shed.data"
 
 let total_overload_admitted t =
-  List.fold_left (fun acc ov -> acc + Overload.admitted ov) 0
-    (overload_controllers t)
+  query t ~prefix:"overload" ~suffix:".admitted.data"
+  + query t ~prefix:"overload" ~suffix:".admitted.control"
 
-let total_control_shed t =
-  List.fold_left (fun acc ov -> acc + Overload.control_shed ov) 0
-    (overload_controllers t)
+(* Control is never refused, so no counter exists to read. *)
+let total_control_shed _t = 0
 
 (* Frames the host NIC dropped at the edge (fill starvation — including
    throttle-driven starvation — or oversized frames): the accounted
    destination of the flood an edge-throttled shard refuses to buffer. *)
-let total_edge_drops t =
-  Array.fold_left
-    (fun acc sh ->
-      acc
-      + Array.fold_left
-          (fun acc xsk -> acc + Hostos.Xdp.rx_dropped xsk)
-          0 sh.sh_xsks)
-    0 t.shards
+let total_edge_drops t = query t ~prefix:"xsk" ~suffix:".xdp.rx_dropped"
 
-let total_fill_throttles t =
-  Array.fold_left
-    (fun acc sh ->
-      acc
-      + Array.fold_left (fun acc fm -> acc + Xsk_fm.fill_throttles fm) 0 sh.sh_fms)
-    0 t.shards
+let total_fill_throttles t = query t ~prefix:"xsk" ~suffix:".fill_throttled"
 
 (* Frames the injected wire faults destroyed in flight, either link
    direction.  A truncated frame is double-booked (once here, once as
    the parse-reject it becomes downstream); the accounting gates are
    one-sided inequalities, so over-counting is safe where an uncounted
    loss would not be. *)
-let total_wire_losses t =
-  Hostos.Nic.wire_losses (Hostos.Kernel.nic t.kernel 0)
-  + Hostos.Nic.wire_losses (Hostos.Kernel.nic t.kernel 1)
+let total_wire_losses t = Hostos.Kernel.wire_losses t.kernel
 
 (* Datagrams that died with an accounting trail, runtime-wide: netstack
    drop counters (bad packets, queue-full, overload sheds), NIC edge
@@ -996,9 +969,7 @@ let total_wire_losses t =
    loss means a datagram vanished with {e no} counter anywhere, which is
    a soak failure. *)
 let total_accounted_drops t =
-  Array.fold_left
-    (fun acc sh -> acc + Netstack.Stack.rx_dropped sh.sh_stack)
-    0 t.shards
+  query t ~prefix:"stack" ~infix:".drop." ~suffix:""
   + total_edge_drops t + total_desc_rejects t + total_ring_check_failures t
   + total_wire_losses t
 

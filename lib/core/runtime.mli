@@ -156,8 +156,10 @@ val total_overload_shed : t -> int
 val total_overload_admitted : t -> int
 
 val total_control_shed : t -> int
-(** Control-class (breaker probe / Monitor) refusals; [0] by
-    construction, exposed so soak assertions read a counter. *)
+(** Always [0]: the controllers never refuse Control-class traffic, so
+    no counter backs this value and the soak and campaign gates that
+    read it cannot fail.  ROADMAP item 4 replaces those gates with
+    per-class fate accounting. *)
 
 val total_edge_drops : t -> int
 (** Frames the host NIC dropped at the edge across every shard's XSKs
@@ -169,7 +171,8 @@ val total_fill_throttles : t -> int
 
 val total_wire_losses : t -> int
 (** Frames the injected wire faults destroyed in flight on either link
-    direction (drop + trunc + runt + giant), summed over both NICs. *)
+    direction (drop + trunc + runt + giant), summed over every NIC the
+    kernel built ({!Hostos.Kernel.wire_losses}). *)
 
 val total_accounted_drops : t -> int
 (** Every datagram death that left an accounting trail: netstack drop
@@ -272,7 +275,11 @@ val syncproxy : thread -> Syncproxy.t
 val thread_runtime : thread -> t
 (** The runtime the thread belongs to. *)
 
-(** {1 Introspection} *)
+(** {1 Introspection}
+
+    Each [total_*] counter below is one query over {!obs}'s registry
+    ({!Obs.Metrics.sum_counters}); DESIGN.md §7 lists the name pattern
+    behind each. *)
 
 val total_ring_check_failures : t -> int
 (** Certified-ring index rejections summed over every ring in the
@@ -300,7 +307,8 @@ val total_zc_notif_rejects : t -> int
 
 val total_zc_leaks : t -> int
 (** Frames still awaiting a notif the host has withheld, summed over
-    every io_uring FM.  Non-zero at quiescence is the dropped-notif
+    every io_uring FM ({!Iouring_fm.zc_leaks}, derived state rather
+    than a counter).  Non-zero at quiescence is the dropped-notif
     attack's footprint and a campaign failure. *)
 
 val invariant_holds : t -> bool
@@ -330,9 +338,6 @@ val watchdog_restarts : t -> int
 val watchdog_degraded_scans : t -> int
 (** In-enclave degraded scans the watchdog ran in place of a healthy
     Monitor Module (["watchdog.degraded_scans"]). *)
-
-val tx_round_robin : t -> int
-(** Frames transmitted through the stacks' transmit hooks (all shards). *)
 
 val udp_activity : t -> udp_sock -> Sim.Condition.t list
 (** Activity conditions of a bound socket, one per shard (poll support);

@@ -233,8 +233,6 @@ let set_note_backlog t f = t.note_backlog <- Some f
 
 let set_pressure t f = t.pressure <- f
 
-let fill_throttles t = Obs.Metrics.value t.fill_throttled
-
 let breaker_failure t =
   match t.breaker with None -> () | Some b -> Health.record_failure b
 
@@ -272,8 +270,6 @@ let ring_check_failures t =
   + Rings.Certified.failures t.rx
   + Rings.Certified.failures t.tx
   + Rings.Certified.failures t.compl_
-
-let desc_rejects t = Umem.rejects t.umem
 
 let burst_counters t =
   List.map

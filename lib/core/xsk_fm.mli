@@ -62,9 +62,6 @@ val set_throttle : t -> (unit -> bool) -> unit
     the flood at the edge instead of the enclave buffering it; each
     throttled refill increments ["<name>.fill_throttled"]. *)
 
-val fill_throttles : t -> int
-(** Refill iterations clamped by the overload throttle. *)
-
 val set_fill_cap : t -> int -> unit
 (** Bound the NIC-side buffer (DESIGN.md §15): with a cap installed, at
     most [cap] RX frames are ever promised to the kernel (clamped up to
@@ -139,9 +136,6 @@ val umem : t -> Umem.t
 
 val ring_check_failures : t -> int
 (** Rejected untrusted ring-index reads across all four rings. *)
-
-val desc_rejects : t -> int
-(** Rejected UMem descriptors (bad offset/owner/length). *)
 
 val burst_counters : t -> (string * (int * int)) list
 (** Per-ring [(name, (bursts, slots))] batch counters: how many

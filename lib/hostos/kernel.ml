@@ -82,6 +82,9 @@ let vfs t = t.vfs
 
 let nic t i = t.nics.(i)
 
+let wire_losses t =
+  Array.fold_left (fun acc nic -> acc + Nic.wire_losses nic) 0 t.nics
+
 let server_ip _t = server_ip_v
 
 let client_ip _t = client_ip_v
@@ -331,12 +334,14 @@ let poll t specs ~timeout =
 
 (* {1 FIOKP setup and wakeups} *)
 
-let xsk_create t ~alloc ~umem_size ~frame_size ~ring_size =
+let xsk_create ?obs ?name t ~alloc ~umem_size ~frame_size ~ring_size =
   (* The paper counts at least 14 setup syscalls for one XSK. *)
   for _ = 1 to 14 do
     syscall t
   done;
-  let xsk = Xdp.create_xsk t.xdp ~alloc ~umem_size ~frame_size ~ring_size in
+  let xsk =
+    Xdp.create_xsk ?obs ?name t.xdp ~alloc ~umem_size ~frame_size ~ring_size
+  in
   (alloc_fd t (Xsk_fd xsk), xsk)
 
 let xsk_attach t ~xsk ~nic_id ~queue ~prog =

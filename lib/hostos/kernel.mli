@@ -26,6 +26,9 @@ val vfs : t -> Vfs.t
 val nic : t -> int -> Nic.t
 (** [nic t 0] is the server-side interface, [nic t 1] the client-side. *)
 
+val wire_losses : t -> int
+(** {!Nic.wire_losses} summed over every interface the kernel built. *)
+
 val server_ip : t -> Packet.Addr.Ip.t
 
 val client_ip : t -> Packet.Addr.Ip.t
@@ -108,13 +111,16 @@ val fd_ready : t -> fd -> poll_event -> bool
 (** {1 FIOKP setup and wakeups} *)
 
 val xsk_create :
+  ?obs:Obs.t ->
+  ?name:string ->
   t ->
   alloc:Mem.Alloc.t ->
   umem_size:int ->
   frame_size:int ->
   ring_size:int ->
   fd * Xdp.xsk
-(** The "at least 14 syscalls" XSK setup, charged as such. *)
+(** The "at least 14 syscalls" XSK setup, charged as such.  [obs] and
+    [name] register the XSK's edge counters ({!Xdp.create_xsk}). *)
 
 val xsk_attach :
   t -> xsk:Xdp.xsk -> nic_id:int -> queue:int -> prog:Xdp.prog -> unit

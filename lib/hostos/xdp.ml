@@ -22,15 +22,15 @@ type xsk = {
   rx_notify : Sim.Condition.t;
   compl_notify : Sim.Condition.t;
   mutable transmit : Bytes.t -> unit;
-  mutable rx_delivered : int;
-  mutable rx_dropped : int;
+  rx_delivered : Obs.Metrics.counter;
+  rx_dropped : Obs.Metrics.counter;
   (* Edge-drop causes, for diagnosing WHY an XSK stopped accepting:
      oversize frame, xRX full, xFill empty, garbage fill entry. *)
-  mutable rx_drop_oversize : int;
-  mutable rx_drop_krx_full : int;
-  mutable rx_drop_fill_empty : int;
-  mutable rx_drop_bad_fill : int;
-  mutable tx_sent : int;
+  rx_drop_oversize : Obs.Metrics.counter;
+  rx_drop_krx_full : Obs.Metrics.counter;
+  rx_drop_fill_empty : Obs.Metrics.counter;
+  rx_drop_bad_fill : Obs.Metrics.counter;
+  tx_sent : Obs.Metrics.counter;
   (* Which datapath shard this XSK serves — the context shard-pinned
      Malice armings match against.  None until the runtime attaches. *)
   mutable shard : int option;
@@ -49,8 +49,12 @@ type t = {
 
 let create engine ~malice = { engine; malice; next_id = 0 }
 
-let create_xsk t ~alloc ~umem_size ~frame_size ~ring_size =
+let create_xsk ?obs ?(name = "xdp") t ~alloc ~umem_size ~frame_size ~ring_size =
   t.next_id <- t.next_id + 1;
+  let m =
+    match obs with Some o -> Obs.metrics o | None -> Obs.Metrics.create ()
+  in
+  let c suffix = Obs.Metrics.counter m (name ^ "." ^ suffix) in
   let ring () = Rings.Layout.alloc alloc ~entry_size:Abi.Xsk_desc.entry_size ~size:ring_size in
   let fill = ring () and rx = ring () and tx = ring () and compl_ = ring () in
   let umem = Mem.Alloc.alloc_ptr alloc ~align:frame_size umem_size in
@@ -72,13 +76,13 @@ let create_xsk t ~alloc ~umem_size ~frame_size ~ring_size =
     rx_notify = Sim.Condition.create ();
     compl_notify = Sim.Condition.create ();
     transmit = (fun _ -> ());
-    rx_delivered = 0;
-    rx_dropped = 0;
-    rx_drop_oversize = 0;
-    rx_drop_krx_full = 0;
-    rx_drop_fill_empty = 0;
-    rx_drop_bad_fill = 0;
-    tx_sent = 0;
+    rx_delivered = c "rx_delivered";
+    rx_dropped = c "rx_dropped";
+    rx_drop_oversize = c "drop.oversize";
+    rx_drop_krx_full = c "drop.krx_full";
+    rx_drop_fill_empty = c "drop.fill_empty";
+    rx_drop_bad_fill = c "drop.bad_fill";
+    tx_sent = c "tx_sent";
     shard = None;
     replay_stash = None;
     burst_hold = [];
@@ -105,19 +109,25 @@ let umem_size x = x.umem_size
 
 let frame_size x = x.frame_size
 
-let rx_delivered x = x.rx_delivered
+let rx_delivered x = Obs.Metrics.value x.rx_delivered
 
-let rx_dropped x = x.rx_dropped
+let rx_dropped x = Obs.Metrics.value x.rx_dropped
 
 let rx_drop_reasons x =
+  let v = Obs.Metrics.value in
   [
-    ("oversize", x.rx_drop_oversize);
-    ("krx_full", x.rx_drop_krx_full);
-    ("fill_empty", x.rx_drop_fill_empty);
-    ("bad_fill", x.rx_drop_bad_fill);
+    ("oversize", v x.rx_drop_oversize);
+    ("krx_full", v x.rx_drop_krx_full);
+    ("fill_empty", v x.rx_drop_fill_empty);
+    ("bad_fill", v x.rx_drop_bad_fill);
   ]
 
-let tx_sent x = x.tx_sent
+let tx_sent x = Obs.Metrics.value x.tx_sent
+
+(* One edge drop: the total plus its cause. *)
+let edge_drop x cause =
+  Obs.Metrics.incr x.rx_dropped;
+  Obs.Metrics.incr cause
 
 let charge_per_packet () = Sim.Engine.delay Sgx.Params.xdp_redirect_per_packet
 
@@ -205,12 +215,10 @@ let rx_deliver t x frame =
      [Rings.Certified.republish]), turning a transient condition into a
      permanently dead shard that edge-drops every arrival. *)
   if len > x.frame_size then begin
-    x.rx_dropped <- x.rx_dropped + 1;
-    x.rx_drop_oversize <- x.rx_drop_oversize + 1
+    edge_drop x x.rx_drop_oversize
   end
   else if Kring.free x.krx <= 0 then begin
-    x.rx_dropped <- x.rx_dropped + 1;
-    x.rx_drop_krx_full <- x.rx_drop_krx_full + 1;
+    edge_drop x x.rx_drop_krx_full;
     Sim.Condition.broadcast x.rx_notify
   end
   else begin
@@ -221,13 +229,11 @@ let rx_deliver t x frame =
     in
     match offset with
     | None ->
-        x.rx_dropped <- x.rx_dropped + 1;
-        x.rx_drop_fill_empty <- x.rx_drop_fill_empty + 1;
+        edge_drop x x.rx_drop_fill_empty;
         Sim.Condition.broadcast x.rx_notify
     | Some offset when not (umem_offset_ok x offset) ->
         (* Kernel refuses garbage fill entries. *)
-        x.rx_dropped <- x.rx_dropped + 1;
-        x.rx_drop_bad_fill <- x.rx_drop_bad_fill + 1;
+        edge_drop x x.rx_drop_bad_fill;
         Sim.Condition.broadcast x.rx_notify
     | Some offset ->
         charge_copy len;
@@ -238,10 +244,9 @@ let rx_deliver t x frame =
           Kring.produce x.krx ~write:(fun ~slot_off ->
               Mem.Region.set_u64 x.rx.Rings.Layout.region slot_off desc)
         in
-        if ok then x.rx_delivered <- x.rx_delivered + 1
+        if ok then Obs.Metrics.incr x.rx_delivered
         else begin
-          x.rx_dropped <- x.rx_dropped + 1;
-          x.rx_drop_krx_full <- x.rx_drop_krx_full + 1
+          edge_drop x x.rx_drop_krx_full
         end;
         tamper_after_rx t x;
         Sim.Condition.broadcast x.rx_notify
@@ -265,7 +270,7 @@ let tx_drain t x =
           Mem.Region.blit_to_bytes x.umem.Mem.Ptr.region
             (x.umem.Mem.Ptr.off + offset) frame 0 len;
           x.transmit frame;
-          x.tx_sent <- x.tx_sent + 1
+          Obs.Metrics.incr x.tx_sent
         end;
         let compl_off =
           match !(t.malice) with

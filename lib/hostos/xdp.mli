@@ -26,6 +26,8 @@ type t
 val create : Sim.Engine.t -> malice:Malice.t option ref -> t
 
 val create_xsk :
+  ?obs:Obs.t ->
+  ?name:string ->
   t ->
   alloc:Mem.Alloc.t ->
   umem_size:int ->
@@ -36,7 +38,12 @@ val create_xsk :
     allocates the UMem and the four rings from the shared (untrusted)
     allocator and returns the kernel object.  The enclave learns the
     five resulting pointers via the accessors below — and must validate
-    them, since a hostile kernel could return anything. *)
+    them, since a hostile kernel could return anything.
+
+    [obs] puts the XSK's edge counters in the shared registry under
+    [name] (default ["xdp"]): ["<name>.rx_delivered"],
+    ["<name>.rx_dropped"], one ["<name>.drop.<cause>"] per
+    {!rx_drop_reasons} cause, and ["<name>.tx_sent"]. *)
 
 val xsk_id : xsk -> int
 

@@ -17,12 +17,14 @@ type histogram = {
 
 type t = {
   cs : (string, counter) Hashtbl.t;
+  mutable all_counters : counter list; (* [cs]'s values, for {!sum_counters} *)
   gs : (string, gauge) Hashtbl.t;
   hs : (string, histogram) Hashtbl.t;
 }
 
 let create () =
-  { cs = Hashtbl.create 64; gs = Hashtbl.create 16; hs = Hashtbl.create 16 }
+  { cs = Hashtbl.create 64; all_counters = [];
+    gs = Hashtbl.create 16; hs = Hashtbl.create 16 }
 
 let counter t name =
   match Hashtbl.find_opt t.cs name with
@@ -30,6 +32,7 @@ let counter t name =
   | None ->
       let c = { c_name = name; c_value = 0 } in
       Hashtbl.add t.cs name c;
+      t.all_counters <- c :: t.all_counters;
       c
 
 let gauge t name =
@@ -177,6 +180,32 @@ let with_prefix t prefix =
             v )
       else None)
     (counters t)
+
+(* {!sum_counters}'s matching: top-level loops over explicit arguments
+   (no closure, no substring), so the query allocates nothing. *)
+let rec holds name pat off i =
+  i = String.length pat
+  || String.unsafe_get name (off + i) = String.unsafe_get pat i
+     && holds name pat off (i + 1)
+
+(* [pat] at some offset in [off, last] — at [off] if [pat] is empty. *)
+let rec holds_within name pat off last =
+  off <= last && (holds name pat off 0 || holds_within name pat (off + 1) last)
+
+let rec sum_list cs ~prefix ~infix ~suffix acc =
+  match cs with
+  | [] -> acc
+  | { c_name = n; c_value } :: rest ->
+      let s = String.length n - String.length suffix in
+      let hit =
+        s >= String.length prefix
+        && holds n prefix 0 0 && holds n suffix s 0
+        && holds_within n infix (String.length prefix) (s - String.length infix)
+      in
+      sum_list rest ~prefix ~infix ~suffix (if hit then acc + c_value else acc)
+
+let sum_counters ?(infix = "") t ~prefix ~suffix =
+  sum_list t.all_counters ~prefix ~infix ~suffix 0
 
 let reset t =
   Hashtbl.iter (fun _ c -> c.c_value <- 0) t.cs;

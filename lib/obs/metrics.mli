@@ -137,6 +137,15 @@ val with_prefix : t -> string -> (string * int) list
 (** Counters whose name starts with [prefix], with the prefix stripped
     — e.g. [with_prefix t "stack.drop."] lists drop reasons. *)
 
+val sum_counters : ?infix:string -> t -> prefix:string -> suffix:string -> int
+(** [sum_counters t ~prefix ~suffix] sums every counter whose name
+    starts with [prefix] and ends with [suffix], the two not
+    overlapping; with [infix], the part between them must also contain
+    [infix] — e.g. [~prefix:"stack" ~infix:".drop." ~suffix:""] totals
+    the drop reasons of every stack instance.  [0] when nothing
+    matches.  Allocation-free, and linear in the number of registered
+    counters: meant for end-of-run totals, not per-packet paths. *)
+
 (** {1 Rendering} *)
 
 val pp : Format.formatter -> t -> unit

@@ -49,6 +49,52 @@ let test_with_prefix () =
     [ ("bad-udp", 1); ("no-socket", 2) ]
     (M.with_prefix m "stack.drop.")
 
+(* {1 Registry-wide sums} *)
+
+let test_sum_counters_patterns () =
+  let m = M.create () in
+  M.add (M.counter m "xsk0.umem.rejects") 2;
+  M.add (M.counter m "xsk.1.0.umem.rejects") 3;
+  M.add (M.counter m "uring0.zc.rejects") 5;
+  M.add (M.counter m "uring0.cqe_rejects") 7;
+  M.add (M.counter m "mm.umem.rejects") 11;
+  let sum = M.sum_counters m in
+  check "prefix and suffix both match" 5
+    (sum ~prefix:"xsk" ~suffix:".umem.rejects");
+  check "empty prefix: every instance" 16 (sum ~prefix:"" ~suffix:".umem.rejects");
+  check "empty suffix: every counter of the prefix" 12
+    (sum ~prefix:"uring" ~suffix:"");
+  check "missing name gives 0" 0 (sum ~prefix:"nic" ~suffix:".rx");
+  check "zc pool and CQE rejects are not umem rejects" 0
+    (sum ~prefix:"uring" ~suffix:".umem.rejects");
+  check "prefix and suffix may not overlap" 0
+    (sum ~prefix:"xsk0.umem" ~suffix:"umem.rejects")
+
+let test_sum_counters_infix () =
+  let m = M.create () in
+  M.incr (M.counter m "stack.drop.bad-udp");
+  M.add (M.counter m "stack.1.drop.no-socket") 2;
+  M.add (M.counter m "stack.rx_delivered") 4;
+  M.add (M.counter m "xsk0.xdp.drop.fill_empty") 8;
+  check "drops of every stack instance" 3
+    (M.sum_counters m ~prefix:"stack" ~infix:".drop." ~suffix:"");
+  check "infix must sit between prefix and suffix" 0
+    (M.sum_counters m ~prefix:"stack.drop" ~infix:".drop." ~suffix:"")
+
+let test_sum_counters_no_alloc () =
+  let m = M.create () in
+  for i = 0 to 63 do
+    M.incr (M.counter m (Printf.sprintf "xsk%d.umem.rejects" i));
+    M.incr (M.counter m (Printf.sprintf "stack.%d.drop.bad-udp" i))
+  done;
+  let w0 = Gc.minor_words () in
+  let a = M.sum_counters m ~prefix:"xsk" ~suffix:".umem.rejects" in
+  let b = M.sum_counters m ~prefix:"stack" ~infix:".drop." ~suffix:"" in
+  let w1 = Gc.minor_words () in
+  check "prefix/suffix sum" 64 a;
+  check "infix sum" 64 b;
+  Alcotest.(check (float 0.)) "no minor words" 0. (w1 -. w0)
+
 let test_reset_keeps_handles () =
   let m = M.create () in
   let c = M.counter m "c" in
@@ -267,6 +313,12 @@ let suite =
       test_counter_listing_sorted;
     Alcotest.test_case "metrics: gauge set/get" `Quick test_gauge_set_get;
     Alcotest.test_case "metrics: with_prefix" `Quick test_with_prefix;
+    Alcotest.test_case "metrics: sum_counters patterns" `Quick
+      test_sum_counters_patterns;
+    Alcotest.test_case "metrics: sum_counters infix" `Quick
+      test_sum_counters_infix;
+    Alcotest.test_case "metrics: sum_counters does not allocate" `Quick
+      test_sum_counters_no_alloc;
     Alcotest.test_case "metrics: reset keeps handles" `Quick
       test_reset_keeps_handles;
     Alcotest.test_case "histogram: log2 bucketing" `Quick

@@ -463,6 +463,210 @@ let test_attack_everything_at_once () =
   check_bool "invariants survived the kitchen sink" true
     (Rakis.Runtime.invariant_holds fx.runtime)
 
+(* {1 Runtime totals are registry queries}
+
+   Each [Runtime.total_*] sums a name pattern over the registry.  The
+   check below recomputes every total from the per-instance values it
+   stands for — public getters where they exist, exact per-instance
+   counter names where the registry is the only home — so a renamed
+   instance (its pattern goes dark) or a colliding counter (the pattern
+   picks up a stranger) fails here instead of silently moving a total.
+   Three boots of the same 2-shard zerocopy+overload configuration
+   supply the pressure: a KV flash crowd under XSK ring/descriptor
+   attacks and wire drops, a SEND_ZC stream under io_uring ring and
+   notif attacks, and a multishot receive stream under bogus CQE
+   results — whose refusals also land in the zero-copy pool's
+   "uring<n>.zc.rejects", which must stay out of the descriptor
+   total. *)
+
+let totals_config =
+  {
+    Rakis.Config.default with
+    num_queues = 2;
+    num_xsks = 2;
+    zerocopy = true;
+    overload = true;
+  }
+
+let totals_harness ~attacks =
+  match
+    Apps.Harness.make Libos.Env.Rakis_sgx ~rakis_config:totals_config
+      ~nic_queues:4 ()
+  with
+  | Error e -> Alcotest.fail e
+  | Ok h ->
+      let rt = Option.get (Libos.Env.runtime h.Apps.Harness.env) in
+      let m = Hostos.Malice.create ~seed:17L () in
+      List.iter (fun (a, p) -> Hostos.Malice.arm m ~probability:p a) attacks;
+      Hostos.Kernel.set_malice h.Apps.Harness.kernel (Some m);
+      (h, rt)
+
+(* The native peer streams [bytes] into an enclave TCP receiver: the
+   multishot recv path, whose provided buffers come from the zero-copy
+   pool. *)
+let stream_into_enclave h ~bytes =
+  let port = 5301 and api = Apps.Harness.api h and peer = h.Apps.Harness.peer in
+  let server = Hostos.Kernel.server_ip h.Apps.Harness.kernel in
+  Sim.Engine.spawn h.Apps.Harness.engine ~name:"enclave-rx" (fun () ->
+      let l = api.Libos.Api.tcp_socket () in
+      ignore (api.Libos.Api.bind l (server, port));
+      ignore (api.Libos.Api.listen l);
+      match api.Libos.Api.accept l with
+      | Error _ -> Apps.Harness.stop h
+      | Ok c ->
+          let buf = Bytes.create 65536 in
+          let rec drain () =
+            match api.Libos.Api.recv c buf 0 (Bytes.length buf) with
+            | Ok 0 | Error _ -> Apps.Harness.stop h
+            | Ok _ -> drain ()
+          in
+          drain ());
+  Sim.Engine.spawn h.Apps.Harness.engine ~name:"peer-tx" (fun () ->
+      Sim.Engine.delay (Sim.Cycles.of_us 50.);
+      let fd = peer.Libos.Api.tcp_socket () in
+      (match peer.Libos.Api.connect fd (server, port) with
+      | Error _ -> ()
+      | Ok () ->
+          let chunk = Bytes.make 16384 'r' in
+          let rec go sent =
+            if sent < bytes then
+              match peer.Libos.Api.send fd chunk 0 (Bytes.length chunk) with
+              | Ok n when n > 0 -> go (sent + n)
+              | Ok _ | Error _ -> ()
+          in
+          go 0);
+      ignore (peer.Libos.Api.close fd));
+  Apps.Harness.run h ~until:(Sim.Cycles.of_sec 5.)
+
+(* For one finished run: [(total, runtime value, per-instance sum)] for
+   every counter total, and [(pattern, per-instance sum)] for every name
+   pattern feeding them. *)
+let totals_vs_instances rt =
+  let module R = Rakis.Runtime in
+  let m = Obs.metrics (R.obs rt) in
+  let exact name =
+    match Obs.Metrics.find m name with
+    | Some v -> v
+    | None -> Alcotest.failf "no counter named %s" name
+  in
+  let sum f l = List.fold_left (fun acc x -> acc + f x) 0 l in
+  let shards = List.init (R.shard_count rt) Fun.id in
+  let fms = List.concat_map (fun k -> Array.to_list (R.shard_fms rt k)) shards in
+  let fm_names =
+    List.concat_map
+      (fun k ->
+        List.init (Array.length (R.shard_fms rt k)) (Printf.sprintf "xsk.%d.%d" k))
+      shards
+  in
+  let xsks = List.concat_map (fun k -> Array.to_list (R.shard_xsks rt k)) shards in
+  (* io_uring FMs are per thread, named uring0, uring1, ... *)
+  let rec urings i =
+    let name = Printf.sprintf "uring%d" i in
+    if Obs.Metrics.find m (name ^ ".cqe_rejects") = None then []
+    else name :: urings (i + 1)
+  in
+  let urings = urings 0 in
+  let uring suffix = sum (fun u -> exact (u ^ suffix)) urings in
+  let overloads =
+    Option.to_list (R.uring_overload rt)
+    @ List.filter_map (R.shard_overload rt) shards
+  in
+  let ov f = sum f overloads in
+  List.iter
+    (fun x ->
+      check "edge-drop reasons add up" (Hostos.Xdp.rx_dropped x)
+        (sum snd (Hostos.Xdp.rx_drop_reasons x)))
+    xsks;
+  let patterns =
+    [
+      ("xsk ring failures", sum Rakis.Xsk_fm.ring_check_failures fms);
+      ("uring ring failures", uring ".iSub.failures" + uring ".iCompl.failures");
+      ("umem rejects", sum (fun fm -> Rakis.Umem.rejects (Rakis.Xsk_fm.umem fm)) fms);
+      ("cqe rejects", uring ".cqe_rejects");
+      ("zc sends", uring ".zc_sends");
+      ("zc fallbacks", uring ".zc_fallbacks");
+      ("zc notifs", uring ".zc_notifs");
+      ("zc notifs early", uring ".zc_notif_early");
+      ("zc notifs stray", uring ".zc_notif_stray");
+      ("overload data shed", ov (fun o -> (Rakis.Overload.observe o).Rakis.Overload.ob_shed_data));
+      ("overload data admitted", ov Rakis.Overload.data_admitted);
+      ("overload control admitted", ov Rakis.Overload.control_admitted);
+      ("edge drops", sum Hostos.Xdp.rx_dropped xsks);
+      ("fill throttles", sum (fun n -> exact (n ^ ".fill_throttled")) fm_names);
+      ( "wire losses",
+        Hostos.Nic.wire_losses (Hostos.Kernel.nic (R.kernel rt) 0)
+        + Hostos.Nic.wire_losses (Hostos.Kernel.nic (R.kernel rt) 1) );
+      ("stack drops", sum (fun k -> Netstack.Stack.rx_dropped (R.shard_stack rt k)) shards);
+    ]
+  in
+  let p name = List.assoc name patterns in
+  let ps names = sum p names in
+  let ring = [ "xsk ring failures"; "uring ring failures" ]
+  and desc = [ "umem rejects"; "cqe rejects" ] in
+  ( [
+      ("ring check failures", R.total_ring_check_failures rt, ps ring);
+      ("desc rejects", R.total_desc_rejects rt, ps desc);
+      ("zc sends", R.total_zc_sends rt, p "zc sends");
+      ("zc fallbacks", R.total_zc_fallbacks rt, p "zc fallbacks");
+      ("zc notifs", R.total_zc_notifs rt, p "zc notifs");
+      ( "zc notif rejects",
+        R.total_zc_notif_rejects rt,
+        ps [ "zc notifs early"; "zc notifs stray" ] );
+      ("overload shed", R.total_overload_shed rt, p "overload data shed");
+      ( "overload admitted",
+        R.total_overload_admitted rt,
+        ps [ "overload data admitted"; "overload control admitted" ] );
+      ("edge drops", R.total_edge_drops rt, p "edge drops");
+      ("fill throttles", R.total_fill_throttles rt, p "fill throttles");
+      ("wire losses", R.total_wire_losses rt, p "wire losses");
+      ( "accounted drops",
+        R.total_accounted_drops rt,
+        ps ([ "stack drops"; "edge drops"; "wire losses" ] @ ring @ desc) );
+    ],
+    patterns )
+
+let test_totals_are_instance_sums () =
+  let open Hostos.Malice in
+  let kv, kv_rt =
+    totals_harness
+      ~attacks:[ (Prod_overshoot, 0.02); (Bad_umem_offset, 0.02); (Corrupt_packet, 0.02) ]
+  in
+  let wire = Hostos.Faults.create ~seed:23L () in
+  Hostos.Faults.arm wire ~probability:0.02 Hostos.Faults.Wire_drop;
+  Hostos.Kernel.set_faults kv.Apps.Harness.kernel (Some wire);
+  ignore
+    (Apps.Loadgen.run kv ~server_threads:2
+       ~config:
+         {
+           Apps.Loadgen.default with
+           connections = 640;
+           ops = 4000;
+           timeout = 12_000_000L;
+         });
+  let zc, zc_rt =
+    totals_harness
+      ~attacks:
+        [
+          (Prod_overshoot, 0.01);
+          (Forged_early_notif, 0.05);
+          (Double_notif, 0.05);
+          (Dropped_notif, 0.3);
+        ]
+  in
+  ignore (Apps.Iperf_tcp.run zc ~bytes:(2 * 1024 * 1024));
+  let rx, rx_rt = totals_harness ~attacks:[ (Cqe_bogus_res, 0.05) ] in
+  stream_into_enclave rx ~bytes:(1024 * 1024);
+  let runs = List.map totals_vs_instances [ kv_rt; zc_rt; rx_rt ] in
+  List.iter
+    (fun (totals, _) ->
+      List.iter (fun (name, total, instances) -> check name instances total) totals)
+    runs;
+  List.iter
+    (fun (pattern, _) ->
+      check_bool (pattern ^ " exercised") true
+        (List.exists (fun (_, patterns) -> List.assoc pattern patterns > 0) runs))
+    (snd (List.hd runs))
+
 (* {1 SyncProxy / io_uring FM} *)
 
 let test_syncproxy_file_io () =
@@ -692,6 +896,8 @@ let suite =
      test_attack_corrupt_packets_no_crash);
     ("attack: all attacks at once survived", `Quick,
      test_attack_everything_at_once);
+    ("runtime: totals equal their per-instance sums", `Quick,
+     test_totals_are_instance_sums);
     ("syncproxy: file io", `Quick, test_syncproxy_file_io);
     ("syncproxy: chunked large transfers", `Quick,
      test_syncproxy_chunked_large_write);

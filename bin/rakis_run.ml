@@ -3,7 +3,7 @@
 
      dune exec bin/rakis_run.exe -- iperf --env rakis-sgx --packets 20000
      dune exec bin/rakis_run.exe -- redis --env gramine-sgx --command get
-     dune exec bin/rakis_run.exe -- verify       # Testing Module: model check
+     dune exec bin/rakis_run.exe -- verify       # Testing Module: explorer
      dune exec bin/rakis_run.exe -- fuzz -n 100000 *)
 
 open Cmdliner
@@ -688,14 +688,18 @@ let loadgen_cmd =
       $ rdp $ faults_arg $ fault_seed_arg $ metrics_arg $ trace_arg)
 
 let verify_cmd =
-  let depth = Arg.(value & opt int 3 & info [ "depth" ] ~doc:"Schedule depth.") in
+  let depth =
+    Arg.(value & opt int 5 & info [ "depth" ] ~doc:"Transition-sequence bound.")
+  in
   let run depth =
-    let r = Tm.Model_check.verify ~depth () in
-    Format.printf "%a@." Tm.Model_check.pp_report r;
-    if not (Tm.Model_check.passed r) then exit 1
+    let config = { Tm.Explore.default_config with shards = 1 } in
+    let r = Tm.Explore.explore ~config ~depth () in
+    Format.printf "%a@." Tm.Explore.pp_report r;
+    if not (Tm.Explore.passed r) then exit 1
   in
   Cmd.v
-    (Cmd.info "verify" ~doc:"Testing Module: model-check the FastPath Module")
+    (Cmd.info "verify"
+       ~doc:"Testing Module: exhaustively explore the FastPath Module")
     Term.(const run $ depth)
 
 let fuzz_cmd =

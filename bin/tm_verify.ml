@@ -2,7 +2,11 @@
    binary, with bounded-exhaustive search in place of KLEE).
 
    Modes:
-   - default: bounded-exhaustive model check of the certified rings;
+   - default: exhaustive bounded exploration of the FM product machine
+     (DESIGN.md §11) — certified xRX/xFill rings x UMem x breaker x
+     faults x shard, to --depth transitions (default 5) over --queues
+     shards, failing below --min-states distinct states; --mutant runs
+     a known-bad driver mutation that must be caught;
    - --campaign: the full adversarial campaign — differential oracle
      runs (certified vs naive vs golden model), end-to-end single /
      pairwise / soup attack schedules on both datapaths, and a
@@ -297,7 +301,7 @@ let replay token =
       Format.printf "%a@." Tm.Campaign.pp_outcome o;
       if Tm.Campaign.failed o then exit 1
 
-let exhaustive ~depth ~queues ~min_states ~max_states ~mutant =
+let explore ~depth ~queues ~min_states ~max_states ~mutant =
   let mutant =
     match mutant with
     | "" -> None
@@ -350,14 +354,12 @@ let exhaustive ~depth ~queues ~min_states ~max_states ~mutant =
       Format.printf "@.exploration passed@."
 
 let () =
-  (* -1 = unset: the model check defaults to 3, --exhaustive to 6 *)
-  let depth = ref (-1)
-  and ring_size = ref 4
+  let depth = ref 5
   and budget = ref 2000
   and queues = ref 1
-  and mode = ref `Model_check
+  and mode = ref `Explore
   and faults_spec = ref ""
-  and min_states = ref 10_000
+  and min_states = ref 1_000
   and max_states = ref 250_000
   and mutant = ref ""
   and token = ref ""
@@ -367,18 +369,17 @@ let () =
   and wire = ref false in
   let spec =
     [
-      ("-depth", Arg.Set_int depth, "schedule depth (default 3)");
-      ("-ring-size", Arg.Set_int ring_size, "ring slots (default 4)");
       ( "--campaign",
         Arg.Unit (fun () -> mode := `Campaign),
-        "run the adversarial campaign instead of the model check" );
+        "run the adversarial campaign instead of the exploration" );
       ( "--budget",
         Arg.Set_int budget,
         "campaign end-to-end step budget (default 2000)" );
       ( "--queues",
         Arg.Set_int queues,
-        "datapath shards for the campaign workloads (default 1); > 1 \
-         additionally runs the shard-containment check" );
+        "datapath shards for the exploration and the campaign workloads \
+         (default 1); > 1 additionally runs the campaign's \
+         shard-containment check" );
       ( "--faults",
         Arg.Set_string faults_spec,
         "host-fault plan for the campaign (';'-separated, e.g. \
@@ -389,21 +390,16 @@ let () =
             mode := `Replay;
             token := s),
         "replay one campaign repro token" );
-      ( "--exhaustive",
-        Arg.Unit (fun () -> mode := `Exhaustive),
-        "exhaustive bounded exploration of the FM product machine \
-         (ring x UMem x breaker x faults x shard); use with --depth, \
-         --queues, --min-states" );
       ( "--depth",
         Arg.Set_int depth,
-        "transition-sequence bound for --exhaustive (default 5)" );
+        "transition-sequence bound for the exploration (default 5)" );
       ( "--min-states",
         Arg.Set_int min_states,
-        "fail --exhaustive below this many distinct states — the CI \
-         coverage-regression gate (default 10000)" );
+        "fail the exploration below this many distinct states — the CI \
+         coverage-regression gate (default 1000)" );
       ( "--max-states",
         Arg.Set_int max_states,
-        "state budget for --exhaustive (default 250000)" );
+        "state budget for the exploration (default 250000)" );
       ( "--soak",
         Arg.Unit (fun () -> mode := `Soak),
         "run the overload-control chaos soak (flash crowd x rolling \
@@ -427,16 +423,16 @@ let () =
          (the whole soak rides the hostile wire; token gains ':wire')" );
       ( "--mutant",
         Arg.Set_string mutant,
-        "run --exhaustive against a known-bad driver mutation and require \
-         it to be caught (probe-off-by-one | probe-slot-leak | \
-         skip-reclaim | zc-release-early)" );
+        "run the exploration against a known-bad driver mutation and \
+         require it to be caught (probe-off-by-one | probe-slot-leak | \
+         skip-reclaim | zc-release-early | fill-overrun)" );
     ]
   in
   Arg.parse spec
     (fun _ -> ())
-    "tm_verify [-depth N] [-ring-size N] [--campaign] [--budget N] [--queues \
-     N] [--faults PLAN] [--wire] [--replay TOKEN] [--exhaustive [--depth N] \
-     [--min-states N] [--mutant M]]";
+    "tm_verify [--depth N] [--queues N] [--min-states N] [--max-states N] \
+     [--mutant M] [--campaign [--budget N] [--faults PLAN] [--wire]] \
+     [--replay TOKEN] [--soak ...]";
   match !mode with
   | `Campaign -> (
       match Hostos.Faults.plan_of_string !faults_spec with
@@ -451,14 +447,6 @@ let () =
       soak ~steps:!soak_steps ~queues ~seed:!seed
         ~slo_p99:(if !slo_p99 < 0 then None else Some (Int64.of_int !slo_p99))
         ~wire:!wire
-  | `Exhaustive ->
-      let depth = if !depth < 0 then 5 else !depth in
-      exhaustive ~depth ~queues:!queues ~min_states:!min_states
+  | `Explore ->
+      explore ~depth:!depth ~queues:!queues ~min_states:!min_states
         ~max_states:!max_states ~mutant:!mutant
-  | `Model_check ->
-      let depth = if !depth < 0 then 3 else !depth in
-      Format.printf "RAKIS Testing Module: FM model check@.";
-      Format.printf "ring_size=%d depth=%d@.@." !ring_size depth;
-      let report = Tm.Model_check.verify ~ring_size:!ring_size ~depth () in
-      Format.printf "%a@." Tm.Model_check.pp_report report;
-      if not (Tm.Model_check.passed report) then exit 1

@@ -132,7 +132,7 @@ val fired_counts : t -> (attack * int) list
 (** All attacks that fired at least once, with their counts, in
     {!all_attacks} order. *)
 
-(** {1 Standalone ring smashing (tests / model checker)} *)
+(** {1 Standalone ring smashing (tests / explorer)} *)
 
 val smash_prod : Rings.Layout.t -> int -> unit
 (** Overwrite the shared producer index. *)

@@ -169,28 +169,6 @@ let consume_batch t ~max ~read =
     n
   end
 
-let peek_batch t ~max ~read =
-  require Consumer t "peek_batch";
-  refresh_prod t;
-  let n = min max (U32.distance ~ahead:t.tprod ~behind:t.tcons) in
-  let rec go i =
-    if i >= n then i
-    else if read ~slot_off:(Layout.slot_off t.layout (U32.add t.tcons i)) i
-    then go (i + 1)
-    else i
-  in
-  go 0
-
-let commit_batch t count =
-  require Consumer t "commit_batch";
-  if count < 0 || count > U32.distance ~ahead:t.tprod ~behind:t.tcons then
-    invalid_arg "Certified.commit_batch: count exceeds the validated window";
-  if count > 0 then begin
-    t.tcons <- U32.add t.tcons count;
-    Layout.write_cons t.layout t.tcons;
-    count_burst t ~label:t.consume_label count
-  end
-
 let bursts t = Obs.Metrics.value t.bursts
 
 let burst_slots t = Obs.Metrics.value t.burst_slots

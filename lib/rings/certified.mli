@@ -116,19 +116,6 @@ val consume_batch : t -> max:int -> read:(slot_off:int -> int -> unit) -> int
     the callback refuses internally (counting the reject) and the burst
     still advances past the slot. *)
 
-val peek_batch : t -> max:int -> read:(slot_off:int -> int -> bool) -> int
-(** Like {!consume_batch} but nothing is released: [read] returns
-    [true] to accept the slot and continue, [false] to stop the burst
-    before this slot (e.g. out of buffers mid-burst).  Returns the
-    accepted prefix length; pass it to {!commit_batch} to release.  The
-    unaccepted tail is not lost — it stays available for the next
-    burst. *)
-
-val commit_batch : t -> int -> unit
-(** Release [n] peeked entries with one consumer-index store.  Raises
-    [Invalid_argument] if [n] exceeds the validated window (an FM bug,
-    not a host attack — the host cannot influence the bound). *)
-
 (** {1 Introspection (tests and the Testing Module)} *)
 
 val trusted_prod : t -> int

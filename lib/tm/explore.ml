@@ -1,15 +1,17 @@
 (* Exhaustive bounded exploration of the full FM product machine
-   (DESIGN.md §11).
+   (DESIGN.md §11) — the Testing Module's one ring and offset checker.
 
-   {!Model_check} explores hostile index schedules against a single
-   certified ring.  This module explores the {e product} of everything
-   the FM composes per shard: certified ring indices x the UMem
-   ownership partition (free / out-Rx / out-Tx / limbo / registered) x
-   the circuit breaker (Closed / Open / Half_open, probe in flight,
-   cooldown) x a fault trigger x the shard id — under an interleaved
-   adversary that may, at every step, deliver frames honestly, deliver
-   garbage descriptors, smash the shared producer index, forge or
-   withhold zero-copy notifs, arm a persistent fault, or stall.
+   This module explores the {e product} of everything the FM composes
+   per shard: the certified xRX (consumer) and xFill (producer) ring
+   indices x the UMem ownership partition (free / out-Rx / out-Tx /
+   limbo / registered) x the circuit breaker (Closed / Open /
+   Half_open, probe in flight, cooldown) x a fault trigger x the shard
+   id — under an interleaved adversary that may, at every step, deliver
+   frames honestly, deliver garbage descriptors, smash the shared
+   xRX producer or xFill consumer index, forge or withhold zero-copy
+   notifs, arm a persistent fault, or stall.  The rings are driven the
+   way the FM drives them: xRX is drained with [consume_batch], xFill
+   is stocked with [produce_batch].
 
    The search is a breadth-first enumeration of transition sequences
    over a deliberately tiny configuration (2 shards, 2-entry rings,
@@ -27,8 +29,11 @@
 
    - V1  UMem conservation: free + outRx + outTx + limbo + registered
          = frames;
-   - V2  certified ring invariant (paper eq. 1): 0 <= Pt - Ct <= St;
-   - V3  ring conformance with the pure {!Stm_model.Ring};
+   - V2  certified ring invariant (paper eq. 1): 0 <= Pt - Ct <= St,
+         on xRX and xFill;
+   - V3  ring conformance with the pure {!Stm_model.Ring} — trusted
+         copies, reject counts and both shared index words — on xRX
+         and xFill;
    - V4  UMem conformance with {!Stm_model.Umem} (partition + rejects);
    - V5  breaker conformance with {!Stm_model.Breaker}, edge legality
          (breaker monotonicity) and exact opens/closes/on_open counts;
@@ -40,9 +45,10 @@
          duplicated notifs refused, and release verdicts match the
          model's.
 
-   The [mutant] parameter re-introduces four historical bug shapes
+   The [mutant] parameter re-introduces five historical bug shapes
    (probe double-counting, probe slot leak, skipped reclaim
-   validation, completion-anchored zero-copy release) in the
+   validation, completion-anchored zero-copy release, an xFill write
+   past the validated free window) in the
    {e driver}'s use of the real modules; the test suite proves each one
    is caught, which is the evidence that the explorer's net actually
    catches the fish it claims to. *)
@@ -53,22 +59,24 @@ type mutant =
   | Skip_reclaim  (** consumed descriptors bypass UMem validation *)
   | Zc_release_early
       (** a zero-copy frame is freed on completion instead of notif *)
+  | Fill_overrun
+      (** a refused xFill produce is written and published anyway *)
 
 let mutant_name = function
   | Probe_off_by_one -> "probe-off-by-one"
   | Probe_slot_leak -> "probe-slot-leak"
   | Skip_reclaim -> "skip-reclaim"
   | Zc_release_early -> "zc-release-early"
-
-let mutant_of_string = function
-  | "probe-off-by-one" -> Some Probe_off_by_one
-  | "probe-slot-leak" -> Some Probe_slot_leak
-  | "skip-reclaim" -> Some Skip_reclaim
-  | "zc-release-early" -> Some Zc_release_early
-  | _ -> None
+  | Fill_overrun -> "fill-overrun"
 
 let all_mutants =
-  [ Probe_off_by_one; Probe_slot_leak; Skip_reclaim; Zc_release_early ]
+  [
+    Probe_off_by_one; Probe_slot_leak; Skip_reclaim; Zc_release_early;
+    Fill_overrun;
+  ]
+
+let mutant_of_string s =
+  List.find_opt (fun m -> mutant_name m = s) all_mutants
 
 type config = {
   shards : int;
@@ -84,20 +92,23 @@ type config = {
 (* {1 The concrete per-shard machine} *)
 
 type shard = {
-  layout : Rings.Layout.t;
-  ring : Rings.Certified.t;  (* consumer role: models xRX *)
+  rx_layout : Rings.Layout.t;
+  rx : Rings.Certified.t;  (* consumer role *)
+  fill_layout : Rings.Layout.t;
+  fill : Rings.Certified.t;  (* producer role *)
   umem : Rakis.Umem.t;
   breaker : Rakis.Health.t;
   clock : int64 ref;
   on_open_fires : int ref;
   mutable fault_armed : bool;
   mutable limbo : int option;  (* allocated, not yet committed *)
-  mutable host_pending : int list;  (* committed Rx frames the host holds *)
   mutable tx_out : int list;  (* committed Tx frames awaiting completion *)
   mutable zc_out : int list;  (* Registered frames awaiting their notif *)
-  mutable shadow_prod : int;  (* the honest host's true producer index *)
+  mutable rx_shadow : int;  (* the honest host's true xRX producer index *)
+  mutable fill_shadow : int;  (* the honest host's true xFill consumer index *)
   (* pure mirrors, advanced in lockstep *)
-  mutable m_ring : Stm_model.Ring.t;
+  mutable m_rx : Stm_model.Ring.t;
+  mutable m_fill : Stm_model.Ring.t;
   mutable m_umem : Stm_model.Umem.t;
   mutable m_breaker : Stm_model.Breaker.t;
 }
@@ -108,10 +119,13 @@ let make_shard cfg k =
   let region =
     Mem.Region.create ~kind:Untrusted
       ~name:(Printf.sprintf "explore.%d" k)
-      ~size:(Rings.Layout.footprint ~entry_size:8 ~size:cfg.ring_size + 64)
+      ~size:
+        (2 * (Rings.Layout.footprint ~entry_size:8 ~size:cfg.ring_size + 64))
   in
   let alloc = Mem.Alloc.create region () in
-  let layout = Rings.Layout.alloc alloc ~entry_size:8 ~size:cfg.ring_size in
+  let ring () = Rings.Layout.alloc alloc ~entry_size:8 ~size:cfg.ring_size in
+  let rx_layout = ring () in
+  let fill_layout = ring () in
   let clock = ref 0L in
   let breaker =
     Rakis.Health.create
@@ -123,8 +137,10 @@ let make_shard cfg k =
   let on_open_fires = ref 0 in
   Rakis.Health.set_on_open breaker (fun () -> incr on_open_fires);
   {
-    layout;
-    ring = Rings.Certified.create layout ~role:Rings.Certified.Consumer ();
+    rx_layout;
+    rx = Rings.Certified.create rx_layout ~role:Rings.Certified.Consumer ();
+    fill_layout;
+    fill = Rings.Certified.create fill_layout ~role:Rings.Certified.Producer ();
     umem =
       Rakis.Umem.create
         ~size:(cfg.frames * cfg.frame_size)
@@ -134,11 +150,12 @@ let make_shard cfg k =
     on_open_fires;
     fault_armed = false;
     limbo = None;
-    host_pending = [];
     tx_out = [];
     zc_out = [];
-    shadow_prod = 0;
-    m_ring = Stm_model.Ring.create ~size:cfg.ring_size;
+    rx_shadow = 0;
+    fill_shadow = 0;
+    m_rx = Stm_model.Ring.create ~size:cfg.ring_size;
+    m_fill = Stm_model.Ring.create ~size:cfg.ring_size;
     m_umem = Stm_model.Umem.create ~frames:cfg.frames ~frame_size:cfg.frame_size;
     m_breaker =
       Stm_model.Breaker.create ~threshold:cfg.threshold
@@ -156,9 +173,10 @@ type step =
   | Commit_rx  (** FM produces the limbo frame into xFill *)
   | Commit_tx  (** FM produces the limbo frame into xTX *)
   | Cancel  (** FM returns the limbo frame unused *)
-  | Host_deliver  (** honest host: pending frame into xRX *)
+  | Host_deliver  (** honest host: next xFill frame into xRX *)
   | Host_deliver_bad of bad  (** hostile host: garbage descriptor *)
-  | Smash of int  (** hostile host: smash the shared producer index *)
+  | Smash of int  (** hostile host: smash xRX's shared producer index *)
+  | Smash_fill of int  (** hostile host: smash xFill's shared consumer index *)
   | Fm_poll  (** FM receive poll, routed through the breaker *)
   | Reap_tx  (** honest host completes a Tx frame *)
   | Reap_tx_bad  (** hostile completion for a frame not out on Tx *)
@@ -183,6 +201,7 @@ let step_name = function
   | Host_deliver -> "deliver"
   | Host_deliver_bad b -> "deliver-bad:" ^ bad_name b
   | Smash i -> Printf.sprintf "smash:%d" i
+  | Smash_fill i -> Printf.sprintf "smash-fill:%d" i
   | Fm_poll -> "poll"
   | Reap_tx -> "reap-tx"
   | Reap_tx_bad -> "reap-tx-bad"
@@ -194,13 +213,13 @@ let step_name = function
 
 let transition_name t = Printf.sprintf "%s#%d" (step_name t.step) t.shard
 
-(* Hostile values for the shared producer word, relative to the
+(* Hostile values for xRX's shared producer word, relative to the
    trusted state: a regress, a just-out-of-window jump, the maximal
    in-window overshoot (accepted — the slots hold whatever the host
    left there) and a far-future value. *)
 let smash_candidates cfg sh =
-  let tp = Rings.Certified.trusted_prod sh.ring in
-  let tc = Rings.Certified.trusted_cons sh.ring in
+  let tp = Rings.Certified.trusted_prod sh.rx in
+  let tc = Rings.Certified.trusted_cons sh.rx in
   [
     Rings.U32.sub tc 1;
     Rings.U32.add tc (cfg.ring_size + 1);
@@ -208,14 +227,27 @@ let smash_candidates cfg sh =
     Rings.U32.add tp 0x4000_0000;
   ]
 
+(* The same four kinds for xFill's shared consumer word: a regress, a
+   value past the trusted producer, the in-window edge (accepted — the
+   host claims every stocked frame) and a far value. *)
+let smash_fill_candidates sh =
+  let tp = Rings.Certified.trusted_prod sh.fill in
+  let tc = Rings.Certified.trusted_cons sh.fill in
+  [ Rings.U32.sub tc 1; Rings.U32.succ tp; tp; Rings.U32.add tp 0x4000_0000 ]
+
 let good_len cfg = cfg.frame_size - 4
 
-(* Room in the ring as the honest host sees it: its own true producer
-   index against the consumer word the enclave published. *)
+(* Room in xRX as the honest host sees it: its own true producer index
+   against the consumer word the enclave published. *)
 let host_has_room cfg sh =
-  Rings.U32.distance ~ahead:sh.shadow_prod
-    ~behind:(Rings.Layout.read_cons sh.layout)
+  Rings.U32.distance ~ahead:sh.rx_shadow
+    ~behind:(Rings.Layout.read_cons sh.rx_layout)
   < cfg.ring_size
+
+(* The honest host holds a frame iff the producer word the enclave
+   published for xFill is ahead of its own consumer index. *)
+let host_has_frame sh =
+  Rings.Layout.read_prod sh.fill_layout <> sh.fill_shadow
 
 (* A frame currently NOT out on [routine], as a wrong-owner probe
    target; [None] when every frame is out on it. *)
@@ -256,13 +288,15 @@ let enabled_on cfg m k =
   add (sh.limbo <> None) Commit_rx;
   add (sh.limbo <> None) Commit_tx;
   add (sh.limbo <> None) Cancel;
-  add (room && sh.host_pending <> []) Host_deliver;
+  let frame = host_has_frame sh in
+  add (room && frame) Host_deliver;
   add room (Host_deliver_bad Bad_misaligned);
   add
     (room && foreign_frame_for sh Rakis.Umem.Rx <> None)
     (Host_deliver_bad Bad_foreign);
-  add (room && sh.host_pending <> []) (Host_deliver_bad Bad_oversize);
+  add (room && frame) (Host_deliver_bad Bad_oversize);
   List.iteri (fun i _ -> add true (Smash i)) (smash_candidates cfg sh);
+  List.iteri (fun i _ -> add true (Smash_fill i)) (smash_fill_candidates sh);
   add true Fm_poll;
   add (sh.tx_out <> []) Reap_tx;
   add (foreign_frame_for sh Rakis.Umem.Tx <> None) Reap_tx_bad;
@@ -289,13 +323,53 @@ let desc_of ~offset ~len =
     (Int64.logand (Int64.of_int offset) 0xFFFF_FFFFL)
     (Int64.shift_left (Int64.of_int len) 32)
 
-let deliver cfg sh ~offset ~len =
-  let slot = Rings.Layout.slot_off sh.layout sh.shadow_prod in
-  Mem.Region.set_u64 sh.layout.Rings.Layout.region slot (desc_of ~offset ~len);
-  sh.shadow_prod <- Rings.U32.succ sh.shadow_prod;
-  Rings.Layout.write_prod sh.layout sh.shadow_prod;
-  sh.m_ring <- Stm_model.Ring.host_write_prod sh.m_ring sh.shadow_prod;
-  ignore cfg
+let desc_offset desc = Int64.to_int (Int64.logand desc 0xFFFF_FFFFL)
+
+let deliver sh ~offset ~len =
+  let slot = Rings.Layout.slot_off sh.rx_layout sh.rx_shadow in
+  Mem.Region.set_u64 sh.rx_layout.Rings.Layout.region slot
+    (desc_of ~offset ~len);
+  sh.rx_shadow <- Rings.U32.succ sh.rx_shadow;
+  Rings.Layout.write_prod sh.rx_layout sh.rx_shadow;
+  sh.m_rx <- Stm_model.Ring.host_write_prod sh.m_rx sh.rx_shadow
+
+(* The honest host takes the next xFill frame for delivery: it reads
+   the slot at its own consumer index and publishes the advanced index. *)
+let host_take sh =
+  let desc =
+    Mem.Region.get_u64 sh.fill_layout.Rings.Layout.region
+      (Rings.Layout.slot_off sh.fill_layout sh.fill_shadow)
+  in
+  sh.fill_shadow <- Rings.U32.succ sh.fill_shadow;
+  Rings.Layout.write_cons sh.fill_layout sh.fill_shadow;
+  sh.m_fill <- Stm_model.Ring.host_write_cons sh.m_fill sh.fill_shadow;
+  desc_offset desc
+
+(* The FM stocks the limbo frame into xFill with one produce burst.  A
+   refused produce (no validated free slot) leaves the frame in limbo. *)
+let commit_rx note sh ~mutant =
+  let off = Option.get sh.limbo in
+  let write ~slot_off =
+    Mem.Region.set_u64 sh.fill_layout.Rings.Layout.region slot_off
+      (desc_of ~offset:off ~len:0);
+    Rakis.Umem.commit sh.umem off Rakis.Umem.Rx;
+    sh.m_umem <- Stm_model.Umem.commit sh.m_umem off Rakis.Umem.Rx;
+    sh.limbo <- None
+  in
+  let n =
+    Rings.Certified.produce_batch sh.fill ~count:1 ~write:(fun ~slot_off _ ->
+        write ~slot_off)
+  in
+  let mf, mn = Stm_model.Ring.produce_batch sh.m_fill ~count:1 in
+  sh.m_fill <- mf;
+  if n <> mn then note "V3: xFill produce diverges from model";
+  if n = 0 && mutant = Some Fill_overrun then begin
+    (* The mutant trusts its own cached view: it writes the slot at the
+       trusted producer and publishes past the validated free window. *)
+    let tp = Rings.Certified.trusted_prod sh.fill in
+    write ~slot_off:(Rings.Layout.slot_off sh.fill_layout tp);
+    Rings.Layout.write_prod sh.fill_layout (Rings.U32.succ tp)
+  end
 
 let fm_poll note cfg sh ~mutant =
   let now = !(sh.clock) in
@@ -312,46 +386,42 @@ let fm_poll note cfg sh ~mutant =
         Rakis.Health.record_failure sh.breaker;
         sh.m_breaker <- Stm_model.Breaker.record_failure sh.m_breaker ~now)
       else
-        let read ~slot_off =
-          Mem.Region.get_u64 (Rings.Certified.region sh.ring) slot_off
+        let read ~slot_off _ =
+          let desc =
+            Mem.Region.get_u64 sh.rx_layout.Rings.Layout.region slot_off
+          in
+          let offset = desc_offset desc in
+          let len = Int64.to_int (Int64.shift_right_logical desc 32) in
+          let accepted =
+            match mutant with
+            | Some Skip_reclaim -> true
+            | _ ->
+                Result.is_ok
+                  (Rakis.Umem.reclaim sh.umem Rakis.Umem.Rx ~offset ~len ())
+          in
+          let mu, m_accepted =
+            Stm_model.Umem.reclaim sh.m_umem Rakis.Umem.Rx ~offset ~len
+          in
+          sh.m_umem <- mu;
+          if accepted <> m_accepted then
+            note "V6: descriptor verdict diverges from model"
         in
-        match Rings.Certified.consume sh.ring ~read with
-        | Error `Ring_empty ->
-            let mr, slot = Stm_model.Ring.consume sh.m_ring in
-            sh.m_ring <- mr;
-            if slot <> None then
-              note "V3: model ring consumed where real ring was empty";
-            if is_probe then (
-              (* nothing to receive: decline the probe, release the slot *)
-              (match mutant with
-              | Some Probe_slot_leak -> ()
-              | _ -> Rakis.Health.cancel_probe sh.breaker);
-              sh.m_breaker <- Stm_model.Breaker.cancel_probe sh.m_breaker)
-        | Ok desc ->
-            let mr, slot = Stm_model.Ring.consume sh.m_ring in
-            sh.m_ring <- mr;
-            if slot = None then
-              note "V3: real ring consumed where model ring was empty";
-            let offset = Int64.to_int (Int64.logand desc 0xFFFF_FFFFL) in
-            let len = Int64.to_int (Int64.shift_right_logical desc 32) in
-            let accepted =
-              match mutant with
-              | Some Skip_reclaim -> true
-              | _ ->
-                  Result.is_ok
-                    (Rakis.Umem.reclaim sh.umem Rakis.Umem.Rx ~offset ~len ())
-            in
-            let mu, m_accepted =
-              Stm_model.Umem.reclaim sh.m_umem Rakis.Umem.Rx ~offset ~len
-            in
-            sh.m_umem <- mu;
-            if accepted <> m_accepted then
-              note "V6: descriptor verdict diverges from model";
+        let n = Rings.Certified.consume_batch sh.rx ~max:cfg.ring_size ~read in
+        let mr, mn = Stm_model.Ring.consume_batch sh.m_rx ~max:cfg.ring_size in
+        sh.m_rx <- mr;
+        if n <> mn then note "V3: xRX consume diverges from model";
+        if n = 0 then (
+          if is_probe then (
+            (* nothing to receive: decline the probe, release the slot *)
+            (match mutant with
+            | Some Probe_slot_leak -> ()
+            | _ -> Rakis.Health.cancel_probe sh.breaker);
+            sh.m_breaker <- Stm_model.Breaker.cancel_probe sh.m_breaker))
+        else (
+          Rakis.Health.record_success sh.breaker;
+          if is_probe && mutant = Some Probe_off_by_one then
             Rakis.Health.record_success sh.breaker;
-            if is_probe && mutant = Some Probe_off_by_one then
-              Rakis.Health.record_success sh.breaker;
-            sh.m_breaker <- Stm_model.Breaker.record_success sh.m_breaker);
-      ignore cfg
+          sh.m_breaker <- Stm_model.Breaker.record_success sh.m_breaker))
 
 let apply note m { shard; step } =
   let cfg = m.cfg in
@@ -366,12 +436,7 @@ let apply note m { shard; step } =
           sh.m_umem <- mu;
           if moff <> Some off then
             note "V4: alloc order diverges from model FIFO")
-  | Commit_rx ->
-      let off = Option.get sh.limbo in
-      Rakis.Umem.commit sh.umem off Rakis.Umem.Rx;
-      sh.m_umem <- Stm_model.Umem.commit sh.m_umem off Rakis.Umem.Rx;
-      sh.host_pending <- sh.host_pending @ [ off ];
-      sh.limbo <- None
+  | Commit_rx -> commit_rx note sh ~mutant:cfg.mutant
   | Commit_tx ->
       let off = Option.get sh.limbo in
       Rakis.Umem.commit sh.umem off Rakis.Umem.Tx;
@@ -383,24 +448,23 @@ let apply note m { shard; step } =
       Rakis.Umem.cancel sh.umem off;
       sh.m_umem <- Stm_model.Umem.cancel sh.m_umem off;
       sh.limbo <- None
-  | Host_deliver ->
-      let off = List.hd sh.host_pending in
-      sh.host_pending <- List.tl sh.host_pending;
-      deliver cfg sh ~offset:off ~len:(good_len cfg)
+  | Host_deliver -> deliver sh ~offset:(host_take sh) ~len:(good_len cfg)
   | Host_deliver_bad Bad_misaligned ->
-      deliver cfg sh ~offset:(cfg.frame_size / 2) ~len:(good_len cfg)
+      deliver sh ~offset:(cfg.frame_size / 2) ~len:(good_len cfg)
   | Host_deliver_bad Bad_foreign ->
       let off = Option.get (foreign_frame_for sh Rakis.Umem.Rx) in
-      deliver cfg sh ~offset:off ~len:(good_len cfg)
+      deliver sh ~offset:off ~len:(good_len cfg)
   | Host_deliver_bad Bad_oversize ->
-      (* a real pending frame, but with a length past the frame end *)
-      let off = List.hd sh.host_pending in
-      sh.host_pending <- List.tl sh.host_pending;
-      deliver cfg sh ~offset:off ~len:(cfg.frame_size + 1)
+      (* a real stocked frame, but with a length past the frame end *)
+      deliver sh ~offset:(host_take sh) ~len:(cfg.frame_size + 1)
   | Smash i ->
       let v = List.nth (smash_candidates cfg sh) i in
-      Hostos.Malice.smash_prod sh.layout v;
-      sh.m_ring <- Stm_model.Ring.host_write_prod sh.m_ring v
+      Hostos.Malice.smash_prod sh.rx_layout v;
+      sh.m_rx <- Stm_model.Ring.host_write_prod sh.m_rx v
+  | Smash_fill i ->
+      let v = List.nth (smash_fill_candidates sh) i in
+      Hostos.Malice.smash_cons sh.fill_layout v;
+      sh.m_fill <- Stm_model.Ring.host_write_cons sh.m_fill v
   | Fm_poll -> fm_poll note cfg sh ~mutant:cfg.mutant
   | Reap_tx -> (
       let off = List.hd sh.tx_out in
@@ -464,16 +528,24 @@ let apply note m { shard; step } =
   | Tick -> sh.clock := Int64.add !(sh.clock) cfg.cooldown
   | Fault_toggle -> sh.fault_armed <- not sh.fault_armed
 
-(* {1 Invariants (V1-V7)} *)
+(* {1 Invariants (V1-V8)} *)
+
+let check_ring note name ring layout model =
+  if not (Rings.Certified.invariant_holds ring) then
+    note
+      (Printf.sprintf "V2: %s certified ring invariant (eq. 1) violated" name);
+  if
+    not
+      (Stm_model.Ring.agrees model ring
+      && Stm_model.Ring.shared_agrees model layout)
+  then note (Printf.sprintf "V3: %s ring state diverges from model" name)
 
 let check_shard note sh ~prev_state =
   let now = !(sh.clock) in
   if not (Rakis.Umem.conservation_holds sh.umem) then
     note "V1: UMem conservation violated";
-  if not (Rings.Certified.invariant_holds sh.ring) then
-    note "V2: certified ring invariant (eq. 1) violated";
-  if not (Stm_model.Ring.agrees sh.m_ring sh.ring) then
-    note "V3: ring state diverges from model";
+  check_ring note "xRX" sh.rx sh.rx_layout sh.m_rx;
+  check_ring note "xFill" sh.fill sh.fill_layout sh.m_fill;
   if not (Stm_model.Umem.agrees sh.m_umem sh.umem) then
     note "V4: UMem partition diverges from model";
   if
@@ -507,18 +579,26 @@ type desc_class = { dc_frame : int; dc_len_ok : bool }
 (* [dc_frame] is the frame index, or [-1] for junk (misaligned or out
    of range). *)
 
-type shard_obs = {
+(* One certified ring: the trusted window, the slot under the enclave's
+   own index, both shared words and the honest host's private index
+   relative to the trusted consumer, and every slot's descriptor. *)
+type ring_obs = {
   o_used : int;
   o_lsb : int;  (* trusted consumer mod ring size: slot addressing *)
-  o_shared : rel;  (* shared producer word vs trusted consumer *)
+  o_shared_prod : rel;
+  o_shared_cons : rel;
   o_shadow : rel;  (* honest host's index vs trusted consumer *)
-  o_slots : desc_class list;  (* every ring slot's descriptor *)
-  o_ring_fail : int;  (* capped *)
+  o_slots : desc_class list;
+  o_fail : int;  (* capped *)
+}
+
+type shard_obs = {
+  o_rx : ring_obs;
+  o_fill : ring_obs;
   o_frames : Stm_model.Umem.frame list;
   o_queue : int list;  (* free-list order: alloc determinism *)
   o_rejects : int;  (* capped *)
   o_limbo : int option;
-  o_pending : int list;
   o_txq : int list;
   o_zcq : int list;  (* Registered frames in notif order *)
   o_breaker : Rakis.Health.state;
@@ -538,12 +618,12 @@ let rel_of cfg ~tcons v =
     let b = Rings.U32.distance ~ahead:tcons ~behind:v in
     if b <= cfg.ring_size + 1 then Behind b else Far
 
-let desc_class_at cfg sh idx =
+let desc_class_at cfg layout idx =
   let desc =
-    Mem.Region.get_u64 sh.layout.Rings.Layout.region
-      (Rings.Layout.slot_off sh.layout idx)
+    Mem.Region.get_u64 layout.Rings.Layout.region
+      (Rings.Layout.slot_off layout idx)
   in
-  let offset = Int64.to_int (Int64.logand desc 0xFFFF_FFFFL) in
+  let offset = desc_offset desc in
   let len = Int64.to_int (Int64.shift_right_logical desc 32) in
   let umem_size = cfg.frames * cfg.frame_size in
   {
@@ -554,23 +634,28 @@ let desc_class_at cfg sh idx =
     dc_len_ok = len <= cfg.frame_size;
   }
 
-let observe_shard cfg sh =
-  let tc = Rings.Certified.trusted_cons sh.ring in
-  let obs = Rakis.Health.observe sh.breaker in
+let observe_ring cfg ring layout ~shadow =
+  let tc = Rings.Certified.trusted_cons ring in
   {
     o_used =
-      Rings.U32.distance ~ahead:(Rings.Certified.trusted_prod sh.ring)
-        ~behind:tc;
+      Rings.U32.distance ~ahead:(Rings.Certified.trusted_prod ring) ~behind:tc;
     o_lsb = tc land (cfg.ring_size - 1);
-    o_shared = rel_of cfg ~tcons:tc (Rings.Layout.read_prod sh.layout);
-    o_shadow = rel_of cfg ~tcons:tc sh.shadow_prod;
-    o_slots = List.init cfg.ring_size (desc_class_at cfg sh);
-    o_ring_fail = cap 2 (Rings.Certified.failures sh.ring);
+    o_shared_prod = rel_of cfg ~tcons:tc (Rings.Layout.read_prod layout);
+    o_shared_cons = rel_of cfg ~tcons:tc (Rings.Layout.read_cons layout);
+    o_shadow = rel_of cfg ~tcons:tc shadow;
+    o_slots = List.init cfg.ring_size (desc_class_at cfg layout);
+    o_fail = cap 2 (Rings.Certified.failures ring);
+  }
+
+let observe_shard cfg sh =
+  let obs = Rakis.Health.observe sh.breaker in
+  {
+    o_rx = observe_ring cfg sh.rx sh.rx_layout ~shadow:sh.rx_shadow;
+    o_fill = observe_ring cfg sh.fill sh.fill_layout ~shadow:sh.fill_shadow;
     o_frames = Array.to_list sh.m_umem.Stm_model.Umem.frames;
     o_queue = sh.m_umem.Stm_model.Umem.queue;
     o_rejects = cap 2 (Rakis.Umem.rejects sh.umem);
     o_limbo = Option.map (fun off -> off / cfg.frame_size) sh.limbo;
-    o_pending = List.map (fun off -> off / cfg.frame_size) sh.host_pending;
     o_txq = List.map (fun off -> off / cfg.frame_size) sh.tx_out;
     o_zcq = List.map (fun off -> off / cfg.frame_size) sh.zc_out;
     o_breaker = obs.Rakis.Health.obs_state;
@@ -585,6 +670,17 @@ let observe m =
   List.init (Array.length m.shards) (fun k -> observe_shard m.cfg m.shards.(k))
 
 (* {1 The search} *)
+
+(* [Hashtbl.hash] stops after ten meaningful words, which for a
+   multi-shard key covers only part of shard 0: every state differing
+   only in a later shard would collide. *)
+module Visited = Hashtbl.Make (struct
+  type t = shard_obs list
+
+  let equal = ( = )
+
+  let hash = Hashtbl.hash_param 256 1024
+end)
 
 type violation = { path : string list; what : string list }
 
@@ -618,7 +714,7 @@ let replay cfg rev_path =
   List.iter (fun tr -> apply sink m tr) (List.rev rev_path);
   m
 
-(* Apply one transition with the full V1-V7 check battery; divergence
+(* Apply one transition with the full V1-V8 check battery; divergence
    notes go through [note]. *)
 let checked_apply note m tr =
   let others_before = List.filteri (fun k _ -> k <> tr.shard) (observe m) in
@@ -658,15 +754,14 @@ let drive ?(config = default_config) ~choices () =
 let explore ?(config = default_config) ?(depth = 5) ?(max_states = 250_000)
     ?(max_violations = 16) () =
   let cfg = config in
-  let visited : (shard_obs list, unit) Hashtbl.t = Hashtbl.create 4096 in
+  let visited = Visited.create 4096 in
   let frontier = Queue.create () in
   let violations = ref [] in
-  let n_violations = ref 0 in
   let transitions = ref 0 in
   let depth_reached = ref 0 in
   let truncated = ref false in
   let m0 = boot cfg in
-  Hashtbl.replace visited (observe m0) ();
+  Visited.replace visited (observe m0) ();
   Queue.add ([], 0) frontier;
   (try
      while not (Queue.is_empty frontier) do
@@ -682,19 +777,18 @@ let explore ?(config = default_config) ?(depth = 5) ?(max_states = 250_000)
              let note s = if not (List.mem s !notes) then notes := s :: !notes in
              let obs = checked_apply note m' tr in
              if !notes <> [] then (
-               incr n_violations;
-               if List.length !violations < max_violations then
-                 violations :=
-                   {
-                     path =
-                       List.rev_map transition_name (tr :: rev_path);
-                     what = List.rev !notes;
-                   }
-                   :: !violations)
-             else if not (Hashtbl.mem visited obs) then (
-               Hashtbl.replace visited obs ();
+               violations :=
+                 {
+                   path = List.rev_map transition_name (tr :: rev_path);
+                   what = List.rev !notes;
+                 }
+                 :: !violations;
+               (* later counterexamples would be dropped anyway *)
+               if List.length !violations >= max_violations then raise Exit)
+             else if not (Visited.mem visited obs) then (
+               Visited.replace visited obs ();
                depth_reached := max !depth_reached (len + 1);
-               if Hashtbl.length visited >= max_states then (
+               if Visited.length visited >= max_states then (
                  truncated := true;
                  raise Exit);
                Queue.add (tr :: rev_path, len + 1) frontier))
@@ -705,7 +799,7 @@ let explore ?(config = default_config) ?(depth = 5) ?(max_states = 250_000)
     cfg;
     depth;
     depth_reached = !depth_reached;
-    states = Hashtbl.length visited;
+    states = Visited.length visited;
     transitions = !transitions;
     truncated = !truncated;
     violations = List.rev !violations;

@@ -1,9 +1,9 @@
 (** Exhaustive bounded exploration of the full FM product machine
-    (DESIGN.md §11).
+    (DESIGN.md §11) — the Testing Module's ring and offset checker.
 
-    Where {!Model_check} enumerates hostile index schedules against a
-    single certified ring, this explorer walks the product of
-    everything the FM composes per shard — certified ring indices, the
+    The explorer walks the product of everything the FM composes per
+    shard — the certified xRX and xFill ring indices, driven through
+    the same [consume_batch]/[produce_batch] bursts the FMs use, the
     UMem ownership partition (including zero-copy [Registered] frames),
     the circuit breaker, a fault trigger and the shard id — under an
     interleaved adversary, over a deliberately tiny bounded
@@ -27,6 +27,10 @@ type mutant =
       (** a zero-copy frame is freed on its completion CQE instead of
           its notif — the use-after-reuse-before-notif bug shape of
           docs/zerocopy.md, caught by V4/V8 *)
+  | Fill_overrun
+      (** a refused xFill produce is written and published anyway — a
+          producer trusting its cached view past the validated free
+          window, caught by V3 *)
 
 val mutant_name : mutant -> string
 
@@ -36,7 +40,7 @@ val all_mutants : mutant list
 
 type config = {
   shards : int;
-  ring_size : int;  (** entries per xRX ring (power of two) *)
+  ring_size : int;  (** entries per xRX and xFill ring (power of two) *)
   frames : int;  (** UMem frames per shard *)
   frame_size : int;
   threshold : int;  (** breaker failure threshold *)
@@ -72,9 +76,10 @@ val explore :
   unit ->
   report
 (** Breadth-first search to [depth] transitions (default 5), stopping
-    early after [max_states] distinct states (default 250_000).  At
-    most [max_violations] (default 16) counterexample paths are kept.
-    Deterministic: no randomness anywhere in the machine. *)
+    early after [max_states] distinct states (default 250_000) or once
+    [max_violations] (default 16) counterexample paths are found — the
+    shortest ones, since the search is breadth-first.  Deterministic:
+    no randomness anywhere in the machine. *)
 
 val passed : report -> bool
 (** No violations and a non-trivial state count. *)

@@ -184,19 +184,29 @@ module Ring = struct
       let tcons = Rings.U32.succ t.tcons in
       { t with tcons; shared_cons = tcons }
 
-  (* Producer-role free_slots / produce / publish. *)
+  (* Producer-role free_slots. *)
   let free_slots t =
     let t = refresh_cons t in
     (t, t.size - filled t)
 
-  let produce t =
-    let t, free = free_slots t in
-    if free <= 0 then (t, None)
+  (* Batch mirrors: one refresh per burst, then up to [max]/[count]
+     slots moved against that snapshot and the owned word stored once.
+     Return the slots moved. *)
+  let consume_batch t ~max =
+    let t, avail = available t in
+    let n = min max avail in
+    if n <= 0 then (t, 0)
     else
-      let slot = t.tprod in
-      ({ t with tprod = Rings.U32.succ t.tprod }, Some slot)
+      let tcons = Rings.U32.add t.tcons n in
+      ({ t with tcons; shared_cons = tcons }, n)
 
-  let publish t = { t with shared_prod = t.tprod }
+  let produce_batch t ~count =
+    let t, free = free_slots t in
+    let n = min count free in
+    if n <= 0 then (t, 0)
+    else
+      let tprod = Rings.U32.add t.tprod n in
+      ({ t with tprod; shared_prod = tprod }, n)
 
   let invariant_holds t =
     let d = filled t in
@@ -206,6 +216,10 @@ module Ring = struct
     Rings.Certified.trusted_prod ring = t.tprod
     && Rings.Certified.trusted_cons ring = t.tcons
     && Rings.Certified.failures ring = t.failures
+
+  let shared_agrees t layout =
+    Rings.Layout.read_prod layout = t.shared_prod
+    && Rings.Layout.read_cons layout = t.shared_cons
 
   let pp ppf t =
     Format.fprintf ppf "prod=%#x cons=%#x shared=%#x/%#x failures=%d" t.tprod

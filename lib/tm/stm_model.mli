@@ -82,9 +82,14 @@ module Ring : sig
 
   val free_slots : t -> t * int
 
-  val produce : t -> t * int option
+  val consume_batch : t -> max:int -> t * int
+  (** Mirror of {!Rings.Certified.consume_batch}: one refresh, then up
+      to [max] slots released with a single consumer-word store.
+      Returns the slots moved. *)
 
-  val publish : t -> t
+  val produce_batch : t -> count:int -> t * int
+  (** Mirror of {!Rings.Certified.produce_batch}: one refresh, then up
+      to [count] slots published with a single producer-word store. *)
 
   val filled : t -> int
 
@@ -93,6 +98,11 @@ module Ring : sig
 
   val agrees : t -> Rings.Certified.t -> bool
   (** Trusted copies and reject count match the real ring. *)
+
+  val shared_agrees : t -> Rings.Layout.t -> bool
+  (** Both shared index words hold what the model says was last stored
+      to them — by the enclave for its owned word, by the host for the
+      peer word. *)
 
   val pp : Format.formatter -> t -> unit
 end

@@ -101,6 +101,8 @@ let suite =
       (check_mutant_caught Tm.Explore.Probe_off_by_one "V5");
     Alcotest.test_case "mutant: zc-release-early caught" `Quick
       (check_mutant_caught Tm.Explore.Zc_release_early "V8");
+    Alcotest.test_case "mutant: fill-overrun caught" `Quick
+      (check_mutant_caught Tm.Explore.Fill_overrun "V3");
     Alcotest.test_case "counterexample paths are printable" `Quick
       test_mutant_paths_replayable;
   ]

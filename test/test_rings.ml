@@ -257,9 +257,6 @@ let test_batch_empty_ring () =
   check "consume_batch on empty" 0
     (Certified.consume_batch cons ~max:4 ~read:(fun ~slot_off:_ _ ->
          Alcotest.fail "callback on empty ring"));
-  check "peek_batch on empty" 0
-    (Certified.peek_batch cons ~max:4 ~read:(fun ~slot_off:_ _ ->
-         Alcotest.fail "callback on empty ring"));
   check "no bursts counted" 0 (Certified.bursts cons)
 
 let test_batch_produce_fills_exactly () =
@@ -353,7 +350,9 @@ let test_batch_malice_between_bursts () =
 
 let test_batch_malice_mid_burst () =
   (* A hostile move between the burst's refresh and its publish must not
-     affect the burst in progress, and must be caught next refresh. *)
+     affect the burst in progress, and must be caught next refresh —
+     on the consumer side (producer word smashed inside [read]) and on
+     the producer side (consumer word smashed inside [write]). *)
   let l = make_ring ~size:4 () in
   let cons = Certified.create l ~role:Certified.Consumer () in
   for v = 1 to 3 do
@@ -369,32 +368,20 @@ let test_batch_malice_mid_burst () =
   check "mid-burst move not yet observed" 0 (Certified.failures cons);
   check "caught on the next refresh" 0 (Certified.available cons);
   check "failure recorded" 1 (Certified.failures cons);
-  check_bool "invariant" true (Certified.invariant_holds cons)
-
-let test_batch_peek_commit () =
-  let l = make_ring ~size:8 () in
-  let cons = Certified.create l ~role:Certified.Consumer () in
-  for v = 1 to 4 do
-    ignore
-      (Raw.produce l ~write:(fun ~slot_off ->
-           write_slot l ~slot_off (Int64.of_int v)))
-  done;
-  (* Accept two, then refuse mid-burst: the tail must not be lost. *)
-  let accepted =
-    Certified.peek_batch cons ~max:4 ~read:(fun ~slot_off:_ i -> i < 2)
+  check_bool "invariant" true (Certified.invariant_holds cons);
+  let l, prod = certified_pair ~size:4 () in
+  let n =
+    Certified.produce_batch prod ~count:3 ~write:(fun ~slot_off i ->
+        write_slot l ~slot_off (Int64.of_int i);
+        if i = 0 then Hostos.Malice.smash_cons l 0x80000000)
   in
-  check "prefix accepted" 2 accepted;
-  check "nothing released before commit" 0 (Layout.read_cons l);
-  Certified.commit_batch cons accepted;
-  check "released in one store" 2 (Layout.read_cons l);
-  (* The refused slot is still first in line. *)
-  (match Certified.consume cons ~read:(fun ~slot_off -> read_slot l ~slot_off)
-   with
-  | Ok 3L -> ()
-  | _ -> Alcotest.fail "refused slot lost");
-  Alcotest.check_raises "over-commit is an FM bug"
-    (Invalid_argument "Certified.commit_batch: count exceeds the validated window")
-    (fun () -> Certified.commit_batch cons 5)
+  check "produce burst ran on its validated snapshot" 3 n;
+  check "published once, all three" 3 (Layout.read_prod l);
+  check "mid-burst move not yet observed (producer)" 0
+    (Certified.failures prod);
+  check "caught on the next refresh (producer)" 1 (Certified.free_slots prod);
+  check "failure recorded (producer)" 1 (Certified.failures prod);
+  check_bool "invariant (producer)" true (Certified.invariant_holds prod)
 
 let test_batch_matches_single_op_counts () =
   (* The batched path must move exactly the same number of entries as
@@ -657,8 +644,6 @@ let suite =
      test_batch_malice_between_bursts);
     ("certified batch: malice mid-burst", `Quick,
      test_batch_malice_mid_burst);
-    ("certified batch: peek/commit keeps the tail", `Quick,
-     test_batch_peek_commit);
     ("certified batch: totals match single-op path", `Quick,
      test_batch_matches_single_op_counts);
     ("naive: xsk_prod_nb_free overshoot (libxdp case study)", `Quick,

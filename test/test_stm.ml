@@ -101,6 +101,7 @@ type ucmd =
   | U_release  (** the honest notif for the oldest registered frame *)
   | U_release_junk of int  (** a hostile notif: one of the canned offsets *)
   | U_junk of int  (** one of the canned hostile descriptors *)
+  | U_grid of int  (** one point of the descriptor boundary grid *)
 
 let ucmd_name = function
   | U_alloc -> "alloc"
@@ -113,6 +114,32 @@ let ucmd_name = function
   | U_release -> "release"
   | U_release_junk i -> Printf.sprintf "release-junk%d" i
   | U_junk i -> Printf.sprintf "junk%d" i
+  | U_grid i -> Printf.sprintf "grid%d" i
+
+let frame_size = 64
+
+let frames = 4
+
+(* Descriptor boundary grid: every offset edge of the UMem (negative,
+   misaligned, last frame, one past the end) x every length edge of a
+   frame, for both completion routines. *)
+let grid =
+  let size = frames * frame_size in
+  let offsets =
+    [ -frame_size; -1; 0; 1; 3; frame_size - 1; frame_size; frame_size + 1;
+      2 * frame_size; (3 * frame_size) + 7; size - frame_size; size - 1;
+      size; size + frame_size ]
+  in
+  let lens =
+    [ 0; 1; frame_size - 1; frame_size; frame_size + 1; 2 * frame_size ]
+  in
+  Array.of_list
+    (List.concat_map
+       (fun routine ->
+         List.concat_map
+           (fun offset -> List.map (fun len -> (routine, offset, len)) lens)
+           offsets)
+       [ Rakis.Umem.Rx; Rakis.Umem.Tx ])
 
 let ucmds_arb =
   QCheck.make
@@ -129,11 +156,8 @@ let ucmds_arb =
                ];
              map (fun i -> U_junk i) (int_bound 3);
              map (fun i -> U_release_junk i) (int_bound 3);
+             map (fun i -> U_grid i) (int_bound (Array.length grid - 1));
            ]))
-
-let frame_size = 64
-
-let frames = 4
 
 (* hostile descriptors: misaligned, out of range, oversize length,
    wrong owner (frame 0 whatever its state) *)
@@ -262,6 +286,22 @@ let umem_conforms cmds =
         if i = 3 && ok then out_rx := List.filter (fun o -> o <> offset) !out_rx;
         (* verdicts must agree; junk 0-2 must always be refused *)
         ok = mok && ((i >= 3) || not ok)
+    | U_grid i ->
+        (* the model is the judge; an accepted point was a frame really
+           out on that routine, so it leaves the harness's list *)
+        let routine, offset, len = grid.(i) in
+        let ok =
+          Result.is_ok (Rakis.Umem.reclaim real routine ~offset ~len ())
+        in
+        let m, mok = U.reclaim !model routine ~offset ~len in
+        model := m;
+        if ok then begin
+          let out =
+            match routine with Rakis.Umem.Rx -> out_rx | Rakis.Umem.Tx -> out_tx
+          in
+          out := List.filter (fun o -> o <> offset) !out
+        end;
+        ok = mok
   in
   List.for_all
     (fun c ->

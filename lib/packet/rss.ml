@@ -35,40 +35,42 @@ let key_window bit =
   in
   (w40 lsr (8 - shift)) land 0xffffffff
 
-let fold_byte acc ~bit v =
-  let acc = ref acc in
-  for i = 0 to 7 do
-    if v land (0x80 lsr i) <> 0 then acc := !acc lxor key_window (bit + i)
-  done;
-  !acc
+(* Toeplitz is linear in the input bits: the hash is the XOR, over every
+   set bit [b] of the tuple, of the key window at [b].  So each tuple byte
+   contributes independently, and [table.((i lsl 8) lor v)] is the
+   contribution of value [v] at byte [i] — twelve lookups per hash, no
+   allocation. *)
+let table =
+  Array.init (12 * 256) (fun j ->
+      let bit = (j lsr 8) * 8 and v = j land 0xff in
+      let acc = ref 0 in
+      for i = 0 to 7 do
+        if v land (0x80 lsr i) <> 0 then acc := !acc lxor key_window (bit + i)
+      done;
+      !acc)
 
-(* Toeplitz over the canonicalized 12-byte tuple.  Endpoints are
-   ordered by (ip, port) so hash(a->b) = hash(b->a). *)
+(* Toeplitz over the canonicalized 12-byte tuple (lo ip, hi ip, lo port,
+   hi port), big-endian.  Endpoints are ordered by (ip, port) so
+   hash(a->b) = hash(b->a). *)
 let hash ~src_ip ~dst_ip ~src_port ~dst_port =
-  let (lo_ip, lo_port), (hi_ip, hi_port) =
-    if (src_ip, src_port) <= (dst_ip, dst_port) then
-      ((src_ip, src_port), (dst_ip, dst_port))
-    else ((dst_ip, dst_port), (src_ip, src_port))
-  in
-  let bytes =
-    [|
-      (lo_ip lsr 24) land 0xff;
-      (lo_ip lsr 16) land 0xff;
-      (lo_ip lsr 8) land 0xff;
-      lo_ip land 0xff;
-      (hi_ip lsr 24) land 0xff;
-      (hi_ip lsr 16) land 0xff;
-      (hi_ip lsr 8) land 0xff;
-      hi_ip land 0xff;
-      (lo_port lsr 8) land 0xff;
-      lo_port land 0xff;
-      (hi_port lsr 8) land 0xff;
-      hi_port land 0xff;
-    |]
-  in
-  let acc = ref 0 in
-  Array.iteri (fun i v -> acc := fold_byte !acc ~bit:(i * 8) v) bytes;
-  !acc land 0xffffffff
+  let src_lo = src_ip < dst_ip || (src_ip = dst_ip && src_port <= dst_port) in
+  let lo_ip = if src_lo then src_ip else dst_ip
+  and hi_ip = if src_lo then dst_ip else src_ip
+  and lo_port = if src_lo then src_port else dst_port
+  and hi_port = if src_lo then dst_port else src_port in
+  let byte i v = table.((i lsl 8) lor (v land 0xff)) in
+  byte 0 (lo_ip lsr 24)
+  lxor byte 1 (lo_ip lsr 16)
+  lxor byte 2 (lo_ip lsr 8)
+  lxor byte 3 lo_ip
+  lxor byte 4 (hi_ip lsr 24)
+  lxor byte 5 (hi_ip lsr 16)
+  lxor byte 6 (hi_ip lsr 8)
+  lxor byte 7 hi_ip
+  lxor byte 8 (lo_port lsr 8)
+  lxor byte 9 lo_port
+  lxor byte 10 (hi_port lsr 8)
+  lxor byte 11 hi_port
 
 (* Queue selection: hash through a mod-[queues] indirection, as the
    simulated NIC has no 128-entry indirection table to program. *)

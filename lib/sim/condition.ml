@@ -7,10 +7,12 @@ let wait t = Engine.suspend (fun waker -> Queue.add waker t.queue)
 let signal t =
   match Queue.take_opt t.queue with None -> () | Some waker -> waker ()
 
+(* Wake exactly the waiters present at the call, oldest first; a waiter
+   a waker registers meanwhile stays queued for the next wake-up. *)
 let broadcast t =
-  let wakers = Queue.to_seq t.queue |> List.of_seq in
-  Queue.clear t.queue;
-  List.iter (fun waker -> waker ()) wakers
+  for _ = 1 to Queue.length t.queue do
+    (Queue.take t.queue) ()
+  done
 
 let waiters t = Queue.length t.queue
 

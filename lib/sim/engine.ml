@@ -2,51 +2,153 @@ type time = int64
 
 exception Not_in_process
 
+(* The event queue is a binary min-heap over (time, seq) kept as three
+   parallel arrays, so pushing, popping and sifting allocate nothing:
+   slot [i] is the event [fns.(i)] due at [times.(i)], scheduled
+   [seqs.(i)]-th.  [seq] is unique per engine, so the order is total and
+   any correct heap pops events in exactly the same sequence.  Times are
+   kept as native ints (simulated cycles stay far below 2^62); [now] is
+   the same clock boxed for the public API, re-boxed only when it moves. *)
 type t = {
   mutable now : time;
+  mutable clock : int;
   mutable seq : int;
-  events : (time * int, unit -> unit) Pqueue.t;
+  mutable len : int;
+  mutable times : int array;
+  mutable seqs : int array;
+  mutable fns : (unit -> unit) array;
   mutable stopped : bool;
   stats : Stats.t;
+  self : t option;
+      (* [Some t], allocated once: the ambient engine a resumption
+         installs. *)
 }
 
 type _ Effect.t +=
-  | Delay : t * time -> unit Effect.t
-  | Suspend : t * ((unit -> unit) -> unit) -> unit Effect.t
+  | Delay : time -> unit Effect.t
+  | Suspend : ((unit -> unit) -> unit) -> unit Effect.t
 
-(* The engine an effect belongs to travels inside the effect payload; the
-   ambient engine for the currently running process is tracked here so the
-   argument-free [delay]/[suspend] API works. *)
+(* The ambient engine for the currently running process is tracked here so
+   the argument-free [delay]/[suspend] API works; the effects themselves
+   are handled by the handler [spawn] installed, which knows its engine. *)
 let current : t option ref = ref None
 
-let create () =
-  let cmp (ta, sa) (tb, sb) =
-    let c = Int64.compare ta tb in
-    if c <> 0 then c else compare sa sb
+let nop () = ()
+
+(* {1 Event heap} *)
+
+let set_slot t i time seq f =
+  t.times.(i) <- time;
+  t.seqs.(i) <- seq;
+  t.fns.(i) <- f
+
+let move_slot t ~src ~dst =
+  set_slot t dst t.times.(src) t.seqs.(src) t.fns.(src)
+
+(* Whether slot [i] runs before an event at [(time, seq)]. *)
+let before t i time seq =
+  let ti = t.times.(i) in
+  ti < time || (ti = time && t.seqs.(i) < seq)
+
+let grow t =
+  let cap = 2 * Array.length t.times in
+  let extend a fill =
+    let b = Array.make cap fill in
+    Array.blit a 0 b 0 t.len;
+    b
   in
-  {
-    now = 0L;
-    seq = 0;
-    events = Pqueue.create ~cmp;
-    stopped = false;
-    stats = Stats.create ();
-  }
+  t.times <- extend t.times 0;
+  t.seqs <- extend t.seqs 0;
+  t.fns <- extend t.fns nop
+
+(* Move the hole at [i] up until its parent runs before [(time, seq)],
+   then fill it. *)
+let rec sift_up t i time seq f =
+  let p = (i - 1) / 2 in
+  if i > 0 && not (before t p time seq) then begin
+    move_slot t ~src:p ~dst:i;
+    sift_up t p time seq f
+  end
+  else set_slot t i time seq f
+
+(* Move the hole at [i] down until both children run after
+   [(time, seq)], then fill it. *)
+let rec sift_down t i time seq f =
+  let l = (2 * i) + 1 in
+  if l >= t.len then set_slot t i time seq f
+  else
+    let c =
+      if l + 1 < t.len && before t (l + 1) t.times.(l) t.seqs.(l) then l + 1
+      else l
+    in
+    if before t c time seq then begin
+      move_slot t ~src:c ~dst:i;
+      sift_down t c time seq f
+    end
+    else set_slot t i time seq f
+
+let push t time f =
+  if t.len = Array.length t.times then grow t;
+  t.seq <- t.seq + 1;
+  t.len <- t.len + 1;
+  sift_up t (t.len - 1) time t.seq f
+
+(* Remove and return the earliest event.  The vacated slot drops its
+   callback so the heap never keeps a finished closure alive. *)
+let pop t =
+  let f = t.fns.(0) in
+  let last = t.len - 1 in
+  t.len <- last;
+  let f_last = t.fns.(last) in
+  t.fns.(last) <- nop;
+  if last > 0 then sift_down t 0 t.times.(last) t.seqs.(last) f_last;
+  f
+
+(* {1 Clock} *)
+
+let max_time = Int64.of_int max_int
+
+(* Times beyond the native range (never reached by a run) sort last. *)
+let[@inline] native time =
+  if Int64.compare time max_time >= 0 then max_int else Int64.to_int time
+
+(* An event time as queued: past times run now. *)
+let[@inline] due t time =
+  let time = native time in
+  if time < t.clock then t.clock else time
+
+let set_clock t time =
+  if time <> t.clock then begin
+    t.clock <- time;
+    t.now <- Int64.of_int time
+  end
+
+let create () =
+  let rec t =
+    {
+      now = 0L;
+      clock = 0;
+      seq = 0;
+      len = 0;
+      times = Array.make 64 0;
+      seqs = Array.make 64 0;
+      fns = Array.make 64 nop;
+      stopped = false;
+      stats = Stats.create ();
+      self = Some t;
+    }
+  in
+  t
 
 let now t = t.now
 
 let stats t = t.stats
 
-let schedule t time f =
-  let time = if Int64.compare time t.now < 0 then t.now else time in
-  t.seq <- t.seq + 1;
-  Pqueue.push t.events (time, t.seq) f
+let at t time f = push t (due t time) f
 
-let at t time f = schedule t time f
+let pending t = t.len
 
-let pending t = Pqueue.length t.events
-
-let engine_of_ambient () =
-  match !current with None -> raise Not_in_process | Some t -> t
+(* {1 Processes} *)
 
 let delay d =
   (* Outside any process (e.g. environment boot code running before the
@@ -55,18 +157,60 @@ let delay d =
      window.  Suspension, by contrast, is always an error there. *)
   match !current with
   | None -> ()
-  | Some t -> Effect.perform (Delay (t, d))
+  | Some _ -> Effect.perform (Delay d)
 
 let yield () = delay 0L
 
 let suspend register =
-  let t = engine_of_ambient () in
-  Effect.perform (Suspend (t, register))
+  match !current with
+  | None -> raise Not_in_process
+  | Some _ -> Effect.perform (Suspend register)
 
 let stop t = t.stopped <- true
 
+(* A process waits on at most one event at a time, so its resumption and
+   effect handlers are allocated once, at spawn: a suspension only stores
+   its continuation in [k], and a delay's due time in [wake_at] or a
+   suspension's [register] for the handler the effect returns. *)
+type proc = {
+  mutable k : (unit, unit) Effect.Deep.continuation option;
+  mutable wakes : int;  (* suspensions woken so far *)
+  mutable wake_at : int;
+  mutable register : (unit -> unit) -> unit;
+}
+
 let spawn t ?(name = "proc") f =
   let open Effect.Deep in
+  let p = { k = None; wakes = 0; wake_at = 0; register = ignore } in
+  let resume () =
+    match p.k with
+    | None -> assert false
+    | Some k ->
+        current := t.self;
+        continue k ()
+  in
+  (* The waker of suspension [n] takes effect at most once, and never
+     after a later suspension began. *)
+  let wake n () =
+    if p.wakes = n then begin
+      p.wakes <- n + 1;
+      push t t.clock resume
+    end
+  in
+  let on_delay =
+    Some
+      (fun k ->
+        p.k <- Some k;
+        push t p.wake_at resume)
+  in
+  let on_suspend =
+    Some
+      (fun k ->
+        p.k <- Some k;
+        let register = p.register in
+        p.register <- ignore;
+        register (wake p.wakes))
+  in
   let body () =
     match_with f ()
       {
@@ -80,51 +224,49 @@ let spawn t ?(name = "proc") f =
         effc =
           (fun (type a) (eff : a Effect.t) ->
             match eff with
-            | Delay (eng, d) ->
-                Some
-                  (fun (k : (a, _) continuation) ->
-                    schedule eng (Int64.add eng.now d) (fun () ->
-                        current := Some eng;
-                        continue k ()))
-            | Suspend (eng, register) ->
-                Some
-                  (fun (k : (a, _) continuation) ->
-                    let woken = ref false in
-                    register (fun () ->
-                        if not !woken then begin
-                          woken := true;
-                          schedule eng eng.now (fun () ->
-                              current := Some eng;
-                              continue k ())
-                        end))
+            | Delay d ->
+                p.wake_at <- due t (Int64.add t.now d);
+                (on_delay : ((a, unit) continuation -> unit) option)
+            | Suspend register ->
+                p.register <- register;
+                (on_suspend : ((a, unit) continuation -> unit) option)
             | _ -> None);
       }
   in
-  schedule t t.now (fun () ->
-      current := Some t;
+  push t t.clock (fun () ->
+      current := t.self;
       body ())
 
 let run ?until t =
   t.stopped <- false;
   let horizon =
-    match until with None -> Int64.max_int | Some u -> u
+    match until with
+    | None -> max_int
+    | Some u -> native u
   in
   let rec loop () =
-    if t.stopped then ()
+    if t.stopped || t.len = 0 then ()
     else
-      match Pqueue.peek t.events with
-      | None -> ()
-      | Some ((time, _), _) when Int64.compare time horizon > 0 ->
-          (* Leave future events queued so a later [run] can resume. *)
-          t.now <- horizon
-      | Some _ ->
-          (match Pqueue.pop t.events with
-          | None -> assert false
-          | Some ((time, _), f) ->
-              t.now <- time;
-              let saved = !current in
-              Fun.protect ~finally:(fun () -> current := saved) f);
-          loop ()
+      let time = t.times.(0) in
+      if time > horizon then begin
+        (* Leave future events queued so a later [run] can resume. *)
+        match until with
+        | Some u ->
+            t.clock <- horizon;
+            t.now <- u
+        | None -> ()
+      end
+      else begin
+        let f = pop t in
+        set_clock t time;
+        let saved = !current in
+        (match f () with
+        | () -> current := saved
+        | exception e ->
+            current := saved;
+            raise e);
+        loop ()
+      end
   in
   loop ()
 

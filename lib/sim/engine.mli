@@ -36,7 +36,8 @@ val spawn : t -> ?name:string -> (unit -> unit) -> unit
 
 val at : t -> time -> (unit -> unit) -> unit
 (** [at t time f] runs callback [f] (not a process: it must not suspend)
-    at absolute time [time].  Times in the past run "now". *)
+    at absolute time [time].  Times in the past run "now".  Events run
+    in (time, order scheduled) order: same-time events are FIFO. *)
 
 val delay : time -> unit
 (** [delay d] suspends the calling process for [d] cycles.  Outside any

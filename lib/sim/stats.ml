@@ -1,13 +1,16 @@
 type t = {
   counters : (string, int ref) Hashtbl.t;
   gauges : (string, float ref) Hashtbl.t;
+  mutable epoch : int; (* resets so far: invalidates bound handles *)
 }
 
-let create () = { counters = Hashtbl.create 64; gauges = Hashtbl.create 16 }
+let create () =
+  { counters = Hashtbl.create 64; gauges = Hashtbl.create 16; epoch = 0 }
 
 let reset t =
   Hashtbl.reset t.counters;
-  Hashtbl.reset t.gauges
+  Hashtbl.reset t.gauges;
+  t.epoch <- t.epoch + 1
 
 let counter_ref t key =
   match Hashtbl.find_opt t.counters key with
@@ -33,6 +36,26 @@ let add t key n =
 
 let get t key =
   match Hashtbl.find_opt t.counters key with Some r -> !r | None -> 0
+
+(* A handle binds to its registry cell on the first [bump] after creation
+   or a [reset]; until then the key stays unregistered. *)
+type counter = {
+  owner : t;
+  key : string;
+  mutable cell : int ref;
+  mutable bound : int; (* the owner's epoch [cell] belongs to, or -1 *)
+}
+
+let counter t key = { owner = t; key; cell = ref 0; bound = -1 }
+
+let bump c =
+  if c.bound <> c.owner.epoch then begin
+    c.cell <- counter_ref c.owner c.key;
+    c.bound <- c.owner.epoch
+  end;
+  Stdlib.incr c.cell
+
+let count c = get c.owner c.key
 
 let set_gauge t key v = gauge_ref t key := v
 

@@ -19,6 +19,20 @@ val add : t -> string -> int -> unit
 val get : t -> string -> int
 (** Value of counter [key], 0 if absent. *)
 
+type counter
+(** A handle on one counter, for hot paths that bump the same key per
+    event: no key string is built or hashed per bump.  The key is
+    registered on the first {!bump}, so a handle that never fires adds
+    nothing to {!counters}. *)
+
+val counter : t -> string -> counter
+
+val bump : counter -> unit
+(** [incr] through the handle. *)
+
+val count : counter -> int
+(** Current value, 0 if never bumped. *)
+
 val set_gauge : t -> string -> float -> unit
 
 val add_gauge : t -> string -> float -> unit

@@ -62,6 +62,93 @@ let qcheck_rss_no_migration =
          && q1
             = Packet.Rss.hash ~src_ip ~dst_ip ~src_port ~dst_port mod queues))
 
+(* Bit-serial Toeplitz over the canonicalized tuple, the reference the
+   table-driven [Rss.hash] must match: for every set input bit [b],
+   XOR in the 32-bit window of the key starting at bit [b]. *)
+let rss_key =
+  [|
+    0x6d; 0x5a; 0x56; 0xda; 0x25; 0x5b; 0x0e; 0xc2;
+    0x41; 0x67; 0x25; 0x3d; 0x43; 0xa3; 0x8f; 0xb0;
+    0xd0; 0xca; 0x2b; 0xcb; 0xae; 0x7b; 0x30; 0xb4;
+    0x77; 0xcb; 0x2d; 0xa3; 0x80; 0x30; 0xf2; 0x0c;
+    0x6a; 0x42; 0xb7; 0x3b; 0xbe; 0xac; 0x01; 0xfa;
+  |]
+
+let reference_rss ~src_ip ~dst_ip ~src_port ~dst_port =
+  let key_bit b = (rss_key.(b / 8) lsr (7 - (b mod 8))) land 1 in
+  let window b =
+    let w = ref 0 in
+    for i = 0 to 31 do
+      w := (!w lsl 1) lor key_bit (b + i)
+    done;
+    !w
+  in
+  let (lo_ip, lo_port), (hi_ip, hi_port) =
+    if compare (src_ip, src_port) (dst_ip, dst_port) <= 0 then
+      ((src_ip, src_port), (dst_ip, dst_port))
+    else ((dst_ip, dst_port), (src_ip, src_port))
+  in
+  let input = [ (lo_ip, 32); (hi_ip, 32); (lo_port, 16); (hi_port, 16) ] in
+  let acc = ref 0 and bit = ref 0 in
+  List.iter
+    (fun (v, width) ->
+      for i = width - 1 downto 0 do
+        if (v lsr i) land 1 = 1 then acc := !acc lxor window !bit;
+        incr bit
+      done)
+    input;
+  !acc
+
+(* Microsoft's RSS verification vector (IPv4 with ports): source
+   66.9.149.187:2794, destination 161.142.100.80:1766.  The source is the
+   lower endpoint, so canonicalization keeps the spec's input order. *)
+let test_rss_known_answer () =
+  let ip s = Packet.Addr.Ip.to_int (Packet.Addr.Ip.of_repr s) in
+  let src_ip = ip "66.9.149.187" and dst_ip = ip "161.142.100.80" in
+  check "spec hash" 0x51ccc178
+    (Packet.Rss.hash ~src_ip ~dst_ip ~src_port:2794 ~dst_port:1766);
+  check "reference agrees" 0x51ccc178
+    (reference_rss ~src_ip ~dst_ip ~src_port:2794 ~dst_port:1766)
+
+(* Random tuples, a quarter of them with equal IPs so the port tiebreak of
+   the canonical order is exercised. *)
+let tuple_gen =
+  QCheck.Gen.(
+    let ip = int_bound 0xFFFFFFFF and port = int_bound 65535 in
+    let ips =
+      frequency [ (3, pair ip ip); (1, map (fun a -> (a, a)) ip) ]
+    in
+    pair ips (pair port port))
+
+let qcheck_rss_matches_reference =
+  QCheck_alcotest.to_alcotest ~rand:(Flake.rand ())
+    (QCheck.Test.make ~name:"rss: table hash equals bit-serial reference"
+       ~count:5000 (QCheck.make tuple_gen)
+       (fun ((src_ip, dst_ip), (src_port, dst_port)) ->
+         Packet.Rss.hash ~src_ip ~dst_ip ~src_port ~dst_port
+         = reference_rss ~src_ip ~dst_ip ~src_port ~dst_port))
+
+let qcheck_rss_hash_symmetric =
+  QCheck_alcotest.to_alcotest ~rand:(Flake.rand ())
+    (QCheck.Test.make ~name:"rss: hash is symmetric" ~count:5000
+       (QCheck.make tuple_gen)
+       (fun ((src_ip, dst_ip), (src_port, dst_port)) ->
+         Packet.Rss.hash ~src_ip ~dst_ip ~src_port ~dst_port
+         = Packet.Rss.hash ~src_ip:dst_ip ~dst_ip:src_ip ~src_port:dst_port
+             ~dst_port:src_port))
+
+let test_rss_no_alloc () =
+  let w0 = Gc.minor_words () in
+  let acc = ref 0 in
+  for i = 1 to 10_000 do
+    acc :=
+      !acc
+      lxor Packet.Rss.hash ~src_ip:i ~dst_ip:(i * 7) ~src_port:i ~dst_port:53
+  done;
+  let words = Gc.minor_words () -. w0 in
+  ignore (Sys.opaque_identity !acc);
+  if words > 100. then Alcotest.failf "Rss.hash allocated %.0f words" words
+
 (* {1 Harness helpers} *)
 
 let boot_sharded ~queues () =
@@ -318,4 +405,8 @@ let suite =
       test_campaign_repro_roundtrip_with_queues;
     Alcotest.test_case "campaign: single-queue tokens keep their shape" `Quick
       test_single_queue_tokens_unchanged;
+    ("rss: Microsoft verification vector", `Quick, test_rss_known_answer);
+    qcheck_rss_matches_reference;
+    qcheck_rss_hash_symmetric;
+    ("rss: hash allocates nothing", `Quick, test_rss_no_alloc);
   ]

@@ -1,5 +1,5 @@
-(* Tests for the discrete-event engine, conditions, mailboxes, locks,
-   the priority queue and the RNG. *)
+(* Tests for the discrete-event engine and its event heap, conditions,
+   mailboxes, locks and the RNG. *)
 
 open Sim
 
@@ -8,40 +8,6 @@ let check = Alcotest.(check int)
 let check64 = Alcotest.(check int64)
 
 let check_bool = Alcotest.(check bool)
-
-(* {1 Pqueue} *)
-
-let test_pqueue_order () =
-  let q = Pqueue.create ~cmp:compare in
-  List.iter (fun k -> Pqueue.push q k (string_of_int k)) [ 5; 1; 4; 1; 3; 9 ];
-  let rec drain acc =
-    match Pqueue.pop q with
-    | None -> List.rev acc
-    | Some (k, _) -> drain (k :: acc)
-  in
-  Alcotest.(check (list int)) "sorted" [ 1; 1; 3; 4; 5; 9 ] (drain [])
-
-let test_pqueue_peek () =
-  let q = Pqueue.create ~cmp:compare in
-  Alcotest.(check bool) "empty" true (Pqueue.peek q = None);
-  Pqueue.push q 2 "b";
-  Pqueue.push q 1 "a";
-  (match Pqueue.peek q with
-  | Some (1, "a") -> ()
-  | _ -> Alcotest.fail "peek should be smallest");
-  check "peek does not remove" 2 (Pqueue.length q)
-
-let test_pqueue_grow () =
-  let q = Pqueue.create ~cmp:compare in
-  for i = 1000 downto 1 do
-    Pqueue.push q i i
-  done;
-  check "length" 1000 (Pqueue.length q);
-  (match Pqueue.pop q with
-  | Some (1, 1) -> ()
-  | _ -> Alcotest.fail "min of 1000");
-  Pqueue.clear q;
-  check_bool "cleared" true (Pqueue.is_empty q)
 
 (* {1 Engine} *)
 
@@ -93,12 +59,17 @@ let test_engine_until () =
         loop ()
       in
       loop ());
+  let late = ref false in
+  Engine.at e 150L (fun () -> late := true);
   Engine.run ~until:100L e;
   check "horizon caps iterations" 10 !ran;
   check64 "clock at horizon" 100L (Engine.now e);
+  check "later events stay queued" 2 (Engine.pending e);
+  check_bool "later callback not run" false !late;
   (* Resumable after the horizon. *)
   Engine.run ~until:200L e;
-  check "resumed" 20 !ran
+  check "resumed" 20 !ran;
+  check_bool "later callback ran" true !late
 
 let test_engine_stop () =
   let e = Engine.create () in
@@ -123,12 +94,74 @@ let test_engine_at_callback () =
 
 let test_engine_past_at_runs_now () =
   let e = Engine.create () in
-  let fired = ref false in
+  let log = ref [] in
   Engine.spawn e (fun () ->
       Engine.delay 100L;
-      Engine.at e 50L (fun () -> fired := true));
+      Engine.at e 50L (fun () -> log := ("past", Engine.now e) :: !log);
+      Engine.at e 100L (fun () -> log := ("now", Engine.now e) :: !log));
   Engine.run e;
-  check_bool "past callback still runs" true !fired
+  Alcotest.(check (list (pair string int64)))
+    "clamped to now, in schedule order"
+    [ ("past", 100L); ("now", 100L) ]
+    (List.rev !log)
+
+let test_engine_same_time_schedule_order () =
+  let e = Engine.create () in
+  let log = ref [] in
+  let note s () = log := (Engine.now e, s) :: !log in
+  Engine.at e 20L (note "a");
+  Engine.at e 10L (note "b");
+  Engine.spawn e (note "p");
+  Engine.at e 20L (note "c");
+  Engine.at e 10L (note "d");
+  Engine.at e 0L (note "e");
+  Engine.run e;
+  Alcotest.(check (list (pair int64 string)))
+    "(time, seq) order"
+    [ (0L, "p"); (0L, "e"); (10L, "b"); (10L, "d"); (20L, "a"); (20L, "c") ]
+    (List.rev !log)
+
+let test_engine_growth () =
+  let e = Engine.create () in
+  let n = 1500 in
+  let log = ref [] in
+  (* A scrambled permutation of times (7919 is prime to n), two events per
+     time: the heap grows well past its initial capacity and must still
+     pop in (time, seq) order. *)
+  let time_of i = i * 7919 mod n in
+  for i = 0 to n - 1 do
+    let time = Int64.of_int (time_of i) in
+    Engine.at e time (fun () -> log := (Engine.now e, i) :: !log);
+    Engine.at e time (fun () -> log := (Engine.now e, n + i) :: !log)
+  done;
+  check "all queued" (2 * n) (Engine.pending e);
+  Engine.run e;
+  let index_at = Array.make n 0 in
+  for i = 0 to n - 1 do
+    index_at.(time_of i) <- i
+  done;
+  let expected =
+    List.concat
+      (List.init n (fun t ->
+           let i = index_at.(t) in
+           [ (Int64.of_int t, i); (Int64.of_int t, n + i) ]))
+  in
+  Alcotest.(check (list (pair int64 int)))
+    "(time, seq) order" expected (List.rev !log);
+  check "drained" 0 (Engine.pending e)
+
+let test_engine_pending () =
+  let e = Engine.create () in
+  check "empty" 0 (Engine.pending e);
+  Engine.at e 10L ignore;
+  Engine.at e 5L ignore;
+  Engine.spawn e (fun () -> Engine.delay 20L);
+  check "three queued" 3 (Engine.pending e);
+  Engine.run ~until:7L e;
+  (* The process's delay replaced its start event. *)
+  check "after the early ones" 2 (Engine.pending e);
+  Engine.run e;
+  check "drained" 0 (Engine.pending e)
 
 let test_engine_exception_propagates () =
   let e = Engine.create () in
@@ -181,6 +214,65 @@ let test_condition_broadcast_wakes_all () =
       Condition.broadcast c);
   Engine.run e;
   check "all woken" 3 !woken
+
+let test_condition_broadcast_current_waiters () =
+  let e = Engine.create () in
+  let c = Condition.create () in
+  let log = ref [] in
+  let waiter name () =
+    Condition.wait c;
+    log := name :: !log
+  in
+  List.iter (fun n -> Engine.spawn e (waiter n)) [ "w1"; "w2"; "w3" ];
+  Engine.spawn e (fun () ->
+      Engine.delay 10L;
+      check "three waiting" 3 (Condition.waiters c);
+      Condition.broadcast c;
+      check "queue emptied" 0 (Condition.waiters c);
+      (* Waiters arriving after the broadcast wait for the next one. *)
+      Engine.spawn e (waiter "late");
+      Engine.delay 10L;
+      check "late waiter still queued" 1 (Condition.waiters c);
+      Condition.broadcast c);
+  Engine.run e;
+  Alcotest.(check (list string))
+    "FIFO, each once" [ "w1"; "w2"; "w3"; "late" ] (List.rev !log)
+
+(* Allocation gate: with 2,000 idle timers queued (the depth echo64 keeps,
+   mostly poll timeouts) a steady-state delay resume and a wait/broadcast
+   wake-up must stay within a fixed minor-heap budget per event.  The
+   (time, seq) heap itself allocates nothing, so the budget covers only
+   the effect, the continuation and the waker; a closure or tuple per
+   sift level (about 11 levels at this depth, twice per event) blows
+   through it. *)
+let words_per_event_budget = 32.
+
+let test_engine_alloc_budget () =
+  let e = Engine.create () in
+  for i = 1 to 2000 do
+    Engine.at e (Int64.of_int (1_000_000_000 + i)) ignore
+  done;
+  let c = Condition.create () in
+  let warm = 1000 and n = 20_000 in
+  let words = ref 0. in
+  Engine.spawn e (fun () ->
+      for _ = 1 to warm + n do
+        Condition.wait c
+      done);
+  Engine.spawn e (fun () ->
+      let w0 = ref 0. in
+      for i = 1 to warm + n do
+        if i = warm + 1 then w0 := Gc.minor_words ();
+        Engine.delay 1L;
+        Condition.broadcast c
+      done;
+      words := Gc.minor_words () -. !w0);
+  Engine.run e;
+  (* Two events per cycle: the delay resume and the broadcast wake-up. *)
+  let per_event = !words /. float_of_int (2 * n) in
+  if per_event > words_per_event_budget then
+    Alcotest.failf "%.1f minor words per event, budget %.0f" per_event
+      words_per_event_budget
 
 let test_condition_wait_any () =
   let e = Engine.create () in
@@ -321,6 +413,19 @@ let test_stats_reset () =
   Stats.reset s;
   check "reset" 0 (Stats.get s "a")
 
+let test_stats_counter_handle () =
+  let s = Stats.create () in
+  let c = Stats.counter s "h" in
+  Alcotest.(check (list (pair string int)))
+    "unbumped handle registers nothing" [] (Stats.counters s);
+  Stats.bump c;
+  Stats.incr s "h";
+  check "shares the registry cell" 2 (Stats.count c);
+  Stats.reset s;
+  check "reset" 0 (Stats.count c);
+  Stats.bump c;
+  check "rebinds after reset" 1 (Stats.get s "h")
+
 (* {1 Rng} *)
 
 let test_rng_deterministic () =
@@ -371,9 +476,6 @@ let test_cycles_wire_rate () =
 
 let suite =
   [
-    ("pqueue: ordering", `Quick, test_pqueue_order);
-    ("pqueue: peek", `Quick, test_pqueue_peek);
-    ("pqueue: growth and clear", `Quick, test_pqueue_grow);
     ("engine: time advances with delay", `Quick, test_engine_time_advances);
     ("engine: processes interleave by time", `Quick, test_engine_interleaving);
     ("engine: same-time events are FIFO", `Quick, test_engine_fifo_same_time);
@@ -381,6 +483,12 @@ let suite =
     ("engine: stop ends run", `Quick, test_engine_stop);
     ("engine: at callback", `Quick, test_engine_at_callback);
     ("engine: past at runs immediately", `Quick, test_engine_past_at_runs_now);
+    ("engine: events run in time, seq order", `Quick,
+     test_engine_same_time_schedule_order);
+    ("engine: heap growth", `Quick, test_engine_growth);
+    ("engine: pending", `Quick, test_engine_pending);
+    ("engine: allocation per event within budget", `Quick,
+     test_engine_alloc_budget);
     ("engine: process exception escapes run", `Quick,
      test_engine_exception_propagates);
     ("engine: delay outside process is no-op", `Quick,
@@ -391,6 +499,8 @@ let suite =
     ("condition: signal wakes one", `Quick, test_condition_signal_wakes_one);
     ("condition: broadcast wakes all", `Quick,
      test_condition_broadcast_wakes_all);
+    ("condition: broadcast wakes current waiters once, FIFO", `Quick,
+     test_condition_broadcast_current_waiters);
     ("condition: wait_any", `Quick, test_condition_wait_any);
     ("condition: signal with no waiters", `Quick,
      test_condition_signal_no_waiters);
@@ -408,6 +518,7 @@ let suite =
     ("stats: counters", `Quick, test_stats_counters);
     ("stats: gauges", `Quick, test_stats_gauges);
     ("stats: reset", `Quick, test_stats_reset);
+    ("stats: counter handle", `Quick, test_stats_counter_handle);
     ("rng: deterministic stream", `Quick, test_rng_deterministic);
     ("rng: int bounds", `Quick, test_rng_int_bounds);
     ("rng: int bad bound", `Quick, test_rng_int_bad_bound);

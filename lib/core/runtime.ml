@@ -737,6 +737,7 @@ let udp_sendto t sock payload ~dst =
 let udp_recvfrom t sock ~max =
   match sock.bound with
   | [||] -> Error Abi.Errno.EINVAL
+  | _ when max < 0 -> Error Abi.Errno.EINVAL (* before dequeuing *)
   | socks when Array.length socks = 1 && not (xsk_failover_ready t) ->
       Ok (Netstack.Udp_socket.recvfrom socks.(0) ~max)
   | socks ->

@@ -252,7 +252,8 @@ val udp_recvfrom :
     sockets are polled (a flow's datagrams surface on exactly one, per
     RSS); while a fallback host socket exists (breaker open, or still
     draining just after failback) it is polled too, via the exit-based
-    slow path. *)
+    slow path.  A negative [max] is [EINVAL] before anything is
+    dequeued. *)
 
 val udp_readable : t -> udp_sock -> bool
 (** [true] iff a datagram is queued on any shard socket or the fallback

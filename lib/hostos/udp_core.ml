@@ -139,6 +139,7 @@ let sendto t sock payload ~dst:(dst_ip, dst_port) =
 
 let recvfrom _t sock ~max =
   if sock.closed then Error Abi.Errno.EBADF
+  else if max < 0 then Error Abi.Errno.EINVAL (* before dequeuing *)
   else begin
     let payload, src = Sim.Mailbox.get sock.rxq in
     Sim.Engine.delay Sgx.Params.kernel_udp_rx_syscall_cycles;
@@ -180,32 +181,33 @@ let handle_arp t nic arp =
            reply)
   | Request | Reply -> ()
 
+(* Each frame is validated once, in place; only a delivered payload is
+   copied. *)
 let stack_input t nic frame =
   charge_softirq ();
-  match Packet.Eth.parse frame with
+  match Packet.Frame.validate_udp frame with
+  | Ok payload_len -> (
+      let info = Packet.Frame.udp_info frame in
+      match Hashtbl.find_opt t.by_port info.dst_port with
+      | None ->
+          Sim.Stats.incr (Sim.Engine.stats t.engine) "udp.no_socket_drops"
+      | Some sock ->
+          let payload =
+            Bytes.sub frame Packet.Frame.frame_overhead payload_len
+          in
+          if
+            Sim.Mailbox.try_put sock.rxq
+              (payload, (info.src_ip, info.src_port))
+          then Sim.Condition.broadcast sock.activity
+          else Sim.Stats.incr (Sim.Engine.stats t.engine) "udp.buffer_drops")
+  | Error Not_ipv4 when Packet.Eth.ethertype_at frame 0 = Arp -> (
+      match
+        Packet.Arp.parse
+          (Bytes.sub frame Packet.Eth.header_size
+             (Bytes.length frame - Packet.Eth.header_size))
+      with
+      | Ok arp -> handle_arp t nic arp
+      | Error _ -> ())
   | Error _ -> ()
-  | Ok eth -> (
-      match eth.ethertype with
-      | Arp -> (
-          match Packet.Arp.parse eth.payload with
-          | Ok arp -> handle_arp t nic arp
-          | Error _ -> ())
-      | Unknown _ -> ()
-      | Ipv4 -> (
-          match Packet.Frame.dissect_udp frame with
-          | Error _ -> ()
-          | Ok (info, payload) -> (
-              match Hashtbl.find_opt t.by_port info.dst_port with
-              | None ->
-                  Sim.Stats.incr (Sim.Engine.stats t.engine)
-                    "udp.no_socket_drops"
-              | Some sock ->
-                  if
-                    Sim.Mailbox.try_put sock.rxq
-                      (payload, (info.src_ip, info.src_port))
-                  then Sim.Condition.broadcast sock.activity
-                  else
-                    Sim.Stats.incr (Sim.Engine.stats t.engine)
-                      "udp.buffer_drops")))
 
 let activity sock = sock.activity

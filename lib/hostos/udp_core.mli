@@ -33,7 +33,8 @@ val sendto :
 
 val recvfrom :
   t -> sock -> max:int -> (Bytes.t * (Packet.Addr.Ip.t * int), Abi.Errno.t) result
-(** Blocks until a datagram arrives; truncates to [max] like POSIX. *)
+(** Blocks until a datagram arrives; truncates to [max] like POSIX.
+    A negative [max] is [EINVAL] before anything is dequeued. *)
 
 val readable : sock -> bool
 

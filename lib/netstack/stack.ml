@@ -226,11 +226,15 @@ let handle_arp t arp =
         (Packet.Frame.build_arp ~src_mac:t.mac ~dst_mac:arp.sender_mac reply)
   | (Request | Reply), _ -> ()
 
-let handle_udp t (ip_pkt : Packet.Ipv4.t) =
-  match Packet.Udp.parse ~src:ip_pkt.src ~dst:ip_pkt.dst ip_pkt.payload with
+(* UDP datagram in [b.(off .. off+len)], in place: the reassembled
+   datagram of a fragment train, or the trusted staging copy of a whole
+   frame.  Only the payload that reaches a socket queue is copied. *)
+let handle_udp t ~src ~dst b ~off ~len =
+  match Packet.Udp.validate ~src ~dst b ~off ~len with
   | Error _ -> drop t "bad-udp"
-  | Ok udp -> (
-      let sock = with_table t (fun () -> Hashtbl.find_opt t.sockets udp.dst_port) in
+  | Ok payload_len -> (
+      let dst_port = Packet.Udp.dst_port_at b off in
+      let sock = with_table t (fun () -> Hashtbl.find_opt t.sockets dst_port) in
       match sock with
       | None -> drop t "no-socket"
       | Some sock ->
@@ -241,58 +245,75 @@ let handle_udp t (ip_pkt : Packet.Ipv4.t) =
           in
           if not admitted then drop t "overload-shed"
           else if
-            Udp_socket.enqueue sock udp.payload
-              ~src:(ip_pkt.src, udp.src_port)
+            Udp_socket.enqueue sock
+              (Bytes.sub b (off + Packet.Udp.header_size) payload_len)
+              ~src:(src, Packet.Udp.src_port_at b off)
           then Obs.Metrics.incr t.rx_delivered
           else drop t "queue-full")
 
+let deliver t (ip_pkt : Packet.Ipv4.t) =
+  match ip_pkt.proto with
+  | Udp ->
+      handle_udp t ~src:ip_pkt.src ~dst:ip_pkt.dst ip_pkt.payload ~off:0
+        ~len:(Bytes.length ip_pkt.payload)
+  | Tcp | Icmp | Other _ -> drop t "not-udp"
+
+(* A fragment copies its own payload once, into the reassembler. *)
+let input_fragment t frame ~off ~payload_len =
+  (match
+     Reassembly.insert t.reasm (Packet.Ipv4.fragment_at frame off ~payload_len)
+   with
+  | Reassembly.Complete ip_pkt -> deliver t ip_pkt
+  | Reassembly.Pending -> ()
+  | Reassembly.Rejected reason -> drop t reason);
+  (* Reassemblies the lazy sweep abandoned since we last looked become
+     accounted drops now. *)
+  let ex = Reassembly.expired t.reasm in
+  for _ = t.reasm_expired_seen + 1 to ex do
+    drop t "frag-expired"
+  done;
+  t.reasm_expired_seen <- ex
+
+let input_ipv4 t frame ~off ~len =
+  match Packet.Ipv4.validate ~fragments:true frame ~off ~len with
+  | Error _ -> drop t "bad-ip"
+  | Ok payload_len ->
+      let dst = Packet.Ipv4.dst_at frame off in
+      if not (Packet.Addr.Ip.equal dst t.ip) then drop t "not-ours"
+      else if Packet.Ipv4.is_fragment_at frame off then
+        input_fragment t frame ~off ~payload_len
+      else (
+        match Packet.Ipv4.proto_at frame off with
+        | Udp ->
+            handle_udp t ~src:(Packet.Ipv4.src_at frame off) ~dst frame
+              ~off:(off + Packet.Ipv4.header_size) ~len:payload_len
+        | Tcp | Icmp | Other _ -> drop t "not-udp")
+
+(* [frame] is the trusted staging copy (never untrusted memory), so it
+   is validated in place: one validation routine per layer, no copy
+   until a payload is queued. *)
 let input_borrowed t frame ~len =
   with_processing t (fun () ->
       charge_packet ();
-      match Packet.Eth.parse_sub frame ~len with
+      match Packet.Eth.validate frame ~off:0 ~len with
       | Error _ -> drop t "bad-eth"
-      | Ok eth -> (
+      | Ok eth_len -> (
+          let dst = Packet.Eth.dst_at frame 0 in
           let for_us =
-            Packet.Addr.Mac.equal eth.dst t.mac
-            || Packet.Addr.Mac.is_broadcast eth.dst
+            Packet.Addr.Mac.equal dst t.mac || Packet.Addr.Mac.is_broadcast dst
           in
           if not for_us then drop t "not-ours"
           else
-            match eth.ethertype with
+            match Packet.Eth.ethertype_at frame 0 with
             | Unknown _ -> drop t "bad-eth"
             | Arp -> (
-                match Packet.Arp.parse eth.payload with
+                match
+                  Packet.Arp.parse
+                    (Bytes.sub frame Packet.Eth.header_size eth_len)
+                with
                 | Error _ -> drop t "bad-arp"
                 | Ok arp -> handle_arp t arp)
-            | Ipv4 -> (
-                match Packet.Ipv4.parse_fragment eth.payload with
-                | Error _ -> drop t "bad-ip"
-                | Ok frag ->
-                    let ip_pkt = frag.Packet.Ipv4.packet in
-                    if not (Packet.Addr.Ip.equal ip_pkt.dst t.ip) then
-                      drop t "not-ours"
-                    else
-                      let deliver ip_pkt =
-                        match ip_pkt.Packet.Ipv4.proto with
-                        | Packet.Ipv4.Udp -> handle_udp t ip_pkt
-                        | Tcp | Icmp | Other _ -> drop t "not-udp"
-                      in
-                      if
-                        frag.Packet.Ipv4.more
-                        || frag.Packet.Ipv4.frag_offset <> 0
-                      then begin
-                        (match Reassembly.insert t.reasm frag with
-                        | Reassembly.Complete ip_pkt -> deliver ip_pkt
-                        | Reassembly.Pending -> ()
-                        | Reassembly.Rejected reason -> drop t reason);
-                        (* Reassemblies the lazy sweep abandoned since we
-                           last looked become accounted drops now. *)
-                        let ex = Reassembly.expired t.reasm in
-                        for _ = t.reasm_expired_seen + 1 to ex do
-                          drop t "frag-expired"
-                        done;
-                        t.reasm_expired_seen <- ex
-                      end
-                      else deliver ip_pkt)))
+            | Ipv4 ->
+                input_ipv4 t frame ~off:Packet.Eth.header_size ~len:eth_len))
 
 let input t frame = input_borrowed t frame ~len:(Bytes.length frame)

@@ -92,10 +92,11 @@ val input : t -> Bytes.t -> unit
 
 val input_borrowed : t -> Bytes.t -> len:int -> unit
 (** Like {!input} but the frame occupies the first [len] bytes of a
-    borrowed buffer the caller will reuse (the FM's scratch frame):
-    everything the stack keeps past the call — ARP entries, queued UDP
-    payloads — is copied out during parsing, so no per-packet
-    allocation is needed on the caller's side. *)
+    borrowed buffer the caller will reuse (the FM's scratch frame).
+    The headers are validated in place, so the buffer must be trusted
+    memory the host cannot change.  Everything the stack keeps past the
+    call — ARP entries, fragments, queued UDP payloads — is copied out,
+    and for a whole UDP datagram the queued payload is the only copy. *)
 
 (** {1 Introspection} *)
 

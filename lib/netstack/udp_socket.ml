@@ -35,6 +35,7 @@ let enqueue t payload ~src =
   end
 
 let recvfrom t ~max =
+  if max < 0 then invalid_arg "Udp_socket.recvfrom: negative max";
   let payload, src, enqueued_at = Sim.Mailbox.get t.queue in
   (match t.on_dequeue with
   | None -> ()

@@ -16,7 +16,9 @@ val enqueue : t -> Bytes.t -> src:Packet.Addr.Ip.t * int -> bool
     dropped, as UDP allows). *)
 
 val recvfrom : t -> max:int -> Bytes.t * (Packet.Addr.Ip.t * int)
-(** User side: blocks until a datagram arrives; truncates to [max]. *)
+(** User side: blocks until a datagram arrives; truncates to [max].
+    Raises [Invalid_argument] on a negative [max] before dequeuing, so
+    the datagram stays queued. *)
 
 val set_on_dequeue : t -> (sojourn:int64 -> depth:int -> unit) -> unit
 (** Install the dequeue observer: called once per {!recvfrom} with the

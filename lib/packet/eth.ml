@@ -21,27 +21,40 @@ let ethertype_of_int = function
   | 0x0806 -> Arp
   | v -> Unknown v
 
+let write_header b ~off ~dst ~src ethertype =
+  Bytes.blit_string (Addr.Mac.to_string dst) 0 b off 6;
+  Bytes.blit_string (Addr.Mac.to_string src) 0 b (off + 6) 6;
+  Bytes.set_uint16_be b (off + 12) (ethertype_to_int ethertype)
+
 let build t =
   let len = header_size + Bytes.length t.payload in
   let b = Bytes.create len in
-  Bytes.blit_string (Addr.Mac.to_string t.dst) 0 b 0 6;
-  Bytes.blit_string (Addr.Mac.to_string t.src) 0 b 6 6;
-  Bytes.set_uint16_be b 12 (ethertype_to_int t.ethertype);
+  write_header b ~off:0 ~dst:t.dst ~src:t.src t.ethertype;
   Bytes.blit t.payload 0 b header_size (Bytes.length t.payload);
   b
 
+let validate b ~off ~len =
+  if off < 0 || len < 0 || off > Bytes.length b - len then
+    invalid_arg "Eth.validate: range out of bounds";
+  if len < header_size then Error (Truncated len) else Ok (len - header_size)
+
+let dst_at b off = Addr.Mac.of_string (Bytes.sub_string b off 6)
+
+let src_at b off = Addr.Mac.of_string (Bytes.sub_string b (off + 6) 6)
+
+let ethertype_at b off = ethertype_of_int (Bytes.get_uint16_be b (off + 12))
+
 let parse_sub b ~len =
-  if len < 0 || len > Bytes.length b then
-    invalid_arg "Eth.parse_sub: len out of bounds";
-  if len < header_size then Error (Truncated len)
-  else
-    Ok
-      {
-        dst = Addr.Mac.of_string (Bytes.sub_string b 0 6);
-        src = Addr.Mac.of_string (Bytes.sub_string b 6 6);
-        ethertype = ethertype_of_int (Bytes.get_uint16_be b 12);
-        payload = Bytes.sub b header_size (len - header_size);
-      }
+  match validate b ~off:0 ~len with
+  | Error e -> Error e
+  | Ok n ->
+      Ok
+        {
+          dst = dst_at b 0;
+          src = src_at b 0;
+          ethertype = ethertype_at b 0;
+          payload = Bytes.sub b header_size n;
+        }
 
 let parse b = parse_sub b ~len:(Bytes.length b)
 

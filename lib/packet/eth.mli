@@ -21,6 +21,31 @@ val ethertype_of_int : int -> ethertype
 val build : t -> Bytes.t
 (** Serialize header + payload into a fresh buffer. *)
 
+val write_header :
+  Bytes.t -> off:int -> dst:Addr.Mac.t -> src:Addr.Mac.t -> ethertype -> unit
+(** Write the 14-byte header at [off] — the one serializer behind
+    {!build} and [Frame.build_udp]. *)
+
+(** {1 In-place validation}
+
+    The one Ethernet validation routine: {!parse} and {!parse_sub} are
+    {!validate} plus a payload copy.  Callers that only need the header
+    fields read them from the buffer with the [_at] accessors — valid
+    only on a range {!validate} accepted — and copy no payload. *)
+
+val validate : Bytes.t -> off:int -> len:int -> (int, error) result
+(** Check the [len]-byte frame at [off].  [Ok n]: its [n]-byte payload
+    starts at [off + header_size].  Raises [Invalid_argument] when the
+    range exceeds the buffer. *)
+
+val dst_at : Bytes.t -> int -> Addr.Mac.t
+
+val src_at : Bytes.t -> int -> Addr.Mac.t
+
+val ethertype_at : Bytes.t -> int -> ethertype
+
+(** {1 Copying parsers} *)
+
 val parse : Bytes.t -> (t, error) result
 (** The payload is a copy: callers may mutate it freely. *)
 

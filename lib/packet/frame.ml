@@ -18,52 +18,63 @@ let frame_overhead = Eth.header_size + Ipv4.header_size + Udp.header_size
 
 let ident_counter = ref 0
 
-let build_udp info payload =
-  let udp =
-    Udp.build ~src:info.src_ip ~dst:info.dst_ip
-      { Udp.src_port = info.src_port; dst_port = info.dst_port; payload }
-  in
-  incr ident_counter;
-  let ip =
-    Ipv4.build
-      {
-        Ipv4.src = info.src_ip;
-        dst = info.dst_ip;
-        proto = Ipv4.Udp;
-        ttl = 64;
-        ident = !ident_counter;
-        payload = udp;
-      }
-  in
-  Eth.build
-    { Eth.dst = info.dst_mac; src = info.src_mac; ethertype = Ipv4; payload = ip }
+let ip_off = Eth.header_size
 
-let dissect_udp frame =
-  match Eth.parse frame with
+let udp_off = ip_off + Ipv4.header_size
+
+(* One buffer of the final length: headers written in place, the
+   payload blitted once, the UDP checksum summed over it where it lies. *)
+let build_udp info payload =
+  let payload_len = Bytes.length payload in
+  let b = Bytes.create (frame_overhead + payload_len) in
+  Eth.write_header b ~off:0 ~dst:info.dst_mac ~src:info.src_mac Ipv4;
+  incr ident_counter;
+  Ipv4.write_header b ~off:ip_off ~src:info.src_ip ~dst:info.dst_ip
+    ~proto:Ipv4.Udp ~ttl:64 ~ident:!ident_counter ~flags_frag:0
+    ~payload_len:(Udp.header_size + payload_len);
+  Bytes.blit payload 0 b frame_overhead payload_len;
+  Udp.write_header ~src:info.src_ip ~dst:info.dst_ip b ~off:udp_off
+    ~src_port:info.src_port ~dst_port:info.dst_port ~payload_len;
+  b
+
+let validate_udp frame =
+  match Eth.validate frame ~off:0 ~len:(Bytes.length frame) with
   | Error e -> Error (Eth e)
-  | Ok eth -> (
-      match eth.ethertype with
+  | Ok eth_len -> (
+      match Eth.ethertype_at frame 0 with
       | Arp | Unknown _ -> Error Not_ipv4
       | Ipv4 -> (
-          match Ipv4.parse eth.payload with
+          match
+            Ipv4.validate ~fragments:false frame ~off:ip_off ~len:eth_len
+          with
           | Error e -> Error (Ip e)
-          | Ok ip -> (
-              match ip.proto with
+          | Ok ip_len -> (
+              match Ipv4.proto_at frame ip_off with
               | Tcp | Icmp | Other _ -> Error Not_udp
               | Udp -> (
-                  match Udp.parse ~src:ip.src ~dst:ip.dst ip.payload with
+                  match
+                    Udp.validate ~src:(Ipv4.src_at frame ip_off)
+                      ~dst:(Ipv4.dst_at frame ip_off) frame ~off:udp_off
+                      ~len:ip_len
+                  with
                   | Error e -> Error (Udp_err e)
-                  | Ok udp ->
-                      Ok
-                        ( {
-                            src_mac = eth.src;
-                            dst_mac = eth.dst;
-                            src_ip = ip.src;
-                            dst_ip = ip.dst;
-                            src_port = udp.src_port;
-                            dst_port = udp.dst_port;
-                          },
-                          udp.payload )))))
+                  | Ok _ as ok -> ok))))
+
+let udp_info frame =
+  {
+    src_mac = Eth.src_at frame 0;
+    dst_mac = Eth.dst_at frame 0;
+    src_ip = Ipv4.src_at frame ip_off;
+    dst_ip = Ipv4.dst_at frame ip_off;
+    src_port = Udp.src_port_at frame udp_off;
+    dst_port = Udp.dst_port_at frame udp_off;
+  }
+
+let dissect_udp frame =
+  match validate_udp frame with
+  | Error e -> Error e
+  | Ok payload_len ->
+      Ok (udp_info frame, Bytes.sub frame frame_overhead payload_len)
 
 let build_arp ~src_mac ~dst_mac arp =
   Eth.build

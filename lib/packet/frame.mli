@@ -12,7 +12,8 @@ type udp_info = {
 }
 
 val build_udp : udp_info -> Bytes.t -> Bytes.t
-(** [build_udp info payload] is a full layer-2 frame. *)
+(** [build_udp info payload] is a full layer-2 frame, built in one
+    buffer: headers written in place, the payload copied once. *)
 
 type dissect_error =
   | Eth of Eth.error
@@ -21,8 +22,16 @@ type dissect_error =
   | Not_udp
   | Udp_err of Udp.error
 
+val validate_udp : Bytes.t -> (int, dissect_error) result
+(** Validate a full frame down to UDP in place, every layer through its
+    one validation routine.  [Ok n]: the [n]-byte UDP payload starts at
+    [frame_overhead]. *)
+
+val udp_info : Bytes.t -> udp_info
+(** The addressing of a frame {!validate_udp} accepted, read in place. *)
+
 val dissect_udp : Bytes.t -> (udp_info * Bytes.t, dissect_error) result
-(** Parse a full frame down to the UDP payload, validating every layer. *)
+(** {!validate_udp}, then {!udp_info} and a copy of the UDP payload. *)
 
 val build_arp : src_mac:Addr.Mac.t -> dst_mac:Addr.Mac.t -> Arp.t -> Bytes.t
 

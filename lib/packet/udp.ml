@@ -10,58 +10,72 @@ let header_size = 8
 
 let max_payload = 1500 - Ipv4.header_size - header_size
 
-let checksum_of ~src ~dst b len =
-  let pseudo =
-    Checksum.pseudo_header_sum ~src:(Addr.Ip.to_int src)
-      ~dst:(Addr.Ip.to_int dst) ~proto:17 ~len
+let pseudo ~src ~dst len =
+  Checksum.pseudo_header_sum ~src:(Addr.Ip.to_int src)
+    ~dst:(Addr.Ip.to_int dst) ~proto:17 ~len
+
+(* The checksum field value for the [len]-byte datagram at [off], summed
+   around the field itself (bytes 6-7) so it need not be zeroed first.
+   [finish] folds the carries of the three partial sums.  An all-zero
+   computed checksum is transmitted as 0xffff (RFC 768). *)
+let checksum_of ~src ~dst b off len =
+  let c =
+    Checksum.finish
+      (pseudo ~src ~dst len
+      + Checksum.ones_sum b off 6
+      + Checksum.ones_sum b (off + header_size) (len - header_size))
   in
-  let c = Checksum.finish (Checksum.ones_sum ~init:pseudo b 0 len) in
-  (* An all-zero computed checksum is transmitted as 0xffff (RFC 768). *)
   if c = 0 then 0xffff else c
 
+let write_header ~src ~dst b ~off ~src_port ~dst_port ~payload_len =
+  let len = header_size + payload_len in
+  Bytes.set_uint16_be b off (src_port land 0xffff);
+  Bytes.set_uint16_be b (off + 2) (dst_port land 0xffff);
+  Bytes.set_uint16_be b (off + 4) len;
+  Bytes.set_uint16_be b (off + 6) (checksum_of ~src ~dst b off len)
+
 let build ~src ~dst t =
-  let len = header_size + Bytes.length t.payload in
-  let b = Bytes.create len in
-  Bytes.set_uint16_be b 0 (t.src_port land 0xffff);
-  Bytes.set_uint16_be b 2 (t.dst_port land 0xffff);
-  Bytes.set_uint16_be b 4 len;
-  Bytes.set_uint16_be b 6 0;
-  Bytes.blit t.payload 0 b header_size (Bytes.length t.payload);
-  Bytes.set_uint16_be b 6 (checksum_of ~src ~dst b len);
+  let payload_len = Bytes.length t.payload in
+  let b = Bytes.create (header_size + payload_len) in
+  Bytes.blit t.payload 0 b header_size payload_len;
+  write_header ~src ~dst b ~off:0 ~src_port:t.src_port ~dst_port:t.dst_port
+    ~payload_len;
   b
 
-let parse ~src ~dst b =
-  let blen = Bytes.length b in
+let src_port_at b off = Bytes.get_uint16_be b off
+
+let dst_port_at b off = Bytes.get_uint16_be b (off + 2)
+
+let validate ~src ~dst b ~off ~len:blen =
+  if off < 0 || blen < 0 || off > Bytes.length b - blen then
+    invalid_arg "Udp.validate: range out of bounds";
   if blen < header_size then Error (Truncated blen)
   else
-    let len = Bytes.get_uint16_be b 4 in
+    let len = Bytes.get_uint16_be b (off + 4) in
     if len < header_size || len > blen then Error (Bad_length (len, blen))
+    else if src_port_at b off = 0 || dst_port_at b off = 0 then Error Bad_port
     else
-      let src_port = Bytes.get_uint16_be b 0 in
-      let dst_port = Bytes.get_uint16_be b 2 in
-      if src_port = 0 || dst_port = 0 then Error Bad_port
-      else
-        let stored = Bytes.get_uint16_be b 6 in
-        if stored <> 0 then begin
-          let b' = Bytes.sub b 0 len in
-          Bytes.set_uint16_be b' 6 0;
-          let expected = checksum_of ~src ~dst b' len in
-          if expected <> stored then Error (Bad_checksum (expected, stored))
-          else
-            Ok
-              {
-                src_port;
-                dst_port;
-                payload = Bytes.sub b header_size (len - header_size);
-              }
-        end
-        else
-          Ok
-            {
-              src_port;
-              dst_port;
-              payload = Bytes.sub b header_size (len - header_size);
-            }
+      let stored = Bytes.get_uint16_be b (off + 6) in
+      (* With the stored checksum included, a correct datagram plus its
+         pseudo-header sums to 0xffff, whose complement is 0 — RFC 1071's
+         in-place check. *)
+      if
+        stored <> 0
+        && Checksum.finish (pseudo ~src ~dst len + Checksum.ones_sum b off len)
+           <> 0
+      then Error (Bad_checksum (checksum_of ~src ~dst b off len, stored))
+      else Ok (len - header_size)
+
+let parse ~src ~dst b =
+  match validate ~src ~dst b ~off:0 ~len:(Bytes.length b) with
+  | Error e -> Error e
+  | Ok n ->
+      Ok
+        {
+          src_port = src_port_at b 0;
+          dst_port = dst_port_at b 0;
+          payload = Bytes.sub b header_size n;
+        }
 
 let pp_error ppf = function
   | Truncated n -> Format.fprintf ppf "truncated udp datagram (%d bytes)" n

@@ -71,30 +71,35 @@ let rdp_seeds () =
     udp_frame 11211 ack;
   ]
 
-(* Seed corpus: well-formed frames at every layer plus boundary sizes. *)
-let seeds () =
-  let arp op =
-    Packet.Frame.build_arp ~src_mac:peer_mac ~dst_mac:stack_mac
-      {
-        Packet.Arp.op;
-        sender_mac = peer_mac;
-        sender_ip = peer_ip;
-        target_mac = Packet.Addr.Mac.zero;
-        target_ip = stack_ip;
-      }
-  in
-  [
-    udp_frame 53 "hello";
-    udp_frame 5201 (String.make 1400 'x');
-    udp_frame 9999 "unbound port";
-    arp Packet.Arp.Request;
-    arp Packet.Arp.Reply;
-    Bytes.create 0;
-    Bytes.create 13;
-    Bytes.create 14;
-    Bytes.make 60 '\xff';
-  ]
-  @ fragment_frames () @ rdp_seeds ()
+(* Seed corpus: well-formed frames at every layer plus boundary sizes.
+   Built once per process and shared by every run: [Frame.build_udp]
+   draws the IPv4 ident from a process-wide counter, so frames rebuilt
+   per run would make a run's outcome depend on how many frames the
+   process built before it, not on the run's seed alone. *)
+let seeds =
+  lazy
+    (let arp op =
+       Packet.Frame.build_arp ~src_mac:peer_mac ~dst_mac:stack_mac
+         {
+           Packet.Arp.op;
+           sender_mac = peer_mac;
+           sender_ip = peer_ip;
+           target_mac = Packet.Addr.Mac.zero;
+           target_ip = stack_ip;
+         }
+     in
+     [
+       udp_frame 53 "hello";
+       udp_frame 5201 (String.make 1400 'x');
+       udp_frame 9999 "unbound port";
+       arp Packet.Arp.Request;
+       arp Packet.Arp.Reply;
+       Bytes.create 0;
+       Bytes.create 13;
+       Bytes.create 14;
+       Bytes.make 60 '\xff';
+     ]
+     @ fragment_frames () @ rdp_seeds ())
 
 (* Every crasher the fuzzer ever found, shrunk and pinned as hex:
    replayed ahead of the random schedule on every run, so a fixed bug
@@ -321,7 +326,7 @@ let run ?(seed = 0xF00DL) ?(executions = 50_000) () =
         | Error `Port_in_use -> assert false)
       bound_ports
   in
-  let corpus = ref (seeds ()) in
+  let corpus = ref (Lazy.force seeds) in
   let corpus_n = ref (List.length !corpus) in
   let outcomes = Hashtbl.create 32 in
   let crashes = ref 0 and crash_samples = ref [] in
@@ -418,7 +423,7 @@ let run ?(seed = 0xF00DL) ?(executions = 50_000) () =
   in
   (* Replay pinned crashers and all seeds, then mutate. *)
   List.iter (fun s -> exec (unhex s)) pinned;
-  List.iter exec (seeds ());
+  List.iter exec (Lazy.force seeds);
   let corpus_array () = Array.of_list !corpus in
   let arr = ref (corpus_array ()) in
   for i = 1 to executions do
@@ -427,7 +432,8 @@ let run ?(seed = 0xF00DL) ?(executions = 50_000) () =
     exec (mutate rng base)
   done;
   {
-    executions = executions + List.length (seeds ()) + List.length pinned;
+    executions =
+      executions + List.length (Lazy.force seeds) + List.length pinned;
     crashes = !crashes;
     crash_samples = !crash_samples;
     codec_checks = !codec_checks;

@@ -268,6 +268,41 @@ let test_exitless_between_direct_and_sgx () =
   check_bool "direct < exitless" true (Int64.compare direct exitless < 0);
   check_bool "exitless < sgx" true (Int64.compare exitless sgx < 0)
 
+(* recvfrom with a negative length must fail with EINVAL before it
+   dequeues anything: the datagram already queued stays readable. *)
+let recvfrom_negative_len_keeps_datagram kind =
+  let engine, kernel, env = make kind in
+  let api = Libos.Env.api env in
+  let peer = Libos.Hostapi.native kernel in
+  Sim.Engine.spawn engine (fun () ->
+      let fd = peer.Libos.Api.udp_socket () in
+      ignore (peer.Libos.Api.bind fd (Hostos.Kernel.client_ip kernel, 9100));
+      match peer.Libos.Api.recvfrom fd 1024 with
+      | Ok (payload, src) -> ignore (peer.Libos.Api.sendto fd payload src)
+      | Error _ -> ());
+  run_script engine (fun () ->
+      let sock = api.Libos.Api.udp_socket () in
+      ignore
+        (expect "sendto"
+           (api.Libos.Api.sendto sock (Bytes.of_string "polo")
+              (Hostos.Kernel.client_ip kernel, 9100)));
+      (* Let the echo arrive and queue. *)
+      Sim.Engine.delay (Sim.Cycles.of_ms 10.);
+      (match api.Libos.Api.recvfrom sock (-1) with
+      | Error Abi.Errno.EINVAL -> ()
+      | Ok _ -> Alcotest.fail "negative length accepted"
+      | Error e -> Alcotest.failf "expected EINVAL, got %a" Abi.Errno.pp e);
+      match api.Libos.Api.recvfrom sock 1024 with
+      | Ok (reply, _) ->
+          Alcotest.(check string) "datagram kept" "polo" (Bytes.to_string reply)
+      | Error e -> Alcotest.failf "recv: %a" Abi.Errno.pp e)
+
+let test_native_recvfrom_negative_len () =
+  recvfrom_negative_len_keeps_datagram Libos.Env.Native
+
+let test_rakis_recvfrom_negative_len () =
+  recvfrom_negative_len_keeps_datagram Libos.Env.Rakis_sgx
+
 let suite =
   suite
   @ [
@@ -275,4 +310,8 @@ let suite =
        test_gramine_exitless_works_without_exits);
       ("gramine exitless: between direct and sgx", `Quick,
        test_exitless_between_direct_and_sgx);
+      ("native: recvfrom negative length is EINVAL, datagram kept", `Quick,
+       test_native_recvfrom_negative_len);
+      ("rakis: recvfrom negative length is EINVAL, datagram kept", `Quick,
+       test_rakis_recvfrom_negative_len);
     ]

@@ -543,6 +543,37 @@ let prop_accounting_consistent =
          Stack.rx_delivered stack + Stack.rx_dropped stack >= 1
          && Stack.rx_delivered stack + Stack.rx_dropped stack <= valid + 1))
 
+(* The receive path validates the staging frame in place: a delivered
+   datagram costs its payload copy plus a small constant, never a copy
+   per layer. *)
+let test_input_borrowed_alloc_budget () =
+  let _, stack, _ = make_stack () in
+  let sock = Result.get_ok (Stack.bind stack ~port:5201) in
+  let frame = udp_frame (String.make Packet.Udp.max_payload 'x') in
+  let staging = Bytes.cat frame (Bytes.make 512 '\000') in
+  let len = Bytes.length frame in
+  let payload_words = (Packet.Udp.max_payload / 8) + 2 in
+  let drain () =
+    while Udp_socket.pending sock > 0 do
+      ignore (Udp_socket.recvfrom sock ~max:2048)
+    done
+  in
+  for _ = 1 to 64 do
+    Stack.input_borrowed stack staging ~len
+  done;
+  drain ();
+  let n = 1000 in
+  let w0 = Gc.minor_words () in
+  for _ = 1 to n do
+    Stack.input_borrowed stack staging ~len
+  done;
+  let per = (Gc.minor_words () -. w0) /. float_of_int n in
+  check "all delivered" (64 + n) (Stack.rx_delivered stack);
+  drain ();
+  if per > float_of_int (payload_words + 64) then
+    Alcotest.failf "input_borrowed allocated %.1f words (payload %d words)" per
+      payload_words
+
 let suite =
   [
     ("delivery: bound socket receives", `Quick, test_delivery_to_bound_socket);
@@ -591,4 +622,6 @@ let suite =
     ("locking: global contends more", `Quick, test_global_lock_contends_more);
     prop_stack_total;
     prop_accounting_consistent;
+    ("alloc: input_borrowed copies only the payload", `Quick,
+     test_input_borrowed_alloc_budget);
   ]

@@ -501,6 +501,409 @@ let prop_checksum_carries_fold =
       && Checksum.finish s < 0x10000
       && Checksum.valid with_cksum 0 (n' + 2))
 
+(* {1 Differential: in-place validators vs the copying reference}
+
+   [Ref] keeps the copying parsers and the three-stage builder the
+   in-place codecs replaced, verbatim in behaviour: every check in the
+   same order, every error carrying the same values.  The properties
+   below assert identical verdicts, errors and payloads on mutated
+   frames. *)
+
+module Ref = struct
+  let eth_parse_sub b ~len =
+    if len < 0 || len > Bytes.length b then
+      invalid_arg "Eth.parse_sub: len out of bounds";
+    if len < Eth.header_size then Error (Eth.Truncated len)
+    else
+      Ok
+        {
+          Eth.dst = Addr.Mac.of_string (Bytes.sub_string b 0 6);
+          src = Addr.Mac.of_string (Bytes.sub_string b 6 6);
+          ethertype = Eth.ethertype_of_int (Bytes.get_uint16_be b 12);
+          payload = Bytes.sub b Eth.header_size (len - Eth.header_size);
+        }
+
+  let eth_parse b = eth_parse_sub b ~len:(Bytes.length b)
+
+  let eth_build (t : Eth.t) =
+    let len = Eth.header_size + Bytes.length t.payload in
+    let b = Bytes.create len in
+    Bytes.blit_string (Addr.Mac.to_string t.dst) 0 b 0 6;
+    Bytes.blit_string (Addr.Mac.to_string t.src) 0 b 6 6;
+    Bytes.set_uint16_be b 12 (Eth.ethertype_to_int t.ethertype);
+    Bytes.blit t.payload 0 b Eth.header_size (Bytes.length t.payload);
+    b
+
+  let get_ip b off =
+    Addr.Ip.of_int (Int32.to_int (Bytes.get_int32_be b off) land 0xFFFFFFFF)
+
+  let set_ip b off ip =
+    Bytes.set_int32_be b off (Int32.of_int (Addr.Ip.to_int ip))
+
+  let ipv4_parse_any b =
+    let len = Bytes.length b in
+    if len < 20 then Error (Ipv4.Truncated len)
+    else
+      let vihl = Bytes.get_uint8 b 0 in
+      let version = vihl lsr 4 and ihl = vihl land 0xf in
+      if version <> 4 then Error (Ipv4.Bad_version version)
+      else if ihl <> 5 then Error (Ipv4.Bad_ihl ihl)
+      else
+        let total = Bytes.get_uint16_be b 2 in
+        if total < 20 || total > len then
+          Error (Ipv4.Bad_total_length (total, len))
+        else
+          let flags_frag = Bytes.get_uint16_be b 6 in
+          let stored = Bytes.get_uint16_be b 10 in
+          if not (Checksum.valid b 0 20) then (
+            let b' = Bytes.sub b 0 20 in
+            Bytes.set_uint16_be b' 10 0;
+            Error (Ipv4.Bad_checksum (Checksum.compute b' 0 20, stored)))
+          else
+            Ok
+              {
+                Ipv4.packet =
+                  {
+                    Ipv4.src = get_ip b 12;
+                    dst = get_ip b 16;
+                    proto = Ipv4.proto_of_int (Bytes.get_uint8 b 9);
+                    ttl = Bytes.get_uint8 b 8;
+                    ident = Bytes.get_uint16_be b 4;
+                    payload = Bytes.sub b 20 (total - 20);
+                  };
+                frag_offset = (flags_frag land 0x1fff) * 8;
+                more = flags_frag land 0x2000 <> 0;
+              }
+
+  let ipv4_parse b =
+    match ipv4_parse_any b with
+    | Error e -> Error e
+    | Ok (frag : Ipv4.fragment) ->
+        if frag.more || frag.frag_offset <> 0 then Error Ipv4.Fragmented
+        else if frag.packet.ttl = 0 then Error Ipv4.Ttl_expired
+        else Ok frag.packet
+
+  let ipv4_parse_fragment b =
+    match ipv4_parse_any b with
+    | Error e -> Error e
+    | Ok (frag : Ipv4.fragment) ->
+        if frag.packet.ttl = 0 then Error Ipv4.Ttl_expired else Ok frag
+
+  let ipv4_build (t : Ipv4.t) =
+    let total = 20 + Bytes.length t.payload in
+    let b = Bytes.create total in
+    Bytes.set_uint8 b 0 0x45;
+    Bytes.set_uint8 b 1 0;
+    Bytes.set_uint16_be b 2 total;
+    Bytes.set_uint16_be b 4 (t.ident land 0xffff);
+    Bytes.set_uint16_be b 6 0;
+    Bytes.set_uint8 b 8 (t.ttl land 0xff);
+    Bytes.set_uint8 b 9 (Ipv4.proto_to_int t.proto);
+    Bytes.set_uint16_be b 10 0;
+    set_ip b 12 t.src;
+    set_ip b 16 t.dst;
+    Bytes.set_uint16_be b 10 (Checksum.compute b 0 20);
+    Bytes.blit t.payload 0 b 20 (Bytes.length t.payload);
+    b
+
+  let udp_checksum_of ~src ~dst b len =
+    let pseudo =
+      Checksum.pseudo_header_sum ~src:(Addr.Ip.to_int src)
+        ~dst:(Addr.Ip.to_int dst) ~proto:17 ~len
+    in
+    let c = Checksum.finish (Checksum.ones_sum ~init:pseudo b 0 len) in
+    if c = 0 then 0xffff else c
+
+  let udp_build ~src ~dst (t : Udp.t) =
+    let len = 8 + Bytes.length t.payload in
+    let b = Bytes.create len in
+    Bytes.set_uint16_be b 0 (t.src_port land 0xffff);
+    Bytes.set_uint16_be b 2 (t.dst_port land 0xffff);
+    Bytes.set_uint16_be b 4 len;
+    Bytes.set_uint16_be b 6 0;
+    Bytes.blit t.payload 0 b 8 (Bytes.length t.payload);
+    Bytes.set_uint16_be b 6 (udp_checksum_of ~src ~dst b len);
+    b
+
+  let udp_parse ~src ~dst b =
+    let blen = Bytes.length b in
+    if blen < 8 then Error (Udp.Truncated blen)
+    else
+      let len = Bytes.get_uint16_be b 4 in
+      if len < 8 || len > blen then Error (Udp.Bad_length (len, blen))
+      else
+        let src_port = Bytes.get_uint16_be b 0 in
+        let dst_port = Bytes.get_uint16_be b 2 in
+        if src_port = 0 || dst_port = 0 then Error Udp.Bad_port
+        else
+          let stored = Bytes.get_uint16_be b 6 in
+          let ok () =
+            Ok { Udp.src_port; dst_port; payload = Bytes.sub b 8 (len - 8) }
+          in
+          if stored <> 0 then (
+            let b' = Bytes.sub b 0 len in
+            Bytes.set_uint16_be b' 6 0;
+            let expected = udp_checksum_of ~src ~dst b' len in
+            if expected <> stored then Error (Udp.Bad_checksum (expected, stored))
+            else ok ())
+          else ok ()
+
+  let build_udp (info : Frame.udp_info) ~ident payload =
+    let udp =
+      udp_build ~src:info.src_ip ~dst:info.dst_ip
+        { Udp.src_port = info.src_port; dst_port = info.dst_port; payload }
+    in
+    let ip =
+      ipv4_build
+        {
+          Ipv4.src = info.src_ip;
+          dst = info.dst_ip;
+          proto = Ipv4.Udp;
+          ttl = 64;
+          ident;
+          payload = udp;
+        }
+    in
+    eth_build
+      { Eth.dst = info.dst_mac; src = info.src_mac; ethertype = Ipv4; payload = ip }
+
+  let dissect_udp frame =
+    match eth_parse frame with
+    | Error e -> Error (Frame.Eth e)
+    | Ok eth -> (
+        match eth.ethertype with
+        | Arp | Unknown _ -> Error Frame.Not_ipv4
+        | Ipv4 -> (
+            match ipv4_parse eth.payload with
+            | Error e -> Error (Frame.Ip e)
+            | Ok ip -> (
+                match ip.proto with
+                | Tcp | Icmp | Other _ -> Error Frame.Not_udp
+                | Udp -> (
+                    match udp_parse ~src:ip.src ~dst:ip.dst ip.payload with
+                    | Error e -> Error (Frame.Udp_err e)
+                    | Ok udp ->
+                        Ok
+                          ( {
+                              Frame.src_mac = eth.src;
+                              dst_mac = eth.dst;
+                              src_ip = ip.src;
+                              dst_ip = ip.dst;
+                              src_port = udp.src_port;
+                              dst_port = udp.dst_port;
+                            },
+                            udp.payload )))))
+end
+
+let info_gen =
+  QCheck.Gen.(
+    map
+      (fun ((src_mac, dst_mac), ((src_ip, dst_ip), (src_port, dst_port))) ->
+        { Frame.src_mac; dst_mac; src_ip; dst_ip; src_port; dst_port })
+      (pair (pair mac_gen mac_gen)
+         (pair (pair ip_gen ip_gen) (pair (1 -- 0xffff) (1 -- 0xffff)))))
+
+(* Rewrite a frame's IPv4 header checksum so a mutation reaches the
+   checks behind it. *)
+let fix_ip_checksum f =
+  if Bytes.length f >= 34 then (
+    Bytes.set_uint16_be f 24 0;
+    Bytes.set_uint16_be f 24 (Checksum.compute f 14 20))
+
+(* Adjust the first two payload bytes so the datagram's computed UDP
+   checksum is 0, which RFC 768 transmits as 0xffff. *)
+let zero_sum_payload (info : Frame.udp_info) payload =
+  let p = if Bytes.length payload < 2 then Bytes.make 2 '\000' else Bytes.copy payload in
+  let udp =
+    Udp.build ~src:info.src_ip ~dst:info.dst_ip
+      { Udp.src_port = info.src_port; dst_port = info.dst_port; payload = p }
+  in
+  Bytes.set_uint16_be udp 6 0;
+  let s =
+    Checksum.ones_sum
+      ~init:
+        (Checksum.pseudo_header_sum ~src:(Addr.Ip.to_int info.src_ip)
+           ~dst:(Addr.Ip.to_int info.dst_ip) ~proto:17 ~len:(Bytes.length udp))
+      udp 0 (Bytes.length udp)
+  in
+  let w = Bytes.get_uint16_be p 0 in
+  Bytes.set_uint16_be p 0 ((w + (0xffff - s)) mod 0xffff);
+  p
+
+type mutation =
+  | Intact
+  | Header_byte of int * int  (** offset in 0..41, value *)
+  | Truncate of int
+  | Udp_cksum_zero
+  | Udp_cksum_ffff_zero_sum
+  | Udp_cksum_off_by_one of int
+  | Ttl_zero
+  | Ihl of int
+  | Total_over_len
+  | Udp_len_over_ip
+  | Port_zero of bool
+  | More_fragments
+  | Frag_offset of int
+
+let mutation_gen =
+  QCheck.Gen.(
+    frequency
+      [
+        (1, return Intact);
+        (8, map2 (fun o v -> Header_byte (o, v)) (0 -- 41) (0 -- 255));
+        (3, map (fun n -> Truncate n) (0 -- 1600));
+        (1, return Udp_cksum_zero);
+        (1, return Udp_cksum_ffff_zero_sum);
+        (1, map (fun d -> Udp_cksum_off_by_one d) (oneofl [ -1; 1 ]));
+        (1, return Ttl_zero);
+        (1, map (fun v -> Ihl v) (oneof [ 0 -- 4; 6 -- 15 ]));
+        (1, return Total_over_len);
+        (1, return Udp_len_over_ip);
+        (1, map (fun b -> Port_zero b) bool);
+        (1, return More_fragments);
+        (1, map (fun o -> Frag_offset o) (1 -- 0x1fff));
+      ])
+
+let apply_mutation f = function
+  | Intact | Udp_cksum_ffff_zero_sum -> f
+  | Truncate k -> Bytes.sub f 0 (min k (Bytes.length f))
+  | _ when Bytes.length f < Frame.frame_overhead -> f
+  | Header_byte (o, v) -> Bytes.set_uint8 f o v; f
+  | Udp_cksum_zero -> Bytes.set_uint16_be f 40 0; f
+  | Udp_cksum_off_by_one d ->
+      Bytes.set_uint16_be f 40 ((Bytes.get_uint16_be f 40 + d) land 0xffff);
+      f
+  | Ttl_zero -> Bytes.set_uint8 f 22 0; f
+  | Ihl v -> Bytes.set_uint8 f 14 (0x40 lor v); f
+  | Total_over_len -> Bytes.set_uint16_be f 16 (Bytes.length f - 14 + 1); f
+  | Udp_len_over_ip -> Bytes.set_uint16_be f 38 (Bytes.length f - 34 + 1); f
+  | Port_zero src -> Bytes.set_uint16_be f (if src then 34 else 36) 0; f
+  | More_fragments ->
+      Bytes.set_uint16_be f 20 (Bytes.get_uint16_be f 20 lor 0x2000);
+      f
+  | Frag_offset o ->
+      Bytes.set_uint16_be f 20 (Bytes.get_uint16_be f 20 land 0xe000 lor o);
+      f
+
+(* A built frame, one to three mutations — so that checks meet in every
+   order — and whether the IPv4 checksum is repaired afterwards (so
+   later checks are reached). *)
+let mutated_frame_gen =
+  QCheck.Gen.(
+    map
+      (fun ((info, payload), (ms, fix)) ->
+        let payload =
+          if List.mem Udp_cksum_ffff_zero_sum ms then
+            zero_sum_payload info payload
+          else payload
+        in
+        let f = List.fold_left apply_mutation (Frame.build_udp info payload) ms in
+        if fix then fix_ip_checksum f;
+        (info, f))
+      (pair
+         (pair info_gen
+            (map Bytes.of_string
+               (string_size (frequency [ (4, 0 -- 64); (1, 0 -- 1472) ]))))
+         (pair (list_size (1 -- 3) mutation_gen) bool)))
+
+let tail b k =
+  if Bytes.length b >= k then Bytes.sub b k (Bytes.length b - k) else Bytes.empty
+
+let prop_codecs_match_reference =
+  QCheck.Test.make
+    ~name:"codecs: in-place validators match the copying reference"
+    ~count:5000
+    (QCheck.make QCheck.Gen.(pair mutated_frame_gen (0 -- 1600)))
+    (fun (((info : Frame.udp_info), f), cut) ->
+      let ip_part = tail f 14 and udp_part = tail f 34 in
+      let len = min cut (Bytes.length f) in
+      Eth.parse f = Ref.eth_parse f
+      && Eth.parse_sub f ~len = Ref.eth_parse_sub f ~len
+      && Ipv4.parse ip_part = Ref.ipv4_parse ip_part
+      && Ipv4.parse_fragment ip_part = Ref.ipv4_parse_fragment ip_part
+      && Udp.parse ~src:info.src_ip ~dst:info.dst_ip udp_part
+         = Ref.udp_parse ~src:info.src_ip ~dst:info.dst_ip udp_part
+      (* A wrong pseudo-header must fail the same way too. *)
+      && Udp.parse ~src:info.dst_ip ~dst:info.dst_ip udp_part
+         = Ref.udp_parse ~src:info.dst_ip ~dst:info.dst_ip udp_part
+      && Frame.dissect_udp f = Ref.dissect_udp f)
+
+let prop_codecs_match_reference_on_noise =
+  QCheck.Test.make
+    ~name:"codecs: in-place validators match the reference on raw bytes"
+    ~count:2000 (QCheck.make bytes_gen)
+    (fun b ->
+      Eth.parse b = Ref.eth_parse b
+      && Ipv4.parse b = Ref.ipv4_parse b
+      && Ipv4.parse_fragment b = Ref.ipv4_parse_fragment b
+      && Udp.parse ~src:ip ~dst:ip2 b = Ref.udp_parse ~src:ip ~dst:ip2 b
+      && Frame.dissect_udp b = Ref.dissect_udp b)
+
+let prop_build_udp_matches_reference =
+  QCheck.Test.make
+    ~name:"frame: one-buffer build_udp is byte-identical to the reference"
+    ~count:1000
+    (QCheck.make
+       QCheck.Gen.(
+         pair info_gen
+           (map Bytes.of_string
+              (string_size (frequency [ (3, 0 -- 64); (1, 0 -- 1472) ])))))
+    (fun (info, payload) ->
+      let f = Frame.build_udp info payload in
+      let ident = Bytes.get_uint16_be f 18 in
+      let next = Frame.build_udp info payload in
+      Bytes.equal f (Ref.build_udp info ~ident payload)
+      && Bytes.get_uint16_be next 18 = (ident + 1) land 0xffff)
+
+(* Every header byte, every value class: the differential check above
+   samples offsets; this sweeps them all. *)
+let test_codecs_every_header_offset () =
+  let payload = Bytes.of_string "every header byte" in
+  List.iter
+    (fun v ->
+      for o = 0 to Frame.frame_overhead - 1 do
+        let f = Frame.build_udp info payload in
+        Bytes.set_uint8 f o (Bytes.get_uint8 f o lxor v);
+        let fixed = Bytes.copy f in
+        fix_ip_checksum fixed;
+        List.iter
+          (fun f ->
+            if Frame.dissect_udp f <> Ref.dissect_udp f then
+              Alcotest.failf "dissect_udp diverges: byte %d xor %#x" o v)
+          [ f; fixed ]
+      done)
+    [ 0x01; 0x80; 0xff ]
+
+let test_udp_checksum_edge_cases () =
+  (* 0xffff standing for a computed 0 is accepted; 0xffff on a datagram
+     whose sum is not 0 is rejected with today's expected value. *)
+  let p = zero_sum_payload info (Bytes.of_string "zero-sum payload") in
+  let f = Frame.build_udp info p in
+  Alcotest.(check int) "sent as 0xffff" 0xffff (Bytes.get_uint16_be f 40);
+  (match Frame.dissect_udp f with
+  | Ok (_, payload) -> Alcotest.(check bytes) "payload" p payload
+  | Error e -> Alcotest.failf "rejected: %a" Frame.pp_dissect_error e);
+  let f = Frame.build_udp info (Bytes.of_string "ordinary payload") in
+  let stored = Bytes.get_uint16_be f 40 in
+  Bytes.set_uint16_be f 40 0xffff;
+  match Frame.dissect_udp f with
+  | Error (Frame.Udp_err (Udp.Bad_checksum (expected, 0xffff))) ->
+      Alcotest.(check int) "expected" stored expected
+  | _ -> Alcotest.fail "0xffff over a non-zero sum accepted"
+
+let test_build_udp_allocates_one_frame () =
+  let payload = Bytes.make Udp.max_payload 'x' in
+  let frame_words = (Bytes.length (Frame.build_udp info payload) / 8) + 2 in
+  let n = 1000 in
+  let w0 = Gc.minor_words () in
+  for _ = 1 to n do
+    ignore (Sys.opaque_identity (Frame.build_udp info payload))
+  done;
+  let per = (Gc.minor_words () -. w0) /. float_of_int n in
+  if per > float_of_int (frame_words + 8) then
+    Alcotest.failf "build_udp allocated %.1f words (frame %d words)" per
+      frame_words
+
 let props =
   List.map (QCheck_alcotest.to_alcotest ~rand:(Flake.rand ()))
     [
@@ -516,6 +919,21 @@ let props =
       prop_checksum_odd_pad_equivalence;
       prop_checksum_carries_fold;
     ]
+
+let differential =
+  [
+    ("codecs: every header offset matches the reference", `Quick,
+     test_codecs_every_header_offset);
+    ("udp: all-ones checksum edge cases", `Quick, test_udp_checksum_edge_cases);
+    ("frame: build_udp allocates one frame", `Quick,
+     test_build_udp_allocates_one_frame);
+  ]
+  @ List.map (QCheck_alcotest.to_alcotest ~rand:(Flake.rand ()))
+      [
+        prop_codecs_match_reference;
+        prop_codecs_match_reference_on_noise;
+        prop_build_udp_matches_reference;
+      ]
 
 let suite =
   [
@@ -555,4 +973,4 @@ let suite =
     ("frame: port peek", `Quick, test_frame_peek_ports);
     ("frame: dissect rejects non-UDP", `Quick, test_frame_dissect_rejects_arp);
   ]
-  @ props
+  @ props @ differential

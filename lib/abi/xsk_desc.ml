@@ -8,11 +8,10 @@ let encode ~offset ~len =
   if len < 0 || len > 0xFFFF then invalid_arg "Xsk_desc.encode: len out of range";
   Int64.logor (Int64.of_int offset) (Int64.shift_left (Int64.of_int len) 48)
 
-let decode d =
-  let offset = Int64.to_int (Int64.logand d offset_mask) in
-  let len = Int64.to_int (Int64.shift_right_logical d 48) land 0xFFFF in
-  (offset, len)
+let decode_offset d = Int64.to_int (Int64.logand d offset_mask)
+
+let decode_len d = Int64.to_int (Int64.shift_right_logical d 48) land 0xFFFF
+
+let decode d = (decode_offset d, decode_len d)
 
 let encode_offset offset = encode ~offset ~len:0
-
-let decode_offset d = fst (decode d)

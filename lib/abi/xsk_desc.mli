@@ -20,3 +20,8 @@ val encode_offset : int -> int64
 (** For xFill/xCompl entries ([len] = 0). *)
 
 val decode_offset : int64 -> int
+(** The offset half of {!decode}, for any entry. *)
+
+val decode_len : int64 -> int
+(** The length half of {!decode}.  With {!decode_offset}, the
+    allocation-free decode the receive path uses. *)

@@ -14,7 +14,12 @@ type t = {
   frame_size : int;
   nframes : int;
   state : state array;
-  free : int Queue.t; (* frame indices *)
+  (* Free frame indices, a FIFO ring of capacity [nframes]: the oldest
+     free frame is [free.(free_head)], and frames are handed out in the
+     order they came home. *)
+  free : int array;
+  mutable free_head : int;
+  mutable free_len : int;
   mutable out_rx : int; (* frames currently With_kernel Rx *)
   mutable out_tx : int; (* frames currently With_kernel Tx *)
   mutable allocated : int; (* frames in Allocated limbo *)
@@ -30,10 +35,6 @@ let create ?obs ?(name = "umem") ~size ~frame_size () =
   if frame_size <= 0 || size <= 0 || size mod frame_size <> 0 then
     invalid_arg "Umem.create: size must be a positive multiple of frame_size";
   let nframes = size / frame_size in
-  let free = Queue.create () in
-  for i = 0 to nframes - 1 do
-    Queue.add i free
-  done;
   let m =
     match obs with Some o -> Obs.metrics o | None -> Obs.Metrics.create ()
   in
@@ -42,7 +43,9 @@ let create ?obs ?(name = "umem") ~size ~frame_size () =
     frame_size;
     nframes;
     state = Array.make nframes Owned;
-    free;
+    free = Array.init nframes Fun.id;
+    free_head = 0;
+    free_len = nframes;
     out_rx = 0;
     out_tx = 0;
     allocated = 0;
@@ -58,7 +61,18 @@ let frame_size t = t.frame_size
 
 let frame_count t = t.nframes
 
-let free_frames t = Queue.length t.free
+let free_frames t = t.free_len
+
+(* Ring position [i] for [0 <= i < 2 * nframes]. *)
+let wrap t i = if i >= t.nframes then i - t.nframes else i
+
+let push_free t idx =
+  t.free.(wrap t (t.free_head + t.free_len)) <- idx;
+  t.free_len <- t.free_len + 1
+
+(* The [With_kernel] states are the two constant blocks, never one
+   allocated per commit. *)
+let with_kernel = function Rx -> With_kernel Rx | Tx -> With_kernel Tx
 
 let outstanding t routine = match routine with Rx -> t.out_rx | Tx -> t.out_tx
 
@@ -68,14 +82,17 @@ let trace_frame t label offset =
   | Some tr -> Obs.Trace.instant tr ~cat:"umem" ~arg:offset label
 
 let alloc t =
-  match Queue.take_opt t.free with
-  | None -> None
-  | Some idx ->
-      t.state.(idx) <- Allocated;
-      t.allocated <- t.allocated + 1;
-      let offset = idx * t.frame_size in
-      trace_frame t t.alloc_label offset;
-      Some offset
+  if t.free_len = 0 then None
+  else begin
+    let idx = t.free.(t.free_head) in
+    t.free_head <- wrap t (t.free_head + 1);
+    t.free_len <- t.free_len - 1;
+    t.state.(idx) <- Allocated;
+    t.allocated <- t.allocated + 1;
+    let offset = idx * t.frame_size in
+    trace_frame t t.alloc_label offset;
+    Some offset
+  end
 
 let frame_of_exn t offset op =
   if offset < 0 || offset >= t.size then
@@ -88,7 +105,7 @@ let commit t offset routine =
   let idx = frame_of_exn t offset "commit" in
   match t.state.(idx) with
   | Allocated ->
-      t.state.(idx) <- With_kernel routine;
+      t.state.(idx) <- with_kernel routine;
       t.allocated <- t.allocated - 1;
       (match routine with
       | Rx -> t.out_rx <- t.out_rx + 1
@@ -102,7 +119,7 @@ let cancel t offset =
   | Allocated ->
       t.state.(idx) <- Owned;
       t.allocated <- t.allocated - 1;
-      Queue.add idx t.free
+      push_free t idx
   | Owned | With_kernel _ | Registered ->
       invalid_arg "Umem.cancel: frame was not allocated"
 
@@ -137,7 +154,7 @@ let release t ~offset =
     | Registered ->
         t.state.(idx) <- Owned;
         t.registered_n <- t.registered_n - 1;
-        Queue.add idx t.free;
+        push_free t idx;
         trace_frame t t.free_label offset;
         Ok ()
     | Owned | Allocated | With_kernel _ -> reject t (Not_registered offset)
@@ -155,7 +172,7 @@ let reclaim t routine ~offset ?(len = 0) () =
         (match routine with
         | Rx -> t.out_rx <- t.out_rx - 1
         | Tx -> t.out_tx <- t.out_tx - 1);
-        Queue.add idx t.free;
+        push_free t idx;
         trace_frame t t.free_label offset;
         Ok ()
     | Owned | Allocated | With_kernel _ | Registered ->
@@ -167,7 +184,7 @@ let limbo t = t.allocated
 let registered t = t.registered_n
 
 let conservation_holds t =
-  Queue.length t.free + t.out_rx + t.out_tx + t.allocated + t.registered_n
+  t.free_len + t.out_rx + t.out_tx + t.allocated + t.registered_n
   = t.nframes
 
 (* Quarantine-and-reinit support: after ring re-certification nothing
@@ -182,7 +199,7 @@ let reclaim_outstanding ?only t =
     (fun idx -> function
       | With_kernel r when want r ->
           t.state.(idx) <- Owned;
-          Queue.add idx t.free;
+          push_free t idx;
           trace_frame t t.free_label (idx * t.frame_size);
           incr count
       | With_kernel _ | Owned | Allocated | Registered ->

@@ -15,9 +15,19 @@ type t = {
   umem : Umem.t;
   umem_ptr : Mem.Ptr.t;
   rx_notify : Sim.Condition.t;
-  compl_notify : Sim.Condition.t;
   rx_scratch : Bytes.t; (* trusted staging frame, reused per packet *)
   rx_burst : int;
+  (* The four ring callbacks and the idle-wait condition list (xRX and
+     xCompl), built once per FM so that no burst allocates a closure or
+     a list.
+     [tx_write] encodes the descriptor staged in [tx_offset]/[tx_len]. *)
+  rx_read : slot_off:int -> int -> unit;
+  compl_read : slot_off:int -> int -> unit;
+  fill_write : slot_off:int -> int -> unit;
+  tx_write : slot_off:int -> unit;
+  mutable tx_offset : int;
+  mutable tx_len : int;
+  idle_conds : Sim.Condition.t list;
   mutable kick : unit -> unit;
   mutable renudge : unit -> unit; (* forced TX wakeup via the MM *)
   mutable republish : unit -> unit; (* OCALL: kernel re-enter + republish *)
@@ -51,11 +61,14 @@ type t = {
      home since the deadman last looked. *)
   mutable refill_blocked : bool;
   mutable rx_progress : bool;
-  (* Frames committed to xTX and not yet reclaimed, by UMem offset.
-     This is what failover can still save: when the breaker opens these
-     are copied out and resent via the slow path before [reinit] pulls
-     the frames home (zero lost accepted datagrams, DESIGN.md §9). *)
-  tx_inflight : (int, int) Hashtbl.t; (* offset -> frame length *)
+  (* Frames committed to xTX and not yet reclaimed: the frame length by
+     UMem frame index, -1 for a frame not in flight; [tx_inflight_n]
+     counts the others.  This is what failover can still save: when the
+     breaker opens these are copied out and resent via the slow path
+     before [reinit] pulls the frames home (zero lost accepted
+     datagrams, DESIGN.md §9). *)
+  tx_inflight : int array;
+  mutable tx_inflight_n : int;
   mutable breaker : Health.t option;
   (* Overload backpressure (DESIGN.md §15): while the hook returns true
      the refill loop keeps only [fill_floor] frames promised to the
@@ -123,6 +136,62 @@ let layout_objects name (l : Rings.Layout.t) =
 
 let ( let* ) = Result.bind
 
+let track_tx t offset len =
+  let idx = offset / t.config.Config.frame_size in
+  if t.tx_inflight.(idx) < 0 then t.tx_inflight_n <- t.tx_inflight_n + 1;
+  t.tx_inflight.(idx) <- len
+
+let untrack_tx t offset =
+  let idx = offset / t.config.Config.frame_size in
+  if t.tx_inflight.(idx) >= 0 then begin
+    t.tx_inflight.(idx) <- -1;
+    t.tx_inflight_n <- t.tx_inflight_n - 1
+  end
+
+(* xRX read: validate one received descriptor and hand the frame to the
+   stack. *)
+let rx_read t ~slot_off _ =
+  let d = Mem.Region.get_u64 (Rings.Certified.region t.rx) slot_off in
+  let offset = Abi.Xsk_desc.decode_offset d
+  and len = Abi.Xsk_desc.decode_len d in
+  match Umem.reclaim t.umem Umem.Rx ~offset ~len () with
+  | Error _ -> () (* refused; the burst advances past the slot *)
+  | Ok () ->
+      t.rx_progress <- true;
+      Sgx.Enclave.charge_copy t.enclave ~crossing:true len;
+      Mem.Region.blit_to_bytes t.umem_ptr.Mem.Ptr.region
+        (t.umem_ptr.Mem.Ptr.off + offset)
+        t.rx_scratch 0 len;
+      Obs.Metrics.incr t.rx_packets;
+      Netstack.Stack.input_borrowed t.stack t.rx_scratch ~len
+
+(* xCompl read.  Rejects are already counted by the UMem tracker; the
+   burst advances past the slot regardless — exactly the "refuse and
+   advance consumer" fail action. *)
+let compl_read t ~slot_off _ =
+  let offset =
+    Abi.Xsk_desc.decode_offset
+      (Mem.Region.get_u64 (Rings.Certified.region t.compl_) slot_off)
+  in
+  match Umem.reclaim t.umem Umem.Tx ~offset () with
+  | Ok () -> untrack_tx t offset
+  | Error _ -> ()
+
+(* xFill write.  [produce_batch] never writes more slots than the count
+   [refill] asked for, which the free pool covers, and only this
+   callback allocates. *)
+let fill_write t ~slot_off _ =
+  match Umem.alloc t.umem with
+  | Some offset ->
+      Mem.Region.set_u64 (Rings.Certified.region t.fill) slot_off
+        (Abi.Xsk_desc.encode_offset offset);
+      Umem.commit t.umem offset Umem.Rx
+  | None -> assert false
+
+let tx_write t ~slot_off =
+  Mem.Region.set_u64 (Rings.Certified.region t.tx) slot_off
+    (Abi.Xsk_desc.encode ~offset:t.tx_offset ~len:t.tx_len)
+
 let create ?obs ?(name = "xsk") ~enclave ~config ~stack ~fd ~xsk () =
   if fd < 0 then Error (Bad_fd fd)
   else
@@ -158,7 +227,7 @@ let create ?obs ?(name = "xsk") ~enclave ~config ~stack ~fd ~xsk () =
     let m =
       match obs with Some o -> Obs.metrics o | None -> Obs.Metrics.create ()
     in
-    Ok
+    let rec t =
       {
         enclave;
         config;
@@ -172,7 +241,6 @@ let create ?obs ?(name = "xsk") ~enclave ~config ~stack ~fd ~xsk () =
             ~frame_size:config.Config.frame_size ();
         umem_ptr;
         rx_notify = Hostos.Xdp.rx_notify xsk;
-        compl_notify = Hostos.Xdp.compl_notify xsk;
         (* One trusted staging frame, allocated (and charged) once; the
            rx path reuses it for every packet instead of a per-packet
            Bytes.create.  Safe because the stack copies what it keeps
@@ -182,6 +250,13 @@ let create ?obs ?(name = "xsk") ~enclave ~config ~stack ~fd ~xsk () =
              config.Config.frame_size;
            Bytes.create config.Config.frame_size);
         rx_burst = min config.Config.rx_burst config.Config.ring_size;
+        rx_read = (fun ~slot_off i -> rx_read t ~slot_off i);
+        compl_read = (fun ~slot_off i -> compl_read t ~slot_off i);
+        fill_write = (fun ~slot_off i -> fill_write t ~slot_off i);
+        tx_write = (fun ~slot_off -> tx_write t ~slot_off);
+        tx_offset = 0;
+        tx_len = 0;
+        idle_conds = [ Hostos.Xdp.rx_notify xsk; Hostos.Xdp.compl_notify xsk ];
         kick = (fun () -> ());
         renudge = (fun () -> ());
         republish = (fun () -> ());
@@ -198,7 +273,9 @@ let create ?obs ?(name = "xsk") ~enclave ~config ~stack ~fd ~xsk () =
         starve_deadline = 0L;
         refill_blocked = false;
         rx_progress = false;
-        tx_inflight = Hashtbl.create 16;
+        tx_inflight =
+          Array.make (config.Config.umem_size / config.Config.frame_size) (-1);
+        tx_inflight_n = 0;
         breaker = None;
         throttle = (fun () -> false);
         fill_floor = max 1 (config.Config.ring_size / 16);
@@ -216,6 +293,8 @@ let create ?obs ?(name = "xsk") ~enclave ~config ~stack ~fd ~xsk () =
           Obs.Metrics.counter m (name ^ ".rx_starvation_reclaims");
         rx_burst_hist = Obs.Metrics.histogram m (name ^ ".rx_burst_slots");
       }
+    in
+    Ok t
 
 let set_kick t f = t.kick <- f
 
@@ -239,7 +318,7 @@ let breaker_failure t =
 let breaker_success t =
   match t.breaker with None -> () | Some b -> Health.record_success b
 
-let tx_inflight t = Hashtbl.length t.tx_inflight
+let tx_inflight t = t.tx_inflight_n
 
 let fill_ring t = t.fill
 
@@ -308,16 +387,7 @@ let refill t =
   t.refill_blocked <- count = 0 && Umem.outstanding t.umem Umem.Rx > 0;
   if count > 0 then begin
     let produced =
-      Rings.Certified.produce_batch t.fill ~count ~write:(fun ~slot_off _ ->
-          match Umem.alloc t.umem with
-          | Some offset ->
-              Mem.Region.set_u64 (Rings.Certified.region t.fill) slot_off
-                (Abi.Xsk_desc.encode_offset offset);
-              Umem.commit t.umem offset Umem.Rx
-          | None ->
-              (* produce_batch never writes more slots than [count] and
-                 only this callback allocates. *)
-              assert false)
+      Rings.Certified.produce_batch t.fill ~count ~write:t.fill_write
     in
     if produced > 0 then t.kick ()
   end
@@ -335,48 +405,22 @@ let refill t =
 (* Reclaim completed transmissions so their frames can be reused: drain
    everything xCompl holds in one burst. *)
 let reap_completions t =
-  let reclaimed = ref 0 in
+  let out = Umem.outstanding t.umem Umem.Tx in
   ignore
     (Rings.Certified.consume_batch t.compl_
        ~max:(Rings.Certified.size t.compl_)
-       ~read:(fun ~slot_off _ ->
-         let offset =
-           Abi.Xsk_desc.decode_offset
-             (Mem.Region.get_u64 (Rings.Certified.region t.compl_) slot_off)
-         in
-         (* Rejects are already counted by the UMem tracker; the burst
-            advances past the slot regardless — exactly the "refuse and
-            advance consumer" fail action. *)
-         match Umem.reclaim t.umem Umem.Tx ~offset () with
-         | Ok () ->
-             Hashtbl.remove t.tx_inflight offset;
-             incr reclaimed
-         | Error _ -> ()));
+       ~read:t.compl_read);
   (* Completions flowing is direct evidence the TX datapath works:
      clears the breaker's failure streak, and in half-open counts the
      probe frame's round trip as the probe verdict. *)
-  if !reclaimed > 0 then breaker_success t
+  if Umem.outstanding t.umem Umem.Tx < out then breaker_success t
 
 (* Drain a burst of received descriptors into the enclave and hand them
    to the UDP/IP stack.  Returns the number of descriptors moved (valid
    or refused); 0 when xRX was empty. *)
 let rx_burst t =
   let moved =
-    Rings.Certified.consume_batch t.rx ~max:t.rx_burst ~read:(fun ~slot_off _ ->
-        let offset, len =
-          Abi.Xsk_desc.decode
-            (Mem.Region.get_u64 (Rings.Certified.region t.rx) slot_off)
-        in
-        match Umem.reclaim t.umem Umem.Rx ~offset ~len () with
-        | Error _ -> () (* refused; the burst advances past the slot *)
-        | Ok () ->
-            t.rx_progress <- true;
-            Sgx.Enclave.charge_copy t.enclave ~crossing:true len;
-            Mem.Region.blit_to_bytes t.umem_ptr.Mem.Ptr.region
-              (t.umem_ptr.Mem.Ptr.off + offset)
-              t.rx_scratch 0 len;
-            Obs.Metrics.incr t.rx_packets;
-            Netstack.Stack.input_borrowed t.stack t.rx_scratch ~len)
+    Rings.Certified.consume_batch t.rx ~max:t.rx_burst ~read:t.rx_read
   in
   if moved > 0 then Obs.Metrics.observe t.rx_burst_hist moved;
   moved
@@ -432,7 +476,8 @@ let reinit ?(keep_rx = false) t =
   Obs.Metrics.add t.reinit_reclaimed reclaimed;
   (* Every rescuable frame is home now; in-flight records refer to a
      dead ring epoch (failover copies frames out *before* reinit). *)
-  Hashtbl.reset t.tx_inflight;
+  Array.fill t.tx_inflight 0 (Array.length t.tx_inflight) (-1);
+  t.tx_inflight_n <- 0;
   refill t
 
 let maybe_reinit t =
@@ -580,34 +625,49 @@ let idle_wait t =
     Sim.Engine.at engine t.starve_deadline (fun () ->
         Sim.Condition.broadcast t.rx_notify)
   end;
-  Sim.Condition.wait_any [ t.rx_notify; t.compl_notify ];
+  Sim.Condition.wait_any t.idle_conds;
   check_rekick t engine
+
+let step t =
+  (* Depth feed before consuming: a full backlog sample is what sets
+     the shard's saturation; the post-consume drain clears it on a
+     later iteration once the flood subsides. *)
+  (match t.note_backlog with
+  | Some f -> f (Rings.Certified.available t.rx)
+  | None -> ());
+  let moved = rx_burst t in
+  (* Reaping completions here (not only on the transmit path) drains
+     outstanding TX even when the application goes quiet after its
+     last send — a precondition for the rekick gate above going
+     false. *)
+  reap_completions t;
+  refill t;
+  maybe_reinit t;
+  check_rx_starvation t (Sgx.Enclave.engine t.enclave);
+  moved
 
 let rx_loop t () =
   refill t;
   let rec loop () =
-    (* Depth feed before consuming: a full backlog sample is what sets
-       the shard's saturation; the post-consume drain clears it on a
-       later iteration once the flood subsides. *)
-    (match t.note_backlog with
-    | Some f -> f (Rings.Certified.available t.rx)
-    | None -> ());
-    let moved = rx_burst t in
-    (* Reaping completions here (not only on the transmit path) drains
-       outstanding TX even when the application goes quiet after its
-       last send — a precondition for the rekick gate above going
-       false. *)
-    reap_completions t;
-    refill t;
-    maybe_reinit t;
-    check_rx_starvation t (Sgx.Enclave.engine t.enclave);
-    if moved = 0 then idle_wait t;
+    if step t = 0 then idle_wait t;
     loop ()
   in
   loop ()
 
 let start t =
   Sim.Engine.spawn (Sgx.Enclave.engine t.enclave) ~name:"xsk-fm-rx" (rx_loop t)
+
+let rec acquire t tries =
+  match Umem.alloc t.umem with
+  | Some _ as frame -> frame
+  | None when tries = 0 -> None
+  | None ->
+      (* Transient exhaustion: back off exponentially while in-flight
+         sends complete (a stalled NIC holds frames for whole stall
+         windows — fixed short sleeps just burn the window polling). *)
+      Sim.Engine.delay (Sim.Backoff.next t.backoff);
+      reap_completions t;
+      acquire t (tries - 1)
 
 let transmit t frame =
   let len = Bytes.length frame in
@@ -618,22 +678,9 @@ let transmit t frame =
   else begin
     reap_completions t;
     Sim.Backoff.reset t.backoff;
-    let rec acquire tries =
-      match Umem.alloc t.umem with
-      | Some offset -> Some offset
-      | None when tries = 0 -> None
-      | None ->
-          (* Transient exhaustion: back off exponentially while
-             in-flight sends complete (a stalled NIC holds frames for
-             whole stall windows — fixed short sleeps just burn the
-             window polling). *)
-          Sim.Engine.delay (Sim.Backoff.next t.backoff);
-          reap_completions t;
-          acquire (tries - 1)
-    in
     let under_pressure = t.pressure () in
     let tries = if under_pressure then 1 else 2 * t.config.Config.retry_limit in
-    match acquire tries with
+    match acquire t tries with
     | None ->
         Obs.Metrics.incr t.tx_frame_drops;
         (* UMem exhaustion that outlasted the whole backoff budget is an
@@ -649,14 +696,12 @@ let transmit t frame =
         Mem.Region.blit_from_bytes frame 0 t.umem_ptr.Mem.Ptr.region
           (t.umem_ptr.Mem.Ptr.off + offset)
           len;
-        match
-          Rings.Certified.produce t.tx ~write:(fun ~slot_off ->
-              Mem.Region.set_u64 (Rings.Certified.region t.tx) slot_off
-                (Abi.Xsk_desc.encode ~offset ~len))
-        with
+        t.tx_offset <- offset;
+        t.tx_len <- len;
+        match Rings.Certified.produce t.tx ~write:t.tx_write with
         | Ok () ->
             Umem.commit t.umem offset Umem.Tx;
-            Hashtbl.replace t.tx_inflight offset len;
+            track_tx t offset len;
             Rings.Certified.publish t.tx;
             Obs.Metrics.incr t.tx_packets;
             t.kick ();
@@ -690,10 +735,14 @@ let failover_reroute t ~resend =
     ()
   done;
   reap_completions t;
-  let frames =
-    List.sort compare
-      (Hashtbl.fold (fun offset len acc -> (offset, len) :: acc) t.tx_inflight [])
-  in
+  (* Snapshot in ascending-offset order: a resend may block, and the rx
+     loop may reap completions meanwhile. *)
+  let frames = ref [] in
+  for idx = Array.length t.tx_inflight - 1 downto 0 do
+    let len = t.tx_inflight.(idx) in
+    if len >= 0 then
+      frames := (idx * t.config.Config.frame_size, len) :: !frames
+  done;
   let rerouted = ref 0 in
   List.iter
     (fun (offset, len) ->
@@ -703,6 +752,6 @@ let failover_reroute t ~resend =
         (t.umem_ptr.Mem.Ptr.off + offset)
         buf 0 len;
       if resend buf then incr rerouted)
-    frames;
+    !frames;
   reinit ~keep_rx:true t;
   !rerouted

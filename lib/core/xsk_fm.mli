@@ -103,6 +103,12 @@ val start : t -> unit
     packets from UMem into trusted memory, feeds them to the UDP/IP
     stack, and keeps xFill replenished. *)
 
+val step : t -> int
+(** One pass of the receive loop {!start} runs, without parking: drain
+    one xRX burst into the stack, reap xCompl, restock xFill and run
+    the recovery checks.  Returns the descriptors moved.  Lets a test
+    play the kernel side of the rings by hand. *)
+
 val failover_reroute : t -> resend:(Bytes.t -> bool) -> int
 (** Breaker-open rescue (DESIGN.md §9): reap what completed, copy every
     frame still committed to xTX into trusted memory and hand each to

@@ -4,15 +4,19 @@
     [signal] or [broadcast].  There is no separate mutex: the engine is
     cooperative, so the classic "recheck the predicate in a loop" pattern
     is still required (a waiter may be overtaken between wake-up and
-    resumption), but no data race is possible. *)
+    resumption), but no data race is possible.
+
+    Waiting allocates nothing beyond the suspended continuation: a
+    waiter is a [(process, suspension)] pair held unboxed in a growable
+    ring (see {!Engine.wake}). *)
 
 type t
 
 val create : unit -> t
 
 val wait : t -> unit
-(** Suspend the calling process until signalled.  Must run inside a
-    process. *)
+(** Suspend the calling process until signalled.  Raises
+    {!Engine.Not_in_process} outside a process. *)
 
 val signal : t -> unit
 (** Wake the longest-waiting process, if any. *)
@@ -21,10 +25,12 @@ val broadcast : t -> unit
 (** Wake every waiting process. *)
 
 val waiters : t -> int
-(** Number of currently suspended waiters (diagnostic). *)
+(** Number of queued waiters (diagnostic), counting the stale entries
+    a {!wait_any} leaves on its other conditions. *)
 
 val wait_any : t list -> unit
 (** Suspend until any of the conditions is signalled.  Only sound for
     conditions that are always woken with {!broadcast}: after wake-up a
-    stale waker may remain registered on the other conditions, and a
-    [signal] delivered to a stale waker would be swallowed. *)
+    stale entry remains queued on the other conditions, and a [signal]
+    delivered to a stale entry would be swallowed.  Build the list once
+    per waiter: walking it allocates nothing. *)

@@ -8,9 +8,12 @@ exception Not_in_process
    [seqs.(i)]-th.  [seq] is unique per engine, so the order is total and
    any correct heap pops events in exactly the same sequence.  Times are
    kept as native ints (simulated cycles stay far below 2^62); [now] is
-   the same clock boxed for the public API, re-boxed only when it moves. *)
+   the same clock boxed for the public API, boxed lazily: it is valid
+   while [boxed = clock], and the first {!now} after the clock moves
+   re-boxes it. *)
 type t = {
   mutable now : time;
+  mutable boxed : int;
   mutable clock : int;
   mutable seq : int;
   mutable len : int;
@@ -19,19 +22,30 @@ type t = {
   mutable fns : (unit -> unit) array;
   mutable stopped : bool;
   stats : Stats.t;
-  self : t option;
-      (* [Some t], allocated once: the ambient engine a resumption
+}
+
+(* A process waits on at most one event at a time, so everything a
+   suspension needs is built once, at spawn: a suspension stores only
+   its continuation in [k], and a delay its due time in [wake_at].
+   [wakes] numbers the suspensions: the one in progress is number
+   [wakes], and {!wake} of any other number is stale. *)
+type process = {
+  engine : t;
+  mutable k : (unit, unit) Effect.Deep.continuation option;
+  mutable wakes : int;
+  mutable wake_at : int;
+  resume : unit -> unit;
+  self : process option;
+      (* [Some p], allocated once: the ambient process a resumption
          installs. *)
 }
 
-type _ Effect.t +=
-  | Delay : time -> unit Effect.t
-  | Suspend : ((unit -> unit) -> unit) -> unit Effect.t
+type _ Effect.t += Delay : unit Effect.t | Park : unit Effect.t
 
-(* The ambient engine for the currently running process is tracked here so
-   the argument-free [delay]/[suspend] API works; the effects themselves
-   are handled by the handler [spawn] installed, which knows its engine. *)
-let current : t option ref = ref None
+(* The process currently running, so the argument-free
+   [delay]/[park] API works; the effects themselves are handled by the
+   handler [spawn] installed. *)
+let current : process option ref = ref None
 
 let nop () = ()
 
@@ -117,30 +131,33 @@ let[@inline] due t time =
   let time = native time in
   if time < t.clock then t.clock else time
 
-let set_clock t time =
-  if time <> t.clock then begin
-    t.clock <- time;
-    t.now <- Int64.of_int time
-  end
+(* [d] cycles from now, saturating at the far end like {!due}. *)
+let after t d =
+  if Int64.compare d 0L <= 0 then t.clock
+  else
+    let d = native d in
+    if d > max_int - t.clock then max_int else t.clock + d
 
 let create () =
-  let rec t =
-    {
-      now = 0L;
-      clock = 0;
-      seq = 0;
-      len = 0;
-      times = Array.make 64 0;
-      seqs = Array.make 64 0;
-      fns = Array.make 64 nop;
-      stopped = false;
-      stats = Stats.create ();
-      self = Some t;
-    }
-  in
-  t
+  {
+    now = 0L;
+    boxed = 0;
+    clock = 0;
+    seq = 0;
+    len = 0;
+    times = Array.make 64 0;
+    seqs = Array.make 64 0;
+    fns = Array.make 64 nop;
+    stopped = false;
+    stats = Stats.create ();
+  }
 
-let now t = t.now
+let now t =
+  if t.boxed <> t.clock then begin
+    t.now <- Int64.of_int t.clock;
+    t.boxed <- t.clock
+  end;
+  t.now
 
 let stats t = t.stats
 
@@ -154,63 +171,62 @@ let delay d =
   (* Outside any process (e.g. environment boot code running before the
      simulation starts) time cannot advance: treat the charge as free
      rather than failing — setup costs are not part of any measurement
-     window.  Suspension, by contrast, is always an error there. *)
+     window.  Parking, by contrast, is always an error there. *)
   match !current with
   | None -> ()
-  | Some _ -> Effect.perform (Delay d)
+  | Some p ->
+      p.wake_at <- after p.engine d;
+      Effect.perform Delay
 
 let yield () = delay 0L
 
-let suspend register =
+let self () =
+  match !current with None -> raise Not_in_process | Some p -> p
+
+let suspension p = p.wakes
+
+let park () =
   match !current with
   | None -> raise Not_in_process
-  | Some _ -> Effect.perform (Suspend register)
+  | Some _ -> Effect.perform Park
+
+(* Suspension [n] is woken at most once, and never after a later
+   suspension began. *)
+let wake p n =
+  if p.wakes = n then begin
+    p.wakes <- n + 1;
+    push p.engine p.engine.clock p.resume
+  end
 
 let stop t = t.stopped <- true
 
-(* A process waits on at most one event at a time, so its resumption and
-   effect handlers are allocated once, at spawn: a suspension only stores
-   its continuation in [k], and a delay's due time in [wake_at] or a
-   suspension's [register] for the handler the effect returns. *)
-type proc = {
-  mutable k : (unit, unit) Effect.Deep.continuation option;
-  mutable wakes : int;  (* suspensions woken so far *)
-  mutable wake_at : int;
-  mutable register : (unit -> unit) -> unit;
-}
+let resume p () =
+  match p.k with
+  | None -> assert false
+  | Some k ->
+      p.k <- None;
+      current := p.self;
+      Effect.Deep.continue k ()
 
 let spawn t ?(name = "proc") f =
   let open Effect.Deep in
-  let p = { k = None; wakes = 0; wake_at = 0; register = ignore } in
-  let resume () =
-    match p.k with
-    | None -> assert false
-    | Some k ->
-        current := t.self;
-        continue k ()
-  in
-  (* The waker of suspension [n] takes effect at most once, and never
-     after a later suspension began. *)
-  let wake n () =
-    if p.wakes = n then begin
-      p.wakes <- n + 1;
-      push t t.clock resume
-    end
+  let rec p =
+    {
+      engine = t;
+      k = None;
+      wakes = 0;
+      wake_at = 0;
+      resume = (fun () -> resume p ());
+      self = Some p;
+    }
   in
   let on_delay =
     Some
       (fun k ->
         p.k <- Some k;
-        push t p.wake_at resume)
+        push t p.wake_at p.resume)
   in
-  let on_suspend =
-    Some
-      (fun k ->
-        p.k <- Some k;
-        let register = p.register in
-        p.register <- ignore;
-        register (wake p.wakes))
-  in
+  let on_park = Some (fun k -> p.k <- Some k) in
   let body () =
     match_with f ()
       {
@@ -224,17 +240,13 @@ let spawn t ?(name = "proc") f =
         effc =
           (fun (type a) (eff : a Effect.t) ->
             match eff with
-            | Delay d ->
-                p.wake_at <- due t (Int64.add t.now d);
-                (on_delay : ((a, unit) continuation -> unit) option)
-            | Suspend register ->
-                p.register <- register;
-                (on_suspend : ((a, unit) continuation -> unit) option)
+            | Delay -> (on_delay : ((a, unit) continuation -> unit) option)
+            | Park -> (on_park : ((a, unit) continuation -> unit) option)
             | _ -> None);
       }
   in
   push t t.clock (fun () ->
-      current := t.self;
+      current := p.self;
       body ())
 
 let run ?until t =
@@ -253,12 +265,13 @@ let run ?until t =
         match until with
         | Some u ->
             t.clock <- horizon;
-            t.now <- u
+            t.now <- u;
+            t.boxed <- horizon
         | None -> ()
       end
       else begin
         let f = pop t in
-        set_clock t time;
+        t.clock <- time;
         let saved = !current in
         (match f () with
         | () -> current := saved

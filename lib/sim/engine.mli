@@ -4,7 +4,7 @@
     the wall clock, so every run is deterministic.  Concurrency is
     expressed with lightweight processes implemented on OCaml 5 effect
     handlers: a process is a plain [unit -> unit] function that may call
-    {!delay}, {!yield} or {!suspend} (directly or through {!Condition} /
+    {!delay}, {!yield} or {!park} (directly or through {!Condition} /
     {!Mailbox}), which suspend it and hand control back to the scheduler.
 
     The engine is strictly single-threaded: processes interleave only at
@@ -18,13 +18,14 @@ type t
 (** A simulation engine instance: clock, event queue and statistics. *)
 
 exception Not_in_process
-(** Raised when {!delay} or {!suspend} is performed outside a process
-    spawned on an engine. *)
+(** Raised when {!self} or {!park} is called outside a process spawned
+    on an engine. *)
 
 val create : unit -> t
 
 val now : t -> time
-(** Current simulated time. *)
+(** Current simulated time.  Boxed on the first call after the clock
+    moves, so events that never read it pay nothing. *)
 
 val stats : t -> Stats.t
 (** The statistics registry attached to this engine. *)
@@ -40,7 +41,9 @@ val at : t -> time -> (unit -> unit) -> unit
     in (time, order scheduled) order: same-time events are FIFO. *)
 
 val delay : time -> unit
-(** [delay d] suspends the calling process for [d] cycles.  Outside any
+(** [delay d] suspends the calling process for [d] cycles, saturating
+    at the end of time like {!at}: a [d] that would overflow the clock
+    parks the process behind every finite event.  Outside any
     process (setup code running before {!run}) it is a no-op: simulated
     time cannot advance there and setup costs precede every measurement
     window. *)
@@ -49,11 +52,27 @@ val yield : unit -> unit
 (** Suspend and resume at the same simulated time, after other events
     already scheduled for that time. *)
 
-val suspend : ((unit -> unit) -> unit) -> unit
-(** [suspend register] suspends the calling process and calls
-    [register waker].  Invoking [waker] (at most once takes effect)
-    reschedules the process at the then-current simulated time.  This is
-    the primitive under {!Condition.wait}. *)
+type process
+(** A simulated process, as seen by whatever will wake it. *)
+
+val self : unit -> process
+(** The calling process.  Raises {!Not_in_process} outside one. *)
+
+val suspension : process -> int
+(** The number of [p]'s next (or current) suspension.  A waiting
+    primitive records the pair [(p, suspension p)] wherever the wake-up
+    will come from, then calls {!park}; the pair is the whole waker, so
+    waiting allocates nothing beyond the continuation. *)
+
+val park : unit -> unit
+(** Suspend the calling process until {!wake} names its suspension.
+    Raises {!Not_in_process} outside a process. *)
+
+val wake : process -> int -> unit
+(** [wake p n] reschedules [p] at the current simulated time if [n] is
+    the suspension it is parked in.  At most one wake of a suspension
+    takes effect, and a stale [n] (a suspension already woken, e.g. by
+    another condition of a {!Condition.wait_any}) is ignored. *)
 
 val stop : t -> unit
 (** Request the run loop to return after the current event.  Used by

@@ -43,10 +43,14 @@ let try_get t =
       Some x
 
 let rec get t =
-  match try_get t with
-  | Some x -> x
-  | None ->
-      Condition.wait t.not_empty;
-      get t
+  if Queue.is_empty t.items then begin
+    Condition.wait t.not_empty;
+    get t
+  end
+  else begin
+    let x = Queue.take t.items in
+    Condition.signal t.not_full;
+    x
+  end
 
 let peek t = Queue.peek_opt t.items

@@ -115,6 +115,118 @@ let test_umem_no_duplicate_free_frames () =
   check "conservation" 8 (Rakis.Umem.free_frames u + List.length !outstanding);
   check "no rejects in honest run" 0 (Rakis.Umem.rejects u)
 
+(* The free list the UMem allocator kept before it became an int ring:
+   a [Queue] of frame indices beside the ownership states.  Only what
+   decides the order frames are handed out in is kept. *)
+module Ref_umem = struct
+  type st = Owned | Allocated | Kernel of Rakis.Umem.routine
+
+  type t = { frame_size : int; st : st array; free : int Queue.t }
+
+  let create ~frames ~frame_size =
+    let free = Queue.create () in
+    for i = 0 to frames - 1 do
+      Queue.add i free
+    done;
+    { frame_size; st = Array.make frames Owned; free }
+
+  let alloc t =
+    match Queue.take_opt t.free with
+    | None -> None
+    | Some i ->
+        t.st.(i) <- Allocated;
+        Some (i * t.frame_size)
+
+  let commit t off r =
+    let i = off / t.frame_size in
+    t.st.(i) = Allocated && (t.st.(i) <- Kernel r; true)
+
+  let cancel t off =
+    let i = off / t.frame_size in
+    t.st.(i) = Allocated
+    && (t.st.(i) <- Owned;
+        Queue.add i t.free;
+        true)
+
+  let reclaim t r off =
+    let i = off / t.frame_size in
+    t.st.(i) = Kernel r
+    && (t.st.(i) <- Owned;
+        Queue.add i t.free;
+        true)
+
+  let reclaim_outstanding ?only t =
+    let n = ref 0 in
+    Array.iteri
+      (fun i s ->
+        match s with
+        | Kernel r when Option.fold ~none:true ~some:(( = ) r) only ->
+            t.st.(i) <- Owned;
+            Queue.add i t.free;
+            incr n
+        | Kernel _ | Owned | Allocated -> ())
+      t.st;
+    !n
+end
+
+type umem_op =
+  | Alloc
+  | Commit of int * Rakis.Umem.routine
+  | Cancel of int
+  | Reclaim of int * Rakis.Umem.routine
+  | Reclaim_outstanding of Rakis.Umem.routine option
+
+let prop_umem_free_ring_order =
+  (* 5 frames: the ring's capacity is no power of two, and a few hundred
+     operations wrap it many times over. *)
+  let frames = 5 and frame_size = 64 in
+  let routine = QCheck.Gen.oneofl [ Rakis.Umem.Rx; Rakis.Umem.Tx ] in
+  let frame = QCheck.Gen.(0 -- (frames - 1)) in
+  let op =
+    QCheck.Gen.(
+      frequency
+        [
+          (4, return Alloc);
+          (3, map2 (fun f r -> Commit (f, r)) frame routine);
+          (1, map (fun f -> Cancel f) frame);
+          (3, map2 (fun f r -> Reclaim (f, r)) frame routine);
+          (1, map (fun r -> Reclaim_outstanding r) (opt routine));
+        ])
+  in
+  QCheck_alcotest.to_alcotest ~rand:(Flake.rand ())
+    (QCheck.Test.make
+       ~name:"umem: free ring hands out frames in the old Queue's order"
+       ~count:300
+       (QCheck.make QCheck.Gen.(list_size (0 -- 300) op))
+       (fun ops ->
+         let u = Rakis.Umem.create ~size:(frames * frame_size) ~frame_size () in
+         let m = Ref_umem.create ~frames ~frame_size in
+         let succeeds f =
+           match f () with () -> true | exception Invalid_argument _ -> false
+         in
+         List.for_all
+           (fun op ->
+             (match op with
+             | Alloc -> Rakis.Umem.alloc u = Ref_umem.alloc m
+             | Commit (f, r) ->
+                 let off = f * frame_size in
+                 succeeds (fun () -> Rakis.Umem.commit u off r)
+                 = Ref_umem.commit m off r
+             | Cancel f ->
+                 let off = f * frame_size in
+                 succeeds (fun () -> Rakis.Umem.cancel u off)
+                 = Ref_umem.cancel m off
+             | Reclaim (f, r) ->
+                 let offset = f * frame_size in
+                 Result.is_ok (Rakis.Umem.reclaim u r ~offset ())
+                 = Ref_umem.reclaim m r offset
+             | Reclaim_outstanding only ->
+                 Rakis.Umem.reclaim_outstanding ?only u
+                 = Ref_umem.reclaim_outstanding ?only m)
+             && Rakis.Umem.free_frames u = Queue.length m.Ref_umem.free
+             && Rakis.Umem.conservation_holds u)
+           ops))
+
 (* {1 Full-system fixtures} *)
 
 type fixture = {
@@ -354,6 +466,161 @@ let test_rakis_batched_path_counts_match_single_op () =
   check_bool "at most the final tx frame unreaped" true
     (Rakis.Umem.outstanding u Rakis.Umem.Tx <= 1);
   check_bool "invariants hold" true (Rakis.Runtime.invariant_holds fx.runtime)
+
+(* {1 The XSK FM against a hand-played kernel}
+
+   No NIC, no kernel workers and no engine processes: the test itself
+   consumes xFill and xTX and produces xRX and xCompl through the raw
+   ring layouts, and calls the FM directly.  Outside a process every
+   cycle charge is free, so nothing but the FM's own work runs. *)
+
+type hand = {
+  fm : Rakis.Xsk_fm.t;
+  xsk : Hostos.Xdp.xsk;
+  stack : Netstack.Stack.t;
+}
+
+let hand_fm ~frames =
+  let engine = Sim.Engine.create () in
+  let region = Mem.Region.create ~kind:Untrusted ~name:"sh" ~size:(1 lsl 22) in
+  let alloc = Mem.Alloc.create region () in
+  let xdp = Hostos.Xdp.create engine ~malice:(ref None) in
+  let umem_size = frames * 2048 in
+  let xsk =
+    Hostos.Xdp.create_xsk xdp ~alloc ~umem_size ~frame_size:2048 ~ring_size:64
+  in
+  let enclave = Sgx.Enclave.create engine ~sgx:true ~name:"t" in
+  let stack =
+    Netstack.Stack.create engine ~mac:Rakis.Config.default.mac
+      ~ip:Rakis.Config.default.ip ()
+  in
+  match
+    Rakis.Xsk_fm.create ~enclave ~config:{ small_config with umem_size } ~stack
+      ~fd:3 ~xsk ()
+  with
+  | Ok fm -> { fm; xsk; stack }
+  | Error e -> Alcotest.failf "fm: %a" Rakis.Xsk_fm.pp_init_error e
+
+(* The kernel's side of one ring: take the entry at the consumer index,
+   or add one at the producer index. *)
+let kernel_take (l : Rings.Layout.t) =
+  let c = Rings.Layout.read_cons l in
+  let d = Mem.Region.get_u64 l.region (Rings.Layout.slot_off l c) in
+  Rings.Layout.write_cons l (c + 1);
+  d
+
+let kernel_put (l : Rings.Layout.t) d =
+  let p = Rings.Layout.read_prod l in
+  Mem.Region.set_u64 l.region (Rings.Layout.slot_off l p) d;
+  Rings.Layout.write_prod l (p + 1)
+
+(* Receive [frame] into the next xFill frame and announce it on xRX. *)
+let kernel_rx h frame =
+  let offset =
+    Abi.Xsk_desc.decode_offset (kernel_take (Hostos.Xdp.fill_layout h.xsk))
+  in
+  let umem = Hostos.Xdp.umem_ptr h.xsk in
+  Mem.Region.blit_from_bytes frame 0 umem.Mem.Ptr.region
+    (umem.Mem.Ptr.off + offset) (Bytes.length frame);
+  kernel_put (Hostos.Xdp.rx_layout h.xsk)
+    (Abi.Xsk_desc.encode ~offset ~len:(Bytes.length frame))
+
+(* Send what xTX holds and complete it on xCompl. *)
+let kernel_tx h =
+  let tx = Hostos.Xdp.tx_layout h.xsk in
+  while Rings.Layout.read_cons tx <> Rings.Layout.read_prod tx do
+    let offset = Abi.Xsk_desc.decode_offset (kernel_take tx) in
+    kernel_put
+      (Hostos.Xdp.compl_layout h.xsk)
+      (Abi.Xsk_desc.encode_offset offset)
+  done
+
+(* A frame addressed to another host: the stack drops it after the MAC
+   check, so its input does the least work a frame can. *)
+let foreign_frame len = Bytes.make len '\x02'
+
+let test_fm_failover_resends_in_offset_order () =
+  (* 68 frames behind a 64-slot xFill: the first pass stocks frames
+     0..63.  The kernel returns 0..3 in reverse, so the next pass takes
+     them home as 3, 2, 1, 0 and restocks xFill with 64..67.  Four sends
+     then draw frames 3, 2, 1, 0, and failover must resend them
+     reversed. *)
+  let h = hand_fm ~frames:68 in
+  ignore (Rakis.Xsk_fm.step h.fm);
+  let fill = Hostos.Xdp.fill_layout h.xsk in
+  let taken = List.init 4 (fun _ -> kernel_take fill) in
+  let umem = Hostos.Xdp.umem_ptr h.xsk in
+  List.iter
+    (fun d ->
+      let offset = Abi.Xsk_desc.decode_offset d in
+      Mem.Region.blit_from_bytes (foreign_frame 64) 0 umem.Mem.Ptr.region
+        (umem.Mem.Ptr.off + offset) 64;
+      kernel_put (Hostos.Xdp.rx_layout h.xsk)
+        (Abi.Xsk_desc.encode ~offset ~len:64))
+    (List.rev taken);
+  check "four frames in" 4 (Rakis.Xsk_fm.step h.fm);
+  List.iter
+    (fun c ->
+      check_bool "sent" true
+        (Rakis.Xsk_fm.transmit h.fm (Bytes.make (60 + c) 'x')))
+    [ 0; 1; 2; 3 ];
+  check "four in flight" 4 (Rakis.Xsk_fm.tx_inflight h.fm);
+  let resent = ref [] in
+  let n =
+    Rakis.Xsk_fm.failover_reroute h.fm ~resend:(fun b ->
+        resent := Bytes.length b :: !resent;
+        true)
+  in
+  check "all rerouted" 4 n;
+  Alcotest.(check (list int))
+    "ascending offset: the last send, in frame 0, goes first" [ 63; 62; 61; 60 ]
+    (List.rev !resent);
+  check "nothing in flight after reinit" 0 (Rakis.Xsk_fm.tx_inflight h.fm);
+  check_bool "conservation" true
+    (Rakis.Umem.conservation_holds (Rakis.Xsk_fm.umem h.fm))
+
+(* Allocation gate for the FM's own per-frame work: one frame received
+   (xRX burst, UMem reclaim, boundary copy, xFill restock) and one sent
+   (xCompl reap, UMem alloc, copy, xTX produce), each in a burst of one,
+   so a closure per burst is a closure per frame.  The stack's input is
+   measured alone on the same frame and subtracted. *)
+let fm_words_per_frame_budget = 28
+
+let test_fm_alloc_per_frame () =
+  let h = hand_fm ~frames:128 in
+  let frame = foreign_frame 64 and reply = Bytes.make 64 'r' in
+  let fm_words = ref 0 and stack_words = ref 0 in
+  let measure acc f =
+    let w0 = Gc.minor_words () in
+    f ();
+    acc := !acc + int_of_float (Gc.minor_words () -. w0)
+  in
+  let round () =
+    kernel_rx h frame;
+    measure fm_words (fun () ->
+        if Rakis.Xsk_fm.step h.fm <> 1 then Alcotest.fail "one frame per burst";
+        if not (Rakis.Xsk_fm.transmit h.fm reply) then Alcotest.fail "send");
+    kernel_tx h
+  in
+  ignore (Rakis.Xsk_fm.step h.fm);
+  for _ = 1 to 100 do
+    round ()
+  done;
+  fm_words := 0;
+  let n = 5000 in
+  for _ = 1 to n do
+    round ()
+  done;
+  for _ = 1 to n do
+    measure stack_words (fun () ->
+        Netstack.Stack.input_borrowed h.stack frame ~len:(Bytes.length frame))
+  done;
+  let per_frame = (!fm_words - !stack_words) / n in
+  if per_frame > fm_words_per_frame_budget then
+    Alcotest.failf "%d minor words per frame in the FM (stack %d), budget %d"
+      per_frame (!stack_words / n) fm_words_per_frame_budget;
+  check_bool "conservation" true
+    (Rakis.Umem.conservation_holds (Rakis.Xsk_fm.umem h.fm))
 
 let test_rakis_monitor_issues_wakeups () =
   let fx = boot ~config:small_config () in
@@ -876,6 +1143,7 @@ let suite =
     ("umem: oversize descriptor rejected", `Quick, test_umem_oversize_len);
     ("umem: conservation under honest traffic", `Quick,
      test_umem_no_duplicate_free_frames);
+    prop_umem_free_ring_order;
     ("boot: trusted ring pointers rejected", `Quick,
      test_boot_rejects_trusted_pointers);
     ("boot: negative fd rejected", `Quick, test_boot_rejects_negative_fd);
@@ -887,6 +1155,10 @@ let suite =
      test_rakis_udp_no_exits_on_data_path);
     ("e2e: batched datapath counts match the per-op path", `Quick,
      test_rakis_batched_path_counts_match_single_op);
+    ("xsk fm: failover resends in ascending offset order", `Quick,
+     test_fm_failover_resends_in_offset_order);
+    ("xsk fm: per-frame bookkeeping allocation within budget", `Quick,
+     test_fm_alloc_per_frame);
     ("e2e: monitor issues the wakeup syscalls", `Quick,
      test_rakis_monitor_issues_wakeups);
     ("attack: hostile ring indices survived", `Quick, test_attack_ring_indices);

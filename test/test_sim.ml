@@ -163,6 +163,24 @@ let test_engine_pending () =
   Engine.run e;
   check "drained" 0 (Engine.pending e)
 
+let test_engine_delay_saturates () =
+  (* A delay past the end of time parks the process behind every finite
+     event instead of wrapping around to "now". *)
+  let e = Engine.create () in
+  let woke = ref false and later = ref false in
+  Engine.spawn e (fun () ->
+      Engine.delay 1_000L;
+      Engine.delay Int64.max_int;
+      woke := true);
+  Engine.at e 5_000L (fun () -> later := true);
+  Engine.run ~until:1_000_000_000L e;
+  check_bool "later event ran" true !later;
+  check_bool "still parked" false !woke;
+  check "only the far delay queued" 1 (Engine.pending e);
+  Engine.run e;
+  check_bool "woken at the end of time" true !woke;
+  check64 "clock saturated" (Int64.of_int max_int) (Engine.now e)
+
 let test_engine_exception_propagates () =
   let e = Engine.create () in
   Engine.spawn e (fun () -> failwith "boom");
@@ -174,9 +192,11 @@ let test_engine_delay_outside_process () =
   ()
 
 let test_engine_suspend_outside_raises () =
-  match Engine.suspend (fun _ -> ()) with
-  | () -> Alcotest.fail "suspend outside process must raise"
-  | exception Engine.Not_in_process -> ()
+  let c = Condition.create () in
+  (match Condition.wait c with
+  | () -> Alcotest.fail "wait outside process must raise"
+  | exception Engine.Not_in_process -> ());
+  check "nothing queued" 0 (Condition.waiters c)
 
 let test_engine_stats () =
   let e = Engine.create () in
@@ -241,11 +261,13 @@ let test_condition_broadcast_current_waiters () =
 (* Allocation gate: with 2,000 idle timers queued (the depth echo64 keeps,
    mostly poll timeouts) a steady-state delay resume and a wait/broadcast
    wake-up must stay within a fixed minor-heap budget per event.  The
-   (time, seq) heap itself allocates nothing, so the budget covers only
-   the effect, the continuation and the waker; a closure or tuple per
-   sift level (about 11 levels at this depth, twice per event) blows
-   through it. *)
-let words_per_event_budget = 32.
+   (time, seq) heap, the effects and the condition ring allocate
+   nothing, so the budget is exactly what the runtime allocates per
+   suspension: the continuation and its option, 4 words.  A waker
+   closure per wait adds 2.5 words per event, and a closure or tuple per
+   sift level (about 11 levels at this depth, twice per event) far
+   more. *)
+let words_per_event_budget = 4.
 
 let test_engine_alloc_budget () =
   let e = Engine.create () in
@@ -271,7 +293,7 @@ let test_engine_alloc_budget () =
   (* Two events per cycle: the delay resume and the broadcast wake-up. *)
   let per_event = !words /. float_of_int (2 * n) in
   if per_event > words_per_event_budget then
-    Alcotest.failf "%.1f minor words per event, budget %.0f" per_event
+    Alcotest.failf "%.2f minor words per event, budget %.0f" per_event
       words_per_event_budget
 
 let test_condition_wait_any () =
@@ -292,6 +314,38 @@ let test_condition_signal_no_waiters () =
   Condition.signal c;
   Condition.broadcast c;
   check "no waiters" 0 (Condition.waiters c)
+
+let test_condition_ring_wraps_and_grows () =
+  (* Interleave waits and signals so the ring wraps, then queue more
+     waiters than it holds so it grows mid-wrap: FIFO must survive. *)
+  let e = Engine.create () in
+  let c = Condition.create () in
+  let log = ref [] in
+  let waiter i () =
+    Condition.wait c;
+    log := i :: !log
+  in
+  Engine.spawn e (fun () ->
+      for round = 0 to 2 do
+        for i = 0 to 2 do
+          Engine.spawn e (waiter ((10 * round) + i))
+        done;
+        Engine.yield ();
+        Condition.signal c;
+        Condition.signal c;
+        Engine.yield ()
+      done;
+      for i = 100 to 109 do
+        Engine.spawn e (waiter i)
+      done;
+      Engine.yield ();
+      check "all queued" 13 (Condition.waiters c);
+      Condition.broadcast c);
+  Engine.run e;
+  Alcotest.(check (list int))
+    "FIFO across wrap and growth"
+    ([ 0; 1; 2; 10; 11; 12; 20; 21; 22 ] @ List.init 10 (( + ) 100))
+    (List.rev !log)
 
 (* {1 Mailbox} *)
 
@@ -355,6 +409,206 @@ let test_mailbox_peek () =
   ignore (Mailbox.try_put mb 42);
   check_bool "peek" true (Mailbox.peek mb = Some 42);
   check "peek does not consume" 1 (Mailbox.length mb)
+
+(* {1 Condition and Mailbox against their closure-and-Queue originals} *)
+
+(* The condition variable and mailbox as they were when every waiter was
+   a waker closure in a [Queue].  The property below runs random
+   schedules on both and requires the same behaviour. *)
+module Ref = struct
+  module Condition = struct
+    type t = { queue : (unit -> unit) Queue.t }
+
+    let create () = { queue = Queue.create () }
+
+    let register t waker = Queue.add waker t.queue
+
+    let suspend register =
+      let p = Engine.self () in
+      let n = Engine.suspension p in
+      register (fun () -> Engine.wake p n);
+      Engine.park ()
+
+    let wait t = suspend (register t)
+
+    let signal t =
+      match Queue.take_opt t.queue with None -> () | Some waker -> waker ()
+
+    let broadcast t =
+      for _ = 1 to Queue.length t.queue do
+        (Queue.take t.queue) ()
+      done
+
+    let waiters t = Queue.length t.queue
+
+    let wait_any ts =
+      suspend (fun waker -> List.iter (fun t -> register t waker) ts)
+  end
+
+  module Mailbox = struct
+    type 'a t = {
+      items : 'a Queue.t;
+      capacity : int;
+      not_empty : Condition.t;
+      not_full : Condition.t;
+    }
+
+    let create ?(capacity = max_int) () =
+      {
+        items = Queue.create ();
+        capacity;
+        not_empty = Condition.create ();
+        not_full = Condition.create ();
+      }
+
+    let try_put t x =
+      if Queue.length t.items >= t.capacity then false
+      else begin
+        Queue.add x t.items;
+        Condition.signal t.not_empty;
+        true
+      end
+
+    let rec put t x =
+      if not (try_put t x) then begin
+        Condition.wait t.not_full;
+        put t x
+      end
+
+    let try_get t =
+      match Queue.take_opt t.items with
+      | None -> None
+      | Some x ->
+          Condition.signal t.not_full;
+          Some x
+
+    let rec get t =
+      match try_get t with
+      | Some x -> x
+      | None ->
+          Condition.wait t.not_empty;
+          get t
+  end
+end
+
+module type SYNC = sig
+  module Condition : sig
+    type t
+
+    val create : unit -> t
+
+    val wait : t -> unit
+
+    val wait_any : t list -> unit
+
+    val signal : t -> unit
+
+    val broadcast : t -> unit
+
+    val waiters : t -> int
+  end
+
+  module Mailbox : sig
+    type 'a t
+
+    val create : ?capacity:int -> unit -> 'a t
+
+    val put : 'a t -> 'a -> unit
+
+    val get : 'a t -> 'a
+  end
+end
+
+type step =
+  | Wait of int
+  | Wait_any of int list
+  | Signal of int
+  | Broadcast of int
+  | Put of int
+  | Get
+  | Sleep of int
+
+let n_conditions = 3
+
+(* Run one schedule: each process performs its steps in order, with
+   [Sleep] spacing them out.  The trace records, in execution order, each
+   step a process completes (with the clock) and the waiter counts of
+   every condition after each signal or broadcast.  The mailbox's
+   capacity is the schedule's first number. *)
+let run_schedule (module S : SYNC) (capacity, procs) =
+  let e = Engine.create () in
+  let conds = Array.init n_conditions (fun _ -> S.Condition.create ()) in
+  let mb = S.Mailbox.create ~capacity () in
+  let trace = ref [] in
+  let note x = trace := x :: !trace in
+  let counts () = Array.to_list (Array.map S.Condition.waiters conds) in
+  List.iteri
+    (fun id steps ->
+      Engine.spawn e (fun () ->
+          List.iteri
+            (fun k step ->
+              (match step with
+              | Wait c -> S.Condition.wait conds.(c)
+              | Wait_any cs ->
+                  S.Condition.wait_any (List.map (fun c -> conds.(c)) cs)
+              | Signal c ->
+                  S.Condition.signal conds.(c);
+                  note (-1 :: counts ())
+              | Broadcast c ->
+                  S.Condition.broadcast conds.(c);
+                  note (-2 :: counts ())
+              | Put v -> S.Mailbox.put mb v
+              | Get -> note [ -3; S.Mailbox.get mb ]
+              | Sleep d -> Engine.delay (Int64.of_int d));
+              note [ id; k; Int64.to_int (Engine.now e) ])
+            steps))
+    procs;
+  Engine.run e;
+  (List.rev !trace, counts (), Engine.now e, Engine.pending e)
+
+let schedule_gen =
+  let open QCheck.Gen in
+  let cond = 0 -- (n_conditions - 1) in
+  let step =
+    frequency
+      [
+        (4, map (fun c -> Wait c) cond);
+        (2, map (fun cs -> Wait_any cs) (list_size (1 -- n_conditions) cond));
+        (3, map (fun c -> Signal c) cond);
+        (2, map (fun c -> Broadcast c) cond);
+        (2, map (fun v -> Put v) (0 -- 99));
+        (2, return Get);
+        (3, map (fun d -> Sleep d) (0 -- 20));
+      ]
+  in
+  pair (1 -- 3) (list_size (1 -- 8) (list_size (0 -- 25) step))
+
+let print_schedule (capacity, procs) =
+  let step = function
+    | Wait c -> Printf.sprintf "wait %d" c
+    | Wait_any cs -> "wait_any " ^ String.concat "," (List.map string_of_int cs)
+    | Signal c -> Printf.sprintf "signal %d" c
+    | Broadcast c -> Printf.sprintf "broadcast %d" c
+    | Put v -> Printf.sprintf "put %d" v
+    | Get -> "get"
+    | Sleep d -> Printf.sprintf "sleep %d" d
+  in
+  Printf.sprintf "capacity %d\n%s" capacity
+    (String.concat "\n"
+       (List.mapi
+          (fun i steps ->
+            Printf.sprintf "p%d: %s" i
+              (String.concat "; " (List.map step steps)))
+          procs))
+
+let prop_sync_matches_ref =
+  QCheck_alcotest.to_alcotest ~rand:(Flake.rand ())
+    (QCheck.Test.make
+       ~name:"condition/mailbox: same wake order, waiters and clock as Ref"
+       ~count:500
+       (QCheck.make ~print:print_schedule schedule_gen)
+       (fun sched ->
+         run_schedule (module Sim) sched = run_schedule (module Ref) sched))
 
 (* {1 Lock} *)
 
@@ -489,6 +743,8 @@ let suite =
     ("engine: pending", `Quick, test_engine_pending);
     ("engine: allocation per event within budget", `Quick,
      test_engine_alloc_budget);
+    ("engine: delay saturates at the end of time", `Quick,
+     test_engine_delay_saturates);
     ("engine: process exception escapes run", `Quick,
      test_engine_exception_propagates);
     ("engine: delay outside process is no-op", `Quick,
@@ -504,6 +760,9 @@ let suite =
     ("condition: wait_any", `Quick, test_condition_wait_any);
     ("condition: signal with no waiters", `Quick,
      test_condition_signal_no_waiters);
+    ("condition: ring wraps and grows, FIFO", `Quick,
+     test_condition_ring_wraps_and_grows);
+    prop_sync_matches_ref;
     ("mailbox: fifo order", `Quick, test_mailbox_fifo);
     ("mailbox: get blocks until put", `Quick, test_mailbox_blocking_get);
     ("mailbox: put blocks at capacity", `Quick,

@@ -1,7 +1,9 @@
 (* Bechamel micro-benchmarks of the hot primitives: certified vs naive
-   ring accessors (the cost of RAKIS's Table 2 checks), packet codecs,
-   checksums and the UMem allocator.  Wall-clock, not simulated time:
-   these measure the reproduction's own code. *)
+   ring accessors (the cost of RAKIS's Table 2 checks), single vs
+   batched certified rings, scalar vs word checksums, and the SQE codec.
+   Wall-clock, not simulated time: these measure the reproduction's own
+   code.  The packet codecs and the UMem cycle are timed by bench/e2e's
+   layer drive ([packet.*], [core.umem.cycle.ns]). *)
 
 open Bechamel
 open Toolkit
@@ -83,37 +85,6 @@ let certified_batched_roundtrip =
                   ignore (Mem.Region.get_u64 l.Rings.Layout.region slot_off)))
          done))
 
-let sample_frame =
-  Packet.Frame.build_udp
-    {
-      Packet.Frame.src_mac = Packet.Addr.Mac.of_repr "02:00:00:00:00:02";
-      dst_mac = Packet.Addr.Mac.of_repr "02:00:00:00:00:01";
-      src_ip = Packet.Addr.Ip.of_repr "10.0.0.2";
-      dst_ip = Packet.Addr.Ip.of_repr "10.0.0.1";
-      src_port = 40000;
-      dst_port = 5201;
-    }
-    (Bytes.make 1400 'x')
-
-let frame_build =
-  Test.make ~name:"packet: build 1400B UDP frame"
-    (Staged.stage (fun () ->
-         ignore
-           (Packet.Frame.build_udp
-              {
-                Packet.Frame.src_mac = Packet.Addr.Mac.of_repr "02:00:00:00:00:02";
-                dst_mac = Packet.Addr.Mac.of_repr "02:00:00:00:00:01";
-                src_ip = Packet.Addr.Ip.of_repr "10.0.0.2";
-                dst_ip = Packet.Addr.Ip.of_repr "10.0.0.1";
-                src_port = 40000;
-                dst_port = 5201;
-              }
-              (Bytes.make 1400 'x'))))
-
-let frame_dissect =
-  Test.make ~name:"packet: dissect 1400B UDP frame (all validations)"
-    (Staged.stage (fun () -> ignore (Packet.Frame.dissect_udp sample_frame)))
-
 let checksum =
   Test.make ~name:"checksum: 1460 bytes"
     (let b = Bytes.make 1460 '\x5a' in
@@ -125,16 +96,6 @@ let checksum_scalar =
      Staged.stage (fun () ->
          ignore
            (Packet.Checksum.finish (Packet.Checksum.ones_sum_scalar b 0 1460))))
-
-let umem_cycle =
-  Test.make ~name:"umem: alloc+commit+reclaim"
-    (let u = Rakis.Umem.create ~size:(64 * 2048) ~frame_size:2048 () in
-     Staged.stage (fun () ->
-         match Rakis.Umem.alloc u with
-         | Some off ->
-             Rakis.Umem.commit u off Rakis.Umem.Rx;
-             ignore (Rakis.Umem.reclaim u Rakis.Umem.Rx ~offset:off ())
-         | None -> ()))
 
 let sqe_codec =
   Test.make ~name:"uring abi: sqe write+read"
@@ -165,11 +126,8 @@ let run () =
       certified_single_roundtrip;
       certified_batched_roundtrip;
       raw_roundtrip;
-      frame_build;
-      frame_dissect;
       checksum;
       checksum_scalar;
-      umem_cycle;
       sqe_codec;
     ]
   in

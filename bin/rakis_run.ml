@@ -75,35 +75,6 @@ let fault_seed_arg =
     & info [ "fault-seed" ] ~docv:"N"
         ~doc:"Fault injector RNG seed (runs replay bit-for-bit per seed).")
 
-(* Degraded-mode knobs (DESIGN.md §9), threaded into the RAKIS config. *)
-let degraded_arg =
-  Arg.(
-    value
-    & opt bool Rakis.Config.default.Rakis.Config.degraded
-    & info [ "degraded" ] ~docv:"BOOL"
-        ~doc:
-          "Enable circuit breakers + exit-based slow-path failover \
-           (DESIGN.md §9).  $(b,--degraded=false) restores the PR 4 \
-           behaviour: persistent FIOKP failure surfaces as ETIMEDOUT.")
-
-let breaker_threshold_arg =
-  Arg.(
-    value & opt (some int) None
-    & info [ "breaker-threshold" ] ~docv:"N"
-        ~doc:"Consecutive terminal failures that open a breaker.")
-
-let breaker_cooldown_arg =
-  Arg.(
-    value & opt (some int64) None
-    & info [ "breaker-cooldown" ] ~docv:"CYCLES"
-        ~doc:"Open-state cooldown before the first half-open probe.")
-
-let breaker_probes_arg =
-  Arg.(
-    value & opt (some int) None
-    & info [ "breaker-probes" ] ~docv:"N"
-        ~doc:"Consecutive probe successes needed to close a breaker.")
-
 let zerocopy_arg =
   Arg.(
     value & flag
@@ -134,50 +105,11 @@ let overload_arg =
            so a flood dies at the host NIC.  Every refusal is counted \
            under overload.* in $(b,--metrics).  RAKIS environments only.")
 
-let slo_p99_arg =
-  Arg.(
-    value
-    & opt (some int64) None
-    & info [ "slo-p99" ] ~docv:"CYCLES"
-        ~doc:
-          "p99 latency objective in cycles for admitted requests (informs \
-           the controller's deadline shedding; default 2.4M = 1 ms).")
-
 let health_config_term =
-  let apply degraded threshold cooldown probes queues zerocopy overload slo_p99
-      =
-    let cfg =
-      {
-        Rakis.Config.default with
-        degraded;
-        num_queues = queues;
-        zerocopy;
-        overload;
-      }
-    in
-    let cfg =
-      match slo_p99 with
-      | Some v -> { cfg with Rakis.Config.slo_p99 = v }
-      | None -> cfg
-    in
-    let cfg =
-      match threshold with
-      | Some v -> { cfg with Rakis.Config.breaker_threshold = v }
-      | None -> cfg
-    in
-    let cfg =
-      match cooldown with
-      | Some v -> { cfg with Rakis.Config.breaker_cooldown = v }
-      | None -> cfg
-    in
-    match probes with
-    | Some v -> { cfg with Rakis.Config.breaker_probes = v }
-    | None -> cfg
+  let apply queues zerocopy overload =
+    { Rakis.Config.default with num_queues = queues; zerocopy; overload }
   in
-  Cmdliner.Term.(
-    const apply $ degraded_arg $ breaker_threshold_arg $ breaker_cooldown_arg
-    $ breaker_probes_arg $ queues_arg $ zerocopy_arg $ overload_arg
-    $ slo_p99_arg)
+  Cmdliner.Term.(const apply $ queues_arg $ zerocopy_arg $ overload_arg)
 
 (* The NIC must expose at least as many hardware queues as the config
    asks shards for. *)

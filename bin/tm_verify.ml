@@ -284,7 +284,12 @@ let soak ~steps ~queues ~seed ~slo_p99 ~wire =
     "RAKIS Testing Module: overload chaos soak (steps %d, queues %d%s)@.@."
     steps queues
     (if wire then ", lossy wire" else "");
-  let o = Tm.Campaign.soak ~steps ~queues ~seed ?slo_p99 ~wire () in
+  let o =
+    try Tm.Campaign.soak ~steps ~queues ~seed ?slo_p99 ~wire ()
+    with Invalid_argument e ->
+      Format.eprintf "tm_verify --soak: %s@." e;
+      exit 2
+  in
   Format.printf "%a@." Tm.Campaign.pp_soak_outcome o;
   if Tm.Campaign.soak_failed o then begin
     Format.printf "@.soak FAILED@.";
@@ -365,7 +370,7 @@ let () =
   and token = ref ""
   and soak_steps = ref 100_000
   and seed = ref 0x50AD5EEDL
-  and slo_p99 = ref (-1)
+  and slo_p99 = ref None
   and wire = ref false in
   let spec =
     [
@@ -413,9 +418,8 @@ let () =
         Arg.String (fun s -> seed := Int64.of_string s),
         "seed for --soak (default 0x50AD5EED)" );
       ( "--slo-p99",
-        Arg.Set_int slo_p99,
-        "p99 SLO for --soak in cycles (default Config.default.slo_p99, \
-         1 ms at 2.4 GHz)" );
+        Arg.Int (fun n -> slo_p99 := Some (Int64.of_int n)),
+        "p99 SLO for --soak in cycles (default 2400000, 1 ms at 2.4 GHz)" );
       ( "--wire",
         Arg.Set wire,
         "compose the canonical lossy-wire plan (5% drop/reorder/dup, 1% \
@@ -445,8 +449,7 @@ let () =
   | `Soak ->
       let queues = if !queues < 2 then 2 else !queues in
       soak ~steps:!soak_steps ~queues ~seed:!seed
-        ~slo_p99:(if !slo_p99 < 0 then None else Some (Int64.of_int !slo_p99))
-        ~wire:!wire
+        ~slo_p99:!slo_p99 ~wire:!wire
   | `Explore ->
       explore ~depth:!depth ~queues:!queues ~min_states:!min_states
         ~max_states:!max_states ~mutant:!mutant

@@ -1,4 +1,4 @@
-(* KV load generator (ROADMAP item 3, DESIGN.md §15).
+(* KV load generator (DESIGN.md §15).
 
    Drives the {!Memcached} server over XSK UDP with the load shapes the
    overload-control evaluation needs and the simple memaslap clone in

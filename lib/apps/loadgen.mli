@@ -1,5 +1,5 @@
-(** KV load generator for the overload-control evaluation (ROADMAP
-    item 3, DESIGN.md §15).
+(** KV load generator for the overload-control evaluation (DESIGN.md
+    §15).
 
     Drives {!Memcached.server} over XSK UDP with configurable load
     shapes: open- or closed-loop arrival, Zipf key popularity, a flash

@@ -135,9 +135,12 @@ let server ?(rdp = false) api ~server_threads () =
     worker api ~store fd ()
   end
 
+(* memaslap's default SET value size. *)
+let value_size = 100
+
 (* One memaslap connection: closed loop with timeout-based retry (UDP
    may drop under overload). *)
-let connection api ~value_size ~rng ~completed ~timeouts ~ops ~on_done () =
+let connection api ~rng ~completed ~timeouts ~ops ~on_done () =
   let fd = api.Libos.Api.udp_socket () in
   let dst = (Packet.Addr.Ip.of_repr "10.0.0.1", port) in
   let value = String.make value_size 'v' in
@@ -170,9 +173,7 @@ let connection api ~value_size ~rng ~completed ~timeouts ~ops ~on_done () =
   in
   loop ()
 
-let run ?(client_threads = 4) ?(connections = 32) ?(value_size = 100)
-    (h : Harness.t) ~server_threads ~ops =
-  ignore client_threads;
+let run ?(connections = 32) (h : Harness.t) ~server_threads ~ops =
   let completed = ref 0 and timeouts = ref 0 in
   let start = ref 0L in
   let stopped = ref false in
@@ -193,11 +194,10 @@ let run ?(client_threads = 4) ?(connections = 32) ?(value_size = 100)
         h.peer.Libos.Api.spawn
           ~name:(Printf.sprintf "memaslap-conn%d" c)
           (fun api ->
-            connection api ~value_size ~rng ~completed ~timeouts ~ops ~on_done
-              ())
+            connection api ~rng ~completed ~timeouts ~ops ~on_done ())
       done;
       let rng = Sim.Rng.create ~seed:0x5eedL in
-      connection h.peer ~value_size ~rng ~completed ~timeouts ~ops ~on_done ());
+      connection h.peer ~rng ~completed ~timeouts ~ops ~on_done ());
   Harness.run h ~until:(Sim.Cycles.of_sec 60.);
   let duration = Int64.sub (Sim.Engine.now h.engine) !start in
   {

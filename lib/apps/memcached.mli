@@ -2,9 +2,9 @@
 
     A multi-threaded key-value cache server speaking a compact
     memcached-like request/reply protocol over UDP, driven by a
-    memaslap-style closed-loop load generator: [client_threads] native
-    threads with [connections] total concurrent connections, a 9:1
-    GET/SET mix and 100-byte values (memaslap defaults).  The paper
+    memaslap-style closed-loop load generator: [connections] (default
+    32) concurrent connections, a 9:1 GET/SET mix and 100-byte values
+    (memaslap defaults).  The paper
     varies the server thread count; RAKIS gives each XSK its own FM
     thread, so the harness should be created with [num_xsks] matching
     the server threads (the paper used four XSKs). *)
@@ -43,9 +43,7 @@ val server : ?rdp:bool -> Libos.Api.t -> server_threads:int -> unit -> unit
     {!Loadgen.config.rdp}. *)
 
 val run :
-  ?client_threads:int ->
   ?connections:int ->
-  ?value_size:int ->
   Harness.t ->
   server_threads:int ->
   ops:int ->

@@ -15,12 +15,10 @@ type t = {
   rx : (Bytes.t * Libos.Api.sockaddr) Queue.t;
 }
 
-let create ?obs ?name ?seed ?max_attempts ?rto_init ?rto_max api =
+let create ?obs ?name ?seed api =
   {
     api;
-    rdp =
-      Netstack.Rdp.create ?obs ?name ?seed ?max_attempts ?rto_init ?rto_max
-        ();
+    rdp = Netstack.Rdp.create ?obs ?name ?seed ();
     fd = api.Libos.Api.udp_socket ();
     rx = Queue.create ();
   }

@@ -13,12 +13,9 @@ val create :
   ?obs:Obs.t ->
   ?name:string ->
   ?seed:int64 ->
-  ?max_attempts:int ->
-  ?rto_init:int64 ->
-  ?rto_max:int64 ->
   Libos.Api.t ->
   t
-(** Opens a fresh UDP socket on [api]; knobs forward to
+(** Opens a fresh UDP socket on [api]; the arguments forward to
     {!Netstack.Rdp.create} ([obs] puts the [<name>.giveup] etc.
     counters in the shared registry). *)
 

@@ -5,27 +5,13 @@ type t = {
   num_queues : int;
   ring_size : int;
   umem_size : int;
-  frame_size : int;
   uring_entries : int;
   max_io_size : int;
   locking : Netstack.Stack.locking;
-  rx_burst : int;
   use_sqpoll : bool;
-  retry_limit : int;
-  backoff_base : int64;
-  backoff_cap : int64;
-  reinit_threshold : int;
-  degraded : bool;
-  breaker_threshold : int;
-  breaker_cooldown : int64;
-  breaker_probes : int;
   max_pending : int;
-  sync_op_timeout : int64;
   zerocopy : bool;
-  zc_frames : int;
-  zc_frame_size : int;
   overload : bool;
-  slo_p99 : int64;
 }
 
 let default =
@@ -36,56 +22,28 @@ let default =
     num_queues = 1;
     ring_size = Sgx.Params.default_ring_size;
     umem_size = Sgx.Params.default_umem_size;
-    frame_size = Sgx.Params.umem_frame_size;
     uring_entries = 256;
     max_io_size = 1 lsl 20;
     locking = `Fine;
-    rx_burst = 64;
     use_sqpoll = false;
-    retry_limit = 8;
-    backoff_base = 500L;
-    backoff_cap = 16_000L;
-    reinit_threshold = 32;
-    degraded = true;
-    breaker_threshold = 3;
-    breaker_cooldown = 400_000L;
-    breaker_probes = 4;
     max_pending = 256;
-    sync_op_timeout = 1_000_000L;
     zerocopy = false;
-    zc_frames = 32;
-    zc_frame_size = 16 * 1024;
     overload = false;
-    slo_p99 = 2_400_000L;
   }
 
 let is_pow2 n = n > 0 && n land (n - 1) = 0
 
 let validate t =
+  let frame = Sgx.Params.umem_frame_size in
   if t.num_xsks <= 0 then Error "num_xsks must be positive"
   else if t.num_queues <= 0 then Error "num_queues must be positive"
   else if not (is_pow2 t.ring_size) then Error "ring_size must be a power of 2"
   else if not (is_pow2 t.uring_entries) then
     Error "uring_entries must be a power of 2"
-  else if t.frame_size <= 0 || t.umem_size mod t.frame_size <> 0 then
-    Error "frame_size must divide umem_size"
-  else if t.umem_size / t.frame_size < 2 * t.ring_size then
+  else if t.umem_size mod frame <> 0 then
+    Error "umem_size must be a whole number of frames"
+  else if t.umem_size / frame < 2 * t.ring_size then
     Error "umem must hold at least 2*ring_size frames"
   else if t.max_io_size <= 0 then Error "max_io_size must be positive"
-  else if t.rx_burst <= 0 then Error "rx_burst must be positive"
-  else if t.retry_limit < 0 then Error "retry_limit must be non-negative"
-  else if t.backoff_base <= 0L then Error "backoff_base must be positive"
-  else if t.backoff_cap < t.backoff_base then
-    Error "backoff_cap must be at least backoff_base"
-  else if t.reinit_threshold <= 0 then Error "reinit_threshold must be positive"
-  else if t.breaker_threshold <= 0 then
-    Error "breaker_threshold must be positive"
-  else if t.breaker_cooldown <= 0L then
-    Error "breaker_cooldown must be positive"
-  else if t.breaker_probes <= 0 then Error "breaker_probes must be positive"
   else if t.max_pending <= 0 then Error "max_pending must be positive"
-  else if t.sync_op_timeout <= 0L then Error "sync_op_timeout must be positive"
-  else if t.zc_frames <= 0 then Error "zc_frames must be positive"
-  else if t.zc_frame_size <= 0 then Error "zc_frame_size must be positive"
-  else if t.slo_p99 <= 0L then Error "slo_p99 must be positive"
   else Ok ()

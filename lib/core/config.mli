@@ -18,77 +18,32 @@ type t = {
           shard over all NIC queues, the pre-sharding behaviour. *)
   ring_size : int;  (** entries per XSK ring (power of two) *)
   umem_size : int;  (** bytes of UMem per XSK *)
-  frame_size : int;  (** bytes per UMem frame *)
   uring_entries : int;  (** iSub entries per per-thread io_uring *)
   max_io_size : int;  (** bounce-buffer bytes per io_uring FM *)
   locking : Netstack.Stack.locking;  (** UDP/IP stack lock discipline *)
-  rx_burst : int;
-      (** max descriptors an FM moves per certified-ring batch: one
-          peer-index validation and one index publish cover up to this
-          many slots (AF_XDP drivers use 32–64) *)
   use_sqpoll : bool;
       (** [IORING_SETUP_SQPOLL] (paper §4.3): a kernel thread polls iSub
           itself, so submissions need no [io_uring_enter] from the MM at
           all — trading a busy kernel thread for the last wakeup
           syscalls.  Default false (the paper's MM-driven design). *)
-  retry_limit : int;
-      (** max retries of one transient host failure before the FM gives
-          up and reports [ETIMEDOUT] (DESIGN.md §8); default 8 *)
-  backoff_base : int64;
-      (** first retry backoff in cycles (doubles per attempt); default
-          500 *)
-  backoff_cap : int64;
-      (** backoff ceiling in cycles; default 16,000 (~6.7 µs) *)
-  reinit_threshold : int;
-      (** consecutive-iteration certified-ring failures after which an
-          XSK FM quarantines and re-initializes its rings; default 32 *)
-  degraded : bool;
-      (** enable graceful degradation (DESIGN.md §9): per-primitive
-          circuit breakers reroute ops through the exit-based LibOS
-          slow path when a FIOKP fails persistently.  Default true;
-          false restores PR 4's fail-with-[ETIMEDOUT] behaviour. *)
-  breaker_threshold : int;
-      (** consecutive terminal failures that open a circuit breaker;
-          default 3 *)
-  breaker_cooldown : int64;
-      (** cycles a breaker stays [Open] before the next op may probe
-          ([Half_open]); default 400,000 (~167 µs) *)
-  breaker_probes : int;
-      (** consecutive probe successes that close a half-open breaker
-          (failback hysteresis); default 4 *)
   max_pending : int;
       (** admission bound on in-flight io_uring ops per FM; beyond it
           new work is shed with [EAGAIN]; default 256 *)
-  sync_op_timeout : int64;
-      (** cycles a synchronous prompt-class io_uring op (Read / Write /
-          Send / Nop) waits for its CQE before abandoning the attempt —
-          the anti-livelock deadline under persistent wakeup loss;
-          default 1,000,000 (well above the worst legitimate sync op) *)
   zerocopy : bool;
       (** enable the zero-copy io_uring datapath (docs/zerocopy.md):
-          each FM registers a pool of shared-memory frames at setup;
+          each FM registers a pool of {!Sgx.Params.zc_frames}
+          shared-memory frames at setup;
           sends go out as [SEND_ZC] from Registered UMem frames (freed
           only on notif), file read/write use fixed-buffer SQEs (no
           kernel-side bounce copy) and TCP receive is armed multishot.
           Default false — the classic bounce-buffer path. *)
-  zc_frames : int;
-      (** registered frames per FM zero-copy pool; default 32 *)
-  zc_frame_size : int;
-      (** bytes per registered frame; default 16 KiB — large frames
-          amortize per-op costs on streaming sends *)
   overload : bool;
       (** enable the overload-control subsystem (DESIGN.md §15): one
           {!Overload} controller per datapath shard guarding the
           netstack rx queues (CoDel sojourn + hysteretic watermarks,
           with fill-ring edge throttling and [EAGAIN] send pushback)
           plus one runtime-wide controller on the io_uring pending
-          tables.  Default false — PR 8 behaviour, no admission beyond
-          [max_pending]. *)
-  slo_p99 : int64;
-      (** p99 latency objective, in cycles, for {e admitted} requests —
-          the acceptance currency of the soak harness and the KV bench
-          gates.  Not consulted by the hot path.  Default 2,400,000
-          (1 ms at the simulated 2.4 GHz clock). *)
+          tables.  Default false — no admission beyond [max_pending]. *)
 }
 
 val default : t
@@ -96,4 +51,7 @@ val default : t
     frames, fine-grained stack locking. *)
 
 val validate : t -> (unit, string) result
-(** Sanity rules: power-of-two rings, frame divides UMem, etc. *)
+(** Sanity rules: positive XSK and queue counts, power-of-two rings,
+    UMem a whole number of {!Sgx.Params.umem_frame_size} frames and at
+    least [2 * ring_size] of them, positive [max_io_size] and
+    [max_pending]. *)

@@ -38,7 +38,8 @@ let state_level = function Closed -> 0. | Open -> 1. | Half_open -> 2.
 
 let pp_state ppf s = Format.pp_print_string ppf (state_name s)
 
-let create ?obs ~name ~clock ~threshold ~cooldown ~probes_needed () =
+let create ?obs ~name ~clock ?(threshold = 3) ?(cooldown = 400_000L)
+    ?(probes_needed = 4) () =
   let m =
     match obs with Some o -> Obs.metrics o | None -> Obs.Metrics.create ()
   in
@@ -67,11 +68,6 @@ let create ?obs ~name ~clock ~threshold ~cooldown ~probes_needed () =
   in
   Obs.Metrics.set t.state_gauge (state_level Closed);
   t
-
-let of_config ?obs ~name ~clock (config : Config.t) =
-  create ?obs ~name ~clock ~threshold:config.Config.breaker_threshold
-    ~cooldown:config.Config.breaker_cooldown
-    ~probes_needed:config.Config.breaker_probes ()
 
 let name t = t.name
 

@@ -45,23 +45,19 @@ val create :
   ?obs:Obs.t ->
   name:string ->
   clock:(unit -> int64) ->
-  threshold:int ->
-  cooldown:int64 ->
-  probes_needed:int ->
+  ?threshold:int ->
+  ?cooldown:int64 ->
+  ?probes_needed:int ->
   unit ->
   t
-(** [threshold] consecutive failures open the breaker; after [cooldown]
-    clock cycles in [Open] the next {!allow} transitions to [Half_open];
-    [probes_needed] consecutive probe successes close it again (the
-    failback hysteresis).  [obs] registers, under ["health.<name>."]:
-    a [state] gauge (0 = closed, 1 = open, 2 = half-open) and the
-    [opens] / [closes] / [failovers] / [probes] / [sheds] counters,
-    plus a ["health"] trace instant per state transition. *)
-
-val of_config :
-  ?obs:Obs.t -> name:string -> clock:(unit -> int64) -> Config.t -> t
-(** {!create} with [breaker_threshold] / [breaker_cooldown] /
-    [breaker_probes] taken from the runtime configuration. *)
+(** [threshold] (default 3) consecutive failures open the breaker; after
+    [cooldown] (default 400,000, ~167 µs) clock cycles in [Open] the next
+    {!allow} transitions to [Half_open]; [probes_needed] (default 4)
+    consecutive probe successes close it again (the failback
+    hysteresis).  [obs] registers, under ["health.<name>."]: a [state]
+    gauge (0 = closed, 1 = open, 2 = half-open) and the [opens] /
+    [closes] / [failovers] / [probes] / [sheds] counters, plus a
+    ["health"] trace instant per state transition. *)
 
 val name : t -> string
 

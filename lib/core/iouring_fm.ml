@@ -71,14 +71,12 @@ type t = {
   mutable sq_full_streak : int;
   mutable breaker : Health.t option;
   max_pending : int;
-  sync_op_timeout : int64;
   sheds : Obs.Metrics.counter;
   cqe_rejects : Obs.Metrics.counter;
   sqes_submitted : Obs.Metrics.counter;
   cqes_reaped : Obs.Metrics.counter;
   cqe_strays : Obs.Metrics.counter;
   sync_wait_cycles : Obs.Metrics.histogram; (* submit->complete, cycles *)
-  retry_limit : int;
   backoff : Sim.Backoff.t;
   retries : Obs.Metrics.counter;
   retry_success : Obs.Metrics.counter;
@@ -119,7 +117,7 @@ let create ?obs ?(name = "uring") ~enclave ~config ~fd ~uring ~bounce
   if fd < 0 then Error (Bad_fd fd)
   else
     let entries = config.Config.uring_entries in
-    let zc_size = config.Config.zc_frames * config.Config.zc_frame_size in
+    let zc_size = Sgx.Params.zc_frames * Sgx.Params.zc_frame_size in
     let* sq =
       certify_layout "iSub" ~entry_size:Abi.Uring_abi.sqe_size ~size:entries
         (Hostos.Io_uring.sq_layout uring)
@@ -183,21 +181,19 @@ let create ?obs ?(name = "uring") ~enclave ~config ~fd ~uring ~bounce
         sq_full_streak = 0;
         breaker = None;
         max_pending = config.Config.max_pending;
-        sync_op_timeout = config.Config.sync_op_timeout;
         sheds = Obs.Metrics.counter m (name ^ ".sheds");
         cqe_rejects = Obs.Metrics.counter m (name ^ ".cqe_rejects");
         sqes_submitted = Obs.Metrics.counter m (name ^ ".sqes_submitted");
         cqes_reaped = Obs.Metrics.counter m (name ^ ".cqes_reaped");
         cqe_strays = Obs.Metrics.counter m (name ^ ".cqe_strays");
         sync_wait_cycles = Obs.Metrics.histogram m (name ^ ".sync_wait_cycles");
-        retry_limit = config.Config.retry_limit;
         backoff =
           (* Seeded by the FM's name, not a global counter: replayed
              campaign runs create FMs in the same order with the same
              names, so retry timing is reproducible bit-for-bit. *)
           Sim.Backoff.create
             ~seed:(Int64.of_int (Hashtbl.hash name))
-            ~base:config.Config.backoff_base ~cap:config.Config.backoff_cap ();
+            ~base:Sgx.Params.backoff_base ~cap:Sgx.Params.backoff_cap ();
         retries = Obs.Metrics.counter m (name ^ ".retries");
         retry_success = Obs.Metrics.counter m (name ^ ".retry_success");
         retry_exhausted = Obs.Metrics.counter m (name ^ ".retry_exhausted");
@@ -208,9 +204,9 @@ let create ?obs ?(name = "uring") ~enclave ~config ~fd ~uring ~bounce
               {
                 pool =
                   Umem.create ?obs ~name:(name ^ ".zc") ~size:zc_size
-                    ~frame_size:config.Config.zc_frame_size ();
+                    ~frame_size:Sgx.Params.zc_frame_size ();
                 arena = a;
-                zframe = config.Config.zc_frame_size;
+                zframe = Sgx.Params.zc_frame_size;
                 notif_pending = Hashtbl.create 8;
                 ms_by_fd = Hashtbl.create 4;
                 ms_by_ud = Hashtbl.create 4;
@@ -548,6 +544,11 @@ let op_name : Abi.Uring_abi.opcode -> string = function
   | Sendmsg_zc -> "uring.sendmsg_zc"
   | Recv_multi -> "uring.recv_multi"
 
+(* Cycles a synchronous prompt-class op waits for its CQE before the
+   attempt is abandoned — the anti-livelock deadline under persistent
+   wakeup loss, well above the worst legitimate sync op. *)
+let sync_op_timeout = 1_000_000L
+
 (* Prompt-class opcodes complete as soon as the kernel runs them, so a
    missing CQE after [sync_op_timeout] means the datapath is stuck and
    the attempt is abandoned.  Recv and Poll_add legitimately block for
@@ -571,7 +572,7 @@ let submit_wait_once t sqe ~expected_max =
       let start = Sim.Engine.now engine in
       let deadline =
         if prompt_class sqe.Abi.Uring_abi.opcode then
-          Some (Int64.add start t.sync_op_timeout)
+          Some (Int64.add start sync_op_timeout)
         else None
       in
       (* The synchronous caller hands off to the kernel worker and pays
@@ -597,7 +598,7 @@ let submit_wait_once t sqe ~expected_max =
 let submit_wait t sqe ~expected_max =
   (* Probe mode (Health half-open): one attempt, no retry budget — a
      probe exists to answer "did the FIOKP heal?" cheaply, not to win. *)
-  let limit = if t.probe_mode then 0 else t.retry_limit in
+  let limit = if t.probe_mode then 0 else Sgx.Params.retry_limit in
   let rec attempt n =
     match submit_wait_once t sqe ~expected_max with
     | Error e when Abi.Errno.is_transient e ->
@@ -754,7 +755,7 @@ let zc_submit_wait t z sqe ~expected_max ~zoff =
       let engine = Sgx.Enclave.engine t.enclave in
       let start = Sim.Engine.now engine in
       Sgx.Enclave.charge t.enclave Sgx.Params.iouring_sync_wait_cycles;
-      let r = await ~deadline:(Int64.add start t.sync_op_timeout) t p in
+      let r = await ~deadline:(Int64.add start sync_op_timeout) t p in
       Obs.Metrics.observe t.sync_wait_cycles
         (Int64.to_int (Int64.sub (Sim.Engine.now engine) start));
       (match t.trace with

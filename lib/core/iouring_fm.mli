@@ -63,8 +63,8 @@ val create :
     untrusted memory (allocated by the runtime, validated here).
 
     [zc_arena], when given, is the zero-copy pool arena of
-    [config.zc_frames * config.zc_frame_size] bytes in untrusted memory
-    whose frames the runtime has already registered with the kernel
+    [Sgx.Params.zc_frames * Sgx.Params.zc_frame_size] bytes in untrusted
+    memory whose frames the runtime has already registered with the kernel
     (entry [i] = frame [i]); it is validated (untrusted, in-bounds,
     disjoint from rings and bounce) and wrapped in a {!Umem.t} ownership
     map named ["<name>.zc"].  Omitted = copy path only.
@@ -137,14 +137,14 @@ val cqe_rejects : t -> int
 
 val retries : t -> int
 (** Transient-failure retries taken (["<name>.retries"]).  Every
-    synchronous operation retries [config.retry_limit] times with
+    synchronous operation retries [Sgx.Params.retry_limit] times with
     {!Sim.Backoff} before reporting [ETIMEDOUT] (DESIGN.md §8). *)
 
 val retry_successes : t -> int
 (** Operations that succeeded only after at least one retry. *)
 
 val retries_exhausted : t -> int
-(** Operations that gave up after [config.retry_limit] retries. *)
+(** Operations that gave up after [Sgx.Params.retry_limit] retries. *)
 
 val burst_counters : t -> (string * (int * int)) list
 (** Per-ring [(name, (bursts, slots))] batch counters (see

@@ -131,13 +131,12 @@ let set_udp_slow_path t su = t.slow_udp <- Some su
 
 let set_slow_path t ops =
   t.slow_ops <- Some ops;
-  if t.config.Config.degraded then
-    List.iter (fun th -> Syncproxy.set_slow th.proxy ops) t.threads
+  List.iter (fun th -> Syncproxy.set_slow th.proxy ops) t.threads
 
 (* Failover is only meaningful with a slow path to fail over to: without
-   one installed (bare-Runtime tests, native boots) every routing
-   decision below collapses to the PR 4 fast-path-only behaviour. *)
-let xsk_failover_ready t = t.config.Config.degraded && t.slow_udp <> None
+   one installed (bare-Runtime tests) every routing decision below
+   collapses to fast-path-only behaviour. *)
+let xsk_failover_ready t = t.slow_udp <> None
 
 (* Which shard carries a given flow: the same symmetric RSS hash the NIC
    applies on receive, folded from NIC queues onto shards exactly like
@@ -296,7 +295,7 @@ let failover_transmit t shard frame =
    the exit-based route.  [last_tx_ok] feeds the outcome back to
    [udp_sendto], which cannot see it through [Netstack.Stack.sendto] — a
    frame every path refused is surfaced as [EAGAIN], never silently
-   dropped once degraded mode is on.  Half-open probe traffic
+   dropped once a slow path is installed.  Half-open probe traffic
    ([shard.probing]) must reach the FM: its completion (or rekick
    timeout) is the very signal the breaker is waiting on to fail back
    (or re-open). *)
@@ -326,13 +325,14 @@ let shared_arena_size config =
       ~size:config.Config.ring_size
   in
   let per_xsk =
-    config.Config.umem_size + (4 * ring_foot) + (2 * config.Config.frame_size)
+    config.Config.umem_size + (4 * ring_foot)
+    + (2 * Sgx.Params.umem_frame_size)
   in
   (config.Config.num_queues * config.Config.num_xsks * per_xsk)
   + (32 * 1024 * 1024)
   + (if config.Config.zerocopy then
        (* headroom for up to 32 threads' zero-copy pool arenas *)
-       32 * config.Config.zc_frames * config.Config.zc_frame_size
+       32 * Sgx.Params.zc_frames * Sgx.Params.zc_frame_size
      else 0)
 
 let boot kernel ~sgx ?(config = Config.default) () =
@@ -402,7 +402,8 @@ let boot kernel ~sgx ?(config = Config.default) () =
               let fd, xsk =
                 Hostos.Kernel.xsk_create ~obs ~name:(name ^ ".xdp") kernel
                   ~alloc:shared_alloc ~umem_size:config.umem_size
-                  ~frame_size:config.frame_size ~ring_size:config.ring_size
+                  ~frame_size:Sgx.Params.umem_frame_size
+                  ~ring_size:config.ring_size
               in
               Hostos.Xdp.set_shard xsk k;
               match
@@ -422,7 +423,7 @@ let boot kernel ~sgx ?(config = Config.default) () =
       | Error e -> Error e
       | Ok parts ->
           let clock () = Sim.Engine.now engine in
-          let breaker name = Health.of_config ~obs ~name ~clock config in
+          let breaker name = Health.create ~obs ~name ~clock () in
           let overload name =
             if config.Config.overload then
               (* Watermarks fit the narrowest guarded queue: on a
@@ -559,12 +560,10 @@ let boot kernel ~sgx ?(config = Config.default) () =
                   Monitor.watch_xsk shard.sh_monitor xsk;
                   Xsk_fm.start fm)
                 shard.sh_fms;
-              if config.degraded then begin
-                Array.iter
-                  (fun fm -> Xsk_fm.set_breaker fm shard.sh_breaker)
-                  shard.sh_fms;
-                Health.set_on_open shard.sh_breaker (on_xsk_open t shard)
-              end;
+              Array.iter
+                (fun fm -> Xsk_fm.set_breaker fm shard.sh_breaker)
+                shard.sh_fms;
+              Health.set_on_open shard.sh_breaker (on_xsk_open t shard);
               Monitor.start shard.sh_monitor)
             t.shards;
           Ok t
@@ -677,7 +676,7 @@ let udp_sendto t sock payload ~dst =
               record_tx_shed ();
               Error Abi.Errno.EAGAIN
           | Error Abi.Errno.EAGAIN ->
-              (* PR 4 semantics: the datagram may be silently dropped by
+              (* No slow path: the datagram may be silently dropped by
                  a saturated TX path, as UDP permits. *)
               Ok (Bytes.length payload)
           | r -> r)
@@ -845,13 +844,13 @@ let new_thread t =
   let zc_arena =
     if not t.config.Config.zerocopy then Ok None
     else begin
-      let zframe = t.config.Config.zc_frame_size in
+      let zframe = Sgx.Params.zc_frame_size in
       let arena =
         Mem.Alloc.alloc_ptr t.shared_alloc ~align:8
-          (t.config.Config.zc_frames * zframe)
+          (Sgx.Params.zc_frames * zframe)
       in
       let entries =
-        List.init t.config.Config.zc_frames (fun i ->
+        List.init Sgx.Params.zc_frames (fun i ->
             (arena.Mem.Ptr.off + (i * zframe), zframe))
       in
       Sgx.Enclave.ocall t.enclave;
@@ -886,8 +885,9 @@ let new_thread t =
              Monitor.kick shard.sh_monitor);
          Monitor.watch_uring shard.sh_monitor uring
        end);
-      let proxy = Syncproxy.create ?slow:t.slow_ops fm in
-      if t.config.Config.degraded then Syncproxy.set_breaker proxy t.uring_breaker;
+      let proxy =
+        Syncproxy.create ?slow:t.slow_ops ~breaker:t.uring_breaker fm
+      in
       (match t.uring_overload with
       | Some ov -> Syncproxy.set_overload proxy ov
       | None -> ());
@@ -1024,29 +1024,20 @@ let start_watchdog t =
               Obs.Metrics.incr degraded;
               Sgx.Enclave.ocall t.enclave;
               Monitor.force_scan mon;
-              if not t.config.Config.degraded then begin
-                Obs.Metrics.incr restarts;
-                Monitor.restart mon;
-                Monitor.kick mon
-              end
-              else begin
-                (* MM breaker: a persistently dying Monitor stops
-                   earning restarts (the enclave-side scans above carry
-                   the load); half-open probes are restart attempts, and
-                   a stretch of healthy checks below closes the breaker
-                   again. *)
-                Health.record_failure t.mm_breaker;
-                match Health.allow t.mm_breaker with
-                | Health.Fast | Health.Probe ->
-                    Obs.Metrics.incr restarts;
-                    Monitor.restart mon;
-                    Monitor.kick mon
-                | Health.Slow -> ()
-              end
+              (* MM breaker: a persistently dying Monitor stops earning
+                 restarts (the enclave-side scans above carry the load);
+                 half-open probes are restart attempts, and a stretch of
+                 healthy checks below closes the breaker again. *)
+              Health.record_failure t.mm_breaker;
+              match Health.allow t.mm_breaker with
+              | Health.Fast | Health.Probe ->
+                  Obs.Metrics.incr restarts;
+                  Monitor.restart mon;
+                  Monitor.kick mon
+              | Health.Slow -> ()
             end)
           t.shards;
-        if (not !any_bad) && t.config.Config.degraded then
-          Health.record_success t.mm_breaker;
+        if not !any_bad then Health.record_success t.mm_breaker;
         loop ()
       in
       loop ())

@@ -158,7 +158,7 @@ val total_overload_admitted : t -> int
 val total_control_shed : t -> int
 (** Always [0]: the controllers never refuse Control-class traffic, so
     no counter backs this value and the soak and campaign gates that
-    read it cannot fail.  ROADMAP item 4 replaces those gates with
+    read it cannot fail.  ROADMAP item 5 replaces those gates with
     per-class fate accounting. *)
 
 val total_edge_drops : t -> int
@@ -184,7 +184,7 @@ val total_accounted_drops : t -> int
 
 val set_slow_path : t -> Syncproxy.slow_ops -> unit
 (** Install the exit-based io_uring slow path; applied to every existing
-    and future {!new_thread} SyncProxy when [config.degraded]. *)
+    and future {!new_thread} SyncProxy. *)
 
 val set_udp_slow_path : t -> slow_udp -> unit
 (** Install the exit-based UDP slow path.  Until this is called the XSK
@@ -324,14 +324,13 @@ val start_watchdog : t -> unit
     Monitor Module's liveness ({!Monitor.alive} / {!Monitor.last_beat});
     on a crash or a beat staler than {!Sgx.Params.watchdog_timeout} it
     runs one degraded scan from inside the enclave and restarts that MM.
-    When [config.degraded], restarts additionally go through the MM
-    breaker ({!mm_breaker}): persistently dying Monitors open it and
-    stop earning restarts (scans continue), half-open probes are restart
-    attempts, and sustained healthy periods — no shard MM unhealthy —
-    close it again.  Call after installing a fault injector
-    ({!Hostos.Kernel.set_faults}) — its periodic timer keeps the event
-    queue alive, so fault-free runs that terminate on queue exhaustion
-    should not start it. *)
+    Restarts go through the MM breaker ({!mm_breaker}): persistently
+    dying Monitors open it and stop earning restarts (scans continue),
+    half-open probes are restart attempts, and sustained healthy periods
+    — no shard MM unhealthy — close it again.  Call after installing a
+    fault injector ({!Hostos.Kernel.set_faults}) — its periodic timer
+    keeps the event queue alive, so fault-free runs that terminate on
+    queue exhaustion should not start it. *)
 
 val watchdog_restarts : t -> int
 (** Monitor restarts performed by the watchdog (["watchdog.restarts"]). *)

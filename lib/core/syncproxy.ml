@@ -21,24 +21,21 @@ type slow_ops = {
 type t = {
   fm : Iouring_fm.t;
   mutable slow : slow_ops option;
-  mutable breaker : Health.t option;
+  breaker : Health.t;
   mutable overload : Overload.t option;
 }
 
-let create ?slow ?breaker fm = { fm; slow; breaker; overload = None }
+let create ?slow ~breaker fm =
+  Iouring_fm.set_breaker fm breaker;
+  { fm; slow; breaker; overload = None }
 
 let fm t = t.fm
 
 let set_slow t s = t.slow <- Some s
 
-let set_breaker t b =
-  t.breaker <- Some b;
-  Iouring_fm.set_breaker t.fm b
-
 let set_overload t ov = t.overload <- Some ov
 
-let degraded t =
-  match t.breaker with None -> false | Some b -> Health.degraded b
+let degraded t = Health.degraded t.breaker
 
 let probe_attempt t fast =
   Iouring_fm.set_probe_mode t.fm true;
@@ -75,10 +72,10 @@ let timed t fast () =
 
 let route t ~probe_ok ~fast ~slow_fn =
   let fast = timed t fast in
-  match (t.breaker, t.slow) with
-  | None, _ | _, None ->
-      if admit t Overload.Data then fast () else Error Abi.Errno.EAGAIN
-  | Some b, Some slow -> (
+  match t.slow with
+  | None -> if admit t Overload.Data then fast () else Error Abi.Errno.EAGAIN
+  | Some slow -> (
+      let b = t.breaker in
       match Health.allow b with
       | Health.Slow ->
           if admit t Overload.Data then slow_fn slow

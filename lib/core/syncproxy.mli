@@ -4,13 +4,12 @@
     syscalls: TCP [send]/[recv], [read], [write] and [poll].
 
     Since DESIGN.md §9 the proxy is also the io_uring failover point:
-    when a {!Health} breaker and a {!slow_ops} table are attached, every
-    op is routed through the breaker — [Fast] ops take the FM (and a
-    terminal [ETIMEDOUT] fails over to the slow path instead of
-    surfacing), [Probe] ops test the FM with the retry budget disabled,
-    and [Slow] ops go straight to the exit-based LibOS path.  With no
-    breaker or no slow path attached, behaviour is exactly the PR 4
-    passthrough. *)
+    once a {!slow_ops} table is attached, every op is routed through
+    the {!Health} breaker — [Fast] ops take the FM (and a terminal
+    [ETIMEDOUT] fails over to the slow path instead of surfacing),
+    [Probe] ops test the FM with the retry budget disabled, and [Slow]
+    ops go straight to the exit-based LibOS path.  With no slow path
+    attached (bare-runtime boots), every op is a plain passthrough. *)
 
 type slow_ops = {
   read :
@@ -42,18 +41,16 @@ type t
     one ["syncproxy"] trace span and one [<name>.sync_wait_cycles]
     histogram observation on the FM's Obs registry. *)
 
-val create : ?slow:slow_ops -> ?breaker:Health.t -> Iouring_fm.t -> t
-(** Wrap an io_uring FM.  [slow] and [breaker] (usually attached later
-    via {!set_slow} / {!set_breaker}) enable degraded-mode routing. *)
+val create : ?slow:slow_ops -> breaker:Health.t -> Iouring_fm.t -> t
+(** Wrap an io_uring FM behind the shared io_uring [breaker], which is
+    also installed on the FM for the overload feeds
+    ({!Iouring_fm.set_breaker}).  [slow] (or a later {!set_slow})
+    enables failover routing. *)
 
 val fm : t -> Iouring_fm.t
 (** The underlying io_uring FastPath Module. *)
 
 val set_slow : t -> slow_ops -> unit
-
-val set_breaker : t -> Health.t -> unit
-(** Attach the shared io_uring breaker; also installs it on the FM for
-    the overload feeds ({!Iouring_fm.set_breaker}). *)
 
 val set_overload : t -> Overload.t -> unit
 (** Attach the runtime-wide io_uring overload controller (DESIGN.md
@@ -64,7 +61,7 @@ val set_overload : t -> Overload.t -> unit
     controller's sojourn/depth samples. *)
 
 val degraded : t -> bool
-(** The attached breaker (if any) is not [Closed]. *)
+(** The breaker is not [Closed]. *)
 
 val read :
   t -> fd:int -> off:int -> buf:Bytes.t -> pos:int -> len:int ->

@@ -4,9 +4,17 @@ type init_error =
   | Overlapping of string
   | Bad_layout of string
 
+(* Max descriptors an FM moves per certified-ring batch: one peer-index
+   validation and one index publish cover up to this many slots (AF_XDP
+   drivers use 32–64). *)
+let rx_burst_max = 64
+
+(* Consecutive-iteration certified-ring failures after which the FM
+   quarantines and re-initializes its rings. *)
+let reinit_threshold = 32
+
 type t = {
   enclave : Sgx.Enclave.t;
-  config : Config.t;
   stack : Netstack.Stack.t;
   fill : Rings.Certified.t;
   rx : Rings.Certified.t;
@@ -137,12 +145,12 @@ let layout_objects name (l : Rings.Layout.t) =
 let ( let* ) = Result.bind
 
 let track_tx t offset len =
-  let idx = offset / t.config.Config.frame_size in
+  let idx = offset / Sgx.Params.umem_frame_size in
   if t.tx_inflight.(idx) < 0 then t.tx_inflight_n <- t.tx_inflight_n + 1;
   t.tx_inflight.(idx) <- len
 
 let untrack_tx t offset =
-  let idx = offset / t.config.Config.frame_size in
+  let idx = offset / Sgx.Params.umem_frame_size in
   if t.tx_inflight.(idx) >= 0 then begin
     t.tx_inflight.(idx) <- -1;
     t.tx_inflight_n <- t.tx_inflight_n - 1
@@ -230,7 +238,6 @@ let create ?obs ?(name = "xsk") ~enclave ~config ~stack ~fd ~xsk () =
     let rec t =
       {
         enclave;
-        config;
         stack;
         fill = ring Rings.Certified.Producer "xFill" fill;
         rx = ring Rings.Certified.Consumer "xRX" rx;
@@ -238,7 +245,7 @@ let create ?obs ?(name = "xsk") ~enclave ~config ~stack ~fd ~xsk () =
         compl_ = ring Rings.Certified.Consumer "xCompl" compl_;
         umem =
           Umem.create ?obs ~name:(name ^ ".umem") ~size:config.Config.umem_size
-            ~frame_size:config.Config.frame_size ();
+            ~frame_size:Sgx.Params.umem_frame_size ();
         umem_ptr;
         rx_notify = Hostos.Xdp.rx_notify xsk;
         (* One trusted staging frame, allocated (and charged) once; the
@@ -247,9 +254,9 @@ let create ?obs ?(name = "xsk") ~enclave ~config ~stack ~fd ~xsk () =
            ({!Netstack.Stack.input_borrowed}). *)
         rx_scratch =
           (Sgx.Enclave.charge_copy enclave ~crossing:false
-             config.Config.frame_size;
-           Bytes.create config.Config.frame_size);
-        rx_burst = min config.Config.rx_burst config.Config.ring_size;
+             Sgx.Params.umem_frame_size;
+           Bytes.create Sgx.Params.umem_frame_size);
+        rx_burst = min rx_burst_max config.Config.ring_size;
         rx_read = (fun ~slot_off i -> rx_read t ~slot_off i);
         compl_read = (fun ~slot_off i -> compl_read t ~slot_off i);
         fill_write = (fun ~slot_off i -> fill_write t ~slot_off i);
@@ -263,7 +270,7 @@ let create ?obs ?(name = "xsk") ~enclave ~config ~stack ~fd ~xsk () =
         backoff =
           Sim.Backoff.create
             ~seed:(Int64.of_int (Hashtbl.hash name))
-            ~base:config.Config.backoff_base ~cap:config.Config.backoff_cap ();
+            ~base:Sgx.Params.backoff_base ~cap:Sgx.Params.backoff_cap ();
         failure_mark = 0;
         failure_base = 0;
         rekick_armed = false;
@@ -274,7 +281,8 @@ let create ?obs ?(name = "xsk") ~enclave ~config ~stack ~fd ~xsk () =
         refill_blocked = false;
         rx_progress = false;
         tx_inflight =
-          Array.make (config.Config.umem_size / config.Config.frame_size) (-1);
+          Array.make (config.Config.umem_size / Sgx.Params.umem_frame_size)
+            (-1);
         tx_inflight_n = 0;
         breaker = None;
         throttle = (fun () -> false);
@@ -487,7 +495,7 @@ let maybe_reinit t =
        smashes, probabilistic attacks) never accumulate to a reinit;
        only an uninterrupted run of failing iterations does. *)
     t.failure_base <- f
-  else if f - t.failure_base >= t.config.Config.reinit_threshold then begin
+  else if f - t.failure_base >= reinit_threshold then begin
     t.failure_base <- f;
     reinit t
   end;
@@ -671,7 +679,7 @@ let rec acquire t tries =
 
 let transmit t frame =
   let len = Bytes.length frame in
-  if len > t.config.Config.frame_size then begin
+  if len > Sgx.Params.umem_frame_size then begin
     Obs.Metrics.incr t.tx_frame_drops;
     false
   end
@@ -679,7 +687,7 @@ let transmit t frame =
     reap_completions t;
     Sim.Backoff.reset t.backoff;
     let under_pressure = t.pressure () in
-    let tries = if under_pressure then 1 else 2 * t.config.Config.retry_limit in
+    let tries = if under_pressure then 1 else 2 * Sgx.Params.retry_limit in
     match acquire t tries with
     | None ->
         Obs.Metrics.incr t.tx_frame_drops;
@@ -741,7 +749,7 @@ let failover_reroute t ~resend =
   for idx = Array.length t.tx_inflight - 1 downto 0 do
     let len = t.tx_inflight.(idx) in
     if len >= 0 then
-      frames := (idx * t.config.Config.frame_size, len) :: !frames
+      frames := (idx * Sgx.Params.umem_frame_size, len) :: !frames
   done;
   let rerouted = ref 0 in
   List.iter

@@ -168,8 +168,8 @@ val tx_rekicks : t -> int
 
 val reinits : t -> int
 (** Quarantine-and-reinit episodes: persistent certified-ring failures
-    (≥ [config.reinit_threshold] across consecutive iterations)
-    triggered a ring resync (["<name>.reinits"]). *)
+    (≥ 32 across consecutive iterations) triggered a ring resync
+    (["<name>.reinits"]). *)
 
 val reinit_reclaimed : t -> int
 (** UMem frames pulled home by those reinits

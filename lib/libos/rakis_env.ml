@@ -289,15 +289,13 @@ let create kernel ~sgx ?config () =
   | Error e -> Error e
   | Ok runtime -> (
       let env = { runtime; kernel; fds = Hashtbl.create 32; next_fd = 1000 } in
-      (* Degraded-mode wiring (DESIGN.md §9): give the runtime the
+      (* Failover wiring (DESIGN.md §9): give the runtime the
          exit-based slow paths the circuit breakers fail over to.
          Installed before the first thread so its SyncProxy is born
          with the fallback attached. *)
-      if (R.config runtime).Rakis.Config.degraded then begin
-        let enclave = R.enclave runtime and obs = R.obs runtime in
-        R.set_slow_path runtime (Hostapi.slow_ops ~obs kernel enclave);
-        R.set_udp_slow_path runtime (Hostapi.slow_udp ~obs kernel enclave)
-      end;
+      let enclave = R.enclave runtime and obs = R.obs runtime in
+      R.set_slow_path runtime (Hostapi.slow_ops ~obs kernel enclave);
+      R.set_udp_slow_path runtime (Hostapi.slow_udp ~obs kernel enclave);
       match R.new_thread runtime with
       | Error e -> Error e
       | Ok thread -> Ok (api env (R.syncproxy thread), runtime))

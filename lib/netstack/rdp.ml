@@ -87,11 +87,7 @@ type peer = {
 type t = {
   peers : (key, peer) Hashtbl.t;
   seed : int64;
-  rto_init : int64;
-  rto_min : int64;
-  rto_max : int64;
   max_attempts : int;
-  window : int;
   (* Counters; mirrored into a metrics registry when [obs] was given. *)
   mutable sent : int;
   mutable retransmits : int;
@@ -105,14 +101,20 @@ type t = {
 let counter_names =
   [ "sent"; "retransmit"; "acked"; "giveup"; "dup"; "junk" ]
 
-let create ?obs ?(name = "rdp") ?(seed = 0x52d9L)
-    ?(rto_init = Sim.Cycles.of_us 200.) ?(rto_min = Sim.Cycles.of_us 50.)
-    ?(rto_max = Sim.Cycles.of_ms 2.) ?(max_attempts = 6) ?(window = 64) () =
+(* Retransmit timeout: [rto_init] seeds the estimator before the first
+   RTT sample; estimates are clamped to [[rto_min], [rto_max]]. *)
+let rto_init = Sim.Cycles.of_us 200.
+
+let rto_min = Sim.Cycles.of_us 50.
+
+let rto_max = Sim.Cycles.of_ms 2.
+
+(* Unacked datagrams per peer.  The receiver's dedup window is 64 seqs
+   deep: more in flight and a stale replay could slip past it. *)
+let window = 64
+
+let create ?obs ?(name = "rdp") ?(seed = 0x52d9L) ?(max_attempts = 6) () =
   if max_attempts < 1 then invalid_arg "Rdp.create: max_attempts must be >= 1";
-  if window < 1 || window > 64 then
-    (* The receiver's dedup window is 64 seqs deep: more in flight and
-       a stale replay could slip past it. *)
-    invalid_arg "Rdp.create: window must be within 1..64";
   let metrics =
     match obs with
     | None -> []
@@ -125,11 +127,7 @@ let create ?obs ?(name = "rdp") ?(seed = 0x52d9L)
   {
     peers = Hashtbl.create 8;
     seed;
-    rto_init;
-    rto_min;
-    rto_max;
     max_attempts;
-    window;
     sent = 0;
     retransmits = 0;
     acked = 0;
@@ -165,10 +163,10 @@ let peer_of t k =
 
 let clamp lo hi v = if v < lo then lo else if v > hi then hi else v
 
-let rto t p =
-  if p.srtt = 0L then t.rto_init
+let rto p =
+  if p.srtt = 0L then rto_init
   else
-    clamp t.rto_min t.rto_max
+    clamp rto_min rto_max
       (Int64.add p.srtt (Int64.mul 4L p.rttvar))
 
 (* One (Karn-filtered) RTT sample folds in with the classic gains:
@@ -203,7 +201,7 @@ let send t ~now ~dst payload =
   (* The pending window is a hard bound: rather than grow without
      limit when the peer is gone, the oldest unacked message is
      abandoned — an accounted give-up, exactly like retry exhaustion. *)
-  if Hashtbl.length p.pending >= t.window then begin
+  if Hashtbl.length p.pending >= window then begin
     match p.order with
     | oldest :: _ -> give_up t p oldest
     | [] -> ()
@@ -211,7 +209,7 @@ let send t ~now ~dst payload =
   let seq = p.next_seq in
   p.next_seq <- (p.next_seq + 1) land 0xFFFFFFFF;
   let datagram = encode_data ~seq payload in
-  let rto_now = rto t p in
+  let rto_now = rto p in
   let entry =
     {
       seq;
@@ -223,7 +221,7 @@ let send t ~now ~dst payload =
       backoff =
         Sim.Backoff.create
           ~seed:(Int64.add t.seed (Int64.of_int seq))
-          ~base:rto_now ~cap:t.rto_max ();
+          ~base:rto_now ~cap:rto_max ();
     }
   in
   (* Attempt 1 is the send itself: the first Backoff.next (= base with
@@ -260,7 +258,7 @@ let seen_before p seq =
     let back = p.rx_highest - seq in
     if back > window_bits then true
       (* Older than the window: can only be a stale replay — the sender
-         never has that many datagrams in flight ([window] <= 64). *)
+         never has that many datagrams in flight ([window] = 64). *)
     else
       let bit = Int64.shift_left 1L (back - 1) in
       if Int64.logand p.rx_mask bit <> 0L then true

@@ -27,23 +27,18 @@ val create :
   ?obs:Obs.t ->
   ?name:string ->
   ?seed:int64 ->
-  ?rto_init:int64 ->
-  ?rto_min:int64 ->
-  ?rto_max:int64 ->
   ?max_attempts:int ->
-  ?window:int ->
   unit ->
   t
 (** [obs] registers the counters ([<name>.sent], [.retransmit],
     [.acked], [.giveup], [.dup], [.junk]; [name] defaults to ["rdp"])
-    in the shared registry so run gates can read them.  [rto_init]
-    (200 µs) seeds the estimator before the first sample; RTO is
-    clamped to [[rto_min], [rto_max]] (50 µs, 2 ms).  [max_attempts]
-    (6) bounds total transmissions of one datagram; [window] (64, max
-    64 — the dedup window's depth) bounds unacked datagrams per peer,
-    abandoning the oldest (an accounted give-up) rather than growing.
+    in the shared registry so run gates can read them.  The RTO starts
+    at 200 µs before the first sample and is clamped to [50 µs, 2 ms].
+    [max_attempts] (6) bounds total transmissions of one datagram; at
+    most 64 datagrams (the dedup window's depth) stay unacked per peer,
+    the oldest abandoned (an accounted give-up) rather than growing.
 
-    @raise Invalid_argument on out-of-range [max_attempts]/[window]. *)
+    @raise Invalid_argument if [max_attempts < 1]. *)
 
 val send : t -> now:int64 -> dst:addr -> Bytes.t -> Bytes.t
 (** Wrap [payload] for [dst], register it for retransmission, and

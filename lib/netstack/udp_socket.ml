@@ -7,10 +7,9 @@ type t = {
   mutable drops : int;
 }
 
-let default_capacity = 4096
+let queue_capacity = 4096
 
-let create ?(queue_capacity = default_capacity) ?(clock = fun () -> 0L) ~port
-    () =
+let create ?(clock = fun () -> 0L) ~port () =
   {
     port;
     queue = Sim.Mailbox.create ~capacity:queue_capacity ();

@@ -3,11 +3,11 @@
 
 type t
 
-val create :
-  ?queue_capacity:int -> ?clock:(unit -> int64) -> port:int -> unit -> t
-(** [clock] (default [fun () -> 0L]) stamps each datagram at enqueue so
-    the dequeue path can report its queue sojourn — the overload
-    controller's CoDel signal (DESIGN.md §15). *)
+val create : ?clock:(unit -> int64) -> port:int -> unit -> t
+(** A socket queueing up to 4,096 datagrams.  [clock] (default
+    [fun () -> 0L]) stamps each datagram at enqueue so the dequeue path
+    can report its queue sojourn — the overload controller's CoDel
+    signal (DESIGN.md §15). *)
 
 val port : t -> int
 

@@ -44,6 +44,15 @@ let mm_heartbeat_period = 50_000L
 let watchdog_period = 100_000L
 (* How often the in-enclave watchdog samples the MM heartbeat. *)
 
+let retry_limit = 8
+(* Retries of one transient host failure before an FM gives up with
+   ETIMEDOUT. *)
+
+let backoff_base = 500L
+
+let backoff_cap = 16_000L
+(* First retry backoff (doubling per attempt) and its ceiling. *)
+
 let watchdog_timeout = 150_000L
 (* Heartbeat staleness beyond which the MM counts as dead/hung: three
    missed beats.  Worst-case detection latency is period + timeout. *)
@@ -108,6 +117,10 @@ let default_ring_size = 2048
 let default_umem_size = 16 * 1024 * 1024
 
 let umem_frame_size = 2048
+
+let zc_frames = 32
+
+let zc_frame_size = 16 * 1024
 
 let udp_socket_buffer = 16 * 1024 * 1024
 

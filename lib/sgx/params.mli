@@ -108,6 +108,16 @@ val mm_heartbeat_period : int64
 val watchdog_period : int64
 (** How often the watchdog samples the MM heartbeat: 100,000 cycles. *)
 
+val retry_limit : int
+(** Max retries of one transient host failure before an FM gives up and
+    reports [ETIMEDOUT] (DESIGN.md §8): 8. *)
+
+val backoff_base : int64
+(** First retry backoff, doubling per attempt: 500 cycles. *)
+
+val backoff_cap : int64
+(** Retry backoff ceiling: 16,000 cycles (~6.7 µs). *)
+
 val watchdog_timeout : int64
 (** Heartbeat staleness beyond which the MM counts as dead or hung:
     150,000 cycles (three missed beats).  Worst-case detection latency
@@ -191,6 +201,14 @@ val default_umem_size : int
 val umem_frame_size : int
 (** 2,048 B per UMem frame — one MTU-sized packet per frame, the AF_XDP
     default. *)
+
+val zc_frames : int
+(** Registered frames per io_uring FM zero-copy pool (docs/zerocopy.md):
+    32. *)
+
+val zc_frame_size : int
+(** Bytes per registered zero-copy frame: 16 KiB — large frames amortize
+    per-op costs on streaming sends. *)
 
 val udp_socket_buffer : int
 (** 16 MiB kernel UDP socket buffer (paper §6.1 setup). *)

@@ -13,7 +13,7 @@
 type t
 
 val create : ?seed:int64 -> base:int64 -> cap:int64 -> unit -> t
-(** [base] and [cap] in cycles (e.g. [Rakis.Config.t]'s [backoff_base] /
+(** [base] and [cap] in cycles (e.g. [Sgx.Params.backoff_base] /
     [backoff_cap]).  Raises [Invalid_argument] unless
     [0 < base <= cap]. *)
 

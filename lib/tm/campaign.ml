@@ -1034,7 +1034,8 @@ let soak_crowd_pace = Sim.Cycles.of_us 2.
 let soak_window = Sim.Cycles.of_us 100.
 
 let soak ?(steps = 100_000) ?(queues = 2) ?(seed = 0x50AD5EEDL)
-    ?(slo_p99 = Rakis.Config.default.Rakis.Config.slo_p99) ?(wire = false) () =
+    ?(slo_p99 = 2_400_000L) ?(wire = false) () =
+  if slo_p99 <= 0L then invalid_arg "Campaign.soak: slo_p99 must be positive";
   (* A soak-sized machine: the regular campaign's 32-entry rings and
      64-frame UMem are chosen to make ring-protocol attacks bite in few
      steps, but under a flood that tiny UMem is exhausted by design and
@@ -1049,7 +1050,6 @@ let soak ?(steps = 100_000) ?(queues = 2) ?(seed = 0x50AD5EEDL)
       umem_size = 2048 * 2048;
       num_queues = queues;
       overload = true;
-      slo_p99;
     }
   in
   match Apps.Harness.make Libos.Env.Rakis_sgx ~rakis_config:config () with

@@ -306,8 +306,13 @@ val soak :
     closed-loop recovery for the rest — composed with a rolling
     shard-pinned {!Hostos.Faults.Drop_wakeup} plan and a seeded malice
     soup.  [wire] (default false) additionally installs the canonical
-    lossy-wire weather ({!wire_plan}) for the whole run.
-    Deterministic in [(seed, steps, queues, wire)]. *)
+    lossy-wire weather ({!wire_plan}) for the whole run.  [slo_p99]
+    (default 2,400,000 cycles, 1 ms at 2.4 GHz) is the p99 latency gate
+    for admitted requests.  Deterministic in [(seed, steps, queues,
+    wire)].
+
+    @raise Invalid_argument if [slo_p99] is not positive (before
+    anything boots). *)
 
 val soak_failed : soak_outcome -> bool
 (** The soak's gates: a stall, an unaccounted datagram, a shed control

@@ -751,8 +751,12 @@ let drive ?(config = default_config) ~choices () =
     choices;
   (List.rev !violations, List.rev !trail)
 
-let explore ?(config = default_config) ?(depth = 5) ?(max_states = 250_000)
-    ?(max_violations = 16) () =
+(* Counterexample paths kept before the search stops: the shortest ones,
+   since the search is breadth-first. *)
+let max_violations = 16
+
+let explore ?(config = default_config) ?(depth = 5)
+    ?(max_states = 250_000) () =
   let cfg = config in
   let visited = Visited.create 4096 in
   let frontier = Queue.create () in

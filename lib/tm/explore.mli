@@ -72,12 +72,11 @@ val explore :
   ?config:config ->
   ?depth:int ->
   ?max_states:int ->
-  ?max_violations:int ->
   unit ->
   report
 (** Breadth-first search to [depth] transitions (default 5), stopping
     early after [max_states] distinct states (default 250_000) or once
-    [max_violations] (default 16) counterexample paths are found — the
+    16 counterexample paths are found — the
     shortest ones, since the search is breadth-first.  Deterministic:
     no randomness anywhere in the machine. *)
 

@@ -17,7 +17,8 @@ type 'a result = {
 let remove_slice l start len =
   List.filteri (fun i _ -> i < start || i >= start + len) l
 
-let minimize ?(max_tests = 10_000) ~fails trace =
+let minimize ~fails trace =
+  let max_tests = 10_000 in
   let tests = ref 0 in
   let try_fails c =
     incr tests;
@@ -91,7 +92,8 @@ let ddmin ~try_fails l =
     in
     shrink (max 1 (List.length l / 2)) l
 
-let minimize2 ?(max_tests = 20_000) ~fails trace plan =
+let minimize2 ~fails trace plan =
+  let max_tests = 20_000 in
   let tests = ref 0 in
   let try2 a b =
     incr tests;
@@ -125,7 +127,8 @@ let minimize2 ?(max_tests = 20_000) ~fails trace plan =
    not.  [simplify] proposes a simpler variant per element and keeps
    each replacement that still fails, to fixpoint. *)
 
-let simplify ?(max_tests = 1_000) ~fails ~simpler l =
+let simplify ~fails ~simpler l =
+  let max_tests = 1_000 in
   let tests = ref 0 in
   let try_fails c =
     incr tests;

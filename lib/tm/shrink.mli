@@ -13,12 +13,11 @@ type 'a result = {
   tests : int;  (** predicate evaluations spent *)
 }
 
-val minimize :
-  ?max_tests:int -> fails:('a list -> bool) -> 'a list -> 'a result
+val minimize : fails:('a list -> bool) -> 'a list -> 'a result
 (** [minimize ~fails trace] assumes [fails trace = true] (if not, the
     input is returned unchanged).  [fails] must be deterministic —
-    replay any seeded RNG from scratch on every call.  At most
-    [max_tests] (default 10000) predicate evaluations are spent; on
+    replay any seeded RNG from scratch on every call.  At most 10,000
+    predicate evaluations are spent; on
     exhaustion the best trace found so far is returned (still
     failing). *)
 
@@ -33,7 +32,6 @@ type ('a, 'b) result2 = {
 }
 
 val minimize2 :
-  ?max_tests:int ->
   fails:('a list -> 'b list -> bool) ->
   'a list ->
   'b list ->
@@ -42,10 +40,9 @@ val minimize2 :
     the companion list until neither shrinks.  Unlike {!minimize},
     either side may shrink to empty — a failure reproducible with no
     faults at all drops the whole plan.  [fails] must be deterministic;
-    at most [max_tests] (default 20000) evaluations are spent. *)
+    at most 20,000 evaluations are spent. *)
 
 val simplify :
-  ?max_tests:int ->
   fails:('a list -> bool) ->
   simpler:('a -> 'a option) ->
   'a list ->
@@ -53,4 +50,5 @@ val simplify :
 (** Element-wise simplification to fixpoint: for each element, propose
     a simpler variant ([simpler], e.g. dropping a fault arming's shard
     pin) and keep the replacement when the list still fails.  Returns
-    the simplified list and the predicate evaluations spent. *)
+    the simplified list and the predicate evaluations spent (at most
+    1,000). *)

@@ -516,6 +516,16 @@ let test_shrink_keeps_needed_pin () =
   | [ e ] -> check_bool "pin kept" true (e.F.shard = Some 1)
   | _ -> Alcotest.fail "expected a single surviving entry"
 
+(* A non-positive p99 SLO is refused with [Invalid_argument] before the
+   soak boots anything. *)
+let test_soak_rejects_non_positive_slo () =
+  List.iter
+    (fun slo_p99 ->
+      match Tm.Campaign.soak ~steps:10 ~slo_p99 () with
+      | _ -> Alcotest.failf "slo_p99=%Ld accepted" slo_p99
+      | exception Invalid_argument _ -> ())
+    [ 0L; -1L ]
+
 let suite =
   [
     Alcotest.test_case "malice: per-attack fired counts" `Quick
@@ -579,4 +589,6 @@ let suite =
       test_shrink_drops_shard_pin;
     Alcotest.test_case "shrink: essential shard pin kept" `Quick
       test_shrink_keeps_needed_pin;
+    Alcotest.test_case "soak: non-positive slo_p99 rejected" `Quick
+      test_soak_rejects_non_positive_slo;
   ]

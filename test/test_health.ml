@@ -246,15 +246,33 @@ let test_breaker_out_of_band_counters () =
   (* Out-of-band counters never move the state machine. *)
   check_bool "still closed" false (H.degraded b)
 
-let test_breaker_of_config () =
+(* A breaker built with no tuning arguments carries the runtime's
+   defaults: it opens after 3 consecutive failures, goes half-open
+   400,000 cycles later and closes after 4 probe successes. *)
+let test_breaker_defaults () =
   let now = ref 0L in
-  let b = H.of_config ~name:"cfg" ~clock:(fun () -> !now) Rakis.Config.default in
+  let b = H.create ~name:"dflt" ~clock:(fun () -> !now) () in
   check_bool "closed at boot" true (H.state b = H.Closed);
-  Alcotest.(check string) "named" "cfg" (H.name b);
-  for _ = 1 to Rakis.Config.default.Rakis.Config.breaker_threshold do
-    H.record_failure b
+  Alcotest.(check string) "named" "dflt" (H.name b);
+  H.record_failure b;
+  H.record_failure b;
+  check_bool "2 failures stay closed" true (H.state b = H.Closed);
+  H.record_failure b;
+  check_bool "3 failures open" true (H.state b = H.Open);
+  now := 399_999L;
+  check_bool "slow before the cooldown" true (H.allow b = H.Slow);
+  now := 400_000L;
+  check_bool "probe at the cooldown" true (H.allow b = H.Probe);
+  for i = 1 to 3 do
+    H.record_success b;
+    check_bool
+      (Printf.sprintf "%d probe successes stay half-open" i)
+      true
+      (H.state b = H.Half_open);
+    check_bool "next probe admitted" true (H.allow b = H.Probe)
   done;
-  check_bool "config threshold applies" true (H.state b = H.Open)
+  H.record_success b;
+  check_bool "4 probe successes close" true (H.state b = H.Closed)
 
 (* {1 End-to-end failover (full SGX harness + fault injector)} *)
 
@@ -556,7 +574,7 @@ let suite =
     test_half_open_hook_property;
     Alcotest.test_case "breaker: out-of-band counters" `Quick
       test_breaker_out_of_band_counters;
-    Alcotest.test_case "breaker: of_config" `Quick test_breaker_of_config;
+    Alcotest.test_case "breaker: defaults" `Quick test_breaker_defaults;
     Alcotest.test_case "e2e: xsk persistent fault, zero loss" `Quick
       test_xsk_persistent_fault_zero_loss;
     Alcotest.test_case "e2e: xsk failback after burst" `Quick

@@ -323,6 +323,30 @@ let test_boot_validates_config () =
   | Error _ -> ()
   | Ok _ -> Alcotest.fail "non-pow2 ring accepted"
 
+(* One bad value per [Config.validate] rule; the default passes. *)
+let test_config_validate_rules () =
+  let d = Rakis.Config.default in
+  let frame = Sgx.Params.umem_frame_size in
+  (match Rakis.Config.validate d with
+  | Ok () -> ()
+  | Error e -> Alcotest.failf "default rejected: %s" e);
+  List.iter
+    (fun (what, cfg) ->
+      match Rakis.Config.validate cfg with
+      | Error _ -> ()
+      | Ok () -> Alcotest.failf "%s accepted" what)
+    [
+      ("num_xsks = 0", { d with num_xsks = 0 });
+      ("num_queues = 0", { d with num_queues = 0 });
+      ("ring_size = 100", { d with ring_size = 100 });
+      ("uring_entries = 100", { d with uring_entries = 100 });
+      ("umem_size not whole frames", { d with umem_size = d.umem_size + 1 });
+      ( "umem below 2 * ring_size frames",
+        { d with umem_size = ((2 * d.ring_size) - 1) * frame } );
+      ("max_io_size = 0", { d with max_io_size = 0 });
+      ("max_pending = 0", { d with max_pending = 0 });
+    ]
+
 let test_iouring_fm_rejects_trusted_bounce () =
   let engine = Sim.Engine.create () in
   let kernel = Hostos.Kernel.create engine () in
@@ -1214,4 +1238,6 @@ let suite =
   @ [
       ("sqpoll: io_uring without MM wakeups", `Quick,
        test_sqpoll_no_wakeup_syscalls);
+      ("config: validate rejects one bad value per rule", `Quick,
+       test_config_validate_rules);
     ]

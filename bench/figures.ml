@@ -198,9 +198,19 @@ let table2 () =
      SEND_ZC workload instead of the UDP/file mix above. *)
   let run_notif_attack attack =
     let o =
-      Tm.Campaign.run ~datapath:Tm.Campaign.Iouring ~seed:5L ~budget:40
-        ~zerocopy:true
-        [ Tm.Campaign.During { first = 2; last = 38; probability = 0.3; attack } ]
+      Tm.Campaign.run
+        {
+          Tm.Campaign.defaults with
+          datapath = Tm.Campaign.Iouring;
+          seed = 5L;
+          budget = 40;
+          zerocopy = true;
+          schedule =
+            [
+              Tm.Campaign.During
+                { first = 2; last = 38; probability = 0.3; attack };
+            ];
+        }
     in
     let fired =
       try List.assoc attack o.Tm.Campaign.fired with Not_found -> 0

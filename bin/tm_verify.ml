@@ -12,10 +12,11 @@
      pairwise / soup attack schedules on both datapaths, and a
      shrinker demonstration.  --budget bounds the total end-to-end
      workload steps (CI smoke uses --budget 2000);
-   - --replay '<datapath>:<seed>:<budget>:<schedule>[:<faults>][:q<n>][:zc]':
-     replay one campaign outcome from its copy-pasteable repro token
-     (5-segment tokens re-run the embedded fault plan bit-for-bit; a
-     trailing "zc" segment boots the zero-copy datapath);
+   - --replay TOKEN: replay one campaign run or soak from the repro
+     token it printed — '<kind>:<key>=<value>:...' with kind xsk,
+     io_uring or soak, keys seed, budget (soak: steps), attacks, faults,
+     q and slo, and bare flags zc, ov and wire (docs/cli.md).  The
+     replay prints the same outcome and verdict as the original run;
    - --faults '<plan>' (with --campaign): additionally run each
      datapath under that host-fault plan alone and composed with an
      attack soup — the Faults.plan syntax of docs/cli.md
@@ -25,19 +26,18 @@
      machine with Config.overload, gated on zero unaccounted
      datagrams, zero control sheds, the p99 SLO and goodput recovery.
      --soak-steps / --queues / --seed / --slo-p99 parameterize it
-     (CI smoke uses --soak-steps 12000);
+     (CI smoke uses --soak-steps 12000); a --seed that is not an
+     integer exits 2;
    - --wire (with --campaign or --soak): compose the canonical
      lossy-wire plan (5% drop/reorder/dup, 1% truncation — DESIGN.md
      §16) onto the run; campaign repro tokens and the soak token gain
-     a trailing ":wire" segment. *)
+     the "wire" flag. *)
 
 let total_fired o =
   List.fold_left (fun acc (_, n) -> acc + n) 0 o.Tm.Campaign.fired
 
 let total_injected o =
   List.fold_left (fun acc (_, n) -> acc + n) 0 o.Tm.Campaign.injected
-
-let dp_name = function Tm.Campaign.Xsk -> "xsk" | Tm.Campaign.Iouring -> "io_uring"
 
 let campaign ~budget ~faults_plan ~queues ~wire =
   Format.printf
@@ -73,6 +73,16 @@ let campaign ~budget ~faults_plan ~queues ~wire =
     + if wire then 2 else 0
   in
   let per_run = max 16 (budget / runs) in
+  let spec datapath seed schedule =
+    {
+      Tm.Campaign.defaults with
+      datapath;
+      seed;
+      budget = per_run;
+      queues;
+      schedule;
+    }
+  in
   let summarize o =
     if Tm.Campaign.failed o then begin
       incr failures;
@@ -83,12 +93,14 @@ let campaign ~budget ~faults_plan ~queues ~wire =
   List.iter
     (fun (dp, zerocopy, attack) ->
       let o =
-        Tm.Campaign.run ~datapath:dp ~seed:21L ~budget:per_run ~queues
-          ~zerocopy
-          [ Tm.Campaign.At { step = per_run / 4; attack } ]
+        Tm.Campaign.run
+          {
+            (spec dp 21L [ Tm.Campaign.At { step = per_run / 4; attack } ]) with
+            zerocopy;
+          }
       in
       Format.printf "single %-9s %-20s ok=%d refused=%d lost=%d fired=%d %s@."
-        (if zerocopy then dp_name dp ^ "+zc" else dp_name dp)
+        (Tm.Campaign.datapath_name dp ^ if zerocopy then "+zc" else "")
         (Hostos.Malice.attack_name attack)
         o.Tm.Campaign.ok o.Tm.Campaign.refused o.Tm.Campaign.lost
         (total_fired o)
@@ -101,11 +113,12 @@ let campaign ~budget ~faults_plan ~queues ~wire =
       List.iter
         (fun (a, b) ->
           let o =
-            Tm.Campaign.run ~datapath:dp ~seed:31L ~budget:per_run ~queues
-              [
-                Tm.Campaign.At { step = per_run / 4; attack = a };
-                Tm.Campaign.At { step = per_run / 2; attack = b };
-              ]
+            Tm.Campaign.run
+              (spec dp 31L
+                 [
+                   Tm.Campaign.At { step = per_run / 4; attack = a };
+                   Tm.Campaign.At { step = per_run / 2; attack = b };
+                 ])
           in
           summarize o)
         (Tm.Campaign.pairs
@@ -123,13 +136,10 @@ let campaign ~budget ~faults_plan ~queues ~wire =
       let schedule =
         Tm.Campaign.soup ~datapath:dp ~zerocopy ~seed:41L ~budget:per_run ()
       in
-      let o =
-        Tm.Campaign.run ~datapath:dp ~seed:41L ~budget:per_run ~queues
-          ~zerocopy schedule
-      in
+      let o = Tm.Campaign.run { (spec dp 41L schedule) with zerocopy } in
       Format.printf
         "soup   %-9s entries=%d ok=%d refused=%d lost=%d fired=%d %s@."
-        (if zerocopy then dp_name dp ^ "+zc" else dp_name dp)
+        (Tm.Campaign.datapath_name dp ^ if zerocopy then "+zc" else "")
         (List.length schedule) o.Tm.Campaign.ok o.Tm.Campaign.refused
         o.Tm.Campaign.lost (total_fired o)
         (if Tm.Campaign.failed o then "FAIL" else "ok");
@@ -142,21 +152,20 @@ let campaign ~budget ~faults_plan ~queues ~wire =
      never engaged means the degraded-mode machinery is wired out. *)
   List.iter
     (fun dp ->
-      let plan = Tm.Campaign.failover_plan ~datapath:dp ~budget:per_run in
-      let o =
-        Tm.Campaign.run ~datapath:dp ~seed:81L ~budget:per_run ~queues ~faults:plan []
-      in
+      let faults = Tm.Campaign.failover_plan ~datapath:dp ~budget:per_run in
+      let o = Tm.Campaign.run { (spec dp 81L []) with faults } in
       Format.printf
         "failover %-9s opens=%d failovers=%d closes=%d slow=%d \
          watchdog=%d scans=%d %s@."
-        (dp_name dp) o.Tm.Campaign.breaker_opens
+        (Tm.Campaign.datapath_name dp) o.Tm.Campaign.breaker_opens
         o.Tm.Campaign.breaker_failovers o.Tm.Campaign.breaker_closes
         o.Tm.Campaign.slow_calls o.Tm.Campaign.watchdog_restarts
         o.Tm.Campaign.degraded_scans
         (if Tm.Campaign.failed o then "FAIL" else "ok");
       if o.Tm.Campaign.breaker_opens = 0 then begin
         incr failures;
-        Format.printf "failover %s: breaker never opened@." (dp_name dp)
+        Format.printf "failover %s: breaker never opened@."
+          (Tm.Campaign.datapath_name dp)
       end;
       summarize o)
     datapaths;
@@ -166,12 +175,12 @@ let campaign ~budget ~faults_plan ~queues ~wire =
     List.iter
       (fun dp ->
         let o =
-          Tm.Campaign.run ~datapath:dp ~seed:61L ~budget:per_run ~queues
-            ~faults:faults_plan []
+          Tm.Campaign.run { (spec dp 61L []) with faults = faults_plan }
         in
         Format.printf
           "faults %-9s injected=%d ok=%d refused=%d lost=%d %s@."
-          (dp_name dp) (total_injected o) o.Tm.Campaign.ok
+          (Tm.Campaign.datapath_name dp)
+          (total_injected o) o.Tm.Campaign.ok
           o.Tm.Campaign.refused o.Tm.Campaign.lost
           (if Tm.Campaign.failed o then "FAIL" else "ok");
         summarize o;
@@ -179,13 +188,12 @@ let campaign ~budget ~faults_plan ~queues ~wire =
           Tm.Campaign.soup ~datapath:dp ~seed:71L ~budget:per_run ()
         in
         let o =
-          Tm.Campaign.run ~datapath:dp ~seed:71L ~budget:per_run ~queues
-            ~faults:faults_plan schedule
+          Tm.Campaign.run { (spec dp 71L schedule) with faults = faults_plan }
         in
         Format.printf
           "faults+soup %-9s entries=%d injected=%d ok=%d refused=%d \
            lost=%d fired=%d %s@."
-          (dp_name dp)
+          (Tm.Campaign.datapath_name dp)
           (List.length schedule) (total_injected o) o.Tm.Campaign.ok
           o.Tm.Campaign.refused o.Tm.Campaign.lost (total_fired o)
           (if Tm.Campaign.failed o then "FAIL" else "ok");
@@ -196,8 +204,8 @@ let campaign ~budget ~faults_plan ~queues ~wire =
      wire faults live on the NIC link, which only XSK traffic rides),
      alone and composed with an attack soup.  Loss is availability
      weather: the run must stay violation-free, the injector must have
-     actually fired, and the repro token must carry the ":wire"
-     segment so the weather replays. *)
+     actually fired, and the repro token must parse back with the
+     "wire" flag set so the weather replays. *)
   if wire then begin
     let check_wire label o =
       Format.printf "%s %-9s ok=%d refused=%d lost=%d injected=%d %s@." label
@@ -208,28 +216,28 @@ let campaign ~budget ~faults_plan ~queues ~wire =
         incr failures;
         Format.printf "%s: the lossy-wire plan never injected a fault@." label
       end;
-      if not (Filename.check_suffix (Tm.Campaign.repro o) ":wire") then begin
-        incr failures;
-        Format.printf "%s: repro token %S lacks the :wire segment@." label
-          (Tm.Campaign.repro o)
-      end;
+      (match Tm.Campaign.parse_repro (Tm.Campaign.repro o) with
+      | Ok { Tm.Campaign.wire = true; _ } -> ()
+      | _ ->
+          incr failures;
+          Format.printf "%s: repro token %S does not replay the wire@." label
+            (Tm.Campaign.repro o));
       summarize o
     in
     check_wire "wire  "
-      (Tm.Campaign.run ~datapath:Tm.Campaign.Xsk ~seed:101L ~budget:per_run
-         ~queues ~wire:true []);
+      (Tm.Campaign.run { (spec Tm.Campaign.Xsk 101L []) with wire = true });
     let schedule =
       Tm.Campaign.soup ~datapath:Tm.Campaign.Xsk ~seed:103L ~budget:per_run ()
     in
     check_wire "wire+soup"
-      (Tm.Campaign.run ~datapath:Tm.Campaign.Xsk ~seed:103L ~budget:per_run
-         ~queues ~wire:true schedule)
+      (Tm.Campaign.run
+         { (spec Tm.Campaign.Xsk 103L schedule) with wire = true })
   end;
   (* Shard containment (DESIGN.md §10): a persistent wakeup-drop pinned
      to shard 1 may only ever open shard 1's breaker — breaker activity
      on any other shard means the blast radius leaked across shards. *)
   if queues > 1 then begin
-    let plan =
+    let faults =
       [
         {
           Hostos.Faults.fault = Hostos.Faults.Drop_wakeup;
@@ -238,10 +246,7 @@ let campaign ~budget ~faults_plan ~queues ~wire =
         };
       ]
     in
-    let o =
-      Tm.Campaign.run ~datapath:Tm.Campaign.Xsk ~seed:91L ~budget:per_run
-        ~queues ~faults:plan []
-    in
+    let o = Tm.Campaign.run { (spec Tm.Campaign.Xsk 91L []) with faults } in
     let leaked =
       List.exists
         (fun (k, opens) -> k <> 1 && opens > 0)
@@ -279,13 +284,9 @@ let campaign ~budget ~faults_plan ~queues ~wire =
   end
   else Format.printf "@.campaign passed@."
 
-let soak ~steps ~queues ~seed ~slo_p99 ~wire =
-  Format.printf
-    "RAKIS Testing Module: overload chaos soak (steps %d, queues %d%s)@.@."
-    steps queues
-    (if wire then ", lossy wire" else "");
+let soak spec =
   let o =
-    try Tm.Campaign.soak ~steps ~queues ~seed ?slo_p99 ~wire ()
+    try Tm.Campaign.soak spec
     with Invalid_argument e ->
       Format.eprintf "tm_verify --soak: %s@." e;
       exit 2
@@ -298,11 +299,13 @@ let soak ~steps ~queues ~seed ~slo_p99 ~wire =
   else Format.printf "@.soak passed@."
 
 let replay token =
-  match Tm.Campaign.run_repro token with
+  match Tm.Campaign.token_of_string token with
   | Error e ->
       Format.eprintf "bad repro token: %s@." e;
       exit 2
-  | Ok o ->
+  | Ok (Tm.Campaign.Soak spec) -> soak spec
+  | Ok (Tm.Campaign.Campaign spec) ->
+      let o = Tm.Campaign.run spec in
       Format.printf "%a@." Tm.Campaign.pp_outcome o;
       if Tm.Campaign.failed o then exit 1
 
@@ -368,9 +371,9 @@ let () =
   and max_states = ref 250_000
   and mutant = ref ""
   and token = ref ""
-  and soak_steps = ref 100_000
-  and seed = ref 0x50AD5EEDL
-  and slo_p99 = ref None
+  and soak_steps = ref Tm.Campaign.soak_defaults.steps
+  and seed = ref Tm.Campaign.soak_defaults.seed
+  and slo_p99 = ref Tm.Campaign.soak_defaults.slo_p99
   and wire = ref false in
   let spec =
     [
@@ -394,7 +397,7 @@ let () =
           (fun s ->
             mode := `Replay;
             token := s),
-        "replay one campaign repro token" );
+        "replay one campaign or soak repro token" );
       ( "--depth",
         Arg.Set_int depth,
         "transition-sequence bound for the exploration (default 5)" );
@@ -415,16 +418,23 @@ let () =
         Arg.Set_int soak_steps,
         "datagram steps for --soak (default 100000)" );
       ( "--seed",
-        Arg.String (fun s -> seed := Int64.of_string s),
+        Arg.String
+          (fun s ->
+            match Int64.of_string_opt s with
+            | Some n -> seed := n
+            | None ->
+                raise
+                  (Arg.Bad (Printf.sprintf "--seed: %S is not an integer" s))),
         "seed for --soak (default 0x50AD5EED)" );
       ( "--slo-p99",
-        Arg.Int (fun n -> slo_p99 := Some (Int64.of_int n)),
+        Arg.Int (fun n -> slo_p99 := Int64.of_int n),
         "p99 SLO for --soak in cycles (default 2400000, 1 ms at 2.4 GHz)" );
       ( "--wire",
         Arg.Set wire,
         "compose the canonical lossy-wire plan (5% drop/reorder/dup, 1% \
          trunc) onto --campaign (extra XSK wire-weather runs) or --soak \
-         (the whole soak rides the hostile wire; token gains ':wire')" );
+         (the whole soak rides the hostile wire); tokens gain the 'wire' \
+         flag" );
       ( "--mutant",
         Arg.Set_string mutant,
         "run the exploration against a known-bad driver mutation and \
@@ -448,8 +458,18 @@ let () =
   | `Replay -> replay !token
   | `Soak ->
       let queues = if !queues < 2 then 2 else !queues in
-      soak ~steps:!soak_steps ~queues ~seed:!seed
-        ~slo_p99:!slo_p99 ~wire:!wire
+      Format.printf
+        "RAKIS Testing Module: overload chaos soak (steps %d, queues %d%s)@.@."
+        !soak_steps queues
+        (if !wire then ", lossy wire" else "");
+      soak
+        {
+          Tm.Campaign.seed = !seed;
+          steps = !soak_steps;
+          queues;
+          slo_p99 = !slo_p99;
+          wire = !wire;
+        }
   | `Explore ->
       explore ~depth:!depth ~queues:!queues ~min_states:!min_states
         ~max_states:!max_states ~mutant:!mutant

@@ -284,8 +284,6 @@ let control_admitted t = Obs.Metrics.value t.admitted_control
 
 let deadline_shed t = Obs.Metrics.value t.shed_deadline
 
-let sojourn_histogram t = t.sojourn_hist
-
 type observation = {
   ob_shedding : bool;
   ob_saturated : bool;

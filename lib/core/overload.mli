@@ -107,8 +107,6 @@ val control_admitted : t -> int
 
 val deadline_shed : t -> int
 
-val sojourn_histogram : t -> Obs.Metrics.histogram
-
 (** {1 Pure observation (golden traces / conformance)} *)
 
 type observation = {

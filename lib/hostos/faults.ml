@@ -246,20 +246,63 @@ let install_plan t plan =
       | Persistent -> arm_persistent t ?shard fault)
     plan
 
+(* The shortest decimal that reads back as the very same float, so a
+   printed plan replays bit-for-bit whatever probability it carries. *)
+let float_to_string p =
+  let s = Printf.sprintf "%.15g" p in
+  if float_of_string s = p then s
+  else
+    let s = Printf.sprintf "%.16g" p in
+    if float_of_string s = p then s else Printf.sprintf "%.17g" p
+
+let trigger_to_string = function
+  | Probability p -> "@" ^ float_to_string p
+  | Once p when p >= 1.0 -> "once"
+  | Once p -> "once@" ^ float_to_string p
+  | At_step n -> string_of_int n
+  | Burst { first_step; last_step; probability } ->
+      Printf.sprintf "%d..%d@%s" first_step last_step
+        (float_to_string probability)
+  | Persistent -> "persist"
+
+let trigger_of_string s =
+  let bad what = Error (Printf.sprintf "bad %s %S" what s) in
+  let prob p mk =
+    match float_of_string_opt p with
+    | Some p -> Ok (mk p)
+    | None -> bad "probability"
+  in
+  match String.index_opt s '@' with
+  | None -> (
+      match s with
+      | "once" -> Ok (Once 1.0)
+      | "persist" -> Ok Persistent
+      | _ -> (
+          match int_of_string_opt s with
+          | Some n -> Ok (At_step n)
+          | None -> bad "trigger"))
+  | Some at -> (
+      let p = String.sub s (at + 1) (String.length s - at - 1) in
+      match String.sub s 0 at with
+      | "" -> prob p (fun p -> Probability p)
+      | "once" -> prob p (fun p -> Once p)
+      | lhs -> (
+          match String.split_on_char '.' lhs with
+          | [ a; ""; b ] -> (
+              match (int_of_string_opt a, int_of_string_opt b) with
+              | Some first_step, Some last_step ->
+                  prob p (fun probability ->
+                      Burst { first_step; last_step; probability })
+              | _ -> bad "window")
+          | _ -> bad "window"))
+
 let entry_to_string { fault; when_; shard } =
   let name =
     match shard with
     | None -> fault_name fault
     | Some k -> Printf.sprintf "%s#%d" (fault_name fault) k
   in
-  match when_ with
-  | Probability p -> Printf.sprintf "@%g=%s" p name
-  | Once p when p >= 1.0 -> Printf.sprintf "once=%s" name
-  | Once p -> Printf.sprintf "once@%g=%s" p name
-  | At_step n -> Printf.sprintf "%d=%s" n name
-  | Burst { first_step; last_step; probability } ->
-      Printf.sprintf "%d..%d@%g=%s" first_step last_step probability name
-  | Persistent -> Printf.sprintf "persist=%s" name
+  trigger_to_string when_ ^ "=" ^ name
 
 let plan_to_string plan = String.concat ";" (List.map entry_to_string plan)
 
@@ -285,40 +328,12 @@ let parse_entry s =
       match name with
       | Error e -> Error e
       | Ok name -> (
-      match fault_of_string name with
-      | None -> Error (Printf.sprintf "unknown fault %S" name)
-      | Some fault -> (
-          let entry when_ = Ok { fault; when_; shard } in
-          if where = "once" then entry (Once 1.0)
-          else if where = "persist" then entry Persistent
-          else if String.length where > 5 && String.sub where 0 5 = "once@" then
-            match
-              float_of_string_opt
-                (String.sub where 5 (String.length where - 5))
-            with
-            | Some p -> entry (Once p)
-            | None -> Error (Printf.sprintf "bad once probability %S" where)
-          else if String.length where > 0 && where.[0] = '@' then
-            match
-              float_of_string_opt
-                (String.sub where 1 (String.length where - 1))
-            with
-            | Some p -> entry (Probability p)
-            | None -> Error (Printf.sprintf "bad probability %S" where)
-          else
-            match String.index_opt where '.' with
-            | None -> (
-                match int_of_string_opt where with
-                | Some step -> entry (At_step step)
-                | None -> Error (Printf.sprintf "bad fault step %S" where))
-            | Some _ -> (
-                match
-                  Scanf.sscanf_opt where "%d..%d@%g" (fun first last p ->
-                      (first, last, p))
-                with
-                | Some (first_step, last_step, probability) ->
-                    entry (Burst { first_step; last_step; probability })
-                | None -> Error (Printf.sprintf "bad fault window %S" where)))))
+          match fault_of_string name with
+          | None -> Error (Printf.sprintf "unknown fault %S" name)
+          | Some fault ->
+              Result.map
+                (fun when_ -> { fault; when_; shard })
+                (trigger_of_string where)))
 
 let plan_of_string s =
   if String.trim s = "" then Ok []

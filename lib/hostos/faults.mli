@@ -161,6 +161,15 @@ val pp_fault : Format.formatter -> fault -> unit
     A ["#k"] suffix on the fault name (e.g. ["persist=drop-wakeup#1"])
     pins the entry to datapath shard [k]. *)
 
+val trigger_to_string : trigger -> string
+(** The part of an entry left of its [=]: ["@P"], ["once"], ["once@P"],
+    ["STEP"], ["A..B@P"] or ["persist"].  [P] is the shortest decimal
+    that reads back as the same float, so a printed plan replays
+    bit-for-bit.  Campaign attack schedules share this grammar. *)
+
+val trigger_of_string : string -> (trigger, string) result
+(** Inverse of {!trigger_to_string}; never raises. *)
+
 type plan_entry = { fault : fault; when_ : trigger; shard : int option }
 
 type plan = plan_entry list

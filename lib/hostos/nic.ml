@@ -38,10 +38,6 @@ let rx_packets t = Sim.Stats.count t.rx
 
 let tx_packets t = Sim.Stats.count t.tx
 
-let rx_pending t = Array.map Sim.Mailbox.length t.rx_queues
-
-let tx_pending t = Sim.Mailbox.length t.tx_queue
-
 let drops t = Sim.Stats.count t.drops
 
 (* Hardware RSS: the symmetric Toeplitz flow hash pins each UDP flow to

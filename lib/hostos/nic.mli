@@ -71,14 +71,6 @@ val udp_rx_per_queue : t -> int array
 
 val tx_packets : t -> int
 
-val rx_pending : t -> int array
-(** Frames sitting in each receive-queue mailbox right now — the
-    host-side rx backlog ahead of the XDP program (snapshot copy).
-    Overload tests use it to show where a flood actually queues. *)
-
-val tx_pending : t -> int
-(** Frames awaiting wire serialization in the transmit queue. *)
-
 val drops : t -> int
 
 val set_shards : t -> int -> unit

@@ -12,8 +12,8 @@
      SyncProxy / io_uring FM.
 
    Everything is seeded, so any outcome — in particular any violation —
-   replays exactly from its [(seed, schedule)] pair; {!repro} prints the
-   pair as a copy-pasteable string and {!run_repro} replays it.
+   replays exactly from its {!spec}; {!repro} prints the spec as a
+   copy-pasteable token and {!run_repro} replays it.
 
    What counts as a violation is exactly the paper's Table 2 contract:
    the enclave must never act on corrupted control data (wrong payload
@@ -39,12 +39,56 @@ type schedule = entry list
 
 type violation = { at_step : int; what : string }
 
-type outcome = {
+(* Everything that identifies a campaign run: the machine it boots and
+   the weather it runs under.  [wire] composes {!wire_plan} on top of
+   [faults]. *)
+type spec = {
   datapath : datapath;
   seed : int64;
   budget : int;
-  queues : int;  (* datapath shards the machine booted with *)
+  queues : int;  (* datapath shards the machine boots with *)
   schedule : schedule;
+  faults : Hostos.Faults.plan;
+  zerocopy : bool;
+  overload : bool;
+  wire : bool;
+}
+
+let defaults =
+  {
+    datapath = Xsk;
+    seed = 0L;
+    budget = 64;
+    queues = 1;
+    schedule = [];
+    faults = [];
+    zerocopy = false;
+    overload = false;
+    wire = false;
+  }
+
+(* Everything that identifies a chaos soak (DESIGN.md §15). *)
+type soak_spec = {
+  seed : int64;
+  steps : int;
+  queues : int;
+  slo_p99 : int64;
+  wire : bool;
+}
+
+let soak_defaults =
+  {
+    seed = 0x50AD5EEDL;
+    steps = 100_000;
+    queues = 2;
+    slo_p99 = 2_400_000L;
+    wire = false;
+  }
+
+type token = Campaign of spec | Soak of soak_spec
+
+type outcome = {
+  spec : spec;
   steps_run : int;
   ok : int;  (* operations that completed and verified against the model *)
   late_ok : int;  (* verified operations in the last quarter (recovery) *)
@@ -52,7 +96,6 @@ type outcome = {
   lost : int;  (* timeouts / drops: availability, not integrity *)
   tolerated : int;  (* payload mismatches while Corrupt_packet was live *)
   fired : (Hostos.Malice.attack * int) list;
-  fault_plan : Hostos.Faults.plan;
   injected : (Hostos.Faults.fault * int) list;
   ring_rejects : int;
   desc_rejects : int;
@@ -64,19 +107,14 @@ type outcome = {
   breaker_closes : int;
   shard_opens : int list;  (* per-shard XSK breaker trips, shard order *)
   slow_calls : int;  (* ops completed via the exit-based slow path *)
-  zerocopy : bool;  (* machine booted with the zero-copy datapath *)
   zc_sends : int;  (* SEND_ZC frames lent to the kernel *)
   zc_fallbacks : int;  (* zc ops degraded to the copy path *)
   zc_notif_rejects : int;  (* forged-early + stray/duplicate notifs refused *)
   zc_leaks : int;  (* frames the host held hostage by withholding notifs *)
-  overload : bool;  (* machine booted with overload control (§15) *)
   ov_admitted : int;  (* admissions across every overload controller *)
   ov_shed : int;  (* accounted data-class sheds *)
   ov_control_shed : int;  (* must stay 0: Control is never shed *)
   ov_edge_drops : int;  (* NIC-edge drops while fill was throttled *)
-  wire : bool;
-      (* the canonical lossy-wire plan ({!wire_plan}) was composed on
-         top of [fault_plan]; token segment [":wire"] *)
   violations : violation list;
   trace_tail : string list;
       (* rendered tail of the runtime's trace ring, captured only on
@@ -435,178 +473,135 @@ let wire_plan =
     p Hostos.Faults.Wire_trunc 0.01;
   ]
 
-let run ~datapath ~seed ?(budget = 64) ?(queues = 1) ?(faults = [])
-    ?(zerocopy = false) ?(overload = false) ?(wire = false) schedule =
-  match
-    Apps.Harness.make Libos.Env.Rakis_sgx
-      ~rakis_config:
-        { campaign_config with num_queues = queues; zerocopy; overload }
-      ()
-  with
+(* One boot for campaigns and soaks: the harness, then Malice, then —
+   for a non-empty plan — the fault injector and the enclave watchdog,
+   in that order so the shared registry lists them the same way every
+   run.  Malice and the injector share the runtime's registry/trace, so
+   reports and the live [malice.*]/[faults.*] metrics read the same
+   counters.  The injector rides the same seed, xored so its RNG stream
+   never mirrors the attacker's; the watchdog is armed because a plan
+   may kill the Monitor. *)
+let boot config ~seed ~schedule ~plan =
+  match Apps.Harness.make Libos.Env.Rakis_sgx ~rakis_config:config () with
   | Error e -> failwith ("campaign: harness boot failed: " ^ e)
   | Ok h ->
-      (* Share the runtime's registry/trace so campaign reports and the
-         live [malice.*] metrics read the same counters. *)
-      let obs = Option.map Rakis.Runtime.obs (Libos.Env.runtime h.env) in
-      let malice = Hostos.Malice.create ?obs ~seed () in
+      let rt = Option.get (Libos.Env.runtime h.env) in
+      let obs = Rakis.Runtime.obs rt in
+      let malice = Hostos.Malice.create ~obs ~seed () in
       install_schedule malice schedule;
       Hostos.Kernel.set_malice h.kernel (Some malice);
-      (* The fault injector rides the same seed (xored so its RNG stream
-         never mirrors the attacker's) and, because a plan may kill the
-         Monitor, arms the enclave watchdog alongside it. *)
-      let effective_faults = if wire then faults @ wire_plan else faults in
       let injector =
-        if effective_faults = [] then None
+        if plan = [] then None
         else begin
           let f =
-            Hostos.Faults.create ?obs ~seed:(Int64.logxor seed 0x5EEDL) ()
+            Hostos.Faults.create ~obs ~seed:(Int64.logxor seed 0x5EEDL) ()
           in
-          Hostos.Faults.install_plan f effective_faults;
+          Hostos.Faults.install_plan f plan;
           Hostos.Kernel.set_faults h.kernel (Some f);
-          (match Libos.Env.runtime h.env with
-          | Some rt -> Rakis.Runtime.start_watchdog rt
-          | None -> ());
+          Rakis.Runtime.start_watchdog rt;
           Some f
         end
       in
-      let st =
-        {
-          steps_run = 0;
-          ok = 0;
-          late_ok = 0;
-          refused = 0;
-          lost = 0;
-          tolerated = 0;
-          violations = [];
-          malice;
-          faults = injector;
-          budget;
-        }
-      in
-      (match datapath with
-      | Xsk -> run_xsk_workload h st
-      | Iouring -> run_iouring_workload ~zerocopy h st);
-      let horizon =
-        Int64.add (Sim.Cycles.of_ms 50.)
-          (Int64.mul (Int64.of_int budget) (Sim.Cycles.of_ms 2.))
-      in
-      (try Apps.Harness.run h ~until:horizon
-       with exn ->
-         violate st ~step:st.steps_run
-           ("workload crashed: " ^ Printexc.to_string exn));
-      if st.steps_run < budget then
-        (* The engine drained or hit the horizon before the driver
-           finished: an availability stall is a campaign failure too —
-           it would otherwise hide violations in the unexecuted tail. *)
-        violate st ~step:st.steps_run
-          (Printf.sprintf "stalled after %d/%d steps" st.steps_run budget);
-      let ring_rejects, desc_rejects, invariant_ok =
-        match Libos.Env.runtime h.env with
-        | Some rt ->
-            ( Rakis.Runtime.total_ring_check_failures rt,
-              Rakis.Runtime.total_desc_rejects rt,
-              Rakis.Runtime.invariant_holds rt )
-        | None -> (0, 0, false)
-      in
-      let ( wd_restarts,
-            degraded_scans,
-            b_opens,
-            b_failovers,
-            b_closes,
-            shard_opens,
-            slow_calls ) =
-        match Libos.Env.runtime h.env with
-        | None -> (0, 0, 0, 0, 0, [], 0)
-        | Some rt ->
-            let shards =
-              List.init (Rakis.Runtime.shard_count rt)
-                (Rakis.Runtime.shard_breaker rt)
-            in
-            let sum f =
-              List.fold_left (fun acc b -> acc + f b) 0 shards
-              + f (Rakis.Runtime.uring_breaker rt)
-              + f (Rakis.Runtime.mm_breaker rt)
-            in
-            ( Rakis.Runtime.watchdog_restarts rt,
-              Rakis.Runtime.watchdog_degraded_scans rt,
-              sum Rakis.Health.opens,
-              sum Rakis.Health.failovers,
-              sum Rakis.Health.closes,
-              List.map Rakis.Health.opens shards,
-              Obs.Metrics.get_counter
-                (Obs.metrics (Rakis.Runtime.obs rt))
-                "health.slow_calls" )
-      in
-      let zc_sends, zc_fallbacks, zc_notif_rejects, zc_leaks =
-        match Libos.Env.runtime h.env with
-        | Some rt ->
-            ( Rakis.Runtime.total_zc_sends rt,
-              Rakis.Runtime.total_zc_fallbacks rt,
-              Rakis.Runtime.total_zc_notif_rejects rt,
-              Rakis.Runtime.total_zc_leaks rt )
-        | None -> (0, 0, 0, 0)
-      in
-      let ov_admitted, ov_shed, ov_control_shed, ov_edge_drops =
-        match Libos.Env.runtime h.env with
-        | Some rt when overload ->
-            ( Rakis.Runtime.total_overload_admitted rt,
-              Rakis.Runtime.total_overload_shed rt,
-              Rakis.Runtime.total_control_shed rt,
-              Rakis.Runtime.total_edge_drops rt )
-        | _ -> (0, 0, 0, 0)
-      in
-      let trace_tail =
-        if st.violations = [] && invariant_ok && zc_leaks = 0 then []
-        else
-          match Libos.Env.runtime h.env with
-          | None -> []
-          | Some rt ->
-              List.map
-                (Format.asprintf "%a" Obs.Trace.pp_event)
-                (Obs.Trace.last (Obs.trace (Rakis.Runtime.obs rt)) 24)
-      in
+      (h, rt, malice, injector)
+
+let run (spec : spec) =
+  if spec.budget < 1 then invalid_arg "Campaign.run: budget must be positive";
+  let budget = spec.budget in
+  let h, rt, malice, injector =
+    boot
       {
-        datapath;
-        seed;
-        budget;
-        queues;
-        schedule;
-        steps_run = st.steps_run;
-        ok = st.ok;
-        late_ok = st.late_ok;
-        refused = st.refused;
-        lost = st.lost;
-        tolerated = st.tolerated;
-        fired = Hostos.Malice.fired_counts malice;
-        fault_plan = faults;
-        injected =
-          (match injector with
-          | Some f -> Hostos.Faults.injected_counts f
-          | None -> []);
-        ring_rejects;
-        desc_rejects;
-        invariant_ok;
-        watchdog_restarts = wd_restarts;
-        degraded_scans;
-        breaker_opens = b_opens;
-        breaker_failovers = b_failovers;
-        breaker_closes = b_closes;
-        shard_opens;
-        slow_calls;
-        zerocopy;
-        zc_sends;
-        zc_fallbacks;
-        zc_notif_rejects;
-        zc_leaks;
-        overload;
-        ov_admitted;
-        ov_shed;
-        ov_control_shed;
-        ov_edge_drops;
-        wire;
-        violations = List.rev st.violations;
-        trace_tail;
+        campaign_config with
+        num_queues = spec.queues;
+        zerocopy = spec.zerocopy;
+        overload = spec.overload;
       }
+      ~seed:spec.seed ~schedule:spec.schedule
+      ~plan:(if spec.wire then spec.faults @ wire_plan else spec.faults)
+  in
+  let st =
+    {
+      steps_run = 0;
+      ok = 0;
+      late_ok = 0;
+      refused = 0;
+      lost = 0;
+      tolerated = 0;
+      violations = [];
+      malice;
+      faults = injector;
+      budget;
+    }
+  in
+  (match spec.datapath with
+  | Xsk -> run_xsk_workload h st
+  | Iouring -> run_iouring_workload ~zerocopy:spec.zerocopy h st);
+  let horizon =
+    Int64.add (Sim.Cycles.of_ms 50.)
+      (Int64.mul (Int64.of_int budget) (Sim.Cycles.of_ms 2.))
+  in
+  (try Apps.Harness.run h ~until:horizon
+   with exn ->
+     violate st ~step:st.steps_run
+       ("workload crashed: " ^ Printexc.to_string exn));
+  if st.steps_run < budget then
+    (* The engine drained or hit the horizon before the driver
+       finished: an availability stall is a campaign failure too —
+       it would otherwise hide violations in the unexecuted tail. *)
+    violate st ~step:st.steps_run
+      (Printf.sprintf "stalled after %d/%d steps" st.steps_run budget);
+  let invariant_ok = Rakis.Runtime.invariant_holds rt in
+  let shards =
+    List.init (Rakis.Runtime.shard_count rt) (Rakis.Runtime.shard_breaker rt)
+  in
+  let sum f =
+    List.fold_left (fun acc b -> acc + f b) 0 shards
+    + f (Rakis.Runtime.uring_breaker rt)
+    + f (Rakis.Runtime.mm_breaker rt)
+  in
+  let zc_leaks = Rakis.Runtime.total_zc_leaks rt in
+  let ov_total f = if spec.overload then f rt else 0 in
+  {
+    spec;
+    steps_run = st.steps_run;
+    ok = st.ok;
+    late_ok = st.late_ok;
+    refused = st.refused;
+    lost = st.lost;
+    tolerated = st.tolerated;
+    fired = Hostos.Malice.fired_counts malice;
+    injected =
+      (match injector with
+      | Some f -> Hostos.Faults.injected_counts f
+      | None -> []);
+    ring_rejects = Rakis.Runtime.total_ring_check_failures rt;
+    desc_rejects = Rakis.Runtime.total_desc_rejects rt;
+    invariant_ok;
+    watchdog_restarts = Rakis.Runtime.watchdog_restarts rt;
+    degraded_scans = Rakis.Runtime.watchdog_degraded_scans rt;
+    breaker_opens = sum Rakis.Health.opens;
+    breaker_failovers = sum Rakis.Health.failovers;
+    breaker_closes = sum Rakis.Health.closes;
+    shard_opens = List.map Rakis.Health.opens shards;
+    slow_calls =
+      Obs.Metrics.get_counter
+        (Obs.metrics (Rakis.Runtime.obs rt))
+        "health.slow_calls";
+    zc_sends = Rakis.Runtime.total_zc_sends rt;
+    zc_fallbacks = Rakis.Runtime.total_zc_fallbacks rt;
+    zc_notif_rejects = Rakis.Runtime.total_zc_notif_rejects rt;
+    zc_leaks;
+    ov_admitted = ov_total Rakis.Runtime.total_overload_admitted;
+    ov_shed = ov_total Rakis.Runtime.total_overload_shed;
+    ov_control_shed = ov_total Rakis.Runtime.total_control_shed;
+    ov_edge_drops = ov_total Rakis.Runtime.total_edge_drops;
+    violations = List.rev st.violations;
+    trace_tail =
+      (if st.violations = [] && invariant_ok && zc_leaks = 0 then []
+       else
+         List.map
+           (Format.asprintf "%a" Obs.Trace.pp_event)
+           (Obs.Trace.last (Obs.trace (Rakis.Runtime.obs rt)) 24));
+  }
 
 (* [zc_leaks > 0] at teardown is the dropped-notif availability attack
    landing: the host holds lent frames hostage forever.  The FM already
@@ -671,7 +666,7 @@ let fault_soup ~seed ?(entries = 6) ~budget () =
    (probability-1) burst over the middle of the run, so the breaker
    opens early, the exit-based slow path carries the middle, and the
    fault-free tail exercises half-open probes and failback — all
-   observable from one 5-segment repro token.  For the XSK datapath we
+   observable from one repro token.  For the XSK datapath we
    drop every TX wakeup (transmission dies; RX stays NIC-driven); for
    io_uring we bounce every SQE with a transient errno. *)
 let failover_plan ~datapath ~budget =
@@ -694,38 +689,31 @@ let failover_plan ~datapath ~budget =
     };
   ]
 
-(* {1 Repro strings} *)
+(* {1 Repro tokens}
 
-let entry_to_string = function
-  | At { step; attack } ->
-      Printf.sprintf "%d=%s" step (Hostos.Malice.attack_name attack)
-  | During { first; last; probability; attack } ->
-      Printf.sprintf "%d..%d@%g=%s" first last probability
-        (Hostos.Malice.attack_name attack)
+   One grammar for both kinds of run: [<kind>:<key>=<value>:…] with
+   kind [xsk], [io_uring] or [soak].  The printer writes the keys in a
+   fixed order and omits defaults (it always writes [seed] and
+   [budget]/[steps]); the parser takes them in any order.  Values never
+   contain [':'], and a segment splits at its first ['='], so
+   [attacks=3=cons-regress] needs no escaping.  Schedule entries use the
+   fault plans' trigger syntax ({!Hostos.Faults.trigger_to_string}),
+   restricted to the two triggers Malice can arm: a step and a burst
+   window. *)
 
-let repro (o : outcome) =
-  let base =
-    Printf.sprintf "%s:%Ld:%d:%s" (datapath_name o.datapath) o.seed o.budget
-      (String.concat ";" (List.map entry_to_string o.schedule))
+let entry_to_string e =
+  let trigger, attack =
+    match e with
+    | At { step; attack } -> (Hostos.Faults.At_step step, attack)
+    | During { first; last; probability; attack } ->
+        ( Hostos.Faults.Burst
+            { first_step = first; last_step = last; probability },
+          attack )
   in
-  (* Fault-free single-queue tokens keep the historical 4-segment
-     shape; a fifth segment carries the fault plan so replay is
-     bit-for-bit, and multi-queue runs append a sixth ["q<n>"] segment
-     (with an empty fifth when fault-free) for the shard count.
-     Zero-copy runs append a ["zc"] segment after whatever shape
-     precedes it, and overload-control runs one final ["ov"] segment
-     after that. *)
-  let token =
-    if o.queues > 1 then
-      Printf.sprintf "%s:%s:q%d" base
-        (Hostos.Faults.plan_to_string o.fault_plan)
-        o.queues
-    else if o.fault_plan = [] then base
-    else base ^ ":" ^ Hostos.Faults.plan_to_string o.fault_plan
-  in
-  let token = if o.zerocopy then token ^ ":zc" else token in
-  let token = if o.overload then token ^ ":ov" else token in
-  if o.wire then token ^ ":wire" else token
+  Hostos.Faults.trigger_to_string trigger
+  ^ "=" ^ Hostos.Malice.attack_name attack
+
+let schedule_to_string s = String.concat ";" (List.map entry_to_string s)
 
 let parse_entry s =
   match String.index_opt s '=' with
@@ -736,110 +724,145 @@ let parse_entry s =
       match Hostos.Malice.attack_of_string name with
       | None -> Error (Printf.sprintf "unknown attack %S" name)
       | Some attack -> (
-          match String.index_opt where '.' with
-          | None -> (
-              match int_of_string_opt where with
-              | Some step -> Ok (At { step; attack })
-              | None -> Error (Printf.sprintf "bad step %S" where))
-          | Some _ -> (
-              match
-                Scanf.sscanf_opt where "%d..%d@%g" (fun first last p ->
-                    (first, last, p))
-              with
-              | Some (first, last, probability) ->
-                  Ok (During { first; last; probability; attack })
-              | None -> Error (Printf.sprintf "bad burst %S" where))))
+          match Hostos.Faults.trigger_of_string where with
+          | Ok (Hostos.Faults.At_step step) -> Ok (At { step; attack })
+          | Ok (Hostos.Faults.Burst { first_step; last_step; probability }) ->
+              Ok
+                (During
+                   { first = first_step; last = last_step; probability; attack })
+          | Ok _ ->
+              Error (Printf.sprintf "trigger %S cannot arm an attack" where)
+          | Error _ as e -> e))
+
+let schedule_of_string s =
+  if s = "" then Ok []
+  else
+    List.fold_right
+      (fun p acc ->
+        match (parse_entry p, acc) with
+        | Ok e, Ok l -> Ok (e :: l)
+        | (Error _ as e), _ | _, (Error _ as e) -> e)
+      (String.split_on_char ';' s) (Ok [])
+
+let token_to_string token =
+  let seg key present v = if present then [ key ^ "=" ^ v ] else [] in
+  let flag key on = if on then [ key ] else [] in
+  String.concat ":"
+    (match token with
+    | Campaign s ->
+        [ datapath_name s.datapath; Printf.sprintf "seed=%Ld" s.seed;
+          Printf.sprintf "budget=%d" s.budget ]
+        @ seg "attacks" (s.schedule <> []) (schedule_to_string s.schedule)
+        @ seg "faults" (s.faults <> []) (Hostos.Faults.plan_to_string s.faults)
+        @ seg "q" (s.queues <> defaults.queues) (string_of_int s.queues)
+        @ flag "zc" s.zerocopy @ flag "ov" s.overload @ flag "wire" s.wire
+    | Soak s ->
+        [ "soak"; Printf.sprintf "seed=%Ld" s.seed;
+          Printf.sprintf "steps=%d" s.steps ]
+        @ seg "q" (s.queues <> soak_defaults.queues) (string_of_int s.queues)
+        @ seg "slo"
+            (s.slo_p99 <> soak_defaults.slo_p99)
+            (Int64.to_string s.slo_p99)
+        @ flag "wire" s.wire)
+
+let token_of_string s =
+  let ( let* ) = Result.bind in
+  let err fmt = Printf.ksprintf (fun m -> Error m) fmt in
+  let kind, segs =
+    match String.split_on_char ':' s with k :: segs -> (k, segs) | [] -> (s, [])
+  in
+  let* valued, flags =
+    match kind with
+    | "xsk" | "io_uring" ->
+        Ok
+          ( [ "seed"; "budget"; "attacks"; "faults"; "q" ],
+            [ "zc"; "ov"; "wire" ] )
+    | "soak" -> Ok ([ "seed"; "steps"; "q"; "slo" ], [ "wire" ])
+    | _ -> err "unknown token kind %S (xsk, io_uring or soak)" kind
+  in
+  let rec collect acc = function
+    | [] -> Ok acc
+    | seg :: rest -> (
+        let key, value =
+          match String.index_opt seg '=' with
+          | None -> (seg, None)
+          | Some i ->
+              ( String.sub seg 0 i,
+                Some (String.sub seg (i + 1) (String.length seg - i - 1)) )
+        in
+        if List.mem_assoc key acc then err "repeated key %S" key
+        else
+          match value with
+          | _ when not (List.mem key valued || List.mem key flags) ->
+              err "unknown key %S for kind %S" key kind
+          | Some _ when List.mem key flags -> err "key %S takes no value" key
+          | None when List.mem key valued -> err "key %S needs a value" key
+          | _ -> collect ((key, Option.value value ~default:"") :: acc) rest)
+  in
+  let* kvs = collect [] segs in
+  let get key conv ~default =
+    match (List.assoc_opt key kvs, default) with
+    | None, Some d -> Ok d
+    | None, None -> err "missing key %S" key
+    | Some v, _ -> (
+        match conv v with Ok x -> Ok x | Error why -> err "key %S: %s" key why)
+  in
+  let int_from lo v =
+    match int_of_string_opt v with
+    | Some n when n >= lo -> Ok n
+    | _ -> err "%S is not an integer >= %d" v lo
+  in
+  let int64_of v =
+    match Int64.of_string_opt v with
+    | Some n -> Ok n
+    | None -> err "%S is not an integer" v
+  in
+  let flag key = List.mem_assoc key kvs in
+  let* seed = get "seed" int64_of ~default:None in
+  match kind with
+  | "soak" ->
+      let d = soak_defaults in
+      let* steps = get "steps" (int_from 1) ~default:None in
+      let* queues = get "q" (int_from 1) ~default:(Some d.queues) in
+      let positive v =
+        let* n = int64_of v in
+        if n > 0L then Ok n else err "%S is not positive" v
+      in
+      let* slo_p99 = get "slo" positive ~default:(Some d.slo_p99) in
+      Ok (Soak { seed; steps; queues; slo_p99; wire = flag "wire" })
+  | _ ->
+      let d = defaults in
+      let* budget = get "budget" (int_from 1) ~default:None in
+      let* schedule =
+        get "attacks" schedule_of_string ~default:(Some d.schedule)
+      in
+      let* faults =
+        get "faults" Hostos.Faults.plan_of_string ~default:(Some d.faults)
+      in
+      let* queues = get "q" (int_from 1) ~default:(Some d.queues) in
+      Ok
+        (Campaign
+           {
+             datapath = (if kind = "xsk" then Xsk else Iouring);
+             seed;
+             budget;
+             queues;
+             schedule;
+             faults;
+             zerocopy = flag "zc";
+             overload = flag "ov";
+             wire = flag "wire";
+           })
+
+let repro (o : outcome) = token_to_string (Campaign o.spec)
 
 let parse_repro s =
-  let parse dp seed budget entries fault_part queues zerocopy overload wire =
-    let datapath =
-      match dp with
-      | "xsk" -> Some Xsk
-      | "io_uring" -> Some Iouring
-      | _ -> None
-    in
-    match (datapath, Int64.of_string_opt seed, int_of_string_opt budget) with
-    | Some datapath, Some seed, Some budget -> (
-        let parts =
-          if entries = "" then [] else String.split_on_char ';' entries
-        in
-        let rec collect acc = function
-          | [] -> Ok (List.rev acc)
-          | p :: rest -> (
-              match parse_entry p with
-              | Ok e -> collect (e :: acc) rest
-              | Error _ as e -> e)
-        in
-        match (collect [] parts, Hostos.Faults.plan_of_string fault_part) with
-        | Ok schedule, Ok faults ->
-            Ok
-              ( datapath,
-                seed,
-                budget,
-                schedule,
-                faults,
-                queues,
-                zerocopy,
-                overload,
-                wire )
-        | (Error _ as e), _ -> e
-        | _, Error e -> Error e)
-    | _ -> Error (Printf.sprintf "bad repro header in %S" s)
-  in
-  match String.split_on_char ':' s with
-  | dp :: seed :: budget :: entries :: rest -> (
-      (* Trailing optional segments strip from the end — a literal
-         ["wire"], then ["ov"], then ["zc"], then ["q<n>"] — leaving at
-         most one fault segment.  Anything else in those positions
-         (e.g. ["zc2"]) falls through to the fault-plan parser and
-         errors there. *)
-      let rest, wire =
-        match List.rev rest with
-        | "wire" :: r -> (List.rev r, true)
-        | _ -> (rest, false)
-      in
-      let rest, overload =
-        match List.rev rest with
-        | "ov" :: r -> (List.rev r, true)
-        | _ -> (rest, false)
-      in
-      let rest, zerocopy =
-        match List.rev rest with
-        | "zc" :: r -> (List.rev r, true)
-        | _ -> (rest, false)
-      in
-      let qparse qpart =
-        if String.length qpart > 1 && qpart.[0] = 'q' then
-          int_of_string_opt (String.sub qpart 1 (String.length qpart - 1))
-        else None
-      in
-      match rest with
-      | [] -> parse dp seed budget entries "" 1 zerocopy overload wire
-      | [ fault_part ] ->
-          parse dp seed budget entries fault_part 1 zerocopy overload wire
-      | [ fault_part; qpart ] -> (
-          match qparse qpart with
-          | Some q when q >= 1 ->
-              parse dp seed budget entries fault_part q zerocopy overload wire
-          | _ -> Error (Printf.sprintf "bad queue segment %S" qpart))
-      | _ -> Error (Printf.sprintf "bad repro string %S" s))
-  | _ -> Error (Printf.sprintf "bad repro string %S" s)
+  match token_of_string s with
+  | Ok (Campaign spec) -> Ok spec
+  | Ok (Soak _) -> Error "a soak token names a soak, not a campaign run"
+  | Error _ as e -> e
 
-let run_repro s =
-  Result.map
-    (fun ( datapath,
-           seed,
-           budget,
-           schedule,
-           faults,
-           queues,
-           zerocopy,
-           overload,
-           wire )
-       ->
-      run ~datapath ~seed ~budget ~queues ~faults ~zerocopy ~overload ~wire
-        schedule)
-    (parse_repro s)
+let run_repro s = Result.map run (parse_repro s)
 
 (* {1 Shrinking a failing campaign} *)
 
@@ -855,13 +878,8 @@ type shrunk = {
    the fault plan — then simplify what deletion cannot reach: armings
    whose shard pin ("#k") is not needed to reproduce lose it. *)
 let shrink_failure (o : outcome) =
-  let fails schedule plan =
-    failed
-      (run ~datapath:o.datapath ~seed:o.seed ~budget:o.budget ~queues:o.queues
-         ~faults:plan ~zerocopy:o.zerocopy ~overload:o.overload ~wire:o.wire
-         schedule)
-  in
-  let r = Shrink.minimize2 ~fails o.schedule o.fault_plan in
+  let fails schedule faults = failed (run { o.spec with schedule; faults }) in
+  let r = Shrink.minimize2 ~fails o.spec.schedule o.spec.faults in
   let unpin (e : Hostos.Faults.plan_entry) =
     match e.Hostos.Faults.shard with
     | Some _ -> Some { e with Hostos.Faults.shard = None }
@@ -880,21 +898,24 @@ let shrink_failure (o : outcome) =
   }
 
 let shrunk_repro (o : outcome) (s : shrunk) =
-  repro { o with schedule = s.shrunk_schedule; fault_plan = s.shrunk_plan }
+  token_to_string
+    (Campaign
+       { o.spec with schedule = s.shrunk_schedule; faults = s.shrunk_plan })
 
 (* {1 Reporting} *)
 
-let pp_schedule ppf s =
-  Format.pp_print_string ppf (String.concat ";" (List.map entry_to_string s))
+let pp_schedule ppf s = Format.pp_print_string ppf (schedule_to_string s)
 
 let pp_outcome ppf (o : outcome) =
+  let spec = o.spec in
   Format.fprintf ppf
     "@[<v>campaign %s seed=%Ld budget=%d schedule=[%a]@,\
      steps=%d ok=%d late_ok=%d refused=%d lost=%d tolerated=%d@,\
      ring_rejects=%d desc/cqe_rejects=%d invariant=%b@,\
      fired: %s@,\
      %s"
-    (datapath_name o.datapath) o.seed o.budget pp_schedule o.schedule
+    (datapath_name spec.datapath)
+    spec.seed spec.budget pp_schedule spec.schedule
     o.steps_run o.ok o.late_ok o.refused o.lost o.tolerated o.ring_rejects
     o.desc_rejects o.invariant_ok
     (if o.fired = [] then "(none)"
@@ -910,9 +931,9 @@ let pp_outcome ppf (o : outcome) =
          (List.map
             (fun v -> Printf.sprintf "VIOLATION step %d: %s" v.at_step v.what)
             o.violations));
-  if o.fault_plan <> [] then
+  if spec.faults <> [] then
     Format.fprintf ppf "@,faults=[%a] injected: %s" Hostos.Faults.pp_plan
-      o.fault_plan
+      spec.faults
       (if o.injected = [] then "(none)"
        else
          String.concat ", "
@@ -930,18 +951,18 @@ let pp_outcome ppf (o : outcome) =
        watchdog_restarts=%d degraded_scans=%d"
       o.breaker_opens o.breaker_failovers o.breaker_closes o.slow_calls
       o.watchdog_restarts o.degraded_scans;
-  if o.queues > 1 then
-    Format.fprintf ppf "@,queues=%d shard xsk opens: [%s]" o.queues
+  if spec.queues > 1 then
+    Format.fprintf ppf "@,queues=%d shard xsk opens: [%s]" spec.queues
       (String.concat "; " (List.map string_of_int o.shard_opens));
-  if o.zerocopy then
+  if spec.zerocopy then
     Format.fprintf ppf
       "@,zerocopy: sends=%d fallbacks=%d notif_rejects=%d leaks=%d"
       o.zc_sends o.zc_fallbacks o.zc_notif_rejects o.zc_leaks;
-  if o.overload then
+  if spec.overload then
     Format.fprintf ppf
       "@,overload: admitted=%d shed=%d control_shed=%d edge_drops=%d"
       o.ov_admitted o.ov_shed o.ov_control_shed o.ov_edge_drops;
-  if o.wire then
+  if spec.wire then
     Format.fprintf ppf
       "@,wire: canonical lossy plan (5%% drop/reorder/dup, 1%% trunc)";
   if o.trace_tail <> [] then begin
@@ -969,9 +990,7 @@ let pp_outcome ppf (o : outcome) =
    produces such a window). *)
 
 type soak_outcome = {
-  sk_seed : int64;
-  sk_steps : int;
-  sk_queues : int;
+  sk_spec : soak_spec;
   sk_offered : int;
   sk_completed : int;
   sk_lost : int;  (* steps with no reply by the end of the run *)
@@ -982,7 +1001,6 @@ type soak_outcome = {
   sk_accounted : int;  (* total server-side accounted drops *)
   sk_unaccounted : int;  (* max 0 (lost - late - accounted): must be 0 *)
   sk_latency : Obs.Metrics.summary;
-  sk_slo_p99 : int64;
   sk_slo_ok : bool;
   sk_baseline_kops : float;
   sk_crowd_kops : float;
@@ -992,8 +1010,6 @@ type soak_outcome = {
   sk_breaker_opens : int;
   sk_watchdog_restarts : int;
   sk_stalled : bool;
-  sk_wire : bool;  (* canonical lossy-wire plan composed on the rolling faults *)
-  sk_repro : string;
 }
 
 (* Rolling maintenance weather: one Drop_wakeup burst per shard, pinned
@@ -1033,8 +1049,9 @@ let soak_crowd_pace = Sim.Cycles.of_us 2.
 (* 100 µs goodput windows for the recovery-phase metastability check. *)
 let soak_window = Sim.Cycles.of_us 100.
 
-let soak ?(steps = 100_000) ?(queues = 2) ?(seed = 0x50AD5EEDL)
-    ?(slo_p99 = 2_400_000L) ?(wire = false) () =
+let soak (spec : soak_spec) =
+  let { seed; steps; queues; slo_p99; wire } = spec in
+  if steps < 1 then invalid_arg "Campaign.soak: steps must be positive";
   if slo_p99 <= 0L then invalid_arg "Campaign.soak: slo_p99 must be positive";
   (* A soak-sized machine: the regular campaign's 32-entry rings and
      64-frame UMem are chosen to make ring-protocol attacks bite in few
@@ -1052,26 +1069,15 @@ let soak ?(steps = 100_000) ?(queues = 2) ?(seed = 0x50AD5EEDL)
       overload = true;
     }
   in
-  match Apps.Harness.make Libos.Env.Rakis_sgx ~rakis_config:config () with
-  | Error e -> failwith ("soak: harness boot failed: " ^ e)
-  | Ok h ->
-      let obs = Option.map Rakis.Runtime.obs (Libos.Env.runtime h.env) in
-      let malice = Hostos.Malice.create ?obs ~seed () in
-      let schedule =
-        soup ~datapath:Xsk ~seed ~entries:(max 8 (steps / 4000)) ~budget:steps ()
-      in
-      install_schedule malice schedule;
-      Hostos.Kernel.set_malice h.kernel (Some malice);
-      let injector =
-        Hostos.Faults.create ?obs ~seed:(Int64.logxor seed 0x5EEDL) ()
-      in
-      Hostos.Faults.install_plan injector
+  let h, rt, malice, injector =
+    boot config ~seed
+      ~schedule:
+        (soup ~datapath:Xsk ~seed ~entries:(max 8 (steps / 4000))
+           ~budget:steps ())
+      ~plan:
         (rolling_faults ~queues ~budget:steps
-        @ if wire then wire_plan else []);
-      Hostos.Kernel.set_faults h.kernel (Some injector);
-      (match Libos.Env.runtime h.env with
-      | Some rt -> Rakis.Runtime.start_watchdog rt
-      | None -> ());
+        @ if wire then wire_plan else [])
+  in
       (* Phase boundaries by step index: baseline 40%, crowd 20%,
          recovery 40%. *)
       let crowd_from = steps * 2 / 5 and crowd_until = steps * 3 / 5 in
@@ -1088,82 +1094,6 @@ let soak ?(steps = 100_000) ?(queues = 2) ?(seed = 0x50AD5EEDL)
       and t_crowd_start = ref 0L
       and t_crowd_end = ref 0L in
       let outstanding : (int, int64) Hashtbl.t = Hashtbl.create 1024 in
-      (* RAKIS_SOAK_DEBUG=1 turns on forensic instrumentation: a
-         per-layer occupancy sampler, per-shard controller dumps, and a
-         straggler log of completions slower than 8M cycles.  This is
-         how a multi-ms tail gets localized to a layer — queues the
-         admission gate governs versus queues it cannot see (the peer's
-         own sockets, the NIC mailboxes ahead of XDP). *)
-      let debug = Sys.getenv_opt "RAKIS_SOAK_DEBUG" <> None in
-      let worst : (int * int64 * int64) list ref = ref [] in
-      (if debug then
-         match Libos.Env.runtime h.env with
-         | None -> ()
-         | Some rt ->
-             Sim.Engine.spawn h.engine ~name:"soak-sampler" (fun () ->
-                 let pp_arr ppf a =
-                   Array.iter (fun n -> Format.fprintf ppf " %d" n) a
-                 in
-                 let rec loop () =
-                   Sim.Engine.delay 2_000_000L;
-                   let nic0 = Hostos.Kernel.nic h.kernel 0
-                   and nic1 = Hostos.Kernel.nic h.kernel 1 in
-                   Format.eprintf
-                     "SAMPLE t=%Ld out=%d done=%d nic0 rx[%a] tx=%d nic1 \
-                      rx[%a] tx=%d"
-                     (Sim.Engine.now h.engine)
-                     (Hashtbl.length outstanding)
-                     !completed pp_arr
-                     (Hostos.Nic.rx_pending nic0)
-                     (Hostos.Nic.tx_pending nic0)
-                     pp_arr
-                     (Hostos.Nic.rx_pending nic1)
-                     (Hostos.Nic.tx_pending nic1);
-                   for k = 0 to Rakis.Runtime.shard_count rt - 1 do
-                     let depth =
-                       match Rakis.Runtime.shard_overload rt k with
-                       | Some ov -> (Rakis.Overload.observe ov).ob_depth
-                       | None -> -1
-                     in
-                     let krx =
-                       Array.fold_left
-                         (fun acc fm ->
-                           acc
-                           + Rings.Certified.available (Rakis.Xsk_fm.rx_ring fm))
-                         0
-                         (Rakis.Runtime.shard_fms rt k)
-                     in
-                     let fm = (Rakis.Runtime.shard_fms rt k).(0) in
-                     let fill = Rakis.Xsk_fm.fill_ring fm in
-                     let um = Rakis.Xsk_fm.umem fm in
-                     let drops =
-                       String.concat ","
-                         (List.filter_map
-                            (fun (name, n) ->
-                              if n = 0 then None
-                              else Some (Printf.sprintf "%s=%d" name n))
-                            (Hostos.Xdp.rx_drop_reasons
-                               (Rakis.Runtime.shard_xsks rt k).(0)))
-                     in
-                     Format.eprintf
-                       " | s%d depth=%d krx=%d fill=%#x/%#x out=%d/%d free=%d \
-                        fails=%d reinit=%d brk=%s drops[%s]"
-                       k depth krx
-                       (Rings.Certified.trusted_prod fill)
-                       (Rings.Certified.trusted_cons fill)
-                       (Rakis.Umem.outstanding um Rakis.Umem.Rx)
-                       (Rakis.Umem.outstanding um Rakis.Umem.Tx)
-                       (Rakis.Umem.free_frames um)
-                       (Rakis.Xsk_fm.ring_check_failures fm)
-                       (Rakis.Xsk_fm.reinits fm)
-                       (Rakis.Health.state_name
-                          (Rakis.Health.state (Rakis.Runtime.shard_breaker rt k)))
-                       drops
-                   done;
-                   Format.eprintf "@.";
-                   loop ()
-                 in
-                 loop ()));
       (* Enclave echo server, one worker per shard's worth of service
          capacity.  Unlike the regular campaign's server it survives
          transient recv/send refusals: the soak runs long enough to meet
@@ -1229,8 +1159,6 @@ let soak ?(steps = 100_000) ?(queues = 2) ?(seed = 0x50AD5EEDL)
                 Hashtbl.remove outstanding tag;
                 incr completed;
                 let lat = Int64.sub now t0 in
-                if debug && Int64.compare lat 8_000_000L > 0 then
-                  worst := (tag, t0, lat) :: !worst;
                 Obs.Metrics.observe hist (Int64.to_int lat);
                 if tag >= steps then incr crowd_done
                   (* blast-fiber datagram: tag space [steps, ...) *)
@@ -1292,7 +1220,7 @@ let soak ?(steps = 100_000) ?(queues = 2) ?(seed = 0x50AD5EEDL)
           in
           for step = 0 to steps - 1 do
             Hostos.Malice.set_step malice step;
-            Hostos.Faults.set_step injector step;
+            Option.iter (fun f -> Hostos.Faults.set_step f step) injector;
             if step = crowd_from then begin
               t_crowd_start := Sim.Engine.now h.engine;
               for j = 0 to soak_crowd_fibers - 1 do
@@ -1350,11 +1278,6 @@ let soak ?(steps = 100_000) ?(queues = 2) ?(seed = 0x50AD5EEDL)
       in
       Apps.Harness.run h ~until:horizon;
       let finish = Sim.Engine.now h.engine in
-      let rt =
-        match Libos.Env.runtime h.env with
-        | Some rt -> rt
-        | None -> failwith "soak: no runtime"
-      in
       (* Server-side accounted drops.  [total_accounted_drops] already
          contains the rx-gate sheds (they land in the stack's
          [drop.overload-shed] counter), so only the TX-side remainder of
@@ -1369,37 +1292,6 @@ let soak ?(steps = 100_000) ?(queues = 2) ?(seed = 0x50AD5EEDL)
           0
           (List.init (Rakis.Runtime.shard_count rt) Fun.id)
       in
-      (if debug then
-         List.iter
-           (fun k ->
-             let st = Rakis.Runtime.shard_stack rt k in
-             Format.eprintf "DEBUG shard %d drops: %s@." k
-               (String.concat ", "
-                  (List.map
-                     (fun (r, n) -> Printf.sprintf "%s=%d" r n)
-                     (Netstack.Stack.drop_reasons st)));
-             match Rakis.Runtime.shard_overload rt k with
-             | None -> ()
-             | Some ov ->
-                 Format.eprintf "DEBUG shard %d ov (wm %d/%d): %a@.  sojourn %a@."
-                   k
-                   (Rakis.Overload.high_watermark ov)
-                   (Rakis.Overload.low_watermark ov)
-                   Rakis.Overload.pp_observation (Rakis.Overload.observe ov)
-                   Obs.Metrics.pp_summary
-                   (Obs.Metrics.summary (Rakis.Overload.sojourn_histogram ov)))
-           (List.init (Rakis.Runtime.shard_count rt) Fun.id));
-      (if debug then
-         let w =
-           List.sort (fun (_, _, a) (_, _, b) -> Int64.compare b a) !worst
-         in
-         Format.eprintf "DEBUG stragglers (>8M cycles): %d total@."
-           (List.length w);
-         List.iteri
-           (fun i (tag, t0, lat) ->
-             if i < 12 then
-               Format.eprintf "  tag=%d sent@%Ld lat=%Ld@." tag t0 lat)
-           w);
       let ov_shed = Rakis.Runtime.total_overload_shed rt in
       let accounted =
         Rakis.Runtime.total_accounted_drops rt + (ov_shed - rx_gate_sheds)
@@ -1431,9 +1323,7 @@ let soak ?(steps = 100_000) ?(queues = 2) ?(seed = 0x50AD5EEDL)
           recovery_windows None
       in
       {
-        sk_seed = seed;
-        sk_steps = steps;
-        sk_queues = queues;
+        sk_spec = spec;
         sk_offered = !offered;
         sk_completed = !completed;
         sk_lost = lost;
@@ -1444,7 +1334,6 @@ let soak ?(steps = 100_000) ?(queues = 2) ?(seed = 0x50AD5EEDL)
         sk_accounted = accounted;
         sk_unaccounted = unaccounted;
         sk_latency = latency;
-        sk_slo_p99 = slo_p99;
         sk_slo_ok = Int64.compare (Int64.of_int latency.Obs.Metrics.s_p99) slo_p99 <= 0;
         sk_baseline_kops = baseline_kops;
         sk_crowd_kops = crowd_kops;
@@ -1458,10 +1347,6 @@ let soak ?(steps = 100_000) ?(queues = 2) ?(seed = 0x50AD5EEDL)
             (List.init (Rakis.Runtime.shard_count rt) Fun.id);
         sk_watchdog_restarts = Rakis.Runtime.watchdog_restarts rt;
         sk_stalled = !steps_run < steps;
-        sk_wire = wire;
-        sk_repro =
-          Printf.sprintf "soak:%Ld:%d:q%d%s" seed steps queues
-            (if wire then ":wire" else "");
       }
 
 (* The soak's SLO gates, in one verdict (mirrored by [tm_verify --soak]
@@ -1478,11 +1363,12 @@ let pp_soak_outcome ppf (o : soak_outcome) =
      latency: %a (slo_p99=%Ld %s)@,\
      goodput kops/s: baseline=%.1f crowd=%.1f recovery=%.1f recovered=%b%s@,\
      breaker_opens=%d watchdog_restarts=%d@]"
-    o.sk_repro o.sk_steps o.sk_queues
+    (token_to_string (Soak o.sk_spec))
+    o.sk_spec.steps o.sk_spec.queues
     (if o.sk_stalled then " STALLED" else "")
     o.sk_offered o.sk_completed o.sk_lost o.sk_late o.sk_shed o.sk_control_shed
     o.sk_accounted o.sk_unaccounted o.sk_edge_drops Obs.Metrics.pp_summary
-    o.sk_latency o.sk_slo_p99
+    o.sk_latency o.sk_spec.slo_p99
     (if o.sk_slo_ok then "ok" else "VIOLATED")
     o.sk_baseline_kops o.sk_crowd_kops o.sk_recovery_kops o.sk_recovered
     (match o.sk_recovery_window with

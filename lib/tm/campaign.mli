@@ -5,7 +5,7 @@
     under {e schedules} of {!Hostos.Malice} attacks: single attacks
     pinned to a step, pairwise combinations, or RNG-driven soups.
     Every run is seeded and the simulator is deterministic, so any
-    outcome replays exactly from its [(seed, schedule)] pair.
+    outcome replays exactly from its {!spec}, printed as a repro token.
 
     Violations are Table 2 contract breaches only: a broken certified
     invariant, corrupted data acted on as if intact, an out-of-range
@@ -15,6 +15,9 @@
     territory) are counted separately, not as violations. *)
 
 type datapath = Xsk | Iouring
+
+val datapath_name : datapath -> string
+(** ["xsk"] or ["io_uring"]: the token kind and the report label. *)
 
 type entry =
   | At of { step : int; attack : Hostos.Malice.attack }
@@ -30,12 +33,56 @@ type schedule = entry list
 
 type violation = { at_step : int; what : string }
 
-type outcome = {
+(** Everything that identifies a campaign run; a run is a function of
+    its spec alone. *)
+type spec = {
   datapath : datapath;
   seed : int64;
-  budget : int;  (** workload steps driven *)
-  queues : int;  (** datapath shards the machine booted with *)
+  budget : int;  (** workload steps driven; at least 1 *)
+  queues : int;
+      (** datapath shards the machine boots with
+          ({!Rakis.Config.num_queues}); fault-plan entries and attacks
+          may pin themselves to one shard ([#<k>] in the plan syntax) *)
   schedule : schedule;
+  faults : Hostos.Faults.plan;
+      (** host-fault plan; non-empty arms a {!Hostos.Faults} injector
+          (seeded from [seed], so replays are bit-for-bit) and the
+          enclave watchdog ({!Rakis.Runtime.start_watchdog}).  Faults
+          may only cost availability ([lost]/[refused]), never
+          integrity. *)
+  zerocopy : bool;
+      (** boot with {!Rakis.Config.zerocopy}: SEND_ZC, fixed-buffer file
+          IO and multishot recv on the io_uring datapath
+          (docs/zerocopy.md), exposing the notif attacks *)
+  overload : bool;
+      (** boot with {!Rakis.Config.overload}: CoDel/watermark admission
+          control on every shard plus the io_uring pending table —
+          refusals surface as accounted [EAGAIN] sheds (DESIGN.md §15) *)
+  wire : bool;
+      (** compose the canonical lossy-wire weather ({!wire_plan}) on top
+          of [faults]; the injector is armed even when [faults] is
+          empty *)
+}
+
+val defaults : spec
+(** Datapath [Xsk], seed 0, budget 64, one queue, no attacks, no
+    faults, every flag off: the values a token omits. *)
+
+(** Everything that identifies a chaos soak (see {!soak}). *)
+type soak_spec = {
+  seed : int64;
+  steps : int;  (** datagram steps; at least 1 *)
+  queues : int;  (** datapath shards *)
+  slo_p99 : int64;  (** p99 latency gate for admitted requests, cycles *)
+  wire : bool;  (** ride the canonical lossy wire ({!wire_plan}) *)
+}
+
+val soak_defaults : soak_spec
+(** Seed 0x50AD5EED, 100,000 steps, two queues, a p99 SLO of 2,400,000
+    cycles (1 ms at 2.4 GHz), no lossy wire. *)
+
+type outcome = {
+  spec : spec;
   steps_run : int;
   ok : int;  (** operations verified against the golden model *)
   late_ok : int;  (** verified operations in the last quarter (recovery) *)
@@ -43,9 +90,6 @@ type outcome = {
   lost : int;  (** timeouts / drops (availability, not integrity) *)
   tolerated : int;  (** mismatches while a data-level attack was live *)
   fired : (Hostos.Malice.attack * int) list;
-  fault_plan : Hostos.Faults.plan;
-      (** the host-fault schedule the run executed under ([[]] =
-          fault-free; the injector and watchdog were not armed) *)
   injected : (Hostos.Faults.fault * int) list;
       (** faults actually injected, with counts *)
   ring_rejects : int;  (** certified index-check rejections *)
@@ -63,10 +107,6 @@ type outcome = {
           the containment witness — a fault pinned to shard [k] must
           leave every other entry 0 *)
   slow_calls : int;  (** host syscalls the slow path actually performed *)
-  zerocopy : bool;
-      (** machine booted with {!Rakis.Config.zerocopy}: SEND_ZC,
-          fixed-buffer file IO and multishot recv on the io_uring
-          datapath (docs/zerocopy.md) *)
   zc_sends : int;  (** SEND_ZC frames lent to the kernel *)
   zc_fallbacks : int;
       (** zero-copy ops that degraded to the copy path (dry pool or
@@ -76,10 +116,6 @@ type outcome = {
   zc_leaks : int;
       (** lent frames whose notif the host withheld — non-zero fails
           the campaign (see {!failed}) *)
-  overload : bool;
-      (** machine booted with {!Rakis.Config.overload}: CoDel/watermark
-          admission control on every shard plus the io_uring pending
-          table (DESIGN.md §15) *)
   ov_admitted : int;  (** admissions summed over every controller *)
   ov_shed : int;  (** accounted data-class sheds *)
   ov_control_shed : int;
@@ -88,10 +124,6 @@ type outcome = {
   ov_edge_drops : int;
       (** host-NIC drops while the fill ring was throttled: the flood
           dying at the edge instead of inside the enclave *)
-  wire : bool;
-      (** the canonical lossy-wire plan ({!wire_plan}) was composed on
-          top of [fault_plan]; rendered as a final [":wire"] token
-          segment *)
   violations : violation list;
   trace_tail : string list;
       (** rendered tail (up to 24 events, oldest first) of the
@@ -100,47 +132,21 @@ type outcome = {
           violation; [[]] on success *)
 }
 
-val run :
-  datapath:datapath ->
-  seed:int64 ->
-  ?budget:int ->
-  ?queues:int ->
-  ?faults:Hostos.Faults.plan ->
-  ?zerocopy:bool ->
-  ?overload:bool ->
-  ?wire:bool ->
-  schedule ->
-  outcome
-(** Boot a fresh RAKIS-SGX machine, install the schedule, drive
-    [budget] (default 64) verifying workload steps, and collect the
-    outcome.  [queues] (default 1) boots the machine with that many
-    datapath shards ({!Rakis.Config.num_queues}); fault-plan entries and
-    attacks may then pin themselves to one shard ([#<k>] suffix in the
-    plan syntax) and [shard_opens] witnesses containment.  A non-empty
-    [faults] plan additionally arms a {!Hostos.Faults} injector (seeded
-    from [seed], so replays are bit-for-bit) and the enclave watchdog
-    ({!Rakis.Runtime.start_watchdog}): attacks and host faults compose
-    in one run, and the oracle's verdicts are unchanged — faults may
-    only cost availability ([lost]/[refused]), never integrity.
-    [zerocopy] (default false) boots the machine with
-    {!Rakis.Config.zerocopy}, routing the io_uring workload through
-    SEND_ZC / fixed-buffer / multishot paths and exposing the notif
-    attacks.  [overload] (default false) boots it with
-    {!Rakis.Config.overload}: admission control on every shard and the
-    io_uring pending table — refusals surface as accounted [EAGAIN]
-    sheds, never silent drops (DESIGN.md §15).  [wire] (default false)
-    composes the canonical lossy-wire weather ({!wire_plan}) on top of
-    whatever [faults] plan was given — the injector is armed even when
-    [faults] is empty — and stamps a final [":wire"] segment on the
-    repro token. *)
+val run : spec -> outcome
+(** Boot a fresh RAKIS-SGX machine as the spec says, install the
+    schedule, drive [budget] verifying workload steps, and collect the
+    outcome.  The oracle's verdicts do not depend on the weather:
+    attacks and host faults compose in one run.
+
+    @raise Invalid_argument if [budget < 1]. *)
 
 val wire_plan : Hostos.Faults.plan
 (** The canonical hostile-wire weather (DESIGN.md §16): 5%
     {!Hostos.Faults.Wire_drop}, 5% {!Hostos.Faults.Wire_reorder}, 5%
     {!Hostos.Faults.Wire_dup} and 1% {!Hostos.Faults.Wire_trunc},
     probability-triggered over the whole run and unpinned (every
-    shard's link is equally bad).  What [run ~wire:true],
-    [soak ~wire:true] and the [--wire] CLI flags install. *)
+    shard's link is equally bad).  What a spec's [wire] flag and the
+    [--wire] CLI flags install. *)
 
 val failed : outcome -> bool
 (** Violations, a broken system invariant, [zc_leaks > 0] (the
@@ -188,38 +194,45 @@ val failover_plan : datapath:datapath -> budget:int -> Hostos.Faults.plan
     The fault-free tail lets the breaker half-open, probe and fail
     back, so a single run shows the whole degrade/recover arc. *)
 
-val repro : outcome -> string
-(** Copy-pasteable replay token:
-    ["<datapath>:<seed>:<budget>:<step>=<attack>;…"], with a fifth
-    [":<fault-plan>"] segment (syntax of {!Hostos.Faults.plan_to_string})
-    appended iff the run had one — so fault runs replay bit-for-bit and
-    fault-free single-queue tokens keep the historical 4-segment shape.
-    Multi-queue runs always carry a sixth [":q<n>"] segment (after a
-    possibly-empty fault segment) recording the shard count, zero-copy
-    runs a [":zc"] segment after whatever shape precedes it,
-    overload-control runs an [":ov"] segment after that, and
-    lossy-wire runs one final [":wire"] segment.  Feed it to
-    {!run_repro} or [tm_verify --replay]. *)
+(** {1 Repro tokens}
 
-val parse_repro :
-  string ->
-  ( datapath
-    * int64
-    * int
-    * schedule
-    * Hostos.Faults.plan
-    * int
-    * bool
-    * bool
-    * bool,
-    string )
-  result
-(** Accepts 4-segment (fault-free, plan [[]]), 5-segment (faults) and
-    6-segment (faults + [q<n>] shard count) tokens, each optionally
-    followed by a literal ["zc"] segment, then a literal ["ov"]
-    segment, then a literal ["wire"] segment; the last four tuple
-    components are the queue count (1 for the shorter shapes), the
-    zero-copy flag, the overload flag and the wire flag. *)
+    One grammar for campaign runs and soaks:
+    [<kind>:<key>=<value>:…], e.g.
+    ["xsk:seed=21:budget=64:attacks=16=prod-overshoot:q=2:wire"] or
+    ["soak:seed=42:steps=2000"].
+
+    - [<kind>] is [xsk] or [io_uring] (a campaign run on that datapath)
+      or [soak].
+    - Campaign keys: [seed], [budget], [attacks] (the schedule, [;]
+      separated [<step>=<attack>] and [<first>..<last>@<p>=<attack>]
+      entries — the trigger syntax of {!Hostos.Faults}), [faults] (a
+      {!Hostos.Faults.plan_to_string} plan) and [q] (queues); bare
+      flags [zc], [ov] and [wire].
+    - Soak keys: [seed], [steps], [q] and [slo] (the p99 SLO in
+      cycles); bare flag [wire].
+
+    The printer uses that key order and omits every value equal to
+    {!defaults} / {!soak_defaults}, but always prints [seed] and
+    [budget]/[steps].  A token replays bit-for-bit on the commit that
+    printed it. *)
+
+type token = Campaign of spec | Soak of soak_spec
+
+val token_to_string : token -> string
+
+val token_of_string : string -> (token, string) result
+(** Inverse of {!token_to_string}.  Keys may come in any order; a
+    segment splits at its first ['='].  Never raises: an unknown,
+    repeated or missing key, a flag with a value, a key without one,
+    and a bad value (including [budget], [steps] or [q] below 1 and a
+    non-positive [slo]) are each an [Error] naming the key. *)
+
+val repro : outcome -> string
+(** The campaign token of [o.spec].  Feed it to {!run_repro} or
+    [tm_verify --replay]. *)
+
+val parse_repro : string -> (spec, string) result
+(** {!token_of_string}, refusing soak tokens. *)
 
 val run_repro : string -> (outcome, string) result
 
@@ -239,8 +252,8 @@ val shrink_failure : outcome -> shrunk
     need. *)
 
 val shrunk_repro : outcome -> shrunk -> string
-(** The repro token of the minimized failure (same datapath, seed,
-    budget and queue count). *)
+(** The repro token of the minimized failure: [o.spec] with the shrunk
+    schedule and fault plan. *)
 
 val pp_schedule : Format.formatter -> schedule -> unit
 
@@ -249,9 +262,7 @@ val pp_outcome : Format.formatter -> outcome -> unit
 (** {1 Chaos soak (DESIGN.md §15)} *)
 
 type soak_outcome = {
-  sk_seed : int64;
-  sk_steps : int;
-  sk_queues : int;
+  sk_spec : soak_spec;
   sk_offered : int;  (** datagrams the client actually put on the wire *)
   sk_completed : int;  (** tag-matched echoes (any time before run end) *)
   sk_lost : int;  (** offered datagrams never echoed *)
@@ -270,7 +281,6 @@ type soak_outcome = {
       (** [max 0 (lost - late - accounted)] — a non-zero value is a
           silently lost datagram, which fails the soak *)
   sk_latency : Obs.Metrics.summary;  (** completed-op round trips, cycles *)
-  sk_slo_p99 : int64;
   sk_slo_ok : bool;  (** [p99 <= slo_p99] (conservative: p99 is a log2
                          bucket upper bound) *)
   sk_baseline_kops : float;  (** goodput before the flash crowd *)
@@ -282,37 +292,20 @@ type soak_outcome = {
   sk_breaker_opens : int;
   sk_watchdog_restarts : int;
   sk_stalled : bool;  (** the driver did not finish inside the horizon *)
-  sk_wire : bool;
-      (** the canonical lossy-wire plan ({!wire_plan}) was composed on
-          top of the rolling shard faults *)
-  sk_repro : string;
-      (** ["soak:<seed>:<steps>:q<n>[:wire]"] — feed the parameters
-          back to {!soak} (the trailing segment is [~wire:true]) to
-          replay *)
 }
 
-val soak :
-  ?steps:int ->
-  ?queues:int ->
-  ?seed:int64 ->
-  ?slo_p99:int64 ->
-  ?wire:bool ->
-  unit ->
-  soak_outcome
+val soak : soak_spec -> soak_outcome
 (** Run the chaos soak: the XSK UDP echo workload on a multi-queue
-    machine booted with {!Rakis.Config.overload}, [steps] (default
-    100_000) datagrams across {!soak_flows} flows — closed-loop for the
-    first 40%, an open-loop flash-crowd blast for the middle 20%,
-    closed-loop recovery for the rest — composed with a rolling
-    shard-pinned {!Hostos.Faults.Drop_wakeup} plan and a seeded malice
-    soup.  [wire] (default false) additionally installs the canonical
-    lossy-wire weather ({!wire_plan}) for the whole run.  [slo_p99]
-    (default 2,400,000 cycles, 1 ms at 2.4 GHz) is the p99 latency gate
-    for admitted requests.  Deterministic in [(seed, steps, queues,
-    wire)].
+    machine booted with {!Rakis.Config.overload}, [steps] datagrams
+    across {!soak_flows} flows — closed-loop for the first 40%, an
+    open-loop flash-crowd blast for the middle 20%, closed-loop recovery
+    for the rest — composed with a rolling shard-pinned
+    {!Hostos.Faults.Drop_wakeup} plan and a seeded malice soup.  [wire]
+    additionally installs the canonical lossy-wire weather
+    ({!wire_plan}) for the whole run.  Deterministic in the spec.
 
-    @raise Invalid_argument if [slo_p99] is not positive (before
-    anything boots). *)
+    @raise Invalid_argument if [steps] or [slo_p99] is not positive
+    (before anything boots). *)
 
 val soak_failed : soak_outcome -> bool
 (** The soak's gates: a stall, an unaccounted datagram, a shed control

@@ -17,6 +17,31 @@ type 'a result = {
 let remove_slice l start len =
   List.filteri (fun i _ -> i < start || i >= start + len) l
 
+(* One ddmin sweep: delete chunks, halving the chunk size down to single
+   elements, keeping every deletion [try_fails] accepts.  It may shrink
+   to the empty list; a caller that must not passes a [try_fails] that
+   refuses [[]]. *)
+let ddmin ~try_fails l =
+  if l = [] then l
+  else
+    let rec shrink chunk l =
+      let changed = ref false in
+      let cur = ref l in
+      let start = ref 0 in
+      while !start < List.length !cur do
+        let cand = remove_slice !cur !start chunk in
+        if List.length cand < List.length !cur && try_fails cand then begin
+          cur := cand;
+          changed := true
+        end
+        else start := !start + chunk
+      done;
+      if !changed then shrink chunk !cur
+      else if chunk > 1 then shrink (chunk / 2) !cur
+      else !cur
+    in
+    shrink (max 1 (List.length l / 2)) l
+
 let minimize ~fails trace =
   let max_tests = 10_000 in
   let tests = ref 0 in
@@ -25,28 +50,10 @@ let minimize ~fails trace =
     !tests <= max_tests && fails c
   in
   let original = List.length trace in
-  let rec shrink chunk trace =
-    let changed = ref false in
-    let cur = ref trace in
-    let start = ref 0 in
-    while !start < List.length !cur do
-      let cand = remove_slice !cur !start chunk in
-      if cand <> [] && List.length cand < List.length !cur && try_fails cand
-      then begin
-        (* Keep [start] in place: the next chunk slid into position. *)
-        cur := cand;
-        changed := true
-      end
-      else start := !start + chunk
-    done;
-    if !changed then shrink chunk !cur
-    else if chunk > 1 then shrink (chunk / 2) !cur
-    else !cur
-  in
   if original = 0 || not (try_fails trace) then
     { trace; original; tests = !tests }
   else
-    let trace = shrink (max 1 (original / 2)) trace in
+    let trace = ddmin ~try_fails:(fun c -> c <> [] && try_fails c) trace in
     { trace; original; tests = !tests }
 
 let ratio r =
@@ -69,28 +76,6 @@ type ('a, 'b) result2 = {
   original2 : int * int;  (* input lengths: (trace, plan) *)
   tests2 : int;
 }
-
-(* ddmin sweep that allows the empty candidate. *)
-let ddmin ~try_fails l =
-  if l = [] then l
-  else
-    let rec shrink chunk l =
-      let changed = ref false in
-      let cur = ref l in
-      let start = ref 0 in
-      while !start < List.length !cur do
-        let cand = remove_slice !cur !start chunk in
-        if List.length cand < List.length !cur && try_fails cand then begin
-          cur := cand;
-          changed := true
-        end
-        else start := !start + chunk
-      done;
-      if !changed then shrink chunk !cur
-      else if chunk > 1 then shrink (chunk / 2) !cur
-      else !cur
-    in
-    shrink (max 1 (List.length l / 2)) l
 
 let minimize2 ~fails trace plan =
   let max_tests = 20_000 in

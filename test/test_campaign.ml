@@ -17,10 +17,11 @@ let total_fired (o : C.outcome) =
 let fired_of (o : C.outcome) attack =
   match List.assoc_opt attack o.C.fired with Some n -> n | None -> 0
 
+let spec datapath seed budget schedule =
+  { C.defaults with datapath; seed; budget; schedule }
+
 let label dp attack =
-  Printf.sprintf "%s/%s"
-    (match dp with C.Xsk -> "xsk" | C.Iouring -> "io_uring")
-    (M.attack_name attack)
+  Printf.sprintf "%s/%s" (C.datapath_name dp) (M.attack_name attack)
 
 (* {1 Malice scheduling hooks (satellite: per-attack counts)} *)
 
@@ -94,7 +95,7 @@ let test_malice_arm_replaces () =
 let single dp attack =
   let seed = Flake.seed 21L in
   Flake.guard ~name:(label dp attack) ~seed @@ fun () ->
-  let o = C.run ~datapath:dp ~seed ~budget:32 [ C.At { step = 8; attack } ] in
+  let o = C.run (spec dp seed 32 [ C.At { step = 8; attack } ]) in
   check_bool
     (label dp attack ^ ": no violation")
     false (C.failed o);
@@ -136,7 +137,7 @@ let test_xsk_blind_spots () =
   List.iter
     (fun attack ->
       let o =
-        C.run ~datapath:C.Xsk ~seed:21L ~budget:24 [ C.At { step = 6; attack } ]
+        C.run (spec C.Xsk 21L 24 [ C.At { step = 6; attack } ])
       in
       check (label C.Xsk attack ^ ": never fires") 0 (total_fired o);
       check_bool (label C.Xsk attack ^ ": clean") false (C.failed o))
@@ -169,8 +170,11 @@ let test_singles_iouring_zerocopy () =
       let seed = Flake.seed 23L in
       Flake.guard ~name:("zc " ^ label C.Iouring attack) ~seed @@ fun () ->
       let o =
-        C.run ~datapath:C.Iouring ~seed ~budget:32 ~zerocopy:true
-          [ C.At { step = 8; attack } ]
+        C.run
+          {
+            (spec C.Iouring seed 32 [ C.At { step = 8; attack } ]) with
+            zerocopy = true;
+          }
       in
       check_bool (label C.Iouring attack ^ ": no violation") false (C.failed o);
       check_bool
@@ -190,7 +194,7 @@ let test_singles_iouring_zerocopy () =
 let test_zerocopy_honest_run () =
   let seed = Flake.seed 29L in
   Flake.guard ~name:"zc honest" ~seed @@ fun () ->
-  let o = C.run ~datapath:C.Iouring ~seed ~budget:32 ~zerocopy:true [] in
+  let o = C.run { (spec C.Iouring seed 32 []) with zerocopy = true } in
   check_bool "clean" false (C.failed o);
   check_bool "verified ops" true (o.C.ok > 0);
   check_bool "sends were zero-copy" true (o.C.zc_sends > 0);
@@ -199,8 +203,13 @@ let test_zerocopy_honest_run () =
 
 let test_dropped_notif_fails_campaign () =
   let o =
-    C.run ~datapath:C.Iouring ~seed:21L ~budget:32 ~zerocopy:true
-      [ C.At { step = 8; attack = M.Dropped_notif } ]
+    C.run
+      {
+        (spec C.Iouring 21L 32
+           [ C.At { step = 8; attack = M.Dropped_notif } ])
+        with
+        zerocopy = true;
+      }
   in
   check_bool "dropped-notif fired" true (fired_of o M.Dropped_notif >= 1);
   check_bool "leak recorded" true (o.C.zc_leaks > 0);
@@ -223,127 +232,95 @@ let mixed_schedule =
 let test_replay_determinism () =
   List.iter
     (fun dp ->
-      let a = C.run ~datapath:dp ~seed:77L ~budget:28 mixed_schedule in
-      let b = C.run ~datapath:dp ~seed:77L ~budget:28 mixed_schedule in
+      let a = C.run (spec dp 77L 28 mixed_schedule) in
+      let b = C.run (spec dp 77L 28 mixed_schedule) in
       check_bool "identical outcome" true (a = b))
     [ C.Xsk; C.Iouring ]
 
+(* Every token shape replays: the printed token parses back to the very
+   spec that ran, and re-running it reproduces the outcome bit for
+   bit. *)
+let mixed dp = spec dp 77L 28 mixed_schedule
+
+let roundtrip label spec =
+  let o = C.run spec in
+  let token = C.repro o in
+  (match C.parse_repro token with
+  | Error e -> Alcotest.failf "%s: parse_repro %S: %s" label token e
+  | Ok spec' -> check_bool (label ^ ": spec survives") true (spec' = spec));
+  (match C.run_repro token with
+  | Error e -> Alcotest.failf "%s: run_repro %S: %s" label token e
+  | Ok o' -> check_bool (label ^ ": replayed outcome") true (o = o'));
+  o
+
 let test_repro_roundtrip () =
   List.iter
-    (fun dp ->
-      let o = C.run ~datapath:dp ~seed:77L ~budget:28 mixed_schedule in
-      let token = C.repro o in
-      match C.parse_repro token with
-      | Error e -> Alcotest.failf "parse_repro %S: %s" token e
-      | Ok (dp', seed', budget', schedule', faults', _, _, _, _) ->
-          check_bool "datapath" true (dp = dp');
-          Alcotest.(check int64) "seed" 77L seed';
-          check "budget" 28 budget';
-          check_bool "schedule" true (schedule' = mixed_schedule);
-          check_bool "fault-free plan" true (faults' = []);
-          (match C.run_repro token with
-          | Error e -> Alcotest.failf "run_repro %S: %s" token e
-          | Ok o' -> check_bool "replayed outcome" true (o = o')))
+    (fun dp -> ignore (roundtrip (C.datapath_name dp) (mixed dp)))
     [ C.Xsk; C.Iouring ]
 
 let test_repro_roundtrip_zerocopy () =
-  let o =
-    C.run ~datapath:C.Iouring ~seed:77L ~budget:28 ~zerocopy:true
-      mixed_schedule
-  in
-  let token = C.repro o in
-  check_bool "token carries the zc segment" true
-    (String.length token > 3
-    && String.sub token (String.length token - 3) 3 = ":zc");
-  match C.parse_repro token with
-  | Error e -> Alcotest.failf "parse_repro %S: %s" token e
-  | Ok (dp', seed', budget', schedule', faults', queues', zc', _ov', _wire') ->
-      check_bool "datapath" true (dp' = C.Iouring);
-      Alcotest.(check int64) "seed" 77L seed';
-      check "budget" 28 budget';
-      check_bool "schedule" true (schedule' = mixed_schedule);
-      check_bool "fault-free plan" true (faults' = []);
-      check "queues" 1 queues';
-      check_bool "zerocopy flag" true zc';
-      (match C.run_repro token with
-      | Error e -> Alcotest.failf "run_repro %S: %s" token e
-      | Ok o' -> check_bool "replayed outcome" true (o = o'))
+  let o = roundtrip "zerocopy" { (mixed C.Iouring) with zerocopy = true } in
+  check_bool "sends were zero-copy" true (o.C.zc_sends > 0)
 
 let test_repro_roundtrip_overload () =
-  let o =
-    C.run ~datapath:C.Xsk ~seed:77L ~budget:28 ~queues:2 ~overload:true
-      mixed_schedule
-  in
-  let token = C.repro o in
-  check_bool "token carries the ov segment" true
-    (String.length token > 3
-    && String.sub token (String.length token - 3) 3 = ":ov");
-  match C.parse_repro token with
-  | Error e -> Alcotest.failf "parse_repro %S: %s" token e
-  | Ok (dp', seed', budget', schedule', faults', queues', zc', ov', _wire') ->
-      check_bool "datapath" true (dp' = C.Xsk);
-      Alcotest.(check int64) "seed" 77L seed';
-      check "budget" 28 budget';
-      check_bool "schedule" true (schedule' = mixed_schedule);
-      check_bool "fault-free plan" true (faults' = []);
-      check "queues" 2 queues';
-      check_bool "zerocopy flag off" false zc';
-      check_bool "overload flag" true ov';
-      (match C.run_repro token with
-      | Error e -> Alcotest.failf "run_repro %S: %s" token e
-      | Ok o' -> check_bool "replayed outcome" true (o = o'))
+  ignore
+    (roundtrip "overload" { (mixed C.Xsk) with queues = 2; overload = true })
 
 let test_repro_roundtrip_wire () =
-  let o =
-    C.run ~datapath:C.Xsk ~seed:77L ~budget:28 ~wire:true mixed_schedule
-  in
+  let o = roundtrip "wire" { (mixed C.Xsk) with wire = true } in
   check_bool "wire weather actually injected" true
     (List.exists
        (fun (f, n) ->
-         n > 0
-         && List.mem f
-              Hostos.Faults.[ Wire_drop; Wire_reorder; Wire_dup; Wire_trunc ])
+         n > 0 && List.mem f F.[ Wire_drop; Wire_reorder; Wire_dup; Wire_trunc ])
        o.C.injected);
-  check_bool "user-visible plan stays empty" true (o.C.fault_plan = []);
-  let token = C.repro o in
-  check_bool "token carries the wire segment" true
-    (String.length token > 5
-    && String.sub token (String.length token - 5) 5 = ":wire");
-  match C.parse_repro token with
-  | Error e -> Alcotest.failf "parse_repro %S: %s" token e
-  | Ok (dp', seed', budget', schedule', faults', queues', zc', ov', wire') ->
-      check_bool "datapath" true (dp' = C.Xsk);
-      Alcotest.(check int64) "seed" 77L seed';
-      check "budget" 28 budget';
-      check_bool "schedule" true (schedule' = mixed_schedule);
-      check_bool "fault-free plan" true (faults' = []);
-      check "queues" 1 queues';
-      check_bool "zerocopy flag off" false zc';
-      check_bool "overload flag off" false ov';
-      check_bool "wire flag" true wire';
-      (match C.run_repro token with
-      | Error e -> Alcotest.failf "run_repro %S: %s" token e
-      | Ok o' -> check_bool "replayed outcome" true (o = o'))
+  check_bool "user-visible plan stays empty" true (o.C.spec.faults = [])
 
-(* The optional trailing segments strip in one fixed order ([:wire],
-   then [:ov], then [:zc], then [:q<n>]); these pins keep near-miss
-   tokens failing loudly instead of silently dropping a flag. *)
+(* One case per way a token can be malformed; each error names the key
+   at fault.  Value-level errors inside [attacks=] and [faults=] are
+   pinned in test_stm. *)
 let test_repro_malformed () =
   List.iter
-    (fun token ->
-      match C.parse_repro token with
-      | Error _ -> ()
-      | Ok _ -> Alcotest.failf "malformed token %S parsed" token)
+    (fun (token, fragment) ->
+      match C.token_of_string token with
+      | Ok _ -> Alcotest.failf "malformed token %S parsed" token
+      | Error e ->
+          check_bool
+            (Printf.sprintf "%S error %S names %S" token e fragment)
+            true
+            (Test_stm.contains ~needle:fragment e))
     [
-      "xsk:77:28::ov2" (* not a literal "ov": must not half-match *);
-      "xsk:77:28::ov:zc" (* flags in the wrong order *);
-      "xsk:77:28::wire2" (* not a literal "wire" *);
-      "xsk:77:28::wire:ov" (* wire must come last *);
-      "xsk:77:28::wire:wire" (* a second "wire" overflows *);
-      "xsk:77:28::zc:q2" (* q<n> must precede zc *);
-      "xsk:77:28::q0" (* zero queues *);
-      "ov" (* no header at all *);
+      ("walrus:seed=1:budget=2", "\"walrus\"");
+      ("xsk:seed=1:budget=2:frob=3", "\"frob\"");
+      ("xsk:seed=1:budget=2:seed=3", "\"seed\"");
+      ("xsk:budget=2", "\"seed\"");
+      ("xsk:seed=1", "\"budget\"");
+      ("soak:seed=1", "\"steps\"");
+      ("xsk:seed=1:budget=2:zc=1", "\"zc\"");
+      ("xsk:seed=1:budget", "\"budget\"");
+      ("xsk:seed=x:budget=2", "\"seed\"");
+      ("xsk:seed=1:budget=0", "\"budget\"");
+      ("xsk:seed=5:budget=-3", "\"budget\"");
+      ("xsk:seed=1:budget=2:q=0", "\"q\"");
+      ("soak:seed=1:steps=0", "\"steps\"");
+      ("soak:seed=1:steps=9:slo=0", "\"slo\"");
+      (* the other kind's keys *)
+      ("xsk:seed=1:budget=2:steps=3", "\"steps\"");
+      ("soak:seed=1:steps=2:attacks=1=replay", "\"attacks\"");
+      ("soak:seed=1:steps=2:zc", "\"zc\"");
+      (* old positional tokens are not tokens any more *)
+      ("xsk:42:64:3=cons-regress", "\"42\"");
+      ("io_uring:31:32::@0.25=short-io:q2:zc", "\"31\"");
+      ("soak:42:2000:q2", "\"42\"");
     ]
+
+(* A run of no steps checks nothing: it is refused, not passed. *)
+let test_run_rejects_empty_budget () =
+  List.iter
+    (fun budget ->
+      match C.run (spec C.Xsk 5L budget []) with
+      | _ -> Alcotest.failf "budget=%d accepted" budget
+      | exception Invalid_argument _ -> ())
+    [ 0; -3 ]
 
 (* {1 Pairwise and soup schedules} *)
 
@@ -360,8 +337,11 @@ let test_pairwise () =
       List.iter
         (fun (a, b) ->
           let o =
-            C.run ~datapath:dp ~seed ~budget:28
-              [ C.At { step = 7; attack = a }; C.At { step = 14; attack = b } ]
+            C.run
+              (spec dp seed 28
+                 [
+                   C.At { step = 7; attack = a }; C.At { step = 14; attack = b };
+                 ])
           in
           check_bool
             (Printf.sprintf "%s+%s" (label dp a) (M.attack_name b))
@@ -378,7 +358,7 @@ let test_soup () =
     (fun dp ->
       let schedule = C.soup ~datapath:dp ~seed ~budget:48 () in
       check_bool "soup is non-empty" true (schedule <> []);
-      let o = C.run ~datapath:dp ~seed ~budget:48 schedule in
+      let o = C.run (spec dp seed 48 schedule) in
       check_bool "soup survives" false (C.failed o);
       check_bool "soup fired attacks" true (total_fired o > 0);
       check_bool "soup still made progress" true (o.C.ok > 0))
@@ -446,14 +426,13 @@ let test_shrink_campaign_failure () =
      soup above covers the acceptance criterion.  Here we check the
      plumbing: shrinking a *passing* outcome returns it unchanged. *)
   let o =
-    C.run ~datapath:C.Xsk ~seed:21L ~budget:20
-      [ C.At { step = 5; attack = M.Prod_overshoot } ]
+    C.run (spec C.Xsk 21L 20 [ C.At { step = 5; attack = M.Prod_overshoot } ])
   in
   check_bool "outcome passes" false (C.failed o);
   let r = C.shrink_failure o in
-  check "non-failing schedule unchanged" (List.length o.C.schedule)
+  check "non-failing schedule unchanged" (List.length o.C.spec.schedule)
     (List.length r.C.shrunk_schedule);
-  check "non-failing plan unchanged" (List.length o.C.fault_plan)
+  check "non-failing plan unchanged" (List.length o.C.spec.faults)
     (List.length r.C.shrunk_plan)
 
 (* ddmin over both coordinates: a failure that needs one of two armed
@@ -521,7 +500,7 @@ let test_shrink_keeps_needed_pin () =
 let test_soak_rejects_non_positive_slo () =
   List.iter
     (fun slo_p99 ->
-      match Tm.Campaign.soak ~steps:10 ~slo_p99 () with
+      match C.soak { C.soak_defaults with steps = 10; slo_p99 } with
       | _ -> Alcotest.failf "slo_p99=%Ld accepted" slo_p99
       | exception Invalid_argument _ -> ())
     [ 0L; -1L ]
@@ -591,4 +570,6 @@ let suite =
       test_shrink_keeps_needed_pin;
     Alcotest.test_case "soak: non-positive slo_p99 rejected" `Quick
       test_soak_rejects_non_positive_slo;
+    Alcotest.test_case "campaign: budget < 1 refused" `Quick
+      test_run_rejects_empty_budget;
   ]

@@ -269,7 +269,16 @@ let fault_mix =
 let test_campaign_faults_no_violations () =
   List.iter
     (fun dp ->
-      let o = Tm.Campaign.run ~datapath:dp ~seed:9L ~budget:24 ~faults:fault_mix [] in
+      let o =
+        Tm.Campaign.run
+          {
+            Tm.Campaign.defaults with
+            datapath = dp;
+            seed = 9L;
+            budget = 24;
+            faults = fault_mix;
+          }
+      in
       check_bool "no violations" false (Tm.Campaign.failed o);
       check_bool "faults injected" true
         (List.fold_left (fun a (_, n) -> a + n) 0 o.Tm.Campaign.injected > 0))
@@ -278,19 +287,53 @@ let test_campaign_faults_no_violations () =
 let test_campaign_fault_repro_roundtrip () =
   let schedule = [ Tm.Campaign.At { step = 6; attack = Hostos.Malice.Prod_overshoot } ] in
   let o =
-    Tm.Campaign.run ~datapath:Tm.Campaign.Iouring ~seed:9L ~budget:24
-      ~faults:fault_mix schedule
+    Tm.Campaign.run
+      {
+        Tm.Campaign.defaults with
+        datapath = Tm.Campaign.Iouring;
+        seed = 9L;
+        budget = 24;
+        schedule;
+        faults = fault_mix;
+      }
   in
   let token = Tm.Campaign.repro o in
+  (* kind, seed, budget, attacks, faults *)
   check_bool "token has 5 segments" true
     (List.length (String.split_on_char ':' token) = 5);
   (match Tm.Campaign.parse_repro token with
   | Error e -> Alcotest.failf "parse_repro %S: %s" token e
-  | Ok (_, _, _, schedule', faults', _, _, _, _) ->
-      check_bool "schedule survives" true (schedule' = schedule);
-      check_bool "fault plan survives" true (faults' = fault_mix));
+  | Ok spec ->
+      check_bool "schedule survives" true
+        (spec.Tm.Campaign.schedule = schedule);
+      check_bool "fault plan survives" true
+        (spec.Tm.Campaign.faults = fault_mix));
   match Tm.Campaign.run_repro token with
   | Error e -> Alcotest.failf "run_repro %S: %s" token e
+  | Ok o' -> check_bool "bit-for-bit replay" true (o = o')
+
+(* A probability with more than six significant digits (fault_soup
+   draws them) must reach the replay unrounded. *)
+let test_campaign_full_precision_replay () =
+  let o =
+    Tm.Campaign.run
+      {
+        Tm.Campaign.defaults with
+        datapath = Tm.Campaign.Iouring;
+        seed = 3L;
+        budget = 40;
+        faults =
+          [
+            {
+              F.fault = F.Transient_errno;
+              when_ = F.Probability 0.0123456789;
+              shard = None;
+            };
+          ];
+      }
+  in
+  match Tm.Campaign.run_repro (Tm.Campaign.repro o) with
+  | Error e -> Alcotest.failf "run_repro: %s" e
   | Ok o' -> check_bool "bit-for-bit replay" true (o = o')
 
 let test_fault_soup_generator () =
@@ -331,5 +374,7 @@ let suite =
       test_campaign_faults_no_violations;
     Alcotest.test_case "campaign: 5-segment repro replays" `Slow
       test_campaign_fault_repro_roundtrip;
+    Alcotest.test_case "campaign: full-precision fault plan replays" `Slow
+      test_campaign_full_precision_replay;
     Alcotest.test_case "fault soup generator" `Quick test_fault_soup_generator;
   ]

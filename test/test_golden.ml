@@ -55,9 +55,13 @@ let check_golden name actual =
 (* {1 Campaign outcomes} *)
 
 let test_campaign_outcomes () =
-  let clean = C.run ~datapath:C.Xsk ~seed:7L ~budget:32 [] in
+  let xsk7 = { C.defaults with datapath = C.Xsk; seed = 7L; budget = 32 } in
+  let clean = C.run xsk7 in
   let attacked =
-    C.run ~datapath:C.Xsk ~seed:7L ~budget:32
+    C.run
+      {
+        xsk7 with
+        schedule =
       [
         C.At { step = 4; attack = Hostos.Malice.Prod_overshoot };
         C.During
@@ -67,25 +71,38 @@ let test_campaign_outcomes () =
             probability = 1.0;
             attack = Hostos.Malice.Misaligned_offset;
           };
-      ]
+      ];
+      }
   in
   let faulted =
-    C.run ~datapath:C.Iouring ~seed:11L ~budget:32
-      ~faults:
-        [
-          {
-            F.fault = F.Transient_errno;
-            when_ = F.Burst { first_step = 4; last_step = 16; probability = 1.0 };
-            shard = None;
-          };
-        ]
-      []
+    C.run
+      {
+        C.defaults with
+        datapath = C.Iouring;
+        seed = 11L;
+        budget = 32;
+        faults =
+          [
+            {
+              F.fault = F.Transient_errno;
+              when_ =
+                F.Burst { first_step = 4; last_step = 16; probability = 1.0 };
+              shard = None;
+            };
+          ];
+      }
   in
   let sharded =
-    C.run ~datapath:C.Xsk ~seed:5L ~budget:32 ~queues:2
-      ~faults:
-        [ { F.fault = F.Drop_wakeup; when_ = F.Persistent; shard = Some 1 } ]
-      []
+    C.run
+      {
+        C.defaults with
+        datapath = C.Xsk;
+        seed = 5L;
+        budget = 32;
+        queues = 2;
+        faults =
+          [ { F.fault = F.Drop_wakeup; when_ = F.Persistent; shard = Some 1 } ];
+      }
   in
   check_golden "campaign_outcomes"
     (Format.asprintf
@@ -154,25 +171,18 @@ let test_breaker_timeline () =
 (* {1 Repro tokens} *)
 
 let test_repro_tokens () =
-  let template = C.run ~datapath:C.Xsk ~seed:1L ~budget:4 [] in
+  let run datapath seed budget = { C.defaults with datapath; seed; budget } in
+  let campaign label spec = (label, C.Campaign spec) in
   let cases =
     [
-      ( "fault-free single queue (4 segments)",
+      campaign "fault-free single queue"
         {
-          template with
-          C.datapath = C.Xsk;
-          seed = 42L;
-          budget = 64;
+          (run C.Xsk 42L 64) with
           schedule = [ C.At { step = 3; attack = Hostos.Malice.Cons_regress } ];
-          fault_plan = [];
-          queues = 1;
-        } );
-      ( "fault plan (5 segments)",
+        };
+      campaign "fault plan"
         {
-          template with
-          C.datapath = C.Iouring;
-          seed = 9L;
-          budget = 128;
+          (run C.Iouring 9L 128) with
           schedule =
             [
               C.During
@@ -183,145 +193,90 @@ let test_repro_tokens () =
                   attack = Hostos.Malice.Cqe_bogus_res;
                 };
             ];
-          fault_plan =
+          faults =
             [
               { F.fault = F.Short_io; when_ = F.Probability 0.5; shard = None };
               { F.fault = F.Monitor_crash; when_ = F.At_step 11; shard = None };
             ];
-          queues = 1;
-        } );
-      ( "multi-queue, empty plan (6 segments)",
+        };
+      campaign "multi-queue, empty plan" { (run C.Xsk 3L 32) with queues = 4 };
+      campaign "multi-queue, pinned persistent fault"
         {
-          template with
-          C.datapath = C.Xsk;
-          seed = 3L;
-          budget = 32;
-          schedule = [];
-          fault_plan = [];
-          queues = 4;
-        } );
-      ( "multi-queue, pinned persistent fault (6 segments)",
-        {
-          template with
-          C.datapath = C.Xsk;
-          seed = 5L;
-          budget = 32;
-          schedule = [];
-          fault_plan =
+          (run C.Xsk 5L 32) with
+          faults =
             [ { F.fault = F.Drop_wakeup; when_ = F.Persistent; shard = Some 1 } ];
           queues = 2;
-        } );
-      ( "once-trigger with probability (5 segments)",
+        };
+      campaign "once-trigger with probability"
         {
-          template with
-          C.datapath = C.Xsk;
-          seed = 8L;
-          budget = 16;
-          schedule = [];
-          fault_plan =
+          (run C.Xsk 8L 16) with
+          faults =
             [ { F.fault = F.Nic_stall; when_ = F.Once 0.75; shard = None } ];
-          queues = 1;
-        } );
-      ( "zero-copy, fault-free single queue (4 segments + zc)",
+        };
+      campaign "zero-copy, fault-free single queue"
         {
-          template with
-          C.datapath = C.Iouring;
-          seed = 23L;
-          budget = 48;
+          (run C.Iouring 23L 48) with
           schedule =
             [ C.At { step = 8; attack = Hostos.Malice.Forged_early_notif } ];
-          fault_plan = [];
-          queues = 1;
           zerocopy = true;
-        } );
-      ( "zero-copy, multi-queue with fault plan (all 7 segments)",
+        };
+      campaign "zero-copy, multi-queue with fault plan"
         {
-          template with
-          C.datapath = C.Iouring;
-          seed = 31L;
-          budget = 32;
-          schedule = [];
-          fault_plan =
+          (run C.Iouring 31L 32) with
+          faults =
             [ { F.fault = F.Short_io; when_ = F.Probability 0.25; shard = None } ];
           queues = 2;
           zerocopy = true;
-        } );
-      ( "overload control, fault-free single queue (4 segments + ov)",
+        };
+      campaign "overload control, fault-free single queue"
         {
-          template with
-          C.datapath = C.Xsk;
-          seed = 13L;
-          budget = 24;
+          (run C.Xsk 13L 24) with
           schedule = [ C.At { step = 5; attack = Hostos.Malice.Prod_overshoot } ];
-          fault_plan = [];
-          queues = 1;
           overload = true;
-        } );
-      ( "overload + zero-copy, multi-queue with fault plan (all 8 segments)",
+        };
+      campaign "overload + zero-copy, multi-queue with fault plan"
         {
-          template with
-          C.datapath = C.Iouring;
-          seed = 17L;
-          budget = 32;
-          schedule = [];
-          fault_plan =
+          (run C.Iouring 17L 32) with
+          faults =
             [ { F.fault = F.Drop_wakeup; when_ = F.Persistent; shard = Some 0 } ];
           queues = 2;
           zerocopy = true;
           overload = true;
-        } );
-      ( "lossy wire, fault-free single queue (4 segments + wire)",
+        };
+      campaign "lossy wire, fault-free single queue"
         {
-          template with
-          C.datapath = C.Xsk;
-          seed = 101L;
-          budget = 28;
+          (run C.Xsk 101L 28) with
           schedule = [ C.At { step = 4; attack = Hostos.Malice.Replay } ];
-          fault_plan = [];
-          queues = 1;
           wire = true;
-        } );
-      ( "overload + zero-copy + lossy wire, multi-queue (all 9 segments)",
+        };
+      campaign "overload + zero-copy + lossy wire, multi-queue"
         {
-          template with
-          C.datapath = C.Iouring;
-          seed = 19L;
-          budget = 32;
-          schedule = [];
-          fault_plan =
+          (run C.Iouring 19L 32) with
+          faults =
             [ { F.fault = F.Short_io; when_ = F.Probability 0.25; shard = None } ];
           queues = 2;
           zerocopy = true;
           overload = true;
           wire = true;
-        } );
+        };
+      ( "lossy-wire soak, three queues, tighter SLO",
+        C.Soak
+          {
+            seed = 42L;
+            steps = 2000;
+            queues = 3;
+            slo_p99 = 1_200_000L;
+            wire = true;
+          } );
     ]
   in
   let buf = Buffer.create 512 in
   List.iter
-    (fun (label, o) ->
-      let token = C.repro o in
-      (* idempotence is part of the contract the golden pins down *)
-      (match C.parse_repro token with
-      | Error e -> Alcotest.failf "token %S failed to parse back: %s" token e
-      | Ok (dp, seed, budget, schedule, plan, queues, zc, ov, wire) ->
-          let again =
-            C.repro
-              {
-                o with
-                C.datapath = dp;
-                seed;
-                budget;
-                schedule;
-                fault_plan = plan;
-                queues;
-                zerocopy = zc;
-                overload = ov;
-                wire;
-              }
-          in
-          if again <> token then
-            Alcotest.failf "token not idempotent: %S -> %S" token again);
+    (fun (label, t) ->
+      let token = C.token_to_string t in
+      (* the parse is part of the contract the golden pins down *)
+      if C.token_of_string token <> Ok t then
+        Alcotest.failf "token %S does not parse back to its spec" token;
       Buffer.add_string buf (Printf.sprintf "%s\n  %s\n" label token))
     cases;
   check_golden "repro_tokens" (Buffer.contents buf)
@@ -345,18 +300,26 @@ let test_zc_dropped_notif_failure () =
     ]
   in
   let o =
-    C.run ~datapath:C.Iouring ~seed:13L ~budget:32 ~zerocopy:true schedule
+    C.run
+      {
+        C.defaults with
+        datapath = C.Iouring;
+        seed = 13L;
+        budget = 32;
+        zerocopy = true;
+        schedule;
+      }
   in
   Alcotest.(check bool) "dropped notif fails the campaign" true (C.failed o);
   Alcotest.(check bool) "leak footprint, not integrity" true (o.C.zc_leaks > 0);
   let s = C.shrink_failure o in
   let minimal =
-    C.run ~datapath:C.Iouring ~seed:13L ~budget:32 ~zerocopy:true
-      ~faults:s.C.shrunk_plan s.C.shrunk_schedule
+    C.run
+      { o.C.spec with schedule = s.C.shrunk_schedule; faults = s.C.shrunk_plan }
   in
   let token = C.repro minimal in
   Alcotest.(check bool)
-    (Printf.sprintf "token %S carries the zc segment" token)
+    (Printf.sprintf "token %S carries the zc flag" token)
     true
     (Filename.check_suffix token ":zc");
   check_golden "zc_dropped_notif"
@@ -376,12 +339,12 @@ let test_zc_dropped_notif_failure () =
    malice soup, DESIGN.md §15) is deterministic in (seed, steps,
    queues); the golden pins the entire rendered outcome — the
    accounting identity, the latency summary, the goodput windows and
-   the ["soak:<seed>:<steps>:q<n>"] repro line — so any drift in the
+   the ["soak:seed=<seed>:steps=<steps>"] repro line — so any drift in the
    soak driver, the overload controller or the renderer shows up as a
    byte diff. *)
 
 let test_soak_outcome () =
-  let o = C.soak ~steps:2000 ~queues:2 ~seed:42L () in
+  let o = C.soak { C.soak_defaults with seed = 42L; steps = 2000 } in
   Alcotest.(check bool) "small soak passes its gates" false (C.soak_failed o);
   check_golden "soak_outcome" (Format.asprintf "%a@." C.pp_soak_outcome o)
 

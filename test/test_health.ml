@@ -429,14 +429,20 @@ let test_uring_persistent_fault_fstime_completes () =
 (* The acceptance criterion's last clause: the whole failover arc is
    reproducible from a campaign repro token.  The canonical plan opens
    the breaker on both datapaths, the run is violation-free, and the
-   token replays it bit-for-bit (fault plan embedded as the fifth
-   segment). *)
+   token replays it bit-for-bit (fault plan embedded under the
+   [faults] key). *)
 let test_campaign_failover_repro_roundtrip () =
   List.iter
     (fun dp ->
-      let plan = Tm.Campaign.failover_plan ~datapath:dp ~budget:120 in
       let o =
-        Tm.Campaign.run ~datapath:dp ~seed:81L ~budget:120 ~faults:plan []
+        Tm.Campaign.run
+          {
+            Tm.Campaign.defaults with
+            datapath = dp;
+            seed = 81L;
+            budget = 120;
+            faults = Tm.Campaign.failover_plan ~datapath:dp ~budget:120;
+          }
       in
       check_bool "no violations" false (Tm.Campaign.failed o);
       check_bool "breaker opened" true (o.Tm.Campaign.breaker_opens >= 1);

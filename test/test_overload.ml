@@ -158,7 +158,10 @@ let soak_accounting =
     QCheck.(
       triple (int_range 800 2500) (int_range 1 2) (int_range 0 10_000))
     (fun (steps, queues, seed) ->
-      let o = C.soak ~steps ~queues ~seed:(Int64.of_int seed) () in
+      let o =
+        C.soak
+          { C.soak_defaults with steps; queues; seed = Int64.of_int seed }
+      in
       (not o.C.sk_stalled)
       && o.C.sk_unaccounted = 0
       && o.C.sk_control_shed = 0)

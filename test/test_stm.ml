@@ -12,10 +12,10 @@
    runs the explorer's V1-V7 battery down random walks far deeper than
    the breadth-first bound.
 
-   Plus: repro-token fuzz — round-trips over all token segments (seed,
-   schedule, faults, queues, budget, shard pins, and the trailing
-   zero-copy "zc" flag) and a never-raises property for malformed
-   tokens. *)
+   Plus: repro-token fuzz — whole campaign and soak specs round-trip
+   through their printed token (every key and flag, shard pins, and
+   arbitrary probabilities in [0, 1]) — and a never-raises property for
+   malformed tokens. *)
 
 module C = Tm.Campaign
 module F = Hostos.Faults
@@ -424,7 +424,7 @@ let product_walk_clean choices =
 
 (* {1 Repro-token fuzz} *)
 
-let probabilities = [ 0.05; 0.1; 0.25; 0.5; 0.75; 1.0 ]
+let probability_gen = QCheck.Gen.float_bound_inclusive 1.0
 
 let attack_gen = QCheck.Gen.oneofl M.all_attacks
 
@@ -437,20 +437,20 @@ let entry_gen =
           (fun first width (probability, attack) ->
             C.During { first; last = first + width; probability; attack })
           (int_bound 5000) (int_bound 999)
-          (pair (oneofl probabilities) attack_gen);
+          (pair probability_gen attack_gen);
       ])
 
 let trigger_gen =
   QCheck.Gen.(
     oneof
       [
-        map (fun p -> F.Probability p) (oneofl probabilities);
-        map (fun p -> F.Once p) (oneofl probabilities);
+        map (fun p -> F.Probability p) probability_gen;
+        map (fun p -> F.Once p) probability_gen;
         map (fun s -> F.At_step s) (int_bound 9999);
         map3
           (fun first_step width probability ->
             F.Burst { first_step; last_step = first_step + width; probability })
-          (int_bound 5000) (int_bound 999) (oneofl probabilities);
+          (int_bound 5000) (int_bound 999) probability_gen;
         return F.Persistent;
       ])
 
@@ -461,53 +461,47 @@ let plan_entry_gen =
       (oneofl F.all_faults) trigger_gen
       (oneof [ return None; map (fun k -> Some k) (int_bound 3) ]))
 
-let token_case_gen =
+let token_gen =
   QCheck.Gen.(
-    let* datapath = oneofl [ C.Xsk; C.Iouring ] in
-    let* seed = map Int64.of_int (int_bound 1_000_000) in
-    let* budget = int_range 1 99_999 in
-    let* schedule = list_size (int_bound 4) entry_gen in
-    let* plan = list_size (int_bound 4) plan_entry_gen in
+    let* seed = int64 in
     let* queues = int_range 1 4 in
-    let* zerocopy = bool in
-    return (datapath, seed, budget, schedule, plan, queues, zerocopy))
+    let* wire = bool in
+    oneof
+      [
+        (let* datapath = oneofl [ C.Xsk; C.Iouring ] in
+         let* budget = int_range 1 99_999 in
+         let* schedule = list_size (int_bound 4) entry_gen in
+         let* faults = list_size (int_bound 4) plan_entry_gen in
+         let* zerocopy = bool in
+         let* overload = bool in
+         return
+           (C.Campaign
+              {
+                datapath;
+                seed;
+                budget;
+                queues;
+                schedule;
+                faults;
+                zerocopy;
+                overload;
+                wire;
+              }));
+        (let* steps = int_range 1 1_000_000 in
+         let* slo_p99 =
+           map (fun n -> Int64.of_int (n + 1)) (int_bound 10_000_000)
+         in
+         return (C.Soak { seed; steps; queues; slo_p99; wire }));
+      ])
 
-let print_token_case (dp, seed, budget, schedule, plan, queues, zerocopy) =
-  Printf.sprintf "%s:%Ld:%d:[%d entries]:%s:q%d%s"
-    (match dp with C.Xsk -> "xsk" | C.Iouring -> "io_uring")
-    seed budget (List.length schedule)
-    (F.plan_to_string plan)
-    queues
-    (if zerocopy then ":zc" else "")
-
-(* One cheap template outcome; [repro] only reads the six identity
-   fields, so the fuzz rewrites those and never re-runs campaigns. *)
-let template =
-  lazy (C.run ~datapath:C.Xsk ~seed:1L ~budget:4 [])
-
-let token_roundtrip (datapath, seed, budget, schedule, plan, queues, zerocopy)
-    =
-  let o =
-    {
-      (Lazy.force template) with
-      C.datapath;
-      seed;
-      budget;
-      schedule;
-      fault_plan = plan;
-      queues;
-      zerocopy;
-    }
-  in
-  let token = C.repro o in
-  match C.parse_repro token with
+let token_roundtrip t =
+  let token = C.token_to_string t in
+  match C.token_of_string token with
+  | Ok t' ->
+      t' = t || QCheck.Test.fail_reportf "%S parsed to another spec" token
   | Error e -> QCheck.Test.fail_reportf "parse failed on %S: %s" token e
-  | Ok (dp', seed', budget', schedule', plan', queues', zc', _ov', _wire') ->
-      dp' = datapath && seed' = seed && budget' = budget
-      && schedule' = schedule && plan' = plan && queues' = queues
-      && zc' = zerocopy
 
-let token_arb = QCheck.make ~print:print_token_case token_case_gen
+let token_arb = QCheck.make ~print:C.token_to_string token_gen
 
 (* malformed tokens: always a useful [Error], never an exception *)
 let garbage_arb =
@@ -519,38 +513,44 @@ let garbage_arb =
           string_size ~gen:printable (int_bound 40);
           (* structurally close to valid: the nastier fuzz *)
           (let* seed = small_int in
+           let* kind = oneofl [ "xsk"; "io_uring"; "soak"; "" ] in
            let* tail =
              oneofl
                [
                  "";
                  ":";
                  ":::::";
-                 ":notanumber:10:";
-                 ":5:x:";
-                 ":5:10:1=no-such-attack";
-                 ":5:10:1..=prod-overshoot";
-                 ":5:10::persist=no-such-fault";
-                 ":5:10::persist=drop-wakeup#x";
-                 ":5:10::@nan=transient-errno";
-                 ":5:10::;;";
-                 ":5:10::persist=drop-wakeup:q0";
-                 ":5:10::persist=drop-wakeup:qq";
-                 ":5:10::persist=drop-wakeup:q-1";
-                 ":5:10:99999999999999999999=prod-overshoot";
-                 ":5:10::persist=drop-wakeup:zc2";
-                 ":5:10::persist=drop-wakeup:q2:zc:zc";
-                 ":5:10:::q1:zc2";
+                 ":budget=10";
+                 ":budget=x";
+                 ":budget=10:budget=10";
+                 ":budget=10:attacks=1=no-such-attack";
+                 ":budget=10:attacks=1..=prod-overshoot";
+                 ":budget=10:attacks=persist=replay";
+                 ":budget=10:faults=persist=no-such-fault";
+                 ":budget=10:faults=persist=drop-wakeup#x";
+                 ":budget=10:faults=@nan=transient-errno";
+                 ":budget=10:faults=;;";
+                 ":budget=10:q=0";
+                 ":budget=10:q=-1";
+                 ":budget=10:q";
+                 ":budget=10:attacks=99999999999999999999=prod-overshoot";
+                 ":budget=10:zc=2";
+                 ":budget=10:zc:zc";
+                 ":steps=10:slo=0";
+                 ":steps=10:slo";
+                 ":steps=10:wire=";
+                 ":5:10::persist=drop-wakeup:q2:zc";
                ]
            in
-           return (Printf.sprintf "xsk:%d%s" seed tail));
+           return (Printf.sprintf "%s:seed=%d%s" kind seed tail));
         ])
 
 let malformed_never_raises s =
-  match C.parse_repro s with
+  match C.token_of_string s with
   | Ok _ -> true
   | Error e -> String.length e > 0
   | exception exn ->
-      QCheck.Test.fail_reportf "parse_repro %S raised %s" s
+      QCheck.Test.fail_reportf "token_of_string %S raised %s" s
         (Printexc.to_string exn)
 
 let contains ~needle hay =
@@ -558,36 +558,53 @@ let contains ~needle hay =
   let rec at i = i + nl <= hl && (String.sub hay i nl = needle || at (i + 1)) in
   nl = 0 || at 0
 
-(* a handful of pinned malformed shapes must parse to Error, and the
-   message must name the offending piece, not "int_of_string" *)
+(* One case per malformed [attacks=] or [faults=] value: the error
+   names the key and the offending piece, not "int_of_string".  The
+   token-level cases live in test_campaign. *)
 let test_malformed_messages () =
   List.iter
-    (fun (token, fragment) ->
-      match C.parse_repro token with
+    (fun (value, piece) ->
+      let token = "xsk:seed=5:budget=10:" ^ value in
+      let key = "\"" ^ String.sub value 0 (String.index value '=') ^ "\"" in
+      match C.token_of_string token with
       | Ok _ -> Alcotest.failf "accepted malformed token %S" token
       | Error e ->
           Alcotest.(check bool)
-            (Printf.sprintf "%S error %S mentions %S" token e fragment)
+            (Printf.sprintf "%S error %S names %s and %S" token e key piece)
             true
-            (contains ~needle:fragment e))
+            (contains ~needle:key e && contains ~needle:piece e))
     [
-      ("", "repro");
-      ("xsk", "repro");
-      ("walrus:5:10:", "repro header");
-      ("xsk:notanumber:10:", "repro header");
-      ("xsk:5:ten:", "repro header");
-      ("xsk:5:10:frob=prod-overshoot", "bad step");
-      ("xsk:5:10:1=no-such-attack", "unknown attack");
-      ("xsk:5:10:7", "schedule entry");
-      ("xsk:5:10::persist=no-such-fault", "unknown fault");
-      ("xsk:5:10::persist=drop-wakeup:q0", "queue segment");
-      ("xsk:5:10::persist=drop-wakeup:qx", "queue segment");
-      (* "zc2" is not the literal "zc": it lands in the queue-segment
-         position and must be named there, never silently accepted *)
-      ("xsk:5:10::persist=drop-wakeup:zc2", "queue segment");
-      (* a second "zc" survives the single strip and overflows *)
-      ("xsk:5:10::persist=drop-wakeup:q2:zc:zc", "repro string");
+      ("attacks=1=no-such-attack", "no-such-attack");
+      ("attacks=frob=prod-overshoot", "frob");
+      ("attacks=7", "schedule entry");
+      ("attacks=1..x@0.5=replay", "window");
+      ("attacks=1..5@p=replay", "probability");
+      (* triggers Malice cannot arm *)
+      ("attacks=@0.5=replay", "cannot arm");
+      ("attacks=once=replay", "cannot arm");
+      ("attacks=persist=replay", "cannot arm");
+      ("faults=persist=no-such-fault", "no-such-fault");
+      ("faults=persist=drop-wakeup#x", "shard suffix");
+      ("faults=@x=short-io", "probability");
+      ("faults=soon=short-io", "trigger");
     ]
+
+(* The shared trigger printer keeps every digit a probability needs:
+   [%g] would print 0.0123456789 as 0.0123457 and the replay would run
+   under a different plan. *)
+let test_probability_digits () =
+  let p = 0.0123456789 in
+  let plan =
+    [ { F.fault = F.Transient_errno; when_ = F.Probability p; shard = None } ]
+  in
+  Alcotest.(check string) "printed in full" "@0.0123456789=transient-errno"
+    (F.plan_to_string plan);
+  Alcotest.(check bool) "parses back" true
+    (F.plan_of_string (F.plan_to_string plan) = Ok plan);
+  let third = 1. /. 3. in
+  Alcotest.(check bool) "17 digits when needed" true
+    (F.trigger_of_string (F.trigger_to_string (F.Probability third))
+    = Ok (F.Probability third))
 
 let q name arb prop =
   QCheck_alcotest.to_alcotest ~rand:(Flake.rand ())
@@ -600,8 +617,10 @@ let suite =
     q "stm: certified ring conforms to Stm_model.Ring" rcmds_arb ring_conforms;
     q "stm: product machine clean down random walks" walk_arb
       product_walk_clean;
-    q "token: six-segment repro round-trip" token_arb token_roundtrip;
+    q "token: campaign and soak specs round-trip" token_arb token_roundtrip;
     q "token: malformed input never raises" garbage_arb malformed_never_raises;
     Alcotest.test_case "token: malformed messages are useful" `Quick
       test_malformed_messages;
+    Alcotest.test_case "token: probabilities keep every digit" `Quick
+      test_probability_digits;
   ]

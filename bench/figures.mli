@@ -58,6 +58,15 @@ val ablation : unit -> unit
       (Gramine) at equal exit budgets — i.e. what the Table 2 checks
       cost end-to-end. *)
 
+val harness :
+  ?rakis_config:Rakis.Config.t ->
+  ?nic_queues:int ->
+  Libos.Env.kind ->
+  Apps.Harness.t
+(** Boot [kind] on a fresh machine; a RAKIS boot becomes the one
+    {!dump_metrics} prints.  Raises [Failure] naming [kind] when the
+    boot fails. *)
+
 val dump_metrics : unit -> unit
 (** Print the Obs metrics registry of the most recent RAKIS harness any
     figure booted ([main.exe --metrics <target>]).  A no-op notice when

@@ -34,13 +34,8 @@ let write_json path fields =
   close_out oc;
   Format.printf "wrote %s@." path
 
-let json_harness () =
-  match Apps.Harness.make Libos.Env.Rakis_sgx () with
-  | Ok h -> h
-  | Error e -> failwith ("rakis-sgx: " ^ e)
-
 let run_json () =
-  let h = json_harness () in
+  let h = Figures.harness Libos.Env.Rakis_sgx in
   let r = Apps.Udp_echo.run h ~datagrams:2000 ~payload_size:512 in
   write_json "BENCH_udp_echo.json"
     [
@@ -53,7 +48,7 @@ let run_json () =
       ("p99_cycles", I r.Apps.Udp_echo.rtt_p99);
       ("exits", I (Libos.Env.exits h.Apps.Harness.env));
     ];
-  let h = json_harness () in
+  let h = Figures.harness Libos.Env.Rakis_sgx in
   let r = Apps.Iperf.run h ~packet_size:1460 ~packets:12_000 in
   write_json "BENCH_iperf.json"
     [
@@ -67,7 +62,7 @@ let run_json () =
       ("p99_cycles", I r.Apps.Iperf.gap_p99);
       ("exits", I (Libos.Env.exits h.Apps.Harness.env));
     ];
-  let h = json_harness () in
+  let h = Figures.harness Libos.Env.Rakis_sgx in
   let r = Apps.Fstime.run h ~block_size:4096 ~blocks:3000 in
   write_json "BENCH_fstime.json"
     [
@@ -93,12 +88,9 @@ let run_json () =
    [Sgx.Params.iouring_copy_cycles_per_byte]). *)
 
 let zc_harness ~zerocopy =
-  match
-    Apps.Harness.make Libos.Env.Rakis_sgx
-      ~rakis_config:{ Rakis.Config.default with zerocopy } ()
-  with
-  | Ok h -> h
-  | Error e -> failwith ("rakis-sgx: " ^ e)
+  Figures.harness
+    ~rakis_config:{ Rakis.Config.default with zerocopy }
+    Libos.Env.Rakis_sgx
 
 (* Every "<uring>.zc_*" counter of a finished run, JSON-keyed under
    [prefix]. *)
@@ -191,19 +183,15 @@ let run_zc_json () =
 let kv_server_threads = 4
 
 let kv_harness ~overload =
-  match
-    Apps.Harness.make Libos.Env.Rakis_sgx
-      ~rakis_config:
-        {
-          Rakis.Config.default with
-          num_queues = 2;
-          num_xsks = kv_server_threads;
-          overload;
-        }
-      ~nic_queues:4 ()
-  with
-  | Ok h -> h
-  | Error e -> failwith ("rakis-sgx: " ^ e)
+  Figures.harness
+    ~rakis_config:
+      {
+        Rakis.Config.default with
+        num_queues = 2;
+        num_xsks = kv_server_threads;
+        overload;
+      }
+    ~nic_queues:4 Libos.Env.Rakis_sgx
 
 let kv_crowd_connections = 640
 
@@ -309,17 +297,7 @@ let run_lossy_json () =
       }
     in
     let s = Apps.Loadgen.run ~config h ~server_threads:kv_server_threads in
-    let kstats = Sim.Engine.stats h.Apps.Harness.engine in
-    (* the loadgen CLI's silent-loss residue (bin/rakis_run.ml): what
-       neither the client books nor the server-side accounted drops nor
-       the client-kernel socket drops explain *)
-    let silent =
-      s.Apps.Loadgen.lost - s.Apps.Loadgen.late - s.Apps.Loadgen.rdp_gave_up
-      - Rakis.Runtime.total_accounted_drops rt
-      - Rakis.Runtime.total_overload_shed rt
-      - Sim.Stats.get kstats "udp.no_socket_drops"
-      - Sim.Stats.get kstats "udp.buffer_drops"
-    in
+    let silent = Apps.Loadgen.silent_loss s h rt in
     (s, Rakis.Runtime.total_wire_losses rt, max 0 silent)
   in
   let plain, plain_wire, plain_silent = leg ~rdp:false in
@@ -389,13 +367,9 @@ let sweep_nic_queues = 8
 let sweep_streams = 16
 
 let sweep_harness ~queues =
-  match
-    Apps.Harness.make Libos.Env.Rakis_sgx
-      ~rakis_config:{ Rakis.Config.default with num_queues = queues }
-      ~nic_queues:sweep_nic_queues ()
-  with
-  | Ok h -> h
-  | Error e -> failwith ("rakis-sgx: " ^ e)
+  Figures.harness
+    ~rakis_config:{ Rakis.Config.default with num_queues = queues }
+    ~nic_queues:sweep_nic_queues Libos.Env.Rakis_sgx
 
 let run_sweep () =
   Sgx.Params.set_link_gbps 100.;

@@ -579,28 +579,12 @@ let loadgen_cmd =
     report_faults h injector;
     report ~metrics ?trace_file h;
     (* The loadgen's accounting obligation, CLI edition: every offered
-       op must terminate as completed, shed or lost — and losses beyond
-       the accounted server-side sheds are silent loss, a bug in any
-       configuration.  Two client-kernel counters join the server-side
-       books: a timed-out op recycles its socket (see
-       {!Apps.Loadgen.one_op}), so its reply — if one was coming — dies
-       in the host kernel as [udp.no_socket_drops]; a reply burst
-       overrunning the client's socket buffer dies as
-       [udp.buffer_drops].  Both are accounted deaths, not silence.
-       With --rdp the client links' retry-exhaustion give-ups join the
-       accounted side too ([total_accounted_drops] already includes
-       the wire-loss counters). *)
+       op must terminate as completed, shed or lost, and every loss must
+       be accounted for ({!Apps.Loadgen.silent_loss}). *)
     let silent =
       match Libos.Env.runtime h.Apps.Harness.env with
       | None -> 0
-      | Some rt ->
-          let kstats = Sim.Engine.stats h.Apps.Harness.engine in
-          s.Apps.Loadgen.lost - s.Apps.Loadgen.late
-          - s.Apps.Loadgen.rdp_gave_up
-          - Rakis.Runtime.total_accounted_drops rt
-          - Rakis.Runtime.total_overload_shed rt
-          - Sim.Stats.get kstats "udp.no_socket_drops"
-          - Sim.Stats.get kstats "udp.buffer_drops"
+      | Some rt -> Apps.Loadgen.silent_loss s h rt
     in
     if silent > 0 then begin
       Format.eprintf "FAIL: %d ops silently lost (unaccounted)@." silent;

@@ -202,7 +202,7 @@ let build_request st rng cdf value =
 type chan = Fd of Libos.Api.fd ref | Link of Rdp_link.t ref
 
 let open_chan api st =
-  if st.cfg.rdp then Link (ref (Rdp_link.create ~name:"rdp.client" api))
+  if st.cfg.rdp then Link (ref (Rdp_link.create api))
   else Fd (ref (api.Libos.Api.udp_socket ()))
 
 (* Fold a finished link's ARQ counters into the run stats; closing it
@@ -220,7 +220,7 @@ let recycle api st chan =
       fdr := api.Libos.Api.udp_socket ()
   | Link lr ->
       retire_link st !lr;
-      lr := Rdp_link.create ~name:"rdp.client" api
+      lr := Rdp_link.create api
 
 (* End-of-client barrier.  The raw-socket path leaves its fd open (a
    straggler reply dies unread, exactly as before); the RDP path must
@@ -529,6 +529,14 @@ let run ?(config = default) (h : Harness.t) ~server_threads =
     recovered = (st.crowd_start = 0L || recovery_window_hit <> None);
     recovery_window = recovery_window_hit;
   }
+
+let silent_loss s (h : Harness.t) rt =
+  let machine = Sim.Engine.stats h.Harness.engine in
+  s.lost - s.late - s.rdp_gave_up
+  - Rakis.Runtime.total_accounted_drops rt
+  - Rakis.Runtime.total_overload_shed rt
+  - Obs.Metrics.get_counter machine "udp.no_socket_drops"
+  - Obs.Metrics.get_counter machine "udp.buffer_drops"
 
 let pp_stats ppf s =
   Format.fprintf ppf

@@ -88,3 +88,13 @@ val run : ?config:config -> Harness.t -> server_threads:int -> stats
     simulated-time safety cap). *)
 
 val pp_stats : Format.formatter -> stats -> unit
+
+val silent_loss : stats -> Harness.t -> Rakis.Runtime.t -> int
+(** Ops lost that no counter accounts for: [lost - late], less the
+    client links' RDP give-ups, the runtime's accounted drops and
+    overload sheds, and the client kernel's [udp.no_socket_drops] and
+    [udp.buffer_drops] on the engine's registry.  A timed-out op
+    recycles its socket, so a reply still coming dies in the host
+    kernel as [udp.no_socket_drops]; a reply burst overrunning the
+    client's socket buffer dies as [udp.buffer_drops].  Anything
+    above 0 is silent loss, a bug in any configuration. *)

@@ -109,7 +109,7 @@ let rdp_worker api ~store link () =
 let server ?(rdp = false) api ~server_threads () =
   let store = make_store () in
   if rdp then begin
-    let link = Rdp_link.create ~name:"rdp.server" api in
+    let link = Rdp_link.create api in
     (match Rdp_link.bind link (Packet.Addr.Ip.of_repr "10.0.0.1", port) with
     | Ok () -> ()
     | Error e ->

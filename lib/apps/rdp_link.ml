@@ -15,10 +15,10 @@ type t = {
   rx : (Bytes.t * Libos.Api.sockaddr) Queue.t;
 }
 
-let create ?obs ?name ?seed api =
+let create api =
   {
     api;
-    rdp = Netstack.Rdp.create ?obs ?name ?seed ();
+    rdp = Netstack.Rdp.create ();
     fd = api.Libos.Api.udp_socket ();
     rx = Queue.create ();
   }

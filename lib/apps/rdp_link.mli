@@ -9,15 +9,9 @@
 
 type t
 
-val create :
-  ?obs:Obs.t ->
-  ?name:string ->
-  ?seed:int64 ->
-  Libos.Api.t ->
-  t
-(** Opens a fresh UDP socket on [api]; the arguments forward to
-    {!Netstack.Rdp.create} ([obs] puts the [<name>.giveup] etc.
-    counters in the shared registry). *)
+val create : Libos.Api.t -> t
+(** Opens a fresh UDP socket on [api] and a fresh {!Netstack.Rdp}
+    endpoint, whose counters {!rdp} exposes. *)
 
 val fd : t -> Libos.Api.fd
 

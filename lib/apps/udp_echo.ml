@@ -46,7 +46,7 @@ let server api () =
    retransmit/give-up counters into the result after the harness
    stops. *)
 let server_rdp api ~links () =
-  let link = Rdp_link.create ~name:"rdp.server" api in
+  let link = Rdp_link.create api in
   links := link :: !links;
   (match Rdp_link.bind link (Packet.Addr.Ip.of_repr "10.0.0.1", port) with
   | Ok () -> ()
@@ -122,7 +122,7 @@ let client api ~datagrams ~payload_size ~src ~echoed ~first ~last ~rtts ~fin ()
 let client_rdp api ~datagrams ~payload_size ~src ~links ~echoed ~first ~last
     ~rtts ~fin () =
   Sim.Engine.delay (Sim.Cycles.of_us 50.);
-  let link = Rdp_link.create ~name:"rdp.client" api in
+  let link = Rdp_link.create api in
   links := link :: !links;
   (match src with
   | None -> ()

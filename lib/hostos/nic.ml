@@ -1,3 +1,14 @@
+(* One counter per wire fault, under [nic.<id>.wire.<fault>]. *)
+type wire_counters = {
+  drop : Obs.Metrics.counter;
+  trunc : Obs.Metrics.counter;
+  runt : Obs.Metrics.counter;
+  giant : Obs.Metrics.counter;
+  dup : Obs.Metrics.counter;
+  delay : Obs.Metrics.counter;
+  reorder : Obs.Metrics.counter;
+}
+
 type t = {
   engine : Sim.Engine.t;
   id : int;
@@ -9,10 +20,11 @@ type t = {
   udp_rx : int array; (* UDP frames enqueued, per receive queue *)
   mutable peer : t option;
   faults : Faults.t option ref;
-  key : string; (* stats key prefix *)
-  rx : Sim.Stats.counter;
-  tx : Sim.Stats.counter;
-  drops : Sim.Stats.counter;
+  (* On the engine's registry, under [nic.<id>.*]. *)
+  rx : Obs.Metrics.counter;
+  tx : Obs.Metrics.counter;
+  drops : Obs.Metrics.counter;
+  wire_counts : wire_counters;
   (* Datapath shards the receive queues fold onto (queue q -> shard
      q mod shards): the context shard-pinned wire-fault armings match
      against.  Defaults to the queue count (identity) until the runtime
@@ -24,8 +36,6 @@ type t = {
   mutable held_gen : int;
 }
 
-let stats t = Sim.Engine.stats t.engine
-
 let id t = t.id
 
 let mac t = t.mac
@@ -34,11 +44,11 @@ let ip t = t.ip
 
 let queue_count t = Array.length t.rx_queues
 
-let rx_packets t = Sim.Stats.count t.rx
+let rx_packets t = Obs.Metrics.value t.rx
 
-let tx_packets t = Sim.Stats.count t.tx
+let tx_packets t = Obs.Metrics.value t.tx
 
-let drops t = Sim.Stats.count t.drops
+let drops t = Obs.Metrics.value t.drops
 
 (* Hardware RSS: the symmetric Toeplitz flow hash pins each UDP flow to
    one receive queue for the NIC's lifetime.  Non-UDP traffic (ARP) has
@@ -56,10 +66,10 @@ let deliver t frame =
   let flow = Packet.Frame.peek_udp_flow frame in
   let q = steer_flow t flow in
   if Sim.Mailbox.try_put t.rx_queues.(q) frame then begin
-    Sim.Stats.bump t.rx;
+    Obs.Metrics.incr t.rx;
     if flow <> None then t.udp_rx.(q) <- t.udp_rx.(q) + 1
   end
-  else Sim.Stats.bump t.drops
+  else Obs.Metrics.incr t.drops
 
 let udp_rx_per_queue t = Array.copy t.udp_rx
 
@@ -78,13 +88,11 @@ let set_shards t shards =
    [nic.<id>.wire.<fault>] — the wire never makes a frame disappear
    without an accounting trail. *)
 
-let wire_count t fault = Sim.Stats.incr (stats t) (t.key ^ ".wire." ^ fault)
-
 (* Frames the wire destroyed outright or corrupted beyond parsing: the
    accounted-loss contribution of this NIC's transmit side. *)
 let wire_losses t =
-  let get f = Sim.Stats.get (stats t) (t.key ^ ".wire." ^ f) in
-  get "drop" + get "trunc" + get "runt" + get "giant"
+  let w = t.wire_counts and v = Obs.Metrics.value in
+  v w.drop + v w.trunc + v w.runt + v w.giant
 
 let wire_shard t peer frame = Some (steer peer frame mod t.shards)
 
@@ -117,13 +125,13 @@ let corrupt_length t ?shard frame =
   match !(t.faults) with
   | Some f when Bytes.length frame > 1 && roll_wire t ?shard Faults.Wire_trunc
     ->
-      wire_count t "trunc";
+      Obs.Metrics.incr t.wire_counts.trunc;
       Bytes.sub frame 0 (1 + rng f (Bytes.length frame - 1))
   | Some f when roll_wire t ?shard Faults.Wire_runt ->
-      wire_count t "runt";
+      Obs.Metrics.incr t.wire_counts.runt;
       Bytes.sub frame 0 (min (Bytes.length frame) (rng f Packet.Eth.header_size))
   | Some f when roll_wire t ?shard Faults.Wire_giant ->
-      wire_count t "giant";
+      Obs.Metrics.incr t.wire_counts.giant;
       let tail = Sgx.Params.umem_frame_size + 64 + rng f 256 in
       let g = Bytes.make tail '\000' in
       Sim.Rng.fill_bytes (Faults.rng f) g;
@@ -136,7 +144,7 @@ let wire_transmit t peer frame =
     match !(t.faults) with None -> None | Some _ -> wire_shard t peer frame
   in
   if roll_wire t ?shard Faults.Wire_drop then begin
-    wire_count t "drop";
+    Obs.Metrics.incr t.wire_counts.drop;
     (* The dropped frame cannot overtake the held one anymore; let the
        flush timer release it. *)
     ()
@@ -145,20 +153,20 @@ let wire_transmit t peer frame =
     let frame = corrupt_length t ?shard frame in
     let copies =
       if roll_wire t ?shard Faults.Wire_dup then begin
-        wire_count t "dup";
+        Obs.Metrics.incr t.wire_counts.dup;
         2
       end
       else 1
     in
     for _ = 1 to copies do
       if roll_wire t ?shard Faults.Wire_delay then begin
-        wire_count t "delay";
+        Obs.Metrics.incr t.wire_counts.delay;
         Sim.Engine.at t.engine
           (Int64.add (Sim.Engine.now t.engine) Sgx.Params.fault_wire_delay)
           (fun () -> arrive t peer frame)
       end
       else if t.held = None && roll_wire t ?shard Faults.Wire_reorder then begin
-        wire_count t "reorder";
+        Obs.Metrics.incr t.wire_counts.reorder;
         t.held <- Some frame;
         let gen = t.held_gen in
         (* Bounded in time as well as distance: if no successor overtakes
@@ -190,7 +198,7 @@ let tx_process t () =
         (float_of_int (Bytes.length frame) *. !Sgx.Params.live_wire_cycles_per_byte)
     in
     Sim.Engine.delay wire_cycles;
-    Sim.Stats.bump t.tx;
+    Obs.Metrics.incr t.tx;
     (match t.peer with
     | Some peer -> wire_transmit t peer frame
     | None -> ());
@@ -210,8 +218,11 @@ let rx_process t q () =
 
 let create ?(faults = ref None) engine ~id ~mac ~ip ~queues =
   if queues <= 0 then invalid_arg "Nic.create: need at least one queue";
-  let key = Printf.sprintf "nic.%d" id in
-  let counter name = Sim.Stats.counter (Sim.Engine.stats engine) (key ^ name) in
+  let counter name =
+    Obs.Metrics.counter (Sim.Engine.stats engine)
+      (Printf.sprintf "nic.%d.%s" id name)
+  in
+  let wire f = counter ("wire." ^ f) in
   let t =
     {
       engine;
@@ -226,10 +237,19 @@ let create ?(faults = ref None) engine ~id ~mac ~ip ~queues =
       udp_rx = Array.make queues 0;
       peer = None;
       faults;
-      key;
-      rx = counter ".rx";
-      tx = counter ".tx";
-      drops = counter ".drops";
+      rx = counter "rx";
+      tx = counter "tx";
+      drops = counter "drops";
+      wire_counts =
+        {
+          drop = wire "drop";
+          trunc = wire "trunc";
+          runt = wire "runt";
+          giant = wire "giant";
+          dup = wire "dup";
+          delay = wire "delay";
+          reorder = wire "reorder";
+        };
       shards = queues;
       held = None;
       held_gen = 0;
@@ -253,4 +273,4 @@ let set_rx_handler t ~queue f =
   t.handlers.(queue) <- f
 
 let transmit t frame =
-  if not (Sim.Mailbox.try_put t.tx_queue frame) then Sim.Stats.bump t.drops
+  if not (Sim.Mailbox.try_put t.tx_queue frame) then Obs.Metrics.incr t.drops

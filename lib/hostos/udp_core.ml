@@ -14,11 +14,15 @@ type t = {
   arp_resolved : Sim.Condition.t;
   mutable next_id : int;
   mutable next_ephemeral : int;
+  (* On the engine's registry, shared by every kernel on the engine. *)
+  no_socket_drops : Obs.Metrics.counter;
+  buffer_drops : Obs.Metrics.counter;
 }
 
 let rx_capacity = Sgx.Params.udp_socket_buffer / Sgx.Params.umem_frame_size
 
 let create engine ~route =
+  let counter = Obs.Metrics.counter (Sim.Engine.stats engine) in
   {
     engine;
     route;
@@ -27,6 +31,8 @@ let create engine ~route =
     arp_resolved = Sim.Condition.create ();
     next_id = 0;
     next_ephemeral = 40000;
+    no_socket_drops = counter "udp.no_socket_drops";
+    buffer_drops = counter "udp.buffer_drops";
   }
 
 let socket t =
@@ -189,8 +195,7 @@ let stack_input t nic frame =
   | Ok payload_len -> (
       let info = Packet.Frame.udp_info frame in
       match Hashtbl.find_opt t.by_port info.dst_port with
-      | None ->
-          Sim.Stats.incr (Sim.Engine.stats t.engine) "udp.no_socket_drops"
+      | None -> Obs.Metrics.incr t.no_socket_drops
       | Some sock ->
           let payload =
             Bytes.sub frame Packet.Frame.frame_overhead payload_len
@@ -199,7 +204,7 @@ let stack_input t nic frame =
             Sim.Mailbox.try_put sock.rxq
               (payload, (info.src_ip, info.src_port))
           then Sim.Condition.broadcast sock.activity
-          else Sim.Stats.incr (Sim.Engine.stats t.engine) "udp.buffer_drops")
+          else Obs.Metrics.incr t.buffer_drops)
   | Error Not_ipv4 when Packet.Eth.ethertype_at frame 0 = Arp -> (
       match
         Packet.Arp.parse

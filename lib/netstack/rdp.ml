@@ -86,20 +86,18 @@ type peer = {
 
 type t = {
   peers : (key, peer) Hashtbl.t;
-  seed : int64;
   max_attempts : int;
-  (* Counters; mirrored into a metrics registry when [obs] was given. *)
   mutable sent : int;
   mutable retransmits : int;
   mutable acked : int;
   mutable gave_up : int;
   mutable dups : int;
   mutable junk : int;
-  metrics : (string * Obs.Metrics.counter) list;
 }
 
-let counter_names =
-  [ "sent"; "retransmit"; "acked"; "giveup"; "dup"; "junk" ]
+(* Retransmission jitter: datagram [seq]'s backoff is seeded
+   [seed + seq], so a run replays exactly. *)
+let seed = 0x52d9L
 
 (* Retransmit timeout: [rto_init] seeds the estimator before the first
    RTT sample; estimates are clamped to [[rto_min], [rto_max]]. *)
@@ -113,20 +111,10 @@ let rto_max = Sim.Cycles.of_ms 2.
    deep: more in flight and a stale replay could slip past it. *)
 let window = 64
 
-let create ?obs ?(name = "rdp") ?(seed = 0x52d9L) ?(max_attempts = 6) () =
+let create ?(max_attempts = 6) () =
   if max_attempts < 1 then invalid_arg "Rdp.create: max_attempts must be >= 1";
-  let metrics =
-    match obs with
-    | None -> []
-    | Some o ->
-        let m = Obs.metrics o in
-        List.map
-          (fun c -> (c, Obs.Metrics.counter m (name ^ "." ^ c)))
-          counter_names
-  in
   {
     peers = Hashtbl.create 8;
-    seed;
     max_attempts;
     sent = 0;
     retransmits = 0;
@@ -134,13 +122,7 @@ let create ?obs ?(name = "rdp") ?(seed = 0x52d9L) ?(max_attempts = 6) () =
     gave_up = 0;
     dups = 0;
     junk = 0;
-    metrics;
   }
-
-let bump t what =
-  match List.assoc_opt what t.metrics with
-  | Some c -> Obs.Metrics.incr c
-  | None -> ()
 
 let peer_of t k =
   match Hashtbl.find_opt t.peers k with
@@ -190,8 +172,7 @@ let drop_pending p seq =
 
 let give_up t p seq =
   drop_pending p seq;
-  t.gave_up <- t.gave_up + 1;
-  bump t "giveup"
+  t.gave_up <- t.gave_up + 1
 
 (* {1 Sender side} *)
 
@@ -220,7 +201,7 @@ let send t ~now ~dst payload =
       attempts = 1;
       backoff =
         Sim.Backoff.create
-          ~seed:(Int64.add t.seed (Int64.of_int seq))
+          ~seed:(Int64.add seed (Int64.of_int seq))
           ~base:rto_now ~cap:rto_max ();
     }
   in
@@ -230,7 +211,6 @@ let send t ~now ~dst payload =
   Hashtbl.replace p.pending seq entry;
   p.order <- p.order @ [ seq ];
   t.sent <- t.sent + 1;
-  bump t "sent";
   datagram
 
 (* {1 Receiver side: dedup window} *)
@@ -279,13 +259,11 @@ let input t ~now ~src datagram =
   match decode datagram with
   | Junk ->
       t.junk <- t.junk + 1;
-      bump t "junk";
       Junk
   | Data (seq, payload) ->
       let p = peer_of t k in
       if seen_before p seq then begin
         t.dups <- t.dups + 1;
-        bump t "dup";
         Duplicate (encode_ack ~seq)
       end
       else Deliver (payload, encode_ack ~seq)
@@ -300,7 +278,6 @@ let input t ~now ~src datagram =
           if e.attempts = 1 then observe_rtt p (Int64.sub now e.first_sent);
           drop_pending p seq;
           t.acked <- t.acked + 1;
-          bump t "acked";
           Acked)
 
 (* {1 The retransmit clock} *)
@@ -334,7 +311,6 @@ let due t ~now =
             e.last_sent <- now;
             e.due <- Int64.add now (Sim.Backoff.next e.backoff);
             t.retransmits <- t.retransmits + 1;
-            bump t "retransmit";
             out := (addr, e.datagram) :: !out
           end)
         (* Oldest-first keeps retransmission order stable. *)

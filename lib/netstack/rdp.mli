@@ -4,7 +4,7 @@
     a per-peer sequence number, the receiver always answers [ACK], the
     sender retransmits on a {!Sim.Backoff}-driven clock seeded from a
     Jacobson/Karels RTO estimate (Karn-filtered samples), and gives up
-    — visibly, counted under ["rdp.giveup"] — after a bounded number of
+    — visibly, counted in {!gave_up} — after a bounded number of
     attempts.  Receivers deduplicate with a 64-entry sliding window, so
     the faults RDP exists to absorb (duplication, replay, bounded
     reorder) never deliver twice.
@@ -13,8 +13,8 @@
     fibers.  Callers thread [now] through every entry point and put the
     returned datagrams on whatever wire they have — {!Apps.Rdp_link}
     pumps one over a {!Libos.Api} UDP socket; tests and the fuzzer
-    drive it directly.  Everything is deterministic in ([seed], the
-    call sequence), so campaign repro tokens replay runs exactly.
+    drive it directly.  Everything is deterministic in the call
+    sequence, so campaign repro tokens replay runs exactly.
 
     RDP is opt-in per workload (loadgen, udp_echo, the KV client): the
     plain datapath stays byte-identical when it is off. *)
@@ -23,17 +23,9 @@ type t
 
 type addr = Packet.Addr.Ip.t * int
 
-val create :
-  ?obs:Obs.t ->
-  ?name:string ->
-  ?seed:int64 ->
-  ?max_attempts:int ->
-  unit ->
-  t
-(** [obs] registers the counters ([<name>.sent], [.retransmit],
-    [.acked], [.giveup], [.dup], [.junk]; [name] defaults to ["rdp"])
-    in the shared registry so run gates can read them.  The RTO starts
-    at 200 µs before the first sample and is clamped to [50 µs, 2 ms].
+val create : ?max_attempts:int -> unit -> t
+(** A fresh endpoint; its counters ({!sent} … {!junk}) start at 0.
+    The RTO starts at 200 µs before the first sample and is clamped to [50 µs, 2 ms].
     [max_attempts] (6) bounds total transmissions of one datagram; at
     most 64 datagrams (the dedup window's depth) stay unacked per peer,
     the oldest abandoned (an accounted give-up) rather than growing.
@@ -58,8 +50,8 @@ val input : t -> now:int64 -> src:addr -> Bytes.t -> rx
 val due : t -> now:int64 -> (addr * Bytes.t) list
 (** Retransmissions whose deadline passed, oldest-first per peer; each
     advances its attempt counter and {!Sim.Backoff} delay.  Datagrams
-    out of attempts are abandoned instead (counted under
-    ["rdp.giveup"]) and not returned. *)
+    out of attempts are abandoned instead (counted in {!gave_up}) and
+    not returned. *)
 
 val next_deadline : t -> int64 option
 (** Earliest retransmit deadline over all pending datagrams — feed it

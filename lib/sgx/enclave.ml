@@ -1,6 +1,20 @@
-type t = { engine : Sim.Engine.t; sgx : bool; name : string }
+type t = {
+  engine : Sim.Engine.t;
+  sgx : bool;
+  name : string;
+  exits : Obs.Metrics.counter;
+  boundary_bytes : Obs.Metrics.counter;
+}
 
-let create engine ~sgx ~name = { engine; sgx; name }
+let create engine ~sgx ~name =
+  let counter = Obs.Metrics.counter (Sim.Engine.stats engine) in
+  {
+    engine;
+    sgx;
+    name;
+    exits = counter "sgx.exits";
+    boundary_bytes = counter "sgx.boundary_bytes";
+  }
 
 let engine t = t.engine
 
@@ -18,10 +32,10 @@ let charge _t cycles =
   if Int64.compare cycles 0L > 0 then Sim.Engine.delay cycles
 
 let ocall t =
-  Sim.Stats.incr (Sim.Engine.stats t.engine) "sgx.exits";
+  Obs.Metrics.incr t.exits;
   if t.sgx then charge t !Params.enclave_exit_cycles
 
-let exits t = Sim.Stats.get (Sim.Engine.stats t.engine) "sgx.exits"
+let exits t = Obs.Metrics.value t.exits
 
 let copy_cycles t ~crossing len =
   let per_byte =
@@ -32,6 +46,5 @@ let copy_cycles t ~crossing len =
   Int64.of_float (ceil (float_of_int len *. per_byte))
 
 let charge_copy t ~crossing len =
-  if crossing then
-    Sim.Stats.add (Sim.Engine.stats t.engine) "sgx.boundary_bytes" len;
+  if crossing then Obs.Metrics.add t.boundary_bytes len;
   charge t (copy_cycles t ~crossing len)

@@ -9,8 +9,9 @@
     code runs but exits and boundary copies cost nothing extra — exactly
     how Gramine's direct mode behaves.
 
-    The stats keys written here: ["sgx.exits"] (count) and
-    ["sgx.boundary_bytes"]. *)
+    The counters kept here, on the engine's registry
+    ({!Sim.Engine.stats}): ["sgx.exits"] (count) and
+    ["sgx.boundary_bytes"].  Every enclave on one engine shares them. *)
 
 type t
 

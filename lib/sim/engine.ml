@@ -21,7 +21,7 @@ type t = {
   mutable seqs : int array;
   mutable fns : (unit -> unit) array;
   mutable stopped : bool;
-  stats : Stats.t;
+  stats : Obs.Metrics.t;
 }
 
 (* A process waits on at most one event at a time, so everything a
@@ -149,7 +149,7 @@ let create () =
     seqs = Array.make 64 0;
     fns = Array.make 64 nop;
     stopped = false;
-    stats = Stats.create ();
+    stats = Obs.Metrics.create ();
   }
 
 let now t =

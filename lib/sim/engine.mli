@@ -15,7 +15,7 @@ type time = int64
 (** Simulated time in CPU cycles since the start of the run. *)
 
 type t
-(** A simulation engine instance: clock, event queue and statistics. *)
+(** A simulation engine instance: clock, event queue and counter registry. *)
 
 exception Not_in_process
 (** Raised when {!self} or {!park} is called outside a process spawned
@@ -27,8 +27,12 @@ val now : t -> time
 (** Current simulated time.  Boxed on the first call after the clock
     moves, so events that never read it pay nothing. *)
 
-val stats : t -> Stats.t
-(** The statistics registry attached to this engine. *)
+val stats : t -> Obs.Metrics.t
+(** The machine's counter registry: what the simulated hardware and host
+    count whichever environment runs on it (enclave exits, boundary
+    bytes, NIC and host-UDP counters).  A RAKIS runtime keeps its own
+    registry per boot ({!Obs.metrics}); native and Gramine runs boot no
+    runtime, so the machine's counters live here. *)
 
 val spawn : t -> ?name:string -> (unit -> unit) -> unit
 (** [spawn t f] schedules process [f] to start at the current simulated

@@ -524,6 +524,43 @@ let test_uring_poll_blocks_until_ready () =
       in
       check "POLLIN" Abi.Uring_abi.pollin cqe.res)
 
+(* {1 The machine's registry} *)
+
+(* Every kernel and enclave on one engine counts into the engine's
+   registry: one cell per name, however many register it. *)
+let test_machine_registry_shared () =
+  let engine = Sim.Engine.create () in
+  let kernels = [ K.create engine (); K.create engine () ] in
+  let enclaves =
+    [ Sgx.Enclave.create engine ~sgx:true ~name:"a";
+      Sgx.Enclave.create engine ~sgx:false ~name:"b" ]
+  in
+  Sim.Engine.spawn engine (fun () ->
+      List.iter
+        (fun k ->
+          (* no socket on the far port: the host stack drops it *)
+          ignore
+            (expect "send"
+               (K.sendto k (K.udp_socket k) (Bytes.of_string "x")
+                  ~dst:(ip "10.0.0.1", 7999))))
+        kernels;
+      List.iter Sgx.Enclave.ocall enclaves);
+  Sim.Engine.run ~until:(Sim.Cycles.of_ms 1.) engine;
+  let m = Sim.Engine.stats engine in
+  check "both kernels' drops in one cell" 2
+    (Obs.Metrics.get_counter m "udp.no_socket_drops");
+  check "both enclaves' exits in one cell" 2
+    (Obs.Metrics.get_counter m "sgx.exits");
+  List.iter
+    (fun e -> check "each enclave reads the one cell" 2 (Sgx.Enclave.exits e))
+    enclaves;
+  let names = List.map fst (Obs.Metrics.counters m) in
+  List.iter
+    (fun name ->
+      check name 1 (List.length (List.filter (String.equal name) names)))
+    [ "udp.no_socket_drops"; "udp.buffer_drops"; "sgx.exits";
+      "sgx.boundary_bytes" ]
+
 let suite =
   [
     ("fbuf: write/read", `Quick, test_fbuf_write_read);
@@ -562,4 +599,6 @@ let suite =
     ("uring: garbage SQE gets EINVAL", `Quick, test_uring_garbage_sqe);
     ("uring: poll blocks until ready", `Quick,
      test_uring_poll_blocks_until_ready);
+    ("machine registry: kernels and enclaves share cells", `Quick,
+     test_machine_registry_shared);
   ]

@@ -607,8 +607,11 @@ let test_fm_failover_resends_in_offset_order () =
    (xRX burst, UMem reclaim, boundary copy, xFill restock) and one sent
    (xCompl reap, UMem alloc, copy, xTX produce), each in a burst of one,
    so a closure per burst is a closure per frame.  The stack's input is
-   measured alone on the same frame and subtracted. *)
-let fm_words_per_frame_budget = 28
+   measured alone on the same frame and subtracted.  What remains is
+   boxing: 12 words for four ring descriptors read or written as
+   [int64], 6 for the two copy costs, 4 for two [Umem.alloc] options and
+   2 for [Umem.reclaim]'s [?len]. *)
+let fm_words_per_frame_budget = 24
 
 let test_fm_alloc_per_frame () =
   let h = hand_fm ~frames:128 in

@@ -63,7 +63,21 @@ let test_boundary_bytes_accounted () =
          Sgx.Enclave.charge_copy enclave ~crossing:true 1234;
          Sgx.Enclave.charge_copy enclave ~crossing:false 9999));
   check "only crossing bytes counted" 1234
-    (Sim.Stats.get (Sim.Engine.stats engine) "sgx.boundary_bytes")
+    (Obs.Metrics.get_counter (Sim.Engine.stats engine) "sgx.boundary_bytes")
+
+(* The exit counter is a handle bound at creation: an OCALL looks up no
+   key and allocates nothing. *)
+let test_ocall_allocates_nothing () =
+  let _, enclave = fixture ~sgx:true in
+  Sgx.Enclave.ocall enclave;
+  let n = 1000 in
+  let w0 = Gc.minor_words () in
+  for _ = 1 to n do
+    Sgx.Enclave.ocall enclave
+  done;
+  let words = Gc.minor_words () -. w0 in
+  check "counted" (n + 1) (Sgx.Enclave.exits enclave);
+  Alcotest.(check (float 0.)) "no minor words" 0. words
 
 let test_regions_have_right_trust () =
   let _, enclave = fixture ~sgx:true in
@@ -120,4 +134,5 @@ let suite =
     ("enclave: charge advances time", `Quick, test_charge_advances_time);
     ("enclave: non-positive charge free", `Quick,
      test_charge_zero_or_negative_is_free);
+    ("enclave: ocall allocates nothing", `Quick, test_ocall_allocates_nothing);
   ]

@@ -200,8 +200,11 @@ let test_engine_suspend_outside_raises () =
 
 let test_engine_stats () =
   let e = Engine.create () in
-  Stats.incr (Engine.stats e) "x";
-  check "stats attached" 1 (Stats.get (Engine.stats e) "x")
+  let c = Obs.Metrics.counter (Engine.stats e) "x" in
+  Obs.Metrics.incr c;
+  check "stats attached" 1 (Obs.Metrics.get_counter (Engine.stats e) "x");
+  check "one registry per engine" 0
+    (Obs.Metrics.get_counter (Engine.stats (Engine.create ())) "x")
 
 (* {1 Condition} *)
 
@@ -642,44 +645,6 @@ let test_lock_with_lock_exception_releases () =
       Alcotest.(check bool) "released after exception" false (Lock.held l));
   Engine.run e
 
-(* {1 Stats} *)
-
-let test_stats_counters () =
-  let s = Stats.create () in
-  Stats.incr s "a";
-  Stats.add s "a" 4;
-  Stats.incr s "b";
-  check "a" 5 (Stats.get s "a");
-  check "b" 1 (Stats.get s "b");
-  check "absent" 0 (Stats.get s "zzz");
-  Alcotest.(check (list (pair string int)))
-    "sorted" [ ("a", 5); ("b", 1) ] (Stats.counters s)
-
-let test_stats_gauges () =
-  let s = Stats.create () in
-  Stats.set_gauge s "g" 1.5;
-  Stats.add_gauge s "g" 0.5;
-  Alcotest.(check (float 1e-9)) "gauge" 2.0 (Stats.gauge s "g")
-
-let test_stats_reset () =
-  let s = Stats.create () in
-  Stats.incr s "a";
-  Stats.reset s;
-  check "reset" 0 (Stats.get s "a")
-
-let test_stats_counter_handle () =
-  let s = Stats.create () in
-  let c = Stats.counter s "h" in
-  Alcotest.(check (list (pair string int)))
-    "unbumped handle registers nothing" [] (Stats.counters s);
-  Stats.bump c;
-  Stats.incr s "h";
-  check "shares the registry cell" 2 (Stats.count c);
-  Stats.reset s;
-  check "reset" 0 (Stats.count c);
-  Stats.bump c;
-  check "rebinds after reset" 1 (Stats.get s "h")
-
 (* {1 Rng} *)
 
 let test_rng_deterministic () =
@@ -774,10 +739,6 @@ let suite =
     ("lock: release unheld raises", `Quick, test_lock_release_not_held);
     ("lock: with_lock releases on exception", `Quick,
      test_lock_with_lock_exception_releases);
-    ("stats: counters", `Quick, test_stats_counters);
-    ("stats: gauges", `Quick, test_stats_gauges);
-    ("stats: reset", `Quick, test_stats_reset);
-    ("stats: counter handle", `Quick, test_stats_counter_handle);
     ("rng: deterministic stream", `Quick, test_rng_deterministic);
     ("rng: int bounds", `Quick, test_rng_int_bounds);
     ("rng: int bad bound", `Quick, test_rng_int_bad_bound);

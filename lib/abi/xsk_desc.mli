@@ -25,3 +25,18 @@ val decode_offset : int64 -> int
 val decode_len : int64 -> int
 (** The length half of {!decode}.  With {!decode_offset}, the
     allocation-free decode the receive path uses. *)
+
+(** {2 In place}
+
+    The same encoding read and written straight in a ring slot as native
+    ints: [get_offset r off] is [decode_offset (Mem.Region.get_u64 r
+    off)] without boxing an [int64], and so on. *)
+
+val get_offset : Mem.Region.t -> int -> int
+
+val get_len : Mem.Region.t -> int -> int
+
+val set : Mem.Region.t -> int -> offset:int -> len:int -> unit
+(** Range checks as {!encode}. *)
+
+val set_offset : Mem.Region.t -> int -> int -> unit

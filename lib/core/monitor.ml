@@ -182,38 +182,44 @@ let wakeup t kind_counter label =
   | None -> ()
   | Some tr -> Obs.Trace.instant tr ~cat:"mm" label
 
+let scan_one t = function
+  | Xsk r ->
+      let fill_now = Rings.Layout.read_prod r.fill in
+      if advanced ~seen:r.fill_seen ~now:fill_now then begin
+        r.fill_seen <- fill_now;
+        wakeup t t.rx_wakeups "mm.wakeup.rx";
+        Hostos.Kernel.xsk_rx_wakeup t.kernel r.xsk
+      end;
+      let tx_now = Rings.Layout.read_prod r.tx in
+      let adv = advanced ~seen:r.tx_seen ~now:tx_now in
+      if r.forced || adv then begin
+        if r.forced && not adv then Obs.Metrics.incr t.forced_tx;
+        r.forced <- false;
+        r.tx_seen <- tx_now;
+        wakeup t t.tx_wakeups "mm.wakeup.tx";
+        Hostos.Kernel.xsk_tx_wakeup t.kernel r.xsk
+      end
+  | Uring r ->
+      let sq_now = Rings.Layout.read_prod r.sq in
+      if r.forced || advanced ~seen:r.sq_seen ~now:sq_now then begin
+        if r.forced && not (advanced ~seen:r.sq_seen ~now:sq_now) then
+          Obs.Metrics.incr t.forced_enters;
+        r.forced <- false;
+        r.sq_seen <- sq_now;
+        wakeup t t.uring_wakeups "mm.wakeup.uring";
+        Hostos.Kernel.uring_enter t.kernel r.uring
+      end
+
+(* A walk, not [List.iter]: a scan allocates no closure. *)
+let rec scan_all t = function
+  | [] -> ()
+  | w :: ws ->
+      scan_one t w;
+      scan_all t ws
+
 let scan t =
   Obs.Metrics.incr t.scans;
-  List.iter
-    (fun w ->
-      match w with
-      | Xsk r ->
-          let fill_now = Rings.Layout.read_prod r.fill in
-          if advanced ~seen:r.fill_seen ~now:fill_now then begin
-            r.fill_seen <- fill_now;
-            wakeup t t.rx_wakeups "mm.wakeup.rx";
-            Hostos.Kernel.xsk_rx_wakeup t.kernel r.xsk
-          end;
-          let tx_now = Rings.Layout.read_prod r.tx in
-          let adv = advanced ~seen:r.tx_seen ~now:tx_now in
-          if r.forced || adv then begin
-            if r.forced && not adv then Obs.Metrics.incr t.forced_tx;
-            r.forced <- false;
-            r.tx_seen <- tx_now;
-            wakeup t t.tx_wakeups "mm.wakeup.tx";
-            Hostos.Kernel.xsk_tx_wakeup t.kernel r.xsk
-          end
-      | Uring r ->
-          let sq_now = Rings.Layout.read_prod r.sq in
-          if r.forced || advanced ~seen:r.sq_seen ~now:sq_now then begin
-            if r.forced && not (advanced ~seen:r.sq_seen ~now:sq_now) then
-              Obs.Metrics.incr t.forced_enters;
-            r.forced <- false;
-            r.sq_seen <- sq_now;
-            wakeup t t.uring_wakeups "mm.wakeup.uring";
-            Hostos.Kernel.uring_enter t.kernel r.uring
-          end)
-    t.watched
+  scan_all t t.watched
 
 let force_scan t = scan t
 

@@ -61,6 +61,8 @@ and udp_sock = {
      stack's port table identical, so ephemeral allocation on shard 0
      is collision-free everywhere. *)
   mutable bound : Netstack.Udp_socket.t array;
+  mutable activity : Sim.Condition.t list;
+      (* the [bound] sockets' activity conditions, listed once at bind *)
   mutable host_fd : int option; (* exit-based fallback socket, same port *)
 }
 
@@ -174,19 +176,21 @@ let any_shard_degraded t =
   Array.exists (fun s -> Health.degraded s.sh_breaker) t.shards
 
 let xdp_program t shard frame =
-  let degraded () = xsk_failover_ready t && Health.degraded shard.sh_breaker in
-  let arp_degraded () = xsk_failover_ready t && any_shard_degraded t in
-  match Packet.Frame.peek_udp_ports frame with
-  | Some (_, dst_port) when Hashtbl.mem t.owned_ports dst_port ->
-      if degraded () then Hostos.Xdp.Pass else Hostos.Xdp.Redirect
-  | Some _ -> Hostos.Xdp.Pass
-  | None -> (
+  let dst_port = Packet.Frame.udp_dst_port frame in
+  if dst_port >= 0 then
+    if not (Hashtbl.mem t.owned_ports dst_port) then Hostos.Xdp.Pass
+    else if xsk_failover_ready t && Health.degraded shard.sh_breaker then
+      Hostos.Xdp.Pass
+    else Hostos.Xdp.Redirect
+  else (
       match Packet.Eth.parse frame with
       | Ok { ethertype = Arp; payload; _ } -> (
           match Packet.Arp.parse payload with
           | Ok arp when Packet.Addr.Ip.equal arp.target_ip t.config.Config.ip
             ->
-              if arp_degraded () then Hostos.Xdp.Pass else Hostos.Xdp.Redirect
+              if xsk_failover_ready t && any_shard_degraded t then
+                Hostos.Xdp.Pass
+              else Hostos.Xdp.Redirect
           | Ok _ | Error _ -> Hostos.Xdp.Pass)
       | Ok _ | Error _ -> Hostos.Xdp.Pass)
 
@@ -299,6 +303,12 @@ let failover_transmit t shard frame =
    ([shard.probing]) must reach the FM: its completion (or rekick
    timeout) is the very signal the breaker is waiting on to fail back
    (or re-open). *)
+let rec transmit_from shard frame ~start i =
+  let n = Array.length shard.sh_fms in
+  i < n
+  && (Xsk_fm.transmit shard.sh_fms.((start + i) mod n) frame
+     || transmit_from shard frame ~start (i + 1))
+
 let stack_transmit t shard frame =
   if
     xsk_failover_ready t
@@ -307,16 +317,9 @@ let stack_transmit t shard frame =
     && failover_transmit t shard frame
   then shard.last_tx_ok <- true
   else begin
-    let n = Array.length shard.sh_fms in
     let start = shard.tx_counter in
     shard.tx_counter <- shard.tx_counter + 1;
-    let rec try_fm i =
-      if i >= n then shard.last_tx_ok <- false
-      else if Xsk_fm.transmit shard.sh_fms.((start + i) mod n) frame then
-        shard.last_tx_ok <- true
-      else try_fm (i + 1)
-    in
-    try_fm 0
+    shard.last_tx_ok <- transmit_from shard frame ~start 0
   end
 
 let shared_arena_size config =
@@ -572,7 +575,7 @@ let boot kernel ~sgx ?(config = Config.default) () =
 (* {1 UDP} *)
 
 let udp_socket t =
-  let sock = { bound = [||]; host_fd = None } in
+  let sock = { bound = [||]; activity = []; host_fd = None } in
   t.udp_socks <- sock :: t.udp_socks;
   sock
 
@@ -588,6 +591,8 @@ let udp_bind t sock port =
       let rec mirror k =
         if k = n then begin
           sock.bound <- socks;
+          sock.activity <-
+            Array.to_list (Array.map Netstack.Udp_socket.activity socks);
           Hashtbl.replace t.owned_ports p ();
           (* Bound while a breaker is already open: create the fallback
              immediately, or PASSed traffic for this port would be
@@ -612,12 +617,11 @@ let udp_bind t sock port =
       mirror 1
 
 let ensure_bound t sock =
-  if Array.length sock.bound > 0 then Ok sock.bound
+  if Array.length sock.bound > 0 then Ok ()
   else
     match udp_bind t sock 0 with
     | Ok () ->
-        if Array.length sock.bound > 0 then Ok sock.bound
-        else Error Abi.Errno.EINVAL
+        if Array.length sock.bound > 0 then Ok () else Error Abi.Errno.EINVAL
     | Error e -> Error e
 
 let fast_sendto t shard s payload ~dst =
@@ -641,31 +645,31 @@ let slow_sendto t sock payload ~dst =
       | None -> None
       | Some fd -> Some (su.su_sendto fd payload ~dst))
 
+(* Overload admission (DESIGN.md §15) for one shard. *)
+let admit shard cls =
+  match shard.sh_overload with None -> true | Some ov -> Overload.admit ov cls
+
+let record_tx_shed shard =
+  match shard.sh_overload with
+  | Some ov -> Overload.record_shed ov
+  | None -> ()
+
 let udp_sendto t sock payload ~dst =
   match ensure_bound t sock with
   | Error e -> Error e
-  | Ok socks ->
+  | Ok () ->
+      let socks = sock.bound in
       let src_port = Netstack.Udp_socket.port socks.(0) in
       let shard = pick_shard t ~src_port ~dst in
       let s = socks.(shard.sq) in
-      (* Overload admission (DESIGN.md §15).  Data traffic is refused
-         with an {e accounted} [EAGAIN] while the shard is under
-         pressure — the datagram was never accepted, so nothing is
-         silently lost.  Breaker probes classify as [Control] and are
-         never shed: the probe's round trip is the signal that ends the
-         failover, and starving it would make the overload metastable. *)
-      let admit cls =
-        match shard.sh_overload with
-        | None -> true
-        | Some ov -> Overload.admit ov cls
-      in
-      let record_tx_shed () =
-        match shard.sh_overload with
-        | Some ov -> Overload.record_shed ov
-        | None -> ()
-      in
+      (* Data traffic is refused with an {e accounted} [EAGAIN] while
+         the shard is under pressure — the datagram was never accepted,
+         so nothing is silently lost.  Breaker probes classify as
+         [Control] and are never shed: the probe's round trip is the
+         signal that ends the failover, and starving it would make the
+         overload metastable. *)
       if not (xsk_failover_ready t) then
-        if not (admit Overload.Data) then Error Abi.Errno.EAGAIN
+        if not (admit shard Overload.Data) then Error Abi.Errno.EAGAIN
         else (
           match fast_sendto t shard s payload ~dst with
           | Error Abi.Errno.EAGAIN when shard.sh_overload <> None ->
@@ -673,7 +677,7 @@ let udp_sendto t sock payload ~dst =
                  instead of PR 4's silent drop — and accounts it, so the
                  caller's refusal shows up in [shed.data] like any other
                  backpressure verdict. *)
-              record_tx_shed ();
+              record_tx_shed shard;
               Error Abi.Errno.EAGAIN
           | Error Abi.Errno.EAGAIN ->
               (* No slow path: the datagram may be silently dropped by
@@ -683,27 +687,31 @@ let udp_sendto t sock payload ~dst =
       else (
         match Health.allow shard.sh_breaker with
         | Health.Slow -> (
-            if not (admit Overload.Data) then Error Abi.Errno.EAGAIN
+            if not (admit shard Overload.Data) then Error Abi.Errno.EAGAIN
             else
               match slow_sendto t sock payload ~dst with
               | Some r -> r
               | None ->
                   Health.record_shed shard.sh_breaker;
-                  record_tx_shed ();
+                  record_tx_shed shard;
                   Error Abi.Errno.EAGAIN)
         | Health.Fast | Health.Probe as verdict -> (
             if
               not
-                (admit
+                (admit shard
                    (if verdict = Health.Probe then Overload.Control
                     else Overload.Data))
             then Error Abi.Errno.EAGAIN
             else begin
             if verdict = Health.Probe then shard.probing <- true;
             let sent =
-              Fun.protect
-                ~finally:(fun () -> shard.probing <- false)
-                (fun () -> fast_sendto t shard s payload ~dst)
+              match fast_sendto t shard s payload ~dst with
+              | r ->
+                  shard.probing <- false;
+                  r
+              | exception e ->
+                  shard.probing <- false;
+                  raise e
             in
             match sent with
             | Error Abi.Errno.EAGAIN -> (
@@ -716,10 +724,15 @@ let udp_sendto t sock payload ~dst =
                     r
                 | None ->
                     Health.record_shed shard.sh_breaker;
-                    record_tx_shed ();
+                    record_tx_shed shard;
                     Error Abi.Errno.EAGAIN)
             | r -> r
             end))
+
+let rec first_readable socks i =
+  if i = Array.length socks then -1
+  else if Netstack.Udp_socket.readable socks.(i) then i
+  else first_readable socks (i + 1)
 
 (* Degraded receive: once failover is configured, datagrams may sit in
    either the enclave netstack (XDP Redirect epochs) or the host
@@ -733,69 +746,54 @@ let udp_sendto t sock payload ~dst =
    With several shards the same loop additionally multiplexes the
    per-shard sockets: a flow's datagrams surface on exactly one of
    them (RSS), but one recvfrom serves flows from every shard. *)
+let rec recv_any t sock socks conds ~max =
+  let i = first_readable socks 0 in
+  if i >= 0 then Ok (Netstack.Udp_socket.recvfrom socks.(i) ~max)
+  else
+    match (sock.host_fd, t.slow_udp) with
+    | Some fd, Some su when su.su_readable fd -> (
+        match su.su_recvfrom fd ~max with
+        | Ok (_, (src_ip, src_port)) as r ->
+            (* Attribute the failover to the shard that owns the flow
+               (RSS), not blanket shard 0 — per-shard counters are the
+               containment witness. *)
+            let shard =
+              match sock_port sock with
+              | Some port -> pick_shard t ~src_port:port ~dst:(src_ip, src_port)
+              | None -> t.shards.(0)
+            in
+            Health.record_failover shard.sh_breaker;
+            r
+        | Error _ as r -> r)
+    | _ ->
+        (* Park on enclave-socket activity.  With failover configured,
+           add a quantum timer: host-socket arrivals broadcast a
+           different condition, so the timer bounds how stale the
+           host-side check can get. *)
+        if xsk_failover_ready t then begin
+          let engine = Hostos.Kernel.engine t.kernel in
+          let wake = List.hd conds in
+          let fired = ref false in
+          Sim.Engine.at engine
+            (Int64.add (Sim.Engine.now engine) Sgx.Params.xsk_rekick_period)
+            (fun () ->
+              if not !fired then begin
+                fired := true;
+                Sim.Condition.broadcast wake
+              end);
+          Sim.Condition.wait_any conds;
+          fired := true
+        end
+        else Sim.Condition.wait_any conds;
+        recv_any t sock socks conds ~max
+
 let udp_recvfrom t sock ~max =
   match sock.bound with
   | [||] -> Error Abi.Errno.EINVAL
   | _ when max < 0 -> Error Abi.Errno.EINVAL (* before dequeuing *)
   | socks when Array.length socks = 1 && not (xsk_failover_ready t) ->
       Ok (Netstack.Udp_socket.recvfrom socks.(0) ~max)
-  | socks ->
-      let engine = Hostos.Kernel.engine t.kernel in
-      let find_ready () =
-        let n = Array.length socks in
-        let rec go i =
-          if i = n then None
-          else if Netstack.Udp_socket.readable socks.(i) then Some socks.(i)
-          else go (i + 1)
-        in
-        go 0
-      in
-      let rec loop () =
-        match find_ready () with
-        | Some s -> Ok (Netstack.Udp_socket.recvfrom s ~max)
-        | None -> (
-            match (sock.host_fd, t.slow_udp) with
-            | Some fd, Some su when su.su_readable fd -> (
-                match su.su_recvfrom fd ~max with
-                | Ok (_, (src_ip, src_port)) as r ->
-                    (* Attribute the failover to the shard that owns the
-                       flow (RSS), not blanket shard 0 — per-shard
-                       counters are the containment witness. *)
-                    let shard =
-                      match sock_port sock with
-                      | Some port ->
-                          pick_shard t ~src_port:port ~dst:(src_ip, src_port)
-                      | None -> t.shards.(0)
-                    in
-                    Health.record_failover shard.sh_breaker;
-                    r
-                | Error _ as r -> r)
-            | _ ->
-                (* Park on enclave-socket activity.  With failover
-                   configured, add a quantum timer: host-socket arrivals
-                   broadcast a different condition, so the timer bounds
-                   how stale the host-side check can get. *)
-                let conds =
-                  Array.to_list (Array.map Netstack.Udp_socket.activity socks)
-                in
-                if xsk_failover_ready t then begin
-                  let wake = List.hd conds in
-                  let fired = ref false in
-                  Sim.Engine.at engine
-                    (Int64.add (Sim.Engine.now engine)
-                       Sgx.Params.xsk_rekick_period)
-                    (fun () ->
-                      if not !fired then begin
-                        fired := true;
-                        Sim.Condition.broadcast wake
-                      end);
-                  Sim.Condition.wait_any conds;
-                  fired := true
-                end
-                else Sim.Condition.wait_any conds;
-                loop ())
-      in
-      loop ()
+  | socks -> recv_any t sock socks sock.activity ~max
 
 let udp_readable t sock =
   Array.exists Netstack.Udp_socket.readable sock.bound
@@ -815,7 +813,8 @@ let udp_close t sock =
     Array.iteri
       (fun k s -> Netstack.Stack.unbind t.shards.(k).sh_stack s)
       sock.bound;
-    sock.bound <- [||]
+    sock.bound <- [||];
+    sock.activity <- []
   end
 
 (* {1 Threads} *)
@@ -1049,5 +1048,4 @@ let watchdog_degraded_scans t =
   Obs.Metrics.value
     (Obs.Metrics.counter (Obs.metrics t.obs) "watchdog.degraded_scans")
 
-let udp_activity _t sock =
-  Array.to_list (Array.map Netstack.Udp_socket.activity sock.bound)
+let udp_activity _t sock = sock.activity

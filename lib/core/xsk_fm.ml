@@ -23,6 +23,8 @@ type t = {
   umem : Umem.t;
   umem_ptr : Mem.Ptr.t;
   rx_notify : Sim.Condition.t;
+  wake_rx : unit -> unit;
+      (* the rekick and starvation timers' callback, built once *)
   rx_scratch : Bytes.t; (* trusted staging frame, reused per packet *)
   rx_burst : int;
   (* The four ring callbacks and the idle-wait condition list (xRX and
@@ -159,9 +161,9 @@ let untrack_tx t offset =
 (* xRX read: validate one received descriptor and hand the frame to the
    stack. *)
 let rx_read t ~slot_off _ =
-  let d = Mem.Region.get_u64 (Rings.Certified.region t.rx) slot_off in
-  let offset = Abi.Xsk_desc.decode_offset d
-  and len = Abi.Xsk_desc.decode_len d in
+  let region = Rings.Certified.region t.rx in
+  let offset = Abi.Xsk_desc.get_offset region slot_off
+  and len = Abi.Xsk_desc.get_len region slot_off in
   match Umem.reclaim t.umem Umem.Rx ~offset ~len () with
   | Error _ -> () (* refused; the burst advances past the slot *)
   | Ok () ->
@@ -178,8 +180,7 @@ let rx_read t ~slot_off _ =
    advance consumer" fail action. *)
 let compl_read t ~slot_off _ =
   let offset =
-    Abi.Xsk_desc.decode_offset
-      (Mem.Region.get_u64 (Rings.Certified.region t.compl_) slot_off)
+    Abi.Xsk_desc.get_offset (Rings.Certified.region t.compl_) slot_off
   in
   match Umem.reclaim t.umem Umem.Tx ~offset () with
   | Ok () -> untrack_tx t offset
@@ -191,14 +192,13 @@ let compl_read t ~slot_off _ =
 let fill_write t ~slot_off _ =
   match Umem.alloc t.umem with
   | Some offset ->
-      Mem.Region.set_u64 (Rings.Certified.region t.fill) slot_off
-        (Abi.Xsk_desc.encode_offset offset);
+      Abi.Xsk_desc.set_offset (Rings.Certified.region t.fill) slot_off offset;
       Umem.commit t.umem offset Umem.Rx
   | None -> assert false
 
 let tx_write t ~slot_off =
-  Mem.Region.set_u64 (Rings.Certified.region t.tx) slot_off
-    (Abi.Xsk_desc.encode ~offset:t.tx_offset ~len:t.tx_len)
+  Abi.Xsk_desc.set (Rings.Certified.region t.tx) slot_off ~offset:t.tx_offset
+    ~len:t.tx_len
 
 let create ?obs ?(name = "xsk") ~enclave ~config ~stack ~fd ~xsk () =
   if fd < 0 then Error (Bad_fd fd)
@@ -248,6 +248,8 @@ let create ?obs ?(name = "xsk") ~enclave ~config ~stack ~fd ~xsk () =
             ~frame_size:Sgx.Params.umem_frame_size ();
         umem_ptr;
         rx_notify = Hostos.Xdp.rx_notify xsk;
+        wake_rx =
+          (fun () -> Sim.Condition.broadcast (Hostos.Xdp.rx_notify xsk));
         (* One trusted staging frame, allocated (and charged) once; the
            rx path reuses it for every packet instead of a per-packet
            Bytes.create.  Safe because the stack copies what it keeps
@@ -618,8 +620,7 @@ let idle_wait t =
     t.rekick_armed <- true;
     t.rekick_deadline <-
       Int64.add (Sim.Engine.now engine) Sgx.Params.xsk_rekick_period;
-    Sim.Engine.at engine t.rekick_deadline (fun () ->
-        Sim.Condition.broadcast t.rx_notify)
+    Sim.Engine.at engine t.rekick_deadline t.wake_rx
   end;
   (* Starvation deadman: a fully-wedged shard receives no rx/compl
      broadcasts at all (arrivals die at the NIC edge), so the
@@ -630,8 +631,7 @@ let idle_wait t =
     t.starve_armed <- true;
     t.starve_deadline <-
       Int64.add (Sim.Engine.now engine) Sgx.Params.xsk_rx_reclaim_period;
-    Sim.Engine.at engine t.starve_deadline (fun () ->
-        Sim.Condition.broadcast t.rx_notify)
+    Sim.Engine.at engine t.starve_deadline t.wake_rx
   end;
   Sim.Condition.wait_any t.idle_conds;
   check_rekick t engine

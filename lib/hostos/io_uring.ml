@@ -175,11 +175,10 @@ let maybe_corrupt_buffer t (sqe : Abi.Uring_abi.sqe) res =
 let post_cqe t cqe =
   let honest_user_data = cqe.Abi.Uring_abi.user_data in
   let cqe = tamper_cqe t cqe in
-  let ok =
-    Kring.produce t.kcq ~write:(fun ~slot_off ->
-        Abi.Uring_abi.write_cqe t.cq.Rings.Layout.region slot_off cqe)
-  in
-  if ok then begin
+  let slot_off = Kring.produce_slot t.kcq in
+  if slot_off >= 0 then begin
+    Abi.Uring_abi.write_cqe t.cq.Rings.Layout.region slot_off cqe;
+    Kring.advance t.kcq;
     t.completed <- t.completed + 1;
     t.last_user_data <- honest_user_data
   end
@@ -283,13 +282,15 @@ let multishot t (sqe : Abi.Uring_abi.sqe) f =
 
 let worker t () =
   let rec drain () =
-    let sqe =
-      Kring.consume t.ksq ~read:(fun ~slot_off ->
-          Abi.Uring_abi.read_sqe t.sq.Rings.Layout.region slot_off)
-    in
-    match sqe with
-    | None -> tamper_sq_cons t
-    | Some (Error _) ->
+    let slot_off = Kring.consume_slot t.ksq in
+    if slot_off < 0 then tamper_sq_cons t
+    else begin
+      let sqe = Abi.Uring_abi.read_sqe t.sq.Rings.Layout.region slot_off in
+      Kring.advance t.ksq;
+      exec_one sqe
+    end
+  and exec_one = function
+    | Error _ ->
         (* Unparseable SQE: the real kernel posts -EINVAL with whatever
            user_data it could read; we read none, so 0. *)
         t.submitted <- t.submitted + 1;
@@ -301,7 +302,7 @@ let worker t () =
             flags = 0;
           };
         next ()
-    | Some (Ok sqe) ->
+    | Ok sqe ->
         t.submitted <- t.submitted + 1;
         Sim.Engine.delay Sgx.Params.iouring_kernel_per_op;
         (match !(t.faults) with

@@ -24,7 +24,7 @@ type t = {
   faults_ref : Faults.t option ref;
 }
 
-type poll_event = Pollin | Pollout
+type poll_event = [ `In | `Out ]
 
 let server_ip_v = Packet.Addr.Ip.of_repr "10.0.0.1"
 
@@ -44,11 +44,12 @@ let create engine ?(nic_queues = 4) () =
   in
   Nic.wire nic0 nic1;
   let nics = [| nic0; nic1 |] in
+  let via_nic0 = Some nic0 and via_nic1 = Some nic1 in
   let route dst =
     (* Egress selection between the two loopback-wired interfaces: reach
        an interface's address through its peer. *)
-    if Packet.Addr.Ip.equal dst server_ip_v then Some nic1
-    else if Packet.Addr.Ip.equal dst client_ip_v then Some nic0
+    if Packet.Addr.Ip.equal dst server_ip_v then via_nic1
+    else if Packet.Addr.Ip.equal dst client_ip_v then via_nic0
     else None
   in
   let udp = Udp_core.create engine ~route in
@@ -136,19 +137,20 @@ let bind t fd ip port =
   | Some _ -> Error Abi.Errno.EINVAL
   | None -> Error Abi.Errno.EBADF
 
+(* The datagram syscalls look their fd up without an option. *)
 let sendto t fd payload ~dst =
   syscall t;
-  match find t fd with
-  | Some (Udp_sock s) -> Udp_core.sendto t.udp s payload ~dst
-  | Some _ -> Error Abi.Errno.EINVAL
-  | None -> Error Abi.Errno.EBADF
+  match Hashtbl.find t.fds fd with
+  | Udp_sock s -> Udp_core.sendto t.udp s payload ~dst
+  | _ -> Error Abi.Errno.EINVAL
+  | exception Not_found -> Error Abi.Errno.EBADF
 
 let recvfrom t fd ~max =
   syscall t;
-  match find t fd with
-  | Some (Udp_sock s) -> Udp_core.recvfrom t.udp s ~max
-  | Some _ -> Error Abi.Errno.EINVAL
-  | None -> Error Abi.Errno.EBADF
+  match Hashtbl.find t.fds fd with
+  | Udp_sock s -> Udp_core.recvfrom t.udp s ~max
+  | _ -> Error Abi.Errno.EINVAL
+  | exception Not_found -> Error Abi.Errno.EBADF
 
 (* {1 TCP} *)
 
@@ -256,81 +258,121 @@ let fsize t fd =
 
 (* {1 Poll} *)
 
-let obj_ready obj ev =
+let obj_ready obj (ev : poll_event) =
   match (obj, ev) with
-  | Udp_sock s, Pollin -> Udp_core.readable s
-  | Udp_sock _, Pollout -> true
-  | Tcp_sock ep, Pollin -> Tcp_core.readable ep
-  | Tcp_sock ep, Pollout -> Tcp_core.writable ep
-  | Tcp_listener l, Pollin -> Tcp_core.listener_readable l
-  | Tcp_listener _, Pollout -> false
-  | File _, (Pollin | Pollout) -> true
+  | Udp_sock s, `In -> Udp_core.readable s
+  | Udp_sock _, `Out -> true
+  | Tcp_sock ep, `In -> Tcp_core.readable ep
+  | Tcp_sock ep, `Out -> Tcp_core.writable ep
+  | Tcp_listener l, `In -> Tcp_core.listener_readable l
+  | Tcp_listener _, `Out -> false
+  | File _, (`In | `Out) -> true
   | Tcp_new _, _ -> false
   | (Xsk_fd _ | Uring_fd _), _ -> false
 
 let fd_ready t fd ev =
-  match find t fd with None -> false | Some obj -> obj_ready obj ev
+  match Hashtbl.find t.fds fd with
+  | obj -> obj_ready obj ev
+  | exception Not_found -> false
 
 let poll_quantum = 500L
 
-let obj_activity = function
-  | Udp_sock s -> Some (Udp_core.activity s)
-  | Tcp_sock ep -> Some (Tcp_core.activity ep)
-  | Tcp_listener l -> Some (Tcp_core.listener_activity l)
-  | File _ | Tcp_new _ | Xsk_fd _ | Uring_fd _ -> None
+(* Queue the caller on [obj]'s activity condition (edge events); [false]
+   when it has none. *)
+let listen_obj = function
+  | Udp_sock s ->
+      Sim.Condition.listen (Udp_core.activity s);
+      true
+  | Tcp_sock ep ->
+      Sim.Condition.listen (Tcp_core.activity ep);
+      true
+  | Tcp_listener l ->
+      Sim.Condition.listen (Tcp_core.listener_activity l);
+      true
+  | File _ | Tcp_new _ | Xsk_fd _ | Uring_fd _ -> false
 
-(* Block until a predicate over some fd objects holds, waking on their
+(* The readiness scan walks [specs] in place: a poll whose every
+   requested event is ready returns its own [specs], one with none
+   ready returns [], and only a partly ready poll builds a list.  An fd
+   closed meanwhile is simply not ready. *)
+let rec all_ready obj = function
+  | [] -> true
+  | ev :: evs -> obj_ready obj ev && all_ready obj evs
+
+let rec any_ready obj = function
+  | [] -> false
+  | ev :: evs -> obj_ready obj ev || any_ready obj evs
+
+let spec_ready t ~all (fd, evs) =
+  match Hashtbl.find t.fds fd with
+  | obj -> if all then evs <> [] && all_ready obj evs else any_ready obj evs
+  | exception Not_found -> false
+
+let rec specs_ready t ~all = function
+  | [] -> all
+  | spec :: rest ->
+      if all then spec_ready t ~all spec && specs_ready t ~all rest
+      else spec_ready t ~all spec || specs_ready t ~all rest
+
+let ready_events t specs =
+  if specs_ready t ~all:true specs then specs
+  else if not (specs_ready t ~all:false specs) then []
+  else
+    List.filter_map
+      (fun (fd, evs) ->
+        match find t fd with
+        | None -> None
+        | Some obj -> (
+            match List.filter (obj_ready obj) evs with
+            | [] -> None
+            | revents -> Some (fd, revents)))
+      specs
+
+(* [listen_obj] on every open fd in [specs], in order; [false] when none
+   has an activity condition. *)
+let rec listen_specs t = function
+  | [] -> false
+  | (fd, _) :: rest ->
+      let here =
+        match Hashtbl.find t.fds fd with
+        | obj -> listen_obj obj
+        | exception Not_found -> false
+      in
+      listen_specs t rest || here
+
+let rec all_open t = function
+  | [] -> true
+  | (fd, _) :: rest -> Hashtbl.mem t.fds fd && all_open t rest
+
+(* Block until some requested event is ready, waking on the fds'
    activity conditions (edge events) and falling back to a short delay
-   for objects with none (e.g. waiting for TCP writability). *)
-let wait_for_objs t ~objs ~deadline ~check =
-  let timer = Sim.Condition.create () in
-  let timed_out = ref false in
-  (match deadline with
-  | None -> ()
-  | Some d ->
-      Sim.Engine.at t.engine d (fun () ->
-          timed_out := true;
-          Sim.Condition.broadcast timer));
-  let conds = List.filter_map obj_activity objs in
-  let rec loop () =
-    match check () with
-    | Some r -> Some r
-    | None ->
-        if !timed_out then None
-        else begin
-          (match (conds, deadline) with
-          | [], _ -> Sim.Engine.delay poll_quantum
-          | _ :: _, None -> Sim.Condition.wait_any conds
-          | _ :: _, Some _ -> Sim.Condition.wait_any (timer :: conds));
-          loop ()
-        end
-  in
-  loop ()
+   when none has one (e.g. waiting for TCP writability).  A timed poll
+   has armed the process's timeout, which ends a park early. *)
+let rec poll_wait t specs ~timed =
+  match ready_events t specs with
+  | _ :: _ as r -> r
+  | [] ->
+      if timed && Sim.Engine.timed_out () then []
+      else begin
+        if not (listen_specs t specs) then Sim.Engine.delay poll_quantum
+        else if timed then Sim.Engine.timed_park ()
+        else Sim.Engine.park ();
+        poll_wait t specs ~timed
+      end
 
+(* There is no POLLNVAL here: a poll naming an fd that is not open fails
+   at once, as [select] does, rather than waiting on it. *)
 let poll t specs ~timeout =
   syscall t;
-  let deadline =
-    Option.map (fun d -> Int64.add (Sim.Engine.now t.engine) d) timeout
-  in
-  let ready () =
-    match
-      List.filter_map
-        (fun (fd, evs) ->
-          match find t fd with
-          | None -> None
-          | Some obj -> (
-              match List.filter (obj_ready obj) evs with
-              | [] -> None
-              | revents -> Some (fd, revents)))
-        specs
-    with
-    | [] -> None
-    | r -> Some r
-  in
-  let objs = List.filter_map (fun (fd, _) -> find t fd) specs in
-  match wait_for_objs t ~objs ~deadline ~check:ready with
-  | Some r -> Ok r
-  | None -> Ok []
+  if not (all_open t specs) then Error Abi.Errno.EBADF
+  else
+    match timeout with
+    | None -> Ok (poll_wait t specs ~timed:false)
+    | Some d ->
+        Sim.Engine.arm_timeout d;
+        let r = poll_wait t specs ~timed:true in
+        Sim.Engine.disarm_timeout ();
+        Ok r
 
 (* {1 FIOKP setup and wakeups} *)
 
@@ -352,24 +394,26 @@ let xsk_attach t ~xsk ~nic_id ~queue ~prog =
 
 (* Wakeups pay the syscall cost regardless; whether the kernel then acts
    on them is where faults bite — a dropped wakeup is swallowed after
-   the trap, a delayed one takes effect fault_wakeup_delay later. *)
-let faulty_wakeup ?shard t k =
+   the trap, a delayed one takes effect fault_wakeup_delay later.
+   [wakeup_lands] says whether the kernel acts. *)
+let wakeup_lands ?shard t =
   match !(t.faults_ref) with
   | Some f when Faults.roll ?shard !(t.faults_ref) Faults.Drop_wakeup ->
-      Faults.record f Faults.Drop_wakeup
+      Faults.record f Faults.Drop_wakeup;
+      false
   | Some f when Faults.roll ?shard !(t.faults_ref) Faults.Delay_wakeup ->
       Faults.record f Faults.Delay_wakeup;
       Sim.Engine.delay Sgx.Params.fault_wakeup_delay;
-      k ()
-  | _ -> k ()
+      true
+  | _ -> true
 
 let xsk_tx_wakeup t xsk =
   syscall t;
-  faulty_wakeup ?shard:(Xdp.shard xsk) t (fun () -> Xdp.tx_wakeup t.xdp xsk)
+  if wakeup_lands ?shard:(Xdp.shard xsk) t then Xdp.tx_wakeup t.xdp xsk
 
 let xsk_rx_wakeup t xsk =
   syscall t;
-  faulty_wakeup ?shard:(Xdp.shard xsk) t (fun () -> Xdp.rx_wakeup t.xdp xsk)
+  if wakeup_lands ?shard:(Xdp.shard xsk) t then Xdp.rx_wakeup t.xdp xsk
 
 (* Kernel-side bounce between the shared IO buffer and kernel memory on
    the classic io_uring data ops.  Fixed-buffer SQEs skip it — the whole
@@ -516,11 +560,11 @@ let exec_sqe t region ~uring (sqe : Abi.Uring_abi.sqe) =
       | Some obj ->
           let wanted =
             (if sqe.poll_events land Abi.Uring_abi.pollin <> 0 then
-               [ (Pollin, Abi.Uring_abi.pollin) ]
+               [ (`In, Abi.Uring_abi.pollin) ]
              else [])
             @
             if sqe.poll_events land Abi.Uring_abi.pollout <> 0 then
-              [ (Pollout, Abi.Uring_abi.pollout) ]
+              [ (`Out, Abi.Uring_abi.pollout) ]
             else []
           in
           if wanted = [] then err EINVAL
@@ -528,20 +572,20 @@ let exec_sqe t region ~uring (sqe : Abi.Uring_abi.sqe) =
             Blocking
               (fun () ->
                 let revents () =
-                  match
-                    List.fold_left
-                      (fun acc (ev, mask) ->
-                        if obj_ready obj ev then acc lor mask else acc)
-                      0 wanted
-                  with
-                  | 0 -> None
-                  | r -> Some r
+                  List.fold_left
+                    (fun acc (ev, mask) ->
+                      if obj_ready obj ev then acc lor mask else acc)
+                    0 wanted
                 in
-                match
-                  wait_for_objs t ~objs:[ obj ] ~deadline:None ~check:revents
-                with
-                | Some r -> r
-                | None -> 0))
+                let rec wait () =
+                  match revents () with
+                  | 0 ->
+                      if listen_obj obj then Sim.Engine.park ()
+                      else Sim.Engine.delay poll_quantum;
+                      wait ()
+                  | r -> r
+                in
+                wait ()))
 
 let uring_create t ~alloc ~entries =
   (* Setup: io_uring_setup + mmaps, a handful of syscalls. *)
@@ -573,5 +617,4 @@ let uring_register_files t uring fds =
 
 let uring_enter t uring =
   syscall t;
-  faulty_wakeup ?shard:(Io_uring.shard uring) t (fun () ->
-      Io_uring.enter uring)
+  if wakeup_lands ?shard:(Io_uring.shard uring) t then Io_uring.enter uring

@@ -95,14 +95,18 @@ val fsize : t -> fd -> (int, Abi.Errno.t) result
 
 (** {1 Poll} *)
 
-type poll_event = Pollin | Pollout
+type poll_event = [ `In | `Out ]
 
 val poll :
   t ->
   (fd * poll_event list) list ->
   timeout:Sim.Engine.time option ->
   ((fd * poll_event list) list, Abi.Errno.t) result
-(** Returns fds with their ready events; [] on timeout. *)
+(** Returns fds with their ready events; [] on timeout.  When every
+    requested event is ready the result is the argument list itself.
+    [Error EBADF] at once if any fd is not open (this model has no
+    [POLLNVAL]).  A timed poll arms the calling process's timeout
+    ({!Sim.Engine.arm_timeout}) once and allocates nothing to wait. *)
 
 val fd_ready : t -> fd -> poll_event -> bool
 (** Non-blocking single readiness probe (used by RAKIS's API busy-wait

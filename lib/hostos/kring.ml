@@ -18,11 +18,13 @@
    behaviour stays sane, and the next honest publish naturally repairs
    the shared word (attacks are transient unless re-applied). *)
 
-type t = { layout : Rings.Layout.t; mutable pos : int }
+type t = { layout : Rings.Layout.t; mutable pos : int; consumes : bool }
 
-let consumer layout = { layout; pos = Rings.Layout.read_cons layout }
+let consumer layout =
+  { layout; pos = Rings.Layout.read_cons layout; consumes = true }
 
-let producer layout = { layout; pos = Rings.Layout.read_prod layout }
+let producer layout =
+  { layout; pos = Rings.Layout.read_prod layout; consumes = false }
 
 let pos t = t.pos
 
@@ -44,20 +46,14 @@ let publish_consumer t = Rings.Layout.write_cons t.layout t.pos
 
 let publish_producer t = Rings.Layout.write_prod t.layout t.pos
 
-let consume t ~read =
-  if available t <= 0 then None
-  else begin
-    let v = read ~slot_off:(Rings.Layout.slot_off t.layout t.pos) in
-    t.pos <- Rings.U32.succ t.pos;
-    publish_consumer t;
-    Some v
-  end
+(* One slot at a time, with no closure: the caller reads (or writes)
+   the slot at the offset returned, then calls [advance]. *)
+let consume_slot t =
+  if available t <= 0 then -1 else Rings.Layout.slot_off t.layout t.pos
 
-let produce t ~write =
-  if free t <= 0 then false
-  else begin
-    write ~slot_off:(Rings.Layout.slot_off t.layout t.pos);
-    t.pos <- Rings.U32.succ t.pos;
-    publish_producer t;
-    true
-  end
+let produce_slot t =
+  if free t <= 0 then -1 else Rings.Layout.slot_off t.layout t.pos
+
+let advance t =
+  t.pos <- Rings.U32.succ t.pos;
+  if t.consumes then publish_consumer t else publish_producer t

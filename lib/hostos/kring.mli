@@ -29,13 +29,18 @@ val available : t -> int
 val free : t -> int
 (** Slots a producer endpoint may fill, clamped likewise. *)
 
-val consume : t -> read:(slot_off:int -> 'a) -> 'a option
-(** Read one slot at the private head, advance it, republish the shared
-    consumer word honestly. *)
+val consume_slot : t -> int
+(** Byte offset of the slot at the private head of a consumer
+    endpoint, or -1 when nothing is available.  Read the slot, then
+    {!advance}. *)
 
-val produce : t -> write:(slot_off:int -> unit) -> bool
-(** Write one slot at the private tail, advance it, republish the
-    shared producer word honestly.  [false] when full. *)
+val produce_slot : t -> int
+(** Byte offset of the slot at the private tail of a producer endpoint,
+    or -1 when the ring is full.  Write the slot, then {!advance}. *)
+
+val advance : t -> unit
+(** Move the private cursor one slot on and republish the endpoint's
+    shared word honestly. *)
 
 val publish_consumer : t -> unit
 (** Rewrite the shared consumer word from the private cursor (honest

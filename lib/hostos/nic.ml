@@ -53,21 +53,16 @@ let drops t = Obs.Metrics.value t.drops
 (* Hardware RSS: the symmetric Toeplitz flow hash pins each UDP flow to
    one receive queue for the NIC's lifetime.  Non-UDP traffic (ARP) has
    no 4-tuple and lands on queue 0. *)
-let steer_flow t = function
-  | Some (src_ip, dst_ip, src_port, dst_port) ->
-      Packet.Rss.queue
-        ~queues:(Array.length t.rx_queues)
-        ~src_ip ~dst_ip ~src_port ~dst_port
-  | None -> 0
-
-let steer t frame = steer_flow t (Packet.Frame.peek_udp_flow frame)
+let steer t frame =
+  max 0 (Packet.Frame.rss_queue ~queues:(Array.length t.rx_queues) frame)
 
 let deliver t frame =
-  let flow = Packet.Frame.peek_udp_flow frame in
-  let q = steer_flow t flow in
+  let q = Packet.Frame.rss_queue ~queues:(Array.length t.rx_queues) frame in
+  let udp = q >= 0 in
+  let q = if udp then q else 0 in
   if Sim.Mailbox.try_put t.rx_queues.(q) frame then begin
     Obs.Metrics.incr t.rx;
-    if flow <> None then t.udp_rx.(q) <- t.udp_rx.(q) + 1
+    if udp then t.udp_rx.(q) <- t.udp_rx.(q) + 1
   end
   else Obs.Metrics.incr t.drops
 

@@ -111,6 +111,22 @@ let resolve_blocking t nic ip =
   in
   attempt 5
 
+let transmit nic ~src_port ~dst_mac ~dst_ip ~dst_port payload =
+  Sim.Engine.delay Sgx.Params.kernel_udp_tx_syscall_cycles;
+  charge_copy (Bytes.length payload);
+  let info =
+    {
+      Packet.Frame.src_mac = Nic.mac nic;
+      dst_mac;
+      src_ip = Nic.ip nic;
+      dst_ip;
+      src_port;
+      dst_port;
+    }
+  in
+  Nic.transmit nic (Packet.Frame.build_udp info payload);
+  Ok (Bytes.length payload)
+
 let sendto t sock payload ~dst:(dst_ip, dst_port) =
   match t.route dst_ip with
   | None -> Error Abi.Errno.ENOTCONN
@@ -125,35 +141,25 @@ let sendto t sock payload ~dst:(dst_ip, dst_port) =
           if Bytes.length payload > Packet.Udp.max_payload then
             Error Abi.Errno.EMSGSIZE
           else
-            match resolve_blocking t nic dst_ip with
-            | None -> Error Abi.Errno.ENOTCONN
-            | Some dst_mac ->
-                Sim.Engine.delay Sgx.Params.kernel_udp_tx_syscall_cycles;
-                charge_copy (Bytes.length payload);
-                let info =
-                  {
-                    Packet.Frame.src_mac = Nic.mac nic;
-                    dst_mac;
-                    src_ip = Nic.ip nic;
-                    dst_ip;
-                    src_port;
-                    dst_port;
-                  }
-                in
-                Nic.transmit nic (Packet.Frame.build_udp info payload);
-                Ok (Bytes.length payload)))
+            (* A neighbour hit is read in place, with no option. *)
+            match Hashtbl.find t.arp (Packet.Addr.Ip.to_int dst_ip) with
+            | dst_mac ->
+                transmit nic ~src_port ~dst_mac ~dst_ip ~dst_port payload
+            | exception Not_found -> (
+                match resolve_blocking t nic dst_ip with
+                | None -> Error Abi.Errno.ENOTCONN
+                | Some dst_mac ->
+                    transmit nic ~src_port ~dst_mac ~dst_ip ~dst_port payload)))
 
 let recvfrom _t sock ~max =
   if sock.closed then Error Abi.Errno.EBADF
   else if max < 0 then Error Abi.Errno.EINVAL (* before dequeuing *)
   else begin
-    let payload, src = Sim.Mailbox.get sock.rxq in
+    let ((payload, src) as datagram) = Sim.Mailbox.get sock.rxq in
     Sim.Engine.delay Sgx.Params.kernel_udp_rx_syscall_cycles;
     charge_copy (min max (Bytes.length payload));
-    let payload =
-      if Bytes.length payload > max then Bytes.sub payload 0 max else payload
-    in
-    Ok (payload, src)
+    if Bytes.length payload > max then Ok (Bytes.sub payload 0 max, src)
+    else Ok datagram
   end
 
 let readable sock = not (Sim.Mailbox.is_empty sock.rxq)
@@ -193,17 +199,19 @@ let stack_input t nic frame =
   charge_softirq ();
   match Packet.Frame.validate_udp frame with
   | Ok payload_len -> (
-      let info = Packet.Frame.udp_info frame in
-      match Hashtbl.find_opt t.by_port info.dst_port with
-      | None -> Obs.Metrics.incr t.no_socket_drops
-      | Some sock ->
+      let udp_off = Packet.Eth.header_size + Packet.Ipv4.header_size in
+      match Hashtbl.find t.by_port (Packet.Udp.dst_port_at frame udp_off) with
+      | exception Not_found -> Obs.Metrics.incr t.no_socket_drops
+      | sock ->
           let payload =
             Bytes.sub frame Packet.Frame.frame_overhead payload_len
           in
-          if
-            Sim.Mailbox.try_put sock.rxq
-              (payload, (info.src_ip, info.src_port))
-          then Sim.Condition.broadcast sock.activity
+          let src =
+            ( Packet.Ipv4.src_at frame Packet.Eth.header_size,
+              Packet.Udp.src_port_at frame udp_off )
+          in
+          if Sim.Mailbox.try_put sock.rxq (payload, src) then
+            Sim.Condition.broadcast sock.activity
           else Obs.Metrics.incr t.buffer_drops)
   | Error Not_ipv4 when Packet.Eth.ethertype_at frame 0 = Arp -> (
       match

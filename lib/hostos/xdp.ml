@@ -163,30 +163,35 @@ let tamper_after_rx t x =
         Malice.smash_cons x.fill (Rings.U32.sub (Rings.Layout.read_cons x.fill) 3)
       end
 
-(* Choose the descriptor the kernel announces on xRX, possibly forged. *)
-let rx_descriptor t x ~offset ~len =
+(* Announce a frame on xRX at [slot] (-1: xRX is full), possibly with a
+   forged descriptor.  Malice rolls whether or not the slot exists, as
+   the attack is chosen before the kernel looks for room. *)
+let set_rx x slot ~offset ~len =
+  if slot >= 0 then Abi.Xsk_desc.set x.rx.Rings.Layout.region slot ~offset ~len
+
+let rx_descriptor t x ~slot ~offset ~len =
   match !(t.malice) with
-  | None -> Abi.Xsk_desc.encode ~offset ~len
+  | None -> set_rx x slot ~offset ~len
   | Some m ->
       if Malice.roll ?shard:x.shard !(t.malice) Bad_umem_offset then begin
         Malice.record m Bad_umem_offset;
-        Abi.Xsk_desc.encode ~offset:(x.umem_size + (4 * x.frame_size)) ~len
+        set_rx x slot ~offset:(x.umem_size + (4 * x.frame_size)) ~len
       end
       else if Malice.roll ?shard:x.shard !(t.malice) Misaligned_offset then begin
         Malice.record m Misaligned_offset;
-        Abi.Xsk_desc.encode ~offset:(offset + 3) ~len
+        set_rx x slot ~offset:(offset + 3) ~len
       end
       else if Malice.roll ?shard:x.shard !(t.malice) Foreign_frame then begin
         Malice.record m Foreign_frame;
         (* A perfectly in-bounds, aligned frame — just not one the FM
            handed to this routine. *)
-        Abi.Xsk_desc.encode ~offset:(x.umem_size - x.frame_size) ~len
+        set_rx x slot ~offset:(x.umem_size - x.frame_size) ~len
       end
       else if Malice.roll ?shard:x.shard !(t.malice) Oversize_len then begin
         Malice.record m Oversize_len;
-        Abi.Xsk_desc.encode ~offset ~len:(2 * x.frame_size)
+        set_rx x slot ~offset ~len:(2 * x.frame_size)
       end
-      else Abi.Xsk_desc.encode ~offset ~len
+      else set_rx x slot ~offset ~len
 
 let maybe_corrupt t x frame =
   match !(t.malice) with
@@ -222,74 +227,74 @@ let rx_deliver t x frame =
     Sim.Condition.broadcast x.rx_notify
   end
   else begin
-    let offset =
-      Kring.consume x.kfill ~read:(fun ~slot_off ->
-          Abi.Xsk_desc.decode_offset
-            (Mem.Region.get_u64 x.fill.Rings.Layout.region slot_off))
-    in
-    match offset with
-    | None ->
-        edge_drop x x.rx_drop_fill_empty;
-        Sim.Condition.broadcast x.rx_notify
-    | Some offset when not (umem_offset_ok x offset) ->
+    let fill_slot = Kring.consume_slot x.kfill in
+    if fill_slot < 0 then begin
+      edge_drop x x.rx_drop_fill_empty;
+      Sim.Condition.broadcast x.rx_notify
+    end
+    else begin
+      let offset =
+        Abi.Xsk_desc.get_offset x.fill.Rings.Layout.region fill_slot
+      in
+      Kring.advance x.kfill;
+      if not (umem_offset_ok x offset) then begin
         (* Kernel refuses garbage fill entries. *)
         edge_drop x x.rx_drop_bad_fill;
         Sim.Condition.broadcast x.rx_notify
-    | Some offset ->
+      end
+      else begin
         charge_copy len;
         Mem.Region.blit_from_bytes frame 0 x.umem.Mem.Ptr.region
           (x.umem.Mem.Ptr.off + offset) len;
-        let desc = rx_descriptor t x ~offset ~len in
-        let ok =
-          Kring.produce x.krx ~write:(fun ~slot_off ->
-              Mem.Region.set_u64 x.rx.Rings.Layout.region slot_off desc)
-        in
-        if ok then Obs.Metrics.incr x.rx_delivered
-        else begin
-          edge_drop x x.rx_drop_krx_full
-        end;
+        let slot = Kring.produce_slot x.krx in
+        rx_descriptor t x ~slot ~offset ~len;
+        if slot >= 0 then begin
+          Kring.advance x.krx;
+          Obs.Metrics.incr x.rx_delivered
+        end
+        else edge_drop x x.rx_drop_krx_full;
         tamper_after_rx t x;
         Sim.Condition.broadcast x.rx_notify
+      end
+    end
   end
 
 (* Drain the xTX ring: validate each descriptor, put the frame on the
    wire and recycle the UMem offset through xCompl. *)
-let tx_drain t x =
-  let rec loop () =
-    let desc =
-      Kring.consume x.ktx ~read:(fun ~slot_off ->
-          Abi.Xsk_desc.decode (Mem.Region.get_u64 x.tx.Rings.Layout.region slot_off))
+let rec tx_drain t x =
+  let slot = Kring.consume_slot x.ktx in
+  if slot >= 0 then begin
+    let region = x.tx.Rings.Layout.region in
+    let offset = Abi.Xsk_desc.get_offset region slot
+    and len = Abi.Xsk_desc.get_len region slot in
+    Kring.advance x.ktx;
+    if umem_offset_ok x offset && len > 0 && len <= x.frame_size then begin
+      charge_per_packet ();
+      charge_copy len;
+      let frame = Bytes.create len in
+      Mem.Region.blit_to_bytes x.umem.Mem.Ptr.region
+        (x.umem.Mem.Ptr.off + offset) frame 0 len;
+      x.transmit frame;
+      Obs.Metrics.incr x.tx_sent
+    end;
+    let compl_off =
+      match !(t.malice) with
+      | Some m when Malice.roll ?shard:x.shard !(t.malice) Foreign_frame ->
+          Malice.record m Foreign_frame;
+          0 (* recycle a frame the FM did not send *)
+      | Some m when Malice.roll ?shard:x.shard !(t.malice) Bad_umem_offset ->
+          Malice.record m Bad_umem_offset;
+          x.umem_size + x.frame_size
+      | _ -> offset
     in
-    match desc with
-    | None -> ()
-    | Some (offset, len) ->
-        if umem_offset_ok x offset && len > 0 && len <= x.frame_size then begin
-          charge_per_packet ();
-          charge_copy len;
-          let frame = Bytes.create len in
-          Mem.Region.blit_to_bytes x.umem.Mem.Ptr.region
-            (x.umem.Mem.Ptr.off + offset) frame 0 len;
-          x.transmit frame;
-          Obs.Metrics.incr x.tx_sent
-        end;
-        let compl_off =
-          match !(t.malice) with
-          | Some m when Malice.roll ?shard:x.shard !(t.malice) Foreign_frame ->
-              Malice.record m Foreign_frame;
-              0 (* recycle a frame the FM did not send *)
-          | Some m when Malice.roll ?shard:x.shard !(t.malice) Bad_umem_offset ->
-              Malice.record m Bad_umem_offset;
-              x.umem_size + x.frame_size
-          | _ -> offset
-        in
-        ignore
-          (Kring.produce x.kcompl ~write:(fun ~slot_off ->
-               Mem.Region.set_u64 x.compl_.Rings.Layout.region slot_off
-                 (Abi.Xsk_desc.encode_offset compl_off)));
-        Sim.Condition.broadcast x.compl_notify;
-        loop ()
-  in
-  loop ()
+    let compl_slot = Kring.produce_slot x.kcompl in
+    if compl_slot >= 0 then begin
+      Abi.Xsk_desc.set_offset x.compl_.Rings.Layout.region compl_slot compl_off;
+      Kring.advance x.kcompl
+    end;
+    Sim.Condition.broadcast x.compl_notify;
+    tx_drain t x
+  end
 
 let tx_worker t x () =
   let rec loop () =
@@ -392,12 +397,13 @@ let attach t ~nic ~queue ~prog ~xsk ~stack_fallback =
   Sim.Engine.spawn t.engine
     ~name:(Printf.sprintf "xsk%d-tx-worker" xsk.id)
     (tx_worker t xsk);
-  Nic.set_rx_handler nic ~queue (fun frame ->
-      hostile_rx t xsk frame ~deliver:(fun frame ->
-          match prog frame with
-          | Pass -> stack_fallback frame
-          | Drop -> ()
-          | Redirect -> rx_deliver t xsk frame))
+  let deliver frame =
+    match prog frame with
+    | Pass -> stack_fallback frame
+    | Drop -> ()
+    | Redirect -> rx_deliver t xsk frame
+  in
+  Nic.set_rx_handler nic ~queue (fun frame -> hostile_rx t xsk frame ~deliver)
 
 (* Wakeup syscalls re-enter the kernel, which rewrites the shared ring
    words from its private cursors as a side effect — in a real kernel

@@ -1,17 +1,5 @@
 module K = Hostos.Kernel
 
-let to_kernel_event = function `In -> K.Pollin | `Out -> K.Pollout
-
-let of_kernel_event = function K.Pollin -> `In | K.Pollout -> `Out
-
-let kernel_poll kernel specs ~timeout =
-  let specs' =
-    List.map (fun (fd, evs) -> (fd, List.map to_kernel_event evs)) specs
-  in
-  match K.poll kernel specs' ~timeout with
-  | Ok r -> Ok (List.map (fun (fd, evs) -> (fd, List.map of_kernel_event evs)) r)
-  | Error e -> Error e
-
 let rec native kernel : Api.t =
   let engine = K.engine kernel in
   {
@@ -33,7 +21,7 @@ let rec native kernel : Api.t =
     lseek = (fun fd pos -> K.lseek kernel fd pos);
     fsize = (fun fd -> K.fsize kernel fd);
     close = (fun fd -> K.close kernel fd);
-    poll = (fun specs ~timeout -> kernel_poll kernel specs ~timeout);
+    poll = (fun specs ~timeout -> K.poll kernel specs ~timeout);
     spawn =
       (fun ~name body ->
         Sim.Engine.spawn engine ~name (fun () -> body (native kernel)));
@@ -65,20 +53,6 @@ let slow_meter obs engine =
               (Int64.to_int (Int64.sub (Sim.Engine.now engine) start));
             r);
       }
-
-let kevs_of_mask mask =
-  (if mask land Abi.Uring_abi.pollin <> 0 then [ K.Pollin ] else [])
-  @ if mask land Abi.Uring_abi.pollout <> 0 then [ K.Pollout ] else []
-
-let mask_of_kevs evs =
-  List.fold_left
-    (fun acc ev ->
-      acc
-      lor
-      match ev with
-      | K.Pollin -> Abi.Uring_abi.pollin
-      | K.Pollout -> Abi.Uring_abi.pollout)
-    0 evs
 
 let slow_ops ?obs kernel enclave : Rakis.Syncproxy.slow_ops =
   let engine = K.engine kernel in
@@ -123,8 +97,10 @@ let slow_ops ?obs kernel enclave : Rakis.Syncproxy.slow_ops =
       (fun ~fd ~events ->
         meter.run (fun () ->
             dispatch ();
-            match K.poll kernel [ (fd, kevs_of_mask events) ] ~timeout:None with
-            | Ok [ (_, revs) ] -> Ok (mask_of_kevs revs)
+            match
+              K.poll kernel [ (fd, Api.events_of_mask events) ] ~timeout:None
+            with
+            | Ok [ (_, revs) ] -> Ok (Api.mask_of_events revs)
             | Ok _ -> Ok 0
             | Error e -> Error e));
   }
@@ -165,7 +141,7 @@ let slow_udp ?obs kernel enclave : Rakis.Runtime.slow_udp =
             | Error e -> Error e));
     (* Readiness probe only — no exit charged; the datagram's crossing
        cost lands when [su_recvfrom] actually moves it. *)
-    su_readable = (fun fd -> K.fd_ready kernel fd K.Pollin);
+    su_readable = (fun fd -> K.fd_ready kernel fd `In);
     su_close =
       (fun fd ->
         meter.run (fun () ->
@@ -283,7 +259,7 @@ let gramine ?(exitless = false) kernel ~sgx =
       poll =
         (fun specs ~timeout ->
           dispatch ();
-          kernel_poll kernel specs ~timeout);
+          K.poll kernel specs ~timeout);
       spawn =
         (fun ~name body ->
           Sim.Engine.spawn engine ~name (fun () -> body (api ())));

@@ -25,31 +25,18 @@ let host_call env f =
   Sgx.Enclave.ocall (R.enclave env.runtime);
   f env.kernel
 
-let ev_mask evs =
-  List.fold_left
-    (fun acc ev ->
-      acc
-      lor
-      match ev with `In -> Abi.Uring_abi.pollin | `Out -> Abi.Uring_abi.pollout)
-    0 evs
-
-let evs_of_mask mask =
-  (if mask land Abi.Uring_abi.pollin <> 0 then [ `In ] else [])
-  @ if mask land Abi.Uring_abi.pollout <> 0 then [ `Out ] else []
-
 (* Busy-wait quantum for mixed-provider polls (paper §4.2). *)
 let mixed_poll_quantum = Sim.Cycles.of_us 2.
 
-let poll env proxy specs ~timeout =
+let poll_open env proxy specs ~timeout =
   let engine = K.engine env.kernel in
   let deadline = Option.map (fun d -> Int64.add (Sim.Engine.now engine) d) timeout in
   let rakis_socks, host_specs =
     List.partition_map
       (fun (fd, evs) ->
-        match find env fd with
-        | Some (Rudp sock) -> Left (fd, evs, sock)
-        | Some (Rhost { kfd; _ }) -> Right (fd, kfd, evs)
-        | None -> Right (fd, -1, evs))
+        match Hashtbl.find env.fds fd with
+        | Rudp sock -> Left (fd, evs, sock)
+        | Rhost { kfd; _ } -> Right (fd, kfd, evs))
       specs
   in
   let rakis_ready () =
@@ -76,9 +63,8 @@ let poll env proxy specs ~timeout =
     | [] -> Ok None
     | _ ->
         Rakis.Syncproxy.poll_multi proxy
-          (List.filter_map
-             (fun (_, kfd, evs) ->
-               if kfd < 0 then None else Some (kfd, ev_mask evs))
+          (List.map
+             (fun (_, kfd, evs) -> (kfd, Api.mask_of_events evs))
              host_specs)
           ~timeout
   in
@@ -134,11 +120,18 @@ let poll env proxy specs ~timeout =
           | Error e -> Error e
           | Ok (Some (kfd, mask)) -> (
               match vfd_of_kfd kfd with
-              | Some vfd -> Ok [ (vfd, evs_of_mask mask) ]
+              | Some vfd -> Ok [ (vfd, Api.events_of_mask mask) ]
               | None -> loop ())
           | Ok None -> if expired () then Ok [] else loop ())
   in
   loop ()
+
+(* Like the host kernel's, a poll naming an fd that is not open fails
+   at once with [EBADF] (there is no POLLNVAL here). *)
+let poll env proxy specs ~timeout =
+  if List.for_all (fun (fd, _) -> Hashtbl.mem env.fds fd) specs then
+    poll_open env proxy specs ~timeout
+  else Error Abi.Errno.EBADF
 
 let rec api env proxy : Api.t =
   let engine = K.engine env.kernel in

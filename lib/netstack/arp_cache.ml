@@ -9,7 +9,15 @@
    while the XSK is dead, so genuine sender information overwrites it
    and a placeholder never downgrades a real entry. *)
 
-type entry = { mac : Packet.Addr.Mac.t; mutable tick : int }
+(* [answer] is [Some mac], boxed once when the entry is made, so a hit
+   allocates nothing. *)
+type entry = {
+  mac : Packet.Addr.Mac.t;
+  answer : Packet.Addr.Mac.t option;
+  mutable tick : int;
+}
+
+let entry mac tick = { mac; answer = Some mac; tick }
 
 type t = {
   engine : Sim.Engine.t;
@@ -40,11 +48,11 @@ let touch t e =
   e.tick <- t.clock
 
 let lookup t ip =
-  match Hashtbl.find_opt t.table (Packet.Addr.Ip.to_int ip) with
-  | None -> None
-  | Some e ->
+  match Hashtbl.find t.table (Packet.Addr.Ip.to_int ip) with
+  | e ->
       touch t e;
-      Some e.mac
+      e.answer
+  | exception Not_found -> None
 
 let evict_lru t =
   let victim =
@@ -64,7 +72,7 @@ let evict_lru t =
 let insert t key mac =
   if Hashtbl.length t.table >= t.capacity then evict_lru t;
   t.clock <- t.clock + 1;
-  Hashtbl.add t.table key { mac; tick = t.clock }
+  Hashtbl.add t.table key (entry mac t.clock)
 
 let is_placeholder mac = mac = Packet.Addr.Mac.broadcast
 
@@ -75,7 +83,7 @@ let learn t ip mac =
   | Some e when e.mac = mac -> touch t e
   | Some e when is_placeholder e.mac ->
       (* real sender information replaces the failover placeholder *)
-      Hashtbl.replace t.table key { mac; tick = e.tick };
+      Hashtbl.replace t.table key (entry mac e.tick);
       touch t (Hashtbl.find t.table key)
   | Some e when is_placeholder mac ->
       (* a placeholder never downgrades a resolved entry *)
@@ -95,10 +103,10 @@ let resolve t ip ~request =
     | None when not (Sim.Engine.in_process ()) ->
         (* Static harnesses (the fuzzer) run outside the engine: emit
            the request and re-check once, without suspending. *)
-        request ();
+        request ip;
         lookup t ip
     | None ->
-        request ();
+        request ip;
         let fired = ref false in
         Sim.Engine.at t.engine
           (Int64.add (Sim.Engine.now t.engine) (Sim.Cycles.of_us 100.))

@@ -33,10 +33,11 @@ val learn : t -> Packet.Addr.Ip.t -> Packet.Addr.Mac.t -> unit
 val resolve :
   t ->
   Packet.Addr.Ip.t ->
-  request:(unit -> unit) ->
+  request:(Packet.Addr.Ip.t -> unit) ->
   Packet.Addr.Mac.t option
-(** Blocking resolve: returns immediately on a cache hit; otherwise
-    calls [request] (which should emit an ARP request frame) and waits,
+(** Blocking resolve: returns immediately on a cache hit, allocating
+    nothing; otherwise calls [request ip] (which should emit an ARP
+    request frame) and waits,
     retrying a few times before giving up with [None]. *)
 
 val entries : t -> int

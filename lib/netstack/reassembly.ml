@@ -9,10 +9,24 @@
    each slice no larger than one frame payload; the full-size datagram
    buffer is allocated exactly once, at completion. *)
 
+type reject =
+  | Frag_bounds
+  | Frag_table_full
+  | Frag_src_quota
+  | Frag_too_many
+  | Frag_overlap
+
+let reject_name = function
+  | Frag_bounds -> "frag-bounds"
+  | Frag_table_full -> "frag-table-full"
+  | Frag_src_quota -> "frag-src-quota"
+  | Frag_too_many -> "frag-too-many"
+  | Frag_overlap -> "frag-overlap"
+
 type verdict =
   | Complete of Packet.Ipv4.t
   | Pending
-  | Rejected of string
+  | Rejected of reject
 
 type key = { src : int; ident : int; proto : int }
 
@@ -116,18 +130,18 @@ let insert t (frag : Packet.Ipv4.fragment) =
   let p = frag.packet in
   let off = frag.frag_offset in
   let len = Bytes.length p.payload in
-  if off + len > max_payload then Rejected "frag-bounds"
+  if off + len > max_payload then Rejected Frag_bounds
   else if frag.more && len mod 8 <> 0 then
     (* Only the final fragment may have a non-multiple-of-8 payload. *)
-    Rejected "frag-bounds"
+    Rejected Frag_bounds
   else
     let k = key_of p in
     match Hashtbl.find_opt t.table k with
     | None ->
         if Hashtbl.length t.table >= Sgx.Params.reassembly_max_datagrams then
-          Rejected "frag-table-full"
+          Rejected Frag_table_full
         else if per_source t k.src >= Sgx.Params.reassembly_max_per_source
-        then Rejected "frag-src-quota"
+        then Rejected Frag_src_quota
         else
           let e =
             {
@@ -143,19 +157,19 @@ let insert t (frag : Packet.Ipv4.fragment) =
           check_complete t k e
     | Some e -> (
         if e.nfrags >= Sgx.Params.reassembly_max_fragments then
-          kill t k "frag-too-many"
+          kill t k Frag_too_many
         else
           match e.total with
           | Some total when off + len > total ->
               (* Reaches past the already-fixed end: conflicting
                  geometry, same poison as an overlap. *)
-              kill t k "frag-overlap"
+              kill t k Frag_overlap
           | Some _ when not frag.more ->
               if e.total = Some (off + len) then Pending (* dup of final *)
-              else kill t k "frag-overlap"
+              else kill t k Frag_overlap
           | _ -> (
               match add_slice e.frags ~off ~len p.payload with
-              | `Overlap -> kill t k "frag-overlap"
+              | `Overlap -> kill t k Frag_overlap
               | `Dup -> Pending
               | `Ok frags -> (
                   e.frags <- frags;
@@ -169,5 +183,5 @@ let insert t (frag : Packet.Ipv4.fragment) =
                            e.frags ->
                       (* A previously-accepted slice reaches past the end
                          the final fragment just fixed. *)
-                      kill t k "frag-overlap"
+                      kill t k Frag_overlap
                   | _ -> check_complete t k e)))

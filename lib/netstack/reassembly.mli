@@ -20,15 +20,25 @@
 
 type t
 
+(** Why a fragment was refused. *)
+type reject =
+  | Frag_bounds  (** Slice past the largest datagram. *)
+  | Frag_table_full  (** Open-reassembly quota reached. *)
+  | Frag_src_quota  (** Per-source quota reached. *)
+  | Frag_too_many  (** Per-datagram slice quota reached. *)
+  | Frag_overlap  (** Partial overlap or conflicting final geometry. *)
+
+val reject_name : reject -> string
+(** The owning stack's [drop.<reason>] suffix: ["frag-bounds"],
+    ["frag-table-full"], ["frag-src-quota"], ["frag-too-many"],
+    ["frag-overlap"]. *)
+
 type verdict =
   | Complete of Packet.Ipv4.t
       (** All bytes present: the reassembled datagram, header fields
           from the first-seen fragment, payload allocated fresh. *)
   | Pending  (** Accepted, still missing bytes (or an absorbed dup). *)
-  | Rejected of string
-      (** Refused, with a drop-reason suffix for the owning stack's
-          [drop.<reason>] counter: ["frag-bounds"], ["frag-table-full"],
-          ["frag-src-quota"], ["frag-too-many"], ["frag-overlap"]. *)
+  | Rejected of reject  (** Refused; the reassembly, if any, is gone. *)
 
 val create : ?clock:(unit -> int64) -> unit -> t
 (** [clock] feeds the timeout sweep (pass the engine's [now]; defaults

@@ -2,6 +2,59 @@ type locking = [ `Global | `Fine ]
 
 type send_error = Unresolvable | Payload_too_big | No_transmit
 
+(* Why a frame was dropped: one counter slot each, registered on the
+   first drop as [<name>.drop.<reason>]. *)
+type drop =
+  | Bad_eth
+  | Not_ours
+  | Bad_arp
+  | Bad_ip
+  | Not_udp
+  | Bad_udp
+  | No_socket
+  | Overload_shed
+  | Queue_full
+  | Frag_expired
+  | Frag_bounds
+  | Frag_table_full
+  | Frag_src_quota
+  | Frag_too_many
+  | Frag_overlap
+
+let drop_slot = function
+  | Bad_eth -> 0
+  | Not_ours -> 1
+  | Bad_arp -> 2
+  | Bad_ip -> 3
+  | Not_udp -> 4
+  | Bad_udp -> 5
+  | No_socket -> 6
+  | Overload_shed -> 7
+  | Queue_full -> 8
+  | Frag_expired -> 9
+  | Frag_bounds -> 10
+  | Frag_table_full -> 11
+  | Frag_src_quota -> 12
+  | Frag_too_many -> 13
+  | Frag_overlap -> 14
+
+(* By [drop_slot]: the [<reason>] of each counter's name. *)
+let drop_names =
+  [|
+    "bad-eth"; "not-ours"; "bad-arp"; "bad-ip"; "not-udp"; "bad-udp";
+    "no-socket"; "overload-shed"; "queue-full"; "frag-expired"; "frag-bounds";
+    "frag-table-full"; "frag-src-quota"; "frag-too-many"; "frag-overlap";
+  |]
+
+let drop_slots = Array.length drop_names
+
+let of_reject : Reassembly.reject -> drop = function
+  | Frag_bounds -> Frag_bounds
+  | Frag_table_full -> Frag_table_full
+  | Frag_src_quota -> Frag_src_quota
+  | Frag_too_many -> Frag_too_many
+  | Frag_overlap -> Frag_overlap
+
 type t = {
   engine : Sim.Engine.t;
   mac : Packet.Addr.Mac.t;
@@ -16,6 +69,7 @@ type t = {
      the reassembler evicts lazily, so we account the delta per input. *)
   mutable reasm_expired_seen : int;
   mutable transmit : (Bytes.t -> unit) option;
+  arp_request : Packet.Addr.Ip.t -> unit;
   (* Overload hooks (DESIGN.md §15), installed by the runtime when
      [Config.overload]: [rx_gate] is consulted with the destination
      socket's queue depth before every enqueue — [false] sheds the
@@ -25,37 +79,58 @@ type t = {
   mutable on_dequeue : (sojourn:int64 -> depth:int -> unit) option;
   metrics : Obs.Metrics.t;
   rx_delivered : Obs.Metrics.counter;
-  drops : (string, Obs.Metrics.counter) Hashtbl.t;
+  drops : Obs.Metrics.counter option array; (* by [drop_slot] *)
   name : string;
   mutable next_ephemeral : int;
 }
+
+let send_arp_request t target_ip =
+  match t.transmit with
+  | None -> ()
+  | Some transmit ->
+      let arp =
+        {
+          Packet.Arp.op = Request;
+          sender_mac = t.mac;
+          sender_ip = t.ip;
+          target_mac = Packet.Addr.Mac.zero;
+          target_ip;
+        }
+      in
+      transmit
+        (Packet.Frame.build_arp ~src_mac:t.mac
+           ~dst_mac:Packet.Addr.Mac.broadcast arp)
 
 let create ?obs ?name ?arp engine ~mac ~ip ?(locking = `Fine) () =
   let metrics =
     match obs with Some o -> Obs.metrics o | None -> Obs.Metrics.create ()
   in
   let name = Option.value name ~default:"stack" in
-  {
-    engine;
-    mac;
-    ip;
-    locking;
-    global_lock = Sim.Lock.create ();
-    table_lock = Sim.Lock.create ();
-    sockets = Hashtbl.create 16;
-    arp =
-      (match arp with Some a -> a | None -> Arp_cache.create ?obs engine ());
-    reasm = Reassembly.create ~clock:(fun () -> Sim.Engine.now engine) ();
-    reasm_expired_seen = 0;
-    transmit = None;
-    rx_gate = None;
-    on_dequeue = None;
-    metrics;
-    rx_delivered = Obs.Metrics.counter metrics (name ^ ".rx_delivered");
-    drops = Hashtbl.create 8;
-    name;
-    next_ephemeral = 50000;
-  }
+  let rec t =
+    {
+      engine;
+      mac;
+      ip;
+      locking;
+      global_lock = Sim.Lock.create ();
+      table_lock = Sim.Lock.create ();
+      sockets = Hashtbl.create 16;
+      arp =
+        (match arp with Some a -> a | None -> Arp_cache.create ?obs engine ());
+      reasm = Reassembly.create ~clock:(fun () -> Sim.Engine.now engine) ();
+      reasm_expired_seen = 0;
+      transmit = None;
+      arp_request = (fun ip -> send_arp_request t ip);
+      rx_gate = None;
+      on_dequeue = None;
+      metrics;
+      rx_delivered = Obs.Metrics.counter metrics (name ^ ".rx_delivered");
+      drops = Array.make drop_slots None;
+      name;
+      next_ephemeral = 50000;
+    }
+  in
+  t
 
 let mac t = t.mac
 
@@ -74,23 +149,30 @@ let set_overload_hooks t ~rx_gate ~on_dequeue =
     t.sockets
 
 (* Registry counters named [stack.drop.<reason>], created on the first
-   drop of each reason: the steady state is one Hashtbl probe and a
-   field bump, with no string building. *)
+   drop of each reason: the steady state is an array read and a field
+   bump, allocating nothing. *)
 let drop t reason =
-  match Hashtbl.find_opt t.drops reason with
+  let i = drop_slot reason in
+  match t.drops.(i) with
   | Some c -> Obs.Metrics.incr c
   | None ->
-      let c = Obs.Metrics.counter t.metrics (t.name ^ ".drop." ^ reason) in
+      let c =
+        Obs.Metrics.counter t.metrics (t.name ^ ".drop." ^ drop_names.(i))
+      in
       Obs.Metrics.incr c;
-      Hashtbl.add t.drops reason c
+      t.drops.(i) <- Some c
 
 let rx_delivered t = Obs.Metrics.value t.rx_delivered
 
 let rx_dropped t =
-  Hashtbl.fold (fun _ c acc -> acc + Obs.Metrics.value c) t.drops 0
+  Array.fold_left
+    (fun acc -> function Some c -> acc + Obs.Metrics.value c | None -> acc)
+    0 t.drops
 
 let drop_reasons t =
-  Hashtbl.fold (fun k c acc -> (k, Obs.Metrics.value c) :: acc) t.drops []
+  List.init drop_slots (fun i ->
+      Option.map (fun c -> (drop_names.(i), Obs.Metrics.value c)) t.drops.(i))
+  |> List.filter_map Fun.id
   |> List.sort (fun (a, _) (b, _) -> String.compare a b)
 
 let socket_count t = Hashtbl.length t.sockets
@@ -100,16 +182,27 @@ let lock_contention t =
 
 (* In [`Global] mode all packet processing serializes behind one lock —
    the original LWIP discipline; in [`Fine] mode only the socket table
-   is protected and the (charged) per-packet work runs concurrently. *)
-let with_processing t f =
-  match t.locking with
-  | `Global -> Sim.Lock.with_lock t.global_lock f
-  | `Fine -> f ()
-
+   is protected and the (charged) per-packet work runs concurrently.
+   The [`Fine] datapath takes no closure: a socket lookup locks the
+   table around one [Hashtbl.find]. *)
 let with_table t f =
   match t.locking with
   | `Global -> f () (* already inside the global lock *)
   | `Fine -> Sim.Lock.with_lock t.table_lock f
+
+(* The socket bound to [port]; raises [Not_found]. *)
+let find_socket t port =
+  match t.locking with
+  | `Global -> Hashtbl.find t.sockets port
+  | `Fine -> (
+      Sim.Lock.acquire t.table_lock;
+      match Hashtbl.find t.sockets port with
+      | sock ->
+          Sim.Lock.release t.table_lock;
+          sock
+      | exception Not_found ->
+          Sim.Lock.release t.table_lock;
+          raise Not_found)
 
 let charge_packet () = Sim.Engine.delay !Sgx.Params.enclave_udp_stack_per_packet
 
@@ -162,51 +255,39 @@ let bind t ~port =
 let unbind t sock =
   with_table t (fun () -> Hashtbl.remove t.sockets (Udp_socket.port sock))
 
-let send_arp_request t target_ip =
-  match t.transmit with
-  | None -> ()
-  | Some transmit ->
-      let arp =
-        {
-          Packet.Arp.op = Request;
-          sender_mac = t.mac;
-          sender_ip = t.ip;
-          target_mac = Packet.Addr.Mac.zero;
-          target_ip;
-        }
-      in
-      transmit
-        (Packet.Frame.build_arp ~src_mac:t.mac
-           ~dst_mac:Packet.Addr.Mac.broadcast arp)
+let send_frame t transmit ~src_port ~dst_mac ~dst_ip ~dst_port payload =
+  charge_packet ();
+  let info =
+    {
+      Packet.Frame.src_mac = t.mac;
+      dst_mac;
+      src_ip = t.ip;
+      dst_ip;
+      src_port;
+      dst_port;
+    }
+  in
+  transmit (Packet.Frame.build_udp info payload);
+  Ok (Bytes.length payload)
 
 let sendto t ~src_port ~dst:(dst_ip, dst_port) payload =
   match t.transmit with
   | None -> Error No_transmit
-  | Some transmit ->
+  | Some transmit -> (
       if Bytes.length payload > Packet.Udp.max_payload then
         Error Payload_too_big
-      else begin
-        match
-          Arp_cache.resolve t.arp dst_ip ~request:(fun () ->
-              send_arp_request t dst_ip)
-        with
+      else
+        match Arp_cache.resolve t.arp dst_ip ~request:t.arp_request with
         | None -> Error Unresolvable
-        | Some dst_mac ->
-            with_processing t (fun () ->
-                charge_packet ();
-                let info =
-                  {
-                    Packet.Frame.src_mac = t.mac;
-                    dst_mac;
-                    src_ip = t.ip;
-                    dst_ip;
-                    src_port;
-                    dst_port;
-                  }
-                in
-                transmit (Packet.Frame.build_udp info payload);
-                Ok (Bytes.length payload))
-      end
+        | Some dst_mac -> (
+            match t.locking with
+            | `Fine ->
+                send_frame t transmit ~src_port ~dst_mac ~dst_ip ~dst_port
+                  payload
+            | `Global ->
+                Sim.Lock.with_lock t.global_lock (fun () ->
+                    send_frame t transmit ~src_port ~dst_mac ~dst_ip ~dst_port
+                      payload)))
 
 let handle_arp t arp =
   let open Packet.Arp in
@@ -231,32 +312,30 @@ let handle_arp t arp =
    frame.  Only the payload that reaches a socket queue is copied. *)
 let handle_udp t ~src ~dst b ~off ~len =
   match Packet.Udp.validate ~src ~dst b ~off ~len with
-  | Error _ -> drop t "bad-udp"
+  | Error _ -> drop t Bad_udp
   | Ok payload_len -> (
-      let dst_port = Packet.Udp.dst_port_at b off in
-      let sock = with_table t (fun () -> Hashtbl.find_opt t.sockets dst_port) in
-      match sock with
-      | None -> drop t "no-socket"
-      | Some sock ->
+      match find_socket t (Packet.Udp.dst_port_at b off) with
+      | exception Not_found -> drop t No_socket
+      | sock ->
           let admitted =
             match t.rx_gate with
             | None -> true
             | Some gate -> gate ~depth:(Udp_socket.pending sock)
           in
-          if not admitted then drop t "overload-shed"
+          if not admitted then drop t Overload_shed
           else if
             Udp_socket.enqueue sock
               (Bytes.sub b (off + Packet.Udp.header_size) payload_len)
               ~src:(src, Packet.Udp.src_port_at b off)
           then Obs.Metrics.incr t.rx_delivered
-          else drop t "queue-full")
+          else drop t Queue_full)
 
 let deliver t (ip_pkt : Packet.Ipv4.t) =
   match ip_pkt.proto with
   | Udp ->
       handle_udp t ~src:ip_pkt.src ~dst:ip_pkt.dst ip_pkt.payload ~off:0
         ~len:(Bytes.length ip_pkt.payload)
-  | Tcp | Icmp | Other _ -> drop t "not-udp"
+  | Tcp | Icmp | Other _ -> drop t Not_udp
 
 (* A fragment copies its own payload once, into the reassembler. *)
 let input_fragment t frame ~off ~payload_len =
@@ -265,21 +344,21 @@ let input_fragment t frame ~off ~payload_len =
    with
   | Reassembly.Complete ip_pkt -> deliver t ip_pkt
   | Reassembly.Pending -> ()
-  | Reassembly.Rejected reason -> drop t reason);
+  | Reassembly.Rejected r -> drop t (of_reject r));
   (* Reassemblies the lazy sweep abandoned since we last looked become
      accounted drops now. *)
   let ex = Reassembly.expired t.reasm in
   for _ = t.reasm_expired_seen + 1 to ex do
-    drop t "frag-expired"
+    drop t Frag_expired
   done;
   t.reasm_expired_seen <- ex
 
 let input_ipv4 t frame ~off ~len =
   match Packet.Ipv4.validate ~fragments:true frame ~off ~len with
-  | Error _ -> drop t "bad-ip"
+  | Error _ -> drop t Bad_ip
   | Ok payload_len ->
       let dst = Packet.Ipv4.dst_at frame off in
-      if not (Packet.Addr.Ip.equal dst t.ip) then drop t "not-ours"
+      if not (Packet.Addr.Ip.equal dst t.ip) then drop t Not_ours
       else if Packet.Ipv4.is_fragment_at frame off then
         input_fragment t frame ~off ~payload_len
       else (
@@ -287,33 +366,36 @@ let input_ipv4 t frame ~off ~len =
         | Udp ->
             handle_udp t ~src:(Packet.Ipv4.src_at frame off) ~dst frame
               ~off:(off + Packet.Ipv4.header_size) ~len:payload_len
-        | Tcp | Icmp | Other _ -> drop t "not-udp")
+        | Tcp | Icmp | Other _ -> drop t Not_udp)
 
 (* [frame] is the trusted staging copy (never untrusted memory), so it
    is validated in place: one validation routine per layer, no copy
    until a payload is queued. *)
+let process_frame t frame ~len =
+  charge_packet ();
+  match Packet.Eth.validate frame ~off:0 ~len with
+  | -1 -> drop t Bad_eth
+  | eth_len -> (
+      let for_us =
+        Packet.Eth.dst_is frame 0 t.mac
+        || Packet.Eth.dst_is frame 0 Packet.Addr.Mac.broadcast
+      in
+      if not for_us then drop t Not_ours
+      else
+        match Packet.Eth.ethertype_at frame 0 with
+        | Unknown _ -> drop t Bad_eth
+        | Arp -> (
+            match
+              Packet.Arp.parse (Bytes.sub frame Packet.Eth.header_size eth_len)
+            with
+            | Error _ -> drop t Bad_arp
+            | Ok arp -> handle_arp t arp)
+        | Ipv4 -> input_ipv4 t frame ~off:Packet.Eth.header_size ~len:eth_len)
+
 let input_borrowed t frame ~len =
-  with_processing t (fun () ->
-      charge_packet ();
-      match Packet.Eth.validate frame ~off:0 ~len with
-      | Error _ -> drop t "bad-eth"
-      | Ok eth_len -> (
-          let dst = Packet.Eth.dst_at frame 0 in
-          let for_us =
-            Packet.Addr.Mac.equal dst t.mac || Packet.Addr.Mac.is_broadcast dst
-          in
-          if not for_us then drop t "not-ours"
-          else
-            match Packet.Eth.ethertype_at frame 0 with
-            | Unknown _ -> drop t "bad-eth"
-            | Arp -> (
-                match
-                  Packet.Arp.parse
-                    (Bytes.sub frame Packet.Eth.header_size eth_len)
-                with
-                | Error _ -> drop t "bad-arp"
-                | Ok arp -> handle_arp t arp)
-            | Ipv4 ->
-                input_ipv4 t frame ~off:Packet.Eth.header_size ~len:eth_len))
+  match t.locking with
+  | `Fine -> process_frame t frame ~len
+  | `Global ->
+      Sim.Lock.with_lock t.global_lock (fun () -> process_frame t frame ~len)
 
 let input t frame = input_borrowed t frame ~len:(Bytes.length frame)

@@ -36,9 +36,14 @@ let build t =
 let validate b ~off ~len =
   if off < 0 || len < 0 || off > Bytes.length b - len then
     invalid_arg "Eth.validate: range out of bounds";
-  if len < header_size then Error (Truncated len) else Ok (len - header_size)
+  if len < header_size then -1 else len - header_size
 
 let dst_at b off = Addr.Mac.of_string (Bytes.sub_string b off 6)
+
+let rec same_mac b off m i =
+  i = 6 || (Bytes.get b (off + i) = String.get m i && same_mac b off m (i + 1))
+
+let dst_is b off mac = same_mac b off (Addr.Mac.to_string mac) 0
 
 let src_at b off = Addr.Mac.of_string (Bytes.sub_string b (off + 6) 6)
 
@@ -46,8 +51,8 @@ let ethertype_at b off = ethertype_of_int (Bytes.get_uint16_be b (off + 12))
 
 let parse_sub b ~len =
   match validate b ~off:0 ~len with
-  | Error e -> Error e
-  | Ok n ->
+  | -1 -> Error (Truncated len)
+  | n ->
       Ok
         {
           dst = dst_at b 0;

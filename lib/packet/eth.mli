@@ -33,12 +33,18 @@ val write_header :
     fields read them from the buffer with the [_at] accessors — valid
     only on a range {!validate} accepted — and copy no payload. *)
 
-val validate : Bytes.t -> off:int -> len:int -> (int, error) result
-(** Check the [len]-byte frame at [off].  [Ok n]: its [n]-byte payload
-    starts at [off + header_size].  Raises [Invalid_argument] when the
-    range exceeds the buffer. *)
+val validate : Bytes.t -> off:int -> len:int -> int
+(** Check the [len]-byte frame at [off]: the length [n] of its payload,
+    which starts at [off + header_size], or -1 when [len] is shorter
+    than a header (the one Ethernet error, [Truncated len]).  A plain
+    int, so validating allocates nothing.  Raises [Invalid_argument]
+    when the range exceeds the buffer. *)
 
 val dst_at : Bytes.t -> int -> Addr.Mac.t
+
+val dst_is : Bytes.t -> int -> Addr.Mac.t -> bool
+(** [dst_is b off mac]: whether the destination at [off] is [mac],
+    compared in place. *)
 
 val src_at : Bytes.t -> int -> Addr.Mac.t
 

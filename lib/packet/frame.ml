@@ -39,8 +39,8 @@ let build_udp info payload =
 
 let validate_udp frame =
   match Eth.validate frame ~off:0 ~len:(Bytes.length frame) with
-  | Error e -> Error (Eth e)
-  | Ok eth_len -> (
+  | -1 -> Error (Eth (Truncated (Bytes.length frame)))
+  | eth_len -> (
       match Eth.ethertype_at frame 0 with
       | Arp | Unknown _ -> Error Not_ipv4
       | Ipv4 -> (
@@ -92,35 +92,33 @@ let pp_dissect_error ppf = function
   | Not_udp -> Format.fprintf ppf "not a udp packet"
   | Udp_err e -> Udp.pp_error ppf e
 
-let peek_udp_ports frame =
-  (* Cheap un-validated extraction used for NIC queue steering; full
-     validation happens later in whichever stack consumes the frame. *)
-  if Bytes.length frame < frame_overhead then None
-  else if Bytes.get_uint16_be frame 12 <> 0x0800 then None
-  else if Bytes.get_uint8 frame 23 <> 17 then None
+(* Cheap un-validated reads used for steering, mirroring hardware RSS
+   and the XDP program; full validation happens later in whichever
+   stack consumes the frame.  [peek_udp_off frame] is where the UDP
+   header starts, or -1 unless the frame is long enough to be IPv4/UDP
+   with both ports present. *)
+let peek_udp_off frame =
+  if Bytes.length frame < frame_overhead then -1
+  else if Bytes.get_uint16_be frame 12 <> 0x0800 then -1
+  else if Bytes.get_uint8 frame 23 <> 17 then -1
   else
-    let ihl = (Bytes.get_uint8 frame 14 land 0xf) * 4 in
-    let udp_off = Eth.header_size + ihl in
-    if Bytes.length frame < udp_off + 4 then None
-    else
-      Some (Bytes.get_uint16_be frame udp_off, Bytes.get_uint16_be frame (udp_off + 2))
+    let off = Eth.header_size + ((Bytes.get_uint8 frame 14 land 0xf) * 4) in
+    if Bytes.length frame < off + 4 then -1 else off
 
-let peek_udp_flow frame =
-  (* The RSS 4-tuple, as cheaply as [peek_udp_ports]: IPs in host order
-     straight from the IPv4 header (src at 26, dst at 30). *)
-  if Bytes.length frame < frame_overhead then None
-  else if Bytes.get_uint16_be frame 12 <> 0x0800 then None
-  else if Bytes.get_uint8 frame 23 <> 17 then None
+let udp_dst_port frame =
+  let off = peek_udp_off frame in
+  if off < 0 then -1 else Bytes.get_uint16_be frame (off + 2)
+
+let rss_queue ~queues frame =
+  let off = peek_udp_off frame in
+  if off < 0 then -1
   else
-    let ihl = (Bytes.get_uint8 frame 14 land 0xf) * 4 in
-    let udp_off = Eth.header_size + ihl in
-    if Bytes.length frame < udp_off + 4 then None
-    else
-      let ip32 off =
-        (Bytes.get_uint16_be frame off lsl 16) lor Bytes.get_uint16_be frame (off + 2)
-      in
-      Some
-        ( ip32 (Eth.header_size + 12),
-          ip32 (Eth.header_size + 16),
-          Bytes.get_uint16_be frame udp_off,
-          Bytes.get_uint16_be frame (udp_off + 2) )
+    (* IPs in host order straight from the IPv4 header. *)
+    let ip32 o =
+      (Bytes.get_uint16_be frame o lsl 16) lor Bytes.get_uint16_be frame (o + 2)
+    in
+    Rss.queue ~queues
+      ~src_ip:(ip32 (Eth.header_size + 12))
+      ~dst_ip:(ip32 (Eth.header_size + 16))
+      ~src_port:(Bytes.get_uint16_be frame off)
+      ~dst_port:(Bytes.get_uint16_be frame (off + 2))

@@ -40,10 +40,11 @@ val frame_overhead : int
 
 val pp_dissect_error : Format.formatter -> dissect_error -> unit
 
-val peek_udp_ports : Bytes.t -> (int * int) option
-(** [(src_port, dst_port)] of a UDP frame, without any validation — used
-    only for NIC receive-queue steering, mirroring hardware RSS. *)
+val udp_dst_port : Bytes.t -> int
+(** The UDP destination port of a frame, read in place without
+    validation (the XDP program's test); -1 for a frame that is not
+    IPv4/UDP or too short to carry both ports. *)
 
-val peek_udp_flow : Bytes.t -> (int * int * int * int) option
-(** [(src_ip, dst_ip, src_port, dst_port)] of a UDP frame (IPs as
-    host-order ints), unvalidated — the {!Rss} hash input. *)
+val rss_queue : queues:int -> Bytes.t -> int
+(** The {!Rss.queue} of a UDP frame's 4-tuple, read in place without
+    validation (hardware RSS); -1 where {!udp_dst_port} is -1. *)

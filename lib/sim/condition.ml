@@ -42,9 +42,12 @@ let wake_oldest t =
   t.len <- t.len - 1;
   Engine.wake t.procs.(i) t.ns.(i)
 
-let wait t =
+let listen t =
   let p = Engine.self () in
-  add t p (Engine.suspension p);
+  add t p (Engine.suspension p)
+
+let wait t =
+  listen t;
   Engine.park ()
 
 let signal t = if t.len > 0 then wake_oldest t

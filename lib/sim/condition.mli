@@ -18,6 +18,13 @@ val wait : t -> unit
 (** Suspend the calling process until signalled.  Raises
     {!Engine.Not_in_process} outside a process. *)
 
+val listen : t -> unit
+(** Queue the calling process's next suspension on [t] without parking:
+    [listen] on several conditions, then {!Engine.park} (or
+    {!Engine.timed_park}), is {!wait_any} without the list, with the
+    same broadcast-only caveat.  Raises {!Engine.Not_in_process}
+    outside a process. *)
+
 val signal : t -> unit
 (** Wake the longest-waiting process, if any. *)
 

@@ -20,6 +20,7 @@ type t = {
   mutable times : int array;
   mutable seqs : int array;
   mutable fns : (unit -> unit) array;
+  mutable running : int;  (* [seq] of the event being run *)
   mutable stopped : bool;
   stats : Obs.Metrics.t;
 }
@@ -28,13 +29,25 @@ type t = {
    suspension needs is built once, at spawn: a suspension stores only
    its continuation in [k], and a delay its due time in [wake_at].
    [wakes] numbers the suspensions: the one in progress is number
-   [wakes], and {!wake} of any other number is stale. *)
+   [wakes], and {!wake} of any other number is stale.
+
+   The process's one timeout is built once too.  Arming it queues the
+   prebuilt [fire] callback and records the event's [seq] in
+   [timeout_seq]; a firing is live only while the engine is running
+   that very event, so re-arming or disarming turns every older firing
+   into a no-op without touching the heap.  A live firing sets
+   [expired] and wakes suspension [timeout_n], the one {!timed_park}
+   entered (-1: none, so a firing during a delay wakes nothing). *)
 type process = {
   engine : t;
   mutable k : (unit, unit) Effect.Deep.continuation option;
   mutable wakes : int;
   mutable wake_at : int;
+  mutable timeout_seq : int;
+  mutable timeout_n : int;
+  mutable expired : bool;
   resume : unit -> unit;
+  fire : unit -> unit;
   self : process option;
       (* [Some p], allocated once: the ambient process a resumption
          installs. *)
@@ -148,6 +161,7 @@ let create () =
     times = Array.make 64 0;
     seqs = Array.make 64 0;
     fns = Array.make 64 nop;
+    running = 0;
     stopped = false;
     stats = Obs.Metrics.create ();
   }
@@ -198,6 +212,36 @@ let wake p n =
     push p.engine p.engine.clock p.resume
   end
 
+let arm_timeout d =
+  match !current with
+  | None -> raise Not_in_process
+  | Some p ->
+      let t = p.engine in
+      p.expired <- false;
+      p.timeout_n <- -1;
+      push t (after t d) p.fire;
+      p.timeout_seq <- t.seq
+
+let disarm_timeout () =
+  match !current with None -> () | Some p -> p.timeout_seq <- -1
+
+let timed_out () =
+  match !current with None -> false | Some p -> p.expired
+
+let timed_park () =
+  match !current with
+  | None -> raise Not_in_process
+  | Some p ->
+      p.timeout_n <- p.wakes;
+      Effect.perform Park
+
+let fire p () =
+  if p.engine.running = p.timeout_seq then begin
+    p.timeout_seq <- -1;
+    p.expired <- true;
+    wake p p.timeout_n
+  end
+
 let stop t = t.stopped <- true
 
 let resume p () =
@@ -216,7 +260,11 @@ let spawn t ?(name = "proc") f =
       k = None;
       wakes = 0;
       wake_at = 0;
+      timeout_seq = -1;
+      timeout_n = -1;
+      expired = false;
       resume = (fun () -> resume p ());
+      fire = (fun () -> fire p ());
       self = Some p;
     }
   in
@@ -270,6 +318,7 @@ let run ?until t =
         | None -> ()
       end
       else begin
+        t.running <- t.seqs.(0);
         let f = pop t in
         t.clock <- time;
         let saved = !current in

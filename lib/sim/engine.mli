@@ -78,6 +78,32 @@ val wake : process -> int -> unit
     takes effect, and a stale [n] (a suspension already woken, e.g. by
     another condition of a {!Condition.wait_any}) is ignored. *)
 
+(** {2 Timed waits}
+
+    Each process owns one reusable timeout.  A timed wait arms it once
+    per call, parks with {!timed_park} as often as it likes, and
+    disarms it on the way out; arming queues exactly one event, like
+    {!at}, and allocates nothing. *)
+
+val arm_timeout : time -> unit
+(** [arm_timeout d] arms the calling process's timeout to fire [d]
+    cycles from now (saturating like {!delay}), superseding any armed
+    one and clearing {!timed_out}.  A firing that is no longer the armed
+    one — superseded, or after {!disarm_timeout} — is a no-op.  Raises
+    {!Not_in_process} outside a process. *)
+
+val disarm_timeout : unit -> unit
+(** Make the armed timeout's firing a no-op.  The queued event stays
+    (so queue depth and the final clock do not depend on it). *)
+
+val timed_out : unit -> bool
+(** Whether the timeout armed last has fired. *)
+
+val timed_park : unit -> unit
+(** {!park}, but a firing of the armed timeout also wakes this
+    suspension.  Suspensions entered any other way ({!delay}, plain
+    {!park}) are never woken by the timeout. *)
+
 val stop : t -> unit
 (** Request the run loop to return after the current event.  Used by
     workloads to end a run while server processes are still live. *)

@@ -248,8 +248,8 @@ let codecs ~rdp ~reasm ~reasm_clock =
             contract
               (Bytes.length payload <= Bytes.length b)
               "frame payload exceeds buffer" );
-    ("frame.peek_udp_ports", fun b -> ignore (Packet.Frame.peek_udp_ports b));
-    ("frame.peek_udp_flow", fun b -> ignore (Packet.Frame.peek_udp_flow b));
+    ("frame.udp_dst_port", fun b -> ignore (Packet.Frame.udp_dst_port b));
+    ("frame.rss_queue", fun b -> ignore (Packet.Frame.rss_queue ~queues:4 b));
     ( "rdp.input",
       fun b -> ignore (Netstack.Rdp.input rdp ~now:0L ~src:(peer_ip, 40000) b)
     );

@@ -126,10 +126,10 @@ let cert_inject m ~smash =
 let cert_step m ev =
   (match (m.dir, ev) with
   | Enclave_consumer, Produce ->
-      if
-        Hostos.Kring.produce m.host ~write:(fun ~slot_off ->
-            set_value m.layout ~slot_off m.seq)
-      then begin
+      let slot_off = Hostos.Kring.produce_slot m.host in
+      if slot_off >= 0 then begin
+        set_value m.layout ~slot_off m.seq;
+        Hostos.Kring.advance m.host;
         Queue.push m.seq m.model;
         m.seq <- m.seq + 1
       end
@@ -170,20 +170,19 @@ let cert_step m ev =
           Rings.Certified.publish m.cert;
           Queue.push m.seq m.model;
           m.seq <- m.seq + 1)
-  | Enclave_producer, Consume -> (
-      match
-        Hostos.Kring.consume m.host ~read:(fun ~slot_off ->
-            get_value m.layout ~slot_off)
-      with
-      | None -> ()
-      | Some v -> (
-          (* The host is honest: what it receives must be exactly the
-             published sequence.  A certified endpoint fooled into
-             over-producing would overwrite an in-flight slot and break
-             this. *)
-          match Queue.take_opt m.model with
-          | Some expected when expected = v -> m.moved <- m.moved + 1
-          | Some _ | None -> m.silent <- m.silent + 1))
+  | Enclave_producer, Consume ->
+      let slot_off = Hostos.Kring.consume_slot m.host in
+      if slot_off >= 0 then begin
+        let v = get_value m.layout ~slot_off in
+        Hostos.Kring.advance m.host;
+        (* The host is honest: what it receives must be exactly the
+           published sequence.  A certified endpoint fooled into
+           over-producing would overwrite an in-flight slot and break
+           this. *)
+        match Queue.take_opt m.model with
+        | Some expected when expected = v -> m.moved <- m.moved + 1
+        | Some _ | None -> m.silent <- m.silent + 1
+      end
   | Enclave_producer, Probe ->
       let f = Rings.Certified.free_slots m.cert in
       if f < 0 || f > ring_size || f > ring_size - Queue.length m.model then
@@ -248,10 +247,10 @@ let naive_inject m ~smash =
 let naive_step m ev =
   (match (m.n_dir, ev) with
   | Enclave_consumer, Produce ->
-      if
-        Hostos.Kring.produce m.n_host ~write:(fun ~slot_off ->
-            set_value m.n_layout ~slot_off m.n_seq)
-      then begin
+      let slot_off = Hostos.Kring.produce_slot m.n_host in
+      if slot_off >= 0 then begin
+        set_value m.n_layout ~slot_off m.n_seq;
+        Hostos.Kring.advance m.n_host;
         Queue.push m.n_seq m.n_model;
         m.n_seq <- m.n_seq + 1
       end
@@ -291,19 +290,18 @@ let naive_step m ev =
         Queue.push m.n_seq m.n_model;
         m.n_seq <- m.n_seq + 1
       end
-  | Enclave_producer, Consume -> (
-      match
-        Hostos.Kring.consume m.n_host ~read:(fun ~slot_off ->
-            get_value m.n_layout ~slot_off)
-      with
-      | None -> ()
-      | Some v -> (
-          match Queue.take_opt m.n_model with
-          | Some expected when expected = v -> m.n_moved <- m.n_moved + 1
-          | Some _ | None ->
-              (* An in-flight slot was overwritten: the libxdp
-                 buffer-overflow anomaly surfacing at the honest peer. *)
-              m.divergences <- m.divergences + 1))
+  | Enclave_producer, Consume ->
+      let slot_off = Hostos.Kring.consume_slot m.n_host in
+      if slot_off >= 0 then begin
+        let v = get_value m.n_layout ~slot_off in
+        Hostos.Kring.advance m.n_host;
+        match Queue.take_opt m.n_model with
+        | Some expected when expected = v -> m.n_moved <- m.n_moved + 1
+        | Some _ | None ->
+            (* An in-flight slot was overwritten: the libxdp
+               buffer-overflow anomaly surfacing at the honest peer. *)
+            m.divergences <- m.divergences + 1
+      end
   | Enclave_producer, Probe ->
       let f = Rings.Naive.prod_nb_free m.naive ~wanted:ring_size in
       if f < 0 || f > ring_size then m.divergences <- m.divergences + 1

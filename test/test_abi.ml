@@ -119,6 +119,57 @@ let prop_cqe_res_roundtrip =
          Abi.Uring_abi.write_cqe r 0 { Abi.Uring_abi.user_data = 0L; res; flags = 0 };
          (Abi.Uring_abi.read_cqe r 0).res = res))
 
+(* The in-place accessors agree with the [int64] codec both ways, over
+   the whole field ranges: 48-bit offsets and 16-bit lengths, edges
+   included. *)
+let prop_xsk_desc_in_place =
+  let max_off = (1 lsl 48) - 1 in
+  let gen =
+    QCheck.Gen.(
+      pair
+        (oneof [ oneofl [ 0; 1; max_off; max_off - 1; 1 lsl 32 ]; 0 -- max_off ])
+        (oneof [ oneofl [ 0; 1; 0xFFFF ]; 0 -- 0xFFFF ]))
+  in
+  QCheck_alcotest.to_alcotest ~rand:(Flake.rand ())
+    (QCheck.Test.make ~name:"xsk_desc: in-place accessors match encode/decode"
+       ~count:1000
+       (QCheck.make ~print:QCheck.Print.(pair int int) gen)
+       (fun (offset, len) ->
+         let r = region () in
+         Abi.Xsk_desc.set r 8 ~offset ~len;
+         let written = Mem.Region.get_u64 r 8 = Abi.Xsk_desc.encode ~offset ~len in
+         Mem.Region.set_u64 r 16 (Abi.Xsk_desc.encode ~offset ~len);
+         let read =
+           Abi.Xsk_desc.get_offset r 16 = offset
+           && Abi.Xsk_desc.get_len r 16 = len
+         in
+         Abi.Xsk_desc.set_offset r 24 offset;
+         let offset_only =
+           Mem.Region.get_u64 r 24 = Abi.Xsk_desc.encode_offset offset
+         in
+         (* Any word reads as its [decode]. *)
+         let raw = Int64.logor (Int64.of_int offset) (Int64.shift_left (Int64.of_int len) 47) in
+         Mem.Region.set_u64 r 32 raw;
+         let total =
+           (Abi.Xsk_desc.get_offset r 32, Abi.Xsk_desc.get_len r 32)
+           = Abi.Xsk_desc.decode raw
+         in
+         written && read && offset_only && total))
+
+let test_xsk_desc_set_bounds () =
+  let r = region () in
+  let rejects what f =
+    match f () with
+    | () -> Alcotest.failf "%s accepted" what
+    | exception Invalid_argument _ -> ()
+  in
+  rejects "negative offset" (fun () -> Abi.Xsk_desc.set r 0 ~offset:(-1) ~len:0);
+  rejects "offset 2^48" (fun () -> Abi.Xsk_desc.set r 0 ~offset:(1 lsl 48) ~len:0);
+  rejects "negative len" (fun () -> Abi.Xsk_desc.set r 0 ~offset:0 ~len:(-1));
+  rejects "len 0x10000" (fun () -> Abi.Xsk_desc.set r 0 ~offset:0 ~len:0x10000);
+  rejects "offset-only 2^48" (fun () -> Abi.Xsk_desc.set_offset r 0 (1 lsl 48));
+  check "rejected writes leave the slot alone" 0 (Abi.Xsk_desc.get_offset r 0)
+
 let suite =
   [
     ("errno: roundtrip", `Quick, test_errno_roundtrip);
@@ -134,4 +185,7 @@ let suite =
     ("cqe: negative errno result", `Quick, test_cqe_roundtrip_negative);
     ("opcode: codes roundtrip", `Quick, test_opcode_codes);
     prop_cqe_res_roundtrip;
+    prop_xsk_desc_in_place;
+    ("xsk_desc: in-place writes reject out-of-range fields", `Quick,
+     test_xsk_desc_set_bounds);
   ]

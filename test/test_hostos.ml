@@ -247,8 +247,8 @@ let test_poll_ready_immediately () =
       let client = K.udp_socket k in
       ignore (expect "send" (K.sendto k client (Bytes.of_string "x") ~dst:(ip "10.0.0.1", 7000)));
       Sim.Engine.delay (Sim.Cycles.of_us 100.);
-      match K.poll k [ (server, [ K.Pollin ]) ] ~timeout:None with
-      | Ok [ (_, [ K.Pollin ]) ] -> ()
+      match K.poll k [ (server, [ `In ]) ] ~timeout:None with
+      | Ok [ (_, [ `In ]) ] -> ()
       | _ -> Alcotest.fail "expected readable")
 
 let test_poll_timeout () =
@@ -256,7 +256,7 @@ let test_poll_timeout () =
       let server = K.udp_socket k in
       ignore (expect "bind" (K.bind k server (ip "10.0.0.1") 7001));
       let t0 = Sim.Engine.now (K.engine k) in
-      (match K.poll k [ (server, [ K.Pollin ]) ] ~timeout:(Some 10_000L) with
+      (match K.poll k [ (server, [ `In ]) ] ~timeout:(Some 10_000L) with
       | Ok [] -> ()
       | _ -> Alcotest.fail "expected timeout");
       check_bool "waited" true
@@ -270,7 +270,7 @@ let test_poll_wakes_on_arrival () =
       Sim.Engine.spawn (K.engine k) (fun () ->
           Sim.Engine.delay (Sim.Cycles.of_us 50.);
           ignore (K.sendto k client (Bytes.of_string "x") ~dst:(ip "10.0.0.1", 7002)));
-      match K.poll k [ (server, [ K.Pollin ]) ] ~timeout:None with
+      match K.poll k [ (server, [ `In ]) ] ~timeout:None with
       | Ok ((_, _) :: _) -> ()
       | _ -> Alcotest.fail "poll never woke")
 
@@ -293,9 +293,8 @@ let test_xsk_create_geometry () =
 (* Redirect UDP only: ARP must still reach the kernel stack so the
    client's address resolution works. *)
 let udp_only frame =
-  match Packet.Frame.peek_udp_ports frame with
-  | Some _ -> Hostos.Xdp.Redirect
-  | None -> Hostos.Xdp.Pass
+  if Packet.Frame.udp_dst_port frame >= 0 then Hostos.Xdp.Redirect
+  else Hostos.Xdp.Pass
 
 let test_xsk_redirect_rx_path () =
   in_kernel (fun k ->
@@ -561,6 +560,36 @@ let test_machine_registry_shared () =
     [ "udp.no_socket_drops"; "udp.buffer_drops"; "sgx.exits";
       "sgx.boundary_bytes" ]
 
+(* A timed poll that times out costs its two suspensions (the syscall
+   charge and the park), 4 words each for the continuation, plus its
+   [Ok]: the timeout is the process's own, armed in place, and the scan
+   builds no list.  About half a word more is the socket's activity ring
+   growing: no datagram ever arrives to broadcast away the waiter each
+   timed-out poll leaves on it. *)
+let poll_words_budget = 11.
+
+let test_poll_timed_alloc () =
+  let per_call =
+    in_kernel (fun k ->
+        let s = K.udp_socket k in
+        ignore (expect "bind" (K.bind k s (ip "10.0.0.1") 7003));
+        let specs = [ (s, [ `In ]) ] and n = 2000 in
+        let poll () =
+          match K.poll k specs ~timeout:(Some 1_000L) with
+          | Ok [] -> ()
+          | _ -> Alcotest.fail "expected a timeout"
+        in
+        poll ();
+        let w0 = Gc.minor_words () in
+        for _ = 1 to n do
+          poll ()
+        done;
+        (Gc.minor_words () -. w0) /. float_of_int n)
+  in
+  if per_call > poll_words_budget then
+    Alcotest.failf "%.1f minor words per timed poll, budget %.1f" per_call
+      poll_words_budget
+
 let suite =
   [
     ("fbuf: write/read", `Quick, test_fbuf_write_read);
@@ -601,4 +630,6 @@ let suite =
      test_uring_poll_blocks_until_ready);
     ("machine registry: kernels and enclaves share cells", `Quick,
      test_machine_registry_shared);
+    ("poll: a timed poll allocates only its continuations", `Quick,
+     test_poll_timed_alloc);
   ]

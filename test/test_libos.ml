@@ -303,6 +303,31 @@ let test_native_recvfrom_negative_len () =
 let test_rakis_recvfrom_negative_len () =
   recvfrom_negative_len_keeps_datagram Libos.Env.Rakis_sgx
 
+(* A poll naming a closed or never-opened fd fails with EBADF at once,
+   timed or untimed, in every environment: nothing to wait for. *)
+let poll_bad_fd_is_ebadf kind =
+  let engine, _, env = make kind in
+  let api = Libos.Env.api env in
+  run_script engine (fun () ->
+      let expect_ebadf what specs ~timeout =
+        let t0 = Sim.Engine.now engine in
+        (match api.Libos.Api.poll specs ~timeout with
+        | Error Abi.Errno.EBADF -> ()
+        | _ -> Alcotest.failf "%s: expected EBADF" what);
+        check_bool (what ^ ": at once") true
+          (Int64.sub (Sim.Engine.now engine) t0 < Sim.Cycles.of_us 10.)
+      in
+      expect_ebadf "unknown, timed" [ (424242, [ `In ]) ]
+        ~timeout:(Some (Sim.Cycles.of_ms 1.));
+      let udp = api.Libos.Api.udp_socket () in
+      ignore (expect "bind" (api.Libos.Api.bind udp (Rakis.Config.default.ip, 9500)));
+      ignore (api.Libos.Api.close udp);
+      expect_ebadf "closed, untimed" [ (udp, [ `In ]) ] ~timeout:None)
+
+let test_native_poll_bad_fd () = poll_bad_fd_is_ebadf Libos.Env.Native
+
+let test_rakis_poll_bad_fd () = poll_bad_fd_is_ebadf Libos.Env.Rakis_sgx
+
 let suite =
   suite
   @ [
@@ -314,4 +339,8 @@ let suite =
        test_native_recvfrom_negative_len);
       ("rakis: recvfrom negative length is EINVAL, datagram kept", `Quick,
        test_rakis_recvfrom_negative_len);
+      ("native: poll on a bad fd is EBADF at once", `Quick,
+       test_native_poll_bad_fd);
+      ("rakis: poll on a bad fd is EBADF at once", `Quick,
+       test_rakis_poll_bad_fd);
     ]

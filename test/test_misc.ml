@@ -138,8 +138,8 @@ let test_poll_listener_readable_on_connect () =
       Sim.Engine.spawn (Hostos.Kernel.engine k) (fun () ->
           Sim.Engine.delay (Sim.Cycles.of_us 100.);
           ignore (Hostos.Kernel.connect k c (ip "10.0.0.1") 8200));
-      match Hostos.Kernel.poll k [ (l, [ Hostos.Kernel.Pollin ]) ] ~timeout:None with
-      | Ok [ (_, [ Hostos.Kernel.Pollin ]) ] -> ()
+      match Hostos.Kernel.poll k [ (l, [ `In ]) ] ~timeout:None with
+      | Ok [ (_, [ `In ]) ] -> ()
       | _ -> Alcotest.fail "listener never became readable")
 
 let test_poll_tcp_writable_immediately () =
@@ -152,20 +152,33 @@ let test_poll_tcp_writable_immediately () =
           ignore (Hostos.Kernel.accept k l));
       ignore (Hostos.Kernel.connect k c (ip "10.0.0.1") 8201);
       match
-        Hostos.Kernel.poll k [ (c, [ Hostos.Kernel.Pollout ]) ] ~timeout:None
+        Hostos.Kernel.poll k [ (c, [ `Out ]) ] ~timeout:None
       with
-      | Ok [ (_, [ Hostos.Kernel.Pollout ]) ] -> ()
+      | Ok [ (_, [ `Out ]) ] -> ()
       | _ -> Alcotest.fail "fresh connection not writable")
 
-let test_poll_unknown_fd_ignored () =
+(* No POLLNVAL in this model: an fd that is not open fails the poll at
+   once, timed or not, instead of sleeping out the timeout (or, untimed,
+   delaying forever). *)
+let test_poll_unknown_fd_ebadf () =
   in_kernel (fun k ->
-      match
-        Hostos.Kernel.poll k
-          [ (424242, [ Hostos.Kernel.Pollin ]) ]
-          ~timeout:(Some 5_000L)
-      with
-      | Ok [] -> ()
-      | _ -> Alcotest.fail "unknown fd should just time out")
+      let e = Hostos.Kernel.engine k in
+      let expect_ebadf what specs ~timeout =
+        let t0 = Sim.Engine.now e in
+        (match Hostos.Kernel.poll k specs ~timeout with
+        | Error Abi.Errno.EBADF -> ()
+        | _ -> Alcotest.failf "%s: expected EBADF" what);
+        check_bool (what ^ ": no wait") true
+          (Int64.sub (Sim.Engine.now e) t0 <= Sgx.Params.syscall_cycles)
+      in
+      expect_ebadf "unknown, timed" [ (424242, [ `In ]) ]
+        ~timeout:(Some 1_000_000L);
+      let s = Hostos.Kernel.udp_socket k in
+      ignore (Hostos.Kernel.close k s);
+      expect_ebadf "closed, untimed" [ (s, [ `In ]) ] ~timeout:None;
+      let live = Hostos.Kernel.udp_socket k in
+      expect_ebadf "one closed of two" [ (live, [ `In ]); (s, [ `In ]) ]
+        ~timeout:None)
 
 (* {1 Malice arming} *)
 
@@ -273,7 +286,7 @@ let suite =
      test_poll_listener_readable_on_connect);
     ("poll: fresh tcp connection writable", `Quick,
      test_poll_tcp_writable_immediately);
-    ("poll: unknown fd times out", `Quick, test_poll_unknown_fd_ignored);
+    ("poll: unknown fd is EBADF", `Quick, test_poll_unknown_fd_ebadf);
     ("malice: p=0 never fires", `Quick, test_malice_zero_probability_never_fires);
     ("malice: disarm", `Quick, test_malice_disarm);
     ("malice: probability respected", `Quick,

@@ -257,7 +257,7 @@ let check_verdict name expected got =
   let pp = function
     | Reassembly.Complete p -> "complete:" ^ Bytes.to_string p.Packet.Ipv4.payload
     | Reassembly.Pending -> "pending"
-    | Reassembly.Rejected r -> "rejected:" ^ r
+    | Reassembly.Rejected r -> "rejected:" ^ Reassembly.reject_name r
   in
   Alcotest.(check string) name (pp expected) (pp got)
 
@@ -285,7 +285,7 @@ let test_reassembly_out_of_order_and_dup () =
 let test_reassembly_overlap_poisons () =
   let r = Reassembly.create () in
   ignore (Reassembly.insert r (frag ~off:0 ~more:true "0123456789abcdef"));
-  check_verdict "partial overlap rejected" (Reassembly.Rejected "frag-overlap")
+  check_verdict "partial overlap rejected" (Reassembly.Rejected Frag_overlap)
     (Reassembly.insert r (frag ~off:8 ~more:false "XXXXXXXX"));
   (* The poisoned reassembly is discarded whole — nothing stitched from
      attacker-chosen overlaps survives; a later fragment starts fresh. *)
@@ -302,7 +302,7 @@ let test_reassembly_quotas () =
       (Reassembly.insert r (frag ~ident ~off:0 ~more:true "01234567"))
   done;
   check_verdict "per-source quota enforced"
-    (Reassembly.Rejected "frag-src-quota")
+    (Reassembly.Rejected Frag_src_quota)
     (Reassembly.insert r (frag ~ident:999 ~off:0 ~more:true "01234567"));
   (* Fill the global table from distinct sources... *)
   let src n = Packet.Addr.Ip.of_repr (Printf.sprintf "10.0.2.%d" n) in
@@ -319,7 +319,7 @@ let test_reassembly_quotas () =
     incr n
   done;
   (* ...then a fresh source is refused outright. *)
-  check_verdict "table quota enforced" (Reassembly.Rejected "frag-table-full")
+  check_verdict "table quota enforced" (Reassembly.Rejected Frag_table_full)
     (Reassembly.insert r
        (frag ~src:(Packet.Addr.Ip.of_repr "10.0.3.1") ~off:0 ~more:true
           "01234567"))
@@ -574,6 +574,32 @@ let test_input_borrowed_alloc_budget () =
     Alcotest.failf "input_borrowed allocated %.1f words (payload %d words)" per
       payload_words
 
+(* A dropped frame costs its drop counter bump and nothing else: the
+   reason is a constant whose counter handle sits in an array, and the
+   Ethernet checks read the frame in place.  The first drop of each
+   reason registers its counter; the steady state allocates 0 words. *)
+let test_dropped_frame_alloc_free () =
+  let _, stack, _ = make_stack () in
+  let foreign =
+    udp_frame ~dst_mac:(Packet.Addr.Mac.of_repr "02:00:00:00:00:99") "x"
+  and runt = Bytes.make 10 '\000' in
+  let n = 1000 in
+  let words frame =
+    Stack.input stack frame;
+    let w0 = Gc.minor_words () in
+    for _ = 1 to n do
+      Stack.input stack frame
+    done;
+    (Gc.minor_words () -. w0) /. float_of_int n
+  in
+  let not_ours = words foreign and bad_eth = words runt in
+  check "all dropped" (2 * (n + 1)) (Stack.rx_dropped stack);
+  Alcotest.(check (list (pair string int)))
+    "reasons" [ ("bad-eth", n + 1); ("not-ours", n + 1) ]
+    (Stack.drop_reasons stack);
+  Alcotest.(check (float 0.)) "not-ours words" 0. not_ours;
+  Alcotest.(check (float 0.)) "bad-eth words" 0. bad_eth
+
 let suite =
   [
     ("delivery: bound socket receives", `Quick, test_delivery_to_bound_socket);
@@ -624,4 +650,6 @@ let suite =
     prop_accounting_consistent;
     ("alloc: input_borrowed copies only the payload", `Quick,
      test_input_borrowed_alloc_budget);
+    ("alloc: a dropped frame allocates nothing", `Quick,
+     test_dropped_frame_alloc_free);
   ]

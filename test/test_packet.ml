@@ -290,10 +290,11 @@ let test_frame_overhead () =
 
 let test_frame_peek_ports () =
   let frame = Frame.build_udp info (Bytes.of_string "1234") in
-  Alcotest.(check (option (pair int int))) "ports" (Some (1111, 2222))
-    (Frame.peek_udp_ports frame);
-  Alcotest.(check (option (pair int int))) "arp has none" None
-    (Frame.peek_udp_ports (Frame.build_arp ~src_mac:mac ~dst_mac:mac2 arp_req))
+  Alcotest.(check int) "dst port" 2222 (Frame.udp_dst_port frame);
+  Alcotest.(check int) "arp has none" (-1)
+    (Frame.udp_dst_port (Frame.build_arp ~src_mac:mac ~dst_mac:mac2 arp_req));
+  Alcotest.(check int) "arp has no queue" (-1)
+    (Frame.rss_queue ~queues:4 (Frame.build_arp ~src_mac:mac ~dst_mac:mac2 arp_req))
 
 let test_frame_dissect_rejects_arp () =
   let frame = Frame.build_arp ~src_mac:mac ~dst_mac:mac2 arp_req in
@@ -411,7 +412,8 @@ let prop_parsers_total =
       (match Ipv4.parse_fragment b with Ok _ | Error _ -> ());
       (match Udp.parse ~src:ip ~dst:ip2 b with Ok _ | Error _ -> ());
       (match Frame.dissect_udp b with Ok _ | Error _ -> ());
-      ignore (Frame.peek_udp_ports b);
+      ignore (Frame.udp_dst_port b);
+      ignore (Frame.rss_queue ~queues:4 b);
       true)
 
 let prop_checksum_word_equals_scalar =
@@ -935,6 +937,79 @@ let differential =
         prop_build_udp_matches_reference;
       ]
 
+(* The steering reads against a reference: the 4-tuple parse the NIC and
+   the XDP program used before they read in place (an option and a
+   tuple per frame), fed to [Rss.queue].  Frames are built UDP frames
+   with random addressing, then truncated or with one of the bytes the
+   parse looks at (ethertype, IHL, protocol) overwritten, or plain
+   random bytes. *)
+let ref_flow frame =
+  if Bytes.length frame < Frame.frame_overhead then None
+  else if Bytes.get_uint16_be frame 12 <> 0x0800 then None
+  else if Bytes.get_uint8 frame 23 <> 17 then None
+  else
+    let udp_off = Eth.header_size + ((Bytes.get_uint8 frame 14 land 0xf) * 4) in
+    if Bytes.length frame < udp_off + 4 then None
+    else
+      let ip32 off =
+        (Bytes.get_uint16_be frame off lsl 16) lor Bytes.get_uint16_be frame (off + 2)
+      in
+      Some
+        ( ip32 (Eth.header_size + 12),
+          ip32 (Eth.header_size + 16),
+          Bytes.get_uint16_be frame udp_off,
+          Bytes.get_uint16_be frame (udp_off + 2) )
+
+let steering_frame_gen =
+  let open QCheck.Gen in
+  let built =
+    map
+      (fun (((src_ip, dst_ip), (src_port, dst_port)), (plen, (cut, (at, v)))) ->
+        let frame =
+          Frame.build_udp
+            {
+              info with
+              Frame.src_ip = Addr.Ip.of_int src_ip;
+              dst_ip = Addr.Ip.of_int dst_ip;
+              src_port;
+              dst_port;
+            }
+            (Bytes.make plen 'p')
+        in
+        (match at with
+        | 0 -> ()
+        | 1 -> Bytes.set_uint8 frame 12 v
+        | 2 -> Bytes.set_uint8 frame 14 v
+        | _ -> Bytes.set_uint8 frame 23 v);
+        Bytes.sub frame 0 (min cut (Bytes.length frame)))
+      (pair
+         (pair
+            (pair (0 -- 0x3FFFFFFF) (0 -- 0x3FFFFFFF))
+            (pair (1 -- 0xffff) (1 -- 0xffff)))
+         (pair (0 -- 64) (pair (0 -- 200) (pair (0 -- 3) (0 -- 255)))))
+  in
+  frequency [ (4, built); (1, bytes_gen) ]
+
+let prop_steering_matches_reference =
+  QCheck_alcotest.to_alcotest ~rand:(Flake.rand ())
+    (QCheck.Test.make
+       ~name:"frame: rss_queue and udp_dst_port match the 4-tuple parse"
+       ~count:2000
+       (QCheck.make ~print:(fun b -> Bytes.to_string b |> String.escaped)
+          steering_frame_gen)
+       (fun frame ->
+         List.for_all
+           (fun queues ->
+             match ref_flow frame with
+             | None ->
+                 Frame.rss_queue ~queues frame = -1
+                 && Frame.udp_dst_port frame = -1
+             | Some (src_ip, dst_ip, src_port, dst_port) ->
+                 Frame.rss_queue ~queues frame
+                 = Rss.queue ~queues ~src_ip ~dst_ip ~src_port ~dst_port
+                 && Frame.udp_dst_port frame = dst_port)
+           [ 1; 2; 4; 7 ]))
+
 let suite =
   [
     ("mac: repr roundtrip", `Quick, test_mac_repr);
@@ -974,3 +1049,4 @@ let suite =
     ("frame: dissect rejects non-UDP", `Quick, test_frame_dissect_rejects_arp);
   ]
   @ props @ differential
+  @ [ prop_steering_matches_reference ]

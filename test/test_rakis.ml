@@ -607,11 +607,11 @@ let test_fm_failover_resends_in_offset_order () =
    (xRX burst, UMem reclaim, boundary copy, xFill restock) and one sent
    (xCompl reap, UMem alloc, copy, xTX produce), each in a burst of one,
    so a closure per burst is a closure per frame.  The stack's input is
-   measured alone on the same frame and subtracted.  What remains is
-   boxing: 12 words for four ring descriptors read or written as
-   [int64], 6 for the two copy costs, 4 for two [Umem.alloc] options and
-   2 for [Umem.reclaim]'s [?len]. *)
-let fm_words_per_frame_budget = 24
+   measured alone on the same frame and subtracted.  The ring
+   descriptors are read and written as native ints, so what remains is
+   boxing: 6 words for the two copy costs ([int64], ROADMAP item 1), 4
+   for two [Umem.alloc] options and 2 for [Umem.reclaim]'s [?len]. *)
+let fm_words_per_frame_budget = 12
 
 let test_fm_alloc_per_frame () =
   let h = hand_fm ~frames:128 in
@@ -1236,6 +1236,69 @@ let test_sqpoll_no_wakeup_syscalls () =
   check "no MM wakeups for the 50 writes" !baseline
     (Rakis.Monitor.wakeup_syscalls (Rakis.Runtime.monitor fx.runtime))
 
+(* ROADMAP item 3's round-trip gate: one 64 B datagram through NIC ->
+   XDP -> FM -> stack -> enclave [udp_recvfrom]/[udp_sendto] -> FM ->
+   XDP -> NIC, closed-loop, with the wire's far end replaced by a
+   handler that re-sends one prebuilt request per echo.  Per round trip
+   that is the data (the 9-word payload copy the socket queue hands to
+   [udp_recvfrom], the 15-word reply frame the stack builds and the
+   15-word copy the NIC puts on the wire) plus 4 words per suspended
+   continuation, and what [int64] boxing remains (ROADMAP item 1).
+   Gated at what it measures. *)
+let round_trip_words_budget = 238
+
+let test_round_trip_alloc () =
+  let fx = boot ~config:small_config () in
+  let rt = fx.runtime in
+  let nic1 = Hostos.Kernel.nic fx.kernel 1 in
+  let client_ip = Hostos.Kernel.client_ip fx.kernel in
+  Netstack.Arp_cache.learn
+    (Netstack.Stack.arp (Rakis.Runtime.stack rt))
+    client_ip (Hostos.Nic.mac nic1);
+  let port = 7 in
+  Sim.Engine.spawn fx.engine (fun () ->
+      let sock = Rakis.Runtime.udp_socket rt in
+      ignore (Rakis.Runtime.udp_bind rt sock port);
+      let rec echo () =
+        match Rakis.Runtime.udp_recvfrom rt sock ~max:2048 with
+        | Ok (payload, src) ->
+            ignore (Rakis.Runtime.udp_sendto rt sock payload ~dst:src);
+            echo ()
+        | Error _ -> ()
+      in
+      echo ());
+  let request =
+    Packet.Frame.build_udp
+      {
+        Packet.Frame.src_mac = Hostos.Nic.mac nic1;
+        dst_mac = small_config.mac;
+        src_ip = client_ip;
+        dst_ip = small_config.ip;
+        src_port = 40000;
+        dst_port = port;
+      }
+      (Bytes.make 64 'e')
+  in
+  let warm = 200 and n = 2000 in
+  let echoes = ref 0 and w0 = ref 0. and words = ref 0. in
+  Hostos.Nic.set_rx_handler nic1 ~queue:0 (fun _ ->
+      incr echoes;
+      if !echoes = warm then w0 := Gc.minor_words ();
+      if !echoes = warm + n then begin
+        words := Gc.minor_words () -. !w0;
+        Sim.Engine.stop fx.engine
+      end
+      else Hostos.Nic.transmit nic1 request);
+  Sim.Engine.spawn fx.engine (fun () ->
+      Sim.Engine.delay (Sim.Cycles.of_us 50.);
+      Hostos.Nic.transmit nic1 request);
+  Sim.Engine.run ~until:(Sim.Cycles.of_sec 1.) fx.engine;
+  check "every request echoed" (warm + n) !echoes;
+  let per_trip = int_of_float (Float.round (!words /. float_of_int n)) in
+  if per_trip > round_trip_words_budget then
+    Alcotest.failf "%d minor words per round trip, budget %d" per_trip
+      round_trip_words_budget
+
 let suite =
   suite
   @ [
@@ -1243,4 +1306,6 @@ let suite =
        test_sqpoll_no_wakeup_syscalls);
       ("config: validate rejects one bad value per rule", `Quick,
        test_config_validate_rules);
+      ("alloc: a UDP round trip allocates its data and continuations", `Quick,
+       test_round_trip_alloc);
     ]

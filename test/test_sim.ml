@@ -418,6 +418,9 @@ let test_mailbox_peek () =
 (* The condition variable and mailbox as they were when every waiter was
    a waker closure in a [Queue].  The property below runs random
    schedules on both and requires the same behaviour. *)
+(* The engine the Ref schedule runs on (the closure timer needs it). *)
+let engine = ref (Engine.create ())
+
 module Ref = struct
   module Condition = struct
     type t = { queue : (unit -> unit) Queue.t }
@@ -446,6 +449,20 @@ module Ref = struct
 
     let wait_any ts =
       suspend (fun waker -> List.iter (fun t -> register t waker) ts)
+
+    (* The timed wait as the host kernel's poll used to build it on every
+       call: a fresh timer condition, a flag and a closure on the heap. *)
+    let timed_wait_any ts d =
+      let e = !engine in
+      let timer = create () in
+      let timed_out = ref false in
+      Engine.at e
+        (Int64.add (Engine.now e) d)
+        (fun () ->
+          timed_out := true;
+          broadcast timer);
+      wait_any (timer :: ts);
+      !timed_out
   end
 
   module Mailbox = struct
@@ -509,6 +526,10 @@ module type SYNC = sig
     val broadcast : t -> unit
 
     val waiters : t -> int
+
+    val timed_wait_any : t list -> int64 -> bool
+    (** Wait on [ts] for at most [d] cycles; [true] if the timeout
+        fired. *)
   end
 
   module Mailbox : sig
@@ -530,8 +551,26 @@ type step =
   | Put of int
   | Get
   | Sleep of int
+  | Timed_wait of int list * int
 
 let n_conditions = 3
+
+(* The engine's per-process timeout behind the same signature. *)
+module Timed = struct
+  module Condition = struct
+    include Sim.Condition
+
+    let timed_wait_any ts d =
+      Engine.arm_timeout d;
+      List.iter listen ts;
+      Engine.timed_park ();
+      let r = Engine.timed_out () in
+      Engine.disarm_timeout ();
+      r
+  end
+
+  module Mailbox = Sim.Mailbox
+end
 
 (* Run one schedule: each process performs its steps in order, with
    [Sleep] spacing them out.  The trace records, in execution order, each
@@ -540,6 +579,7 @@ let n_conditions = 3
    capacity is the schedule's first number. *)
 let run_schedule (module S : SYNC) (capacity, procs) =
   let e = Engine.create () in
+  engine := e;
   let conds = Array.init n_conditions (fun _ -> S.Condition.create ()) in
   let mb = S.Mailbox.create ~capacity () in
   let trace = ref [] in
@@ -562,7 +602,14 @@ let run_schedule (module S : SYNC) (capacity, procs) =
                   note (-2 :: counts ())
               | Put v -> S.Mailbox.put mb v
               | Get -> note [ -3; S.Mailbox.get mb ]
-              | Sleep d -> Engine.delay (Int64.of_int d));
+              | Sleep d -> Engine.delay (Int64.of_int d)
+              | Timed_wait (cs, d) ->
+                  let expired =
+                    S.Condition.timed_wait_any
+                      (List.map (fun c -> conds.(c)) cs)
+                      (Int64.of_int d)
+                  in
+                  note [ -4; Bool.to_int expired ]);
               note [ id; k; Int64.to_int (Engine.now e) ])
             steps))
     procs;
@@ -582,6 +629,11 @@ let schedule_gen =
         (2, map (fun v -> Put v) (0 -- 99));
         (2, return Get);
         (3, map (fun d -> Sleep d) (0 -- 20));
+        ( 3,
+          map2
+            (fun cs d -> Timed_wait (cs, d))
+            (list_size (0 -- n_conditions) cond)
+            (0 -- 30) );
       ]
   in
   pair (1 -- 3) (list_size (1 -- 8) (list_size (0 -- 25) step))
@@ -595,6 +647,10 @@ let print_schedule (capacity, procs) =
     | Put v -> Printf.sprintf "put %d" v
     | Get -> "get"
     | Sleep d -> Printf.sprintf "sleep %d" d
+    | Timed_wait (cs, d) ->
+        Printf.sprintf "timed_wait %s for %d"
+          (String.concat "," (List.map string_of_int cs))
+          d
   in
   Printf.sprintf "capacity %d\n%s" capacity
     (String.concat "\n"
@@ -611,7 +667,143 @@ let prop_sync_matches_ref =
        ~count:500
        (QCheck.make ~print:print_schedule schedule_gen)
        (fun sched ->
-         run_schedule (module Sim) sched = run_schedule (module Ref) sched))
+         run_schedule (module Timed) sched = run_schedule (module Ref) sched))
+
+(* {1 Timed waits} *)
+
+(* A firing that is no longer the armed one wakes nothing: neither after
+   the wait it belonged to returned (the process is parked elsewhere),
+   nor once a later wait re-armed the timeout. *)
+let test_timed_wait_stale_firing () =
+  let e = Engine.create () in
+  let c = Condition.create () and other = Condition.create () in
+  let log = ref [] in
+  let note s = log := (s, Engine.now e) :: !log in
+  Engine.spawn e (fun () ->
+      let timed d =
+        Engine.arm_timeout d;
+        Condition.listen c;
+        Engine.timed_park ();
+        let r = Engine.timed_out () in
+        Engine.disarm_timeout ();
+        r
+      in
+      (* Woken by [c] at 10; its timeout, due at 100, goes stale. *)
+      check_bool "first: woken, not timed out" false (timed 100L);
+      note "first";
+      (* Re-armed for 210: the stale firing at 100 must not end it. *)
+      check_bool "second: woken, not timed out" false (timed 200L);
+      note "second";
+      (* A plain wait across the second call's stale firing at 210. *)
+      Condition.wait other;
+      note "other";
+      (* Nothing wakes this one: its own timeout does, at 250 + 50. *)
+      check_bool "third: timed out" true (timed 50L);
+      note "third");
+  Engine.spawn e (fun () ->
+      Engine.delay 10L;
+      Condition.broadcast c;
+      Engine.delay 140L;
+      Condition.broadcast c;
+      Engine.delay 100L;
+      Condition.broadcast other);
+  Engine.run e;
+  Alcotest.(check (list (pair string int64)))
+    "wake times"
+    [ ("first", 10L); ("second", 150L); ("other", 250L); ("third", 300L) ]
+    (List.rev !log);
+  check "no event left" 0 (Engine.pending e)
+
+(* A timed wait queues one event and allocates nothing beyond the
+   suspended continuation (the 4 words of {!words_per_event_budget}), so
+   a wait that times out costs one continuation and one that is woken
+   costs the same. *)
+let test_timed_wait_alloc () =
+  let e = Engine.create () in
+  let c = Condition.create () in
+  let warm = 1000 and n = 20_000 in
+  let words = ref 0. in
+  Engine.spawn e (fun () ->
+      let w0 = ref 0. in
+      for i = 1 to warm + n do
+        if i = warm + 1 then w0 := Gc.minor_words ();
+        Engine.arm_timeout 5L;
+        Condition.listen c;
+        Engine.timed_park ();
+        ignore (Engine.timed_out ());
+        Engine.disarm_timeout ()
+      done;
+      words := Gc.minor_words () -. !w0);
+  Engine.run e;
+  let per_wait = !words /. float_of_int n in
+  if per_wait > words_per_event_budget then
+    Alcotest.failf "%.2f minor words per timed wait, budget %.0f" per_wait
+      words_per_event_budget
+
+(* {1 Mailbox ring against a Queue} *)
+
+type mb_op = Try_put of int | Try_get | Peek
+
+let prop_mailbox_matches_queue =
+  let open QCheck in
+  let op =
+    Gen.frequency
+      [
+        (5, Gen.map (fun v -> Try_put v) (Gen.int_bound 999));
+        (4, Gen.return Try_get);
+        (1, Gen.return Peek);
+      ]
+  in
+  let print_op = function
+    | Try_put v -> Printf.sprintf "put %d" v
+    | Try_get -> "get"
+    | Peek -> "peek"
+  in
+  QCheck_alcotest.to_alcotest ~rand:(Flake.rand ())
+    (Test.make ~name:"mailbox: ring matches a Queue through growth and wrap"
+       ~count:500
+       (make
+          ~print:(Print.pair string_of_int (Print.list print_op))
+          Gen.(pair (1 -- 40) (list_size (0 -- 300) op)))
+       (fun (capacity, ops) ->
+         let mb = Mailbox.create ~capacity () and q = Queue.create () in
+         List.for_all
+           (fun op ->
+             let same =
+               match op with
+               | Try_put v ->
+                   let fits = Queue.length q < capacity in
+                   if fits then Queue.add v q;
+                   Mailbox.try_put mb v = fits
+               | Try_get -> Mailbox.try_get mb = Queue.take_opt q
+               | Peek -> Mailbox.peek mb = Queue.peek_opt q
+             in
+             same
+             && Mailbox.length mb = Queue.length q
+             && Mailbox.is_empty mb = Queue.is_empty q
+             && Mailbox.capacity mb = capacity)
+           ops))
+
+(* Put one fresh block, take it back and drop it: only a ring that
+   cleared the vacated slot lets the GC collect it. *)
+let[@inline never] put_and_take mb weak =
+  let x = Bytes.make 16 'x' in
+  Weak.set weak 0 (Some x);
+  ignore (Mailbox.try_put mb x);
+  ignore (Mailbox.try_get mb)
+
+let test_mailbox_forgets_taken () =
+  let mb = Mailbox.create () in
+  let weak = Weak.create 1 in
+  (* Wrap the ring once first, so the slot reused is not slot 0. *)
+  for _ = 1 to 5 do
+    ignore (Mailbox.try_put mb (Bytes.create 1));
+    ignore (Mailbox.try_get mb)
+  done;
+  put_and_take mb weak;
+  Gc.full_major ();
+  check_bool "taken item collected" true (Weak.get weak 0 = None);
+  check "empty" 0 (Mailbox.length mb)
 
 (* {1 Lock} *)
 
@@ -746,4 +938,10 @@ let suite =
     ("rng: shuffle is a permutation", `Quick, test_rng_shuffle_permutation);
     ("cycles: sec roundtrip", `Quick, test_cycles_roundtrip);
     ("cycles: 25G wire rate", `Quick, test_cycles_wire_rate);
+    ("engine: stale timeout firing is a no-op", `Quick,
+     test_timed_wait_stale_firing);
+    ("engine: timed wait allocates only its continuation", `Quick,
+     test_timed_wait_alloc);
+    prop_mailbox_matches_queue;
+    ("mailbox: a taken item is not kept", `Quick, test_mailbox_forgets_taken);
   ]

@@ -291,6 +291,14 @@ let listen_obj = function
       true
   | File _ | Tcp_new _ | Xsk_fd _ | Uring_fd _ -> false
 
+let fd_waiters t fd =
+  match Hashtbl.find t.fds fd with
+  | Udp_sock s -> Sim.Condition.waiters (Udp_core.activity s)
+  | Tcp_sock ep -> Sim.Condition.waiters (Tcp_core.activity ep)
+  | Tcp_listener l -> Sim.Condition.waiters (Tcp_core.listener_activity l)
+  | File _ | Tcp_new _ | Xsk_fd _ | Uring_fd _ -> 0
+  | exception Not_found -> 0
+
 (* The readiness scan walks [specs] in place: a poll whose every
    requested event is ready returns its own [specs], one with none
    ready returns [], and only a partly ready poll builds a list.  An fd

@@ -112,6 +112,11 @@ val fd_ready : t -> fd -> poll_event -> bool
 (** Non-blocking single readiness probe (used by RAKIS's API busy-wait
     when mixing IO providers). *)
 
+val fd_waiters : t -> fd -> int
+(** Waiters queued on [fd]'s activity condition, stale entries
+    included ({!Sim.Condition.waiters}; diagnostic); 0 for an fd that
+    has none or is not open. *)
+
 (** {1 FIOKP setup and wakeups} *)
 
 val xsk_create :

@@ -28,6 +28,15 @@ let host_call env f =
 (* Busy-wait quantum for mixed-provider polls (paper §4.2). *)
 let mixed_poll_quantum = Sim.Cycles.of_us 2.
 
+(* Queue the caller on every RAKIS socket's activity conditions, in
+   order; [false] when there were none. *)
+let rec listen_socks runtime = function
+  | [] -> false
+  | (_, _, sock) :: rest ->
+      let conds = R.udp_activity runtime sock in
+      List.iter Sim.Condition.listen conds;
+      listen_socks runtime rest || conds <> []
+
 let poll_open env proxy specs ~timeout =
   let engine = K.engine env.kernel in
   let deadline = Option.map (fun d -> Int64.add (Sim.Engine.now engine) d) timeout in
@@ -90,21 +99,17 @@ let poll_open env proxy specs ~timeout =
         if host_specs = [] then
           if expired () then Ok []
           else begin
-            (* Wait for stack activity (or the timer). *)
-            let conds =
-              List.concat_map
-                (fun (_, _, sock) -> R.udp_activity env.runtime sock)
-                rakis_socks
-            in
-            (match (conds, remaining ()) with
-            | [], _ -> Sim.Engine.delay mixed_poll_quantum
-            | _ :: _, None -> Sim.Condition.wait_any conds
-            | _ :: _, Some rem ->
-                let timer = Sim.Condition.create () in
-                Sim.Engine.at engine
-                  (Int64.add (Sim.Engine.now engine) rem)
-                  (fun () -> Sim.Condition.broadcast timer);
-                Sim.Condition.wait_any (timer :: conds));
+            (* Wait for stack activity, or until the deadline on the
+               process's own timeout, armed once per wait. *)
+            (if not (listen_socks env.runtime rakis_socks) then
+               Sim.Engine.delay mixed_poll_quantum
+             else
+               match remaining () with
+               | None -> Sim.Engine.park ()
+               | Some rem ->
+                   Sim.Engine.arm_timeout rem;
+                   Sim.Engine.timed_park ();
+                   Sim.Engine.disarm_timeout ());
             loop ()
           end
         else

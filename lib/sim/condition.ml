@@ -2,8 +2,12 @@
    ring of two parallel arrays: slot [i] is suspension [ns.(i)] of
    [procs.(i)].  Capacity is a power of two (0 until the first wait).
    A [wait_any] waiter stays queued on its other conditions after one
-   wakes it; such a stale entry still counts in [waiters] and its wake
-   is ignored by {!Engine.wake}. *)
+   wakes it, and a timed wait's waiter after its timeout wakes it; such
+   a stale entry still counts in [waiters] and its wake is ignored by
+   {!Engine.wake}.  A full ring drops its stale entries before it
+   doubles, so stale entries fill the ring but never grow it: its
+   capacity stays at most twice the most live waiters it ever held
+   (and at least 4). *)
 type t = {
   mutable procs : Engine.process array;
   mutable ns : int array;
@@ -28,8 +32,27 @@ let grow t p =
   t.ns <- ns;
   t.head <- 0
 
+(* Keep only the entries whose suspension has not passed, in order. *)
+let drop_stale t =
+  let mask = Array.length t.procs - 1 in
+  let kept = ref 0 in
+  for i = 0 to t.len - 1 do
+    let j = (t.head + i) land mask in
+    let p = t.procs.(j) and n = t.ns.(j) in
+    if Engine.suspension p = n then begin
+      let k = (t.head + !kept) land mask in
+      t.procs.(k) <- p;
+      t.ns.(k) <- n;
+      incr kept
+    end
+  done;
+  t.len <- !kept
+
 let add t p n =
-  if t.len = Array.length t.procs then grow t p;
+  if t.len = Array.length t.procs then begin
+    drop_stale t;
+    if t.len = Array.length t.procs then grow t p
+  end;
   let i = (t.head + t.len) land (Array.length t.procs - 1) in
   t.procs.(i) <- p;
   t.ns.(i) <- n;

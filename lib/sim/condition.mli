@@ -33,7 +33,10 @@ val broadcast : t -> unit
 
 val waiters : t -> int
 (** Number of queued waiters (diagnostic), counting the stale entries
-    a {!wait_any} leaves on its other conditions. *)
+    a {!wait_any} leaves on its other conditions and a timed wait
+    leaves when its timeout wakes it.  Stale entries are dropped
+    before the ring would grow, so they never grow it: with at most
+    [w] live waiters at a time, [waiters] stays at most [max 4 (2 * w)]. *)
 
 val wait_any : t list -> unit
 (** Suspend until any of the conditions is signalled.  Only sound for

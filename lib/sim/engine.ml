@@ -22,36 +22,56 @@ type t = {
   mutable fns : (unit -> unit) array;
   mutable running : int;  (* [seq] of the event being run *)
   mutable stopped : bool;
+  mutable horizon : int;  (* the running {!run}'s [until], native *)
+  mutable wake_at : int;  (* due time of the delay being performed *)
   stats : Obs.Metrics.t;
 }
 
 (* A process waits on at most one event at a time, so everything a
    suspension needs is built once, at spawn: a suspension stores only
-   its continuation in [k], and a delay its due time in [wake_at].
-   [wakes] numbers the suspensions: the one in progress is number
-   [wakes], and {!wake} of any other number is stale.
+   its continuation in [k] (a delay hands its due time to the handler
+   in the engine's [wake_at]).  [wakes] numbers the suspensions: the
+   one in progress is number [wakes], and {!wake} of any other number
+   is stale.
 
-   The process's one timeout is built once too.  Arming it queues the
-   prebuilt [fire] callback and records the event's [seq] in
-   [timeout_seq]; a firing is live only while the engine is running
-   that very event, so re-arming or disarming turns every older firing
-   into a no-op without touching the heap.  A live firing sets
-   [expired] and wakes suspension [timeout_n], the one {!timed_park}
-   entered (-1: none, so a firing during a delay wakes nothing). *)
+   The process's one timeout is built once too.  Arming it takes a
+   [seq] and records the armed key [(timeout_at, timeout_seq)]; the
+   prebuilt [fire] callback is queued only when the process has no
+   timeout event queued, or when the new deadline is earlier than the
+   queued one, whose key is [(queued_at, queued_seq)].  A queued event
+   that runs while a later timeout is armed re-queues itself at the
+   armed key, so the armed timeout fires at exactly the (time, seq) an
+   event pushed at arming would have run at.  A firing is live only
+   while the engine runs the armed key, so re-arming or disarming turns
+   every older firing into a no-op without touching the heap.  A live
+   firing sets [timeout_seq] to [fired] and wakes suspension
+   [timeout_n], the one {!timed_park} entered (-1: none, so a firing
+   during a delay wakes nothing).  With nothing armed, the queued event
+   re-queues once as a no-op ghost at [ghost_at], the latest deadline
+   ever armed, which keeps [run ~until] and the final clock exactly
+   where one queued event per armed deadline would leave them.  An
+   event superseded by an earlier deadline stays queued untracked
+   ([queued_seq] no longer names it) and runs as a no-op. *)
 type process = {
   engine : t;
   mutable k : (unit, unit) Effect.Deep.continuation option;
   mutable wakes : int;
-  mutable wake_at : int;
-  mutable timeout_seq : int;
+  mutable timeout_at : int;
+  mutable timeout_seq : int;  (* or [disarmed] or [fired] *)
+  mutable queued_at : int;
+  mutable queued_seq : int;  (* -1: none queued *)
+  mutable ghost_at : int;
   mutable timeout_n : int;
-  mutable expired : bool;
   resume : unit -> unit;
   fire : unit -> unit;
   self : process option;
       (* [Some p], allocated once: the ambient process a resumption
          installs. *)
 }
+
+let disarmed = -1
+
+let fired = -2
 
 type _ Effect.t += Delay : unit Effect.t | Park : unit Effect.t
 
@@ -114,11 +134,15 @@ let rec sift_down t i time seq f =
     end
     else set_slot t i time seq f
 
-let push t time f =
+(* Queue [f] at [(time, seq)]; [seq] must be one no queued event has. *)
+let push_key t time seq f =
   if t.len = Array.length t.times then grow t;
-  t.seq <- t.seq + 1;
   t.len <- t.len + 1;
-  sift_up t (t.len - 1) time t.seq f
+  sift_up t (t.len - 1) time seq f
+
+let push t time f =
+  t.seq <- t.seq + 1;
+  push_key t time t.seq f
 
 (* Remove and return the earliest event.  The vacated slot drops its
    callback so the heap never keeps a finished closure alive. *)
@@ -163,6 +187,8 @@ let create () =
     fns = Array.make 64 nop;
     running = 0;
     stopped = false;
+    horizon = max_int;
+    wake_at = 0;
     stats = Obs.Metrics.create ();
   }
 
@@ -189,8 +215,22 @@ let delay d =
   match !current with
   | None -> ()
   | Some p ->
-      p.wake_at <- after p.engine d;
-      Effect.perform Delay
+      let t = p.engine in
+      let w = after t d in
+      if w <= t.horizon && (t.len = 0 || w < t.times.(0)) && not t.stopped
+      then begin
+        (* The resumption would be the next event the run loop runs:
+           nothing queued comes first, the loop would not stop before
+           it, and it would run at [w].  Take its [seq] and time and
+           carry on without queueing it. *)
+        t.seq <- t.seq + 1;
+        t.running <- t.seq;
+        t.clock <- w
+      end
+      else begin
+        t.wake_at <- w;
+        Effect.perform Delay
+      end
 
 let yield () = delay 0L
 
@@ -213,33 +253,51 @@ let wake p n =
   end
 
 let arm_timeout d =
-  match !current with
-  | None -> raise Not_in_process
-  | Some p ->
-      let t = p.engine in
-      p.expired <- false;
-      p.timeout_n <- -1;
-      push t (after t d) p.fire;
-      p.timeout_seq <- t.seq
+  let p = self () in
+  let t = p.engine in
+  let at = after t d in
+  t.seq <- t.seq + 1;
+  p.timeout_at <- at;
+  p.timeout_seq <- t.seq;
+  p.timeout_n <- -1;
+  if at > p.ghost_at then p.ghost_at <- at;
+  if p.queued_seq < 0 || at < p.queued_at then begin
+    p.queued_at <- at;
+    p.queued_seq <- t.seq;
+    push_key t at t.seq p.fire
+  end
 
 let disarm_timeout () =
-  match !current with None -> () | Some p -> p.timeout_seq <- -1
+  match !current with
+  | Some p when p.timeout_seq >= 0 -> p.timeout_seq <- disarmed
+  | _ -> ()
 
 let timed_out () =
-  match !current with None -> false | Some p -> p.expired
+  match !current with None -> false | Some p -> p.timeout_seq = fired
 
 let timed_park () =
-  match !current with
-  | None -> raise Not_in_process
-  | Some p ->
-      p.timeout_n <- p.wakes;
-      Effect.perform Park
+  let p = self () in
+  p.timeout_n <- p.wakes;
+  Effect.perform Park
+
+let requeue p at seq =
+  p.queued_at <- at;
+  p.queued_seq <- seq;
+  push_key p.engine at seq p.fire
 
 let fire p () =
-  if p.engine.running = p.timeout_seq then begin
-    p.timeout_seq <- -1;
-    p.expired <- true;
-    wake p p.timeout_n
+  let t = p.engine in
+  if t.running = p.queued_seq then begin
+    p.queued_seq <- -1;
+    if t.running = p.timeout_seq then begin
+      p.timeout_seq <- fired;
+      wake p p.timeout_n
+    end;
+    if p.timeout_seq >= 0 then requeue p p.timeout_at p.timeout_seq
+    else if p.ghost_at > t.clock then begin
+      t.seq <- t.seq + 1;
+      requeue p p.ghost_at t.seq
+    end
   end
 
 let stop t = t.stopped <- true
@@ -259,10 +317,12 @@ let spawn t ?(name = "proc") f =
       engine = t;
       k = None;
       wakes = 0;
-      wake_at = 0;
-      timeout_seq = -1;
+      timeout_at = 0;
+      timeout_seq = disarmed;
+      queued_at = 0;
+      queued_seq = -1;
+      ghost_at = 0;
       timeout_n = -1;
-      expired = false;
       resume = (fun () -> resume p ());
       fire = (fun () -> fire p ());
       self = Some p;
@@ -272,7 +332,7 @@ let spawn t ?(name = "proc") f =
     Some
       (fun k ->
         p.k <- Some k;
-        push t p.wake_at p.resume)
+        push t t.wake_at p.resume)
   in
   let on_park = Some (fun k -> p.k <- Some k) in
   let body () =
@@ -304,6 +364,7 @@ let run ?until t =
     | None -> max_int
     | Some u -> native u
   in
+  t.horizon <- horizon;
   let rec loop () =
     if t.stopped || t.len = 0 then ()
     else

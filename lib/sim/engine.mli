@@ -50,7 +50,14 @@ val delay : time -> unit
     parks the process behind every finite event.  Outside any
     process (setup code running before {!run}) it is a no-op: simulated
     time cannot advance there and setup costs precede every measurement
-    window. *)
+    window.
+
+    A delay whose resumption would be the next event run skips the
+    queue: when its wake time is strictly earlier than every queued
+    event, no later than the running {!run}'s [until], and {!stop} has
+    not been called, the clock moves to the wake time and the process
+    carries on without suspending.  It still takes the [seq] its event
+    would have had, so every event runs exactly when it would have. *)
 
 val yield : unit -> unit
 (** Suspend and resume at the same simulated time, after other events
@@ -82,8 +89,12 @@ val wake : process -> int -> unit
 
     Each process owns one reusable timeout.  A timed wait arms it once
     per call, parks with {!timed_park} as often as it likes, and
-    disarms it on the way out; arming queues exactly one event, like
-    {!at}, and allocates nothing. *)
+    disarms it on the way out.  Arming allocates nothing and takes a
+    [seq] like {!at}, but queues an event only when the process has
+    none queued or the new deadline is earlier than the queued one; a
+    queued event that finds a later timeout armed re-queues itself at
+    that timeout's (time, [seq]).  A process therefore keeps one
+    timeout event queued however many waits it abandons early. *)
 
 val arm_timeout : time -> unit
 (** [arm_timeout d] arms the calling process's timeout to fire [d]
@@ -93,8 +104,11 @@ val arm_timeout : time -> unit
     {!Not_in_process} outside a process. *)
 
 val disarm_timeout : unit -> unit
-(** Make the armed timeout's firing a no-op.  The queued event stays
-    (so queue depth and the final clock do not depend on it). *)
+(** Make the armed timeout's firing a no-op.  Its event is not removed:
+    when the queued timeout event next runs with nothing armed, it
+    re-queues once as a no-op at the latest deadline the process ever
+    armed, so {!run}'s [until] cut-off and the final {!now} are the same
+    as if every armed deadline had stayed queued until it passed. *)
 
 val timed_out : unit -> bool
 (** Whether the timeout armed last has fired. *)
@@ -114,7 +128,12 @@ val run : ?until:time -> t -> unit
     resume after a [stop] or [until] cut-off. *)
 
 val pending : t -> int
-(** Number of queued events (diagnostic). *)
+(** Number of queued events (diagnostic).  A process's timeouts count
+    as one event, not one per armed deadline (plus one per deadline it
+    armed earlier than the queued one, until the later one's time
+    comes); a delay that skipped the queue counts as none.  A run ends
+    with [pending t = 0] exactly when it did when every armed deadline
+    stayed queued. *)
 
 val in_process : unit -> bool
 (** Whether the caller is executing inside a simulated process (i.e.

@@ -563,13 +563,14 @@ let test_machine_registry_shared () =
 (* A timed poll that times out costs its two suspensions (the syscall
    charge and the park), 4 words each for the continuation, plus its
    [Ok]: the timeout is the process's own, armed in place, and the scan
-   builds no list.  About half a word more is the socket's activity ring
-   growing: no datagram ever arrives to broadcast away the waiter each
-   timed-out poll leaves on it. *)
+   builds no list.  No datagram ever arrives to broadcast away the
+   waiter each timed-out poll leaves on the socket's activity
+   condition; the condition drops those stale entries instead of
+   growing, so 2,000 such polls leave at most 4 of them. *)
 let poll_words_budget = 11.
 
 let test_poll_timed_alloc () =
-  let per_call =
+  let per_call, waiters =
     in_kernel (fun k ->
         let s = K.udp_socket k in
         ignore (expect "bind" (K.bind k s (ip "10.0.0.1") 7003));
@@ -584,11 +585,14 @@ let test_poll_timed_alloc () =
         for _ = 1 to n do
           poll ()
         done;
-        (Gc.minor_words () -. w0) /. float_of_int n)
+        ((Gc.minor_words () -. w0) /. float_of_int n, K.fd_waiters k s))
   in
   if per_call > poll_words_budget then
     Alcotest.failf "%.1f minor words per timed poll, budget %.1f" per_call
-      poll_words_budget
+      poll_words_budget;
+  if waiters > 4 then
+    Alcotest.failf "%d waiters left on an idle socket after 2,000 timed polls"
+      waiters
 
 let suite =
   [

@@ -328,6 +328,37 @@ let test_native_poll_bad_fd () = poll_bad_fd_is_ebadf Libos.Env.Native
 
 let test_rakis_poll_bad_fd () = poll_bad_fd_is_ebadf Libos.Env.Rakis_sgx
 
+(* A timed RAKIS-side poll on an idle UDP socket waits on the process's
+   own timeout, as the host kernel's does: no timer condition, closure,
+   queued callback or list cell per wait.  What it still allocates per
+   call (118 words) is its set-up (the partitioned spec lists, the
+   deadline and the closures over them), the readiness scans and its
+   suspensions' continuations.  A fresh timer per wait measured 152. *)
+let rakis_poll_words_budget = 128.
+
+let test_rakis_poll_timed_alloc () =
+  let engine, _, env = make Libos.Env.Rakis_sgx in
+  let api = Libos.Env.api env in
+  let per_call = ref infinity in
+  run_script engine (fun () ->
+      let udp = api.Libos.Api.udp_socket () in
+      ignore (expect "bind" (api.Libos.Api.bind udp (Rakis.Config.default.ip, 9600)));
+      let specs = [ (udp, [ `In ]) ] and n = 2000 in
+      let poll () =
+        match api.Libos.Api.poll specs ~timeout:(Some 1_000L) with
+        | Ok [] -> ()
+        | _ -> Alcotest.fail "expected a timeout"
+      in
+      poll ();
+      let w0 = Gc.minor_words () in
+      for _ = 1 to n do
+        poll ()
+      done;
+      per_call := (Gc.minor_words () -. w0) /. float_of_int n);
+  if !per_call > rakis_poll_words_budget then
+    Alcotest.failf "%.1f minor words per timed RAKIS poll, budget %.1f"
+      !per_call rakis_poll_words_budget
+
 let suite =
   suite
   @ [
@@ -343,4 +374,6 @@ let suite =
        test_native_poll_bad_fd);
       ("rakis: poll on a bad fd is EBADF at once", `Quick,
        test_rakis_poll_bad_fd);
+      ("rakis: a timed poll allocates no timer", `Quick,
+       test_rakis_poll_timed_alloc);
     ]

@@ -416,33 +416,56 @@ let test_mailbox_peek () =
 (* {1 Condition and Mailbox against their closure-and-Queue originals} *)
 
 (* The condition variable and mailbox as they were when every waiter was
-   a waker closure in a [Queue].  The property below runs random
-   schedules on both and requires the same behaviour. *)
+   a waker closure in a [Queue], with one rule of the ring added (stale
+   waiters are dropped before it doubles), and delays as they were when
+   every one was queued.  The property below runs random schedules on
+   both and requires the same behaviour. *)
 (* The engine the Ref schedule runs on (the closure timer needs it). *)
 let engine = ref (Engine.create ())
 
 module Ref = struct
   module Condition = struct
-    type t = { queue : (unit -> unit) Queue.t }
+    (* A waiter is its waker closure, plus the [(process, suspension)]
+       it wakes so that the ring's one rule can be modelled: when the
+       queue reaches [cap] (the ring's capacity), waiters whose
+       suspension has passed are dropped, and only a queue still at
+       [cap] doubles it. *)
+    type t = {
+      queue : (Engine.process * int * (unit -> unit)) Queue.t;
+      mutable cap : int;
+    }
 
-    let create () = { queue = Queue.create () }
+    let create () = { queue = Queue.create (); cap = 0 }
 
-    let register t waker = Queue.add waker t.queue
+    let register t waiter =
+      if Queue.length t.queue = t.cap then begin
+        let live = Queue.create () in
+        Queue.iter
+          (fun ((p, n, _) as w) ->
+            if Engine.suspension p = n then Queue.add w live)
+          t.queue;
+        Queue.clear t.queue;
+        Queue.transfer live t.queue;
+        if Queue.length t.queue = t.cap then t.cap <- max 4 (2 * t.cap)
+      end;
+      Queue.add waiter t.queue
 
     let suspend register =
       let p = Engine.self () in
       let n = Engine.suspension p in
-      register (fun () -> Engine.wake p n);
+      register (p, n, fun () -> Engine.wake p n);
       Engine.park ()
 
     let wait t = suspend (register t)
 
+    let wake (_, _, waker) = waker ()
+
     let signal t =
-      match Queue.take_opt t.queue with None -> () | Some waker -> waker ()
+      match Queue.take_opt t.queue with None -> () | Some w -> wake w
 
     let broadcast t =
       for _ = 1 to Queue.length t.queue do
-        (Queue.take t.queue) ()
+        wake (Queue.take t.queue)
       done
 
     let waiters t = Queue.length t.queue
@@ -509,6 +532,15 @@ module Ref = struct
           Condition.wait t.not_empty;
           get t
   end
+
+  (* A delay as it was before it could skip the queue: a no-op event
+     queued now keeps the queue's head no later than the wake time, so
+     the resumption is queued at exactly the (time, seq) it always
+     was. *)
+  let sleep d =
+    let e = !engine in
+    Engine.at e (Engine.now e) ignore;
+    Engine.delay (Int64.of_int d)
 end
 
 module type SYNC = sig
@@ -541,6 +573,8 @@ module type SYNC = sig
 
     val get : 'a t -> 'a
   end
+
+  val sleep : int -> unit
 end
 
 type step =
@@ -555,7 +589,8 @@ type step =
 
 let n_conditions = 3
 
-(* The engine's per-process timeout behind the same signature. *)
+(* The engine as it is: the per-process timeout, and delays that skip
+   the queue when they are next anyway, behind the same signature. *)
 module Timed = struct
   module Condition = struct
     include Sim.Condition
@@ -570,6 +605,8 @@ module Timed = struct
   end
 
   module Mailbox = Sim.Mailbox
+
+  let sleep d = Engine.delay (Int64.of_int d)
 end
 
 (* Run one schedule: each process performs its steps in order, with
@@ -602,7 +639,7 @@ let run_schedule (module S : SYNC) (capacity, procs) =
                   note (-2 :: counts ())
               | Put v -> S.Mailbox.put mb v
               | Get -> note [ -3; S.Mailbox.get mb ]
-              | Sleep d -> Engine.delay (Int64.of_int d)
+              | Sleep d -> S.sleep d
               | Timed_wait (cs, d) ->
                   let expired =
                     S.Condition.timed_wait_any
@@ -714,7 +751,7 @@ let test_timed_wait_stale_firing () =
     (List.rev !log);
   check "no event left" 0 (Engine.pending e)
 
-(* A timed wait queues one event and allocates nothing beyond the
+(* A timed wait queues at most one event and allocates nothing beyond the
    suspended continuation (the 4 words of {!words_per_event_budget}), so
    a wait that times out costs one continuation and one that is woken
    costs the same. *)
@@ -739,6 +776,115 @@ let test_timed_wait_alloc () =
   if per_wait > words_per_event_budget then
     Alcotest.failf "%.2f minor words per timed wait, budget %.0f" per_wait
       words_per_event_budget
+
+(* Timed waits woken before their deadline leave no dead timeouts in the
+   queue: each process keeps at most its one timeout event (plus its
+   own resumption) queued.  The last disarmed deadline still holds the
+   clock: the run ends there, as it did when every armed deadline left
+   an event behind.  The wake period (7) does not divide the timeout, so
+   the chain of re-queued timeout events does not land on the last
+   deadline by accident. *)
+let test_timed_wait_queue_bounded () =
+  let e = Engine.create () in
+  let waiters = 3 and rounds = 10_000 in
+  let conds = Array.init waiters (fun _ -> Condition.create ()) in
+  let last_deadline = ref 0L and max_pending = ref 0 and early = ref 0 in
+  Array.iter
+    (fun c ->
+      Engine.spawn e (fun () ->
+          for _ = 1 to rounds do
+            Engine.arm_timeout 1_000L;
+            last_deadline := Int64.add (Engine.now e) 1_000L;
+            Condition.listen c;
+            Engine.timed_park ();
+            if not (Engine.timed_out ()) then incr early;
+            Engine.disarm_timeout ()
+          done))
+    conds;
+  Engine.spawn e (fun () ->
+      for _ = 1 to rounds do
+        Engine.delay 7L;
+        max_pending := max !max_pending (Engine.pending e);
+        Array.iter Condition.broadcast conds
+      done);
+  Engine.run e;
+  check "every wait satisfied early" (waiters * rounds) !early;
+  if !max_pending > 2 * (waiters + 1) then
+    Alcotest.failf "%d events queued for %d processes" !max_pending
+      (waiters + 1);
+  check64 "final clock is the last armed deadline" !last_deadline
+    (Engine.now e);
+  check "drained" 0 (Engine.pending e)
+
+(* Arming a deadline earlier than the queued timeout event queues a new
+   one: it fires on time, and the superseded event fires into nothing. *)
+let test_timed_wait_earlier_deadline () =
+  let e = Engine.create () in
+  let other = Condition.create () in
+  let log = ref [] in
+  let note s = log := (s, Engine.now e) :: !log in
+  Engine.spawn e (fun () ->
+      Engine.arm_timeout 1_000L;
+      Engine.disarm_timeout ();
+      Engine.arm_timeout 100L;
+      Engine.timed_park ();
+      check_bool "timed out" true (Engine.timed_out ());
+      note "timeout";
+      (* Superseded without a disarm, then parked across both earlier
+         deadlines: neither may end this wait. *)
+      Engine.arm_timeout 2_000L;
+      Engine.arm_timeout 50L;
+      Engine.disarm_timeout ();
+      Condition.wait other;
+      note "other");
+  Engine.spawn e (fun () ->
+      Engine.delay 1_500L;
+      Condition.broadcast other);
+  Engine.run e;
+  Alcotest.(check (list (pair string int64)))
+    "wake times"
+    [ ("timeout", 100L); ("other", 1_500L) ]
+    (List.rev !log);
+  check64 "clock runs to the latest deadline" 2_100L (Engine.now e)
+
+(* A delay that is next anyway skips the queue; one landing on a queued
+   event's time still runs after it, and [run ~until] and [stop] cut a
+   chain of such delays where they cut queued ones. *)
+let test_delay_fast_path () =
+  let e = Engine.create () in
+  let log = ref [] in
+  let note s = log := (s, Engine.now e) :: !log in
+  Engine.at e 10L (fun () -> note "event");
+  Engine.spawn e (fun () ->
+      Engine.delay 5L;
+      note "earlier";
+      Engine.delay 5L;
+      note "same time";
+      Engine.yield ();
+      note "yield");
+  Engine.run e;
+  Alcotest.(check (list (pair string int64)))
+    "order"
+    [ ("earlier", 5L); ("event", 10L); ("same time", 10L); ("yield", 10L) ]
+    (List.rev !log);
+  let e = Engine.create () in
+  let times = ref [] in
+  Engine.spawn e (fun () ->
+      for i = 1 to 10 do
+        Engine.delay 10L;
+        times := Engine.now e :: !times;
+        if i = 3 then Engine.stop e
+      done);
+  Engine.run e;
+  Alcotest.(check (list int64)) "stop" [ 30L; 20L; 10L ] !times;
+  check64 "stopped at 30" 30L (Engine.now e);
+  Engine.run ~until:55L e;
+  Alcotest.(check (list int64)) "until" [ 50L; 40L; 30L; 20L; 10L ] !times;
+  check64 "clock at the horizon" 55L (Engine.now e);
+  check "the next delay queued" 1 (Engine.pending e);
+  Engine.run e;
+  check "all ten" 10 (List.length !times);
+  check64 "ran to the end" 100L (Engine.now e)
 
 (* {1 Mailbox ring against a Queue} *)
 
@@ -944,4 +1090,10 @@ let suite =
      test_timed_wait_alloc);
     prop_mailbox_matches_queue;
     ("mailbox: a taken item is not kept", `Quick, test_mailbox_forgets_taken);
+    ("engine: timed waits leave at most one timeout queued", `Quick,
+     test_timed_wait_queue_bounded);
+    ("engine: an earlier deadline armed later fires on time", `Quick,
+     test_timed_wait_earlier_deadline);
+    ("engine: a delay next anyway skips the queue", `Quick,
+     test_delay_fast_path);
   ]

@@ -31,6 +31,15 @@ let pollin = 0x001
 
 let pollout = 0x004
 
+let mask_of_events evs =
+  List.fold_left
+    (fun acc ev -> acc lor match ev with `In -> pollin | `Out -> pollout)
+    0 evs
+
+let events_of_mask mask =
+  (if mask land pollin <> 0 then [ `In ] else [])
+  @ if mask land pollout <> 0 then [ `Out ] else []
+
 (* CQE flag bits, mirroring IORING_CQE_F_*.  [cqe_f_more] marks a CQE
    that is not the last one for its SQE (zero-copy completion before the
    notif; every multishot hit except the terminating one).  [cqe_f_notif]

@@ -59,6 +59,11 @@ val pollin : int
 
 val pollout : int
 
+val mask_of_events : [< `In | `Out ] list -> int
+(** The poll mask ({!pollin}/{!pollout}) of a set of events. *)
+
+val events_of_mask : int -> [> `In | `Out ] list
+
 val cqe_f_buffer : int
 (** The upper {!cqe_buffer_shift} bits of [flags] carry the id of the
     provided buffer the kernel wrote into (multishot recv). *)

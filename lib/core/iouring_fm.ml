@@ -592,9 +592,10 @@ let submit_wait_once t sqe ~expected_max =
    CQEs) are retried with bounded exponential backoff; the kick before
    each retry matters when the failure was a full-looking iSub — only
    kernel re-entry rewrites a smashed consumer word.  Exhaustion
-   surfaces as ETIMEDOUT, the terminal recovery verdict: the op is
-   known never to have executed (every attempt bounced), so callers may
-   treat it like any refused request. *)
+   surfaces as ETIMEDOUT, the terminal recovery verdict.  It does not
+   prove the op never ran: an attempt abandoned on [sync_op_timeout]
+   may still execute later, so a caller that completes the op another
+   way (the SyncProxy's slow path) makes it at-least-once. *)
 let submit_wait t sqe ~expected_max =
   (* Probe mode (Health half-open): one attempt, no retry budget — a
      probe exists to answer "did the FIOKP heal?" cheaply, not to win. *)

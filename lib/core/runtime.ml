@@ -1,14 +1,3 @@
-type slow_udp = {
-  su_socket : unit -> int;
-  su_bind : int -> port:int -> (unit, Abi.Errno.t) result;
-  su_sendto :
-    int -> Bytes.t -> dst:Packet.Addr.Ip.t * int -> (int, Abi.Errno.t) result;
-  su_recvfrom :
-    int -> max:int -> (Bytes.t * (Packet.Addr.Ip.t * int), Abi.Errno.t) result;
-  su_readable : int -> bool;
-  su_close : int -> unit;
-}
-
 (* One datapath shard (DESIGN.md §10): a slice of the NIC's queues with
    its own XSKs + UMems, its own in-enclave stack instance, its own
    Monitor and its own XSK circuit breaker.  RSS pins each UDP flow to
@@ -47,8 +36,7 @@ type t = {
      (io_uring FMs are per-thread, not per-queue — same scoping as the
      uring breaker). *)
   uring_overload : Overload.t option;
-  mutable slow_ops : Syncproxy.slow_ops option;
-  mutable slow_udp : slow_udp option;
+  slow : Slowpath.t; (* what the XSK and io_uring breakers fail over to *)
   mutable udp_socks : udp_sock list;
   mutable threads : thread list;
   mutable thread_counter : int;
@@ -129,17 +117,6 @@ let shard_rx_delivered t k = Netstack.Stack.rx_delivered t.shards.(k).sh_stack
 
 let shard_tx_frames t k = t.shards.(k).tx_counter
 
-let set_udp_slow_path t su = t.slow_udp <- Some su
-
-let set_slow_path t ops =
-  t.slow_ops <- Some ops;
-  List.iter (fun th -> Syncproxy.set_slow th.proxy ops) t.threads
-
-(* Failover is only meaningful with a slow path to fail over to: without
-   one installed (bare-Runtime tests) every routing decision below
-   collapses to fast-path-only behaviour. *)
-let xsk_failover_ready t = t.slow_udp <> None
-
 (* Which shard carries a given flow: the same symmetric RSS hash the NIC
    applies on receive, folded from NIC queues onto shards exactly like
    the attach mapping (queue q -> shard q mod num_queues).  TX therefore
@@ -179,8 +156,7 @@ let xdp_program t shard frame =
   let dst_port = Packet.Frame.udp_dst_port frame in
   if dst_port >= 0 then
     if not (Hashtbl.mem t.owned_ports dst_port) then Hostos.Xdp.Pass
-    else if xsk_failover_ready t && Health.degraded shard.sh_breaker then
-      Hostos.Xdp.Pass
+    else if Health.degraded shard.sh_breaker then Hostos.Xdp.Pass
     else Hostos.Xdp.Redirect
   else (
       match Packet.Eth.parse frame with
@@ -188,8 +164,7 @@ let xdp_program t shard frame =
           match Packet.Arp.parse payload with
           | Ok arp when Packet.Addr.Ip.equal arp.target_ip t.config.Config.ip
             ->
-              if xsk_failover_ready t && any_shard_degraded t then
-                Hostos.Xdp.Pass
+              if any_shard_degraded t then Hostos.Xdp.Pass
               else Hostos.Xdp.Redirect
           | Ok _ | Error _ -> Hostos.Xdp.Pass)
       | Ok _ | Error _ -> Hostos.Xdp.Pass)
@@ -207,20 +182,18 @@ let sock_port sock =
    while the breaker is open.  One fallback serves every shard — the
    host stack is not sharded. *)
 let host_fallback t sock =
-  match sock.host_fd with
-  | Some fd -> Some fd
-  | None -> (
-      match (t.slow_udp, sock_port sock) with
-      | Some su, Some port -> (
-          let fd = su.su_socket () in
-          match su.su_bind fd ~port with
-          | Ok () ->
-              sock.host_fd <- Some fd;
-              Some fd
-          | Error _ ->
-              su.su_close fd;
-              None)
-      | _ -> None)
+  match (sock.host_fd, sock_port sock) with
+  | Some fd, _ -> Some fd
+  | None, None -> None
+  | None, Some port -> (
+      let fd = Slowpath.udp_socket t.slow in
+      match Slowpath.udp_bind t.slow fd ~port with
+      | Ok () ->
+          sock.host_fd <- Some fd;
+          Some fd
+      | Error _ ->
+          Slowpath.udp_close t.slow fd;
+          None)
 
 let find_sock t port =
   List.find_opt (fun sock -> sock_port sock = Some port) t.udp_socks
@@ -230,25 +203,22 @@ let find_sock t port =
    of the owning socket's fallback fd.  Non-UDP frames (ARP) and frames
    of sockets closed meanwhile have nothing to reroute. *)
 let reroute_frame t shard frame =
-  match t.slow_udp with
-  | None -> false
-  | Some su -> (
-      match Packet.Frame.dissect_udp frame with
-      | Error _ -> false
-      | Ok (info, payload) -> (
-          match find_sock t info.Packet.Frame.src_port with
+  match Packet.Frame.dissect_udp frame with
+  | Error _ -> false
+  | Ok (info, payload) -> (
+      match find_sock t info.Packet.Frame.src_port with
+      | None -> false
+      | Some sock -> (
+          match host_fallback t sock with
           | None -> false
-          | Some sock -> (
-              match host_fallback t sock with
-              | None -> false
-              | Some fd -> (
-                  Health.record_failover shard.sh_breaker;
-                  match
-                    su.su_sendto fd payload
-                      ~dst:(info.Packet.Frame.dst_ip, info.Packet.Frame.dst_port)
-                  with
-                  | Ok _ -> true
-                  | Error _ -> false))))
+          | Some fd -> (
+              Health.record_failover shard.sh_breaker;
+              match
+                Slowpath.udp_sendto t.slow fd payload
+                  ~dst:(info.Packet.Frame.dst_ip, info.Packet.Frame.dst_port)
+              with
+              | Ok _ -> true
+              | Error _ -> false)))
 
 (* Breaker-open hook for one shard: bind fallback sockets for every
    bound port first (so PASSed inbound traffic has somewhere to land),
@@ -256,13 +226,11 @@ let reroute_frame t shard frame =
    slow path.  Other shards' FMs are untouched — their flows keep the
    fast path. *)
 let on_xsk_open t shard () =
-  if xsk_failover_ready t then begin
-    List.iter (fun sock -> ignore (host_fallback t sock)) t.udp_socks;
-    Array.iter
-      (fun fm ->
-        ignore (Xsk_fm.failover_reroute fm ~resend:(reroute_frame t shard)))
-      shard.sh_fms
-  end
+  List.iter (fun sock -> ignore (host_fallback t sock)) t.udp_socks;
+  Array.iter
+    (fun fm ->
+      ignore (Xsk_fm.failover_reroute fm ~resend:(reroute_frame t shard)))
+    shard.sh_fms
 
 (* Open-breaker handling of a frame the netstack wants transmitted.
    UDP frames are resent through the owning socket's fallback host fd.
@@ -295,14 +263,13 @@ let failover_transmit t shard frame =
 
 (* Transmit hook installed into one shard's UDP/IP stack: spread frames
    over the shard's XSK FMs round-robin — unless the shard's XSK
-   breaker is open with a slow path installed, in which case frames take
-   the exit-based route.  [last_tx_ok] feeds the outcome back to
-   [udp_sendto], which cannot see it through [Netstack.Stack.sendto] — a
-   frame every path refused is surfaced as [EAGAIN], never silently
-   dropped once a slow path is installed.  Half-open probe traffic
-   ([shard.probing]) must reach the FM: its completion (or rekick
-   timeout) is the very signal the breaker is waiting on to fail back
-   (or re-open). *)
+   breaker is open, in which case frames take the exit-based route.
+   [last_tx_ok] feeds the outcome back to [udp_sendto], which cannot
+   see it through [Netstack.Stack.sendto] — a frame every path refused
+   is surfaced as [EAGAIN], never silently dropped.  Half-open probe
+   traffic ([shard.probing]) must reach the FM: its completion (or
+   rekick timeout) is the very signal the breaker is waiting on to fail
+   back (or re-open). *)
 let rec transmit_from shard frame ~start i =
   let n = Array.length shard.sh_fms in
   i < n
@@ -311,8 +278,7 @@ let rec transmit_from shard frame ~start i =
 
 let stack_transmit t shard frame =
   if
-    xsk_failover_ready t
-    && Health.degraded shard.sh_breaker
+    Health.degraded shard.sh_breaker
     && (not shard.probing)
     && failover_transmit t shard frame
   then shard.last_tx_ok <- true
@@ -484,8 +450,7 @@ let boot kernel ~sgx ?(config = Config.default) () =
               uring_breaker = breaker "uring";
               mm_breaker = breaker "mm";
               uring_overload = overload "overload.uring";
-              slow_ops = None;
-              slow_udp = None;
+              slow = Slowpath.create ~obs kernel enclave;
               udp_socks = [];
               threads = [];
               thread_counter = 0;
@@ -597,10 +562,7 @@ let udp_bind t sock port =
           (* Bound while a breaker is already open: create the fallback
              immediately, or PASSed traffic for this port would be
              lost. *)
-          if
-            xsk_failover_ready t
-            && Array.exists (fun sh -> Health.degraded sh.sh_breaker) t.shards
-          then ignore (host_fallback t sock);
+          if any_shard_degraded t then ignore (host_fallback t sock);
           Ok ()
         end
         else
@@ -624,8 +586,7 @@ let ensure_bound t sock =
         if Array.length sock.bound > 0 then Ok () else Error Abi.Errno.EINVAL
     | Error e -> Error e
 
-let fast_sendto t shard s payload ~dst =
-  ignore t;
+let fast_sendto shard s payload ~dst =
   shard.last_tx_ok <- true;
   match
     Netstack.Stack.sendto shard.sh_stack
@@ -638,12 +599,9 @@ let fast_sendto t shard s payload ~dst =
   | Error Netstack.Stack.No_transmit -> Error Abi.Errno.ENOTCONN
 
 let slow_sendto t sock payload ~dst =
-  match t.slow_udp with
+  match host_fallback t sock with
   | None -> None
-  | Some su -> (
-      match host_fallback t sock with
-      | None -> None
-      | Some fd -> Some (su.su_sendto fd payload ~dst))
+  | Some fd -> Some (Slowpath.udp_sendto t.slow fd payload ~dst)
 
 (* Overload admission (DESIGN.md §15) for one shard. *)
 let admit shard cls =
@@ -668,44 +626,27 @@ let udp_sendto t sock payload ~dst =
          [Control] and are never shed: the probe's round trip is the
          signal that ends the failover, and starving it would make the
          overload metastable. *)
-      if not (xsk_failover_ready t) then
-        if not (admit shard Overload.Data) then Error Abi.Errno.EAGAIN
-        else (
-          match fast_sendto t shard s payload ~dst with
-          | Error Abi.Errno.EAGAIN when shard.sh_overload <> None ->
-              (* Overload mode surfaces TX-path saturation as pushback
-                 instead of PR 4's silent drop — and accounts it, so the
-                 caller's refusal shows up in [shed.data] like any other
-                 backpressure verdict. *)
-              record_tx_shed shard;
-              Error Abi.Errno.EAGAIN
-          | Error Abi.Errno.EAGAIN ->
-              (* No slow path: the datagram may be silently dropped by
-                 a saturated TX path, as UDP permits. *)
-              Ok (Bytes.length payload)
-          | r -> r)
-      else (
-        match Health.allow shard.sh_breaker with
-        | Health.Slow -> (
-            if not (admit shard Overload.Data) then Error Abi.Errno.EAGAIN
-            else
-              match slow_sendto t sock payload ~dst with
-              | Some r -> r
-              | None ->
-                  Health.record_shed shard.sh_breaker;
-                  record_tx_shed shard;
-                  Error Abi.Errno.EAGAIN)
-        | Health.Fast | Health.Probe as verdict -> (
-            if
-              not
-                (admit shard
-                   (if verdict = Health.Probe then Overload.Control
-                    else Overload.Data))
-            then Error Abi.Errno.EAGAIN
-            else begin
+      match Health.allow shard.sh_breaker with
+      | Health.Slow -> (
+          if not (admit shard Overload.Data) then Error Abi.Errno.EAGAIN
+          else
+            match slow_sendto t sock payload ~dst with
+            | Some r -> r
+            | None ->
+                Health.record_shed shard.sh_breaker;
+                record_tx_shed shard;
+                Error Abi.Errno.EAGAIN)
+      | Health.Fast | Health.Probe as verdict -> (
+          if
+            not
+              (admit shard
+                 (if verdict = Health.Probe then Overload.Control
+                  else Overload.Data))
+          then Error Abi.Errno.EAGAIN
+          else begin
             if verdict = Health.Probe then shard.probing <- true;
             let sent =
-              match fast_sendto t shard s payload ~dst with
+              match fast_sendto shard s payload ~dst with
               | r ->
                   shard.probing <- false;
                   r
@@ -727,17 +668,16 @@ let udp_sendto t sock payload ~dst =
                     record_tx_shed shard;
                     Error Abi.Errno.EAGAIN)
             | r -> r
-            end))
+          end)
 
 let rec first_readable socks i =
   if i = Array.length socks then -1
   else if Netstack.Udp_socket.readable socks.(i) then i
   else first_readable socks (i + 1)
 
-(* Degraded receive: once failover is configured, datagrams may sit in
-   either the enclave netstack (XDP Redirect epochs) or the host
-   fallback socket (XDP Pass epochs), so poll both.  [sock.host_fd] is
-   re-read every iteration — a thread that blocked here while the
+(* Datagrams may sit in either the enclave netstack (XDP Redirect
+   epochs) or the host fallback socket (XDP Pass epochs), so poll both.
+   [sock.host_fd] is re-read every iteration — a thread that blocked here while the
    breaker was still closed must start draining a fallback that
    [on_xsk_open] binds only later.  The host-side check runs whenever
    the fallback exists, not only while the breaker is open: packets
@@ -750,9 +690,9 @@ let rec recv_any t sock socks conds ~max =
   let i = first_readable socks 0 in
   if i >= 0 then Ok (Netstack.Udp_socket.recvfrom socks.(i) ~max)
   else
-    match (sock.host_fd, t.slow_udp) with
-    | Some fd, Some su when su.su_readable fd -> (
-        match su.su_recvfrom fd ~max with
+    match sock.host_fd with
+    | Some fd when Slowpath.udp_readable t.slow fd -> (
+        match Slowpath.udp_recvfrom t.slow fd ~max with
         | Ok (_, (src_ip, src_port)) as r ->
             (* Attribute the failover to the shard that owns the flow
                (RSS), not blanket shard 0 — per-shard counters are the
@@ -766,46 +706,38 @@ let rec recv_any t sock socks conds ~max =
             r
         | Error _ as r -> r)
     | _ ->
-        (* Park on enclave-socket activity.  With failover configured,
-           add a quantum timer: host-socket arrivals broadcast a
-           different condition, so the timer bounds how stale the
-           host-side check can get. *)
-        if xsk_failover_ready t then begin
-          let engine = Hostos.Kernel.engine t.kernel in
-          let wake = List.hd conds in
-          let fired = ref false in
-          Sim.Engine.at engine
-            (Int64.add (Sim.Engine.now engine) Sgx.Params.xsk_rekick_period)
-            (fun () ->
-              if not !fired then begin
-                fired := true;
-                Sim.Condition.broadcast wake
-              end);
-          Sim.Condition.wait_any conds;
-          fired := true
-        end
-        else Sim.Condition.wait_any conds;
+        (* Park on enclave-socket activity, plus a quantum timer:
+           host-socket arrivals broadcast a different condition, so the
+           timer bounds how stale the host-side check can get. *)
+        let engine = Hostos.Kernel.engine t.kernel in
+        let wake = List.hd conds in
+        let fired = ref false in
+        Sim.Engine.at engine
+          (Int64.add (Sim.Engine.now engine) Sgx.Params.xsk_rekick_period)
+          (fun () ->
+            if not !fired then begin
+              fired := true;
+              Sim.Condition.broadcast wake
+            end);
+        Sim.Condition.wait_any conds;
+        fired := true;
         recv_any t sock socks conds ~max
 
 let udp_recvfrom t sock ~max =
   match sock.bound with
   | [||] -> Error Abi.Errno.EINVAL
   | _ when max < 0 -> Error Abi.Errno.EINVAL (* before dequeuing *)
-  | socks when Array.length socks = 1 && not (xsk_failover_ready t) ->
-      Ok (Netstack.Udp_socket.recvfrom socks.(0) ~max)
   | socks -> recv_any t sock socks sock.activity ~max
 
 let udp_readable t sock =
   Array.exists Netstack.Udp_socket.readable sock.bound
   ||
-  match (sock.host_fd, t.slow_udp) with
-  | Some fd, Some su -> su.su_readable fd
-  | _ -> false
+  match sock.host_fd with
+  | Some fd -> Slowpath.udp_readable t.slow fd
+  | None -> false
 
 let udp_close t sock =
-  (match (sock.host_fd, t.slow_udp) with
-  | Some fd, Some su -> su.su_close fd
-  | _ -> ());
+  Option.iter (Slowpath.udp_close t.slow) sock.host_fd;
   sock.host_fd <- None;
   t.udp_socks <- List.filter (fun o -> o != sock) t.udp_socks;
   if Array.length sock.bound > 0 then begin
@@ -885,7 +817,7 @@ let new_thread t =
          Monitor.watch_uring shard.sh_monitor uring
        end);
       let proxy =
-        Syncproxy.create ?slow:t.slow_ops ~breaker:t.uring_breaker fm
+        Syncproxy.create ~slow:t.slow ~breaker:t.uring_breaker fm
       in
       (match t.uring_overload with
       | Some ov -> Syncproxy.set_overload proxy ov

@@ -47,26 +47,6 @@ type udp_sock
 type thread
 (** A user thread's io_uring context: its FM plus its SyncProxy. *)
 
-type slow_udp = {
-  su_socket : unit -> int;
-  su_bind : int -> port:int -> (unit, Abi.Errno.t) result;
-  su_sendto :
-    int -> Bytes.t -> dst:Packet.Addr.Ip.t * int -> (int, Abi.Errno.t) result;
-  su_recvfrom :
-    int -> max:int -> (Bytes.t * (Packet.Addr.Ip.t * int), Abi.Errno.t) result;
-  su_readable : int -> bool;
-  su_close : int -> unit;
-}
-(** The exit-based UDP slow path: plain host-kernel sockets driven via
-    OCALLs, implemented by {!Libos.Hostapi.slow_udp}.  Used only while
-    an XSK breaker is open (DESIGN.md §9): when a shard's breaker trips,
-    each bound fast-path socket gets a same-port fallback host socket,
-    that shard's XDP queues switch from [Redirect] to [Pass] for owned
-    ports (so inbound datagrams land on the fallback socket), and the
-    shard's sends go out via [su_sendto] — paying the modeled SGX exit +
-    copy costs.  The host stack is not sharded: one fallback socket per
-    port serves every shard. *)
-
 val boot :
   Hostos.Kernel.t -> sgx:bool -> ?config:Config.t -> unit -> (t, string) result
 (** Run the boot sequence above against [kernel].  [sgx:false] skips
@@ -180,16 +160,16 @@ val total_accounted_drops : t -> int
     losses, and descriptor/ring rejects.  The soak harness requires
     every client-observed loss to be covered by this total. *)
 
-(** {1 Degraded mode (DESIGN.md §9)} *)
+(** {1 Degraded mode (DESIGN.md §9)}
 
-val set_slow_path : t -> Syncproxy.slow_ops -> unit
-(** Install the exit-based io_uring slow path; applied to every existing
-    and future {!new_thread} SyncProxy. *)
-
-val set_udp_slow_path : t -> slow_udp -> unit
-(** Install the exit-based UDP slow path.  Until this is called the XSK
-    breakers only observe (routing never changes): failover needs a slow
-    path to fail over {e to}. *)
+    Every breaker fails over to the runtime's exit-based {!Slowpath}.
+    When a shard's XSK breaker trips, each bound fast-path socket gets
+    a same-port fallback host socket, that shard's XDP queues switch
+    from [Redirect] to [Pass] for owned ports (so inbound datagrams
+    land on the fallback socket), and the shard's sends go out through
+    the host socket, paying the modeled SGX exit and copy costs.  The
+    host stack is not sharded: one fallback socket per port serves
+    every shard. *)
 
 val xsk_breaker : t -> Health.t
 (** Shard 0's XSK circuit breaker — the runtime-wide breaker when
@@ -236,9 +216,8 @@ val udp_sendto :
   (int, Abi.Errno.t) result
 (** Transmit one datagram through the in-enclave stack and the XSK TX
     path of the shard the flow's RSS hash selects — no enclave exit; the
-    shard's Monitor Module kicks the host side.  With a slow path
-    installed and that shard's XSK breaker not [Closed], the datagram is
-    rerouted through the exit-based host socket instead; [EAGAIN] only
+    shard's Monitor Module kicks the host side.  While that shard's XSK
+    breaker is not [Closed], the datagram is rerouted through the exit-based host socket instead; [EAGAIN] only
     when both paths refuse (backpressure — the datagram was never
     accepted, so nothing is silently lost). *)
 
@@ -248,7 +227,7 @@ val udp_recvfrom :
   max:int ->
   (Bytes.t * (Packet.Addr.Ip.t * int), Abi.Errno.t) result
 (** Dequeue one received datagram (payload truncated to [max]) plus the
-    sender's address; [EAGAIN] when every source is empty.  All shard
+    sender's address, blocking until some source has one.  All shard
     sockets are polled (a flow's datagrams surface on exactly one, per
     RSS); while a fallback host socket exists (breaker open, or still
     draining just after failback) it is polled too, via the exit-based

@@ -1,37 +1,15 @@
-type slow_ops = {
-  read :
-    fd:int ->
-    off:int ->
-    buf:Bytes.t ->
-    pos:int ->
-    len:int ->
-    (int, Abi.Errno.t) result;
-  write :
-    fd:int ->
-    off:int ->
-    buf:Bytes.t ->
-    pos:int ->
-    len:int ->
-    (int, Abi.Errno.t) result;
-  send : fd:int -> buf:Bytes.t -> pos:int -> len:int -> (int, Abi.Errno.t) result;
-  recv : fd:int -> buf:Bytes.t -> pos:int -> len:int -> (int, Abi.Errno.t) result;
-  poll : fd:int -> events:int -> (int, Abi.Errno.t) result;
-}
-
 type t = {
   fm : Iouring_fm.t;
-  mutable slow : slow_ops option;
+  slow : Slowpath.t;
   breaker : Health.t;
   mutable overload : Overload.t option;
 }
 
-let create ?slow ~breaker fm =
+let create ~slow ~breaker fm =
   Iouring_fm.set_breaker fm breaker;
   { fm; slow; breaker; overload = None }
 
 let fm t = t.fm
-
-let set_slow t s = t.slow <- Some s
 
 let set_overload t ov = t.overload <- Some ov
 
@@ -41,14 +19,6 @@ let probe_attempt t fast =
   Iouring_fm.set_probe_mode t.fm true;
   Fun.protect ~finally:(fun () -> Iouring_fm.set_probe_mode t.fm false) fast
 
-(* One synchronous op through the breaker.  [probe_ok] is false for ops
-   whose abandoned SQE could corrupt state if the kernel executes it
-   late (a probe [recv] would consume stream bytes nobody awaits; a
-   probe [poll] has no completion deadline at all) — those decline the
-   probe slot and go slow.  An [ETIMEDOUT] fast result is the terminal
-   "every attempt bounced, the op never ran" verdict (DESIGN.md §8), so
-   completing it via the slow path is safe and keeps the failure
-   invisible to the app. *)
 (* Overload admission on the pending table (DESIGN.md §15).  Data-class
    ops are refused with an accounted [EAGAIN] while the runtime-wide
    io_uring controller is under pressure; breaker probes classify as
@@ -70,82 +40,85 @@ let timed t fast () =
       Overload.note_depth ov (Iouring_fm.inflight t.fm);
       r
 
+(* One synchronous op through the breaker.  [probe_ok] is false for ops
+   whose abandoned SQE could corrupt state if the kernel executes it
+   late (a probe [recv] would consume stream bytes nobody awaits; a
+   probe [poll] has no completion deadline at all) — those decline the
+   probe slot and go slow.  An [ETIMEDOUT] fast result is the terminal
+   "every attempt failed" verdict (DESIGN.md §8); completing it via the
+   slow path keeps the failure invisible to the app.  That completion
+   is at-least-once: an attempt abandoned on the FM's sync-op deadline
+   may still execute later. *)
 let route t ~probe_ok ~fast ~slow_fn =
   let fast = timed t fast in
-  match t.slow with
-  | None -> if admit t Overload.Data then fast () else Error Abi.Errno.EAGAIN
-  | Some slow -> (
-      let b = t.breaker in
-      match Health.allow b with
-      | Health.Slow ->
-          if admit t Overload.Data then slow_fn slow
-          else Error Abi.Errno.EAGAIN
-      | Health.Probe when not probe_ok ->
-          ignore (admit t Overload.Control);
-          Health.cancel_probe b;
+  let b = t.breaker in
+  match Health.allow b with
+  | Health.Slow ->
+      if admit t Overload.Data then slow_fn t.slow else Error Abi.Errno.EAGAIN
+  | Health.Probe when not probe_ok ->
+      ignore (admit t Overload.Control);
+      Health.cancel_probe b;
+      Health.record_failover b;
+      slow_fn t.slow
+  | Health.Probe when not (admit t Overload.Control) ->
+      (* Unreachable — [Control] is never shed — but if the controller
+         ever misbehaved, release the probe slot rather than leak it. *)
+      Health.cancel_probe b;
+      Error Abi.Errno.EAGAIN
+  | Health.Probe -> (
+      match probe_attempt t fast with
+      | Ok _ as r ->
+          Health.record_success b;
+          r
+      | Error Abi.Errno.ETIMEDOUT ->
+          Health.record_failure b;
           Health.record_failover b;
-          slow_fn slow
-      | Health.Probe when not (admit t Overload.Control) ->
-          (* Unreachable — [Control] is never shed — but if the
-             controller ever misbehaved, release the probe slot rather
-             than leak it. *)
+          slow_fn t.slow
+      | Error e as r when Abi.Errno.is_transient e ->
+          (* Admission shed, not a datapath verdict: release the probe
+             slot and surface the backpressure. *)
           Health.cancel_probe b;
-          Error Abi.Errno.EAGAIN
-      | Health.Probe -> (
-          match probe_attempt t fast with
-          | Ok _ as r ->
-              Health.record_success b;
-              r
-          | Error Abi.Errno.ETIMEDOUT ->
-              Health.record_failure b;
-              Health.record_failover b;
-              slow_fn slow
-          | Error e as r when Abi.Errno.is_transient e ->
-              (* Admission shed, not a datapath verdict: release the
-                 probe slot and surface the backpressure. *)
-              Health.cancel_probe b;
-              r
-          | Error _ as r ->
-              (* The FIOKP answered; the op failed semantically. *)
-              Health.record_success b;
-              r)
-      | Health.Fast when not (admit t Overload.Data) ->
-          Error Abi.Errno.EAGAIN
-      | Health.Fast -> (
-          match fast () with
-          | Ok _ as r ->
-              Health.record_success b;
-              r
-          | Error Abi.Errno.ETIMEDOUT ->
-              Health.record_failure b;
-              Health.record_failover b;
-              slow_fn slow
-          | Error _ as r -> r))
+          r
+      | Error _ as r ->
+          (* The FIOKP answered; the op failed semantically. *)
+          Health.record_success b;
+          r)
+  | Health.Fast when not (admit t Overload.Data) -> Error Abi.Errno.EAGAIN
+  | Health.Fast -> (
+      match fast () with
+      | Ok _ as r ->
+          Health.record_success b;
+          r
+      | Error Abi.Errno.ETIMEDOUT ->
+          Health.record_failure b;
+          Health.record_failover b;
+          slow_fn t.slow
+      | Error _ as r -> r)
 
 let read t ~fd ~off ~buf ~pos ~len =
   route t ~probe_ok:true
     ~fast:(fun () -> Iouring_fm.read t.fm ~fd ~off ~buf ~pos ~len)
-    ~slow_fn:(fun s -> s.read ~fd ~off ~buf ~pos ~len)
+    ~slow_fn:(fun s -> Slowpath.read s ~fd ~off ~buf ~pos ~len)
 
 let write t ~fd ~off ~buf ~pos ~len =
   route t ~probe_ok:true
     ~fast:(fun () -> Iouring_fm.write t.fm ~fd ~off ~buf ~pos ~len)
-    ~slow_fn:(fun s -> s.write ~fd ~off ~buf ~pos ~len)
+    ~slow_fn:(fun s -> Slowpath.write s ~fd ~off ~buf ~pos ~len)
 
 let send t ~fd ~buf ~pos ~len =
   route t ~probe_ok:true
     ~fast:(fun () -> Iouring_fm.send t.fm ~fd ~buf ~pos ~len)
-    ~slow_fn:(fun s -> s.send ~fd ~buf ~pos ~len)
+    ~slow_fn:(fun s -> Slowpath.send s ~fd ~buf ~pos ~len)
 
 let recv t ~fd ~buf ~pos ~len =
   route t ~probe_ok:false
     ~fast:(fun () -> Iouring_fm.recv t.fm ~fd ~buf ~pos ~len)
-    ~slow_fn:(fun s -> s.recv ~fd ~buf ~pos ~len)
+    ~slow_fn:(fun s -> Slowpath.recv s ~fd ~buf ~pos ~len)
 
 let poll t ~fd ~events =
   route t ~probe_ok:false
     ~fast:(fun () -> Iouring_fm.poll t.fm ~fd ~events)
-    ~slow_fn:(fun s -> s.poll ~fd ~events)
+    ~slow_fn:(fun s -> Slowpath.poll s ~fd ~events)
 
 let poll_multi t = Iouring_fm.poll_multi t.fm
 

@@ -4,35 +4,12 @@
     syscalls: TCP [send]/[recv], [read], [write] and [poll].
 
     Since DESIGN.md §9 the proxy is also the io_uring failover point:
-    once a {!slow_ops} table is attached, every op is routed through
-    the {!Health} breaker — [Fast] ops take the FM (and a terminal
-    [ETIMEDOUT] fails over to the slow path instead of surfacing),
-    [Probe] ops test the FM with the retry budget disabled, and [Slow]
-    ops go straight to the exit-based LibOS path.  With no slow path
-    attached (bare-runtime boots), every op is a plain passthrough. *)
-
-type slow_ops = {
-  read :
-    fd:int ->
-    off:int ->
-    buf:Bytes.t ->
-    pos:int ->
-    len:int ->
-    (int, Abi.Errno.t) result;
-  write :
-    fd:int ->
-    off:int ->
-    buf:Bytes.t ->
-    pos:int ->
-    len:int ->
-    (int, Abi.Errno.t) result;
-  send : fd:int -> buf:Bytes.t -> pos:int -> len:int -> (int, Abi.Errno.t) result;
-  recv : fd:int -> buf:Bytes.t -> pos:int -> len:int -> (int, Abi.Errno.t) result;
-  poll : fd:int -> events:int -> (int, Abi.Errno.t) result;
-}
-(** The exit-based slow path: same five signatures as the fast ops,
-    implemented by {!Libos.Hostapi.slow_ops} as plain host syscalls
-    paying the modeled SGX exit + copy costs. *)
+    every op is routed through the {!Health} breaker — [Fast] ops take
+    the FM (and a terminal [ETIMEDOUT] fails over to the {!Slowpath}
+    instead of surfacing; that completion is at-least-once, since an
+    attempt abandoned on the FM's sync-op deadline may still execute
+    later), [Probe] ops test the FM with the retry budget disabled,
+    and [Slow] ops go straight to the exit-based {!Slowpath}. *)
 
 type t
 (** A SyncProxy bound to one thread's io_uring FM.  Every fast call
@@ -41,16 +18,13 @@ type t
     one ["syncproxy"] trace span and one [<name>.sync_wait_cycles]
     histogram observation on the FM's Obs registry. *)
 
-val create : ?slow:slow_ops -> breaker:Health.t -> Iouring_fm.t -> t
+val create : slow:Slowpath.t -> breaker:Health.t -> Iouring_fm.t -> t
 (** Wrap an io_uring FM behind the shared io_uring [breaker], which is
     also installed on the FM for the overload feeds
-    ({!Iouring_fm.set_breaker}).  [slow] (or a later {!set_slow})
-    enables failover routing. *)
+    ({!Iouring_fm.set_breaker}); [slow] is where failover goes. *)
 
 val fm : t -> Iouring_fm.t
 (** The underlying io_uring FastPath Module. *)
-
-val set_slow : t -> slow_ops -> unit
 
 val set_overload : t -> Overload.t -> unit
 (** Attach the runtime-wide io_uring overload controller (DESIGN.md

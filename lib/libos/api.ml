@@ -4,18 +4,6 @@ type sockaddr = Packet.Addr.Ip.t * int
 
 type event = [ `In | `Out ]
 
-let mask_of_events evs =
-  List.fold_left
-    (fun acc ev ->
-      acc
-      lor
-      match ev with `In -> Abi.Uring_abi.pollin | `Out -> Abi.Uring_abi.pollout)
-    0 evs
-
-let events_of_mask mask =
-  (if mask land Abi.Uring_abi.pollin <> 0 then [ `In ] else [])
-  @ if mask land Abi.Uring_abi.pollout <> 0 then [ `Out ] else []
-
 type t = {
   name : string;
   engine : Sim.Engine.t;

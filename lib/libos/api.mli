@@ -15,12 +15,6 @@ type sockaddr = Packet.Addr.Ip.t * int
 
 type event = [ `In | `Out ]
 
-val mask_of_events : event list -> int
-(** The io_uring poll mask ({!Abi.Uring_abi.pollin}/[pollout]) of a
-    set of events. *)
-
-val events_of_mask : int -> event list
-
 type t = {
   name : string;  (** environment name, e.g. "rakis-sgx" *)
   engine : Sim.Engine.t;

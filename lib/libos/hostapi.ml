@@ -27,128 +27,6 @@ let rec native kernel : Api.t =
         Sim.Engine.spawn engine ~name (fun () -> body (native kernel)));
   }
 
-(* DESIGN.md §9: the exit-based slow paths the circuit breakers fail
-   over to.  Each op is the regular LibOS host-syscall route — dispatch
-   from inside the RAKIS enclave, one enclave exit, the payload copied
-   across the boundary — i.e. exactly what RAKIS's FIOKPs exist to
-   avoid.  [meter] makes degraded traffic visible: every op counts on
-   ["health.slow_calls"] and files its cycle cost (exit + copy + kernel
-   work) under the ["health.slow_path_cycles"] histogram. *)
-type metered = { run : 'a. (unit -> 'a) -> 'a }
-
-let slow_meter obs engine =
-  match obs with
-  | None -> { run = (fun f -> f ()) }
-  | Some obs ->
-      let m = Obs.metrics obs in
-      let calls = Obs.Metrics.counter m "health.slow_calls" in
-      let cycles = Obs.Metrics.histogram m "health.slow_path_cycles" in
-      {
-        run =
-          (fun f ->
-            let start = Sim.Engine.now engine in
-            let r = f () in
-            Obs.Metrics.incr calls;
-            Obs.Metrics.observe cycles
-              (Int64.to_int (Int64.sub (Sim.Engine.now engine) start));
-            r);
-      }
-
-let slow_ops ?obs kernel enclave : Rakis.Syncproxy.slow_ops =
-  let engine = K.engine kernel in
-  let meter = slow_meter obs engine in
-  let dispatch () =
-    Sgx.Enclave.charge enclave Sgx.Params.libos_dispatch_cycles;
-    Sgx.Enclave.ocall enclave
-  in
-  let copy len = Sgx.Enclave.charge_copy enclave ~crossing:true len in
-  {
-    Rakis.Syncproxy.read =
-      (fun ~fd ~off ~buf ~pos ~len ->
-        meter.run (fun () ->
-            dispatch ();
-            match K.pread kernel fd ~off buf pos len with
-            | Ok n ->
-                copy n;
-                Ok n
-            | Error e -> Error e));
-    write =
-      (fun ~fd ~off ~buf ~pos ~len ->
-        meter.run (fun () ->
-            dispatch ();
-            copy len;
-            K.pwrite kernel fd ~off buf pos len));
-    send =
-      (fun ~fd ~buf ~pos ~len ->
-        meter.run (fun () ->
-            dispatch ();
-            copy len;
-            K.send kernel fd buf pos len));
-    recv =
-      (fun ~fd ~buf ~pos ~len ->
-        meter.run (fun () ->
-            dispatch ();
-            match K.recv kernel fd buf pos len with
-            | Ok n ->
-                copy n;
-                Ok n
-            | Error e -> Error e));
-    poll =
-      (fun ~fd ~events ->
-        meter.run (fun () ->
-            dispatch ();
-            match
-              K.poll kernel [ (fd, Api.events_of_mask events) ] ~timeout:None
-            with
-            | Ok [ (_, revs) ] -> Ok (Api.mask_of_events revs)
-            | Ok _ -> Ok 0
-            | Error e -> Error e));
-  }
-
-let slow_udp ?obs kernel enclave : Rakis.Runtime.slow_udp =
-  let engine = K.engine kernel in
-  let meter = slow_meter obs engine in
-  let dispatch () =
-    Sgx.Enclave.charge enclave Sgx.Params.libos_dispatch_cycles;
-    Sgx.Enclave.ocall enclave
-  in
-  let copy len = Sgx.Enclave.charge_copy enclave ~crossing:true len in
-  {
-    Rakis.Runtime.su_socket =
-      (fun () ->
-        meter.run (fun () ->
-            dispatch ();
-            K.udp_socket kernel));
-    su_bind =
-      (fun fd ~port ->
-        meter.run (fun () ->
-            dispatch ();
-            K.bind kernel fd (K.server_ip kernel) port));
-    su_sendto =
-      (fun fd payload ~dst ->
-        meter.run (fun () ->
-            dispatch ();
-            copy (Bytes.length payload);
-            K.sendto kernel fd payload ~dst));
-    su_recvfrom =
-      (fun fd ~max ->
-        meter.run (fun () ->
-            dispatch ();
-            match K.recvfrom kernel fd ~max with
-            | Ok (payload, src) ->
-                copy (Bytes.length payload);
-                Ok (payload, src)
-            | Error e -> Error e));
-    (* Readiness probe only — no exit charged; the datagram's crossing
-       cost lands when [su_recvfrom] actually moves it. *)
-    su_readable = (fun fd -> K.fd_ready kernel fd `In);
-    su_close =
-      (fun fd ->
-        meter.run (fun () ->
-            dispatch ();
-            ignore (K.close kernel fd)));
-  }
-
 let gramine ?(exitless = false) kernel ~sgx =
   let engine = K.engine kernel in
   let name =

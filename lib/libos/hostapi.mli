@@ -12,21 +12,6 @@
 
 val native : Hostos.Kernel.t -> Api.t
 
-val slow_ops :
-  ?obs:Obs.t -> Hostos.Kernel.t -> Sgx.Enclave.t -> Rakis.Syncproxy.slow_ops
-(** The exit-based io_uring fallback (DESIGN.md §9): the five SyncProxy
-    ops as plain host syscalls from inside the RAKIS [enclave] — LibOS
-    dispatch + one enclave exit + boundary copies, the very costs the
-    FIOKPs avoid.  With [obs], each op counts on ["health.slow_calls"]
-    and records its cycle cost in ["health.slow_path_cycles"]. *)
-
-val slow_udp :
-  ?obs:Obs.t -> Hostos.Kernel.t -> Sgx.Enclave.t -> Rakis.Runtime.slow_udp
-(** The exit-based UDP fallback: host-kernel sockets (bound on the
-    enclave's IP, {!Hostos.Kernel.server_ip}) driven via OCALLs, used
-    by the runtime while the XSK breaker is open.  Instrumented like
-    {!slow_ops}. *)
-
 val gramine :
   ?exitless:bool -> Hostos.Kernel.t -> sgx:bool -> Api.t * Sgx.Enclave.t
 (** The returned enclave exposes the exit counter (Figure 2 metric).

@@ -21,8 +21,7 @@ let find env fd = Hashtbl.find_opt env.fds fd
 (* The regular LibOS path for syscalls RAKIS does not accelerate:
    in-enclave dispatch plus one enclave exit. *)
 let host_call env f =
-  Sgx.Enclave.charge (R.enclave env.runtime) Sgx.Params.libos_dispatch_cycles;
-  Sgx.Enclave.ocall (R.enclave env.runtime);
+  Rakis.Slowpath.libos_exit (R.enclave env.runtime);
   f env.kernel
 
 (* Busy-wait quantum for mixed-provider polls (paper §4.2). *)
@@ -73,7 +72,7 @@ let poll_open env proxy specs ~timeout =
     | _ ->
         Rakis.Syncproxy.poll_multi proxy
           (List.map
-             (fun (_, kfd, evs) -> (kfd, Api.mask_of_events evs))
+             (fun (_, kfd, evs) -> (kfd, Abi.Uring_abi.mask_of_events evs))
              host_specs)
           ~timeout
   in
@@ -125,7 +124,7 @@ let poll_open env proxy specs ~timeout =
           | Error e -> Error e
           | Ok (Some (kfd, mask)) -> (
               match vfd_of_kfd kfd with
-              | Some vfd -> Ok [ (vfd, Api.events_of_mask mask) ]
+              | Some vfd -> Ok [ (vfd, Abi.Uring_abi.events_of_mask mask) ]
               | None -> loop ())
           | Ok None -> if expired () then Ok [] else loop ())
   in
@@ -287,13 +286,6 @@ let create kernel ~sgx ?config () =
   | Error e -> Error e
   | Ok runtime -> (
       let env = { runtime; kernel; fds = Hashtbl.create 32; next_fd = 1000 } in
-      (* Failover wiring (DESIGN.md §9): give the runtime the
-         exit-based slow paths the circuit breakers fail over to.
-         Installed before the first thread so its SyncProxy is born
-         with the fallback attached. *)
-      let enclave = R.enclave runtime and obs = R.obs runtime in
-      R.set_slow_path runtime (Hostapi.slow_ops ~obs kernel enclave);
-      R.set_udp_slow_path runtime (Hostapi.slow_udp ~obs kernel enclave);
       match R.new_thread runtime with
       | Error e -> Error e
       | Ok thread -> Ok (api env (R.syncproxy thread), runtime))

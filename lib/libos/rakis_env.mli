@@ -9,10 +9,13 @@
       SyncProxy to the per-thread io_uring FM — no enclave exits;
     - everything else (socket/bind/listen/accept/connect/open/close and
       metadata) takes the regular Gramine path: LibOS dispatch plus one
-      enclave exit, exactly as the paper's RAKIS does for syscalls it
-      does not accelerate;
+      enclave exit ({!Rakis.Slowpath.libos_exit}), exactly as the paper's
+      RAKIS does for syscalls it does not accelerate;
     - [poll] over a mixed fd set busy-waits across both providers, the
-      coordination the paper describes for its API submodule. *)
+      coordination the paper describes for its API submodule.
+
+    Breaker failover needs no wiring here: the runtime boots with its
+    own {!Rakis.Slowpath}. *)
 
 val create :
   Hostos.Kernel.t ->

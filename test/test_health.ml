@@ -452,7 +452,7 @@ let test_campaign_failover_repro_roundtrip () =
       | Ok o' -> check_bool "bit-for-bit replay" true (o = o'))
     [ Tm.Campaign.Xsk; Tm.Campaign.Iouring ]
 
-(* {1 Bare-runtime regressions (no slow path attached)} *)
+(* {1 Bare-runtime regressions (Runtime.boot, no LibOS environment)} *)
 
 type fixture = {
   engine : Sim.Engine.t;
@@ -491,11 +491,18 @@ let install_bare_faults fx plan =
   Hostos.Kernel.set_faults fx.kernel (Some f);
   f
 
-(* The ETIMEDOUT accounting regression: with no slow path attached, a
-   synchronous op whose every attempt bounces surfaces ETIMEDOUT — and
-   must settle its in-flight record on the way out.  The leak this
-   pins: [inflight] stuck > 0 after the error, wedging admission
-   control shut for the rest of the thread's life. *)
+let slow_calls fx =
+  Obs.Metrics.get_counter
+    (Obs.metrics (Rakis.Runtime.obs fx.runtime))
+    "health.slow_calls"
+
+(* The ETIMEDOUT accounting regression.  At the FM, a synchronous op
+   whose every attempt bounces surfaces ETIMEDOUT — and must settle its
+   in-flight record on the way out.  The leak this pins: [inflight]
+   stuck > 0 after the error, wedging admission control shut for the
+   rest of the thread's life.  Through the SyncProxy the same op fails
+   over and completes on the exit-based slow path, again leaving
+   nothing in flight. *)
 let test_etimedout_settles_inflight_accounting () =
   let fx = boot ~config:small_config () in
   let _ =
@@ -512,14 +519,24 @@ let test_etimedout_settles_inflight_accounting () =
             Result.get_ok (Hostos.Kernel.openf fx.kernel ~create:true "/et")
           in
           let buf = Bytes.create 512 in
-          (match Rakis.Syncproxy.write proxy ~fd ~off:0 ~buf ~pos:0 ~len:512 with
+          (match Rakis.Iouring_fm.write fm ~fd ~off:0 ~buf ~pos:0 ~len:512 with
           | Error Abi.Errno.ETIMEDOUT -> ()
           | Error e -> Alcotest.failf "expected ETIMEDOUT, got %a" Abi.Errno.pp e
-          | Ok _ -> Alcotest.fail "write succeeded under probability-1 faults");
+          | Ok _ -> Alcotest.fail "FM write succeeded under probability-1 faults");
           check_bool "retries were exhausted" true
             (Rakis.Iouring_fm.retries_exhausted fm >= 1);
           check "no in-flight op leaked" 0 (Rakis.Iouring_fm.inflight fm);
           check_bool "accounting holds" true
+            (Rakis.Iouring_fm.accounting_holds fm);
+          let before = slow_calls fx in
+          (match Rakis.Syncproxy.write proxy ~fd ~off:0 ~buf ~pos:0 ~len:512 with
+          | Ok 512 -> ()
+          | Ok n -> Alcotest.failf "short slow-path write %d" n
+          | Error e -> Alcotest.failf "proxy write: %a" Abi.Errno.pp e);
+          check "completed on the slow path" (before + 1) (slow_calls fx);
+          check "nothing in flight after failover" 0
+            (Rakis.Iouring_fm.inflight fm);
+          check_bool "accounting still holds" true
             (Rakis.Iouring_fm.accounting_holds fm))
 
 (* Admission control: a full pending table refuses new synchronous
@@ -563,6 +580,69 @@ let test_admission_shed_backpressure () =
           check_bool "accounting holds" true
             (Rakis.Iouring_fm.accounting_holds fm))
 
+(* The slow path's cost model (DESIGN.md §9: degraded RAKIS costs what
+   Gramine-SGX costs, by construction).  With the breaker open, one
+   slow [write] and one slow UDP [sendto] of n bytes each pay exactly
+   one enclave exit, n boundary bytes, one slow call and one
+   slow-path cycle sample. *)
+let open_breaker b =
+  let rec go n =
+    if H.state b <> H.Open then
+      if n = 100 then Alcotest.fail "breaker never opened"
+      else begin
+        H.record_failure b;
+        go (n + 1)
+      end
+  in
+  go 0
+
+let test_slow_path_cost_model () =
+  let fx = boot ~config:small_config () in
+  let n = 300 in
+  let m = Sim.Engine.stats fx.engine in
+  let cycles =
+    Obs.Metrics.histogram
+      (Obs.metrics (Rakis.Runtime.obs fx.runtime))
+      "health.slow_path_cycles"
+  in
+  let snapshot () =
+    ( Obs.Metrics.get_counter m "sgx.exits",
+      Obs.Metrics.get_counter m "sgx.boundary_bytes",
+      slow_calls fx,
+      Obs.Metrics.count cycles )
+  in
+  let one_slow_op what op =
+    let e0, b0, c0, h0 = snapshot () in
+    (match op () with
+    | Ok k -> check (what ^ ": length") n k
+    | Error e -> Alcotest.failf "slow %s: %a" what Abi.Errno.pp e);
+    let e1, b1, c1, h1 = snapshot () in
+    check (what ^ ": one exit") 1 (e1 - e0);
+    check (what ^ ": n boundary bytes") n (b1 - b0);
+    check (what ^ ": one slow call") 1 (c1 - c0);
+    check (what ^ ": one cycle sample") 1 (h1 - h0)
+  in
+  run_script fx (fun () ->
+      match Rakis.Runtime.new_thread fx.runtime with
+      | Error e -> Alcotest.fail e
+      | Ok thread ->
+          let proxy = Rakis.Runtime.syncproxy thread in
+          let fd =
+            Result.get_ok (Hostos.Kernel.openf fx.kernel ~create:true "/cost")
+          in
+          let buf = Bytes.make n 'w' in
+          open_breaker (Rakis.Runtime.uring_breaker fx.runtime);
+          one_slow_op "write" (fun () ->
+              Rakis.Syncproxy.write proxy ~fd ~off:0 ~buf ~pos:0 ~len:n);
+          let sock = Rakis.Runtime.udp_socket fx.runtime in
+          (match Rakis.Runtime.udp_bind fx.runtime sock 7001 with
+          | Ok () -> ()
+          | Error e -> Alcotest.failf "bind: %a" Abi.Errno.pp e);
+          open_breaker (Rakis.Runtime.shard_breaker fx.runtime 0);
+          one_slow_op "sendto" (fun () ->
+              Rakis.Runtime.udp_sendto fx.runtime sock buf
+                ~dst:(Hostos.Kernel.client_ip fx.kernel, 9001)))
+
 let suite =
   [
     Alcotest.test_case "breaker: opens on consecutive failures" `Quick
@@ -597,4 +677,6 @@ let suite =
       test_etimedout_settles_inflight_accounting;
     Alcotest.test_case "uring: admission shed backpressure" `Quick
       test_admission_shed_backpressure;
+    Alcotest.test_case "slow path: one exit, n boundary bytes per op" `Quick
+      test_slow_path_cost_model;
   ]

@@ -20,7 +20,6 @@ let () =
       ("faults", Test_faults.suite);
       ("health", Test_health.suite);
       ("monitor", Test_monitor.suite);
-      ("tunnel", Test_tunnel.suite);
       ("stress", Test_stress.suite);
       ("misc", Test_misc.suite);
       ("obs", Test_obs.suite);

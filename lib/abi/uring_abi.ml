@@ -79,47 +79,122 @@ let opcode_of_int = function
   | 8 -> Some Recv_multi
   | _ -> None
 
+(* Field offsets within a 64-byte SQE slot and a 16-byte CQE slot. *)
+let sqe_opcode_off = 0
+
+let sqe_fd_off = 4
+
+let sqe_file_off_off = 8
+
+let sqe_addr_off = 16
+
+let sqe_len_off = 24
+
+let sqe_poll_events_off = 28
+
+let sqe_user_data_off = 32
+
+let sqe_buf_index_off = 40
+
+let sqe_fixed_off = 44
+
+let cqe_user_data_off = 0
+
+let cqe_res_off = 8
+
+let cqe_flags_off = 12
+
+(* A 64-bit field as a native int, without boxing an [int64]: the low
+   63 bits, exactly what [Int64.to_int] keeps. *)
+let get_int r off =
+  Mem.Region.get_u32 r off lor (Mem.Region.get_u32 r (off + 4) lsl 32)
+
+(* A native int into a 64-bit field, sign-extended like [Int64.of_int]. *)
+let set_int r off v =
+  Mem.Region.set_u32 r off v;
+  Mem.Region.set_u32 r (off + 4) (v asr 32)
+
+let set_sqe r off ~opcode ~fd ~file_off ~addr ~len ~poll_events ~user_data
+    ~buf_index ~fixed =
+  Mem.Region.set_u8 r (off + sqe_opcode_off) (opcode_to_int opcode);
+  Mem.Region.set_u32 r (off + sqe_fd_off) fd;
+  set_int r (off + sqe_file_off_off) file_off;
+  set_int r (off + sqe_addr_off) addr;
+  Mem.Region.set_u32 r (off + sqe_len_off) len;
+  Mem.Region.set_u32 r (off + sqe_poll_events_off) poll_events;
+  set_int r (off + sqe_user_data_off) user_data;
+  Mem.Region.set_u32 r (off + sqe_buf_index_off) buf_index;
+  Mem.Region.set_u8 r (off + sqe_fixed_off) (if fixed then 1 else 0)
+
+let sqe_opcode r off = opcode_of_int (Mem.Region.get_u8 r (off + sqe_opcode_off))
+
+let sqe_fd r off = Mem.Region.get_u32 r (off + sqe_fd_off)
+
+let sqe_file_off r off = get_int r (off + sqe_file_off_off)
+
+let sqe_addr r off = get_int r (off + sqe_addr_off)
+
+let sqe_len r off = Mem.Region.get_u32 r (off + sqe_len_off)
+
+let sqe_poll_events r off = Mem.Region.get_u32 r (off + sqe_poll_events_off)
+
+let sqe_user_data r off = get_int r (off + sqe_user_data_off)
+
+let sqe_buf_index r off = Mem.Region.get_u32 r (off + sqe_buf_index_off)
+
+let sqe_fixed r off = Mem.Region.get_u8 r (off + sqe_fixed_off) <> 0
+
+let set_cqe r off ~user_data ~res ~flags =
+  set_int r (off + cqe_user_data_off) user_data;
+  (* Two's-complement encode the signed result in a u32 field. *)
+  Mem.Region.set_u32 r (off + cqe_res_off) (res land 0xFFFFFFFF);
+  Mem.Region.set_u32 r (off + cqe_flags_off) flags
+
+let cqe_user_data r off = get_int r (off + cqe_user_data_off)
+
+let cqe_res r off =
+  let raw = Mem.Region.get_u32 r (off + cqe_res_off) in
+  if raw land 0x80000000 <> 0 then raw - 0x100000000 else raw
+
+let cqe_flags r off = Mem.Region.get_u32 r (off + cqe_flags_off)
+
+(* The record codec keeps all 64 bits of its [int64] fields. *)
 let write_sqe r off sqe =
-  Mem.Region.set_u8 r off (opcode_to_int sqe.opcode);
-  Mem.Region.set_u32 r (off + 4) sqe.fd;
-  Mem.Region.set_u64 r (off + 8) sqe.file_off;
-  Mem.Region.set_u64 r (off + 16) (Int64.of_int sqe.addr);
-  Mem.Region.set_u32 r (off + 24) sqe.len;
-  Mem.Region.set_u32 r (off + 28) sqe.poll_events;
-  Mem.Region.set_u64 r (off + 32) sqe.user_data;
-  Mem.Region.set_u32 r (off + 40) sqe.buf_index;
-  Mem.Region.set_u8 r (off + 44) (if sqe.fixed then 1 else 0)
+  set_sqe r off ~opcode:sqe.opcode ~fd:sqe.fd ~file_off:0 ~addr:sqe.addr
+    ~len:sqe.len ~poll_events:sqe.poll_events ~user_data:0
+    ~buf_index:sqe.buf_index ~fixed:sqe.fixed;
+  Mem.Region.set_u64 r (off + sqe_file_off_off) sqe.file_off;
+  Mem.Region.set_u64 r (off + sqe_user_data_off) sqe.user_data
 
 let read_sqe r off =
-  match opcode_of_int (Mem.Region.get_u8 r off) with
-  | None -> Error (Printf.sprintf "bad opcode %d" (Mem.Region.get_u8 r off))
+  match sqe_opcode r off with
+  | None ->
+      Error
+        (Printf.sprintf "bad opcode %d"
+           (Mem.Region.get_u8 r (off + sqe_opcode_off)))
   | Some opcode ->
       Ok
         {
           opcode;
-          fd = Mem.Region.get_u32 r (off + 4);
-          file_off = Mem.Region.get_u64 r (off + 8);
-          addr = Int64.to_int (Mem.Region.get_u64 r (off + 16));
-          len = Mem.Region.get_u32 r (off + 24);
-          poll_events = Mem.Region.get_u32 r (off + 28);
-          user_data = Mem.Region.get_u64 r (off + 32);
-          buf_index = Mem.Region.get_u32 r (off + 40);
-          fixed = Mem.Region.get_u8 r (off + 44) <> 0;
+          fd = sqe_fd r off;
+          file_off = Mem.Region.get_u64 r (off + sqe_file_off_off);
+          addr = sqe_addr r off;
+          len = sqe_len r off;
+          poll_events = sqe_poll_events r off;
+          user_data = Mem.Region.get_u64 r (off + sqe_user_data_off);
+          buf_index = sqe_buf_index r off;
+          fixed = sqe_fixed r off;
         }
 
 let write_cqe r off cqe =
-  Mem.Region.set_u64 r off cqe.user_data;
-  (* Two's-complement encode the signed result in a u32 field. *)
-  Mem.Region.set_u32 r (off + 8) (cqe.res land 0xFFFFFFFF);
-  Mem.Region.set_u32 r (off + 12) cqe.flags
+  set_cqe r off ~user_data:0 ~res:cqe.res ~flags:cqe.flags;
+  Mem.Region.set_u64 r (off + cqe_user_data_off) cqe.user_data
 
 let read_cqe r off =
-  let raw = Mem.Region.get_u32 r (off + 8) in
-  let res = if raw land 0x80000000 <> 0 then raw - 0x100000000 else raw in
   {
-    user_data = Mem.Region.get_u64 r off;
-    res;
-    flags = Mem.Region.get_u32 r (off + 12);
+    user_data = Mem.Region.get_u64 r (off + cqe_user_data_off);
+    res = cqe_res r off;
+    flags = cqe_flags r off;
   }
 
 let res_of_errno e = -Errno.to_int e

@@ -101,6 +101,60 @@ val write_cqe : Mem.Region.t -> int -> cqe -> unit
 
 val read_cqe : Mem.Region.t -> int -> cqe
 
+(** {2 In place}
+
+    The same encoding read and written straight in a ring slot, with
+    native ints, so that neither side builds a record or boxes an
+    [int64] per entry: [sqe_len r off] is [(read_sqe r off).len] for a
+    valid SQE, and so on.  A 64-bit field ([file_off], [addr],
+    [user_data]) reads as its low 63 bits, as [Int64.to_int] keeps them,
+    and is written sign-extended, as [Int64.of_int] makes it; a
+    [user_data] that does not fit 63 bits is indistinguishable from the
+    one that differs in bit 63 only.  The FM issues identities counting
+    up from 1, and a host that forges one gains nothing by choosing that
+    spelling over the exact one. *)
+
+val set_sqe :
+  Mem.Region.t ->
+  int ->
+  opcode:opcode ->
+  fd:int ->
+  file_off:int ->
+  addr:int ->
+  len:int ->
+  poll_events:int ->
+  user_data:int ->
+  buf_index:int ->
+  fixed:bool ->
+  unit
+
+val sqe_opcode : Mem.Region.t -> int -> opcode option
+(** [None] for a byte that names no opcode. *)
+
+val sqe_fd : Mem.Region.t -> int -> int
+
+val sqe_file_off : Mem.Region.t -> int -> int
+
+val sqe_addr : Mem.Region.t -> int -> int
+
+val sqe_len : Mem.Region.t -> int -> int
+
+val sqe_poll_events : Mem.Region.t -> int -> int
+
+val sqe_user_data : Mem.Region.t -> int -> int
+
+val sqe_buf_index : Mem.Region.t -> int -> int
+
+val sqe_fixed : Mem.Region.t -> int -> bool
+
+val set_cqe : Mem.Region.t -> int -> user_data:int -> res:int -> flags:int -> unit
+
+val cqe_user_data : Mem.Region.t -> int -> int
+
+val cqe_res : Mem.Region.t -> int -> int
+
+val cqe_flags : Mem.Region.t -> int -> int
+
 val res_of_errno : Errno.t -> int
 (** [-errno]. *)
 

@@ -5,12 +5,49 @@ type init_error =
   | Bad_layout of string
 
 (* An operation in flight: CQEs are validated against this record
-   (Table 2: "return code is expected for the requested operation"). *)
+   (Table 2: "return code is expected for the requested operation").
+   [outcome] is meaningful once [settled]. *)
 type pending = {
-  user_data : int64;
+  user_data : int;
   expected_max : int;
-  mutable outcome : (int, Abi.Errno.t) result option;
+  mutable settled : bool;
+  mutable outcome : (int, Abi.Errno.t) result;
 }
+
+(* What {!submit} returns when iSub took nothing. *)
+let not_submitted =
+  { user_data = 0; expected_max = 0; settled = true; outcome = Error EAGAIN }
+
+(* One SQE staged for {!submit_burst}, written into its iSub slot under
+   the identity assigned there.  The FM keeps a growable array of them,
+   restaged per burst, so staging allocates nothing.  [issued] is the
+   in-flight record made for it. *)
+type req = {
+  mutable opcode : Abi.Uring_abi.opcode;
+  mutable fd : int;
+  mutable file_off : int;
+  mutable addr : int;
+  mutable len : int;
+  mutable poll_events : int;
+  mutable buf_index : int;
+  mutable fixed : bool;
+  mutable expected_max : int;
+  mutable issued : pending;
+}
+
+let new_req () =
+  {
+    opcode = Nop;
+    fd = -1;
+    file_off = 0;
+    addr = 0;
+    len = 0;
+    poll_events = 0;
+    buf_index = 0;
+    fixed = false;
+    expected_max = 0;
+    issued = not_submitted;
+  }
 
 (* A zero-copy send awaiting its second CQE.  The frame is Registered in
    the pool and only the notif naming this [user_data] may free it —
@@ -39,9 +76,9 @@ type zc = {
   pool : Umem.t;
   arena : Mem.Ptr.t;
   zframe : int; (* bytes per pool frame *)
-  notif_pending : (int64, notif_rec) Hashtbl.t;
+  notif_pending : (int, notif_rec) Hashtbl.t;
   ms_by_fd : (int, ms) Hashtbl.t;
-  ms_by_ud : (int64, ms) Hashtbl.t;
+  ms_by_ud : (int, ms) Hashtbl.t;
   provide : int -> unit; (* push a buffer id into the shared buf_ring *)
   zc_sends : Obs.Metrics.counter;
   zc_fallbacks : Obs.Metrics.counter;
@@ -52,14 +89,27 @@ type zc = {
 
 type t = {
   enclave : Sgx.Enclave.t;
+  engine : Sim.Engine.t;
   sq : Rings.Certified.t;
   cq : Rings.Certified.t;
   bounce : Mem.Ptr.t;
   bounce_size : int;
   cq_notify : Sim.Condition.t;
+  renudge : unit -> unit; (* the renudge timer's callback, built once *)
   mutable kick : unit -> unit;
-  mutable next_user_data : int64;
-  pending : (int64, pending) Hashtbl.t;
+  (* The ring callbacks, built once so that no burst allocates a
+     closure.  [sqe_write] writes [reqs.(i)]; [cqe_read] settles one CQE
+     and counts it into [reaped] or [strays], which {!reap_burst} resets
+     and reports. *)
+  sqe_write : slot_off:int -> int -> unit;
+  cqe_read : slot_off:int -> int -> unit;
+  mutable reqs : req array;
+  mutable reaped : int;
+  mutable strays : int;
+  mutable next_user_data : int;
+  (* By native [user_data]: [Hashtbl.find] neither boxes nor hashes an
+     [int64], and a miss raises instead of allocating an option. *)
+  pending : (int, pending) Hashtbl.t;
   probes : (int, pending) Hashtbl.t; (* outstanding Poll_add per fd *)
   (* In-flight accounting: [live] is maintained op-by-op (incremented on
      submit, decremented on settle/abandon/forget) as an independent
@@ -109,6 +159,296 @@ let layout_objects name (l : Rings.Layout.t) =
     (Mem.Ptr.v l.region l.desc_off, l.entry_size * l.size);
   ]
   |> List.map (fun (p, len) -> (name, p, len))
+
+let set_kick t f = t.kick <- f
+
+let set_breaker t b = t.breaker <- Some b
+
+let set_probe_mode t on = t.probe_mode <- on
+
+let sq_ring t = t.sq
+
+let cq_ring t = t.cq
+
+let cqe_rejects t = Obs.Metrics.value t.cqe_rejects
+
+let retries t = Obs.Metrics.value t.retries
+
+let retry_successes t = Obs.Metrics.value t.retry_success
+
+let retries_exhausted t = Obs.Metrics.value t.retry_exhausted
+
+let burst_counters t =
+  List.map
+    (fun (name, ring) ->
+      (name, (Rings.Certified.bursts ring, Rings.Certified.burst_slots ring)))
+    [ ("iSub", t.sq); ("iCompl", t.cq) ]
+
+let invariant_holds t =
+  Rings.Certified.invariant_holds t.sq && Rings.Certified.invariant_holds t.cq
+
+let inflight t = Hashtbl.length t.pending
+
+let sheds t = Obs.Metrics.value t.sheds
+
+let zc_pool t = Option.map (fun z -> z.pool) t.zc
+
+(* Completed-but-unnotified sends: at quiescence each is a frame the
+   host is sitting on by withholding its notif — the dropped-notif
+   availability leak the TM campaign fails on. *)
+let zc_leaks t =
+  match t.zc with
+  | None -> 0
+  | Some z ->
+      Hashtbl.fold
+        (fun _ (nr : notif_rec) n -> if nr.completed then n + 1 else n)
+        z.notif_pending 0
+
+let accounting_holds t =
+  t.live >= 0
+  && t.live = Hashtbl.length t.pending
+  && Hashtbl.fold
+       (fun _ (p : pending) ok ->
+         ok && (p.settled || Hashtbl.mem t.pending p.user_data))
+       t.probes true
+  && (match t.zc with
+     | None -> true
+     | Some z ->
+         (* Every Registered frame has exactly one notif-pending entry
+            and vice versa — the notif-anchored ownership contract of
+            docs/zerocopy.md, checked as a runtime invariant. *)
+         Umem.registered z.pool = Hashtbl.length z.notif_pending
+         && Umem.conservation_holds z.pool)
+
+(* The single point where an in-flight record is reclaimed; membership
+   guard keeps settle-then-abandon races idempotent. *)
+let retire t user_data =
+  if Hashtbl.mem t.pending user_data then begin
+    Hashtbl.remove t.pending user_data;
+    t.live <- t.live - 1
+  end
+
+(* Validate one CQE's result against its pending record. *)
+let settle t (p : pending) res =
+  p.outcome <-
+    (if res > p.expected_max then begin
+       Obs.Metrics.incr t.cqe_rejects;
+       Error Abi.Errno.EPERM
+     end
+     else if res < 0 then
+       match Abi.Errno.of_int (-res) with
+       | Some e -> Error e
+       | None ->
+           Obs.Metrics.incr t.cqe_rejects;
+           Error Abi.Errno.EPERM
+     else Ok res);
+  p.settled <- true
+
+(* A SEND_ZC completion CQE ([F_MORE]) flips its notif-pending entry to
+   completed: from here on the frame's release is the notif's job and
+   only the notif's (SNIPPETS Snippet 1's "buffer node hangs off the
+   notif" rule).  Runs even when the in-flight record is already gone —
+   a zc op we abandoned on timeout still executed in the kernel, and its
+   frame must stay recoverable through the late notif.  Returns true
+   when the CQE was such a late completion (host honest, not a stray). *)
+let zc_mark_completed t ~user_data ~flags =
+  match t.zc with
+  | Some z when flags land Abi.Uring_abi.cqe_f_more <> 0 -> (
+      match Hashtbl.find_opt z.notif_pending user_data with
+      | Some nr when not nr.completed ->
+          nr.completed <- true;
+          true
+      | Some _ | None -> false)
+  | _ -> false
+
+(* Zero-copy CQE triage, ahead of the pending-table lookup.  Notif CQEs
+   drive the only legal exit from [Umem.Registered]; multishot CQEs
+   stream data into their per-fd queue.  Returns true when the CQE was
+   consumed here.  Rejected notifs bump [cqe_rejects] plus a dedicated
+   counter but never [cqe_strays]: a forged notif must not abort an
+   unrelated synchronous waiter (that escalation is reserved for forged
+   completion identities). *)
+let zc_cqe t ~user_data ~res ~flags =
+  match t.zc with
+  | None -> false
+  | Some z ->
+      if flags land Abi.Uring_abi.cqe_f_notif <> 0 then begin
+        (match Hashtbl.find_opt z.notif_pending user_data with
+        | Some nr when nr.completed -> (
+            Hashtbl.remove z.notif_pending user_data;
+            Obs.Metrics.incr z.zc_notifs;
+            match Umem.release z.pool ~offset:nr.zoff with
+            | Ok () -> ()
+            | Error _ -> Obs.Metrics.incr t.cqe_rejects)
+        | Some _ ->
+            (* Forged-early notif: the host claims the NIC drained a
+               frag whose send the kernel has not even finished
+               accepting.  Refuse; the frame stays Registered and the
+               honest notif (if any) still frees it.  Honouring this
+               CQE is precisely the use-after-reuse-before-notif
+               violation of docs/zerocopy.md. *)
+            Obs.Metrics.incr z.zc_notif_early;
+            Obs.Metrics.incr t.cqe_rejects
+        | None ->
+            (* Duplicated or fabricated notif: no frame is lent out
+               under this identity.  Refusing it is what turns the
+               host's double-free attempt into a no-op. *)
+            Obs.Metrics.incr z.zc_notif_stray;
+            Obs.Metrics.incr t.cqe_rejects);
+        true
+      end
+      else
+        match Hashtbl.find_opt z.ms_by_ud user_data with
+        | None -> false
+        | Some ms ->
+            (if flags land Abi.Uring_abi.cqe_f_more <> 0 then begin
+               if res <= 0 then
+                 (* A data CQE must carry bytes; [F_MORE] with res <= 0
+                    is malformed. *)
+                 Obs.Metrics.incr t.cqe_rejects
+               else begin
+                 let bid = Abi.Uring_abi.cqe_buffer_id flags in
+                 let off = bid * z.zframe in
+                 match Umem.reclaim z.pool Rx ~offset:off ~len:res () with
+                 | Error _ ->
+                     (* Bogus buffer id / oversize count: the pool's
+                        ownership map refused it (Table 2 fail action:
+                        drop the CQE, keep the stream). *)
+                     Obs.Metrics.incr t.cqe_rejects
+                 | Ok () ->
+                     (* Stage the bytes inside now — the frame goes
+                        straight back into the provided-buffer ring, so
+                        the arena slot may be overwritten at any later
+                        point. *)
+                     Sgx.Enclave.charge_copy t.enclave ~crossing:true res;
+                     let data = Bytes.create res in
+                     Mem.Region.blit_to_bytes z.arena.Mem.Ptr.region
+                       (z.arena.Mem.Ptr.off + off)
+                       data 0 res;
+                     Queue.push data ms.outcomes;
+                     (* Re-provision so the stream keeps flowing. *)
+                     (match Umem.alloc z.pool with
+                     | Some noff ->
+                         Umem.commit z.pool noff Rx;
+                         z.provide (noff / z.zframe)
+                     | None -> ())
+               end
+             end
+             else begin
+               (* Terminating CQE (no F_MORE): the multishot is over —
+                  EOF, error, or ENOBUFS when the ring ran dry. *)
+               ms.terminal <- Some res;
+               Hashtbl.remove z.ms_by_ud user_data;
+               retire t user_data
+             end);
+            true
+
+(* Settle one CQE of a {!reap_burst}. *)
+let cqe_read t ~slot_off _ =
+  let r = Rings.Certified.region t.cq in
+  let user_data = Abi.Uring_abi.cqe_user_data r slot_off
+  and res = Abi.Uring_abi.cqe_res r slot_off
+  and flags = Abi.Uring_abi.cqe_flags r slot_off in
+  if zc_cqe t ~user_data ~res ~flags then t.reaped <- t.reaped + 1
+  else
+    match Hashtbl.find t.pending user_data with
+    | p ->
+        retire t user_data;
+        settle t p res;
+        ignore (zc_mark_completed t ~user_data ~flags);
+        t.reaped <- t.reaped + 1
+    | exception Not_found ->
+        if zc_mark_completed t ~user_data ~flags then t.reaped <- t.reaped + 1
+        else begin
+          (* No such request: a forged or replayed completion. *)
+          Obs.Metrics.incr t.cqe_rejects;
+          Obs.Metrics.incr t.cqe_strays;
+          t.strays <- t.strays + 1
+        end
+
+(* Drain everything iCompl holds in one certified burst: a single
+   producer-index validation covers all CQEs, and the consumer index is
+   released once.  Leaves the burst's counts in [t.reaped] and
+   [t.strays]; read them before the next suspension. *)
+let reap_burst t =
+  t.reaped <- 0;
+  t.strays <- 0;
+  ignore
+    (Rings.Certified.consume_batch t.cq ~max:(Rings.Certified.size t.cq)
+       ~read:t.cqe_read);
+  Obs.Metrics.add t.cqes_reaped t.reaped
+
+(* Write [reqs.(i)] into its iSub slot under the next identity and
+   record it in flight. *)
+let sqe_write t ~slot_off i =
+  let q = t.reqs.(i) in
+  let user_data = t.next_user_data in
+  t.next_user_data <- user_data + 1;
+  Abi.Uring_abi.set_sqe (Rings.Certified.region t.sq) slot_off ~opcode:q.opcode
+    ~fd:q.fd ~file_off:q.file_off ~addr:q.addr ~len:q.len
+    ~poll_events:q.poll_events ~user_data ~buf_index:q.buf_index ~fixed:q.fixed;
+  let p =
+    { user_data; expected_max = q.expected_max; settled = false;
+      outcome = Error EAGAIN }
+  in
+  Hashtbl.add t.pending user_data p;
+  t.live <- t.live + 1;
+  q.issued <- p
+
+(* Stage the [i]-th SQE of the next {!submit_burst}. *)
+let stage t i ~opcode ~fd ~file_off ~addr ~len ~poll_events ~buf_index ~fixed
+    ~expected_max =
+  if i >= Array.length t.reqs then
+    t.reqs <-
+      Array.init (2 * i + 1) (fun j ->
+          if j < Array.length t.reqs then t.reqs.(j) else new_req ());
+  let q = t.reqs.(i) in
+  q.opcode <- opcode;
+  q.fd <- fd;
+  q.file_off <- file_off;
+  q.addr <- addr;
+  q.len <- len;
+  q.poll_events <- poll_events;
+  q.buf_index <- buf_index;
+  q.fixed <- fixed;
+  q.expected_max <- expected_max;
+  q.issued <- not_submitted
+
+(* Produce the [count] staged SQEs as one burst, with one consumer-index
+   validation, one producer-index publish and one kick.  Returns how
+   many were produced: a prefix when the host freezes/corrupts the
+   consumer index and the ring looks full; [reqs.(i).issued] is the
+   in-flight record of each. *)
+let submit_burst t count =
+  let produced =
+    Rings.Certified.produce_batch t.sq ~count ~write:t.sqe_write
+  in
+  if produced > 0 then begin
+    Obs.Metrics.add t.sqes_submitted produced;
+    t.kick ()
+  end;
+  (* Overload feed: iSub looking full across consecutive bursts (even
+     after certification) is an SQ-full streak — a breaker-worthy
+     overload signal, unlike one-off Malice index noise. *)
+  if count > 0 then
+    if produced < count then begin
+      t.sq_full_streak <- t.sq_full_streak + 1;
+      if t.sq_full_streak >= 3 then begin
+        t.sq_full_streak <- 0;
+        match t.breaker with None -> () | Some b -> Health.record_failure b
+      end
+    end
+    else t.sq_full_streak <- 0;
+  produced
+
+(* One SQE; {!not_submitted} when iSub took nothing — plausible only
+   when the host freezes/corrupts the consumer index: the per-thread FM
+   never has this many ops in flight. *)
+let submit t ~opcode ~fd ~file_off ~addr ~len ~poll_events ~buf_index ~fixed
+    ~expected_max =
+  stage t 0 ~opcode ~fd ~file_off ~addr ~len ~poll_events ~buf_index ~fixed
+    ~expected_max;
+  if submit_burst t 1 = 1 then t.reqs.(0).issued else not_submitted
 
 let ( let* ) = Result.bind
 
@@ -160,9 +500,11 @@ let create ?obs ?(name = "uring") ~enclave ~config ~fd ~uring ~bounce
     let m =
       match obs with Some o -> Obs.metrics o | None -> Obs.Metrics.create ()
     in
-    Ok
+    let cq_notify = Hostos.Io_uring.cq_notify uring in
+    let rec t =
       {
         enclave;
+        engine = Sgx.Enclave.engine enclave;
         sq =
           Rings.Certified.create sq ~role:Rings.Certified.Producer ?obs
             ~name:(name ^ ".iSub") ();
@@ -171,9 +513,15 @@ let create ?obs ?(name = "uring") ~enclave ~config ~fd ~uring ~bounce
             ~name:(name ^ ".iCompl") ();
         bounce;
         bounce_size = config.Config.max_io_size;
-        cq_notify = Hostos.Io_uring.cq_notify uring;
+        cq_notify;
+        renudge = (fun () -> Sim.Condition.broadcast cq_notify);
         kick = (fun () -> ());
-        next_user_data = 1L;
+        sqe_write = (fun ~slot_off i -> sqe_write t ~slot_off i);
+        cqe_read = (fun ~slot_off i -> cqe_read t ~slot_off i);
+        reqs = [| new_req () |];
+        reaped = 0;
+        strays = 0;
+        next_user_data = 1;
         pending = Hashtbl.create 8;
         probes = Hashtbl.create 8;
         live = 0;
@@ -221,266 +569,10 @@ let create ?obs ?(name = "uring") ~enclave ~config ~fd ~uring ~bounce
               })
             zc_arena;
       }
+    in
+    Ok t
 
-let set_kick t f = t.kick <- f
-
-let set_breaker t b = t.breaker <- Some b
-
-let set_probe_mode t on = t.probe_mode <- on
-
-let sq_ring t = t.sq
-
-let cq_ring t = t.cq
-
-let cqe_rejects t = Obs.Metrics.value t.cqe_rejects
-
-let retries t = Obs.Metrics.value t.retries
-
-let retry_successes t = Obs.Metrics.value t.retry_success
-
-let retries_exhausted t = Obs.Metrics.value t.retry_exhausted
-
-let burst_counters t =
-  List.map
-    (fun (name, ring) ->
-      (name, (Rings.Certified.bursts ring, Rings.Certified.burst_slots ring)))
-    [ ("iSub", t.sq); ("iCompl", t.cq) ]
-
-let invariant_holds t =
-  Rings.Certified.invariant_holds t.sq && Rings.Certified.invariant_holds t.cq
-
-let inflight t = Hashtbl.length t.pending
-
-let sheds t = Obs.Metrics.value t.sheds
-
-let zc_pool t = Option.map (fun z -> z.pool) t.zc
-
-(* Completed-but-unnotified sends: at quiescence each is a frame the
-   host is sitting on by withholding its notif — the dropped-notif
-   availability leak the TM campaign fails on. *)
-let zc_leaks t =
-  match t.zc with
-  | None -> 0
-  | Some z ->
-      Hashtbl.fold
-        (fun _ (nr : notif_rec) n -> if nr.completed then n + 1 else n)
-        z.notif_pending 0
-
-let accounting_holds t =
-  t.live >= 0
-  && t.live = Hashtbl.length t.pending
-  && Hashtbl.fold
-       (fun _ (p : pending) ok ->
-         ok && (p.outcome <> None || Hashtbl.mem t.pending p.user_data))
-       t.probes true
-  && (match t.zc with
-     | None -> true
-     | Some z ->
-         (* Every Registered frame has exactly one notif-pending entry
-            and vice versa — the notif-anchored ownership contract of
-            docs/zerocopy.md, checked as a runtime invariant. *)
-         Umem.registered z.pool = Hashtbl.length z.notif_pending
-         && Umem.conservation_holds z.pool)
-
-(* The single point where an in-flight record is reclaimed; membership
-   guard keeps settle-then-abandon races idempotent. *)
-let retire t user_data =
-  if Hashtbl.mem t.pending user_data then begin
-    Hashtbl.remove t.pending user_data;
-    t.live <- t.live - 1
-  end
-
-(* Validate one CQE against its pending record. *)
-let settle t (p : pending) (cqe : Abi.Uring_abi.cqe) =
-  let outcome =
-    if cqe.res > p.expected_max then begin
-      Obs.Metrics.incr t.cqe_rejects;
-      Error Abi.Errno.EPERM
-    end
-    else if cqe.res < 0 then
-      match Abi.Errno.of_int (-cqe.res) with
-      | Some e -> Error e
-      | None ->
-          Obs.Metrics.incr t.cqe_rejects;
-          Error Abi.Errno.EPERM
-    else Ok cqe.res
-  in
-  p.outcome <- Some outcome
-
-(* A SEND_ZC completion CQE ([F_MORE]) flips its notif-pending entry to
-   completed: from here on the frame's release is the notif's job and
-   only the notif's (SNIPPETS Snippet 1's "buffer node hangs off the
-   notif" rule).  Runs even when the in-flight record is already gone —
-   a zc op we abandoned on timeout still executed in the kernel, and its
-   frame must stay recoverable through the late notif.  Returns true
-   when the CQE was such a late completion (host honest, not a stray). *)
-let zc_mark_completed t (cqe : Abi.Uring_abi.cqe) =
-  match t.zc with
-  | Some z when cqe.flags land Abi.Uring_abi.cqe_f_more <> 0 -> (
-      match Hashtbl.find_opt z.notif_pending cqe.user_data with
-      | Some nr when not nr.completed ->
-          nr.completed <- true;
-          true
-      | Some _ | None -> false)
-  | _ -> false
-
-(* Zero-copy CQE triage, ahead of the pending-table lookup.  Notif CQEs
-   drive the only legal exit from [Umem.Registered]; multishot CQEs
-   stream data into their per-fd queue.  Returns true when the CQE was
-   consumed here.  Rejected notifs bump [cqe_rejects] plus a dedicated
-   counter but never [cqe_strays]: a forged notif must not abort an
-   unrelated synchronous waiter (that escalation is reserved for forged
-   completion identities). *)
-let zc_cqe t (cqe : Abi.Uring_abi.cqe) =
-  match t.zc with
-  | None -> false
-  | Some z ->
-      if cqe.flags land Abi.Uring_abi.cqe_f_notif <> 0 then begin
-        (match Hashtbl.find_opt z.notif_pending cqe.user_data with
-        | Some nr when nr.completed -> (
-            Hashtbl.remove z.notif_pending cqe.user_data;
-            Obs.Metrics.incr z.zc_notifs;
-            match Umem.release z.pool ~offset:nr.zoff with
-            | Ok () -> ()
-            | Error _ -> Obs.Metrics.incr t.cqe_rejects)
-        | Some _ ->
-            (* Forged-early notif: the host claims the NIC drained a
-               frag whose send the kernel has not even finished
-               accepting.  Refuse; the frame stays Registered and the
-               honest notif (if any) still frees it.  Honouring this
-               CQE is precisely the use-after-reuse-before-notif
-               violation of docs/zerocopy.md. *)
-            Obs.Metrics.incr z.zc_notif_early;
-            Obs.Metrics.incr t.cqe_rejects
-        | None ->
-            (* Duplicated or fabricated notif: no frame is lent out
-               under this identity.  Refusing it is what turns the
-               host's double-free attempt into a no-op. *)
-            Obs.Metrics.incr z.zc_notif_stray;
-            Obs.Metrics.incr t.cqe_rejects);
-        true
-      end
-      else
-        match Hashtbl.find_opt z.ms_by_ud cqe.user_data with
-        | None -> false
-        | Some ms ->
-            (if cqe.flags land Abi.Uring_abi.cqe_f_more <> 0 then begin
-               if cqe.res <= 0 then
-                 (* A data CQE must carry bytes; [F_MORE] with res <= 0
-                    is malformed. *)
-                 Obs.Metrics.incr t.cqe_rejects
-               else begin
-                 let bid = Abi.Uring_abi.cqe_buffer_id cqe.flags in
-                 let off = bid * z.zframe in
-                 match Umem.reclaim z.pool Rx ~offset:off ~len:cqe.res () with
-                 | Error _ ->
-                     (* Bogus buffer id / oversize count: the pool's
-                        ownership map refused it (Table 2 fail action:
-                        drop the CQE, keep the stream). *)
-                     Obs.Metrics.incr t.cqe_rejects
-                 | Ok () ->
-                     (* Stage the bytes inside now — the frame goes
-                        straight back into the provided-buffer ring, so
-                        the arena slot may be overwritten at any later
-                        point. *)
-                     Sgx.Enclave.charge_copy t.enclave ~crossing:true
-                       cqe.res;
-                     let data = Bytes.create cqe.res in
-                     Mem.Region.blit_to_bytes z.arena.Mem.Ptr.region
-                       (z.arena.Mem.Ptr.off + off)
-                       data 0 cqe.res;
-                     Queue.push data ms.outcomes;
-                     (* Re-provision so the stream keeps flowing. *)
-                     (match Umem.alloc z.pool with
-                     | Some noff ->
-                         Umem.commit z.pool noff Rx;
-                         z.provide (noff / z.zframe)
-                     | None -> ())
-               end
-             end
-             else begin
-               (* Terminating CQE (no F_MORE): the multishot is over —
-                  EOF, error, or ENOBUFS when the ring ran dry. *)
-               ms.terminal <- Some cqe.res;
-               Hashtbl.remove z.ms_by_ud cqe.user_data;
-               retire t cqe.user_data
-             end);
-            true
-
-(* Drain everything iCompl holds in one certified burst: a single
-   producer-index validation covers all CQEs, and the consumer index is
-   released once.  Returns [(reaped, strays)]. *)
-let reap_burst t =
-  let reaped = ref 0 and strays = ref 0 in
-  ignore
-    (Rings.Certified.consume_batch t.cq ~max:(Rings.Certified.size t.cq)
-       ~read:(fun ~slot_off _ ->
-         let cqe =
-           Abi.Uring_abi.read_cqe (Rings.Certified.region t.cq) slot_off
-         in
-         if zc_cqe t cqe then incr reaped
-         else
-           match Hashtbl.find_opt t.pending cqe.user_data with
-           | Some p ->
-               retire t cqe.user_data;
-               settle t p cqe;
-               ignore (zc_mark_completed t cqe);
-               incr reaped
-           | None ->
-               if zc_mark_completed t cqe then incr reaped
-               else begin
-                 (* No such request: a forged or replayed completion. *)
-                 Obs.Metrics.incr t.cqe_rejects;
-                 Obs.Metrics.incr t.cqe_strays;
-                 incr strays
-               end));
-  Obs.Metrics.add t.cqes_reaped !reaped;
-  (!reaped, !strays)
-
-(* Produce a burst of SQEs with one consumer-index validation, one
-   producer-index publish and one kick.  Fills [pendings] with the
-   in-flight records of the SQEs actually produced (a prefix when the
-   host freezes/corrupts the consumer index and the ring looks full). *)
-let submit_burst t (sqes : (Abi.Uring_abi.sqe * int) array) =
-  let pendings = Array.make (Array.length sqes) None in
-  let produced =
-    Rings.Certified.produce_batch t.sq ~count:(Array.length sqes)
-      ~write:(fun ~slot_off i ->
-        let sqe, expected_max = sqes.(i) in
-        let user_data = t.next_user_data in
-        t.next_user_data <- Int64.add t.next_user_data 1L;
-        Abi.Uring_abi.write_sqe (Rings.Certified.region t.sq) slot_off
-          { sqe with user_data };
-        let p = { user_data; expected_max; outcome = None } in
-        Hashtbl.add t.pending user_data p;
-        t.live <- t.live + 1;
-        pendings.(i) <- Some p)
-  in
-  if produced > 0 then begin
-    Obs.Metrics.add t.sqes_submitted produced;
-    t.kick ()
-  end;
-  (* Overload feed: iSub looking full across consecutive bursts (even
-     after certification) is an SQ-full streak — a breaker-worthy
-     overload signal, unlike one-off Malice index noise. *)
-  if Array.length sqes > 0 then
-    if produced < Array.length sqes then begin
-      t.sq_full_streak <- t.sq_full_streak + 1;
-      if t.sq_full_streak >= 3 then begin
-        t.sq_full_streak <- 0;
-        match t.breaker with None -> () | Some b -> Health.record_failure b
-      end
-    end
-    else t.sq_full_streak <- 0;
-  pendings
-
-let submit t (sqe : Abi.Uring_abi.sqe) ~expected_max =
-  match (submit_burst t [| (sqe, expected_max) |]).(0) with
-  | Some p -> Ok p
-  | None ->
-      (* Plausible only when the host freezes/corrupts the consumer
-         index: the per-thread FM never has this many ops in flight. *)
-      Error Abi.Errno.EAGAIN
+let renudge_period = Int64.to_int Sgx.Params.mm_poll_period
 
 (* Sleep until a completion is signalled — or a poll period elapses, in
    which case nudge the kernel again ([io_uring_enter] is cheap and
@@ -489,47 +581,48 @@ let submit t (sqe : Abi.Uring_abi.sqe) ~expected_max =
    being rejected) until the kernel next touches the ring and rewrites
    the shared word from its private cursor; without the retry a
    synchronous waiter would hang forever on a completion that is
-   already sitting in the ring. *)
+   already sitting in the ring.  Each wait queues one timer event with
+   the prebuilt callback; one that fires after its wait has ended wakes
+   whichever wait is parked on the completion condition then. *)
 let wait_or_renudge t =
-  let engine = Sgx.Enclave.engine t.enclave in
-  Sim.Engine.at engine
-    (Int64.add (Sim.Engine.now engine) Sgx.Params.mm_poll_period)
-    (fun () -> Sim.Condition.broadcast t.cq_notify);
+  Sim.Engine.at_clock t.engine
+    (Sim.Engine.clock t.engine + renudge_period)
+    t.renudge;
   Sim.Condition.wait t.cq_notify;
   (* Whatever woke us — completion broadcast or poll-period timer — the
      view may still be frozen by a smashed index, so always re-enter. *)
   t.kick ()
 
-let rec await ?deadline t (p : pending) =
-  match p.outcome with
-  | Some r -> r
-  | None -> (
-      let reaped, strays = reap_burst t in
-      match p.outcome with
-      | Some r -> r
-      | None when strays > 0 ->
-          (* The completion slot for this synchronous request carried a
-             forged identity: fail the request with EPERM (Table 2) and
-             forget it — a late genuine CQE will be counted as stray. *)
-          retire t p.user_data;
-          Error Abi.Errno.EPERM
-      | None when reaped > 0 -> await ?deadline t p
-      | None -> (
-          match deadline with
-          | Some d when Sim.Engine.now (Sgx.Enclave.engine t.enclave) >= d ->
-              (* Abandon a completion that never came (e.g. every wakeup
-                 swallowed, so the SQE never entered the kernel).
-                 Without this deadline a synchronous op under a
-                 persistent wakeup drop livelocks forever and the
-                 retry/ETIMEDOUT machinery never engages.  Retiring the
-                 record here is what keeps [accounting_holds] balanced
-                 across retry exhaustion; EAGAIN is transient, so the
-                 caller's retry loop takes over. *)
-              retire t p.user_data;
-              Error Abi.Errno.EAGAIN
-          | _ ->
-              wait_or_renudge t;
-              await ?deadline t p))
+(* [deadline] is a native clock value; [max_int] waits for ever. *)
+let rec await t (p : pending) ~deadline =
+  if p.settled then p.outcome
+  else begin
+    reap_burst t;
+    if p.settled then p.outcome
+    else if t.strays > 0 then begin
+      (* The completion slot for this synchronous request carried a
+         forged identity: fail the request with EPERM (Table 2) and
+         forget it — a late genuine CQE will be counted as stray. *)
+      retire t p.user_data;
+      Error Abi.Errno.EPERM
+    end
+    else if t.reaped > 0 then await t p ~deadline
+    else if Sim.Engine.clock t.engine >= deadline then begin
+      (* Abandon a completion that never came (e.g. every wakeup
+         swallowed, so the SQE never entered the kernel).  Without this
+         deadline a synchronous op under a persistent wakeup drop
+         livelocks forever and the retry/ETIMEDOUT machinery never
+         engages.  Retiring the record here is what keeps
+         [accounting_holds] balanced across retry exhaustion; EAGAIN is
+         transient, so the caller's retry loop takes over. *)
+      retire t p.user_data;
+      Error Abi.Errno.EAGAIN
+    end
+    else begin
+      wait_or_renudge t;
+      await t p ~deadline
+    end
+  end
 
 (* Static operation names for SyncProxy span events: literals only, so
    recording never allocates on the syscall path. *)
@@ -547,7 +640,7 @@ let op_name : Abi.Uring_abi.opcode -> string = function
 (* Cycles a synchronous prompt-class op waits for its CQE before the
    attempt is abandoned — the anti-livelock deadline under persistent
    wakeup loss, well above the worst legitimate sync op. *)
-let sync_op_timeout = 1_000_000L
+let sync_op_timeout = 1_000_000
 
 (* Prompt-class opcodes complete as soon as the kernel runs them, so a
    missing CQE after [sync_op_timeout] means the datapath is stuck and
@@ -564,29 +657,33 @@ let prompt_class : Abi.Uring_abi.opcode -> bool = function
   | Send_zc | Sendmsg_zc -> true
   | Recv | Poll_add | Recv_multi -> false
 
-let submit_wait_once t sqe ~expected_max =
-  match submit t sqe ~expected_max with
-  | Error e -> Error e
-  | Ok p ->
-      let engine = Sgx.Enclave.engine t.enclave in
-      let start = Sim.Engine.now engine in
-      let deadline =
-        if prompt_class sqe.Abi.Uring_abi.opcode then
-          Some (Int64.add start sync_op_timeout)
-        else None
-      in
-      (* The synchronous caller hands off to the kernel worker and pays
-         the handoff latency (paper §6.2). *)
-      Sgx.Enclave.charge t.enclave Sgx.Params.iouring_sync_wait_cycles;
-      let r = await ?deadline t p in
-      Obs.Metrics.observe t.sync_wait_cycles
-        (Int64.to_int (Int64.sub (Sim.Engine.now engine) start));
-      (match t.trace with
-      | None -> ()
-      | Some tr ->
-          Obs.Trace.span tr ~cat:"syncproxy" ~arg:sqe.Abi.Uring_abi.fd
-            (op_name sqe.Abi.Uring_abi.opcode) ~start);
-      r
+let submit_wait_once t ~opcode ~fd ~file_off ~addr ~len ~poll_events
+    ~buf_index ~fixed ~expected_max =
+  let p =
+    submit t ~opcode ~fd ~file_off ~addr ~len ~poll_events ~buf_index ~fixed
+      ~expected_max
+  in
+  if p == not_submitted then Error Abi.Errno.EAGAIN
+  else begin
+    (* The span's start is the engine's boxed [now], which other events
+       at this instant share, so the trace ring retains no extra box. *)
+    let start = Sim.Engine.clock t.engine
+    and started = Sim.Engine.now t.engine in
+    let deadline =
+      if prompt_class opcode then start + sync_op_timeout else max_int
+    in
+    (* The synchronous caller hands off to the kernel worker and pays
+       the handoff latency (paper §6.2). *)
+    Sgx.Enclave.charge t.enclave Sgx.Params.iouring_sync_wait_cycles;
+    let r = await t p ~deadline in
+    Obs.Metrics.observe t.sync_wait_cycles (Sim.Engine.clock t.engine - start);
+    (match t.trace with
+    | None -> ()
+    | Some tr ->
+        Obs.Trace.span tr ~cat:"syncproxy" ~arg:fd (op_name opcode)
+          ~start:started);
+    r
+  end
 
 (* Transient host failures (bounced submissions, EAGAIN/EINTR-class
    CQEs) are retried with bounded exponential backoff; the kick before
@@ -595,83 +692,43 @@ let submit_wait_once t sqe ~expected_max =
    surfaces as ETIMEDOUT, the terminal recovery verdict.  It does not
    prove the op never ran: an attempt abandoned on [sync_op_timeout]
    may still execute later, so a caller that completes the op another
-   way (the SyncProxy's slow path) makes it at-least-once. *)
-let submit_wait t sqe ~expected_max =
+   way (the SyncProxy's slow path) makes it at-least-once.  Attempt [n]
+   of at most [limit + 1]. *)
+let rec submit_wait_from t n ~limit ~opcode ~fd ~file_off ~addr ~len
+    ~poll_events ~buf_index ~fixed ~expected_max =
+  match
+    submit_wait_once t ~opcode ~fd ~file_off ~addr ~len ~poll_events
+      ~buf_index ~fixed ~expected_max
+  with
+  | Error e when Abi.Errno.is_transient e ->
+      if n >= limit then begin
+        Obs.Metrics.incr t.retry_exhausted;
+        Sim.Backoff.reset t.backoff;
+        Error Abi.Errno.ETIMEDOUT
+      end
+      else begin
+        Obs.Metrics.incr t.retries;
+        t.kick ();
+        Sim.Engine.delay (Sim.Backoff.next t.backoff);
+        submit_wait_from t (n + 1) ~limit ~opcode ~fd ~file_off ~addr ~len
+          ~poll_events ~buf_index ~fixed ~expected_max
+      end
+  | r ->
+      if n > 0 then begin
+        (match r with
+        | Ok _ -> Obs.Metrics.incr t.retry_success
+        | Error _ -> ());
+        Sim.Backoff.reset t.backoff
+      end;
+      r
+
+let submit_wait t ~opcode ~fd ~file_off ~addr ~len ~poll_events ~buf_index
+    ~fixed ~expected_max =
   (* Probe mode (Health half-open): one attempt, no retry budget — a
      probe exists to answer "did the FIOKP heal?" cheaply, not to win. *)
   let limit = if t.probe_mode then 0 else Sgx.Params.retry_limit in
-  let rec attempt n =
-    match submit_wait_once t sqe ~expected_max with
-    | Error e when Abi.Errno.is_transient e ->
-        if n >= limit then begin
-          Obs.Metrics.incr t.retry_exhausted;
-          Sim.Backoff.reset t.backoff;
-          Error Abi.Errno.ETIMEDOUT
-        end
-        else begin
-          Obs.Metrics.incr t.retries;
-          t.kick ();
-          Sim.Engine.delay (Sim.Backoff.next t.backoff);
-          attempt (n + 1)
-        end
-    | r ->
-        if n > 0 then begin
-          (match r with
-          | Ok _ -> Obs.Metrics.incr t.retry_success
-          | Error _ -> ());
-          Sim.Backoff.reset t.backoff
-        end;
-        r
-  in
-  attempt 0
-
-let base_sqe opcode ~fd =
-  {
-    Abi.Uring_abi.opcode;
-    fd;
-    file_off = 0L;
-    addr = 0;
-    len = 0;
-    poll_events = 0;
-    user_data = 0L;
-    buf_index = 0;
-    fixed = false;
-  }
-
-(* Chunked data transfer through the bounce buffer. *)
-let chunked t ~make_sqe ~stage ~unstage ~pos ~len =
-  let rec go done_ =
-    if done_ >= len then Ok done_
-    else begin
-      let chunk = min t.bounce_size (len - done_) in
-      stage ~pos:(pos + done_) ~chunk;
-      match submit_wait t (make_sqe ~done_ ~chunk) ~expected_max:chunk with
-      | Error e -> if done_ > 0 then Ok done_ else Error e
-      | Ok n ->
-          unstage ~pos:(pos + done_) ~n;
-          (* A short completion (the kernel honoured a prefix — e.g. an
-             injected Short_io) is resubmitted for the remainder; only
-             a zero count (EOF / peer gone) ends the transfer early. *)
-          if n = 0 then Ok done_ else go (done_ + n)
-    end
-  in
-  go 0
-
-let stage_out t buf ~pos ~chunk =
-  Sgx.Enclave.charge_copy t.enclave ~crossing:true chunk;
-  Mem.Region.blit_from_bytes buf pos t.bounce.Mem.Ptr.region
-    t.bounce.Mem.Ptr.off chunk
-
-let unstage_in t buf ~pos ~n =
-  if n > 0 then begin
-    Sgx.Enclave.charge_copy t.enclave ~crossing:true n;
-    Mem.Region.blit_to_bytes t.bounce.Mem.Ptr.region t.bounce.Mem.Ptr.off buf
-      pos n
-  end
-
-let no_stage ~pos:_ ~chunk:_ = ()
-
-let no_unstage ~pos:_ ~n:_ = ()
+  submit_wait_from t 0 ~limit ~opcode ~fd ~file_off ~addr ~len ~poll_events
+    ~buf_index ~fixed ~expected_max
 
 (* Admission control: refuse new synchronous work once [max_pending]
    ops are in flight — a bounded queue with EAGAIN backpressure to the
@@ -680,60 +737,61 @@ let admit t =
   if Hashtbl.length t.pending >= t.max_pending then begin
     Obs.Metrics.incr t.sheds;
     (match t.breaker with None -> () | Some b -> Health.record_shed b);
-    Error Abi.Errno.EAGAIN
+    false
   end
-  else Ok ()
+  else true
 
-let read_copy t ~fd ~off ~buf ~pos ~len =
-  chunked t
-    ~make_sqe:(fun ~done_ ~chunk ->
-      {
-        (base_sqe Abi.Uring_abi.Read ~fd) with
-        file_off = Int64.of_int (off + done_);
-        addr = t.bounce.Mem.Ptr.off;
-        len = chunk;
-      })
-    ~stage:no_stage
-    ~unstage:(unstage_in t buf)
-    ~pos ~len
-
-let write_copy t ~fd ~off ~buf ~pos ~len =
-  chunked t
-    ~make_sqe:(fun ~done_ ~chunk ->
-      {
-        (base_sqe Abi.Uring_abi.Write ~fd) with
-        file_off = Int64.of_int (off + done_);
-        addr = t.bounce.Mem.Ptr.off;
-        len = chunk;
-      })
-    ~stage:(stage_out t buf) ~unstage:no_unstage ~pos ~len
+(* Chunked data transfer through the bounce buffer: a [Write] or a
+   [Send] stages each chunk out before its SQE, a [Read] copies each
+   completion in.  [off] is the file offset of byte [pos] ([Send]
+   carries none).  [done_] bytes have moved so far. *)
+let rec copy_chunks t ~(opcode : Abi.Uring_abi.opcode) ~fd ~off ~buf ~pos ~len
+    done_ =
+  if done_ >= len then Ok done_
+  else begin
+    let chunk = min t.bounce_size (len - done_) in
+    let region = t.bounce.Mem.Ptr.region and addr = t.bounce.Mem.Ptr.off in
+    if opcode <> Read then begin
+      Sgx.Enclave.charge_copy t.enclave ~crossing:true chunk;
+      Mem.Region.blit_from_bytes buf (pos + done_) region addr chunk
+    end;
+    match
+      submit_wait t ~opcode ~fd
+        ~file_off:(if opcode = Send then 0 else off + done_)
+        ~addr ~len:chunk ~poll_events:0 ~buf_index:0 ~fixed:false
+        ~expected_max:chunk
+    with
+    | Error _ as e -> if done_ > 0 then Ok done_ else e
+    | Ok n ->
+        if opcode = Read && n > 0 then begin
+          Sgx.Enclave.charge_copy t.enclave ~crossing:true n;
+          Mem.Region.blit_to_bytes region addr buf (pos + done_) n
+        end;
+        (* A short completion (the kernel honoured a prefix — e.g. an
+           injected Short_io) is resubmitted for the remainder; only a
+           zero count (EOF / peer gone) ends the transfer early. *)
+        if n = 0 then Ok done_
+        else copy_chunks t ~opcode ~fd ~off ~buf ~pos ~len (done_ + n)
+  end
 
 let send_copy t ~fd ~buf ~pos ~len =
-  chunked t
-    ~make_sqe:(fun ~done_:_ ~chunk ->
-      {
-        (base_sqe Abi.Uring_abi.Send ~fd) with
-        addr = t.bounce.Mem.Ptr.off;
-        len = chunk;
-      })
-    ~stage:(stage_out t buf) ~unstage:no_unstage ~pos ~len
+  copy_chunks t ~opcode:Send ~fd ~off:0 ~buf ~pos ~len 0
 
 let recv_copy t ~fd ~buf ~pos ~len =
   (* A recv returns as soon as any bytes are available: do not chunk. *)
   let chunk = min len t.bounce_size in
+  let region = t.bounce.Mem.Ptr.region and addr = t.bounce.Mem.Ptr.off in
   match
-    submit_wait t
-      {
-        (base_sqe Abi.Uring_abi.Recv ~fd) with
-        addr = t.bounce.Mem.Ptr.off;
-        len = chunk;
-      }
-      ~expected_max:chunk
+    submit_wait t ~opcode:Recv ~fd ~file_off:0 ~addr ~len:chunk ~poll_events:0
+      ~buf_index:0 ~fixed:false ~expected_max:chunk
   with
-  | Error e -> Error e
-  | Ok n ->
-      unstage_in t buf ~pos ~n;
-      Ok n
+  | Error _ as e -> e
+  | Ok n as r ->
+      if n > 0 then begin
+        Sgx.Enclave.charge_copy t.enclave ~crossing:true n;
+        Mem.Region.blit_to_bytes region addr buf pos n
+      end;
+      r
 
 (* {2 Zero-copy send (SEND_ZC)} *)
 
@@ -743,33 +801,37 @@ let recv_copy t ~fd ~buf ~pos ~len =
    a transient failure surfaces to the caller, which falls back to the
    copy path (re-registering a frame across retries would race the
    kernel's view of the first attempt). *)
-let zc_submit_wait t z sqe ~expected_max ~zoff =
-  match submit t sqe ~expected_max with
-  | Error e ->
-      (* Never entered the ring, so no notif will ever name this frame:
-         the one case where the FM itself may unwind Registered. *)
-      ignore (Umem.release z.pool ~offset:zoff);
-      Error e
-  | Ok p ->
+let zc_submit_wait t z ~fd ~addr ~len ~buf_index ~zoff =
+  let p =
+    submit t ~opcode:Send_zc ~fd ~file_off:0 ~addr ~len ~poll_events:0
+      ~buf_index ~fixed:true ~expected_max:len
+  in
+  if p == not_submitted then begin
+    (* Never entered the ring, so no notif will ever name this frame:
+       the one case where the FM itself may unwind Registered. *)
+    ignore (Umem.release z.pool ~offset:zoff);
+    Error Abi.Errno.EAGAIN
+  end
+  else begin
       Hashtbl.replace z.notif_pending p.user_data
         { zoff; completed = false };
-      let engine = Sgx.Enclave.engine t.enclave in
-      let start = Sim.Engine.now engine in
+      let start = Sim.Engine.clock t.engine
+      and started = Sim.Engine.now t.engine in
       Sgx.Enclave.charge t.enclave Sgx.Params.iouring_sync_wait_cycles;
-      let r = await ~deadline:(Int64.add start sync_op_timeout) t p in
-      Obs.Metrics.observe t.sync_wait_cycles
-        (Int64.to_int (Int64.sub (Sim.Engine.now engine) start));
+      let r = await t p ~deadline:(start + sync_op_timeout) in
+      Obs.Metrics.observe t.sync_wait_cycles (Sim.Engine.clock t.engine - start);
       (match t.trace with
       | None -> ()
       | Some tr ->
-          Obs.Trace.span tr ~cat:"syncproxy" ~arg:sqe.Abi.Uring_abi.fd
-            (op_name sqe.Abi.Uring_abi.opcode) ~start);
+          Obs.Trace.span tr ~cat:"syncproxy" ~arg:fd (op_name Send_zc)
+            ~start:started);
       (* On failure or abandonment nothing is unwound: the SQE may
          still execute in the kernel, so the frame must stay Registered,
          recoverable only through a late notif ([zc_mark_completed]
          keeps that path alive).  Freeing it here would be exactly the
          use-after-reuse-before-notif violation. *)
       r
+  end
 
 let zc_send t z ~fd ~buf ~pos ~len =
   let rec go done_ =
@@ -792,16 +854,10 @@ let zc_send t z ~fd ~buf ~pos ~len =
             chunk;
           Umem.register z.pool zoff;
           Obs.Metrics.incr z.zc_sends;
-          let sqe =
-            {
-              (base_sqe Abi.Uring_abi.Send_zc ~fd) with
-              addr = z.arena.Mem.Ptr.off + zoff;
-              len = chunk;
-              fixed = true;
-              buf_index = zoff / z.zframe;
-            }
-          in
-          match zc_submit_wait t z sqe ~expected_max:chunk ~zoff with
+          match
+            zc_submit_wait t z ~fd ~addr:(z.arena.Mem.Ptr.off + zoff)
+              ~len:chunk ~buf_index:(zoff / z.zframe) ~zoff
+          with
           | Ok 0 -> Ok done_
           | Ok n -> go (done_ + n)
           | Error _ when done_ > 0 -> Ok done_
@@ -836,17 +892,11 @@ let zc_file t z ~opcode ~fd ~off ~buf ~pos ~len ~read_back =
               (z.arena.Mem.Ptr.off + zoff)
               chunk
           end;
-          let sqe =
-            {
-              (base_sqe opcode ~fd) with
-              file_off = Int64.of_int (off + done_);
-              addr = z.arena.Mem.Ptr.off + zoff;
-              len = chunk;
-              fixed = true;
-              buf_index = zoff / z.zframe;
-            }
-          in
-          match submit_wait t sqe ~expected_max:chunk with
+          match
+            submit_wait t ~opcode ~fd ~file_off:(off + done_)
+              ~addr:(z.arena.Mem.Ptr.off + zoff) ~len:chunk ~poll_events:0
+              ~buf_index:(zoff / z.zframe) ~fixed:true ~expected_max:chunk
+          with
           | Ok n ->
               if read_back && n > 0 then begin
                 Sgx.Enclave.charge_copy t.enclave ~crossing:true n;
@@ -883,16 +933,15 @@ let ms_arm t z ~fd =
   done;
   if !provided = 0 then false
   else
-    match
-      submit t
-        { (base_sqe Abi.Uring_abi.Recv_multi ~fd) with len = z.zframe }
-        ~expected_max:z.zframe
-    with
-    | Error _ ->
-        (* Could not arm; the provided frames stay in the shared ring
-           and serve a later arming on any fd. *)
-        false
-    | Ok p ->
+    let p =
+      submit t ~opcode:Recv_multi ~fd ~file_off:0 ~addr:0 ~len:z.zframe
+        ~poll_events:0 ~buf_index:0 ~fixed:false ~expected_max:z.zframe
+    in
+    if p == not_submitted then
+      (* Could not arm; the provided frames stay in the shared ring and
+         serve a later arming on any fd. *)
+      false
+    else
         let ms =
           { ms_p = p; outcomes = Queue.create (); terminal = None;
             leftover = None }
@@ -941,65 +990,73 @@ let rec ms_recv t z ~fd ~buf ~pos ~len =
                       Obs.Metrics.incr t.cqe_rejects;
                       Error Abi.Errno.EPERM)
             | None ->
-                let reaped, _ = reap_burst t in
+                reap_burst t;
                 if
                   Queue.is_empty ms.outcomes
-                  && ms.terminal = None && reaped = 0
+                  && ms.terminal = None && t.reaped = 0
                 then wait_or_renudge t;
                 ms_recv t z ~fd ~buf ~pos ~len))
 
 (* {2 Dispatch: copy path vs zero-copy path} *)
 
 let read t ~fd ~off ~buf ~pos ~len =
-  let* () = admit t in
-  match t.zc with
-  | Some z when len > 0 && Umem.free_frames z.pool > 0 ->
-      zc_file t z ~opcode:Abi.Uring_abi.Read ~fd ~off ~buf ~pos ~len
-        ~read_back:true
-  | Some z when len > 0 ->
-      Obs.Metrics.incr z.zc_fallbacks;
-      read_copy t ~fd ~off ~buf ~pos ~len
-  | _ -> read_copy t ~fd ~off ~buf ~pos ~len
+  if not (admit t) then Error Abi.Errno.EAGAIN
+  else
+    match t.zc with
+    | Some z when len > 0 && Umem.free_frames z.pool > 0 ->
+        zc_file t z ~opcode:Abi.Uring_abi.Read ~fd ~off ~buf ~pos ~len
+          ~read_back:true
+    | Some z when len > 0 ->
+        Obs.Metrics.incr z.zc_fallbacks;
+        copy_chunks t ~opcode:Read ~fd ~off ~buf ~pos ~len 0
+    | _ -> copy_chunks t ~opcode:Read ~fd ~off ~buf ~pos ~len 0
 
 let write t ~fd ~off ~buf ~pos ~len =
-  let* () = admit t in
-  match t.zc with
-  | Some z when len > 0 && Umem.free_frames z.pool > 0 ->
-      zc_file t z ~opcode:Abi.Uring_abi.Write ~fd ~off ~buf ~pos ~len
-        ~read_back:false
-  | Some z when len > 0 ->
-      Obs.Metrics.incr z.zc_fallbacks;
-      write_copy t ~fd ~off ~buf ~pos ~len
-  | _ -> write_copy t ~fd ~off ~buf ~pos ~len
+  if not (admit t) then Error Abi.Errno.EAGAIN
+  else
+    match t.zc with
+    | Some z when len > 0 && Umem.free_frames z.pool > 0 ->
+        zc_file t z ~opcode:Abi.Uring_abi.Write ~fd ~off ~buf ~pos ~len
+          ~read_back:false
+    | Some z when len > 0 ->
+        Obs.Metrics.incr z.zc_fallbacks;
+        copy_chunks t ~opcode:Write ~fd ~off ~buf ~pos ~len 0
+    | _ -> copy_chunks t ~opcode:Write ~fd ~off ~buf ~pos ~len 0
 
 let send t ~fd ~buf ~pos ~len =
-  let* () = admit t in
-  match t.zc with
-  | Some z when len > 0 && Umem.free_frames z.pool > 0 ->
-      zc_send t z ~fd ~buf ~pos ~len
-  | Some z when len > 0 ->
-      (* Registered frames all awaiting notifs (a withholding host):
-         capacity is lost, correctness is not — degrade to the copy
-         path. *)
-      Obs.Metrics.incr z.zc_fallbacks;
-      send_copy t ~fd ~buf ~pos ~len
-  | _ -> send_copy t ~fd ~buf ~pos ~len
+  if not (admit t) then Error Abi.Errno.EAGAIN
+  else
+    match t.zc with
+    | Some z when len > 0 && Umem.free_frames z.pool > 0 ->
+        zc_send t z ~fd ~buf ~pos ~len
+    | Some z when len > 0 ->
+        (* Registered frames all awaiting notifs (a withholding host):
+           capacity is lost, correctness is not — degrade to the copy
+           path. *)
+        Obs.Metrics.incr z.zc_fallbacks;
+        send_copy t ~fd ~buf ~pos ~len
+    | _ -> send_copy t ~fd ~buf ~pos ~len
 
 let recv t ~fd ~buf ~pos ~len =
-  let* () = admit t in
-  match t.zc with
-  | Some z when len > 0 -> ms_recv t z ~fd ~buf ~pos ~len
-  | _ -> recv_copy t ~fd ~buf ~pos ~len
+  if not (admit t) then Error Abi.Errno.EAGAIN
+  else
+    match t.zc with
+    | Some z when len > 0 -> ms_recv t z ~fd ~buf ~pos ~len
+    | _ -> recv_copy t ~fd ~buf ~pos ~len
+
+let poll_mask = Abi.Uring_abi.pollin lor Abi.Uring_abi.pollout
 
 let poll t ~fd ~events =
-  let* () = admit t in
-  submit_wait t
-    { (base_sqe Abi.Uring_abi.Poll_add ~fd) with poll_events = events }
-    ~expected_max:(Abi.Uring_abi.pollin lor Abi.Uring_abi.pollout)
+  if not (admit t) then Error Abi.Errno.EAGAIN
+  else
+    submit_wait t ~opcode:Poll_add ~fd ~file_off:0 ~addr:0 ~len:0
+      ~poll_events:events ~buf_index:0 ~fixed:false ~expected_max:poll_mask
 
 let nop t =
-  let* () = admit t in
-  submit_wait t (base_sqe Abi.Uring_abi.Nop ~fd:(-1)) ~expected_max:0
+  if not (admit t) then Error Abi.Errno.EAGAIN
+  else
+    submit_wait t ~opcode:Nop ~fd:(-1) ~file_off:0 ~addr:0 ~len:0
+      ~poll_events:0 ~buf_index:0 ~fixed:false ~expected_max:0
 
 let forget_fd t ~fd =
   (match t.zc with
@@ -1029,35 +1086,29 @@ let forget_fd t ~fd =
    return the first fd whose probe completed. *)
 let poll_multi t specs ~timeout =
   (* All missing probes go out as one SQ burst: one publish, one kick. *)
-  let missing =
-    List.filter (fun (fd, _) -> not (Hashtbl.mem t.probes fd)) specs
+  let staged =
+    List.fold_left
+      (fun i (fd, events) ->
+        if Hashtbl.mem t.probes fd then i
+        else begin
+          stage t i ~opcode:Poll_add ~fd ~file_off:0 ~addr:0 ~len:0
+            ~poll_events:events ~buf_index:0 ~fixed:false
+            ~expected_max:poll_mask;
+          i + 1
+        end)
+      0 specs
   in
-  if missing <> [] then begin
-    let sqes =
-      Array.of_list
-        (List.map
-           (fun (fd, events) ->
-             ( { (base_sqe Abi.Uring_abi.Poll_add ~fd) with
-                 poll_events = events
-               },
-               Abi.Uring_abi.pollin lor Abi.Uring_abi.pollout ))
-           missing)
-    in
-    let pendings = submit_burst t sqes in
-    List.iteri
-      (fun i (fd, _) ->
-        match pendings.(i) with
-        | Some p -> Hashtbl.add t.probes fd p
-        | None -> ())
-      missing
-  end;
+  if staged > 0 then
+    for i = 0 to submit_burst t staged - 1 do
+      let q = t.reqs.(i) in
+      Hashtbl.add t.probes q.fd q.issued
+    done;
   let timer_fired = ref false in
   (match timeout with
   | None -> ()
   | Some d ->
-      let engine = Sgx.Enclave.engine t.enclave in
-      Sim.Engine.at engine
-        (Int64.add (Sim.Engine.now engine) d)
+      Sim.Engine.at t.engine
+        (Int64.add (Sim.Engine.now t.engine) d)
         (fun () ->
           timer_fired := true;
           Sim.Condition.broadcast t.cq_notify));
@@ -1065,11 +1116,8 @@ let poll_multi t specs ~timeout =
     List.find_map
       (fun (fd, _) ->
         match Hashtbl.find_opt t.probes fd with
-        | Some p -> (
-            match p.outcome with
-            | Some outcome -> Some (fd, outcome)
-            | None -> None)
-        | None -> None)
+        | Some p when p.settled -> Some (fd, p.outcome)
+        | Some _ | None -> None)
       specs
   in
   let rec wait () =
@@ -1082,8 +1130,8 @@ let poll_multi t specs ~timeout =
     | None ->
         if !timer_fired then Ok None
         else begin
-          let reaped, strays = reap_burst t in
-          if reaped + strays = 0 then Sim.Condition.wait t.cq_notify;
+          reap_burst t;
+          if t.reaped + t.strays = 0 then Sim.Condition.wait t.cq_notify;
           wait ()
         end
   in

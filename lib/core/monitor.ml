@@ -94,15 +94,16 @@ let watch_uring t uring =
    hostile iCompl producer value freezes the certified view until the
    kernel next rewrites the shared word, so the FM periodically asks
    for a re-enter even when it has published nothing new. *)
-let nudge_uring t uring =
-  List.iter
-    (fun w ->
-      match w with
-      | Uring r when Hostos.Io_uring.uring_id r.uring = Hostos.Io_uring.uring_id uring
-        ->
-          r.forced <- true
-      | _ -> ())
-    t.watched
+(* A walk, not [List.iter]: a nudge allocates no closure. *)
+let rec force_uring id = function
+  | [] -> ()
+  | w :: ws ->
+      (match w with
+      | Uring r when Hostos.Io_uring.uring_id r.uring = id -> r.forced <- true
+      | _ -> ());
+      force_uring id ws
+
+let nudge_uring t uring = force_uring (Hostos.Io_uring.uring_id uring) t.watched
 
 (* The XSK flavour of a forced wakeup: the FM suspects a TX wakeup was
    dropped (frames outstanding, completions quiet), so ask for a sendto

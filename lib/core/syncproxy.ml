@@ -15,9 +15,32 @@ let set_overload t ov = t.overload <- Some ov
 
 let degraded t = Health.degraded t.breaker
 
-let probe_attempt t fast =
-  Iouring_fm.set_probe_mode t.fm true;
-  Fun.protect ~finally:(fun () -> Iouring_fm.set_probe_mode t.fm false) fast
+(* The five proxied syscalls.  A call passes its arguments down with
+   its [op] instead of building a closure per path; a [Poll] carries
+   its event mask in [len]. *)
+type op = Read | Write | Send | Recv | Poll
+
+(* False for ops whose abandoned SQE could corrupt state if the kernel
+   executes it late (a probe [recv] would consume stream bytes nobody
+   awaits; a probe [poll] has no completion deadline at all) — those
+   decline the probe slot and go slow. *)
+let probe_ok = function Read | Write | Send -> true | Recv | Poll -> false
+
+let fm_call t op ~fd ~off ~buf ~pos ~len =
+  match op with
+  | Read -> Iouring_fm.read t.fm ~fd ~off ~buf ~pos ~len
+  | Write -> Iouring_fm.write t.fm ~fd ~off ~buf ~pos ~len
+  | Send -> Iouring_fm.send t.fm ~fd ~buf ~pos ~len
+  | Recv -> Iouring_fm.recv t.fm ~fd ~buf ~pos ~len
+  | Poll -> Iouring_fm.poll t.fm ~fd ~events:len
+
+let slow_call t op ~fd ~off ~buf ~pos ~len =
+  match op with
+  | Read -> Slowpath.read t.slow ~fd ~off ~buf ~pos ~len
+  | Write -> Slowpath.write t.slow ~fd ~off ~buf ~pos ~len
+  | Send -> Slowpath.send t.slow ~fd ~buf ~pos ~len
+  | Recv -> Slowpath.recv t.slow ~fd ~buf ~pos ~len
+  | Poll -> Slowpath.poll t.slow ~fd ~events:len
 
 (* Overload admission on the pending table (DESIGN.md §15).  Data-class
    ops are refused with an accounted [EAGAIN] while the runtime-wide
@@ -29,51 +52,53 @@ let probe_attempt t fast =
 let admit t cls =
   match t.overload with None -> true | Some ov -> Overload.admit ov cls
 
-let timed t fast () =
+let fast t op ~fd ~off ~buf ~pos ~len =
   match t.overload with
-  | None -> fast ()
+  | None -> fm_call t op ~fd ~off ~buf ~pos ~len
   | Some ov ->
       Overload.note_depth ov (Iouring_fm.inflight t.fm);
       let started = Overload.now ov in
-      let r = fast () in
+      let r = fm_call t op ~fd ~off ~buf ~pos ~len in
       Overload.observe_sojourn ov (Int64.sub (Overload.now ov) started);
       Overload.note_depth ov (Iouring_fm.inflight t.fm);
       r
 
-(* One synchronous op through the breaker.  [probe_ok] is false for ops
-   whose abandoned SQE could corrupt state if the kernel executes it
-   late (a probe [recv] would consume stream bytes nobody awaits; a
-   probe [poll] has no completion deadline at all) — those decline the
-   probe slot and go slow.  An [ETIMEDOUT] fast result is the terminal
-   "every attempt failed" verdict (DESIGN.md §8); completing it via the
-   slow path keeps the failure invisible to the app.  That completion
-   is at-least-once: an attempt abandoned on the FM's sync-op deadline
-   may still execute later. *)
-let route t ~probe_ok ~fast ~slow_fn =
-  let fast = timed t fast in
+let probe_attempt t op ~fd ~off ~buf ~pos ~len =
+  Iouring_fm.set_probe_mode t.fm true;
+  Fun.protect
+    ~finally:(fun () -> Iouring_fm.set_probe_mode t.fm false)
+    (fun () -> fast t op ~fd ~off ~buf ~pos ~len)
+
+(* One synchronous op through the breaker.  An [ETIMEDOUT] fast result
+   is the terminal "every attempt failed" verdict (DESIGN.md §8);
+   completing it via the slow path keeps the failure invisible to the
+   app.  That completion is at-least-once: an attempt abandoned on the
+   FM's sync-op deadline may still execute later. *)
+let route t op ~fd ~off ~buf ~pos ~len =
   let b = t.breaker in
   match Health.allow b with
   | Health.Slow ->
-      if admit t Overload.Data then slow_fn t.slow else Error Abi.Errno.EAGAIN
-  | Health.Probe when not probe_ok ->
+      if admit t Overload.Data then slow_call t op ~fd ~off ~buf ~pos ~len
+      else Error Abi.Errno.EAGAIN
+  | Health.Probe when not (probe_ok op) ->
       ignore (admit t Overload.Control);
       Health.cancel_probe b;
       Health.record_failover b;
-      slow_fn t.slow
+      slow_call t op ~fd ~off ~buf ~pos ~len
   | Health.Probe when not (admit t Overload.Control) ->
       (* Unreachable — [Control] is never shed — but if the controller
          ever misbehaved, release the probe slot rather than leak it. *)
       Health.cancel_probe b;
       Error Abi.Errno.EAGAIN
   | Health.Probe -> (
-      match probe_attempt t fast with
+      match probe_attempt t op ~fd ~off ~buf ~pos ~len with
       | Ok _ as r ->
           Health.record_success b;
           r
       | Error Abi.Errno.ETIMEDOUT ->
           Health.record_failure b;
           Health.record_failover b;
-          slow_fn t.slow
+          slow_call t op ~fd ~off ~buf ~pos ~len
       | Error e as r when Abi.Errno.is_transient e ->
           (* Admission shed, not a datapath verdict: release the probe
              slot and surface the backpressure. *)
@@ -85,40 +110,26 @@ let route t ~probe_ok ~fast ~slow_fn =
           r)
   | Health.Fast when not (admit t Overload.Data) -> Error Abi.Errno.EAGAIN
   | Health.Fast -> (
-      match fast () with
+      match fast t op ~fd ~off ~buf ~pos ~len with
       | Ok _ as r ->
           Health.record_success b;
           r
       | Error Abi.Errno.ETIMEDOUT ->
           Health.record_failure b;
           Health.record_failover b;
-          slow_fn t.slow
+          slow_call t op ~fd ~off ~buf ~pos ~len
       | Error _ as r -> r)
 
-let read t ~fd ~off ~buf ~pos ~len =
-  route t ~probe_ok:true
-    ~fast:(fun () -> Iouring_fm.read t.fm ~fd ~off ~buf ~pos ~len)
-    ~slow_fn:(fun s -> Slowpath.read s ~fd ~off ~buf ~pos ~len)
+let read t ~fd ~off ~buf ~pos ~len = route t Read ~fd ~off ~buf ~pos ~len
 
-let write t ~fd ~off ~buf ~pos ~len =
-  route t ~probe_ok:true
-    ~fast:(fun () -> Iouring_fm.write t.fm ~fd ~off ~buf ~pos ~len)
-    ~slow_fn:(fun s -> Slowpath.write s ~fd ~off ~buf ~pos ~len)
+let write t ~fd ~off ~buf ~pos ~len = route t Write ~fd ~off ~buf ~pos ~len
 
-let send t ~fd ~buf ~pos ~len =
-  route t ~probe_ok:true
-    ~fast:(fun () -> Iouring_fm.send t.fm ~fd ~buf ~pos ~len)
-    ~slow_fn:(fun s -> Slowpath.send s ~fd ~buf ~pos ~len)
+let send t ~fd ~buf ~pos ~len = route t Send ~fd ~off:0 ~buf ~pos ~len
 
-let recv t ~fd ~buf ~pos ~len =
-  route t ~probe_ok:false
-    ~fast:(fun () -> Iouring_fm.recv t.fm ~fd ~buf ~pos ~len)
-    ~slow_fn:(fun s -> Slowpath.recv s ~fd ~buf ~pos ~len)
+let recv t ~fd ~buf ~pos ~len = route t Recv ~fd ~off:0 ~buf ~pos ~len
 
 let poll t ~fd ~events =
-  route t ~probe_ok:false
-    ~fast:(fun () -> Iouring_fm.poll t.fm ~fd ~events)
-    ~slow_fn:(fun s -> Slowpath.poll s ~fd ~events)
+  route t Poll ~fd ~off:0 ~buf:Bytes.empty ~pos:0 ~len:events
 
 let poll_multi t = Iouring_fm.poll_multi t.fm
 

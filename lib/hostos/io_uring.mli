@@ -7,7 +7,8 @@
     non-blocking and the work happens in kernel context).
 
     Opcode semantics are delegated to an [exec] closure supplied by
-    {!Kernel}, which owns the fd table; this module owns the ring
+    {!Kernel}, which owns the fd table; the worker hands it the SQE's
+    fields as read in place, never a decoded record; this module owns the ring
     protocol, the per-op cost, the registered-buffer/file tables, the
     two-phase zero-copy completion machinery and the malice hooks on
     CQEs (including the three notif attacks of docs/zerocopy.md). *)
@@ -36,7 +37,15 @@ val create :
   Sim.Engine.t ->
   alloc:Mem.Alloc.t ->
   entries:int ->
-  exec:(Abi.Uring_abi.sqe -> exec_result) ->
+  exec:
+    (opcode:Abi.Uring_abi.opcode ->
+    fd:int ->
+    file_off:int ->
+    addr:int ->
+    len:int ->
+    poll_events:int ->
+    fixed:bool ->
+    exec_result) ->
   malice:Malice.t option ref ->
   faults:Faults.t option ref ->
   t

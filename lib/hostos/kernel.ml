@@ -427,78 +427,87 @@ let xsk_rx_wakeup t xsk =
    the classic io_uring data ops.  Fixed-buffer SQEs skip it — the whole
    point of registration is that the kernel DMAs straight from/into the
    pinned frame (docs/zerocopy.md). *)
-let charge_uring_copy (sqe : Abi.Uring_abi.sqe) n =
-  if (not sqe.fixed) && n > 0 then
+let charge_uring_copy ~fixed n =
+  if (not fixed) && n > 0 then
     Sim.Engine.delay
       (Int64.of_float
          (float_of_int n *. Sgx.Params.iouring_copy_cycles_per_byte))
 
-(* Execute one SQE on behalf of the io_uring worker.  [region] is the
-   shared region SQE buffer offsets refer to; [uring] (filled in right
-   after {!Io_uring.create} returns) carries the registered-buffer
-   table for the provided-buffer opcodes. *)
-let exec_sqe t region ~uring (sqe : Abi.Uring_abi.sqe) =
+(* The kernel memory an io_uring worker bounces inline ops through: one
+   per ring, grown on demand, so a data op allocates no buffer.  A 4 KiB
+   buffer is over [Max_young_wosize] and would go straight to the major
+   heap on every op.  Only ops the worker runs to completion itself may
+   use it: it holds a read's bytes across the VFS and copy charges, and
+   a worker runs one inline op at a time.  [Blocking] and [Multishot]
+   contexts run concurrently with the worker and with each other, so
+   they keep private buffers. *)
+type bounce = { mutable buf : Bytes.t }
+
+let bounce_buf b len =
+  if Bytes.length b.buf < len then b.buf <- Bytes.create len;
+  b.buf
+
+let err e = Io_uring.Done (Abi.Uring_abi.res_of_errno e)
+
+(* Execute one SQE on the open fd [obj] on behalf of the io_uring
+   worker.  [region] is the shared region SQE buffer offsets refer to;
+   [uring] (filled in right after {!Io_uring.create} returns) carries
+   the registered-buffer table for the provided-buffer opcodes;
+   [bounce] is the worker's. *)
+let exec_on t region ~uring ~bounce obj ~(opcode : Abi.Uring_abi.opcode)
+    ~file_off ~addr ~len ~poll_events ~fixed =
   let open Io_uring in
-  let err e = Done (Abi.Uring_abi.res_of_errno e) in
-  let buffer_ok () = Mem.Region.in_bounds region ~off:sqe.addr ~len:sqe.len in
-  match sqe.opcode with
+  let buffer_ok = Mem.Region.in_bounds region ~off:addr ~len in
+  match opcode with
   | Nop -> Done 0
   | Read -> (
-      match find t sqe.fd with
-      | Some (File st) ->
-          if not (buffer_ok ()) then err EFAULT
+      match obj with
+      | File st ->
+          if not buffer_ok then err EFAULT
           else begin
-            let tmp = Bytes.create sqe.len in
-            let n =
-              Vfs.read t.vfs st.inode ~off:(Int64.to_int sqe.file_off) tmp 0
-                sqe.len
-            in
-            charge_uring_copy sqe n;
-            Mem.Region.blit_from_bytes tmp 0 region sqe.addr n;
+            let tmp = bounce_buf bounce len in
+            let n = Vfs.read t.vfs st.inode ~off:file_off tmp 0 len in
+            charge_uring_copy ~fixed n;
+            Mem.Region.blit_from_bytes tmp 0 region addr n;
             Done n
           end
-      | Some _ -> err EBADF
-      | None -> err EBADF)
+      | _ -> err EBADF)
   | Write -> (
-      match find t sqe.fd with
-      | Some (File st) ->
-          if not (buffer_ok ()) then err EFAULT
+      match obj with
+      | File st ->
+          if not buffer_ok then err EFAULT
           else begin
-            let tmp = Bytes.create sqe.len in
-            Mem.Region.blit_to_bytes region sqe.addr tmp 0 sqe.len;
-            charge_uring_copy sqe sqe.len;
-            Done
-              (Vfs.write t.vfs st.inode ~off:(Int64.to_int sqe.file_off) tmp 0
-                 sqe.len)
+            let tmp = bounce_buf bounce len in
+            Mem.Region.blit_to_bytes region addr tmp 0 len;
+            charge_uring_copy ~fixed len;
+            Done (Vfs.write t.vfs st.inode ~off:file_off tmp 0 len)
           end
-      | Some _ -> err EBADF
-      | None -> err EBADF)
+      | _ -> err EBADF)
   | Send -> (
-      match find t sqe.fd with
-      | Some (Tcp_sock ep) ->
-          if not (buffer_ok ()) then err EFAULT
+      match obj with
+      | Tcp_sock ep ->
+          if not buffer_ok then err EFAULT
           else begin
-            let tmp = Bytes.create sqe.len in
-            Mem.Region.blit_to_bytes region sqe.addr tmp 0 sqe.len;
-            charge_uring_copy sqe sqe.len;
-            match Tcp_core.send t.tcp ep tmp 0 sqe.len with
+            let tmp = bounce_buf bounce len in
+            Mem.Region.blit_to_bytes region addr tmp 0 len;
+            charge_uring_copy ~fixed len;
+            match Tcp_core.send t.tcp ep tmp 0 len with
             | Ok n -> Done n
             | Error e -> err e
           end
-      | Some _ -> err EBADF
-      | None -> err EBADF)
+      | _ -> err EBADF)
   | Send_zc | Sendmsg_zc -> (
       (* Zero-copy send: the payload leaves straight from the pinned
          shared frame — no kernel-side bounce, and the frame stays
          kernel-owned until the notif CQE.  An error completes in one
          CQE (nothing was pinned, real SEND_ZC behaves the same). *)
-      match find t sqe.fd with
-      | Some (Tcp_sock ep) ->
-          if not (buffer_ok ()) then err EFAULT
+      match obj with
+      | Tcp_sock ep ->
+          if not buffer_ok then err EFAULT
           else begin
-            let tmp = Bytes.create sqe.len in
-            Mem.Region.blit_to_bytes region sqe.addr tmp 0 sqe.len;
-            match Tcp_core.send t.tcp ep tmp 0 sqe.len with
+            let tmp = bounce_buf bounce len in
+            Mem.Region.blit_to_bytes region addr tmp 0 len;
+            match Tcp_core.send t.tcp ep tmp 0 len with
             | Ok n ->
                 Done_zc
                   {
@@ -511,32 +520,30 @@ let exec_sqe t region ~uring (sqe : Abi.Uring_abi.sqe) =
                   }
             | Error e -> err e
           end
-      | Some _ -> err EBADF
-      | None -> err EBADF)
+      | _ -> err EBADF)
   | Recv -> (
-      match find t sqe.fd with
-      | Some (Tcp_sock ep) ->
-          if not (buffer_ok ()) then err EFAULT
+      match obj with
+      | Tcp_sock ep ->
+          if not buffer_ok then err EFAULT
           else
             Blocking
               (fun () ->
-                let tmp = Bytes.create sqe.len in
-                match Tcp_core.recv t.tcp ep tmp 0 sqe.len with
+                let tmp = Bytes.create len in
+                match Tcp_core.recv t.tcp ep tmp 0 len with
                 | Ok n ->
-                    charge_uring_copy sqe n;
-                    Mem.Region.blit_from_bytes tmp 0 region sqe.addr n;
+                    charge_uring_copy ~fixed n;
+                    Mem.Region.blit_from_bytes tmp 0 region addr n;
                     n
                 | Error e -> Abi.Uring_abi.res_of_errno e)
-      | Some _ -> err EBADF
-      | None -> err EBADF)
+      | _ -> err EBADF)
   | Recv_multi -> (
       (* Multishot receive into provided (registered) buffers: one SQE,
          a stream of CQEs, each naming the buffer the kernel filled.
          The FM re-provides consumed buffers through the shared buffer
          ring (no syscall); an empty ring terminates the stream with
          ENOBUFS, exactly like the real kernel. *)
-      match (find t sqe.fd, !uring) with
-      | Some (Tcp_sock ep), Some u -> (
+      match (obj, !uring) with
+      | Tcp_sock ep, Some u -> (
           match Io_uring.reg_bufs u with
           | None -> err ENOBUFS
           | Some tbl ->
@@ -560,40 +567,49 @@ let exec_sqe t region ~uring (sqe : Abi.Uring_abi.sqe) =
                           | Error e ->
                               Io_uring.provide_buffer u id;
                               (Abi.Uring_abi.res_of_errno e, 0)))))
-      | Some _, _ -> err EBADF
-      | None, _ -> err EBADF)
-  | Poll_add -> (
-      match find t sqe.fd with
-      | None -> err EBADF
-      | Some obj ->
-          let wanted =
-            (if sqe.poll_events land Abi.Uring_abi.pollin <> 0 then
-               [ (`In, Abi.Uring_abi.pollin) ]
-             else [])
-            @
-            if sqe.poll_events land Abi.Uring_abi.pollout <> 0 then
-              [ (`Out, Abi.Uring_abi.pollout) ]
-            else []
-          in
-          if wanted = [] then err EINVAL
-          else
-            Blocking
-              (fun () ->
-                let revents () =
-                  List.fold_left
-                    (fun acc (ev, mask) ->
-                      if obj_ready obj ev then acc lor mask else acc)
-                    0 wanted
-                in
-                let rec wait () =
-                  match revents () with
-                  | 0 ->
-                      if listen_obj obj then Sim.Engine.park ()
-                      else Sim.Engine.delay poll_quantum;
-                      wait ()
-                  | r -> r
-                in
-                wait ()))
+      | _ -> err EBADF)
+  | Poll_add ->
+      let wanted =
+        (if poll_events land Abi.Uring_abi.pollin <> 0 then
+           [ (`In, Abi.Uring_abi.pollin) ]
+         else [])
+        @
+        if poll_events land Abi.Uring_abi.pollout <> 0 then
+          [ (`Out, Abi.Uring_abi.pollout) ]
+        else []
+      in
+      if wanted = [] then err EINVAL
+      else
+        Blocking
+          (fun () ->
+            let revents () =
+              List.fold_left
+                (fun acc (ev, mask) ->
+                  if obj_ready obj ev then acc lor mask else acc)
+                0 wanted
+            in
+            let rec wait () =
+              match revents () with
+              | 0 ->
+                  if listen_obj obj then Sim.Engine.park ()
+                  else Sim.Engine.delay poll_quantum;
+                  wait ()
+              | r -> r
+            in
+            wait ())
+
+(* Any SQE: a closed fd fails with [EBADF] ([Hashtbl.find], not
+   [find], so the lookup allocates no option). *)
+let exec_sqe t region ~uring ~bounce ~(opcode : Abi.Uring_abi.opcode) ~fd
+    ~file_off ~addr ~len ~poll_events ~fixed =
+  match opcode with
+  | Nop -> Io_uring.Done 0
+  | _ -> (
+      match Hashtbl.find t.fds fd with
+      | exception Not_found -> err EBADF
+      | obj ->
+          exec_on t region ~uring ~bounce obj ~opcode ~file_off ~addr ~len
+            ~poll_events ~fixed)
 
 let uring_create t ~alloc ~entries =
   (* Setup: io_uring_setup + mmaps, a handful of syscalls. *)
@@ -605,9 +621,12 @@ let uring_create t ~alloc ~entries =
      for the provided-buffer opcodes); it is never called before the
      worker first runs, so filling the ref right after create is safe. *)
   let uring_ref = ref None in
+  let bounce = { buf = Bytes.empty } in
   let uring =
     Io_uring.create t.engine ~alloc ~entries
-      ~exec:(fun sqe -> exec_sqe t region ~uring:uring_ref sqe)
+      ~exec:(fun ~opcode ~fd ~file_off ~addr ~len ~poll_events ~fixed ->
+        exec_sqe t region ~uring:uring_ref ~bounce ~opcode ~fd ~file_off ~addr
+          ~len ~poll_events ~fixed)
       ~malice:t.malice_ref ~faults:t.faults_ref
   in
   uring_ref := Some uring;

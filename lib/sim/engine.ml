@@ -199,9 +199,13 @@ let now t =
   end;
   t.now
 
+let clock t = t.clock
+
 let stats t = t.stats
 
 let at t time f = push t (due t time) f
+
+let at_clock t time f = push t (if time < t.clock then t.clock else time) f
 
 let pending t = t.len
 
@@ -252,10 +256,8 @@ let wake p n =
     push p.engine p.engine.clock p.resume
   end
 
-let arm_timeout d =
-  let p = self () in
+let[@inline] arm p at =
   let t = p.engine in
-  let at = after t d in
   t.seq <- t.seq + 1;
   p.timeout_at <- at;
   p.timeout_seq <- t.seq;
@@ -266,6 +268,14 @@ let arm_timeout d =
     p.queued_seq <- t.seq;
     push_key t at t.seq p.fire
   end
+
+let arm_timeout d =
+  let p = self () in
+  arm p (after p.engine d)
+
+let arm_timeout_at at =
+  let p = self () in
+  arm p (if at < p.engine.clock then p.engine.clock else at)
 
 let disarm_timeout () =
   match !current with

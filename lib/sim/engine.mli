@@ -27,6 +27,10 @@ val now : t -> time
 (** Current simulated time.  Boxed on the first call after the clock
     moves, so events that never read it pay nothing. *)
 
+val clock : t -> int
+(** {!now} as a native int.  Simulated cycles stay far below 2{^62},
+    and reading the clock this way never allocates. *)
+
 val stats : t -> Obs.Metrics.t
 (** The machine's counter registry: what the simulated hardware and host
     count whichever environment runs on it (enclave exits, boundary
@@ -43,6 +47,10 @@ val at : t -> time -> (unit -> unit) -> unit
 (** [at t time f] runs callback [f] (not a process: it must not suspend)
     at absolute time [time].  Times in the past run "now".  Events run
     in (time, order scheduled) order: same-time events are FIFO. *)
+
+val at_clock : t -> int -> (unit -> unit) -> unit
+(** {!at} with a native time, as {!clock} reads it: the same event, at
+    the same (time, order scheduled), with nothing boxed. *)
 
 val delay : time -> unit
 (** [delay d] suspends the calling process for [d] cycles, saturating
@@ -102,6 +110,10 @@ val arm_timeout : time -> unit
     one and clearing {!timed_out}.  A firing that is no longer the armed
     one — superseded, or after {!disarm_timeout} — is a no-op.  Raises
     {!Not_in_process} outside a process. *)
+
+val arm_timeout_at : int -> unit
+(** {!arm_timeout} to fire at a native clock time, as {!clock} reads
+    it ("now" if it has passed), with nothing boxed. *)
 
 val disarm_timeout : unit -> unit
 (** Make the armed timeout's firing a no-op.  Its event is not removed:

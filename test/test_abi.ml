@@ -156,6 +156,78 @@ let prop_xsk_desc_in_place =
          in
          written && read && offset_only && total))
 
+(* The in-place SQE/CQE accessors agree with the record codec both ways
+   for every field, [int64] fields anywhere in the native range. *)
+let prop_uring_in_place =
+  let opcodes =
+    Abi.Uring_abi.[ Nop; Read; Write; Send; Recv; Poll_add; Send_zc; Sendmsg_zc; Recv_multi ]
+  in
+  let gen =
+    QCheck.Gen.(
+      let wide = oneof [ oneofl [ 0; 1; -1; max_int; min_int ]; int ] in
+      let u32 = oneof [ oneofl [ 0; 0xFFFF_FFFF ]; 0 -- 0xFFFF_FFFF ] in
+      let res = -0x8000_0000 -- 0x7FFF_FFFF in
+      pair
+        (pair (oneofl opcodes) (pair u32 (pair wide (pair wide u32))))
+        (pair (pair u32 (pair wide (pair u32 bool))) (pair res u32)))
+  in
+  QCheck_alcotest.to_alcotest ~rand:(Flake.rand ())
+    (QCheck.Test.make ~name:"uring_abi: in-place accessors match the record codec"
+       ~count:1000 (QCheck.make gen)
+       (fun
+         ( (opcode, (fd, (file_off, (addr, len)))),
+           ((poll_events, (user_data, (buf_index, fixed))), (res, flags)) )
+       ->
+         let module U = Abi.Uring_abi in
+         let r = region () in
+         U.set_sqe r 0 ~opcode ~fd ~file_off ~addr ~len ~poll_events ~user_data
+           ~buf_index ~fixed;
+         let read_back =
+           match U.read_sqe r 0 with
+           | Error _ -> false
+           | Ok sqe ->
+               sqe.opcode = opcode && sqe.fd = fd
+               && sqe.file_off = Int64.of_int file_off
+               && sqe.addr = addr && sqe.len = len
+               && sqe.poll_events = poll_events
+               && sqe.user_data = Int64.of_int user_data
+               && sqe.buf_index = buf_index && sqe.fixed = fixed
+         in
+         U.write_sqe r 64
+           {
+             U.opcode;
+             fd;
+             file_off = Int64.of_int file_off;
+             addr;
+             len;
+             poll_events;
+             user_data = Int64.of_int user_data;
+             buf_index;
+             fixed;
+           };
+         let in_place =
+           U.sqe_opcode r 64 = Some opcode
+           && U.sqe_fd r 64 = fd
+           && U.sqe_file_off r 64 = file_off
+           && U.sqe_addr r 64 = addr
+           && U.sqe_len r 64 = len
+           && U.sqe_poll_events r 64 = poll_events
+           && U.sqe_user_data r 64 = user_data
+           && U.sqe_buf_index r 64 = buf_index
+           && U.sqe_fixed r 64 = fixed
+         in
+         U.set_cqe r 128 ~user_data ~res ~flags;
+         let cqe = U.read_cqe r 128 in
+         U.write_cqe r 144 cqe;
+         let cqe_ok =
+           cqe.user_data = Int64.of_int user_data
+           && cqe.res = res && cqe.flags = flags
+           && U.cqe_user_data r 144 = user_data
+           && U.cqe_res r 144 = res
+           && U.cqe_flags r 144 = flags
+         in
+         read_back && in_place && cqe_ok))
+
 let test_xsk_desc_set_bounds () =
   let r = region () in
   let rejects what f =
@@ -188,4 +260,5 @@ let suite =
     prop_xsk_desc_in_place;
     ("xsk_desc: in-place writes reject out-of-range fields", `Quick,
      test_xsk_desc_set_bounds);
+    prop_uring_in_place;
   ]

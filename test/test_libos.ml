@@ -330,11 +330,12 @@ let test_rakis_poll_bad_fd () = poll_bad_fd_is_ebadf Libos.Env.Rakis_sgx
 
 (* A timed RAKIS-side poll on an idle UDP socket waits on the process's
    own timeout, as the host kernel's does: no timer condition, closure,
-   queued callback or list cell per wait.  What it still allocates per
-   call (118 words) is its set-up (the partitioned spec lists, the
-   deadline and the closures over them), the readiness scans and its
-   suspensions' continuations.  A fresh timer per wait measured 152. *)
-let rakis_poll_words_budget = 128.
+   queued callback or list cell per wait.  On RAKIS sockets only it
+   builds no spec list, deadline box or closure either, and its
+   readiness scans allocate nothing, so what it allocates per call
+   (16.1 words) is its suspensions' continuations.  Partitioning the
+   specs and closing over them cost 118; a fresh timer per wait, 152. *)
+let rakis_poll_words_budget = 17.5
 
 let test_rakis_poll_timed_alloc () =
   let engine, _, env = make Libos.Env.Rakis_sgx in
@@ -359,6 +360,152 @@ let test_rakis_poll_timed_alloc () =
     Alcotest.failf "%.1f minor words per timed RAKIS poll, budget %.1f"
       !per_call rakis_poll_words_budget
 
+(* A 4 KiB RAKIS file op (an lseek and a write or a read) runs through
+   the SyncProxy, the io_uring FM, the host's io_uring worker and the
+   Monitor.  A heap block over [Max_young_wosize] (256 words) skips the
+   minor heap, so the minor-word budgets never see a per-op 4 KiB
+   buffer; this test counts the major heap too.  A fresh kernel bounce
+   per SQE measured 519 major words per op, and the op then allocated
+   292 minor words; with one bounce per worker and an allocation-free
+   enclave path it measures 0 and 74.4.  What is left is mostly
+   suspensions' continuations, boxed delays and the in-flight record. *)
+let rakis_file_major_words_budget = 8.
+
+let rakis_file_minor_words_budget = 80.
+
+let test_rakis_file_op_alloc () =
+  let engine, _, env = make Libos.Env.Rakis_sgx in
+  let api = Libos.Env.api env in
+  let major = ref infinity and minor = ref infinity in
+  run_script engine (fun () ->
+      let fd = expect "open" (api.Libos.Api.openf ~create:true ~trunc:true "/alloc") in
+      let size = 4096 and blocks = 16 and n = 1000 in
+      let buf = Bytes.create size and back = Bytes.create size in
+      let op i =
+        let block = (i / 2) mod blocks in
+        ignore (expect "lseek" (api.Libos.Api.lseek fd (block * size)));
+        if i land 1 = 0 then begin
+          Bytes.fill buf 0 size (Char.chr (i land 0xFF));
+          if expect "write" (api.Libos.Api.write fd buf 0 size) <> size then
+            Alcotest.fail "short write"
+        end
+        else if
+          expect "read" (api.Libos.Api.read fd back 0 size) <> size
+          || not (Bytes.equal back buf)
+        then Alcotest.failf "op %d: read differs from the last write" i
+      in
+      for i = 0 to (2 * blocks) - 1 do
+        op i
+      done;
+      (* Major words from [Gc.counters], not [Gc.quick_stat]: on OCaml
+         5.1 the latter counts only up to the last minor collection;
+         minor words from [Gc.minor_words], which [Gc.counters] lags. *)
+      let _, _, major0 = Gc.counters () and minor0 = Gc.minor_words () in
+      for i = 0 to n - 1 do
+        op i
+      done;
+      let _, _, major1 = Gc.counters () and minor1 = Gc.minor_words () in
+      major := (major1 -. major0) /. float_of_int n;
+      minor := (minor1 -. minor0) /. float_of_int n);
+  if !major > rakis_file_major_words_budget then
+    Alcotest.failf "%.1f major words per 4 KiB RAKIS file op, budget %.1f"
+      !major rakis_file_major_words_budget;
+  if !minor > rakis_file_minor_words_budget then
+    Alcotest.failf "%.1f minor words per 4 KiB RAKIS file op, budget %.1f"
+      !minor rakis_file_minor_words_budget
+
+(* An io_uring worker bounces the ops it runs inline through one buffer
+   of its own.  Two RAKIS threads, each with its own ring and worker,
+   write and read 4 KiB on their own files.  They issue each op at the
+   same instant, so the Monitor enters both rings in one scan and one
+   worker sits suspended in the VFS charge with a read's bytes in its
+   bounce while the other worker runs: every read must still return its
+   own thread's last write.  (One buffer for the whole kernel fails
+   this.) *)
+let test_rakis_bounce_per_worker () =
+  let engine, _, env = make Libos.Env.Rakis_sgx in
+  let api = Libos.Env.api env in
+  let size = 4096 and rounds = 20 and step = 20_000 in
+  let checked = ref 0 in
+  let thread id (api : Libos.Api.t) =
+    let fd =
+      expect "open"
+        (api.openf ~create:true ~trunc:true (Printf.sprintf "/bounce%d" id))
+    in
+    let buf = Bytes.create size and back = Bytes.create size in
+    let in_step () =
+      let now = Sim.Engine.clock engine in
+      Sim.Engine.delay (Int64.of_int (step - (now mod step)))
+    in
+    for i = 0 to rounds - 1 do
+      Bytes.fill buf 0 size (Char.chr ((64 * id) + i));
+      ignore (expect "lseek" (api.lseek fd 0));
+      in_step ();
+      check "write" size (expect "write" (api.write fd buf 0 size));
+      ignore (expect "lseek" (api.lseek fd 0));
+      in_step ();
+      check "read" size (expect "read" (api.read fd back 0 size));
+      if not (Bytes.equal back buf) then
+        Alcotest.failf "thread %d, round %d: read differs from its last write"
+          id i;
+      incr checked
+    done
+  in
+  run_script engine (fun () ->
+      api.Libos.Api.spawn ~name:"a" (thread 1);
+      api.Libos.Api.spawn ~name:"b" (thread 2);
+      while !checked < 2 * rounds do
+        Sim.Engine.delay (Sim.Cycles.of_us 10.)
+      done);
+  check "reads checked" (2 * rounds) !checked
+
+(* Back-to-back io_uring TCP sends go through the same worker bounce:
+   each must arrive at the peer intact, in order. *)
+let test_rakis_tcp_back_to_back_sends () =
+  let engine, kernel, env = make Libos.Env.Rakis_sgx in
+  let api = Libos.Env.api env in
+  let peer = Libos.Hostapi.native kernel in
+  let size = 1000 and sends = 8 in
+  let received = Buffer.create (size * sends) in
+  Sim.Engine.spawn engine (fun () ->
+      let l = peer.Libos.Api.tcp_socket () in
+      ignore (peer.Libos.Api.bind l (Hostos.Kernel.client_ip kernel, 9700));
+      ignore (peer.Libos.Api.listen l);
+      match peer.Libos.Api.accept l with
+      | Ok c ->
+          let buf = Bytes.create size in
+          let rec drain () =
+            if Buffer.length received < size * sends then
+              match peer.Libos.Api.recv c buf 0 size with
+              | Ok n when n > 0 ->
+                  Buffer.add_subbytes received buf 0 n;
+                  drain ()
+              | _ -> ()
+          in
+          drain ()
+      | Error _ -> ());
+  run_script engine (fun () ->
+      let fd = api.Libos.Api.tcp_socket () in
+      ignore
+        (expect "connect"
+           (api.Libos.Api.connect fd (Hostos.Kernel.client_ip kernel, 9700)));
+      for i = 0 to sends - 1 do
+        let msg = Bytes.make size (Char.chr (Char.code 'a' + i)) in
+        check "sent" size (expect "send" (api.Libos.Api.send fd msg 0 size))
+      done;
+      let rec settle n =
+        if Buffer.length received < size * sends && n > 0 then begin
+          Sim.Engine.delay (Sim.Cycles.of_us 10.);
+          settle (n - 1)
+        end
+      in
+      settle 1000);
+  Alcotest.(check string)
+    "every send intact, in order"
+    (String.concat ""
+       (List.init sends (fun i -> String.make size (Char.chr (Char.code 'a' + i)))))
+    (Buffer.contents received)
+
 let suite =
   suite
   @ [
@@ -376,4 +523,10 @@ let suite =
        test_rakis_poll_bad_fd);
       ("rakis: a timed poll allocates no timer", `Quick,
        test_rakis_poll_timed_alloc);
+      ("rakis: a file op allocates nothing in the major heap", `Quick,
+       test_rakis_file_op_alloc);
+      ("rakis: each io_uring worker bounces through its own buffer", `Quick,
+       test_rakis_bounce_per_worker);
+      ("rakis: back-to-back io_uring sends arrive intact", `Quick,
+       test_rakis_tcp_back_to_back_sends);
     ]

@@ -121,6 +121,39 @@ let test_engine_same_time_schedule_order () =
     [ (0L, "p"); (0L, "e"); (10L, "b"); (10L, "d"); (20L, "a"); (20L, "c") ]
     (List.rev !log)
 
+(* [clock], [at_clock] and [arm_timeout_at] are the boxed API with
+   native times: the same events at the same (time, seq). *)
+let test_engine_native_clock () =
+  let e = Engine.create () in
+  let log = ref [] in
+  let note s () = log := (Engine.now e, s) :: !log in
+  Engine.spawn e (fun () ->
+      Engine.delay 100L;
+      Alcotest.(check int) "clock" 100 (Engine.clock e);
+      Engine.at_clock e 50 (note "past");
+      Engine.at e 120L (note "a");
+      Engine.at_clock e 120 (note "b");
+      Engine.at e 120L (note "c");
+      Engine.arm_timeout_at 90;
+      Engine.timed_park ();
+      note "passed deadline" ();
+      Engine.arm_timeout_at 300;
+      Engine.timed_park ();
+      check_bool "timed out" true (Engine.timed_out ());
+      note "deadline" ());
+  Engine.run e;
+  Alcotest.(check (list (pair int64 string)))
+    "(time, seq) order"
+    [
+      (100L, "past");
+      (100L, "passed deadline");
+      (120L, "a");
+      (120L, "b");
+      (120L, "c");
+      (300L, "deadline");
+    ]
+    (List.rev !log)
+
 let test_engine_growth () =
   let e = Engine.create () in
   let n = 1500 in
@@ -1096,4 +1129,6 @@ let suite =
      test_timed_wait_earlier_deadline);
     ("engine: a delay next anyway skips the queue", `Quick,
      test_delay_fast_path);
+    ("engine: native clock, at_clock and arm_timeout_at", `Quick,
+     test_engine_native_clock);
   ]

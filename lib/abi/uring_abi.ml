@@ -198,16 +198,3 @@ let read_cqe r off =
   }
 
 let res_of_errno e = -Errno.to_int e
-
-let pp_opcode ppf op =
-  Format.pp_print_string ppf
-    (match op with
-    | Nop -> "nop"
-    | Read -> "read"
-    | Write -> "write"
-    | Send -> "send"
-    | Recv -> "recv"
-    | Poll_add -> "poll_add"
-    | Send_zc -> "send_zc"
-    | Sendmsg_zc -> "sendmsg_zc"
-    | Recv_multi -> "recv_multi")

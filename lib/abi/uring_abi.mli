@@ -157,5 +157,3 @@ val cqe_flags : Mem.Region.t -> int -> int
 
 val res_of_errno : Errno.t -> int
 (** [-errno]. *)
-
-val pp_opcode : Format.formatter -> opcode -> unit

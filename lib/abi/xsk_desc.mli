@@ -22,10 +22,6 @@ val encode_offset : int -> int64
 val decode_offset : int64 -> int
 (** The offset half of {!decode}, for any entry. *)
 
-val decode_len : int64 -> int
-(** The length half of {!decode}.  With {!decode_offset}, the
-    allocation-free decode the receive path uses. *)
-
 (** {2 In place}
 
     The same encoding read and written straight in a ring slot as native

@@ -20,8 +20,6 @@ type result = {
   retransmits : int;
 }
 
-val port : int
-
 val chunk_payload : int
 (** Data bytes per datagram (1400). *)
 

@@ -17,5 +17,3 @@ let api t = Libos.Env.api t.env
 let run ?until t = Sim.Engine.run ?until t.engine
 
 let stop t = Sim.Engine.stop t.engine
-
-let seconds t = Sim.Cycles.to_sec (Sim.Engine.now t.engine)

@@ -23,6 +23,3 @@ val run : ?until:Sim.Engine.time -> t -> unit
 (** Drive the simulation until {!Sim.Engine.stop} or the horizon. *)
 
 val stop : t -> unit
-
-val seconds : t -> float
-(** Simulated seconds elapsed. *)

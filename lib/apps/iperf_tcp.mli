@@ -29,8 +29,6 @@ type result = {
       (** frames whose notif never arrived — 0 under an honest host *)
 }
 
-val port : int
-
 val run : ?chunk_size:int -> Harness.t -> bytes:int -> result
 (** Runs the full simulation; [chunk_size] (default 16 KiB, one
     zero-copy frame) is the size of each [send] call. *)

@@ -17,8 +17,6 @@ type result = {
   checksum : int;  (** of the ciphertext, so tests can verify fidelity *)
 }
 
-val cipher_cycles_per_byte : float
-
 val encrypt_block : key:int64 -> Bytes.t -> unit
 (** In-place ARX encryption of a block (exposed for tests: decrypting
     with the same keystream restores the plaintext). *)

@@ -23,8 +23,6 @@ let create api =
     rx = Queue.create ();
   }
 
-let fd t = t.fd
-
 let rdp t = t.rdp
 
 let bind t addr = t.api.Libos.Api.bind t.fd addr

@@ -13,8 +13,6 @@ val create : Libos.Api.t -> t
 (** Opens a fresh UDP socket on [api] and a fresh {!Netstack.Rdp}
     endpoint, whose counters {!rdp} exposes. *)
 
-val fd : t -> Libos.Api.fd
-
 val rdp : t -> Netstack.Rdp.t
 (** The engine, for accounting reads ({!Netstack.Rdp.gave_up} …). *)
 

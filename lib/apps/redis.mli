@@ -16,8 +16,6 @@ type result = {
   kops_per_sec : float;
 }
 
-val port : int
-
 val command_name : command -> string
 
 val run :

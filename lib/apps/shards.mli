@@ -36,8 +36,6 @@ val spread_ports :
 
 val total_rx : report -> int
 
-val total_tx : report -> int
-
 val silently_idle : report -> int list
 (** Shards with [offered > 0], [rx_delivered = 0] and no breaker
     opens/failovers — unexplained silence. *)
@@ -45,7 +43,5 @@ val silently_idle : report -> int list
 val check_exn : what:string -> report option -> unit
 (** [failwith] naming the silently idle shards, if any; no-op on [None]
     or a clean report. *)
-
-val pp_stat : Format.formatter -> stat -> unit
 
 val pp : Format.formatter -> report -> unit

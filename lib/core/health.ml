@@ -36,8 +36,6 @@ let state_label = function
 
 let state_level = function Closed -> 0. | Open -> 1. | Half_open -> 2.
 
-let pp_state ppf s = Format.pp_print_string ppf (state_name s)
-
 let create ?obs ~name ~clock ?(threshold = 3) ?(cooldown = 400_000L)
     ?(probes_needed = 4) () =
   let m =

@@ -132,5 +132,3 @@ val sheds : t -> int
 val probes_sent : t -> int
 
 val state_name : state -> string
-
-val pp_state : Format.formatter -> state -> unit

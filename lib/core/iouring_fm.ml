@@ -96,7 +96,7 @@ type t = {
   bounce_size : int;
   cq_notify : Sim.Condition.t;
   renudge : unit -> unit; (* the renudge timer's callback, built once *)
-  mutable kick : unit -> unit;
+  kick : unit -> unit; (* SQPOLL or Monitor wakeup after each publish *)
   (* The ring callbacks, built once so that no burst allocates a
      closure.  [sqe_write] writes [reqs.(i)]; [cqe_read] settles one CQE
      and counts it into [reaped] or [strays], which {!reap_burst} resets
@@ -119,7 +119,7 @@ type t = {
   mutable live : int;
   mutable probe_mode : bool;
   mutable sq_full_streak : int;
-  mutable breaker : Health.t option;
+  breaker : Health.t;
   max_pending : int;
   sheds : Obs.Metrics.counter;
   cqe_rejects : Obs.Metrics.counter;
@@ -160,29 +160,11 @@ let layout_objects name (l : Rings.Layout.t) =
   ]
   |> List.map (fun (p, len) -> (name, p, len))
 
-let set_kick t f = t.kick <- f
-
-let set_breaker t b = t.breaker <- Some b
-
 let set_probe_mode t on = t.probe_mode <- on
-
-let sq_ring t = t.sq
-
-let cq_ring t = t.cq
 
 let cqe_rejects t = Obs.Metrics.value t.cqe_rejects
 
-let retries t = Obs.Metrics.value t.retries
-
-let retry_successes t = Obs.Metrics.value t.retry_success
-
 let retries_exhausted t = Obs.Metrics.value t.retry_exhausted
-
-let burst_counters t =
-  List.map
-    (fun (name, ring) ->
-      (name, (Rings.Certified.bursts ring, Rings.Certified.burst_slots ring)))
-    [ ("iSub", t.sq); ("iCompl", t.cq) ]
 
 let invariant_holds t =
   Rings.Certified.invariant_holds t.sq && Rings.Certified.invariant_holds t.cq
@@ -190,8 +172,6 @@ let invariant_holds t =
 let inflight t = Hashtbl.length t.pending
 
 let sheds t = Obs.Metrics.value t.sheds
-
-let zc_pool t = Option.map (fun z -> z.pool) t.zc
 
 (* Completed-but-unnotified sends: at quiescence each is a frame the
    host is sitting on by withholding its notif — the dropped-notif
@@ -435,7 +415,7 @@ let submit_burst t count =
       t.sq_full_streak <- t.sq_full_streak + 1;
       if t.sq_full_streak >= 3 then begin
         t.sq_full_streak <- 0;
-        match t.breaker with None -> () | Some b -> Health.record_failure b
+        Health.record_failure t.breaker
       end
     end
     else t.sq_full_streak <- 0;
@@ -452,8 +432,8 @@ let submit t ~opcode ~fd ~file_off ~addr ~len ~poll_events ~buf_index ~fixed
 
 let ( let* ) = Result.bind
 
-let create ?obs ?(name = "uring") ~enclave ~config ~fd ~uring ~bounce
-    ?zc_arena () =
+let create ?obs ?(name = "uring") ~enclave ~config ~monitor ~breaker ~fd ~uring
+    ~bounce ?zc_arena () =
   if fd < 0 then Error (Bad_fd fd)
   else
     let entries = config.Config.uring_entries in
@@ -515,7 +495,16 @@ let create ?obs ?(name = "uring") ~enclave ~config ~fd ~uring ~bounce
         bounce_size = config.Config.max_io_size;
         cq_notify;
         renudge = (fun () -> Sim.Condition.broadcast cq_notify);
-        kick = (fun () -> ());
+        kick =
+          (if config.Config.use_sqpoll then
+             (* SQPOLL: the kernel's own poller notices new SQEs within
+                its poll period — no MM syscall involved.  Signalling the
+                worker directly stands in for that busy-poll, as with the
+                other shared-memory polling in this simulation. *)
+             fun () -> Hostos.Io_uring.enter uring
+           else fun () ->
+             Monitor.nudge_uring monitor uring;
+             Monitor.kick monitor);
         sqe_write = (fun ~slot_off i -> sqe_write t ~slot_off i);
         cqe_read = (fun ~slot_off i -> cqe_read t ~slot_off i);
         reqs = [| new_req () |];
@@ -527,7 +516,7 @@ let create ?obs ?(name = "uring") ~enclave ~config ~fd ~uring ~bounce
         live = 0;
         probe_mode = false;
         sq_full_streak = 0;
-        breaker = None;
+        breaker;
         max_pending = config.Config.max_pending;
         sheds = Obs.Metrics.counter m (name ^ ".sheds");
         cqe_rejects = Obs.Metrics.counter m (name ^ ".cqe_rejects");
@@ -736,7 +725,7 @@ let submit_wait t ~opcode ~fd ~file_off ~addr ~len ~poll_events ~buf_index
 let admit t =
   if Hashtbl.length t.pending >= t.max_pending then begin
     Obs.Metrics.incr t.sheds;
-    (match t.breaker with None -> () | Some b -> Health.record_shed b);
+    Health.record_shed t.breaker;
     false
   end
   else true
@@ -1045,12 +1034,6 @@ let recv t ~fd ~buf ~pos ~len =
     | _ -> recv_copy t ~fd ~buf ~pos ~len
 
 let poll_mask = Abi.Uring_abi.pollin lor Abi.Uring_abi.pollout
-
-let poll t ~fd ~events =
-  if not (admit t) then Error Abi.Errno.EAGAIN
-  else
-    submit_wait t ~opcode:Poll_add ~fd ~file_off:0 ~addr:0 ~len:0
-      ~poll_events:events ~buf_index:0 ~fixed:false ~expected_max:poll_mask
 
 let nop t =
   if not (admit t) then Error Abi.Errno.EAGAIN

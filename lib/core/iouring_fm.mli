@@ -53,6 +53,8 @@ val create :
   ?name:string ->
   enclave:Sgx.Enclave.t ->
   config:Config.t ->
+  monitor:Monitor.t ->
+  breaker:Health.t ->
   fd:int ->
   uring:Hostos.Io_uring.t ->
   bounce:Mem.Ptr.t ->
@@ -77,14 +79,13 @@ val create :
     (["<name>.sync_wait_cycles"]), and the certified-ring instruments
     for ["<name>.iSub"] / ["<name>.iCompl"].  Each synchronous
     operation additionally records a ["syncproxy"] span in the trace,
-    from submit to validated completion. *)
+    from submit to validated completion.
 
-val set_kick : t -> (unit -> unit) -> unit
-(** Install the Monitor Module's wakeup hook, invoked after every
-    SQE batch is published so the host side gets scanned promptly. *)
-
-val set_breaker : t -> Health.t -> unit
-(** Attach the io_uring circuit breaker.  The FM feeds it overload
+    After every SQE batch is published the FM wakes the host side: with
+    [config.use_sqpoll] it signals the kernel's poller directly,
+    otherwise it asks [monitor] (its shard's MM, which the runtime has
+    watching this ring) for an [io_uring_enter] on the next scan.
+    [breaker] is the io_uring circuit breaker; the FM feeds it overload
     signals only — SQ-full streaks (3 consecutive full-looking
     publishes) as failures and admission sheds — leaving
     success/failure verdicts on synchronous ops to {!Syncproxy}, which
@@ -118,37 +119,16 @@ val recv :
   t -> fd:int -> buf:Bytes.t -> pos:int -> len:int -> (int, Abi.Errno.t) result
 (** TCP receive via the bounce buffer; returns bytes read. *)
 
-val poll : t -> fd:int -> events:int -> (int, Abi.Errno.t) result
-(** Returns the ready-events mask. *)
-
 val nop : t -> (int, Abi.Errno.t) result
 (** Submit a no-op SQE and wait for its CQE (plumbing check). *)
 
 (** {1 Introspection} *)
 
-val sq_ring : t -> Rings.Certified.t
-(** The certified iSub (submission) ring. *)
-
-val cq_ring : t -> Rings.Certified.t
-(** The certified iCompl (completion) ring. *)
-
 val cqe_rejects : t -> int
 (** CQEs refused for wrong user_data or out-of-range result. *)
 
-val retries : t -> int
-(** Transient-failure retries taken (["<name>.retries"]).  Every
-    synchronous operation retries [Sgx.Params.retry_limit] times with
-    {!Sim.Backoff} before reporting [ETIMEDOUT] (DESIGN.md §8). *)
-
-val retry_successes : t -> int
-(** Operations that succeeded only after at least one retry. *)
-
 val retries_exhausted : t -> int
 (** Operations that gave up after [Sgx.Params.retry_limit] retries. *)
-
-val burst_counters : t -> (string * (int * int)) list
-(** Per-ring [(name, (bursts, slots))] batch counters (see
-    {!Xsk_fm.burst_counters}). *)
 
 val invariant_holds : t -> bool
 (** Both certified rings satisfy the paper's eq. 1 invariant. *)
@@ -179,10 +159,6 @@ val accounting_holds : t -> bool
     (validated notifs) and the refused notifs ["<name>.zc_notif_early"]
     and ["<name>.zc_notif_stray"], which also count under
     {!cqe_rejects}. *)
-
-val zc_pool : t -> Umem.t option
-(** The zero-copy frame pool's ownership map ([None] on the copy
-    path). *)
 
 val zc_leaks : t -> int
 (** Completed sends whose notif never arrived.  At quiescence each is a

@@ -39,37 +39,47 @@ type t = {
      fences stale incarnations out after a restart. *)
   mutable generation : int;
   mutable alive : bool;
-  mutable last_beat : int64;
+  mutable last_beat : int; (* native clock, as [Sim.Engine.clock] reads it *)
   mutable hb_armed : bool;
+  hb_fire : unit -> unit; (* the heartbeat timer's callback, built once *)
 }
+
+let heartbeat_period = Int64.to_int Sgx.Params.mm_heartbeat_period
 
 let create ?obs ?name ?shard engine ~kernel =
   let m =
     match obs with Some o -> Obs.metrics o | None -> Obs.Metrics.create ()
   in
   let name = Option.value name ~default:"mm" in
-  {
-    engine;
-    kernel;
-    shard;
-    work = Sim.Condition.create ();
-    watched = [];
-    pending = false;
-    wakeups = Obs.Metrics.counter m (name ^ ".wakeups");
-    rx_wakeups = Obs.Metrics.counter m (name ^ ".wakeups.rx");
-    tx_wakeups = Obs.Metrics.counter m (name ^ ".wakeups.tx");
-    uring_wakeups = Obs.Metrics.counter m (name ^ ".wakeups.uring");
-    scans = Obs.Metrics.counter m (name ^ ".scans");
-    forced_enters = Obs.Metrics.counter m (name ^ ".forced_enters");
-    forced_tx = Obs.Metrics.counter m (name ^ ".forced_tx");
-    beats = Obs.Metrics.counter m (name ^ ".heartbeats");
-    crashes = Obs.Metrics.counter m (name ^ ".crashes");
-    trace = Option.map Obs.trace obs;
-    generation = 0;
-    alive = false;
-    last_beat = 0L;
-    hb_armed = false;
-  }
+  let rec t =
+    {
+      engine;
+      kernel;
+      shard;
+      work = Sim.Condition.create ();
+      watched = [];
+      pending = false;
+      wakeups = Obs.Metrics.counter m (name ^ ".wakeups");
+      rx_wakeups = Obs.Metrics.counter m (name ^ ".wakeups.rx");
+      tx_wakeups = Obs.Metrics.counter m (name ^ ".wakeups.tx");
+      uring_wakeups = Obs.Metrics.counter m (name ^ ".wakeups.uring");
+      scans = Obs.Metrics.counter m (name ^ ".scans");
+      forced_enters = Obs.Metrics.counter m (name ^ ".forced_enters");
+      forced_tx = Obs.Metrics.counter m (name ^ ".forced_tx");
+      beats = Obs.Metrics.counter m (name ^ ".heartbeats");
+      crashes = Obs.Metrics.counter m (name ^ ".crashes");
+      trace = Option.map Obs.trace obs;
+      generation = 0;
+      alive = false;
+      last_beat = 0;
+      hb_armed = false;
+      hb_fire =
+        (fun () ->
+          t.hb_armed <- false;
+          Sim.Condition.broadcast t.work);
+    }
+  in
+  t
 
 let watch_xsk t xsk =
   t.watched <-
@@ -131,48 +141,11 @@ let tx_wakeup_syscalls t = Obs.Metrics.value t.tx_wakeups
 
 let uring_wakeup_syscalls t = Obs.Metrics.value t.uring_wakeups
 
-let scan_count t = Obs.Metrics.value t.scans
-
-let forced_enters t = Obs.Metrics.value t.forced_enters
-
-let forced_tx_wakeups t = Obs.Metrics.value t.forced_tx
-
 let alive t = t.alive
 
 let last_beat t = t.last_beat
 
-let heartbeats t = Obs.Metrics.value t.beats
-
-let crashes t = Obs.Metrics.value t.crashes
-
 let generation t = t.generation
-
-type observation = {
-  obs_alive : bool;
-  obs_generation : int;
-  obs_scans : int;
-  obs_wakeups : int;
-  obs_forced_enters : int;
-  obs_forced_tx : int;
-  obs_crashes : int;
-}
-
-let observe t =
-  {
-    obs_alive = t.alive;
-    obs_generation = t.generation;
-    obs_scans = Obs.Metrics.value t.scans;
-    obs_wakeups = Obs.Metrics.value t.wakeups;
-    obs_forced_enters = Obs.Metrics.value t.forced_enters;
-    obs_forced_tx = Obs.Metrics.value t.forced_tx;
-    obs_crashes = Obs.Metrics.value t.crashes;
-  }
-
-let pp_observation ppf o =
-  Format.fprintf ppf
-    "alive=%b gen=%d scans=%d wakeups=%d forced=%d/%d crashes=%d" o.obs_alive
-    o.obs_generation o.obs_scans o.obs_wakeups o.obs_forced_enters
-    o.obs_forced_tx o.obs_crashes
 
 let advanced ~seen ~now = Rings.U32.distance ~ahead:now ~behind:seen > 0
 
@@ -234,11 +207,9 @@ let heartbeat_wait t =
   (match Hostos.Kernel.faults t.kernel with
   | Some _ when not t.hb_armed ->
       t.hb_armed <- true;
-      Sim.Engine.at t.engine
-        (Int64.add (Sim.Engine.now t.engine) Sgx.Params.mm_heartbeat_period)
-        (fun () ->
-          t.hb_armed <- false;
-          Sim.Condition.broadcast t.work)
+      Sim.Engine.at_clock t.engine
+        (Sim.Engine.clock t.engine + heartbeat_period)
+        t.hb_fire
   | _ -> ());
   Sim.Condition.wait t.work
 
@@ -246,7 +217,7 @@ let start t =
   t.generation <- t.generation + 1;
   let gen = t.generation in
   t.alive <- true;
-  t.last_beat <- Sim.Engine.now t.engine;
+  t.last_beat <- Sim.Engine.clock t.engine;
   let thread_name =
     match t.shard with
     | None -> "rakis-mm"
@@ -259,7 +230,7 @@ let start t =
            from a hang long after its replacement took over). *)
         if t.generation <> gen then ()
         else begin
-          t.last_beat <- Sim.Engine.now t.engine;
+          t.last_beat <- Sim.Engine.clock t.engine;
           Obs.Metrics.incr t.beats;
           match Hostos.Kernel.faults t.kernel with
           | Some f when Hostos.Faults.roll ?shard:t.shard (Some f) Hostos.Faults.Monitor_crash

@@ -81,13 +81,9 @@ val force_scan : t -> unit
 val alive : t -> bool
 (** False once the current MM incarnation has crashed. *)
 
-val last_beat : t -> int64
-(** Simulation time of the current incarnation's most recent beat. *)
-
-val heartbeats : t -> int
-
-val crashes : t -> int
-(** Injected MM crashes observed so far (["mm.crashes"]). *)
+val last_beat : t -> int
+(** Simulation time of the current incarnation's most recent beat, as
+    {!Sim.Engine.clock} reads it. *)
 
 val generation : t -> int
 (** Number of times the MM has been started ({!start} + {!restart}). *)
@@ -104,32 +100,3 @@ val tx_wakeup_syscalls : t -> int
 val uring_wakeup_syscalls : t -> int
 (** [io_uring_enter] wakeups issued for iSub advances. *)
 
-val scan_count : t -> int
-(** Watched-ring scan passes executed by the MM thread. *)
-
-val forced_enters : t -> int
-(** [io_uring_enter] wakeups issued {e solely} because of
-    {!nudge_uring} — iSub had not advanced.  These measure the
-    liveness-recovery overhead under iCompl index-smashing attacks. *)
-
-val forced_tx_wakeups : t -> int
-(** [sendto] wakeups issued solely because of {!nudge_xsk} — xTX had
-    not advanced (["mm.forced_tx"]). *)
-
-type observation = {
-  obs_alive : bool;
-  obs_generation : int;
-  obs_scans : int;
-  obs_wakeups : int;
-  obs_forced_enters : int;
-  obs_forced_tx : int;
-  obs_crashes : int;
-}
-(** A pure snapshot of the MM's liveness state and counters — the
-    observation hook golden traces and watchdog tests compare across
-    restarts (DESIGN.md §11). *)
-
-val observe : t -> observation
-(** Side-effect free: reads counters, never touches the MM thread. *)
-
-val pp_observation : Format.formatter -> observation -> unit

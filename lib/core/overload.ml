@@ -38,7 +38,6 @@
 type cls = Control | Data
 
 type t = {
-  name : string;
   clock : unit -> int64;
   (* CoDel *)
   target : int64;
@@ -49,8 +48,12 @@ type t = {
   (* watermarks *)
   high_wm : int;
   low_wm : int;
-  depths : int array;  (* last sample per source; the shard's effective
-                          depth is the max across sources *)
+  (* A shard's depth is fed from several queues — the netstack socket
+     queue (src 0) and each XSK's rx-ring backlog (src 1+i).  Tracking
+     the last sample per source and taking the max keeps a shallow
+     socket queue from instantly clearing a saturation raised by a
+     flooded ring (and vice versa). *)
+  depths : int array;
   mutable saturated : bool;
   (* token bucket (applies to Data only, and only under pressure) *)
   rate : int;
@@ -85,23 +88,15 @@ let default_rate = 64 (* Data admissions per [interval] under pressure *)
 
 let default_burst = 32
 
-(* A shard's depth is fed from several queues — the netstack socket
-   queue (src 0) and each XSK's rx-ring backlog (src 1+i).  Tracking
-   the last sample per source and taking the max keeps a shallow
-   socket queue from instantly clearing a saturation raised by a
-   flooded ring (and vice versa). *)
-let max_depth_sources = 8
-
 let create ?obs ?(name = "overload") ?(target = default_target)
     ?(interval = default_interval) ?(high_watermark = default_high_watermark)
     ?(low_watermark = default_low_watermark) ?(rate = default_rate)
-    ?(burst = default_burst) ~clock () =
+    ?(burst = default_burst) ~sources ~clock () =
   let metrics =
     match obs with Some o -> Obs.metrics o | None -> Obs.Metrics.create ()
   in
   let c suffix = Obs.Metrics.counter metrics (name ^ "." ^ suffix) in
   {
-    name;
     clock;
     target;
     interval;
@@ -110,7 +105,7 @@ let create ?obs ?(name = "overload") ?(target = default_target)
     last_sojourn = 0L;
     high_wm = high_watermark;
     low_wm = low_watermark;
-    depths = Array.make max_depth_sources 0;
+    depths = Array.make sources 0;
     saturated = false;
     rate;
     burst;
@@ -127,13 +122,9 @@ let create ?obs ?(name = "overload") ?(target = default_target)
     shedding_gauge = Obs.Metrics.gauge metrics (name ^ ".shedding");
   }
 
-let name t = t.name
-
 let now t = t.clock ()
 
 let high_watermark t = t.high_wm
-
-let low_watermark t = t.low_wm
 
 let shedding t = t.shedding
 
@@ -146,12 +137,7 @@ let under_pressure t = t.shedding || t.saturated
    as it drains).  The watermark logic runs on the max across sources:
    one flooded queue saturates the shard; every queue must drain to
    clear it. *)
-let note_depth ?(src = 0) t depth =
-  let src =
-    if src < 0 then 0
-    else if src >= max_depth_sources then max_depth_sources - 1
-    else src
-  in
+let note_depth t ~src depth =
   t.depths.(src) <- depth;
   let depth = Array.fold_left max 0 t.depths in
   Obs.Metrics.set t.depth_gauge (float_of_int depth);
@@ -304,9 +290,3 @@ let observe t =
     ob_shed_data = Obs.Metrics.value t.shed_data;
     ob_shed_deadline = Obs.Metrics.value t.shed_deadline;
   }
-
-let pp_observation ppf o =
-  Format.fprintf ppf
-    "shedding=%b saturated=%b depth=%d admitted=%d/%d shed=%d (deadline=%d)"
-    o.ob_shedding o.ob_saturated o.ob_depth o.ob_admitted_data
-    o.ob_admitted_control o.ob_shed_data o.ob_shed_deadline

@@ -32,20 +32,23 @@ val create :
   ?low_watermark:int ->
   ?rate:int ->
   ?burst:int ->
+  sources:int ->
   clock:(unit -> int64) ->
   unit ->
   t
 (** [name] defaults to ["overload"]; the runtime passes
     ["overload.<k>"] per shard and ["overload.uring"] for the
-    runtime-wide io_uring pending-table guard.  Tuning knobs default to
-    {!default_target} etc. *)
+    runtime-wide io_uring pending-table guard.  [sources] is the number
+    of queues that feed {!note_depth}: a shard's socket queue plus one
+    per XSK, or 1 for the io_uring guard.  Tuning knobs default to the
+    DESIGN.md §15 constants. *)
 
 (** {1 Feeding the controller} *)
 
-val note_depth : ?src:int -> t -> int -> unit
+val note_depth : t -> src:int -> int -> unit
 (** Depth sample from one of the shard's guarded queues — [src] 0 is
-    the netstack socket queue, [src] 1+i each XSK's rx-ring backlog
-    (at most {!max_depth_sources} sources; out-of-range [src] clamps).
+    the netstack socket queue, [src] 1+i each XSK's rx-ring backlog;
+    [src] must be below the [sources] given to {!create}.
     The watermark logic runs on the {e max} of the last sample from
     every source, so a shallow socket queue cannot clear a saturation
     raised by a flooded ring.  Effective depth >= [high_watermark]
@@ -53,8 +56,6 @@ val note_depth : ?src:int -> t -> int -> unit
     back to [low_watermark] (hysteresis — no flapping at the
     boundary).  Called from both the enqueue and dequeue paths so a
     starved queue still clears the mark as it drains. *)
-
-val max_depth_sources : int
 
 val observe_sojourn : t -> int64 -> unit
 (** One dequeue's queueing delay in cycles.  Sojourn above [target] for
@@ -89,11 +90,7 @@ val saturated : t -> bool
 val under_pressure : t -> bool
 (** [shedding t || saturated t]. *)
 
-val name : t -> string
-
 val high_watermark : t -> int
-
-val low_watermark : t -> int
 
 val now : t -> int64
 (** The controller's clock (exposed so callers measuring sojourns use
@@ -121,18 +118,8 @@ type observation = {
 
 val observe : t -> observation
 
-val pp_observation : Format.formatter -> observation -> unit
-
 (** {1 Defaults (DESIGN.md §15)} *)
-
-val default_target : int64
-
-val default_interval : int64
 
 val default_high_watermark : int
 
 val default_low_watermark : int
-
-val default_rate : int
-
-val default_burst : int

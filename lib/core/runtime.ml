@@ -17,6 +17,10 @@ type shard = {
   mutable tx_counter : int;
 }
 
+(* A user thread's io_uring context is its SyncProxy, which holds the
+   thread's FM. *)
+type thread = Syncproxy.t
+
 type t = {
   enclave : Sgx.Enclave.t;
   kernel : Hostos.Kernel.t;
@@ -54,8 +58,6 @@ and udp_sock = {
   mutable host_fd : int option; (* exit-based fallback socket, same port *)
 }
 
-and thread = { runtime : t; proxy : Syncproxy.t }
-
 let enclave t = t.enclave
 
 let kernel t = t.kernel
@@ -72,8 +74,6 @@ let shard_count t = Array.length t.shards
 
 let xsk_fms t = Array.concat (Array.to_list (Array.map (fun sh -> sh.sh_fms) t.shards))
 
-let owns_port t port = Hashtbl.mem t.owned_ports port
-
 let xsk_breaker t = t.shards.(0).sh_breaker
 
 let uring_breaker t = t.uring_breaker
@@ -81,33 +81,6 @@ let uring_breaker t = t.uring_breaker
 let mm_breaker t = t.mm_breaker
 
 let shard_breaker t k = t.shards.(k).sh_breaker
-
-(* Pure product-machine observation: every breaker's full snapshot plus
-   every shard MM's liveness, named per instance.  The TM's golden
-   traces and the explorer's conformance checks read this (never the
-   raw mutable fields), so refactors of the runtime internals show up
-   as an observation diff, not a silent drift. *)
-let health_observations t =
-  let shard_obs =
-    List.concat
-      (List.init (Array.length t.shards) (fun k ->
-           let name =
-             if Array.length t.shards = 1 then "xsk" else Printf.sprintf "xsk.%d" k
-           in
-           [ (name, Health.observe t.shards.(k).sh_breaker) ]))
-  in
-  shard_obs
-  @ [ ("uring", Health.observe t.uring_breaker);
-      ("mm", Health.observe t.mm_breaker) ]
-
-let monitor_observations t =
-  List.init (Array.length t.shards) (fun k ->
-      let name =
-        if Array.length t.shards = 1 then "mm" else Printf.sprintf "mm.%d" k
-      in
-      (name, Monitor.observe t.shards.(k).sh_monitor))
-
-let shard_monitor t k = t.shards.(k).sh_monitor
 
 let shard_fms t k = t.shards.(k).sh_fms
 
@@ -340,23 +313,52 @@ let boot kernel ~sgx ?(config = Config.default) () =
         if sharded then Some (Netstack.Arp_cache.create ~obs engine ())
         else None
       in
-      (* Build each shard's stack, Monitor and FMs.  With one queue the
-         instance names collapse to the historical ones ("stack", "mm",
-         "xsk<i>") so single-shard metric names, repro tokens and CI
-         greps are unchanged. *)
-      let rec make_shard_parts k acc =
-        if k = num_queues then Ok (List.rev acc)
+      let clock () = Sim.Engine.now engine in
+      let breaker name = Health.create ~obs ~name ~clock () in
+      let overload name ~sources =
+        if config.Config.overload then
+          (* Watermarks fit the narrowest guarded queue: on a machine
+             whose rings hold fewer frames than the default watermark,
+             depth can never reach it and saturation — with the edge
+             throttling it drives — would be unreachable.  Saturate at
+             3/4 of a ring, clear at 1/4, capped by the defaults on
+             full-size machines. *)
+          let high =
+            min Overload.default_high_watermark
+              (max 8 (3 * config.Config.ring_size / 4))
+          in
+          let low =
+            min Overload.default_low_watermark
+              (max 2 (config.Config.ring_size / 4))
+          in
+          Some
+            (Overload.create ~obs ~name ~high_watermark:high
+               ~low_watermark:low ~sources ~clock ())
+        else None
+      in
+      (* Build each shard: its stack, Monitor, XSK breaker and overload
+         controller first, then its FMs, each created wired to them.
+         With one queue the instance names collapse to the historical
+         ones ("stack", "mm", "xsk<i>") so single-shard metric names,
+         repro tokens and CI greps are unchanged. *)
+      let rec make_shards k acc =
+        if k = num_queues then Ok (Array.of_list (List.rev acc))
         else begin
+          let instance base =
+            if sharded then Printf.sprintf "%s.%d" base k else base
+          in
           let stack =
-            Netstack.Stack.create ~obs
-              ?name:(if sharded then Some (Printf.sprintf "stack.%d" k) else None)
-              ?arp:shared_arp engine ~mac:config.mac ~ip:config.ip
-              ~locking:config.locking ()
+            Netstack.Stack.create ~obs ~name:(instance "stack") ?arp:shared_arp
+              engine ~mac:config.mac ~ip:config.ip ~locking:config.locking ()
           in
           let monitor =
-            Monitor.create ~obs
-              ?name:(if sharded then Some (Printf.sprintf "mm.%d" k) else None)
-              ~shard:k engine ~kernel
+            Monitor.create ~obs ~name:(instance "mm") ~shard:k engine ~kernel
+          in
+          let sh_breaker = breaker (instance "xsk") in
+          (* Depth sources: the socket queue (0) and each XSK's xRX
+             backlog (1 + i). *)
+          let sh_overload =
+            overload (instance "overload") ~sources:(1 + config.num_xsks)
           in
           let rec make_fms i fms =
             if i = config.num_xsks then Ok (List.rev fms)
@@ -376,7 +378,10 @@ let boot kernel ~sgx ?(config = Config.default) () =
               in
               Hostos.Xdp.set_shard xsk k;
               match
-                Xsk_fm.create ~obs ~name ~enclave ~config ~stack ~fd ~xsk ()
+                Xsk_fm.create ~obs ~name ~enclave ~kernel ~config ~stack
+                  ~monitor ~breaker:sh_breaker
+                  ~overload:(Option.map (fun ov -> (ov, 1 + i)) sh_overload)
+                  ~fd ~xsk ()
               with
               | Error e ->
                   Error (Format.asprintf "xsk fm: %a" Xsk_fm.pp_init_error e)
@@ -385,58 +390,26 @@ let boot kernel ~sgx ?(config = Config.default) () =
           in
           match make_fms 0 [] with
           | Error e -> Error e
-          | Ok fms -> make_shard_parts (k + 1) ((stack, monitor, fms) :: acc)
+          | Ok fms ->
+              make_shards (k + 1)
+                ({
+                   sq = k;
+                   sh_stack = stack;
+                   sh_fms = Array.of_list (List.map fst fms);
+                   sh_xsks = Array.of_list (List.map snd fms);
+                   sh_monitor = monitor;
+                   sh_breaker;
+                   sh_overload;
+                   last_tx_ok = true;
+                   probing = false;
+                   tx_counter = 0;
+                 }
+                :: acc)
         end
       in
-      match make_shard_parts 0 [] with
+      match make_shards 0 [] with
       | Error e -> Error e
-      | Ok parts ->
-          let clock () = Sim.Engine.now engine in
-          let breaker name = Health.create ~obs ~name ~clock () in
-          let overload name =
-            if config.Config.overload then
-              (* Watermarks fit the narrowest guarded queue: on a
-                 machine whose rings hold fewer frames than the default
-                 watermark, depth can never reach it and saturation —
-                 with the edge throttling it drives — would be
-                 unreachable.  Saturate at 3/4 of a ring, clear at 1/4,
-                 capped by the defaults on full-size machines. *)
-              let high =
-                min Overload.default_high_watermark
-                  (max 8 (3 * config.Config.ring_size / 4))
-              in
-              let low =
-                min Overload.default_low_watermark
-                  (max 2 (config.Config.ring_size / 4))
-              in
-              Some
-                (Overload.create ~obs ~name ~high_watermark:high
-                   ~low_watermark:low ~clock ())
-            else None
-          in
-          let shards =
-            Array.of_list
-              (List.mapi
-                 (fun k (stack, monitor, fms) ->
-                   {
-                     sq = k;
-                     sh_stack = stack;
-                     sh_fms = Array.of_list (List.map fst fms);
-                     sh_xsks = Array.of_list (List.map snd fms);
-                     sh_monitor = monitor;
-                     sh_breaker =
-                       breaker
-                         (if sharded then Printf.sprintf "xsk.%d" k else "xsk");
-                     sh_overload =
-                       overload
-                         (if sharded then Printf.sprintf "overload.%d" k
-                          else "overload");
-                     last_tx_ok = true;
-                     probing = false;
-                     tx_counter = 0;
-                   })
-                 parts)
-          in
+      | Ok shards ->
           let t =
             {
               enclave;
@@ -449,48 +422,31 @@ let boot kernel ~sgx ?(config = Config.default) () =
               owned_ports = Hashtbl.create 16;
               uring_breaker = breaker "uring";
               mm_breaker = breaker "mm";
-              uring_overload = overload "overload.uring";
+              uring_overload = overload "overload.uring" ~sources:1;
               slow = Slowpath.create ~obs kernel enclave;
               udp_socks = [];
               threads = [];
               thread_counter = 0;
             }
           in
+          (* Overload wiring (DESIGN.md §15): the shard's controller
+             gates rx enqueues (CoDel shedding state) and tracks queue
+             sojourns; its FMs already feed it their ring backlogs and
+             starve their fill rings while the high watermark holds. *)
           Array.iter
             (fun shard ->
               Netstack.Stack.set_transmit shard.sh_stack
                 (stack_transmit t shard);
-              (* Overload wiring (DESIGN.md §15): the shard's controller
-                 gates rx enqueues (CoDel shedding state), tracks queue
-                 sojourns, and — while the high watermark holds — makes
-                 every FM of the shard starve its fill ring so the host
-                 NIC drops the flood at the edge. *)
               match shard.sh_overload with
               | None -> ()
               | Some ov ->
                   Netstack.Stack.set_overload_hooks shard.sh_stack
                     ~rx_gate:(fun ~depth ->
-                      Overload.note_depth ov depth;
+                      Overload.note_depth ov ~src:0 depth;
                       Overload.admit ov Overload.Data)
                     ~on_dequeue:(fun ~sojourn ~depth ->
-                      Overload.note_depth ov depth;
-                      Overload.observe_sojourn ov sojourn);
-                  Array.iteri
-                    (fun i fm ->
-                      Xsk_fm.set_throttle fm (fun () ->
-                          Overload.edge_throttle ov);
-                      (* Bound the NIC-side buffer at the saturation
-                         watermark and feed each ring's backlog into the
-                         controller as its own depth source: a flooded
-                         ring saturates the shard even while the socket
-                         queue behind it stays shallow, and the bloat
-                         ahead of the admission gate is capped. *)
-                      Xsk_fm.set_fill_cap fm (Overload.high_watermark ov);
-                      Xsk_fm.set_note_backlog fm
-                        (Overload.note_depth ~src:(1 + i) ov);
-                      Xsk_fm.set_pressure fm (fun () ->
-                          Overload.under_pressure ov))
-                    shard.sh_fms)
+                      Overload.note_depth ov ~src:0 depth;
+                      Overload.observe_sojourn ov sojourn))
             t.shards;
           (* NIC queue q -> shard (q mod S); within the shard, queue q ->
              XSK ((q / S) mod num_xsks).  With S = 1 this is the
@@ -512,24 +468,8 @@ let boot kernel ~sgx ?(config = Config.default) () =
             (fun shard ->
               Array.iteri
                 (fun i fm ->
-                  let xsk = shard.sh_xsks.(i) in
-                  Xsk_fm.set_kick fm (fun () -> Monitor.kick shard.sh_monitor);
-                  Xsk_fm.set_renudge fm (fun () ->
-                      Monitor.nudge_xsk shard.sh_monitor xsk;
-                      Monitor.kick shard.sh_monitor);
-                  (* Quarantine-and-reinit republish: one OCALL from the
-                     FM drives kernel re-entry on both wakeup paths so
-                     all four shared index words are rewritten from
-                     kernel truth before the FM resyncs to them. *)
-                  Xsk_fm.set_republish fm (fun () ->
-                      Sgx.Enclave.ocall enclave;
-                      Hostos.Kernel.xsk_rx_wakeup kernel xsk;
-                      Hostos.Kernel.xsk_tx_wakeup kernel xsk);
-                  Monitor.watch_xsk shard.sh_monitor xsk;
+                  Monitor.watch_xsk shard.sh_monitor shard.sh_xsks.(i);
                   Xsk_fm.start fm)
-                shard.sh_fms;
-              Array.iter
-                (fun fm -> Xsk_fm.set_breaker fm shard.sh_breaker)
                 shard.sh_fms;
               Health.set_on_open shard.sh_breaker (on_xsk_open t shard);
               Monitor.start shard.sh_monitor)
@@ -799,36 +739,23 @@ let new_thread t =
           (Format.asprintf "io_uring fm: %a" Iouring_fm.pp_init_error)
           (Iouring_fm.create ~obs:t.obs
              ~name:("uring" ^ string_of_int id)
-             ~enclave:t.enclave ~config:t.config ~fd ~uring ~bounce ?zc_arena
-             ()))
+             ~enclave:t.enclave ~config:t.config ~monitor:shard.sh_monitor
+             ~breaker:t.uring_breaker ~fd ~uring ~bounce ?zc_arena ()))
   with
   | Error e -> Error e
   | Ok fm ->
-      (if t.config.Config.use_sqpoll then
-         (* SQPOLL: the kernel's own poller notices new SQEs within its
-            poll period — no MM syscall involved.  Signalling the worker
-            directly stands in for that busy-poll, as with the other
-            shared-memory polling in this simulation. *)
-         Iouring_fm.set_kick fm (fun () -> Hostos.Io_uring.enter uring)
-       else begin
-         Iouring_fm.set_kick fm (fun () ->
-             Monitor.nudge_uring shard.sh_monitor uring;
-             Monitor.kick shard.sh_monitor);
-         Monitor.watch_uring shard.sh_monitor uring
-       end);
+      (* Under SQPOLL the kernel's own poller finds new SQEs; otherwise
+         the shard's MM scans this ring. *)
+      if not t.config.Config.use_sqpoll then
+        Monitor.watch_uring shard.sh_monitor uring;
       let proxy =
-        Syncproxy.create ~slow:t.slow ~breaker:t.uring_breaker fm
+        Syncproxy.create ~slow:t.slow ~breaker:t.uring_breaker
+          ~overload:t.uring_overload fm
       in
-      (match t.uring_overload with
-      | Some ov -> Syncproxy.set_overload proxy ov
-      | None -> ());
-      let thread = { runtime = t; proxy } in
-      t.threads <- thread :: t.threads;
-      Ok thread
+      t.threads <- proxy :: t.threads;
+      Ok proxy
 
-let syncproxy thread = thread.proxy
-
-let thread_runtime thread = thread.runtime
+let syncproxy thread = thread
 
 (* {1 Introspection}
 
@@ -862,7 +789,7 @@ let total_zc_notif_rejects t =
 (* Not a counter: derived from each FM's pending-notif table. *)
 let total_zc_leaks t =
   List.fold_left
-    (fun acc th -> acc + Iouring_fm.zc_leaks (Syncproxy.fm th.proxy))
+    (fun acc th -> acc + Iouring_fm.zc_leaks (Syncproxy.fm th))
     0 t.threads
 
 (* {1 Overload introspection (DESIGN.md §15)} *)
@@ -916,13 +843,15 @@ let shard_invariant_holds sh =
 let invariant_holds t =
   Array.for_all shard_invariant_holds t.shards
   && List.for_all
-       (fun th -> Iouring_fm.invariant_holds (Syncproxy.fm th.proxy))
+       (fun th -> Iouring_fm.invariant_holds (Syncproxy.fm th))
        t.threads
   && List.for_all
-       (fun th -> Iouring_fm.accounting_holds (Syncproxy.fm th.proxy))
+       (fun th -> Iouring_fm.accounting_holds (Syncproxy.fm th))
        t.threads
 
 (* {1 Watchdog (DESIGN.md §8)} *)
+
+let watchdog_timeout = Int64.to_int Sgx.Params.watchdog_timeout
 
 (* The in-enclave thread that keeps the (untrusted, crashable) Monitor
    Modules honest — one watchdog oversees every shard's MM.  Spawned on
@@ -942,8 +871,7 @@ let start_watchdog t =
           (fun shard ->
             let mon = shard.sh_monitor in
             let stale =
-              Int64.sub (Sim.Engine.now engine) (Monitor.last_beat mon)
-              > Sgx.Params.watchdog_timeout
+              Sim.Engine.clock engine - Monitor.last_beat mon > watchdog_timeout
             in
             if (not (Monitor.alive mon)) || stale then begin
               any_bad := true;

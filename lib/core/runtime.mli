@@ -5,9 +5,12 @@
     + validate the user configuration (trusted ground truth);
     + allocate the shared untrusted memory arena;
     + for each of the [config.num_queues] datapath {e shards}: build its
-      in-enclave UDP/IP stack instance and Monitor Module, run the XSK
-      initialization syscalls outside the enclave (one OCALL covering
-      them) and let each {!Xsk_fm} validate the returned pointers;
+      in-enclave UDP/IP stack instance, Monitor Module, XSK circuit
+      breaker and (with [config.overload]) overload controller, then
+      run the XSK initialization syscalls outside the enclave (one OCALL
+      covering them) and create each {!Xsk_fm} wired to that Monitor,
+      breaker and controller — the FM validates the returned
+      pointers;
     + attach the XDP program to every NIC queue — redirect UDP destined
       to enclave-owned ports, and ARP aimed at the enclave IP, to the
       XSK of the shard serving that queue; PASS everything else to the
@@ -85,9 +88,6 @@ val xsk_fms : t -> Xsk_fm.t array
 (** Every XSK FastPath Module in the system, shard-major ([num_queues *
     num_xsks] total; shard 0's FMs first). *)
 
-val owns_port : t -> int -> bool
-(** Is this UDP port currently served by RAKIS (bound in the enclave)? *)
-
 (** {1 Shards} *)
 
 val shard_count : t -> int
@@ -96,9 +96,6 @@ val shard_count : t -> int
 val shard_breaker : t -> int -> Health.t
 (** Shard [k]'s XSK circuit breaker (["health.xsk.<k>.*"] when sharded,
     ["health.xsk.*"] for the single shard). *)
-
-val shard_monitor : t -> int -> Monitor.t
-(** Shard [k]'s Monitor Module. *)
 
 val shard_fms : t -> int -> Xsk_fm.t array
 (** Shard [k]'s XSK FastPath Modules. *)
@@ -186,16 +183,6 @@ val mm_breaker : t -> Health.t
     carries the load with in-enclave degraded scans instead.  One
     breaker for all shards — the watchdog is a single enclave thread. *)
 
-val health_observations : t -> (string * Health.observation) list
-(** Pure snapshot of every breaker in the machine — per-shard XSK
-    breakers (named ["xsk"] / ["xsk.<k>"]) then ["uring"] and ["mm"] —
-    the observation hook golden traces and the TM explorer's
-    conformance checks consume (DESIGN.md §11).  Side-effect free. *)
-
-val monitor_observations : t -> (string * Monitor.observation) list
-(** Pure snapshot of every shard MM's liveness state and wakeup
-    counters (named ["mm"] / ["mm.<k>"]).  Side-effect free. *)
-
 (** {1 UDP syscalls (XDP fast path — no enclave exits)} *)
 
 val udp_socket : t -> udp_sock
@@ -251,9 +238,6 @@ val new_thread : t -> (thread, string) result
 
 val syncproxy : thread -> Syncproxy.t
 (** The thread's SyncProxy, through which blocking IO syscalls go. *)
-
-val thread_runtime : thread -> t
-(** The runtime the thread belongs to. *)
 
 (** {1 Introspection}
 

@@ -56,15 +56,6 @@ let send t ~fd ~buf ~pos ~len =
 let recv t ~fd ~buf ~pos ~len =
   call t (fun k -> copied t (K.recv k fd buf pos len))
 
-let poll t ~fd ~events =
-  call t (fun k ->
-      match
-        K.poll k [ (fd, Abi.Uring_abi.events_of_mask events) ] ~timeout:None
-      with
-      | Ok [ (_, revs) ] -> Ok (Abi.Uring_abi.mask_of_events revs)
-      | Ok _ -> Ok 0
-      | Error e -> Error e)
-
 let udp_socket t = call t K.udp_socket
 
 let udp_bind t fd ~port = call t (fun k -> K.bind k fd (K.server_ip k) port)

@@ -38,10 +38,6 @@ val send :
 val recv :
   t -> fd:int -> buf:Bytes.t -> pos:int -> len:int -> (int, Abi.Errno.t) result
 
-val poll : t -> fd:int -> events:int -> (int, Abi.Errno.t) result
-(** Blocks (no timeout) until [fd] is ready for any of [events], a
-    POLL* mask; returns the ready mask. *)
-
 (** {1 The UDP fallback (host sockets)} *)
 
 val udp_socket : t -> int

@@ -2,29 +2,21 @@ type t = {
   fm : Iouring_fm.t;
   slow : Slowpath.t;
   breaker : Health.t;
-  mutable overload : Overload.t option;
+  overload : Overload.t option;
 }
 
-let create ~slow ~breaker fm =
-  Iouring_fm.set_breaker fm breaker;
-  { fm; slow; breaker; overload = None }
+let create ~slow ~breaker ~overload fm = { fm; slow; breaker; overload }
 
 let fm t = t.fm
 
-let set_overload t ov = t.overload <- Some ov
-
-let degraded t = Health.degraded t.breaker
-
-(* The five proxied syscalls.  A call passes its arguments down with
-   its [op] instead of building a closure per path; a [Poll] carries
-   its event mask in [len]. *)
-type op = Read | Write | Send | Recv | Poll
+(* The four proxied syscalls.  A call passes its arguments down with
+   its [op] instead of building a closure per path. *)
+type op = Read | Write | Send | Recv
 
 (* False for ops whose abandoned SQE could corrupt state if the kernel
    executes it late (a probe [recv] would consume stream bytes nobody
-   awaits; a probe [poll] has no completion deadline at all) — those
-   decline the probe slot and go slow. *)
-let probe_ok = function Read | Write | Send -> true | Recv | Poll -> false
+   awaits) — those decline the probe slot and go slow. *)
+let probe_ok = function Read | Write | Send -> true | Recv -> false
 
 let fm_call t op ~fd ~off ~buf ~pos ~len =
   match op with
@@ -32,7 +24,6 @@ let fm_call t op ~fd ~off ~buf ~pos ~len =
   | Write -> Iouring_fm.write t.fm ~fd ~off ~buf ~pos ~len
   | Send -> Iouring_fm.send t.fm ~fd ~buf ~pos ~len
   | Recv -> Iouring_fm.recv t.fm ~fd ~buf ~pos ~len
-  | Poll -> Iouring_fm.poll t.fm ~fd ~events:len
 
 let slow_call t op ~fd ~off ~buf ~pos ~len =
   match op with
@@ -40,7 +31,6 @@ let slow_call t op ~fd ~off ~buf ~pos ~len =
   | Write -> Slowpath.write t.slow ~fd ~off ~buf ~pos ~len
   | Send -> Slowpath.send t.slow ~fd ~buf ~pos ~len
   | Recv -> Slowpath.recv t.slow ~fd ~buf ~pos ~len
-  | Poll -> Slowpath.poll t.slow ~fd ~events:len
 
 (* Overload admission on the pending table (DESIGN.md §15).  Data-class
    ops are refused with an accounted [EAGAIN] while the runtime-wide
@@ -56,11 +46,11 @@ let fast t op ~fd ~off ~buf ~pos ~len =
   match t.overload with
   | None -> fm_call t op ~fd ~off ~buf ~pos ~len
   | Some ov ->
-      Overload.note_depth ov (Iouring_fm.inflight t.fm);
+      Overload.note_depth ov ~src:0 (Iouring_fm.inflight t.fm);
       let started = Overload.now ov in
       let r = fm_call t op ~fd ~off ~buf ~pos ~len in
       Overload.observe_sojourn ov (Int64.sub (Overload.now ov) started);
-      Overload.note_depth ov (Iouring_fm.inflight t.fm);
+      Overload.note_depth ov ~src:0 (Iouring_fm.inflight t.fm);
       r
 
 let probe_attempt t op ~fd ~off ~buf ~pos ~len =
@@ -127,9 +117,6 @@ let write t ~fd ~off ~buf ~pos ~len = route t Write ~fd ~off ~buf ~pos ~len
 let send t ~fd ~buf ~pos ~len = route t Send ~fd ~off:0 ~buf ~pos ~len
 
 let recv t ~fd ~buf ~pos ~len = route t Recv ~fd ~off:0 ~buf ~pos ~len
-
-let poll t ~fd ~events =
-  route t Poll ~fd ~off:0 ~buf:Bytes.empty ~pos:0 ~len:events
 
 let poll_multi t = Iouring_fm.poll_multi t.fm
 

@@ -1,7 +1,8 @@
 (** SyncProxy (paper §4.2): a per-thread passthrough stub that serves
     synchronous IO syscalls by forwarding them to the thread's io_uring
     FM and blocking until completion.  RAKIS uses it for exactly five
-    syscalls: TCP [send]/[recv], [read], [write] and [poll].
+    syscalls: TCP [send]/[recv], [read], [write] and [poll] (through
+    {!poll_multi}).
 
     Since DESIGN.md §9 the proxy is also the io_uring failover point:
     every op is routed through the {!Health} breaker — [Fast] ops take
@@ -18,24 +19,25 @@ type t
     one ["syncproxy"] trace span and one [<name>.sync_wait_cycles]
     histogram observation on the FM's Obs registry. *)
 
-val create : slow:Slowpath.t -> breaker:Health.t -> Iouring_fm.t -> t
-(** Wrap an io_uring FM behind the shared io_uring [breaker], which is
-    also installed on the FM for the overload feeds
-    ({!Iouring_fm.set_breaker}); [slow] is where failover goes. *)
+val create :
+  slow:Slowpath.t ->
+  breaker:Health.t ->
+  overload:Overload.t option ->
+  Iouring_fm.t ->
+  t
+(** Wrap an io_uring FM behind the shared io_uring [breaker] (the same
+    one the FM was created with); [slow] is where failover goes.
+
+    [overload] is the runtime-wide io_uring overload controller
+    (DESIGN.md §15), when the runtime runs one.  Data-class ops then
+    pass {!Overload.admit} before running — refusals surface as
+    accounted [EAGAIN] — while breaker probes classify as [Control] and
+    are never shed.  Admitted fast ops feed their wall time and the
+    FM's in-flight count back as the controller's sojourn/depth
+    samples. *)
 
 val fm : t -> Iouring_fm.t
 (** The underlying io_uring FastPath Module. *)
-
-val set_overload : t -> Overload.t -> unit
-(** Attach the runtime-wide io_uring overload controller (DESIGN.md
-    §15).  Data-class ops then pass {!Overload.admit} before running —
-    refusals surface as accounted [EAGAIN] — while breaker probes
-    classify as [Control] and are never shed.  Admitted fast ops feed
-    their wall time and the FM's in-flight count back as the
-    controller's sojourn/depth samples. *)
-
-val degraded : t -> bool
-(** The breaker is not [Closed]. *)
 
 val read :
   t -> fd:int -> off:int -> buf:Bytes.t -> pos:int -> len:int ->
@@ -57,11 +59,6 @@ val recv :
 (** Receive from a connected TCP socket; returns bytes read.  Declines
     probe slots: an abandoned probe [Recv] SQE executed late by the
     kernel would consume stream bytes nobody is waiting for. *)
-
-val poll : t -> fd:int -> events:int -> (int, Abi.Errno.t) result
-(** Block until [fd] is ready for any of [events] (POLL* bit mask);
-    returns the ready events.  Declines probe slots ([Poll_add] has no
-    completion deadline). *)
 
 val poll_multi :
   t ->

@@ -15,7 +15,10 @@ let reinit_threshold = 32
 
 type t = {
   enclave : Sgx.Enclave.t;
+  kernel : Hostos.Kernel.t;
+  xsk : Hostos.Xdp.xsk;
   stack : Netstack.Stack.t;
+  monitor : Monitor.t; (* the shard's MM: kicks and forced TX wakeups *)
   fill : Rings.Certified.t;
   rx : Rings.Certified.t;
   tx : Rings.Certified.t;
@@ -38,9 +41,6 @@ type t = {
   mutable tx_offset : int;
   mutable tx_len : int;
   idle_conds : Sim.Condition.t list;
-  mutable kick : unit -> unit;
-  mutable renudge : unit -> unit; (* forced TX wakeup via the MM *)
-  mutable republish : unit -> unit; (* OCALL: kernel re-enter + republish *)
   backoff : Sim.Backoff.t;
   (* Persistence detection for quarantine-and-reinit: [failure_mark] is
      the ring-failure count last iteration; [failure_base] rebases on
@@ -79,31 +79,21 @@ type t = {
      datagrams, DESIGN.md §9). *)
   tx_inflight : int array;
   mutable tx_inflight_n : int;
-  mutable breaker : Health.t option;
-  (* Overload backpressure (DESIGN.md §15): while the hook returns true
-     the refill loop keeps only [fill_floor] frames promised to the
-     kernel, so a traffic flood is dropped by the host NIC at the edge
-     ([Hostos.Xdp.rx_dropped]) instead of buffered into the enclave. *)
-  mutable throttle : unit -> bool;
+  breaker : Health.t;
+  (* The shard's overload controller (DESIGN.md §15) and this XSK's
+     depth source in it; [None] without [config.overload]. *)
+  overload : (Overload.t * int) option;
+  (* While the controller is saturated the refill loop keeps only
+     [fill_floor] frames promised to the kernel, so a traffic flood is
+     dropped by the host NIC at the edge ([Hostos.Xdp.rx_dropped])
+     instead of buffered into the enclave. *)
   fill_floor : int;
-  (* NIC-side buffer bound (overload mode): with a cap installed, at
-     most [cap] RX frames are ever promised to the kernel, so a flood
-     can bloat the xRX backlog — and the queueing delay of admitted
-     datagrams — by at most [cap] frames before the excess dies at the
-     NIC.  [None] (the default) keeps the historical top-up-to-free
-     behavior. *)
-  mutable fill_cap : int option;
-  (* Overload depth feed: when installed, each rx_loop iteration
-     reports the xRX backlog (frames the kernel has produced that the
-     enclave has not yet consumed) to the shard's controller. *)
-  mutable note_backlog : (int -> unit) option;
-  (* Shard-pressure query for the transmit path: while it returns true,
-     UMem exhaustion fails fast (one retry) instead of burning the full
-     exponential-backoff budget — under overload the frames are pinned
-     by the flood, and a caller blocked for the whole budget serializes
-     the very drain loop that would free them.  The refusal is
-     accounted by the caller as an overload shed. *)
-  mutable pressure : unit -> bool;
+  (* NIC-side buffer bound (overload mode): at most [cap] RX frames are
+     ever promised to the kernel, so a flood can bloat the xRX backlog —
+     and the queueing delay of admitted datagrams — by at most [cap]
+     frames before the excess dies at the NIC.  [None] without a
+     controller keeps the top-up-to-free behavior. *)
+  fill_cap : int option;
   fill_throttled : Obs.Metrics.counter;
   rx_packets : Obs.Metrics.counter;
   tx_packets : Obs.Metrics.counter;
@@ -200,7 +190,8 @@ let tx_write t ~slot_off =
   Abi.Xsk_desc.set (Rings.Certified.region t.tx) slot_off ~offset:t.tx_offset
     ~len:t.tx_len
 
-let create ?obs ?(name = "xsk") ~enclave ~config ~stack ~fd ~xsk () =
+let create ?obs ?(name = "xsk") ~enclave ~kernel ~config ~stack ~monitor
+    ~breaker ~overload ~fd ~xsk () =
   if fd < 0 then Error (Bad_fd fd)
   else
     let* fill = certify_layout config "xFill" (Hostos.Xdp.fill_layout xsk) in
@@ -235,10 +226,14 @@ let create ?obs ?(name = "xsk") ~enclave ~config ~stack ~fd ~xsk () =
     let m =
       match obs with Some o -> Obs.metrics o | None -> Obs.Metrics.create ()
     in
+    let fill_floor = max 1 (config.Config.ring_size / 16) in
     let rec t =
       {
         enclave;
+        kernel;
+        xsk;
         stack;
+        monitor;
         fill = ring Rings.Certified.Producer "xFill" fill;
         rx = ring Rings.Certified.Consumer "xRX" rx;
         tx = ring Rings.Certified.Producer "xTX" tx;
@@ -266,9 +261,6 @@ let create ?obs ?(name = "xsk") ~enclave ~config ~stack ~fd ~xsk () =
         tx_offset = 0;
         tx_len = 0;
         idle_conds = [ Hostos.Xdp.rx_notify xsk; Hostos.Xdp.compl_notify xsk ];
-        kick = (fun () -> ());
-        renudge = (fun () -> ());
-        republish = (fun () -> ());
         backoff =
           Sim.Backoff.create
             ~seed:(Int64.of_int (Hashtbl.hash name))
@@ -286,12 +278,13 @@ let create ?obs ?(name = "xsk") ~enclave ~config ~stack ~fd ~xsk () =
           Array.make (config.Config.umem_size / Sgx.Params.umem_frame_size)
             (-1);
         tx_inflight_n = 0;
-        breaker = None;
-        throttle = (fun () -> false);
-        fill_floor = max 1 (config.Config.ring_size / 16);
-        fill_cap = None;
-        note_backlog = None;
-        pressure = (fun () -> false);
+        breaker;
+        overload;
+        fill_floor;
+        fill_cap =
+          Option.map
+            (fun (ov, _) -> max fill_floor (Overload.high_watermark ov))
+            overload;
         fill_throttled = Obs.Metrics.counter m (name ^ ".fill_throttled");
         rx_packets = Obs.Metrics.counter m (name ^ ".rx_packets");
         tx_packets = Obs.Metrics.counter m (name ^ ".tx_packets");
@@ -306,27 +299,21 @@ let create ?obs ?(name = "xsk") ~enclave ~config ~stack ~fd ~xsk () =
     in
     Ok t
 
-let set_kick t f = t.kick <- f
+(* Backpressure from the shard's overload controller: [throttled] —
+   saturated, so starve xFill; [under_pressure] — shedding or
+   saturated, so UMem exhaustion fails fast (one retry) instead of
+   burning the full backoff budget: under overload the frames are
+   pinned by the flood, and a caller blocked for the whole budget
+   serializes the very drain loop that would free them. *)
+let throttled t =
+  match t.overload with
+  | Some (ov, _) -> Overload.edge_throttle ov
+  | None -> false
 
-let set_renudge t f = t.renudge <- f
-
-let set_republish t f = t.republish <- f
-
-let set_breaker t b = t.breaker <- Some b
-
-let set_throttle t f = t.throttle <- f
-
-let set_fill_cap t cap = t.fill_cap <- Some (max t.fill_floor cap)
-
-let set_note_backlog t f = t.note_backlog <- Some f
-
-let set_pressure t f = t.pressure <- f
-
-let breaker_failure t =
-  match t.breaker with None -> () | Some b -> Health.record_failure b
-
-let breaker_success t =
-  match t.breaker with None -> () | Some b -> Health.record_success b
+let under_pressure t =
+  match t.overload with
+  | Some (ov, _) -> Overload.under_pressure ov
+  | None -> false
 
 let tx_inflight t = t.tx_inflight_n
 
@@ -344,15 +331,7 @@ let rx_packets t = Obs.Metrics.value t.rx_packets
 
 let tx_packets t = Obs.Metrics.value t.tx_packets
 
-let tx_frame_drops t = Obs.Metrics.value t.tx_frame_drops
-
-let tx_rekicks t = Obs.Metrics.value t.tx_rekicks
-
 let reinits t = Obs.Metrics.value t.reinits
-
-let reinit_reclaimed t = Obs.Metrics.value t.reinit_reclaimed
-
-let rx_starvation_reclaims t = Obs.Metrics.value t.rx_starvation_reclaims
 
 let ring_check_failures t =
   Rings.Certified.failures t.fill
@@ -385,7 +364,7 @@ let refill t =
      frames left to wake it).  The flood beyond the trickle dies at
      the NIC ([Hostos.Xdp.rx_dropped]), outside the trust boundary. *)
   let count =
-    if t.throttle () then begin
+    if throttled t then begin
       Obs.Metrics.incr t.fill_throttled;
       min count (max 0 (t.fill_floor - Umem.outstanding t.umem Umem.Rx))
     end
@@ -399,7 +378,7 @@ let refill t =
     let produced =
       Rings.Certified.produce_batch t.fill ~count ~write:t.fill_write
     in
-    if produced > 0 then t.kick ()
+    if produced > 0 then Monitor.kick t.monitor
   end
   else if Umem.outstanding t.umem Umem.Rx > 0 then
     (* Fully stocked, nothing to produce — certify the peer index
@@ -423,7 +402,7 @@ let reap_completions t =
   (* Completions flowing is direct evidence the TX datapath works:
      clears the breaker's failure streak, and in half-open counts the
      probe frame's round trip as the probe verdict. *)
-  if Umem.outstanding t.umem Umem.Tx < out then breaker_success t
+  if Umem.outstanding t.umem Umem.Tx < out then Health.record_success t.breaker
 
 (* Drain a burst of received descriptors into the enclave and hand them
    to the UDP/IP stack.  Returns the number of descriptors moved (valid
@@ -442,10 +421,14 @@ let rx_burst t =
    baseline, pull home every frame still promised to the old ring
    epoch, and restock xFill.  A stale kernel descriptor naming a
    reclaimed frame is later refused as [Wrong_owner] — availability
-   cost only, never a double-owned frame. *)
+   cost only, never a double-owned frame.  The republish is one OCALL
+   driving kernel re-entry on both wakeup paths, so all four shared
+   index words are rewritten from kernel truth before the resync. *)
 let reinit ?(keep_rx = false) t =
   Obs.Metrics.incr t.reinits;
-  t.republish ();
+  Sgx.Enclave.ocall t.enclave;
+  Hostos.Kernel.xsk_rx_wakeup t.kernel t.xsk;
+  Hostos.Kernel.xsk_tx_wakeup t.kernel t.xsk;
   let unhealed = ref false in
   List.iter
     (fun (ring, swept) ->
@@ -472,7 +455,7 @@ let reinit ?(keep_rx = false) t =
     ];
   (* A reinit that leaves a ring quarantined is a terminal recovery
      failure — exactly what should push the breaker toward Open. *)
-  if !unhealed then breaker_failure t;
+  if !unhealed then Health.record_failure t.breaker;
   let reclaimed =
     (* The breaker-open reinit keeps xFill promises alive: the kernel
        still honors them (only the TX half died), and reclaiming them
@@ -545,13 +528,9 @@ let check_rx_starvation t engine =
   let now = Sim.Engine.now engine in
   if t.starve_armed && Int64.compare now t.starve_deadline >= 0 then
     t.starve_armed <- false;
-  let breaker_open =
-    match t.breaker with
-    | Some b -> Health.state b = Health.Open
-    | None -> false
-  in
   if
-    breaker_open || t.rx_progress
+    Health.state t.breaker = Health.Open
+    || t.rx_progress
     || (not t.refill_blocked)
     || stranded_rx t <= 0
   then begin
@@ -591,9 +570,10 @@ let check_rekick t engine =
       (* A forced renudge means a whole rekick period passed with TX
          outstanding and no completions: a breaker failure signal (3 of
          these ≈ 60k cycles opens the breaker at default thresholds;
-         completions in between clear the streak via [breaker_success]). *)
-      breaker_failure t;
-      t.renudge ()
+         completions in between clear the streak in [reap_completions]). *)
+      Health.record_failure t.breaker;
+      Monitor.nudge_xsk t.monitor t.xsk;
+      Monitor.kick t.monitor
     end
   end
 
@@ -640,8 +620,9 @@ let step t =
   (* Depth feed before consuming: a full backlog sample is what sets
      the shard's saturation; the post-consume drain clears it on a
      later iteration once the flood subsides. *)
-  (match t.note_backlog with
-  | Some f -> f (Rings.Certified.available t.rx)
+  (match t.overload with
+  | Some (ov, src) ->
+      Overload.note_depth ov ~src (Rings.Certified.available t.rx)
   | None -> ());
   let moved = rx_burst t in
   (* Reaping completions here (not only on the transmit path) drains
@@ -686,7 +667,7 @@ let transmit t frame =
   else begin
     reap_completions t;
     Sim.Backoff.reset t.backoff;
-    let under_pressure = t.pressure () in
+    let under_pressure = under_pressure t in
     let tries = if under_pressure then 1 else 2 * Sgx.Params.retry_limit in
     match acquire t tries with
     | None ->
@@ -697,7 +678,7 @@ let transmit t frame =
            flood pinning frames: fail fast, let the caller account the
            shed, and leave the breaker alone (the host did nothing
            wrong, and a failover would slow the drain further). *)
-        if not under_pressure then breaker_failure t;
+        if not under_pressure then Health.record_failure t.breaker;
         false
     | Some offset -> (
         Sgx.Enclave.charge_copy t.enclave ~crossing:true len;
@@ -712,7 +693,7 @@ let transmit t frame =
             track_tx t offset len;
             Rings.Certified.publish t.tx;
             Obs.Metrics.incr t.tx_packets;
-            t.kick ();
+            Monitor.kick t.monitor;
             (* Wake our own rx loop: if it parked in the untimed branch
                of [idle_wait] before this frame went outstanding, it
                would never arm the rekick timer — and a dropped xTX
@@ -722,7 +703,7 @@ let transmit t frame =
         | Error `Ring_full ->
             Umem.cancel t.umem offset;
             Obs.Metrics.incr t.tx_frame_drops;
-            breaker_failure t;
+            Health.record_failure t.breaker;
             false)
   end
 

@@ -24,8 +24,12 @@ val create :
   ?obs:Obs.t ->
   ?name:string ->
   enclave:Sgx.Enclave.t ->
+  kernel:Hostos.Kernel.t ->
   config:Config.t ->
   stack:Netstack.Stack.t ->
+  monitor:Monitor.t ->
+  breaker:Health.t ->
+  overload:(Overload.t * int) option ->
   fd:int ->
   xsk:Hostos.Xdp.xsk ->
   unit ->
@@ -37,66 +41,38 @@ val create :
     ["xsk1"], ...) registers this FM's packet/drop counters, its rx
     burst-length histogram, and the per-ring and UMem instruments
     (["<name>.xFill.*"], ["<name>.umem.*"]) in the shared registry,
-    with ring-batch and frame-level trace events. *)
+    with ring-batch and frame-level trace events.
 
-val set_kick : t -> (unit -> unit) -> unit
-(** Install the Monitor Module kick called after publishing work. *)
-
-val set_renudge : t -> (unit -> unit) -> unit
-(** Install the forced-TX-wakeup hook ({!Monitor.nudge_xsk} + kick),
-    invoked when TX frames stay outstanding past
-    {!Sgx.Params.xsk_rekick_period} with no completions — the recovery
-    for a dropped or withheld xTX wakeup (DESIGN.md §8). *)
-
-val set_republish : t -> (unit -> unit) -> unit
-(** Install the ring-republish hook for quarantine-and-reinit: one
-    OCALL driving kernel re-entry on this XSK so the kernel rewrites
-    all four shared index words from its private cursors, after which
-    the FM re-adopts them ({!Rings.Certified.resync}). *)
-
-val set_throttle : t -> (unit -> bool) -> unit
-(** Install the overload edge-throttle query (DESIGN.md §15; the
-    runtime points it at {!Overload.edge_throttle} of the owning
-    shard's controller).  While it returns [true] the refill loop keeps
-    only a trickle of xFill frames outstanding, so the host NIC drops
-    the flood at the edge instead of the enclave buffering it; each
-    throttled refill increments ["<name>.fill_throttled"]. *)
-
-val set_fill_cap : t -> int -> unit
-(** Bound the NIC-side buffer (DESIGN.md §15): with a cap installed, at
-    most [cap] RX frames are ever promised to the kernel (clamped up to
-    the fill floor), so a flood can add at most [cap] frames of rx-ring
-    queueing delay before the excess dies at the NIC.  Without a cap
-    (the default) refill tops up to every free frame, which under
-    sustained overload buffers a whole ring of bloat ahead of the
-    admission gate. *)
-
-val set_pressure : t -> (unit -> bool) -> unit
-(** Install the shard-pressure query for the transmit path (the runtime
-    points it at {!Overload.under_pressure}).  While it returns [true],
-    UMem exhaustion in {!transmit} fails fast — one retry instead of
-    the full exponential-backoff budget — and does {e not} count as a
-    breaker failure: under a legitimate flood the frames are pinned by
-    the very traffic being shed, blocking the caller for the whole
-    budget serializes the drain loop that would free them, and a
-    failover would only slow that drain further.  The caller accounts
-    the refusal as an overload shed. *)
-
-val set_note_backlog : t -> (int -> unit) -> unit
-(** Install the overload depth feed: each receive-loop iteration
-    reports the xRX backlog — frames the kernel has produced that the
-    enclave has not yet consumed — to the shard's controller (the
-    runtime points it at {!Overload.note_depth} with this XSK's source
-    index).  A flooded ring then saturates the shard even while the
-    socket queue behind it stays shallow. *)
-
-val set_breaker : t -> Health.t -> unit
-(** Attach the XSK circuit breaker.  The FM feeds it terminal signals:
-    forced TX re-kicks (a rekick period with outstanding TX and no
-    completions), UMem exhaustion that outlasts the backoff budget,
-    xTX ring-full drops and reinits that leave a ring quarantined are
-    failures; reaped completions are successes (clearing the streak,
-    or — in half-open — settling the probe frame's verdict). *)
+    The FM is wired to its shard at creation:
+    - [monitor] is kicked after every publish, and asked for a forced
+      xTX wakeup ({!Monitor.nudge_xsk}) when TX frames stay outstanding
+      past {!Sgx.Params.xsk_rekick_period} with no completions — the
+      recovery for a dropped or withheld xTX wakeup (DESIGN.md §8).
+    - [kernel] is re-entered on this XSK by one OCALL on
+      quarantine-and-reinit, so the kernel rewrites all four shared
+      index words from its private cursors before the FM re-adopts them
+      ({!Rings.Certified.resync}).
+    - [breaker] is the XSK circuit breaker the FM feeds terminal
+      signals: forced TX re-kicks, UMem exhaustion that outlasts the
+      backoff budget, xTX ring-full drops and reinits that leave a ring
+      quarantined are failures; reaped completions are successes
+      (clearing the streak, or — in half-open — settling the probe
+      frame's verdict).
+    - [overload], when the runtime runs overload control, is the
+      shard's controller and this XSK's depth source in it (DESIGN.md
+      §15).  Each receive-loop iteration reports the xRX backlog to
+      {!Overload.note_depth}, so a flooded ring saturates the shard
+      even while the socket queue behind it stays shallow.  At most
+      {!Overload.high_watermark} RX frames are ever promised to the
+      kernel, and while the controller is saturated
+      ({!Overload.edge_throttle}) refill keeps only a trickle, so the
+      host NIC drops the flood at the edge; each throttled refill
+      increments ["<name>.fill_throttled"].  While
+      {!Overload.under_pressure}, UMem exhaustion in {!transmit} fails
+      fast — one retry instead of the full backoff budget — and does
+      {e not} count as a breaker failure: the frames are pinned by the
+      very traffic being shed, and the caller accounts the refusal as
+      an overload shed. *)
 
 val start : t -> unit
 (** Spawn the FM's dedicated receive thread (paper §4.1, QoS): it moves
@@ -159,31 +135,10 @@ val tx_inflight : t -> int
 (** Frames committed to xTX and not yet reclaimed (what
     {!failover_reroute} would rescue right now). *)
 
-val tx_frame_drops : t -> int
-(** Transmits abandoned because no UMem frame was free. *)
-
-val tx_rekicks : t -> int
-(** Forced TX wakeups requested by the rekick timer
-    (["<name>.tx_rekicks"]). *)
-
 val reinits : t -> int
 (** Quarantine-and-reinit episodes: persistent certified-ring failures
     (≥ 32 across consecutive iterations) triggered a ring resync
     (["<name>.reinits"]). *)
-
-val reinit_reclaimed : t -> int
-(** UMem frames pulled home by those reinits
-    (["<name>.reinit_reclaimed"]) — frames the kernel would otherwise
-    have leaked forever. *)
-
-val rx_starvation_reclaims : t -> int
-(** Reinits forced by the stranded-RX deadman
-    (["<name>.rx_starvation_reclaims"]): RX frames stayed promised to
-    the kernel — consumed off xFill, never surfacing on xRX — for a
-    full {!Sgx.Params.xsk_rx_reclaim_period} with every ring view
-    self-consistent.  Descriptor refusals under attack strand frames
-    this way; without the deadman the fill clamp then starves refill
-    forever with the breaker closed (metastable wedge). *)
 
 val invariant_holds : t -> bool
 (** Paper eq. 1 on all four rings — the Testing Module's property. *)

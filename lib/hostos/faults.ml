@@ -139,14 +139,7 @@ let arm_persistent t ?shard fault =
 
 let disarm t fault = Hashtbl.remove t.armed fault
 
-let armed t fault =
-  match Hashtbl.find_opt t.armed fault with
-  | None -> false
-  | Some l -> List.exists (fun a -> not a.spent) !l
-
 let set_step t step = t.step <- step
-
-let step t = t.step
 
 let hit t p = p >= 1.0 || Sim.Rng.float t.rng 1.0 < p
 
@@ -191,21 +184,6 @@ let roll ?shard t fault =
 
 let rng t = t.rng
 
-(* Deterministic listing of every installed arming — the pure
-   observation the TM explorer folds into its state hash (trigger kind,
-   shard pin and spent flag are the fault dimension of the product
-   machine). *)
-let armings t =
-  List.concat_map
-    (fun fault ->
-      match Hashtbl.find_opt t.armed fault with
-      | None -> []
-      | Some l ->
-          List.map
-            (fun a -> (fault, a.trigger, a.shard, a.spent))
-            !l)
-    all_faults
-
 let injected t = Obs.Metrics.value t.total
 
 let record t fault =
@@ -229,8 +207,6 @@ let pick_errno t = Sim.Rng.pick t.rng transient_errnos
 
 let fault_of_string s =
   List.find_opt (fun f -> String.equal (fault_name f) s) all_faults
-
-let pp_fault ppf f = Format.pp_print_string ppf (fault_name f)
 
 (* {1 Plans: printable, parseable fault schedules} *)
 

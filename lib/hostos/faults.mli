@@ -82,32 +82,14 @@ val arm : t -> ?probability:float -> ?shard:int -> fault -> unit
     whose {!roll} carries the same shard context, so an attack on shard
     [k] provably cannot touch shard [j]'s traffic. *)
 
-val arm_once : t -> ?probability:float -> ?shard:int -> fault -> unit
-
 val arm_at : t -> step:int -> ?shard:int -> fault -> unit
-
-val arm_burst :
-  t ->
-  first_step:int ->
-  last_step:int ->
-  ?probability:float ->
-  ?shard:int ->
-  fault ->
-  unit
-
-val arm_persistent : t -> ?shard:int -> fault -> unit
-(** {!Persistent}: fire at every opportunity until {!disarm}. *)
 
 val disarm : t -> fault -> unit
 
-val armed : t -> fault -> bool
-
 val set_step : t -> int -> unit
-(** Advance the step counter ({!arm_at}/{!arm_burst} clock).  Campaign
+(** Advance the step counter (the {!arm_at} clock).  Campaign
     drivers call this per workload step; [rakis_run --faults] ticks it
     on simulated time. *)
-
-val step : t -> int
 
 val roll : ?shard:int -> t option -> fault -> bool
 (** Should the fault fire now?  [None] (no injector) is never.  [shard]
@@ -116,12 +98,6 @@ val roll : ?shard:int -> t option -> fault -> bool
     armings match all opportunities. *)
 
 val rng : t -> Sim.Rng.t
-
-val armings : t -> (fault * trigger * int option * bool) list
-(** Every installed arming as [(fault, trigger, shard pin, spent)], in
-    deterministic {!all_faults} + installation order — the pure
-    observation hook the Testing Module's explorer hashes as the fault
-    dimension of its product state (DESIGN.md §11). *)
 
 val record : t -> fault -> unit
 (** Called by kernel paths when they actually inject a fault. *)
@@ -141,11 +117,9 @@ val pick_errno : t -> Abi.Errno.t
 val all_faults : fault list
 
 val fault_name : fault -> string
-(** Stable kebab-case name (the {!pp_fault} rendering). *)
+(** Stable kebab-case name. *)
 
 val fault_of_string : string -> fault option
-
-val pp_fault : Format.formatter -> fault -> unit
 
 (** {1 Plans}
 

@@ -25,9 +25,6 @@ type t = {
   faults : Faults.t option ref;
   wake : Sim.Condition.t;
   cq_notify : Sim.Condition.t;
-  mutable submitted : int;
-  mutable completed : int;
-  mutable dropped : int;
   mutable last_user_data : int;
   (* The CQE [tamper_cqe] settled on, read back by [post_cqe]. *)
   mutable post_user_data : int;
@@ -35,16 +32,13 @@ type t = {
   (* Datapath shard of the thread this ring belongs to, for shard-pinned
      fault/malice armings.  None until the runtime tags it. *)
   mutable shard : int option;
-  (* IORING_REGISTER_BUFFERS / IORING_REGISTER_FILES state: validated at
-     registration time, consulted per fixed SQE. *)
+  (* IORING_REGISTER_BUFFERS state: validated at registration time,
+     consulted per fixed SQE. *)
   mutable reg_bufs : Mem.Regtable.t option;
-  mutable reg_files : int array;
   (* Provided-buffer ring for multishot recv: ids the submitter has
      handed the kernel to fill.  Stands for the shared buf_ring pages —
      the FM re-provides without a syscall. *)
   buf_ring : int Queue.t;
-  mutable notifs_posted : int;
-  mutable notifs_withheld : int;
 }
 
 let next_id = ref 0
@@ -59,12 +53,6 @@ let sq_layout t = t.sq
 
 let cq_layout t = t.cq
 
-let submitted t = t.submitted
-
-let completed t = t.completed
-
-let dropped t = t.dropped
-
 let register_buffers t entries =
   match Mem.Regtable.create t.region entries with
   | Ok tbl ->
@@ -74,19 +62,9 @@ let register_buffers t entries =
 
 let reg_bufs t = t.reg_bufs
 
-let register_files t fds = t.reg_files <- Array.of_list fds
-
 let provide_buffer t id = Queue.push id t.buf_ring
 
 let take_buffer t = Queue.take_opt t.buf_ring
-
-let registered_file t idx =
-  if idx >= 0 && idx < Array.length t.reg_files then Some t.reg_files.(idx)
-  else None
-
-let notifs_posted t = t.notifs_posted
-
-let notifs_withheld t = t.notifs_withheld
 
 (* A fixed SQE must name a registered buffer that covers its whole
    [addr..addr+len) range; anything else is the unregistered-pointer
@@ -190,10 +168,8 @@ let post_cqe t ~user_data ~res ~flags =
     Abi.Uring_abi.set_cqe t.cq.Rings.Layout.region slot_off
       ~user_data:t.post_user_data ~res:t.post_res ~flags;
     Kring.advance t.kcq;
-    t.completed <- t.completed + 1;
     t.last_user_data <- user_data
-  end
-  else t.dropped <- t.dropped + 1;
+  end;
   tamper_cq_prod t;
   Sim.Condition.broadcast t.cq_notify
 
@@ -233,8 +209,7 @@ let zero_copy t ~user_data ~res ~notif_delay =
   | Some m when Malice.roll ?shard:t.shard !(t.malice) Malice.Dropped_notif ->
       (* Withheld notif: the frame never comes back.  Costs the FM pool
          capacity (it degrades to the copy path), never correctness. *)
-      Malice.record m Malice.Dropped_notif;
-      t.notifs_withheld <- t.notifs_withheld + 1
+      Malice.record m Malice.Dropped_notif
   | malice ->
       let dup =
         match malice with
@@ -247,7 +222,6 @@ let zero_copy t ~user_data ~res ~notif_delay =
         ~name:(Printf.sprintf "uring%d-notif" t.id)
         (fun () ->
           Sim.Engine.delay notif_delay;
-          t.notifs_posted <- t.notifs_posted + 1;
           notif ();
           if dup then notif ())
 
@@ -283,7 +257,6 @@ let worker t () =
           Kring.advance t.ksq;
           (* Unparseable SQE: the real kernel posts -EINVAL with whatever
              user_data it could read; we read none, so 0. *)
-          t.submitted <- t.submitted + 1;
           Sim.Engine.delay Sgx.Params.iouring_kernel_per_op;
           post_cqe t ~user_data:0
             ~res:(Abi.Uring_abi.res_of_errno Abi.Errno.EINVAL)
@@ -306,7 +279,6 @@ let worker t () =
           next ()
   and exec_one ~opcode ~fd ~file_off ~addr ~len ~poll_events ~user_data
       ~buf_index ~fixed =
-    t.submitted <- t.submitted + 1;
     Sim.Engine.delay Sgx.Params.iouring_kernel_per_op;
     match !(t.faults) with
     | Some f when Faults.roll ?shard:t.shard !(t.faults) Faults.Transient_errno ->
@@ -385,18 +357,12 @@ let create engine ~alloc ~entries ~exec ~malice ~faults =
       faults;
       wake = Sim.Condition.create ();
       cq_notify = Sim.Condition.create ();
-      submitted = 0;
-      completed = 0;
-      dropped = 0;
       last_user_data = 0;
       post_user_data = 0;
       post_res = 0;
       shard = None;
       reg_bufs = None;
-      reg_files = [||];
       buf_ring = Queue.create ();
-      notifs_posted = 0;
-      notifs_withheld = 0;
     }
   in
   Sim.Engine.spawn engine ~name:(Printf.sprintf "uring%d-worker" t.id) (worker t);

@@ -67,14 +67,7 @@ val cq_layout : t -> Rings.Layout.t
 val enter : t -> unit
 (** The [io_uring_enter] wakeup: non-blocking nudge of the worker. *)
 
-val submitted : t -> int
-
-val completed : t -> int
-
-val dropped : t -> int
-(** Completions lost to a full iCompl. *)
-
-(** {1 Registration (IORING_REGISTER_BUFFERS / IORING_REGISTER_FILES)}
+(** {1 Registration (IORING_REGISTER_BUFFERS)}
 
     Registration is the trust-boundary moment of the zero-copy design:
     the buffer set is validated {e once} (in-region, non-empty, pairwise
@@ -90,12 +83,6 @@ val register_buffers : t -> (int * int) list -> (unit, Mem.Regtable.error) resul
 
 val reg_bufs : t -> Mem.Regtable.t option
 
-val register_files : t -> int list -> unit
-(** Pin an fd table; fixed SQEs may then name files by index (the
-    kernel resolves via {!registered_file}). *)
-
-val registered_file : t -> int -> int option
-
 val provide_buffer : t -> int -> unit
 (** Hand registered buffer [id] to the kernel for multishot recv to
     fill.  Models a write to the shared provided-buffer ring: no
@@ -104,13 +91,6 @@ val provide_buffer : t -> int -> unit
 val take_buffer : t -> int option
 (** Kernel side: claim the next provided buffer ([None] = ring empty,
     the multishot stream must terminate with [ENOBUFS]). *)
-
-val notifs_posted : t -> int
-(** Honest zero-copy notif CQEs posted so far. *)
-
-val notifs_withheld : t -> int
-(** Notifs suppressed by a [Dropped_notif] malice roll — each one is a
-    registered frame the enclave will never get back. *)
 
 val cq_notify : t -> Sim.Condition.t
 (** Broadcast on every CQE post; simulation stand-in for the SyncProxy's

@@ -57,7 +57,7 @@ let create engine ?(nic_queues = 4) () =
   let t =
     {
       engine;
-      vfs = Vfs.create engine;
+      vfs = Vfs.create ();
       udp;
       tcp = Tcp_core.create engine;
       xdp = Xdp.create engine ~malice:malice_ref;
@@ -79,8 +79,6 @@ let create engine ?(nic_queues = 4) () =
 
 let engine t = t.engine
 
-let vfs t = t.vfs
-
 let nic t i = t.nics.(i)
 
 let wire_losses t =
@@ -91,8 +89,6 @@ let server_ip _t = server_ip_v
 let client_ip _t = client_ip_v
 
 let set_malice t m = t.malice_ref := m
-
-let malice t = !(t.malice_ref)
 
 let set_faults t f = t.faults_ref := f
 
@@ -637,10 +633,6 @@ let uring_create t ~alloc ~entries =
 let uring_register_buffers t uring entries =
   syscall t;
   Io_uring.register_buffers uring entries
-
-let uring_register_files t uring fds =
-  syscall t;
-  Io_uring.register_files uring fds
 
 let uring_enter t uring =
   syscall t;

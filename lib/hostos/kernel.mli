@@ -21,8 +21,6 @@ val create : Sim.Engine.t -> ?nic_queues:int -> unit -> t
 
 val engine : t -> Sim.Engine.t
 
-val vfs : t -> Vfs.t
-
 val nic : t -> int -> Nic.t
 (** [nic t 0] is the server-side interface, [nic t 1] the client-side. *)
 
@@ -34,8 +32,6 @@ val server_ip : t -> Packet.Addr.Ip.t
 val client_ip : t -> Packet.Addr.Ip.t
 
 val set_malice : t -> Malice.t option -> unit
-
-val malice : t -> Malice.t option
 
 val set_faults : t -> Faults.t option -> unit
 (** Install a fault injector; consulted by the wakeup syscalls
@@ -148,6 +144,3 @@ val uring_register_buffers :
 (** [io_uring_register(IORING_REGISTER_BUFFERS)]: one syscall to pin the
     [(region_offset, len)] buffer set; fixed SQEs then name table
     indices with no further per-op syscall or kernel-side copy. *)
-
-val uring_register_files : t -> Io_uring.t -> int list -> unit
-(** [IORING_REGISTER_FILES]: pin an fd table for fixed-file SQEs. *)

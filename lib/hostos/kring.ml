@@ -26,8 +26,6 @@ let consumer layout =
 let producer layout =
   { layout; pos = Rings.Layout.read_prod layout; consumes = false }
 
-let pos t = t.pos
-
 (* The opposite index is owned by the (honest) enclave producer or
    consumer, but Malice may have smashed the shared word; clamp so the
    kernel never acts on an impossible distance. *)

@@ -19,13 +19,6 @@ val producer : Rings.Layout.t -> t
 (** Kernel produces this ring (xRX, xCompl, iCompl): private tail
     starts at the current shared producer index. *)
 
-val pos : t -> int
-(** The private cursor (kernel-internal truth). *)
-
-val available : t -> int
-(** Entries a consumer endpoint may consume, clamped to [0, size] — a
-    smashed opposite index yields 0, never a wild loop. *)
-
 val free : t -> int
 (** Slots a producer endpoint may fill, clamped likewise. *)
 

@@ -148,8 +148,6 @@ let armed t attack =
 
 let set_step t step = t.step <- step
 
-let step t = t.step
-
 let hit t p = p >= 1.0 || Sim.Rng.float t.rng 1.0 < p
 
 (* Same shard-pinning discipline as {!Faults.roll}. *)

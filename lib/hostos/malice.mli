@@ -110,8 +110,6 @@ val armed : t -> attack -> bool
 val set_step : t -> int -> unit
 (** Advance the campaign step counter ({!arm_at}/{!arm_burst} clock). *)
 
-val step : t -> int
-
 val roll : ?shard:int -> t option -> attack -> bool
 (** Should the attack fire now?  [None] (no adversary) is never.
     [shard] is the datapath shard of this opportunity: shard-pinned

@@ -11,12 +11,11 @@ type wire_counters = {
 
 type t = {
   engine : Sim.Engine.t;
-  id : int;
   mac : Packet.Addr.Mac.t;
   ip : Packet.Addr.Ip.t;
   tx_queue : Bytes.t Sim.Mailbox.t;
   rx_queues : Bytes.t Sim.Mailbox.t array;
-  mutable handlers : (Bytes.t -> unit) array;
+  handlers : (Bytes.t -> unit) array;
   udp_rx : int array; (* UDP frames enqueued, per receive queue *)
   mutable peer : t option;
   faults : Faults.t option ref;
@@ -35,8 +34,6 @@ type t = {
   mutable held : Bytes.t option;
   mutable held_gen : int;
 }
-
-let id t = t.id
 
 let mac t = t.mac
 
@@ -221,7 +218,6 @@ let create ?(faults = ref None) engine ~id ~mac ~ip ~queues =
   let t =
     {
       engine;
-      id;
       mac;
       ip;
       tx_queue = Sim.Mailbox.create ~capacity:Sgx.Params.nic_queue_len ();

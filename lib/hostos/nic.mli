@@ -37,8 +37,6 @@ val create :
 (** [faults] (shared with {!Kernel}) drives [Nic_stall] windows in the
     transmit process. *)
 
-val id : t -> int
-
 val mac : t -> Packet.Addr.Mac.t
 
 val ip : t -> Packet.Addr.Ip.t

@@ -1,5 +1,4 @@
 type sock = {
-  id : int;
   mutable bound : (Packet.Addr.Ip.t * int) option;
   rxq : (Bytes.t * (Packet.Addr.Ip.t * int)) Sim.Mailbox.t;
   mutable closed : bool;
@@ -12,7 +11,6 @@ type t = {
   by_port : (int, sock) Hashtbl.t;
   arp : (int, Packet.Addr.Mac.t) Hashtbl.t; (* keyed by Ip as int *)
   arp_resolved : Sim.Condition.t;
-  mutable next_id : int;
   mutable next_ephemeral : int;
   (* On the engine's registry, shared by every kernel on the engine. *)
   no_socket_drops : Obs.Metrics.counter;
@@ -29,16 +27,13 @@ let create engine ~route =
     by_port = Hashtbl.create 16;
     arp = Hashtbl.create 8;
     arp_resolved = Sim.Condition.create ();
-    next_id = 0;
     next_ephemeral = 40000;
     no_socket_drops = counter "udp.no_socket_drops";
     buffer_drops = counter "udp.buffer_drops";
   }
 
-let socket t =
-  t.next_id <- t.next_id + 1;
+let socket _t =
   {
-    id = t.next_id;
     bound = None;
     rxq = Sim.Mailbox.create ~capacity:rx_capacity ();
     closed = false;
@@ -61,8 +56,6 @@ let bind t sock ip port =
     Hashtbl.add t.by_port port sock;
     Ok ()
   end
-
-let bound_port sock = Option.map snd sock.bound
 
 let charge_softirq () = Sim.Engine.delay Sgx.Params.kernel_udp_softirq_per_packet
 
@@ -163,8 +156,6 @@ let recvfrom _t sock ~max =
   end
 
 let readable sock = not (Sim.Mailbox.is_empty sock.rxq)
-
-let pending sock = Sim.Mailbox.length sock.rxq
 
 let close t sock =
   sock.closed <- true;

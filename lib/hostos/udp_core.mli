@@ -20,8 +20,6 @@ val socket : t -> sock
 val bind : t -> sock -> Packet.Addr.Ip.t -> int -> (unit, Abi.Errno.t) result
 (** Port 0 picks an ephemeral port.  [EADDRINUSE] when taken. *)
 
-val bound_port : sock -> int option
-
 val sendto :
   t ->
   sock ->
@@ -38,8 +36,6 @@ val recvfrom :
 
 val readable : sock -> bool
 
-val pending : sock -> int
-
 val close : t -> sock -> unit
 
 val stack_input : t -> Nic.t -> Bytes.t -> unit
@@ -47,12 +43,6 @@ val stack_input : t -> Nic.t -> Bytes.t -> unit
     process for frames not claimed by XDP.  Handles ARP (request reply +
     table learning) and UDP delivery; everything else is dropped.
     Charges stack traversal cost. *)
-
-val arp_resolve : t -> Packet.Addr.Ip.t -> Packet.Addr.Mac.t option
-(** Current ARP table entry, if any (diagnostic / tests). *)
-
-val add_arp : t -> Packet.Addr.Ip.t -> Packet.Addr.Mac.t -> unit
-(** Seed a static ARP entry (tests). *)
 
 val activity : sock -> Sim.Condition.t
 (** Broadcast whenever a datagram lands in the socket buffer. *)

@@ -1,10 +1,8 @@
 type inode = { path : string; buf : Fbuf.t }
 
-type t = { engine : Sim.Engine.t; files : (string, inode) Hashtbl.t }
+type t = { files : (string, inode) Hashtbl.t }
 
-let create engine = { engine; files = Hashtbl.create 16 }
-
-let lookup t path = Hashtbl.find_opt t.files path
+let create () = { files = Hashtbl.create 16 }
 
 let open_file t ?(create = false) ?(trunc = false) path =
   match Hashtbl.find_opt t.files path with
@@ -44,8 +42,6 @@ let unlink t path =
     Ok ()
   end
   else Error Abi.Errno.ENOENT
-
-let contents inode = Fbuf.to_string inode.buf
 
 let file_count t = Hashtbl.length t.files
 

@@ -10,9 +10,7 @@ type t
 
 type inode
 
-val create : Sim.Engine.t -> t
-
-val lookup : t -> string -> inode option
+val create : unit -> t
 
 val open_file : t -> ?create:bool -> ?trunc:bool -> string -> (inode, Abi.Errno.t) result
 (** [open_file t path] resolves (optionally creating/truncating) the
@@ -27,9 +25,6 @@ val write : t -> inode -> off:int -> Bytes.t -> int -> int -> int
 (** Charges costs; returns bytes written. *)
 
 val unlink : t -> string -> (unit, Abi.Errno.t) result
-
-val contents : inode -> string
-(** Whole file as a string (tests/tools only; charges nothing). *)
 
 val file_count : t -> int
 

@@ -52,8 +52,6 @@ let kind t = t.kind
 
 let api t = t.api
 
-let enclave t = t.enclave
-
 let runtime t = t.runtime
 
 let exits t =

@@ -34,10 +34,6 @@ val kind : t -> kind
 val api : t -> Api.t
 (** The main-thread syscall surface for workloads. *)
 
-val enclave : t -> Sgx.Enclave.t option
-(** The enclave whose exit counter is the Figure 2 metric ([None] for
-    Native). *)
-
 val runtime : t -> Rakis.Runtime.t option
 (** RAKIS internals, for introspection ([None] unless a RAKIS kind). *)
 

@@ -22,5 +22,3 @@ let all_disjoint objs =
         && go rest
   in
   go objs
-
-let pp ppf t = Format.fprintf ppf "%a+%d" Region.pp t.region t.off

@@ -24,5 +24,3 @@ val overlaps : t -> len1:int -> t -> len2:int -> bool
 val all_disjoint : (t * int) list -> bool
 (** [all_disjoint objs] holds when no two (pointer, length) objects
     overlap pairwise. *)
-
-val pp : Format.formatter -> t -> unit

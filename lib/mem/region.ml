@@ -8,8 +8,6 @@ let create ~kind ~name ~size =
   if size < 0 then invalid_arg "Region.create: negative size";
   { kind; name; data = Bytes.make size '\000' }
 
-let kind t = t.kind
-
 let name t = t.name
 
 let size t = Bytes.length t.data
@@ -84,8 +82,3 @@ let write_string t off s =
 let fill t off len c =
   check t off len "fill";
   Bytes.fill t.data off len c
-
-let pp ppf t =
-  Format.fprintf ppf "%s(%s, %d B)"
-    (match t.kind with Trusted -> "trusted" | Untrusted -> "untrusted")
-    t.name (Bytes.length t.data)

@@ -21,8 +21,6 @@ type t
 val create : kind:kind -> name:string -> size:int -> t
 (** Fresh zero-filled region. *)
 
-val kind : t -> kind
-
 val name : t -> string
 
 val size : t -> int
@@ -67,5 +65,3 @@ val fill : t -> int -> int -> char -> unit
 val in_bounds : t -> off:int -> len:int -> bool
 (** [in_bounds r ~off ~len] holds when [\[off, off+len)] lies inside the
     region and does not overflow. *)
-
-val pp : Format.formatter -> t -> unit

@@ -1,6 +1,6 @@
 type entry = { off : int; len : int }
 
-type t = { region : Region.t; entries : entry array }
+type t = { entries : entry array }
 
 type error =
   | Empty
@@ -43,9 +43,7 @@ let create region entries =
           done;
           (match !overlap with
           | Some e -> Error e
-          | None -> Ok { region; entries = arr }))
-
-let length t = Array.length t.entries
+          | None -> Ok { entries = arr }))
 
 let find t idx =
   if idx < 0 || idx >= Array.length t.entries then None

@@ -24,8 +24,6 @@ val create : Region.t -> (int * int) list -> (t, error) result
 (** [create region [(off, len); ...]] validates and pins the ranges.
     Indices are positional: the [i]-th list element is buffer [i]. *)
 
-val length : t -> int
-
 val find : t -> int -> (int * int) option
 (** [find t idx] is the [(off, len)] of buffer [idx], if registered. *)
 

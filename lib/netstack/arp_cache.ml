@@ -122,8 +122,6 @@ let resolve t ip ~request =
 
 let entries t = Hashtbl.length t.table
 
-let capacity t = t.capacity
-
 let conflicts t = Obs.Metrics.value t.conflicts
 
 let evictions t = Obs.Metrics.value t.evictions

@@ -42,8 +42,6 @@ val resolve :
 
 val entries : t -> int
 
-val capacity : t -> int
-
 val conflicts : t -> int
 (** Conflicting re-learns refused so far (["arp.conflict"]). *)
 

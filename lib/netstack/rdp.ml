@@ -63,7 +63,6 @@ type pending = {
   seq : int;
   datagram : Bytes.t; (* the full DATA wire bytes, ready to resend *)
   first_sent : int64;
-  mutable last_sent : int64;
   mutable due : int64; (* next retransmit deadline *)
   mutable attempts : int; (* transmissions so far (>= 1) *)
   backoff : Sim.Backoff.t;
@@ -87,7 +86,6 @@ type peer = {
 type t = {
   peers : (key, peer) Hashtbl.t;
   max_attempts : int;
-  mutable sent : int;
   mutable retransmits : int;
   mutable acked : int;
   mutable gave_up : int;
@@ -116,7 +114,6 @@ let create ?(max_attempts = 6) () =
   {
     peers = Hashtbl.create 8;
     max_attempts;
-    sent = 0;
     retransmits = 0;
     acked = 0;
     gave_up = 0;
@@ -196,7 +193,6 @@ let send t ~now ~dst payload =
       seq;
       datagram;
       first_sent = now;
-      last_sent = now;
       due = Int64.add now rto_now;
       attempts = 1;
       backoff =
@@ -210,7 +206,6 @@ let send t ~now ~dst payload =
   ignore (Sim.Backoff.next entry.backoff);
   Hashtbl.replace p.pending seq entry;
   p.order <- p.order @ [ seq ];
-  t.sent <- t.sent + 1;
   datagram
 
 (* {1 Receiver side: dedup window} *)
@@ -308,7 +303,6 @@ let due t ~now =
           if e.attempts >= t.max_attempts then give_up t p e.seq
           else begin
             e.attempts <- e.attempts + 1;
-            e.last_sent <- now;
             e.due <- Int64.add now (Sim.Backoff.next e.backoff);
             t.retransmits <- t.retransmits + 1;
             out := (addr, e.datagram) :: !out
@@ -327,8 +321,6 @@ let abandon t =
   Hashtbl.iter
     (fun _ p -> List.iter (fun seq -> give_up t p seq) p.order)
     t.peers
-
-let sent t = t.sent
 
 let retransmits t = t.retransmits
 

@@ -24,7 +24,7 @@ type t
 type addr = Packet.Addr.Ip.t * int
 
 val create : ?max_attempts:int -> unit -> t
-(** A fresh endpoint; its counters ({!sent} … {!junk}) start at 0.
+(** A fresh endpoint; its counters ({!retransmits} … {!junk}) start at 0.
     The RTO starts at 200 µs before the first sample and is clamped to [50 µs, 2 ms].
     [max_attempts] (6) bounds total transmissions of one datagram; at
     most 64 datagrams (the dedup window's depth) stay unacked per peer,
@@ -63,8 +63,6 @@ val pending : t -> int
 val abandon : t -> unit
 (** Give up every pending DATA (all counted): endpoint teardown must
     not let unacked sends vanish without an accounting trail. *)
-
-val sent : t -> int
 
 val retransmits : t -> int
 

@@ -132,10 +132,6 @@ let create ?obs ?name ?arp engine ~mac ~ip ?(locking = `Fine) () =
   in
   t
 
-let mac t = t.mac
-
-let ip t = t.ip
-
 let arp t = t.arp
 
 let set_transmit t f = t.transmit <- Some f
@@ -174,8 +170,6 @@ let drop_reasons t =
       Option.map (fun c -> (drop_names.(i), Obs.Metrics.value c)) t.drops.(i))
   |> List.filter_map Fun.id
   |> List.sort (fun (a, _) (b, _) -> String.compare a b)
-
-let socket_count t = Hashtbl.length t.sockets
 
 let lock_contention t =
   Sim.Lock.contended t.global_lock + Sim.Lock.contended t.table_lock

@@ -43,10 +43,6 @@ val create :
     shared registry; without it they live in a private one and are
     reachable only through the accessors below. *)
 
-val mac : t -> Packet.Addr.Mac.t
-
-val ip : t -> Packet.Addr.Ip.t
-
 val set_transmit : t -> (Bytes.t -> unit) -> unit
 (** Install the FM's frame-transmit hook. *)
 
@@ -99,8 +95,6 @@ val input_borrowed : t -> Bytes.t -> len:int -> unit
     and for a whole UDP datagram the queued payload is the only copy. *)
 
 (** {1 Introspection} *)
-
-val socket_count : t -> int
 
 val rx_delivered : t -> int
 

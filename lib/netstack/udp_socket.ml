@@ -4,7 +4,6 @@ type t = {
   activity : Sim.Condition.t;
   clock : unit -> int64;
   mutable on_dequeue : (sojourn:int64 -> depth:int -> unit) option;
-  mutable drops : int;
 }
 
 let queue_capacity = 4096
@@ -16,7 +15,6 @@ let create ?(clock = fun () -> 0L) ~port () =
     activity = Sim.Condition.create ();
     clock;
     on_dequeue = None;
-    drops = 0;
   }
 
 let port t = t.port
@@ -28,10 +26,7 @@ let enqueue t payload ~src =
     Sim.Condition.broadcast t.activity;
     true
   end
-  else begin
-    t.drops <- t.drops + 1;
-    false
-  end
+  else false
 
 let recvfrom t ~max =
   if max < 0 then invalid_arg "Udp_socket.recvfrom: negative max";
@@ -50,7 +45,5 @@ let recvfrom t ~max =
 let readable t = not (Sim.Mailbox.is_empty t.queue)
 
 let pending t = Sim.Mailbox.length t.queue
-
-let drops t = t.drops
 
 let activity t = t.activity

@@ -29,8 +29,6 @@ val readable : t -> bool
 
 val pending : t -> int
 
-val drops : t -> int
-
 val activity : t -> Sim.Condition.t
 (** Broadcast on every enqueued datagram; the API submodule's poll waits
     on it. *)

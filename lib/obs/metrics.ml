@@ -61,13 +61,9 @@ let add c n = c.c_value <- c.c_value + n
 
 let value c = c.c_value
 
-let counter_name c = c.c_name
-
 let set g v = g.g_value <- v
 
 let get g = g.g_value
-
-let gauge_name g = g.g_name
 
 let bucket_of v =
   if v <= 0 then 0

@@ -66,11 +66,7 @@ val observe : histogram -> int -> unit
 
 val value : counter -> int
 
-val counter_name : counter -> string
-
 val get : gauge -> float
-
-val gauge_name : gauge -> string
 
 val count : histogram -> int
 (** Total observations recorded. *)
@@ -129,8 +125,6 @@ val get_counter : t -> string -> int
 val counters : t -> (string * int) list
 (** All counters, sorted by name. *)
 
-val gauges : t -> (string * float) list
-
 val histograms : t -> histogram list
 
 val with_prefix : t -> string -> (string * int) list
@@ -150,5 +144,3 @@ val sum_counters : ?infix:string -> t -> prefix:string -> suffix:string -> int
 
 val pp : Format.formatter -> t -> unit
 (** Aligned name/value table: counters, then gauges, then histograms. *)
-
-val pp_histogram : Format.formatter -> histogram -> unit

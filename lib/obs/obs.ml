@@ -14,7 +14,3 @@ let metrics t = t.metrics
 let trace t = t.trace
 
 let counter t name = Metrics.counter t.metrics name
-
-let gauge t name = Metrics.gauge t.metrics name
-
-let histogram t name = Metrics.histogram t.metrics name

@@ -39,7 +39,3 @@ val trace : t -> Trace.t
     so registering the same name twice yields the same handle. *)
 
 val counter : t -> string -> Metrics.counter
-
-val gauge : t -> string -> Metrics.gauge
-
-val histogram : t -> string -> Metrics.histogram

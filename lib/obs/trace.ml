@@ -29,13 +29,9 @@ let create ?(capacity = 4096) ~clock () =
     clock;
   }
 
-let enabled t = t.enabled
-
 let set_enabled t v = t.enabled <- v
 
 let now t = t.clock ()
-
-let capacity t = t.cap
 
 let recorded t = t.total
 

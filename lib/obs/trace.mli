@@ -34,8 +34,6 @@ val create : ?capacity:int -> clock:(unit -> int64) -> unit -> t
     thereby the memory footprint — forever.  [clock] supplies
     timestamps; the RAKIS runtime passes the engine's cycle counter. *)
 
-val enabled : t -> bool
-
 val set_enabled : t -> bool -> unit
 (** Recording toggle; events arriving while disabled are discarded.
     Export still works on whatever the ring holds. *)
@@ -54,8 +52,6 @@ val span : t -> cat:string -> ?arg:int -> string -> start:int64 -> unit
     current clock value. *)
 
 (** {1 Inspection} *)
-
-val capacity : t -> int
 
 val recorded : t -> int
 (** Events ever recorded, including those the ring has overwritten. *)

@@ -28,8 +28,6 @@ module Mac = struct
 
   let equal = String.equal
 
-  let compare = String.compare
-
   let pp ppf t =
     for i = 0 to 5 do
       if i > 0 then Format.pp_print_char ppf ':';
@@ -55,13 +53,7 @@ module Ip = struct
         (octet a lsl 24) lor (octet b lsl 16) lor (octet c lsl 8) lor octet d
     | _ -> invalid_arg ("Ip.of_repr: " ^ s)
 
-  let broadcast = 0xFFFFFFFF
-
-  let any = 0
-
   let equal = Int.equal
-
-  let compare = Int.compare
 
   let to_repr t =
     Printf.sprintf "%d.%d.%d.%d"
@@ -70,5 +62,4 @@ module Ip = struct
       ((t lsr 8) land 0xff)
       (t land 0xff)
 
-  let pp ppf t = Format.pp_print_string ppf (to_repr t)
 end

@@ -21,8 +21,6 @@ module Mac : sig
 
   val equal : t -> t -> bool
 
-  val compare : t -> t -> int
-
   val pp : Format.formatter -> t -> unit
 end
 
@@ -38,15 +36,7 @@ module Ip : sig
   val of_repr : string -> t
   (** Parse dotted-quad ["10.0.0.1"]. *)
 
-  val broadcast : t
-
-  val any : t
-
   val equal : t -> t -> bool
-
-  val compare : t -> t -> int
-
-  val pp : Format.formatter -> t -> unit
 
   val to_repr : t -> string
 end

@@ -62,10 +62,3 @@ let parse b =
               target_ip = get_ip b 24;
             }
       | v -> Error (Bad_op v)
-
-let pp_error ppf = function
-  | Truncated n -> Format.fprintf ppf "truncated arp packet (%d bytes)" n
-  | Bad_hardware_type v -> Format.fprintf ppf "bad arp hardware type %#x" v
-  | Bad_protocol_type v -> Format.fprintf ppf "bad arp protocol type %#x" v
-  | Bad_sizes (h, p) -> Format.fprintf ppf "bad arp sizes hlen=%d plen=%d" h p
-  | Bad_op v -> Format.fprintf ppf "bad arp op %d" v

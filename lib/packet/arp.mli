@@ -17,11 +17,6 @@ type error =
   | Bad_sizes of int * int  (** hlen, plen *)
   | Bad_op of int
 
-val packet_size : int
-(** 28. *)
-
 val build : t -> Bytes.t
 
 val parse : Bytes.t -> (t, error) result
-
-val pp_error : Format.formatter -> error -> unit

@@ -237,13 +237,4 @@ let republish t =
   | Producer -> Layout.write_prod t.layout t.tprod
   | Consumer -> Layout.write_cons t.layout t.tcons
 
-let pp_failure ppf = function
-  | Out_of_window { observed; trusted_prod; trusted_cons } ->
-      Format.fprintf ppf
-        "peer index %#x outside window (trusted prod=%#x cons=%#x)" observed
-        trusted_prod trusted_cons
-  | Regressed { observed; previous } ->
-      Format.fprintf ppf "peer index %#x regressed (previously %#x)" observed
-        previous
-
 let region t = t.layout.Layout.region

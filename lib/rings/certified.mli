@@ -165,7 +165,5 @@ val republish : t -> unit
     ever comes along to rewrite it.  An explicit republish is the honest
     repair (DESIGN.md §8); idempotent and always safe. *)
 
-val pp_failure : Format.formatter -> failure -> unit
-
 val region : t -> Mem.Region.t
 (** The shared region holding this ring (where slot offsets resolve). *)

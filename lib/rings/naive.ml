@@ -57,13 +57,3 @@ let consume t ~read =
 let cached_prod t = t.cached_prod
 
 let cached_cons t = t.cached_cons
-
-let invariant_holds t =
-  let consumer_view =
-    U32.distance ~ahead:t.cached_prod ~behind:t.cached_cons
-  in
-  let producer_view =
-    U32.distance ~ahead:t.cached_prod
-      ~behind:(U32.sub t.cached_cons_plus t.layout.Layout.size)
-  in
-  consumer_view <= t.layout.Layout.size && producer_view <= t.layout.Layout.size

@@ -45,7 +45,3 @@ val cached_prod : t -> int
 
 val cached_cons : t -> int
 (** Last consumer index read from shared memory (unvalidated). *)
-
-val invariant_holds : t -> bool
-(** Paper eq. 1 over the cached indices — tests show this is violated
-    under attack, unlike {!Certified.invariant_holds}. *)

@@ -20,8 +20,6 @@ let engine t = t.engine
 
 let sgx_enabled t = t.sgx
 
-let name t = t.name
-
 let trusted_region t ~size ~name =
   Mem.Region.create ~kind:Trusted ~name:(t.name ^ "." ^ name) ~size
 

@@ -21,8 +21,6 @@ val engine : t -> Sim.Engine.t
 
 val sgx_enabled : t -> bool
 
-val name : t -> string
-
 val trusted_region : t -> size:int -> name:string -> Mem.Region.t
 (** Allocate a region of enclave (trusted) memory. *)
 

@@ -124,8 +124,6 @@ let zc_frame_size = 16 * 1024
 
 let udp_socket_buffer = 16 * 1024 * 1024
 
-let app_cycles_per_request = 1500L
-
 let wire_cycles_per_byte = Sim.Cycles.per_byte_at_gbps nic_link_gbps
 
 (* The link rate actually charged by the NIC transmit engines.  A ref so

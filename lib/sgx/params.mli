@@ -213,10 +213,6 @@ val zc_frame_size : int
 val udp_socket_buffer : int
 (** 16 MiB kernel UDP socket buffer (paper §6.1 setup). *)
 
-val app_cycles_per_request : int64
-(** Userspace work per request in the KV-store workloads (hashing,
-    parsing): ~1,500 cycles. *)
-
 val wire_cycles_per_byte : float
 (** Link serialization cost, from {!nic_link_gbps}. *)
 

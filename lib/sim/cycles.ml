@@ -6,11 +6,7 @@ let of_ms ms = of_sec (ms /. 1e3)
 
 let of_us us = of_sec (us /. 1e6)
 
-let of_ns ns = of_sec (ns /. 1e9)
-
 let to_sec c = Int64.to_float c /. frequency_hz
-
-let to_ms c = to_sec c *. 1e3
 
 let to_us c = to_sec c *. 1e6
 

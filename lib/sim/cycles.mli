@@ -14,11 +14,7 @@ val of_ms : float -> int64
 
 val of_us : float -> int64
 
-val of_ns : float -> int64
-
 val to_sec : int64 -> float
-
-val to_ms : int64 -> float
 
 val to_us : int64 -> float
 

@@ -2,8 +2,6 @@ type t = { mutable state : int64 }
 
 let create ~seed = { state = seed }
 
-let copy t = { state = t.state }
-
 (* SplitMix64 (Steele, Lea, Flood 2014): tiny, fast, passes BigCrush when
    used as a 64-bit generator; ideal for reproducible simulation. *)
 let next_int64 t =

@@ -8,8 +8,6 @@ type t
 
 val create : seed:int64 -> t
 
-val copy : t -> t
-
 val next_int64 : t -> int64
 (** Uniform over all 2{^64} bit patterns. *)
 

@@ -897,11 +897,6 @@ let shrink_failure (o : outcome) =
     shrink_tests = r.Shrink.tests2 + pin_tests;
   }
 
-let shrunk_repro (o : outcome) (s : shrunk) =
-  token_to_string
-    (Campaign
-       { o.spec with schedule = s.shrunk_schedule; faults = s.shrunk_plan })
-
 (* {1 Reporting} *)
 
 let pp_schedule ppf s = Format.pp_print_string ppf (schedule_to_string s)

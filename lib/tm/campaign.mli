@@ -251,12 +251,6 @@ val shrink_failure : outcome -> shrunk
     an element pass that drops shard pins ([#k]) the failure does not
     need. *)
 
-val shrunk_repro : outcome -> shrunk -> string
-(** The repro token of the minimized failure: [o.spec] with the shrunk
-    schedule and fault plan. *)
-
-val pp_schedule : Format.formatter -> schedule -> unit
-
 val pp_outcome : Format.formatter -> outcome -> unit
 
 (** {1 Chaos soak (DESIGN.md §15)} *)
@@ -297,7 +291,7 @@ type soak_outcome = {
 val soak : soak_spec -> soak_outcome
 (** Run the chaos soak: the XSK UDP echo workload on a multi-queue
     machine booted with {!Rakis.Config.overload}, [steps] datagrams
-    across {!soak_flows} flows — closed-loop for the first 40%, an
+    across 8 flows — closed-loop for the first 40%, an
     open-loop flash-crowd blast for the middle 20%, closed-loop recovery
     for the rest — composed with a rolling shard-pinned
     {!Hostos.Faults.Drop_wakeup} plan and a seeded malice soup.  [wire]
@@ -310,7 +304,5 @@ val soak : soak_spec -> soak_outcome
 val soak_failed : soak_outcome -> bool
 (** The soak's gates: a stall, an unaccounted datagram, a shed control
     op, a p99 SLO breach, or goodput that never recovered. *)
-
-val soak_flows : int
 
 val pp_soak_outcome : Format.formatter -> soak_outcome -> unit

@@ -93,6 +93,4 @@ val drive :
     state-machine-test entry point for sequences far deeper than the
     breadth-first bound. *)
 
-val pp_violation : Format.formatter -> violation -> unit
-
 val pp_report : Format.formatter -> report -> unit

@@ -115,10 +115,6 @@ module Breaker = struct
     && o.Rakis.Health.probe_inflight = t.probe_inflight
     && o.Rakis.Health.cooldown_elapsed = cooled t ~now
 
-  let pp ppf t =
-    Format.fprintf ppf "%a fails=%d succs=%d inflight=%b opens=%d closes=%d"
-      Rakis.Health.pp_state t.state t.failures t.successes t.probe_inflight
-      t.opens t.closes
 end
 
 (* {1 Certified ring index discipline (Rings.Certified)} *)
@@ -221,9 +217,6 @@ module Ring = struct
     Rings.Layout.read_prod layout = t.shared_prod
     && Rings.Layout.read_cons layout = t.shared_cons
 
-  let pp ppf t =
-    Format.fprintf ppf "prod=%#x cons=%#x shared=%#x/%#x failures=%d" t.tprod
-      t.tcons t.shared_prod t.shared_cons t.failures
 end
 
 (* {1 UMem ownership partition (Rakis.Umem)} *)
@@ -329,9 +322,4 @@ module Umem = struct
     && Rakis.Umem.registered umem = registered t
     && Rakis.Umem.rejects umem = t.rejects
 
-  let pp ppf t =
-    Format.fprintf ppf "free=%d rx=%d tx=%d limbo=%d reg=%d rejects=%d"
-      (free t)
-      (out t Rakis.Umem.Rx) (out t Rakis.Umem.Tx) (limbo t) (registered t)
-      t.rejects
 end

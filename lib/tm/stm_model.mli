@@ -34,9 +34,6 @@ module Breaker : sig
 
   val cancel_probe : t -> t
 
-  val cooled : t -> now:int64 -> bool
-  (** [Open] with the cooldown elapsed: the next {!allow} probes. *)
-
   val legal_edge : Rakis.Health.state -> Rakis.Health.state -> bool
   (** Breaker monotonicity: the only legal transitions are
       [Closed→Open], [Half_open→Open], [Open→Half_open] and
@@ -44,8 +41,6 @@ module Breaker : sig
 
   val agrees : t -> now:int64 -> Rakis.Health.observation -> bool
   (** Does the real breaker's pure observation match this model? *)
-
-  val pp : Format.formatter -> t -> unit
 end
 
 (** Mirror of {!Rings.Certified}: trusted index copies, the Table 2
@@ -68,10 +63,6 @@ module Ring : sig
 
   val host_write_cons : t -> int -> t
 
-  val refresh_prod : t -> t
-
-  val refresh_cons : t -> t
-
   val available : t -> t * int
 
   val consume : t -> t * int option
@@ -79,8 +70,6 @@ module Ring : sig
       success, [None] when the validated window is empty. *)
 
   val skip : t -> t
-
-  val free_slots : t -> t * int
 
   val consume_batch : t -> max:int -> t * int
   (** Mirror of {!Rings.Certified.consume_batch}: one refresh, then up
@@ -90,8 +79,6 @@ module Ring : sig
   val produce_batch : t -> count:int -> t * int
   (** Mirror of {!Rings.Certified.produce_batch}: one refresh, then up
       to [count] slots published with a single producer-word store. *)
-
-  val filled : t -> int
 
   val invariant_holds : t -> bool
   (** Paper eq. 1: [0 <= Pt - Ct <= St]. *)
@@ -103,8 +90,6 @@ module Ring : sig
   (** Both shared index words hold what the model says was last stored
       to them — by the enclave for its owned word, by the host for the
       peer word. *)
-
-  val pp : Format.formatter -> t -> unit
 end
 
 (** Mirror of {!Rakis.Umem}: the free / out-Rx / out-Tx / limbo /
@@ -141,20 +126,12 @@ module Umem : sig
       exit from [Registered], validated like {!reclaim} because the
       prompting notif CQE is host-controlled. *)
 
-  val free : t -> int
-
   val limbo : t -> int
 
   val registered : t -> int
-
-  val out : t -> Rakis.Umem.routine -> int
-
-  val size : t -> int
 
   val conservation_holds : t -> bool
 
   val agrees : t -> Rakis.Umem.t -> bool
   (** Partition counts and reject count match the real UMem. *)
-
-  val pp : Format.formatter -> t -> unit
 end

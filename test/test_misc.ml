@@ -93,8 +93,7 @@ let test_nic_counts_traffic () =
 (* {1 VFS} *)
 
 let test_vfs_unlink () =
-  let engine = Sim.Engine.create () in
-  let vfs = Hostos.Vfs.create engine in
+  let vfs = Hostos.Vfs.create () in
   ignore (Hostos.Vfs.open_file vfs ~create:true "/a");
   ignore (Hostos.Vfs.open_file vfs ~create:true "/b");
   check "two files" 2 (Hostos.Vfs.file_count vfs);
@@ -107,8 +106,7 @@ let test_vfs_unlink () =
   | _ -> Alcotest.fail "double unlink"
 
 let test_vfs_trunc_on_open () =
-  let engine = Sim.Engine.create () in
-  let vfs = Hostos.Vfs.create engine in
+  let vfs = Hostos.Vfs.create () in
   let inode = Result.get_ok (Hostos.Vfs.open_file vfs ~create:true "/t") in
   ignore (Hostos.Vfs.write vfs inode ~off:0 (Bytes.of_string "data") 0 4);
   let inode' = Result.get_ok (Hostos.Vfs.open_file vfs ~trunc:true "/t") in

@@ -23,7 +23,7 @@ let make ?(target = 100L) ?(interval = 1_000L) ?(high = 8) ?(low = 2)
   let clock = ref 0L in
   let t =
     O.create ~name:"test" ~target ~interval ~high_watermark:high
-      ~low_watermark:low ~rate ~burst
+      ~low_watermark:low ~rate ~burst ~sources:2
       ~clock:(fun () -> !clock)
       ()
   in
@@ -42,7 +42,7 @@ let test_token_bucket () =
   done;
   check "nothing shed yet" 0 (data_shed t);
   (* Saturate: the bucket gates data at [burst] then [rate]/[interval]. *)
-  O.note_depth t 8;
+  O.note_depth t ~src:0 8;
   check_bool "saturated at high watermark" true (O.saturated t);
   for i = 1 to 4 do
     check_bool (Printf.sprintf "burst admit %d" i) true (O.admit t O.Data)
@@ -65,16 +65,16 @@ let test_token_bucket () =
 
 let test_hysteresis () =
   let t, _clock = make () in
-  O.note_depth t 7;
+  O.note_depth t ~src:0 7;
   check_bool "below high watermark" false (O.saturated t);
-  O.note_depth t 8;
+  O.note_depth t ~src:0 8;
   check_bool "at high watermark" true (O.saturated t);
   (* Between the watermarks: the mark must hold (no flapping). *)
-  O.note_depth t 5;
+  O.note_depth t ~src:0 5;
   check_bool "holds between watermarks" true (O.saturated t);
-  O.note_depth t 2;
+  O.note_depth t ~src:0 2;
   check_bool "clears at low watermark" false (O.saturated t);
-  O.note_depth t 5;
+  O.note_depth t ~src:0 5;
   check_bool "re-raising needs high watermark" false (O.saturated t)
 
 let test_multi_source_max () =
@@ -87,6 +87,24 @@ let test_multi_source_max () =
   check_bool "a shallow sibling cannot clear it" true (O.saturated t);
   O.note_depth ~src:1 t 1;
   check_bool "clears once every source drains" false (O.saturated t)
+
+(* The runtime sizes a shard's depth table from the sources it wires —
+   the socket queue plus one per XSK — so with eight XSKs the last two
+   rings (sources 7 and 8) keep separate slots: an idle ring reporting
+   0 cannot erase a flooded ring's backlog. *)
+let test_depth_sources_per_xsk () =
+  let engine = Sim.Engine.create () in
+  let kernel = Hostos.Kernel.create engine () in
+  let config = { Rakis.Config.default with num_xsks = 8; overload = true } in
+  match Rakis.Runtime.boot kernel ~sgx:true ~config () with
+  | Error e -> Alcotest.fail e
+  | Ok rt ->
+      let t = Option.get (Rakis.Runtime.shard_overload rt 0) in
+      O.note_depth t ~src:8 (O.high_watermark t);
+      check_bool "the eighth XSK's flooded ring saturates" true (O.saturated t);
+      O.note_depth t ~src:7 0;
+      check_bool "the seventh XSK's idle ring cannot clear it" true
+        (O.saturated t)
 
 (* {1 CoDel control law} *)
 
@@ -130,7 +148,7 @@ let test_edf_slack () =
 
 let test_control_never_shed () =
   let t, _clock = make () in
-  O.note_depth t 100;
+  O.note_depth t ~src:0 100;
   (* Drain the bucket far past empty: 100% of data is being shed... *)
   for _ = 1 to 100 do
     ignore (O.admit t O.Data)
@@ -173,6 +191,8 @@ let suite =
     Alcotest.test_case "overload: hysteretic watermarks" `Quick test_hysteresis;
     Alcotest.test_case "overload: multi-source depth max" `Quick
       test_multi_source_max;
+    Alcotest.test_case "overload: one depth slot per wired XSK" `Quick
+      test_depth_sources_per_xsk;
     Alcotest.test_case "overload: CoDel control law" `Quick test_codel;
     Alcotest.test_case "overload: earliest-deadline-first shedding" `Quick
       test_edf_slack;

@@ -264,6 +264,12 @@ let native_client fx = Libos.Hostapi.native fx.kernel
 
 (* {1 Boot-time validation (Table 2, initialization rows)} *)
 
+(* The shard wiring a standalone FM is created with: a real (unstarted)
+   Monitor and XSK breaker on [kernel], no overload controller. *)
+let fm_wiring engine kernel =
+  ( Rakis.Monitor.create engine ~kernel,
+    Rakis.Health.create ~name:"xsk" ~clock:(fun () -> Sim.Engine.now engine) () )
+
 let test_boot_rejects_trusted_pointers () =
   (* An XSK whose rings live in trusted memory must be refused. *)
   let engine = Sim.Engine.create () in
@@ -280,11 +286,11 @@ let test_boot_rejects_trusted_pointers () =
     Netstack.Stack.create engine ~mac:Rakis.Config.default.mac
       ~ip:Rakis.Config.default.ip ()
   in
-  ignore kernel;
+  let monitor, breaker = fm_wiring engine kernel in
   match
-    Rakis.Xsk_fm.create ~enclave
+    Rakis.Xsk_fm.create ~enclave ~kernel
       ~config:{ small_config with umem_size = 64 * 2048 }
-      ~stack ~fd:3 ~xsk ()
+      ~stack ~monitor ~breaker ~overload:None ~fd:3 ~xsk ()
   with
   | Error (Rakis.Xsk_fm.Pointer_in_trusted _) -> ()
   | Ok _ -> Alcotest.fail "trusted pointers accepted (Appendix A attack)"
@@ -304,10 +310,12 @@ let test_boot_rejects_negative_fd () =
     Netstack.Stack.create engine ~mac:Rakis.Config.default.mac
       ~ip:Rakis.Config.default.ip ()
   in
+  let kernel = Hostos.Kernel.create engine () in
+  let monitor, breaker = fm_wiring engine kernel in
   match
-    Rakis.Xsk_fm.create ~enclave
+    Rakis.Xsk_fm.create ~enclave ~kernel
       ~config:{ small_config with umem_size = 64 * 2048 }
-      ~stack ~fd:(-1) ~xsk ()
+      ~stack ~monitor ~breaker ~overload:None ~fd:(-1) ~xsk ()
   with
   | Error (Rakis.Xsk_fm.Bad_fd _) -> ()
   | _ -> Alcotest.fail "negative fd accepted"
@@ -355,9 +363,10 @@ let test_iouring_fm_rejects_trusted_bounce () =
   let _, uring = Hostos.Kernel.uring_create kernel ~alloc ~entries:16 in
   let enclave = Sgx.Enclave.create engine ~sgx:true ~name:"t" in
   let trusted = Mem.Region.create ~kind:Trusted ~name:"tr" ~size:(1 lsl 20) in
+  let monitor, breaker = fm_wiring engine kernel in
   match
-    Rakis.Iouring_fm.create ~enclave ~config:small_config ~fd:4 ~uring
-      ~bounce:(Mem.Ptr.v trusted 0) ()
+    Rakis.Iouring_fm.create ~enclave ~config:small_config ~monitor ~breaker
+      ~fd:4 ~uring ~bounce:(Mem.Ptr.v trusted 0) ()
   with
   | Error (Rakis.Iouring_fm.Pointer_in_trusted _) -> ()
   | _ -> Alcotest.fail "trusted bounce buffer accepted"
@@ -518,9 +527,11 @@ let hand_fm ~frames =
     Netstack.Stack.create engine ~mac:Rakis.Config.default.mac
       ~ip:Rakis.Config.default.ip ()
   in
+  let kernel = Hostos.Kernel.create engine () in
+  let monitor, breaker = fm_wiring engine kernel in
   match
-    Rakis.Xsk_fm.create ~enclave ~config:{ small_config with umem_size } ~stack
-      ~fd:3 ~xsk ()
+    Rakis.Xsk_fm.create ~enclave ~kernel ~config:{ small_config with umem_size }
+      ~stack ~monitor ~breaker ~overload:None ~fd:3 ~xsk ()
   with
   | Ok fm -> { fm; xsk; stack }
   | Error e -> Alcotest.failf "fm: %a" Rakis.Xsk_fm.pp_init_error e

@@ -251,6 +251,65 @@ let test_persistent_fault_contained_zero_loss () =
   check_bool "shard 0 stayed closed" true (H.state b0 = H.Closed);
   check_bool "invariants hold" true (Rakis.Runtime.invariant_holds rt)
 
+(* Overload wiring is per shard (DESIGN.md §15): each FM is created with
+   its own shard's controller.  A flood on one XSK of shard 1 — a bound
+   port nobody reads, so its socket queue backs up — must saturate shard
+   1's controller only, and only shard 1's FMs may starve their fill
+   rings. *)
+let test_overload_flood_contained () =
+  let h =
+    match
+      Apps.Harness.make Libos.Env.Rakis_sgx
+        ~rakis_config:
+          {
+            Rakis.Config.default with
+            num_queues = 2;
+            num_xsks = 2;
+            overload = true;
+          }
+        ~nic_queues:4 ()
+    with
+    | Ok h -> h
+    | Error e -> Alcotest.failf "harness boot: %s" e
+  in
+  let rt = runtime h in
+  let kernel = h.Apps.Harness.kernel and port = 5400 in
+  (match Rakis.Runtime.udp_bind rt (Rakis.Runtime.udp_socket rt) port with
+  | Ok () -> ()
+  | Error e -> Alcotest.failf "bind: %a" Abi.Errno.pp e);
+  let server = Hostos.Kernel.server_ip kernel in
+  (* NIC queue q feeds shard (q mod 2), XSK ((q / 2) mod 2): a flow on
+     queue 1 lands on shard 1's first XSK. *)
+  let src_port =
+    List.nth (Apps.Shards.spread_ports h ~n:2 ~dst:(server, port) ~base:40000) 1
+  in
+  let peer = h.Apps.Harness.peer in
+  Sim.Engine.spawn h.Apps.Harness.engine ~name:"flood" (fun () ->
+      let fd = peer.Libos.Api.udp_socket () in
+      ignore
+        (peer.Libos.Api.bind fd (Hostos.Kernel.client_ip kernel, src_port));
+      let payload = Bytes.make 64 'f' in
+      for _ = 1 to 2000 do
+        ignore (peer.Libos.Api.sendto fd payload (server, port))
+      done);
+  Apps.Harness.run h ~until:(Sim.Cycles.of_ms 20.);
+  let saturated k =
+    Rakis.Overload.saturated (Option.get (Rakis.Runtime.shard_overload rt k))
+  in
+  check_bool "shard 1's controller saturated" true (saturated 1);
+  check_bool "shard 0's controller untouched" false (saturated 0);
+  let throttled k i =
+    let name = Printf.sprintf "xsk.%d.%d.fill_throttled" k i in
+    match Obs.Metrics.find (Obs.metrics (Rakis.Runtime.obs rt)) name with
+    | Some n -> n
+    | None -> Alcotest.failf "no counter %s" name
+  in
+  check_bool "shard 1's FMs throttled refill" true
+    (throttled 1 0 + throttled 1 1 > 0);
+  check "shard 0 xsk 0 never throttled" 0 (throttled 0 0);
+  check "shard 0 xsk 1 never throttled" 0 (throttled 0 1);
+  check_bool "invariants hold" true (Rakis.Runtime.invariant_holds rt)
+
 (* Malice containment: an index attack armed against shard 1 only is
    detected by shard 1's FMs and provably cannot touch shard 0 — the
    shard-0 flow loses nothing, and shard 0's rings record zero
@@ -411,6 +470,8 @@ let suite =
       `Quick test_persistent_fault_contained_zero_loss;
     Alcotest.test_case "e2e: malice on shard 1 cannot touch shard 0" `Quick
       test_malice_contained_to_target_shard;
+    Alcotest.test_case "e2e: overload flood on shard 1 throttles only shard 1"
+      `Quick test_overload_flood_contained;
     Alcotest.test_case "campaign: shard-targeted fault opens only its breaker"
       `Quick test_campaign_shard_containment;
     Alcotest.test_case "campaign: 6-segment repro token round-trips" `Quick

@@ -141,7 +141,7 @@ let table2 () =
     in
     let runtime = Result.get_ok (Rakis.Runtime.boot kernel ~sgx:true ~config ()) in
     let m = Hostos.Malice.create ~seed:5L () in
-    Hostos.Malice.arm m ~probability:0.3 attack;
+    Hostos.Malice.arm m (Hostos.Injector.Probability 0.3) attack;
     Hostos.Kernel.set_malice kernel (Some m);
     let client = Libos.Hostapi.native kernel in
     (* Enclave UDP sink. *)
@@ -186,7 +186,7 @@ let table2 () =
         (Rakis.Runtime.xsk_fms runtime)
     in
     Format.printf "%-22s %8d %8d %8d %8d %10s@."
-      (Format.asprintf "%a" Hostos.Malice.pp_attack attack)
+      (Hostos.Malice.name attack)
       (Hostos.Malice.fired m)
       (Rakis.Runtime.total_ring_check_failures runtime)
       umem_rejects
@@ -207,8 +207,12 @@ let table2 () =
           zerocopy = true;
           schedule =
             [
-              Tm.Campaign.During
-                { first = 2; last = 38; probability = 0.3; attack };
+              {
+                Hostos.Injector.what = attack;
+                when_ =
+                  Burst { first_step = 2; last_step = 38; probability = 0.3 };
+                shard = None;
+              };
             ];
         }
     in
@@ -216,7 +220,7 @@ let table2 () =
       try List.assoc attack o.Tm.Campaign.fired with Not_found -> 0
     in
     Format.printf "%-22s %8d %8d %8d %8d %10s@."
-      (Format.asprintf "%a" Hostos.Malice.pp_attack attack)
+      (Hostos.Malice.name attack)
       fired o.Tm.Campaign.ring_rejects
       (o.Tm.Campaign.desc_rejects - o.Tm.Campaign.zc_notif_rejects)
       o.Tm.Campaign.zc_notif_rejects
@@ -233,7 +237,7 @@ let table2 () =
       | Hostos.Malice.Double_notif ->
           run_notif_attack attack
       | _ -> run_attack attack)
-    Hostos.Malice.all_attacks;
+    Hostos.Malice.all;
   Format.printf
     "(notif rows: zero-copy io_uring campaign workload; HELD* = no \
      integrity breach, but withheld notifs stranded frames — the \

@@ -191,7 +191,7 @@ let kv_harness ~overload =
         num_xsks = kv_server_threads;
         overload;
       }
-    ~nic_queues:4 Libos.Env.Rakis_sgx
+    Libos.Env.Rakis_sgx
 
 let kv_crowd_connections = 640
 
@@ -281,7 +281,7 @@ let run_lossy_json () =
     let injector =
       Hostos.Faults.create ~obs:(Rakis.Runtime.obs rt) ~seed:lossy_wire_seed ()
     in
-    Hostos.Faults.install_plan injector Tm.Campaign.wire_plan;
+    Hostos.Faults.install injector Tm.Campaign.wire_plan;
     Hostos.Kernel.set_faults h.Apps.Harness.kernel (Some injector);
     let config =
       {

@@ -33,8 +33,9 @@ let env_arg =
           "Test environment: native, gramine-direct, gramine-sgx, \
            rakis-direct or rakis-sgx.")
 
-let harness ?rakis_config ?nic_queues kind =
-  match Apps.Harness.make kind ?rakis_config ?nic_queues () with
+(* The NIC gets one queue per XSK of [rakis_config] (at least 4). *)
+let harness ?rakis_config kind =
+  match Apps.Harness.make kind ?rakis_config () with
   | Ok h -> h
   | Error e ->
       Format.eprintf "boot failed: %s@." e;
@@ -64,10 +65,11 @@ let faults_arg =
     & info [ "faults" ] ~docv:"PLAN"
         ~doc:
           "Host-fault plan injected during the workload: ';'-separated \
-           entries '@P=fault', 'once[@P]=fault', 'STEP=fault' or \
-           'A..B@P=fault' (e.g. \
-           '@0.05=transient-errno;200=monitor-crash').  Arms the enclave \
-           watchdog.  RAKIS environments only.")
+           entries '@P=fault', 'once[@P]=fault', 'STEP=fault', \
+           'A..B@P=fault' or 'persist=fault', each optionally pinned to \
+           datapath shard k by a '#k' suffix (e.g. \
+           '@0.05=transient-errno;200=monitor-crash;persist=drop-wakeup#1').  \
+           Arms the enclave watchdog.  RAKIS environments only.")
 
 let fault_seed_arg =
   Arg.(
@@ -111,13 +113,6 @@ let health_config_term =
   in
   Cmdliner.Term.(const apply $ queues_arg $ zerocopy_arg $ overload_arg)
 
-(* The NIC must expose at least as many hardware queues as the config
-   asks shards for. *)
-let sharded_harness cfg env =
-  harness ~rakis_config:cfg
-    ~nic_queues:(max 4 cfg.Rakis.Config.num_queues)
-    env
-
 (* Install the fault plan on a booted harness: injector + watchdog + a
    step clock ticking every 10 simulated µs (the At_step/Burst domain —
    workloads here have no campaign step counter).  The tick process is
@@ -142,7 +137,7 @@ let install_faults h ~spec ~seed =
               Hostos.Faults.create ~obs:(Rakis.Runtime.obs rt)
                 ~seed:(Int64.of_int seed) ()
             in
-            Hostos.Faults.install_plan f plan;
+            Hostos.Faults.install f plan;
             Hostos.Kernel.set_faults h.Apps.Harness.kernel (Some f);
             Rakis.Runtime.start_watchdog rt;
             Sim.Engine.spawn h.Apps.Harness.engine ~name:"fault-clock"
@@ -160,13 +155,13 @@ let report_faults h injector =
   | None -> ()
   | Some f ->
       Format.printf "faults injected: %s@."
-        (match Hostos.Faults.injected_counts f with
+        (match Hostos.Faults.fired_counts f with
         | [] -> "(none)"
         | counts ->
             String.concat ", "
               (List.map
                  (fun (fault, n) ->
-                   Printf.sprintf "%s x%d" (Hostos.Faults.fault_name fault) n)
+                   Printf.sprintf "%s x%d" (Hostos.Faults.name fault) n)
                  counts));
       (match Libos.Env.runtime h.Apps.Harness.env with
       | Some rt ->
@@ -279,7 +274,7 @@ let iperf_cmd =
     Arg.(value & opt int 4 & info [ "streams" ] ~doc:"Parallel client streams.")
   in
   let run env cfg packets size streams faults fault_seed metrics trace_file =
-    let h = sharded_harness cfg env in
+    let h = harness ~rakis_config:cfg env in
     let injector = install_faults h ~spec:faults ~seed:fault_seed in
     let r = Apps.Iperf.run ~streams h ~packet_size:size ~packets in
     Format.printf "%a@." Apps.Iperf.pp_result r;
@@ -299,7 +294,7 @@ let iperf_tcp_cmd =
     Arg.(value & opt int 16384 & info [ "chunk" ] ~doc:"Bytes per send call.")
   in
   let run env cfg mbytes chunk faults fault_seed metrics trace_file =
-    let h = sharded_harness cfg env in
+    let h = harness ~rakis_config:cfg env in
     let injector = install_faults h ~spec:faults ~seed:fault_seed in
     let r =
       Apps.Iperf_tcp.run ~chunk_size:chunk h ~bytes:(mbytes * 1024 * 1024)
@@ -324,7 +319,7 @@ let memcached_cmd =
   let ops = Arg.(value & opt int 10000 & info [ "ops" ] ~doc:"Operations.") in
   let run env cfg threads ops faults fault_seed metrics trace_file =
     let h =
-      sharded_harness { cfg with Rakis.Config.num_xsks = threads } env
+      harness ~rakis_config:{ cfg with Rakis.Config.num_xsks = threads } env
     in
     let injector = install_faults h ~spec:faults ~seed:fault_seed in
     let r = Apps.Memcached.run h ~server_threads:threads ~ops in
@@ -364,7 +359,7 @@ let redis_cmd =
     Arg.(value & opt int 50 & info [ "connections" ] ~doc:"Client connections.")
   in
   let run env cfg command ops conns faults fault_seed metrics trace_file =
-    let h = sharded_harness cfg env in
+    let h = harness ~rakis_config:cfg env in
     let injector = install_faults h ~spec:faults ~seed:fault_seed in
     let r = Apps.Redis.run ~connections:conns h ~command ~ops in
     Format.printf "%a@." Apps.Redis.pp_result r;
@@ -383,7 +378,7 @@ let fstime_cmd =
   let blocks = Arg.(value & opt int 3000 & info [ "blocks" ] ~doc:"Blocks.") in
   let read_mode = Arg.(value & flag & info [ "read" ] ~doc:"Read test.") in
   let run env cfg block blocks read_mode faults fault_seed metrics trace_file =
-    let h = sharded_harness cfg env in
+    let h = harness ~rakis_config:cfg env in
     let injector = install_faults h ~spec:faults ~seed:fault_seed in
     let mode = if read_mode then Apps.Fstime.Read else Apps.Fstime.Write in
     let r = Apps.Fstime.run ~mode h ~block_size:block ~blocks in
@@ -440,7 +435,7 @@ let udp_echo_cmd =
   in
   let run env cfg datagrams size flows rdp faults fault_seed metrics trace_file
       =
-    let h = sharded_harness cfg env in
+    let h = harness ~rakis_config:cfg env in
     let injector = install_faults h ~spec:faults ~seed:fault_seed in
     let r = Apps.Udp_echo.run ~flows ~rdp h ~datagrams ~payload_size:size in
     Format.printf "%a@." Apps.Udp_echo.pp_result r;
@@ -541,7 +536,7 @@ let loadgen_cmd =
   let run env cfg conns ops open_loop zipf flash_at flash_conns flash_ops churn
       seed threads rdp faults fault_seed metrics trace_file =
     let h =
-      sharded_harness { cfg with Rakis.Config.num_xsks = threads } env
+      harness ~rakis_config:{ cfg with Rakis.Config.num_xsks = threads } env
     in
     let injector = install_faults h ~spec:faults ~seed:fault_seed in
     let lg_config =

@@ -19,8 +19,9 @@
      replay prints the same outcome and verdict as the original run;
    - --faults '<plan>' (with --campaign): additionally run each
      datapath under that host-fault plan alone and composed with an
-     attack soup — the Faults.plan syntax of docs/cli.md
-     (e.g. '@0.05=transient-errno;200=monitor-crash');
+     attack soup.  Fault plans and attack schedules share one plan
+     grammar and one injector engine (Hostos.Injector, docs/cli.md),
+     e.g. '@0.05=transient-errno;200=monitor-crash';
    - --soak: the overload-control chaos soak (DESIGN.md §15) — flash
      crowd x rolling shard faults x malice soup on a multi-queue
      machine with Config.overload, gated on zero unaccounted
@@ -32,6 +33,9 @@
      lossy-wire plan (5% drop/reorder/dup, 1% truncation — DESIGN.md
      §16) onto the run; campaign repro tokens and the soak token gain
      the "wire" flag. *)
+
+(* A schedule entry firing [what] once, at workload step [step]. *)
+let at step what = { Hostos.Injector.what; when_ = At_step step; shard = None }
 
 let total_fired o =
   List.fold_left (fun acc (_, n) -> acc + n) 0 o.Tm.Campaign.fired
@@ -95,13 +99,13 @@ let campaign ~budget ~faults_plan ~queues ~wire =
       let o =
         Tm.Campaign.run
           {
-            (spec dp 21L [ Tm.Campaign.At { step = per_run / 4; attack } ]) with
+            (spec dp 21L [ at (per_run / 4) attack ]) with
             zerocopy;
           }
       in
       Format.printf "single %-9s %-20s ok=%d refused=%d lost=%d fired=%d %s@."
         (Tm.Campaign.datapath_name dp ^ if zerocopy then "+zc" else "")
-        (Hostos.Malice.attack_name attack)
+        (Hostos.Malice.name attack)
         o.Tm.Campaign.ok o.Tm.Campaign.refused o.Tm.Campaign.lost
         (total_fired o)
         (if Tm.Campaign.failed o then "FAIL" else "ok");
@@ -115,10 +119,7 @@ let campaign ~budget ~faults_plan ~queues ~wire =
           let o =
             Tm.Campaign.run
               (spec dp 31L
-                 [
-                   Tm.Campaign.At { step = per_run / 4; attack = a };
-                   Tm.Campaign.At { step = per_run / 2; attack = b };
-                 ])
+                 [ at (per_run / 4) a; at (per_run / 2) b ])
           in
           summarize o)
         (Tm.Campaign.pairs
@@ -240,8 +241,8 @@ let campaign ~budget ~faults_plan ~queues ~wire =
     let faults =
       [
         {
-          Hostos.Faults.fault = Hostos.Faults.Drop_wakeup;
-          when_ = Hostos.Faults.Persistent;
+          Hostos.Injector.what = Hostos.Faults.Drop_wakeup;
+          when_ = Persistent;
           shard = Some 1;
         };
       ]

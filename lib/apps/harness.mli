@@ -15,6 +15,10 @@ val make :
   ?nic_queues:int ->
   unit ->
   (t, string) result
+(** Boot one machine.  [nic_queues] defaults to one NIC queue per XSK
+    of [rakis_config] ([num_queues × num_xsks]), and at least 4: an
+    AF_XDP socket is bound to one queue, and a RAKIS boot refuses a
+    NIC with fewer queues than XSKs ({!Rakis.Runtime.boot}). *)
 
 val api : t -> Libos.Api.t
 (** The environment-under-test's syscall surface. *)

@@ -285,11 +285,15 @@ let boot kernel ~sgx ?(config = Config.default) () =
       let nic = Hostos.Kernel.nic kernel 0 in
       let nic_queues = Hostos.Nic.queue_count nic in
       let num_queues = config.Config.num_queues in
-      if num_queues > nic_queues then
+      (* An AF_XDP socket is bound to one NIC queue, and attaching is
+         what spawns an XSK's kernel TX worker: an XSK no queue feeds
+         would still be handed replies, and they would never leave. *)
+      if num_queues * config.Config.num_xsks > nic_queues then
         Error
           (Printf.sprintf
-             "rakis config: num_queues (%d) exceeds NIC queues (%d)" num_queues
-             nic_queues)
+             "rakis config: num_queues (%d) x num_xsks (%d) exceeds NIC \
+              queues (%d)"
+             num_queues config.Config.num_xsks nic_queues)
       else begin
       let enclave = Sgx.Enclave.create engine ~sgx ~name:"rakis" in
       let shared =

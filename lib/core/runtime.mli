@@ -28,7 +28,7 @@
     TX affinity matches RX.  Every shard stack is bound to every owned
     port (mirrored binds), and {!udp_recvfrom} multiplexes the per-shard
     sockets.  Faults or attacks pinned to shard [k]
-    ({!Hostos.Faults.arm}[ ~shard]) can only degrade shard [k]'s flows:
+    ({!Hostos.Injector.S.arm}[ ~shard]) can only degrade shard [k]'s flows:
     other shards' breakers stay closed and their traffic is untouched.
     With the default [num_queues = 1] everything below collapses to the
     single-queue behaviour, names and repro tokens of PR 5.
@@ -56,7 +56,9 @@ val boot :
     enclave-transition cost accounting (the "native" baseline in the
     benchmarks); [config] defaults to {!Config.default}.  Errors are
     human-readable descriptions of the failed boot stage — including
-    [config.num_queues] exceeding the NIC's queue count. *)
+    [config.num_queues × config.num_xsks] exceeding the NIC's queue
+    count: an AF_XDP socket is bound to one NIC queue, so every XSK
+    needs a queue of its own to be fed and to transmit. *)
 
 val enclave : t -> Sgx.Enclave.t
 (** The enclave whose transition/charging model all FMs share. *)

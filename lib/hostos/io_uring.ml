@@ -123,12 +123,13 @@ let tamper_cq_prod t =
   | Some m ->
       if Malice.roll ?shard:t.shard !(t.malice) Prod_overshoot then begin
         Malice.record m Prod_overshoot;
-        Malice.smash_prod t.cq
+        Rings.Layout.write_prod t.cq
           (Rings.U32.add (Rings.Layout.read_prod t.cq) (t.cq.Rings.Layout.size + 9))
       end;
       if Malice.roll ?shard:t.shard !(t.malice) Prod_regress then begin
         Malice.record m Prod_regress;
-        Malice.smash_prod t.cq (Rings.U32.sub (Rings.Layout.read_prod t.cq) 2)
+        Rings.Layout.write_prod t.cq
+          (Rings.U32.sub (Rings.Layout.read_prod t.cq) 2)
       end
 
 let tamper_sq_cons t =
@@ -137,12 +138,13 @@ let tamper_sq_cons t =
   | Some m ->
       if Malice.roll ?shard:t.shard !(t.malice) Cons_overshoot then begin
         Malice.record m Cons_overshoot;
-        Malice.smash_cons t.sq
+        Rings.Layout.write_cons t.sq
           (Rings.U32.add (Rings.Layout.read_prod t.sq) (t.sq.Rings.Layout.size + 5))
       end;
       if Malice.roll ?shard:t.shard !(t.malice) Cons_regress then begin
         Malice.record m Cons_regress;
-        Malice.smash_cons t.sq (Rings.U32.sub (Rings.Layout.read_cons t.sq) 3)
+        Rings.Layout.write_cons t.sq
+          (Rings.U32.sub (Rings.Layout.read_cons t.sq) 3)
       end
 
 (* Corrupt_packet on the io_uring path: flip bytes of the data a Read /

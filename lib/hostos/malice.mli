@@ -4,9 +4,7 @@
     memory, including every FIOKP control value.  This module is how the
     reproduction exercises that model: a [Malice.t] armed with a set of
     attacks makes the simulated kernel's XDP and io_uring paths tamper
-    with exactly the untrusted data items of Table 2, and provides
-    standalone smash helpers for direct use by tests and the Testing
-    Module.
+    with exactly the untrusted data items of Table 2.
 
     Each attack corresponds to a Table 2 check (and a §5 case study):
 
@@ -41,12 +39,10 @@
       checks deliberately leave to the application layer: the enclave
       must stay safe and accounted, not detect them.
 
-    Beyond always-on/probabilistic arming, the Testing Module's campaign
-    engine installs {e schedules}: fire exactly once, fire at a given
-    campaign step, or fire with some probability inside a step window
-    ({!arm_once}, {!arm_at}, {!arm_burst}).  The campaign driver
-    advances the step counter with {!set_step}; kernel paths keep
-    calling {!roll} unchanged. *)
+    It is the {!Injector} instance over attacks, so it arms, rolls and
+    prints plans exactly like {!Faults}: the Testing Module's campaign
+    schedule is a Malice plan, and every {!Injector.trigger} can arm an
+    attack. *)
 
 type attack =
   | Prod_overshoot
@@ -67,82 +63,11 @@ type attack =
   | Reorder_burst
   | Fragment_storm
 
-type t
+val all : attack list
 
-val create : ?obs:Obs.t -> seed:int64 -> unit -> t
-(** [obs] puts the fired counts in the shared registry —
-    ["malice.fired"] plus one ["malice.<attack-name>"] counter per
-    attack — and records a ["malice"] trace instant per tampering, so
-    campaign reports and live metrics read the same cells. *)
+val name : attack -> string
+(** Stable kebab-case name: the plan grammar's attack name. *)
 
-val arm : t -> ?probability:float -> ?shard:int -> attack -> unit
-(** Make [attack] fire with the given probability (default 1.0) at each
-    opportunity.  Replaces any schedule previously installed for the
-    attack.  [shard] pins the arming to one datapath shard: it matches
-    only opportunities whose {!roll} carries the same shard context. *)
-
-val arm_once : t -> ?probability:float -> ?shard:int -> attack -> unit
-(** Fire at most once: each opportunity rolls with [probability]
-    (default 1.0 — fire at the very next opportunity); the arming is
-    spent on the first hit. *)
-
-val arm_at : t -> step:int -> ?shard:int -> attack -> unit
-(** Fire once at the first opportunity on or after campaign [step]
-    (see {!set_step}).  Deterministic: consumes no randomness. *)
-
-val arm_burst :
-  t ->
-  first_step:int ->
-  last_step:int ->
-  ?probability:float ->
-  ?shard:int ->
-  attack ->
-  unit
-(** Fire with [probability] at every opportunity while the campaign
-    step is within [first_step..last_step] (inclusive). *)
-
-val disarm : t -> attack -> unit
-(** Remove every arming of [attack]. *)
-
-val armed : t -> attack -> bool
-(** Is any unspent arming installed for [attack]? *)
-
-val set_step : t -> int -> unit
-(** Advance the campaign step counter ({!arm_at}/{!arm_burst} clock). *)
-
-val roll : ?shard:int -> t option -> attack -> bool
-(** Should the attack fire now?  [None] (no adversary) is never.
-    [shard] is the datapath shard of this opportunity: shard-pinned
-    armings match only rolls on their shard. *)
-
-val rng : t -> Sim.Rng.t
-
-val fired : t -> int
-(** Total number of tamperings performed (incremented by {!record}). *)
-
-val record : t -> attack -> unit
-(** Called by kernel paths when they actually apply an attack. *)
-
-val fired_of : t -> attack -> int
-(** Tamperings actually performed for one specific attack. *)
-
-val fired_counts : t -> (attack * int) list
-(** All attacks that fired at least once, with their counts, in
-    {!all_attacks} order. *)
-
-(** {1 Standalone ring smashing (tests / explorer)} *)
-
-val smash_prod : Rings.Layout.t -> int -> unit
-(** Overwrite the shared producer index. *)
-
-val smash_cons : Rings.Layout.t -> int -> unit
-
-val all_attacks : attack list
-
-val attack_name : attack -> string
-(** Stable kebab-case name (the {!pp_attack} rendering). *)
-
-val attack_of_string : string -> attack option
-(** Inverse of {!attack_name}; [None] on unknown names. *)
-
-val pp_attack : Format.formatter -> attack -> unit
+include Injector.S with type event = attack
+(** Registry names: ["malice.fired"] and one ["malice.<name>"] counter
+    per attack; trace category ["malice"]. *)

@@ -146,21 +146,23 @@ let tamper_after_rx t x =
   | Some m ->
       if Malice.roll ?shard:x.shard !(t.malice) Prod_overshoot then begin
         Malice.record m Prod_overshoot;
-        Malice.smash_prod x.rx
+        Rings.Layout.write_prod x.rx
           (Rings.U32.add (Rings.Layout.read_prod x.rx) (x.rx.Rings.Layout.size + 7))
       end;
       if Malice.roll ?shard:x.shard !(t.malice) Prod_regress then begin
         Malice.record m Prod_regress;
-        Malice.smash_prod x.rx (Rings.U32.sub (Rings.Layout.read_prod x.rx) 2)
+        Rings.Layout.write_prod x.rx
+          (Rings.U32.sub (Rings.Layout.read_prod x.rx) 2)
       end;
       if Malice.roll ?shard:x.shard !(t.malice) Cons_overshoot then begin
         Malice.record m Cons_overshoot;
-        Malice.smash_cons x.fill
+        Rings.Layout.write_cons x.fill
           (Rings.U32.add (Rings.Layout.read_prod x.fill) (x.fill.Rings.Layout.size + 5))
       end;
       if Malice.roll ?shard:x.shard !(t.malice) Cons_regress then begin
         Malice.record m Cons_regress;
-        Malice.smash_cons x.fill (Rings.U32.sub (Rings.Layout.read_cons x.fill) 3)
+        Rings.Layout.write_cons x.fill
+          (Rings.U32.sub (Rings.Layout.read_cons x.fill) 3)
       end
 
 (* Announce a frame on xRX at [slot] (-1: xRX is full), possibly with a

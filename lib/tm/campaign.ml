@@ -26,17 +26,6 @@
 
 type datapath = Xsk | Iouring
 
-type entry =
-  | At of { step : int; attack : Hostos.Malice.attack }
-  | During of {
-      first : int;
-      last : int;
-      probability : float;
-      attack : Hostos.Malice.attack;
-    }
-
-type schedule = entry list
-
 type violation = { at_step : int; what : string }
 
 (* Everything that identifies a campaign run: the machine it boots and
@@ -47,7 +36,7 @@ type spec = {
   seed : int64;
   budget : int;
   queues : int;  (* datapath shards the machine boots with *)
-  schedule : schedule;
+  schedule : Hostos.Malice.plan;
   faults : Hostos.Faults.plan;
   zerocopy : bool;
   overload : bool;
@@ -148,7 +137,7 @@ let applicable ?(zerocopy = false) = function
                    Dropped_notif;
                    Double_notif;
                  ]))
-        Hostos.Malice.all_attacks
+        Hostos.Malice.all
   | Iouring ->
       let excluded =
         (if zerocopy then Hostos.Malice.[ Dropped_notif ]
@@ -157,16 +146,7 @@ let applicable ?(zerocopy = false) = function
       in
       List.filter
         (fun a -> not (List.mem a excluded))
-        Hostos.Malice.all_attacks
-
-let install_schedule m schedule =
-  List.iter
-    (function
-      | At { step; attack } -> Hostos.Malice.arm_at m ~step attack
-      | During { first; last; probability; attack } ->
-          Hostos.Malice.arm_burst m ~first_step:first ~last_step:last
-            ~probability attack)
-    schedule
+        Hostos.Malice.all
 
 let campaign_config =
   {
@@ -459,12 +439,8 @@ let run_iouring_workload ?(zerocopy = false) (h : Apps.Harness.t) st =
    triggers so the weather covers the whole run; entries are unpinned
    so every shard's link is equally bad. *)
 let wire_plan =
-  let p fault probability =
-    {
-      Hostos.Faults.fault;
-      when_ = Hostos.Faults.Probability probability;
-      shard = None;
-    }
+  let p what probability =
+    { Hostos.Injector.what; when_ = Probability probability; shard = None }
   in
   [
     p Hostos.Faults.Wire_drop 0.05;
@@ -488,7 +464,7 @@ let boot config ~seed ~schedule ~plan =
       let rt = Option.get (Libos.Env.runtime h.env) in
       let obs = Rakis.Runtime.obs rt in
       let malice = Hostos.Malice.create ~obs ~seed () in
-      install_schedule malice schedule;
+      Hostos.Malice.install malice schedule;
       Hostos.Kernel.set_malice h.kernel (Some malice);
       let injector =
         if plan = [] then None
@@ -496,7 +472,7 @@ let boot config ~seed ~schedule ~plan =
           let f =
             Hostos.Faults.create ~obs ~seed:(Int64.logxor seed 0x5EEDL) ()
           in
-          Hostos.Faults.install_plan f plan;
+          Hostos.Faults.install f plan;
           Hostos.Kernel.set_faults h.kernel (Some f);
           Rakis.Runtime.start_watchdog rt;
           Some f
@@ -571,7 +547,7 @@ let run (spec : spec) =
     fired = Hostos.Malice.fired_counts malice;
     injected =
       (match injector with
-      | Some f -> Hostos.Faults.injected_counts f
+      | Some f -> Hostos.Faults.fired_counts f
       | None -> []);
     ring_rejects = Rakis.Runtime.total_ring_check_failures rt;
     desc_rejects = Rakis.Runtime.total_desc_rejects rt;
@@ -621,12 +597,16 @@ let soup ~datapath ?(zerocopy = false) ~seed ?(entries = 16) ~budget () =
   let rng = Sim.Rng.create ~seed in
   let attacks = Array.of_list (applicable ~zerocopy datapath) in
   List.init entries (fun _ ->
-      let attack = Sim.Rng.pick rng attacks in
-      if Sim.Rng.int rng 4 = 0 then
-        let first = Sim.Rng.int rng (max 1 (budget / 2)) in
-        let last = first + 1 + Sim.Rng.int rng (max 1 (budget / 4)) in
-        During { first; last; probability = 0.3; attack }
-      else At { step = Sim.Rng.int rng (max 1 budget); attack })
+      let what = Sim.Rng.pick rng attacks in
+      let when_ =
+        if Sim.Rng.int rng 4 = 0 then
+          let first = Sim.Rng.int rng (max 1 (budget / 2)) in
+          let last = first + 1 + Sim.Rng.int rng (max 1 (budget / 4)) in
+          Hostos.Injector.Burst
+            { first_step = first; last_step = last; probability = 0.3 }
+        else Hostos.Injector.At_step (Sim.Rng.int rng (max 1 budget))
+      in
+      { Hostos.Injector.what; when_; shard = None })
 
 let pairs attacks =
   let rec go = function
@@ -641,26 +621,26 @@ let pairs attacks =
    plan entry is the interesting schedule. *)
 let fault_soup ~seed ?(entries = 6) ~budget () =
   let rng = Sim.Rng.create ~seed in
-  let faults = Array.of_list Hostos.Faults.all_faults in
+  let faults = Array.of_list Hostos.Faults.all in
   List.init entries (fun _ ->
-      let fault = Sim.Rng.pick rng faults in
+      let what = Sim.Rng.pick rng faults in
       let when_ =
-        match fault with
+        match what with
         | Hostos.Faults.Monitor_crash | Hostos.Faults.Monitor_hang ->
-            Hostos.Faults.At_step (Sim.Rng.int rng (max 1 budget))
+            Hostos.Injector.At_step (Sim.Rng.int rng (max 1 budget))
         | _ -> (
             match Sim.Rng.int rng 3 with
             | 0 ->
-                Hostos.Faults.Probability
+                Hostos.Injector.Probability
                   (0.02 +. (0.08 *. Sim.Rng.float rng 1.0))
-            | 1 -> Hostos.Faults.At_step (Sim.Rng.int rng (max 1 budget))
+            | 1 -> Hostos.Injector.At_step (Sim.Rng.int rng (max 1 budget))
             | _ ->
                 let first = Sim.Rng.int rng (max 1 (budget / 2)) in
                 let last = first + 1 + Sim.Rng.int rng (max 1 (budget / 4)) in
-                Hostos.Faults.Burst
+                Hostos.Injector.Burst
                   { first_step = first; last_step = last; probability = 0.3 })
       in
-      { Hostos.Faults.fault; when_; shard = None })
+      { Hostos.Injector.what; when_; shard = None })
 
 (* Canonical breaker-failover fault window (DESIGN.md §9): a hard
    (probability-1) burst over the middle of the run, so the breaker
@@ -670,16 +650,16 @@ let fault_soup ~seed ?(entries = 6) ~budget () =
    drop every TX wakeup (transmission dies; RX stays NIC-driven); for
    io_uring we bounce every SQE with a transient errno. *)
 let failover_plan ~datapath ~budget =
-  let fault =
+  let what =
     match datapath with
     | Xsk -> Hostos.Faults.Drop_wakeup
     | Iouring -> Hostos.Faults.Transient_errno
   in
   [
     {
-      Hostos.Faults.fault;
+      Hostos.Injector.what;
       when_ =
-        Hostos.Faults.Burst
+        Burst
           {
             first_step = max 1 (budget / 8);
             last_step = budget / 2;
@@ -696,53 +676,9 @@ let failover_plan ~datapath ~budget =
    fixed order and omits defaults (it always writes [seed] and
    [budget]/[steps]); the parser takes them in any order.  Values never
    contain [':'], and a segment splits at its first ['='], so
-   [attacks=3=cons-regress] needs no escaping.  Schedule entries use the
-   fault plans' trigger syntax ({!Hostos.Faults.trigger_to_string}),
-   restricted to the two triggers Malice can arm: a step and a burst
-   window. *)
-
-let entry_to_string e =
-  let trigger, attack =
-    match e with
-    | At { step; attack } -> (Hostos.Faults.At_step step, attack)
-    | During { first; last; probability; attack } ->
-        ( Hostos.Faults.Burst
-            { first_step = first; last_step = last; probability },
-          attack )
-  in
-  Hostos.Faults.trigger_to_string trigger
-  ^ "=" ^ Hostos.Malice.attack_name attack
-
-let schedule_to_string s = String.concat ";" (List.map entry_to_string s)
-
-let parse_entry s =
-  match String.index_opt s '=' with
-  | None -> Error (Printf.sprintf "bad schedule entry %S" s)
-  | Some eq -> (
-      let where = String.sub s 0 eq in
-      let name = String.sub s (eq + 1) (String.length s - eq - 1) in
-      match Hostos.Malice.attack_of_string name with
-      | None -> Error (Printf.sprintf "unknown attack %S" name)
-      | Some attack -> (
-          match Hostos.Faults.trigger_of_string where with
-          | Ok (Hostos.Faults.At_step step) -> Ok (At { step; attack })
-          | Ok (Hostos.Faults.Burst { first_step; last_step; probability }) ->
-              Ok
-                (During
-                   { first = first_step; last = last_step; probability; attack })
-          | Ok _ ->
-              Error (Printf.sprintf "trigger %S cannot arm an attack" where)
-          | Error _ as e -> e))
-
-let schedule_of_string s =
-  if s = "" then Ok []
-  else
-    List.fold_right
-      (fun p acc ->
-        match (parse_entry p, acc) with
-        | Ok e, Ok l -> Ok (e :: l)
-        | (Error _ as e), _ | _, (Error _ as e) -> e)
-      (String.split_on_char ';' s) (Ok [])
+   [attacks=3=cons-regress] needs no escaping.  The [attacks] and
+   [faults] values are {!Hostos.Malice} and {!Hostos.Faults} plans:
+   one entry grammar, every trigger. *)
 
 let token_to_string token =
   let seg key present v = if present then [ key ^ "=" ^ v ] else [] in
@@ -752,7 +688,7 @@ let token_to_string token =
     | Campaign s ->
         [ datapath_name s.datapath; Printf.sprintf "seed=%Ld" s.seed;
           Printf.sprintf "budget=%d" s.budget ]
-        @ seg "attacks" (s.schedule <> []) (schedule_to_string s.schedule)
+        @ seg "attacks" (s.schedule <> []) (Hostos.Malice.plan_to_string s.schedule)
         @ seg "faults" (s.faults <> []) (Hostos.Faults.plan_to_string s.faults)
         @ seg "q" (s.queues <> defaults.queues) (string_of_int s.queues)
         @ flag "zc" s.zerocopy @ flag "ov" s.overload @ flag "wire" s.wire
@@ -834,7 +770,7 @@ let token_of_string s =
       let d = defaults in
       let* budget = get "budget" (int_from 1) ~default:None in
       let* schedule =
-        get "attacks" schedule_of_string ~default:(Some d.schedule)
+        get "attacks" Hostos.Malice.plan_of_string ~default:(Some d.schedule)
       in
       let* faults =
         get "faults" Hostos.Faults.plan_of_string ~default:(Some d.faults)
@@ -867,7 +803,7 @@ let run_repro s = Result.map run (parse_repro s)
 (* {1 Shrinking a failing campaign} *)
 
 type shrunk = {
-  shrunk_schedule : schedule;
+  shrunk_schedule : Hostos.Malice.plan;
   shrunk_plan : Hostos.Faults.plan;
   schedule_original : int;
   plan_original : int;
@@ -880,10 +816,8 @@ type shrunk = {
 let shrink_failure (o : outcome) =
   let fails schedule faults = failed (run { o.spec with schedule; faults }) in
   let r = Shrink.minimize2 ~fails o.spec.schedule o.spec.faults in
-  let unpin (e : Hostos.Faults.plan_entry) =
-    match e.Hostos.Faults.shard with
-    | Some _ -> Some { e with Hostos.Faults.shard = None }
-    | None -> None
+  let unpin (e : _ Hostos.Injector.entry) =
+    match e.shard with Some _ -> Some { e with shard = None } | None -> None
   in
   let plan, pin_tests =
     Shrink.simplify ~fails:(fun p -> fails r.Shrink.trace2 p) ~simpler:unpin
@@ -899,8 +833,6 @@ let shrink_failure (o : outcome) =
 
 (* {1 Reporting} *)
 
-let pp_schedule ppf s = Format.pp_print_string ppf (schedule_to_string s)
-
 let pp_outcome ppf (o : outcome) =
   let spec = o.spec in
   Format.fprintf ppf
@@ -910,7 +842,7 @@ let pp_outcome ppf (o : outcome) =
      fired: %s@,\
      %s"
     (datapath_name spec.datapath)
-    spec.seed spec.budget pp_schedule spec.schedule
+    spec.seed spec.budget Hostos.Malice.pp_plan spec.schedule
     o.steps_run o.ok o.late_ok o.refused o.lost o.tolerated o.ring_rejects
     o.desc_rejects o.invariant_ok
     (if o.fired = [] then "(none)"
@@ -918,7 +850,7 @@ let pp_outcome ppf (o : outcome) =
        String.concat ", "
          (List.map
             (fun (a, n) ->
-              Printf.sprintf "%s x%d" (Hostos.Malice.attack_name a) n)
+              Printf.sprintf "%s x%d" (Hostos.Malice.name a) n)
             o.fired))
     (if o.violations = [] then "no violations"
      else
@@ -934,7 +866,7 @@ let pp_outcome ppf (o : outcome) =
          String.concat ", "
            (List.map
               (fun (f, n) ->
-                Printf.sprintf "%s x%d" (Hostos.Faults.fault_name f) n)
+                Printf.sprintf "%s x%d" (Hostos.Faults.name f) n)
               o.injected));
   if
     o.breaker_opens > 0 || o.slow_calls > 0 || o.watchdog_restarts > 0
@@ -1023,9 +955,9 @@ let rolling_faults ~queues ~budget =
   List.init queues (fun k ->
       let first = (budget / 4) + (k * stride) in
       {
-        Hostos.Faults.fault = Hostos.Faults.Drop_wakeup;
+        Hostos.Injector.what = Hostos.Faults.Drop_wakeup;
         when_ =
-          Hostos.Faults.Burst
+          Burst
             { first_step = first; last_step = first + span - 1; probability = 0.25 };
         shard = Some k;
       })

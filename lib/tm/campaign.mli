@@ -19,18 +19,6 @@ type datapath = Xsk | Iouring
 val datapath_name : datapath -> string
 (** ["xsk"] or ["io_uring"]: the token kind and the report label. *)
 
-type entry =
-  | At of { step : int; attack : Hostos.Malice.attack }
-      (** fire once at the first opportunity on or after [step] *)
-  | During of {
-      first : int;
-      last : int;
-      probability : float;
-      attack : Hostos.Malice.attack;
-    }  (** burst window: fire with [probability] while inside it *)
-
-type schedule = entry list
-
 type violation = { at_step : int; what : string }
 
 (** Everything that identifies a campaign run; a run is a function of
@@ -43,7 +31,9 @@ type spec = {
       (** datapath shards the machine boots with
           ({!Rakis.Config.num_queues}); fault-plan entries and attacks
           may pin themselves to one shard ([#<k>] in the plan syntax) *)
-  schedule : schedule;
+  schedule : Hostos.Malice.plan;
+      (** attack schedule, keyed to workload steps; any
+          {!Hostos.Injector.trigger} may arm an attack *)
   faults : Hostos.Faults.plan;
       (** host-fault plan; non-empty arms a {!Hostos.Faults} injector
           (seeded from [seed], so replays are bit-for-bit) and the
@@ -170,7 +160,7 @@ val soup :
   ?entries:int ->
   budget:int ->
   unit ->
-  schedule
+  Hostos.Malice.plan
 (** Seeded random schedule mixing pinned steps and burst windows over
     the datapath's applicable attacks (under [zerocopy], the notif
     forgeries join the pool). *)
@@ -203,11 +193,10 @@ val failover_plan : datapath:datapath -> budget:int -> Hostos.Faults.plan
 
     - [<kind>] is [xsk] or [io_uring] (a campaign run on that datapath)
       or [soak].
-    - Campaign keys: [seed], [budget], [attacks] (the schedule, [;]
-      separated [<step>=<attack>] and [<first>..<last>@<p>=<attack>]
-      entries — the trigger syntax of {!Hostos.Faults}), [faults] (a
-      {!Hostos.Faults.plan_to_string} plan) and [q] (queues); bare
-      flags [zc], [ov] and [wire].
+    - Campaign keys: [seed], [budget], [attacks] (the schedule, a
+      {!Hostos.Malice} plan), [faults] (a {!Hostos.Faults} plan) — both
+      in the one {!Hostos.Injector.S.plan} grammar — and [q] (queues);
+      bare flags [zc], [ov] and [wire].
     - Soak keys: [seed], [steps], [q] and [slo] (the p99 SLO in
       cycles); bare flag [wire].
 
@@ -237,7 +226,7 @@ val parse_repro : string -> (spec, string) result
 val run_repro : string -> (outcome, string) result
 
 type shrunk = {
-  shrunk_schedule : schedule;
+  shrunk_schedule : Hostos.Malice.plan;
   shrunk_plan : Hostos.Faults.plan;
   schedule_original : int;  (** schedule entries before shrinking *)
   plan_original : int;  (** fault-plan entries before shrinking *)

@@ -459,11 +459,11 @@ let apply note m { shard; step } =
       deliver sh ~offset:(host_take sh) ~len:(cfg.frame_size + 1)
   | Smash i ->
       let v = List.nth (smash_candidates cfg sh) i in
-      Hostos.Malice.smash_prod sh.rx_layout v;
+      Rings.Layout.write_prod sh.rx_layout v;
       sh.m_rx <- Stm_model.Ring.host_write_prod sh.m_rx v
   | Smash_fill i ->
       let v = List.nth (smash_fill_candidates sh) i in
-      Hostos.Malice.smash_cons sh.fill_layout v;
+      Rings.Layout.write_cons sh.fill_layout v;
       sh.m_fill <- Stm_model.Ring.host_write_cons sh.m_fill v
   | Fm_poll -> fm_poll note cfg sh ~mutant:cfg.mutant
   | Reap_tx -> (

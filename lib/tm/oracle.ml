@@ -150,7 +150,7 @@ let cert_step m ev =
   | Enclave_consumer, Smash_over d ->
       (* (P - Ct) mod 2^32 = size + 1 + d > size: out of window. *)
       cert_inject m ~smash:(fun () ->
-          Hostos.Malice.smash_prod m.layout
+          Rings.Layout.write_prod m.layout
             (Rings.U32.add (Rings.Certified.trusted_cons m.cert)
                (ring_size + 1 + d)))
   | Enclave_consumer, Smash_back d ->
@@ -158,7 +158,7 @@ let cert_step m ev =
          window is smaller than [d], out of window) — rejected either
          way. *)
       cert_inject m ~smash:(fun () ->
-          Hostos.Malice.smash_prod m.layout
+          Rings.Layout.write_prod m.layout
             (Rings.U32.sub (Rings.Certified.trusted_prod m.cert) (1 + d)))
   | Enclave_producer, Produce -> (
       match
@@ -190,11 +190,11 @@ let cert_step m ev =
   | Enclave_producer, Smash_over d ->
       (* Consumer index ahead of the trusted producer: Pt - Cu < 0. *)
       cert_inject m ~smash:(fun () ->
-          Hostos.Malice.smash_cons m.layout
+          Rings.Layout.write_cons m.layout
             (Rings.U32.add (Rings.Certified.trusted_prod m.cert) (1 + d)))
   | Enclave_producer, Smash_back d ->
       cert_inject m ~smash:(fun () ->
-          Hostos.Malice.smash_cons m.layout
+          Rings.Layout.write_cons m.layout
             (Rings.U32.sub (Rings.Certified.trusted_cons m.cert) (1 + d))));
   if not (Rings.Certified.invariant_holds m.cert) then
     m.silent <- m.silent + 1
@@ -275,11 +275,11 @@ let naive_step m ev =
         m.divergences <- m.divergences + 1
   | Enclave_consumer, Smash_over d ->
       naive_inject m ~smash:(fun () ->
-          Hostos.Malice.smash_prod m.n_layout
+          Rings.Layout.write_prod m.n_layout
             (Rings.U32.add (Rings.Naive.cached_cons m.naive) (ring_size + 1 + d)))
   | Enclave_consumer, Smash_back d ->
       naive_inject m ~smash:(fun () ->
-          Hostos.Malice.smash_prod m.n_layout
+          Rings.Layout.write_prod m.n_layout
             (Rings.U32.sub (Rings.Naive.cached_prod m.naive) (1 + d)))
   | Enclave_producer, Produce ->
       let produced =
@@ -307,11 +307,11 @@ let naive_step m ev =
       if f < 0 || f > ring_size then m.divergences <- m.divergences + 1
   | Enclave_producer, Smash_over d ->
       naive_inject m ~smash:(fun () ->
-          Hostos.Malice.smash_cons m.n_layout
+          Rings.Layout.write_cons m.n_layout
             (Rings.U32.add (Rings.Naive.cached_prod m.naive) (1 + d)))
   | Enclave_producer, Smash_back d ->
       naive_inject m ~smash:(fun () ->
-          Hostos.Malice.smash_cons m.n_layout
+          Rings.Layout.write_cons m.n_layout
             (Rings.U32.sub (Rings.Naive.cached_cons m.naive) (1 + d))));
   (* Only this machine's own cached view is meaningful: a consumer-only
      machine never maintains the producer-side cache and vice versa. *)

@@ -111,6 +111,18 @@ let test_memcached_scales_with_threads () =
   let one = run 1 and four = run 4 in
   check_bool "4 threads beat 1" true (four > 1.5 *. one)
 
+(* Five server threads need five XSKs, one more than the harness's
+   historical 4-queue NIC: the default NIC now has a queue per XSK, so
+   no XSK is left unfed and every reply leaves. *)
+let test_memcached_five_threads_no_timeouts () =
+  let rakis_config = { Rakis.Config.default with num_xsks = 5 } in
+  let h = harness Libos.Env.Rakis_sgx ~rakis_config () in
+  let r = Apps.Memcached.run h ~server_threads:5 ~ops:2000 in
+  check "all ops completed" 2000 r.completed_ops;
+  check "no timeouts" 0 r.timeouts;
+  let rt = Option.get (Libos.Env.runtime h.Apps.Harness.env) in
+  check "no ring-check failures" 0 (Rakis.Runtime.total_ring_check_failures rt)
+
 let test_memcached_rakis_vs_gramine () =
   let run kind =
     (with_harness kind (fun h -> Apps.Memcached.run h ~server_threads:2 ~ops:1500))
@@ -260,6 +272,8 @@ let suite =
     ("iperf: figure 2 exit counts", `Slow, test_iperf_figure2_exit_counts);
     ("memcached: completes under native/rakis/gramine", `Slow,
      test_memcached_completes_everywhere);
+    ("memcached: 5 server threads, one NIC queue per XSK", `Quick,
+     test_memcached_five_threads_no_timeouts);
     ("memcached: scales with server threads", `Slow,
      test_memcached_scales_with_threads);
     ("memcached: rakis vs gramine (C3 direction)", `Slow,

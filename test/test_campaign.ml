@@ -6,6 +6,20 @@
 module C = Tm.Campaign
 module M = Hostos.Malice
 module F = Hostos.Faults
+module I = Hostos.Injector
+
+(* A schedule entry firing [what] once, at the first opportunity on or
+   after workload step [step]. *)
+let at step what = { I.what; when_ = I.At_step step; shard = None }
+
+(* A schedule entry firing [what] with probability [p] at each
+   opportunity inside steps [first..last]. *)
+let during first last p what =
+  {
+    I.what;
+    when_ = I.Burst { first_step = first; last_step = last; probability = p };
+    shard = None;
+  }
 
 let check = Alcotest.(check int)
 
@@ -21,7 +35,7 @@ let spec datapath seed budget schedule =
   { C.defaults with datapath; seed; budget; schedule }
 
 let label dp attack =
-  Printf.sprintf "%s/%s" (C.datapath_name dp) (M.attack_name attack)
+  Printf.sprintf "%s/%s" (C.datapath_name dp) (M.name attack)
 
 (* {1 Malice scheduling hooks (satellite: per-attack counts)} *)
 
@@ -37,11 +51,11 @@ let test_malice_per_attack_counts () =
   Alcotest.(check (list (pair string int)))
     "fired_counts"
     [ ("prod-overshoot", 2); ("corrupt-packet", 1) ]
-    (List.map (fun (a, n) -> (M.attack_name a, n)) (M.fired_counts m))
+    (List.map (fun (a, n) -> (M.name a, n)) (M.fired_counts m))
 
 let test_malice_arm_at () =
   let m = M.create ~seed:3L () in
-  M.arm_at m ~step:5 M.Oversize_len;
+  M.arm m (I.At_step 5) M.Oversize_len;
   for s = 0 to 4 do
     M.set_step m s;
     check_bool "before step" false (M.roll (Some m) M.Oversize_len)
@@ -55,20 +69,21 @@ let test_malice_arm_at () =
 let test_malice_arm_at_late_opportunity () =
   (* No opportunity at the exact step: fires at the first one after. *)
   let m = M.create ~seed:3L () in
-  M.arm_at m ~step:5 M.Foreign_frame;
+  M.arm m (I.At_step 5) M.Foreign_frame;
   M.set_step m 7;
   check_bool "first opportunity after step" true (M.roll (Some m) M.Foreign_frame);
   check_bool "once only" false (M.roll (Some m) M.Foreign_frame)
 
 let test_malice_arm_once () =
   let m = M.create ~seed:3L () in
-  M.arm_once m M.Cons_regress;
+  M.arm m (I.Once 1.0) M.Cons_regress;
   check_bool "fires" true (M.roll (Some m) M.Cons_regress);
   check_bool "spent" false (M.roll (Some m) M.Cons_regress)
 
 let test_malice_arm_burst () =
   let m = M.create ~seed:3L () in
-  M.arm_burst m ~first_step:3 ~last_step:5 M.Prod_regress;
+  M.arm m (I.Burst { first_step = 3; last_step = 5; probability = 1.0 })
+    M.Prod_regress;
   let fired_at s =
     M.set_step m s;
     M.roll (Some m) M.Prod_regress
@@ -81,8 +96,8 @@ let test_malice_arm_burst () =
 
 let test_malice_arm_replaces () =
   let m = M.create ~seed:3L () in
-  M.arm_at m ~step:90 M.Oversize_len;
-  M.arm m ~probability:0.0 M.Oversize_len;
+  M.arm m (I.At_step 90) M.Oversize_len;
+  M.arm m (I.Probability 0.0) M.Oversize_len;
   M.set_step m 95;
   check_bool "arm replaced the schedule" false (M.roll (Some m) M.Oversize_len);
   check_bool "armed (p=0 still installed)" true (M.armed m M.Oversize_len)
@@ -95,7 +110,7 @@ let test_malice_arm_replaces () =
 let single dp attack =
   let seed = Flake.seed 21L in
   Flake.guard ~name:(label dp attack) ~seed @@ fun () ->
-  let o = C.run (spec dp seed 32 [ C.At { step = 8; attack } ]) in
+  let o = C.run (spec dp seed 32 [ at 8 attack ]) in
   check_bool
     (label dp attack ^ ": no violation")
     false (C.failed o);
@@ -137,7 +152,7 @@ let test_xsk_blind_spots () =
   List.iter
     (fun attack ->
       let o =
-        C.run (spec C.Xsk 21L 24 [ C.At { step = 6; attack } ])
+        C.run (spec C.Xsk 21L 24 [ at 6 attack ])
       in
       check (label C.Xsk attack ^ ": never fires") 0 (total_fired o);
       check_bool (label C.Xsk attack ^ ": clean") false (C.failed o))
@@ -145,13 +160,13 @@ let test_xsk_blind_spots () =
 
 let test_applicable_covers_all_attacks () =
   check "io_uring covers all but the notif forgeries and wire attacks"
-    (List.length M.all_attacks - 6)
+    (List.length M.all - 6)
     (List.length (C.applicable C.Iouring));
   check "io_uring + zerocopy adds the two refusable notif forgeries"
-    (List.length M.all_attacks - 4)
+    (List.length M.all - 4)
     (List.length (C.applicable ~zerocopy:true C.Iouring));
   check "xsk covers all but the CQE and notif forgeries"
-    (List.length M.all_attacks - 5)
+    (List.length M.all - 5)
     (List.length (C.applicable C.Xsk));
   (* Dropped_notif deterministically fails a zero-copy campaign
      (zc_leaks > 0), so it never joins the no-violation singles pool —
@@ -172,7 +187,7 @@ let test_singles_iouring_zerocopy () =
       let o =
         C.run
           {
-            (spec C.Iouring seed 32 [ C.At { step = 8; attack } ]) with
+            (spec C.Iouring seed 32 [ at 8 attack ]) with
             zerocopy = true;
           }
       in
@@ -206,7 +221,7 @@ let test_dropped_notif_fails_campaign () =
     C.run
       {
         (spec C.Iouring 21L 32
-           [ C.At { step = 8; attack = M.Dropped_notif } ])
+           [ at 8 M.Dropped_notif ])
         with
         zerocopy = true;
       }
@@ -223,10 +238,9 @@ let test_dropped_notif_fails_campaign () =
 
 let mixed_schedule =
   [
-    C.At { step = 5; attack = M.Prod_overshoot };
-    C.During
-      { first = 10; last = 14; probability = 0.5; attack = M.Oversize_len };
-    C.At { step = 20; attack = M.Corrupt_packet };
+    at 5 M.Prod_overshoot;
+    during 10 14 0.5 M.Oversize_len;
+    at 20 M.Corrupt_packet;
   ]
 
 let test_replay_determinism () =
@@ -340,11 +354,11 @@ let test_pairwise () =
             C.run
               (spec dp seed 28
                  [
-                   C.At { step = 7; attack = a }; C.At { step = 14; attack = b };
+                   at 7 a; at 14 b;
                  ])
           in
           check_bool
-            (Printf.sprintf "%s+%s" (label dp a) (M.attack_name b))
+            (Printf.sprintf "%s+%s" (label dp a) (M.name b))
             false (C.failed o);
           check_bool "both fired" true
             (fired_of o a >= 1 && fired_of o b >= 1))
@@ -426,7 +440,7 @@ let test_shrink_campaign_failure () =
      soup above covers the acceptance criterion.  Here we check the
      plumbing: shrinking a *passing* outcome returns it unchanged. *)
   let o =
-    C.run (spec C.Xsk 21L 20 [ C.At { step = 5; attack = M.Prod_overshoot } ])
+    C.run (spec C.Xsk 21L 20 [ at 5 M.Prod_overshoot ])
   in
   check_bool "outcome passes" false (C.failed o);
   let r = C.shrink_failure o in
@@ -439,10 +453,10 @@ let test_shrink_campaign_failure () =
    faults (and one of six schedule steps) shrinks to exactly that. *)
 let test_shrink_two_fault_plan () =
   let needed =
-    { F.fault = F.Drop_wakeup; when_ = F.Persistent; shard = None }
+    { I.what = F.Drop_wakeup; when_ = I.Persistent; shard = None }
   in
   let noise =
-    { F.fault = F.Transient_errno; when_ = F.Probability 0.1; shard = None }
+    { I.what = F.Transient_errno; when_ = I.Probability 0.1; shard = None }
   in
   let fails trace plan = List.mem 4 trace && List.mem needed plan in
   let r = Tm.Shrink.minimize2 ~fails [ 1; 2; 3; 4; 5; 6 ] [ noise; needed ] in
@@ -454,7 +468,7 @@ let test_shrink_two_fault_plan () =
 let test_shrink_plan_to_empty () =
   (* a failure the faults play no part in drops the whole plan *)
   let noise =
-    { F.fault = F.Transient_errno; when_ = F.Probability 0.1; shard = None }
+    { I.what = F.Transient_errno; when_ = I.Probability 0.1; shard = None }
   in
   let fails trace _plan = List.mem 4 trace in
   let r = Tm.Shrink.minimize2 ~fails [ 1; 4; 5 ] [ noise; noise ] in
@@ -464,35 +478,35 @@ let test_shrink_plan_to_empty () =
 let test_shrink_drops_shard_pin () =
   (* the arming is essential, its "#1" pin is not: simplify unpins it *)
   let pinned =
-    { F.fault = F.Drop_wakeup; when_ = F.Persistent; shard = Some 1 }
+    { I.what = F.Drop_wakeup; when_ = I.Persistent; shard = Some 1 }
   in
-  let fails plan = List.exists (fun e -> e.F.fault = F.Drop_wakeup) plan in
-  let unpin (e : F.plan_entry) =
-    match e.F.shard with
-    | Some _ -> Some { e with F.shard = None }
+  let fails plan = List.exists (fun e -> e.I.what = F.Drop_wakeup) plan in
+  let unpin (e : F.fault I.entry) =
+    match e.I.shard with
+    | Some _ -> Some { e with I.shard = None }
     | None -> None
   in
   let plan, _tests = Tm.Shrink.simplify ~fails ~simpler:unpin [ pinned ] in
   match plan with
   | [ e ] ->
-      check_bool "pin dropped" true (e.F.shard = None);
-      check_bool "fault kept" true (e.F.fault = F.Drop_wakeup)
+      check_bool "pin dropped" true (e.I.shard = None);
+      check_bool "fault kept" true (e.I.what = F.Drop_wakeup)
   | _ -> Alcotest.fail "expected a single surviving entry"
 
 let test_shrink_keeps_needed_pin () =
   (* when the failure is shard-specific the pin must survive *)
   let pinned =
-    { F.fault = F.Drop_wakeup; when_ = F.Persistent; shard = Some 1 }
+    { I.what = F.Drop_wakeup; when_ = I.Persistent; shard = Some 1 }
   in
-  let fails plan = List.exists (fun e -> e.F.shard = Some 1) plan in
-  let unpin (e : F.plan_entry) =
-    match e.F.shard with
-    | Some _ -> Some { e with F.shard = None }
+  let fails plan = List.exists (fun e -> e.I.shard = Some 1) plan in
+  let unpin (e : F.fault I.entry) =
+    match e.I.shard with
+    | Some _ -> Some { e with I.shard = None }
     | None -> None
   in
   let plan, _tests = Tm.Shrink.simplify ~fails ~simpler:unpin [ pinned ] in
   match plan with
-  | [ e ] -> check_bool "pin kept" true (e.F.shard = Some 1)
+  | [ e ] -> check_bool "pin kept" true (e.I.shard = Some 1)
   | _ -> Alcotest.fail "expected a single surviving entry"
 
 (* A non-positive p99 SLO is refused with [Invalid_argument] before the

@@ -5,6 +5,11 @@
    UDP echo workload under injected faults. *)
 
 module F = Hostos.Faults
+module I = Hostos.Injector
+
+(* A schedule entry firing [what] once, at the first opportunity on or
+   after workload step [step]. *)
+let at step what = { I.what; when_ = I.At_step step; shard = None }
 module B = Sim.Backoff
 
 let check = Alcotest.(check int)
@@ -83,13 +88,13 @@ let test_backoff_reset () =
 let test_plan_roundtrip () =
   let plan =
     [
-      { F.fault = F.Transient_errno; when_ = F.Probability 0.05; shard = None };
-      { F.fault = F.Short_io; when_ = F.Once 1.0; shard = None };
-      { F.fault = F.Drop_wakeup; when_ = F.Once 0.25; shard = None };
-      { F.fault = F.Monitor_crash; when_ = F.At_step 200; shard = None };
+      { I.what = F.Transient_errno; when_ = I.Probability 0.05; shard = None };
+      { I.what = F.Short_io; when_ = I.Once 1.0; shard = None };
+      { I.what = F.Drop_wakeup; when_ = I.Once 0.25; shard = None };
+      { I.what = F.Monitor_crash; when_ = I.At_step 200; shard = None };
       {
-        F.fault = F.Nic_stall;
-        when_ = F.Burst { first_step = 10; last_step = 40; probability = 0.5 };
+        I.what = F.Nic_stall;
+        when_ = I.Burst { first_step = 10; last_step = 40; probability = 0.5 };
           shard = None;
       };
     ]
@@ -112,10 +117,10 @@ let test_plan_rejects_garbage () =
 let test_fault_names_roundtrip () =
   List.iter
     (fun f ->
-      match F.fault_of_string (F.fault_name f) with
-      | Some f' -> check_bool (F.fault_name f) true (f = f')
-      | None -> Alcotest.failf "fault name %s did not parse" (F.fault_name f))
-    F.all_faults
+      match F.plan_of_string ("persist=" ^ F.name f) with
+      | Ok [ { I.what; _ } ] -> check_bool (F.name f) true (f = what)
+      | _ -> Alcotest.failf "fault name %s did not parse" (F.name f))
+    F.all
 
 (* {1 Trigger semantics} *)
 
@@ -123,19 +128,19 @@ let test_triggers () =
   let f = F.create ~seed:3L () in
   check_bool "unarmed never fires" false (F.roll (Some f) F.Short_io);
   check_bool "no injector never fires" false (F.roll None F.Short_io);
-  F.arm f F.Short_io;
+  F.arm f (I.Probability 1.0) F.Short_io;
   check_bool "probability 1 fires" true (F.roll (Some f) F.Short_io);
   F.disarm f F.Short_io;
   check_bool "disarmed" false (F.roll (Some f) F.Short_io);
-  F.arm_at f ~step:5 F.Monitor_crash;
+  F.arm f (I.At_step 5) F.Monitor_crash;
   F.set_step f 4;
   check_bool "before step" false (F.roll (Some f) F.Monitor_crash);
   F.set_step f 5;
   check_bool "at step" true (F.roll (Some f) F.Monitor_crash);
   check_bool "spent" false (F.roll (Some f) F.Monitor_crash);
   F.record f F.Monitor_crash;
-  check "recorded" 1 (F.injected_of f F.Monitor_crash);
-  check "total" 1 (F.injected f)
+  check "recorded" 1 (F.fired_of f F.Monitor_crash);
+  check "total" 1 (F.fired f)
 
 (* {1 UMem leak accounting} *)
 
@@ -180,7 +185,7 @@ let runtime h = Option.get (Libos.Env.runtime h.Apps.Harness.env)
 let install_faults h plan =
   let rt = runtime h in
   let f = Hostos.Faults.create ~obs:(Rakis.Runtime.obs rt) ~seed:11L () in
-  F.install_plan f plan;
+  F.install f plan;
   Hostos.Kernel.set_faults h.Apps.Harness.kernel (Some f);
   Rakis.Runtime.start_watchdog rt;
   f
@@ -190,7 +195,7 @@ let install_faults h plan =
    and the degraded scan must run. *)
 let test_watchdog_detection_latency () =
   let h = boot_sgx () in
-  let f = install_faults h [ { F.fault = F.Monitor_crash; when_ = F.Once 1.0; shard = None } ] in
+  let f = install_faults h [ { I.what = F.Monitor_crash; when_ = I.Once 1.0; shard = None } ] in
   let rt = runtime h in
   let mon = Rakis.Runtime.monitor rt in
   let bound =
@@ -200,7 +205,7 @@ let test_watchdog_detection_latency () =
   Sim.Engine.spawn h.Apps.Harness.engine (fun () ->
       (* Let the Monitor reach its first heartbeat and die on it. *)
       Sim.Engine.delay (Int64.mul 2L Sgx.Params.mm_heartbeat_period);
-      check "crash injected" 1 (F.injected_of f F.Monitor_crash);
+      check "crash injected" 1 (F.fired_of f F.Monitor_crash);
       check_bool "monitor dead" false (Rakis.Monitor.alive mon);
       let gen = Rakis.Monitor.generation mon in
       Sim.Engine.delay bound;
@@ -230,16 +235,16 @@ let test_udp_echo_completes_under_faults () =
   let f =
     install_faults h
       [
-        { F.fault = F.Monitor_crash; when_ = F.Once 0.01; shard = None };
-        { F.fault = F.Drop_wakeup; when_ = F.Probability 0.05; shard = None };
-        { F.fault = F.Delay_wakeup; when_ = F.Probability 0.02; shard = None };
+        { I.what = F.Monitor_crash; when_ = I.Once 0.01; shard = None };
+        { I.what = F.Drop_wakeup; when_ = I.Probability 0.05; shard = None };
+        { I.what = F.Delay_wakeup; when_ = I.Probability 0.02; shard = None };
       ]
   in
   let r = Apps.Udp_echo.run h ~datagrams:300 ~payload_size:256 in
   check "all datagrams echoed" 300 r.Apps.Udp_echo.echoed;
-  check_bool "faults actually fired" true (F.injected f > 0);
+  check_bool "faults actually fired" true (F.fired f > 0);
   check_bool "crash recovered" true
-    (F.injected_of f F.Monitor_crash = 0
+    (F.fired_of f F.Monitor_crash = 0
     || Rakis.Runtime.watchdog_restarts (runtime h) >= 1);
   assert_no_leaks h
 
@@ -252,18 +257,18 @@ let test_udp_echo_fault_free_unchanged () =
   check "nothing injected" 0
     (match Hostos.Kernel.faults h.Apps.Harness.kernel with
     | None -> 0
-    | Some f -> F.injected f);
+    | Some f -> F.fired f);
   assert_no_leaks h
 
 (* {1 Campaign integration: composition and bit-for-bit replay} *)
 
 let fault_mix =
   [
-    { F.fault = F.Transient_errno; when_ = F.Probability 0.1; shard = None };
-    { F.fault = F.Short_io; when_ = F.Probability 0.05; shard = None };
-    { F.fault = F.Partial_cqe; when_ = F.Probability 0.05; shard = None };
-    { F.fault = F.Drop_wakeup; when_ = F.Probability 0.05; shard = None };
-    { F.fault = F.Monitor_crash; when_ = F.At_step 12; shard = None };
+    { I.what = F.Transient_errno; when_ = I.Probability 0.1; shard = None };
+    { I.what = F.Short_io; when_ = I.Probability 0.05; shard = None };
+    { I.what = F.Partial_cqe; when_ = I.Probability 0.05; shard = None };
+    { I.what = F.Drop_wakeup; when_ = I.Probability 0.05; shard = None };
+    { I.what = F.Monitor_crash; when_ = I.At_step 12; shard = None };
   ]
 
 let test_campaign_faults_no_violations () =
@@ -285,7 +290,7 @@ let test_campaign_faults_no_violations () =
     [ Tm.Campaign.Xsk; Tm.Campaign.Iouring ]
 
 let test_campaign_fault_repro_roundtrip () =
-  let schedule = [ Tm.Campaign.At { step = 6; attack = Hostos.Malice.Prod_overshoot } ] in
+  let schedule = [ at 6 Hostos.Malice.Prod_overshoot ] in
   let o =
     Tm.Campaign.run
       {
@@ -325,8 +330,8 @@ let test_campaign_full_precision_replay () =
         faults =
           [
             {
-              F.fault = F.Transient_errno;
-              when_ = F.Probability 0.0123456789;
+              I.what = F.Transient_errno;
+              when_ = I.Probability 0.0123456789;
               shard = None;
             };
           ];
@@ -342,9 +347,9 @@ let test_fault_soup_generator () =
   check_bool "deterministic" true (a = b);
   check "default entries" 6 (List.length a);
   List.iter
-    (fun { F.fault; when_; _ } ->
-      match (fault, when_) with
-      | (F.Monitor_crash | F.Monitor_hang), F.At_step _ -> ()
+    (fun { I.what; when_; _ } ->
+      match (what, when_) with
+      | (F.Monitor_crash | F.Monitor_hang), I.At_step _ -> ()
       | (F.Monitor_crash | F.Monitor_hang), _ ->
           Alcotest.fail "monitor faults must be pinned to a step"
       | _ -> ())

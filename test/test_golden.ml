@@ -13,6 +13,20 @@
 
 module C = Tm.Campaign
 module F = Hostos.Faults
+module I = Hostos.Injector
+
+(* A schedule entry firing [what] once, at the first opportunity on or
+   after workload step [step]. *)
+let at step what = { I.what; when_ = I.At_step step; shard = None }
+
+(* A schedule entry firing [what] with probability [p] at each
+   opportunity inside steps [first..last]. *)
+let during first last p what =
+  {
+    I.what;
+    when_ = I.Burst { first_step = first; last_step = last; probability = p };
+    shard = None;
+  }
 
 (* dune runtest sandboxes us in test/; dune exec runs from the root *)
 let golden_dir =
@@ -63,14 +77,8 @@ let test_campaign_outcomes () =
         xsk7 with
         schedule =
       [
-        C.At { step = 4; attack = Hostos.Malice.Prod_overshoot };
-        C.During
-          {
-            first = 8;
-            last = 16;
-            probability = 1.0;
-            attack = Hostos.Malice.Misaligned_offset;
-          };
+        at 4 Hostos.Malice.Prod_overshoot;
+        during 8 16 1.0 Hostos.Malice.Misaligned_offset;
       ];
       }
   in
@@ -84,9 +92,9 @@ let test_campaign_outcomes () =
         faults =
           [
             {
-              F.fault = F.Transient_errno;
+              I.what = F.Transient_errno;
               when_ =
-                F.Burst { first_step = 4; last_step = 16; probability = 1.0 };
+                I.Burst { first_step = 4; last_step = 16; probability = 1.0 };
               shard = None;
             };
           ];
@@ -101,7 +109,7 @@ let test_campaign_outcomes () =
         budget = 32;
         queues = 2;
         faults =
-          [ { F.fault = F.Drop_wakeup; when_ = F.Persistent; shard = Some 1 } ];
+          [ { I.what = F.Drop_wakeup; when_ = I.Persistent; shard = Some 1 } ];
       }
   in
   check_golden "campaign_outcomes"
@@ -178,25 +186,19 @@ let test_repro_tokens () =
       campaign "fault-free single queue"
         {
           (run C.Xsk 42L 64) with
-          schedule = [ C.At { step = 3; attack = Hostos.Malice.Cons_regress } ];
+          schedule = [ at 3 Hostos.Malice.Cons_regress ];
         };
       campaign "fault plan"
         {
           (run C.Iouring 9L 128) with
           schedule =
             [
-              C.During
-                {
-                  first = 2;
-                  last = 30;
-                  probability = 0.25;
-                  attack = Hostos.Malice.Cqe_bogus_res;
-                };
+              during 2 30 0.25 Hostos.Malice.Cqe_bogus_res;
             ];
           faults =
             [
-              { F.fault = F.Short_io; when_ = F.Probability 0.5; shard = None };
-              { F.fault = F.Monitor_crash; when_ = F.At_step 11; shard = None };
+              { I.what = F.Short_io; when_ = I.Probability 0.5; shard = None };
+              { I.what = F.Monitor_crash; when_ = I.At_step 11; shard = None };
             ];
         };
       campaign "multi-queue, empty plan" { (run C.Xsk 3L 32) with queues = 4 };
@@ -204,41 +206,41 @@ let test_repro_tokens () =
         {
           (run C.Xsk 5L 32) with
           faults =
-            [ { F.fault = F.Drop_wakeup; when_ = F.Persistent; shard = Some 1 } ];
+            [ { I.what = F.Drop_wakeup; when_ = I.Persistent; shard = Some 1 } ];
           queues = 2;
         };
       campaign "once-trigger with probability"
         {
           (run C.Xsk 8L 16) with
           faults =
-            [ { F.fault = F.Nic_stall; when_ = F.Once 0.75; shard = None } ];
+            [ { I.what = F.Nic_stall; when_ = I.Once 0.75; shard = None } ];
         };
       campaign "zero-copy, fault-free single queue"
         {
           (run C.Iouring 23L 48) with
           schedule =
-            [ C.At { step = 8; attack = Hostos.Malice.Forged_early_notif } ];
+            [ at 8 Hostos.Malice.Forged_early_notif ];
           zerocopy = true;
         };
       campaign "zero-copy, multi-queue with fault plan"
         {
           (run C.Iouring 31L 32) with
           faults =
-            [ { F.fault = F.Short_io; when_ = F.Probability 0.25; shard = None } ];
+            [ { I.what = F.Short_io; when_ = I.Probability 0.25; shard = None } ];
           queues = 2;
           zerocopy = true;
         };
       campaign "overload control, fault-free single queue"
         {
           (run C.Xsk 13L 24) with
-          schedule = [ C.At { step = 5; attack = Hostos.Malice.Prod_overshoot } ];
+          schedule = [ at 5 Hostos.Malice.Prod_overshoot ];
           overload = true;
         };
       campaign "overload + zero-copy, multi-queue with fault plan"
         {
           (run C.Iouring 17L 32) with
           faults =
-            [ { F.fault = F.Drop_wakeup; when_ = F.Persistent; shard = Some 0 } ];
+            [ { I.what = F.Drop_wakeup; when_ = I.Persistent; shard = Some 0 } ];
           queues = 2;
           zerocopy = true;
           overload = true;
@@ -246,14 +248,14 @@ let test_repro_tokens () =
       campaign "lossy wire, fault-free single queue"
         {
           (run C.Xsk 101L 28) with
-          schedule = [ C.At { step = 4; attack = Hostos.Malice.Replay } ];
+          schedule = [ at 4 Hostos.Malice.Replay ];
           wire = true;
         };
       campaign "overload + zero-copy + lossy wire, multi-queue"
         {
           (run C.Iouring 19L 32) with
           faults =
-            [ { F.fault = F.Short_io; when_ = F.Probability 0.25; shard = None } ];
+            [ { I.what = F.Short_io; when_ = I.Probability 0.25; shard = None } ];
           queues = 2;
           zerocopy = true;
           overload = true;
@@ -295,8 +297,8 @@ let test_zc_dropped_notif_failure () =
   let schedule =
     [
       (* redundant decoy the shrinker must discard *)
-      C.At { step = 2; attack = Hostos.Malice.Prod_overshoot };
-      C.At { step = 7; attack = Hostos.Malice.Dropped_notif };
+      at 2 Hostos.Malice.Prod_overshoot;
+      at 7 Hostos.Malice.Dropped_notif;
     ]
   in
   let o =

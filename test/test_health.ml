@@ -5,6 +5,7 @@
    ETIMEDOUT in-flight accounting regression. *)
 
 module F = Hostos.Faults
+module I = Hostos.Injector
 module H = Rakis.Health
 
 let check = Alcotest.(check int)
@@ -290,7 +291,7 @@ let runtime h = Option.get (Libos.Env.runtime h.Apps.Harness.env)
 let install_faults h plan =
   let rt = runtime h in
   let f = Hostos.Faults.create ~obs:(Rakis.Runtime.obs rt) ~seed:11L () in
-  F.install_plan f plan;
+  F.install f plan;
   Hostos.Kernel.set_faults h.Apps.Harness.kernel (Some f);
   Rakis.Runtime.start_watchdog rt;
   Sim.Engine.spawn h.Apps.Harness.engine ~name:"fault-clock" (fun () ->
@@ -320,11 +321,11 @@ let assert_no_leaks h =
 let test_xsk_persistent_fault_zero_loss () =
   let h = boot_sgx () in
   let f =
-    install_faults h [ { F.fault = F.Drop_wakeup; when_ = F.Probability 1.0; shard = None } ]
+    install_faults h [ { I.what = F.Drop_wakeup; when_ = I.Probability 1.0; shard = None } ]
   in
   let r = Apps.Udp_echo.run h ~datagrams:300 ~payload_size:256 in
   check "all datagrams echoed" 300 r.Apps.Udp_echo.echoed;
-  check_bool "faults fired" true (F.injected_of f F.Drop_wakeup > 0);
+  check_bool "faults fired" true (F.fired_of f F.Drop_wakeup > 0);
   let b = Rakis.Runtime.xsk_breaker (runtime h) in
   check_bool "xsk breaker opened" true (H.opens b >= 1);
   check_bool "traffic rerouted" true (H.failovers b > 0);
@@ -343,15 +344,15 @@ let test_xsk_failback_after_burst () =
     install_faults h
       [
         {
-          F.fault = F.Drop_wakeup;
-          when_ = F.Burst { first_step = 20; last_step = 80; probability = 1.0 };
+          I.what = F.Drop_wakeup;
+          when_ = I.Burst { first_step = 20; last_step = 80; probability = 1.0 };
           shard = None;
         };
       ]
   in
   let r = Apps.Udp_echo.run h ~datagrams:600 ~payload_size:256 in
   check "all datagrams echoed across the arc" 600 r.Apps.Udp_echo.echoed;
-  check_bool "burst fired" true (F.injected_of f F.Drop_wakeup > 0);
+  check_bool "burst fired" true (F.fired_of f F.Drop_wakeup > 0);
   let rt = runtime h in
   let b = Rakis.Runtime.xsk_breaker rt in
   check_bool "breaker opened" true (H.opens b >= 1);
@@ -374,7 +375,7 @@ let test_xsk_failback_after_burst () =
 let test_iperf_persistent_fault_zero_loss () =
   let h = boot_sgx () in
   let _ =
-    install_faults h [ { F.fault = F.Drop_wakeup; when_ = F.Probability 1.0; shard = None } ]
+    install_faults h [ { I.what = F.Drop_wakeup; when_ = I.Probability 1.0; shard = None } ]
   in
   let r = Apps.Iperf.run h ~packet_size:1460 ~packets:2000 in
   check "every sent packet received" r.Apps.Iperf.sent_packets
@@ -394,15 +395,15 @@ let test_monitor_crash_plus_xsk_fault () =
   let f =
     install_faults h
       [
-        { F.fault = F.Monitor_crash; when_ = F.Once 1.0; shard = None };
-        { F.fault = F.Drop_wakeup; when_ = F.Probability 1.0; shard = None };
+        { I.what = F.Monitor_crash; when_ = I.Once 1.0; shard = None };
+        { I.what = F.Drop_wakeup; when_ = I.Probability 1.0; shard = None };
       ]
   in
   let r = Apps.Udp_echo.run h ~datagrams:300 ~payload_size:256 in
   check "all datagrams echoed" 300 r.Apps.Udp_echo.echoed;
   let rt = runtime h in
   check_bool "crash recovered" true
-    (F.injected_of f F.Monitor_crash = 0
+    (F.fired_of f F.Monitor_crash = 0
     || Rakis.Runtime.watchdog_restarts rt >= 1);
   check_bool "xsk breaker opened" true
     (H.opens (Rakis.Runtime.xsk_breaker rt) >= 1);
@@ -415,12 +416,12 @@ let test_uring_persistent_fault_fstime_completes () =
   let h = boot_sgx () in
   let f =
     install_faults h
-      [ { F.fault = F.Transient_errno; when_ = F.Probability 1.0; shard = None } ]
+      [ { I.what = F.Transient_errno; when_ = I.Probability 1.0; shard = None } ]
   in
   let blocks = 400 and block_size = 4096 in
   let r = Apps.Fstime.run h ~block_size ~blocks in
   check "every block written" (blocks * block_size) r.Apps.Fstime.bytes;
-  check_bool "faults fired" true (F.injected_of f F.Transient_errno > 0);
+  check_bool "faults fired" true (F.fired_of f F.Transient_errno > 0);
   let b = Rakis.Runtime.uring_breaker (runtime h) in
   check_bool "uring breaker opened" true (H.opens b >= 1);
   check_bool "ops failed over" true (H.failovers b > 0);
@@ -487,7 +488,7 @@ let run_script fx f =
 
 let install_bare_faults fx plan =
   let f = Hostos.Faults.create ~obs:(Rakis.Runtime.obs fx.runtime) ~seed:11L () in
-  F.install_plan f plan;
+  F.install f plan;
   Hostos.Kernel.set_faults fx.kernel (Some f);
   f
 
@@ -507,7 +508,7 @@ let test_etimedout_settles_inflight_accounting () =
   let fx = boot ~config:small_config () in
   let _ =
     install_bare_faults fx
-      [ { F.fault = F.Transient_errno; when_ = F.Probability 1.0; shard = None } ]
+      [ { I.what = F.Transient_errno; when_ = I.Probability 1.0; shard = None } ]
   in
   run_script fx (fun () ->
       match Rakis.Runtime.new_thread fx.runtime with

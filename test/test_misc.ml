@@ -182,7 +182,7 @@ let test_poll_unknown_fd_ebadf () =
 
 let test_malice_zero_probability_never_fires () =
   let m = Hostos.Malice.create ~seed:1L () in
-  Hostos.Malice.arm m ~probability:0.0 Hostos.Malice.Corrupt_packet;
+  Hostos.Malice.arm m (Hostos.Injector.Probability 0.0) Hostos.Malice.Corrupt_packet;
   for _ = 1 to 1000 do
     if Hostos.Malice.roll (Some m) Hostos.Malice.Corrupt_packet then
       Alcotest.fail "p=0 fired"
@@ -190,7 +190,8 @@ let test_malice_zero_probability_never_fires () =
 
 let test_malice_disarm () =
   let m = Hostos.Malice.create ~seed:1L () in
-  Hostos.Malice.arm m Hostos.Malice.Prod_overshoot;
+  Hostos.Malice.arm m (Hostos.Injector.Probability 1.0)
+    Hostos.Malice.Prod_overshoot;
   check_bool "armed fires" true (Hostos.Malice.roll (Some m) Prod_overshoot);
   Hostos.Malice.disarm m Hostos.Malice.Prod_overshoot;
   check_bool "disarmed silent" false (Hostos.Malice.roll (Some m) Prod_overshoot);
@@ -199,7 +200,7 @@ let test_malice_disarm () =
 
 let test_malice_probability_roughly_respected () =
   let m = Hostos.Malice.create ~seed:3L () in
-  Hostos.Malice.arm m ~probability:0.25 Hostos.Malice.Cqe_bogus_res;
+  Hostos.Malice.arm m (Hostos.Injector.Probability 0.25) Hostos.Malice.Cqe_bogus_res;
   let fired = ref 0 in
   for _ = 1 to 10_000 do
     if Hostos.Malice.roll (Some m) Hostos.Malice.Cqe_bogus_res then incr fired

@@ -112,7 +112,7 @@ let test_smashed_index_bounded_wakeups () =
          one per distinct observed value, with no crash and no further
          syscalls once the index stops changing. *)
       let fill = Hostos.Xdp.fill_layout r.xsk in
-      Hostos.Malice.smash_prod fill (Rings.U32.sub 0 5);
+      Rings.Layout.write_prod fill (Rings.U32.sub 0 5);
       Mon.kick r.monitor;
       settle ();
       let after_smash = Mon.wakeup_syscalls r.monitor in

@@ -94,7 +94,7 @@ let test_multi_source_max () =
    0 cannot erase a flooded ring's backlog. *)
 let test_depth_sources_per_xsk () =
   let engine = Sim.Engine.create () in
-  let kernel = Hostos.Kernel.create engine () in
+  let kernel = Hostos.Kernel.create engine ~nic_queues:8 () in
   let config = { Rakis.Config.default with num_xsks = 8; overload = true } in
   match Rakis.Runtime.boot kernel ~sgx:true ~config () with
   | Error e -> Alcotest.fail e

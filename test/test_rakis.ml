@@ -685,7 +685,7 @@ let test_rakis_monitor_issues_wakeups () =
 let attack_fixture attacks =
   let fx = boot ~config:small_config () in
   let m = Hostos.Malice.create ~seed:99L () in
-  List.iter (fun (a, p) -> Hostos.Malice.arm m ~probability:p a) attacks;
+  List.iter (fun (a, p) -> Hostos.Malice.arm m (Hostos.Injector.Probability p) a) attacks;
   Hostos.Kernel.set_malice fx.kernel (Some m);
   (fx, m)
 
@@ -762,7 +762,7 @@ let test_attack_corrupt_packets_no_crash () =
 let test_attack_everything_at_once () =
   let fx, _ =
     attack_fixture
-      (List.map (fun a -> (a, 0.15)) Hostos.Malice.all_attacks)
+      (List.map (fun a -> (a, 0.15)) Hostos.Malice.all)
   in
   ignore (drive_under_attack fx ~packets:300);
   check_bool "invariants survived the kitchen sink" true
@@ -802,7 +802,7 @@ let totals_harness ~attacks =
   | Ok h ->
       let rt = Option.get (Libos.Env.runtime h.Apps.Harness.env) in
       let m = Hostos.Malice.create ~seed:17L () in
-      List.iter (fun (a, p) -> Hostos.Malice.arm m ~probability:p a) attacks;
+      List.iter (fun (a, p) -> Hostos.Malice.arm m (Hostos.Injector.Probability p) a) attacks;
       Hostos.Kernel.set_malice h.Apps.Harness.kernel (Some m);
       (h, rt)
 
@@ -937,7 +937,7 @@ let test_totals_are_instance_sums () =
       ~attacks:[ (Prod_overshoot, 0.02); (Bad_umem_offset, 0.02); (Corrupt_packet, 0.02) ]
   in
   let wire = Hostos.Faults.create ~seed:23L () in
-  Hostos.Faults.arm wire ~probability:0.02 Hostos.Faults.Wire_drop;
+  Hostos.Faults.arm wire (Hostos.Injector.Probability 0.02) Hostos.Faults.Wire_drop;
   Hostos.Kernel.set_faults kv.Apps.Harness.kernel (Some wire);
   ignore
     (Apps.Loadgen.run kv ~server_threads:2

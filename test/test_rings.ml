@@ -181,7 +181,7 @@ let test_certified_wraparound_long_run () =
 let test_certified_consumer_rejects_overshoot () =
   let l = make_ring ~size:4 () in
   let cons = Certified.create l ~role:Certified.Consumer () in
-  Hostos.Malice.smash_prod l 5 (* > Ct + size *);
+  Rings.Layout.write_prod l 5 (* > Ct + size *);
   check "refused: nothing available" 0 (Certified.available cons);
   check "failure recorded" 1 (Certified.failures cons);
   check_bool "invariant" true (Certified.invariant_holds cons)
@@ -192,13 +192,13 @@ let test_certified_consumer_rejects_regress () =
   ignore (Raw.produce l ~write:(fun ~slot_off -> write_slot l ~slot_off 1L));
   ignore (Raw.produce l ~write:(fun ~slot_off -> write_slot l ~slot_off 2L));
   check "sees two" 2 (Certified.available cons);
-  Hostos.Malice.smash_prod l 1 (* regress below the validated value *);
+  Rings.Layout.write_prod l 1 (* regress below the validated value *);
   check "trusted copy keeps the window" 2 (Certified.available cons);
   check_bool "failure recorded" true (Certified.failures cons > 0)
 
 let test_certified_producer_rejects_cons_ahead () =
   let l, prod = certified_pair ~size:4 () in
-  Hostos.Malice.smash_cons l 2 (* claims consumption beyond production *);
+  Rings.Layout.write_cons l 2 (* claims consumption beyond production *);
   check "free stays at size" 4 (Certified.free_slots prod);
   check "failure recorded" 1 (Certified.failures prod);
   check_bool "invariant" true (Certified.invariant_holds prod)
@@ -209,16 +209,16 @@ let test_certified_producer_rejects_wrap_attack () =
   let l, prod = certified_pair ~size:4 () in
   ignore (Certified.produce prod ~write:(fun ~slot_off:_ -> ()));
   Certified.publish prod;
-  Hostos.Malice.smash_cons l 0x80000000;
+  Rings.Layout.write_cons l 0x80000000;
   check "window unchanged" 3 (Certified.free_slots prod);
   check_bool "invariant" true (Certified.invariant_holds prod)
 
 let test_certified_consumer_wrap_attack () =
   let l = make_ring ~size:4 () in
   let cons = Certified.create l ~role:Certified.Consumer () in
-  Hostos.Malice.smash_prod l U32.mask;
+  Rings.Layout.write_prod l U32.mask;
   check "refused" 0 (Certified.available cons);
-  Hostos.Malice.smash_prod l 0x80000000;
+  Rings.Layout.write_prod l 0x80000000;
   check "refused" 0 (Certified.available cons);
   check "both rejected" 2 (Certified.failures cons)
 
@@ -243,7 +243,7 @@ let test_certified_on_failure_callback () =
       ~on_failure:(fun f -> seen := f :: !seen)
       ()
   in
-  Hostos.Malice.smash_prod l 100;
+  Rings.Layout.write_prod l 100;
   ignore (Certified.available cons);
   match !seen with
   | [ Certified.Out_of_window { observed = 100; _ } ] -> ()
@@ -341,7 +341,7 @@ let test_batch_malice_between_bursts () =
     (Certified.consume_batch cons ~max:4 ~read:(fun ~slot_off:_ _ -> ()));
   (* Hostile index jump between bursts: the next burst's single refresh
      must reject it and move nothing. *)
-  Hostos.Malice.smash_prod l 100;
+  Rings.Layout.write_prod l 100;
   check "hostile burst refused" 0
     (Certified.consume_batch cons ~max:4 ~read:(fun ~slot_off:_ _ ->
          Alcotest.fail "slot handed out under attack"));
@@ -362,7 +362,7 @@ let test_batch_malice_mid_burst () =
   done;
   let n =
     Certified.consume_batch cons ~max:3 ~read:(fun ~slot_off:_ i ->
-        if i = 0 then Hostos.Malice.smash_prod l 0x80000000)
+        if i = 0 then Rings.Layout.write_prod l 0x80000000)
   in
   check "burst ran on its validated snapshot" 3 n;
   check "mid-burst move not yet observed" 0 (Certified.failures cons);
@@ -373,7 +373,7 @@ let test_batch_malice_mid_burst () =
   let n =
     Certified.produce_batch prod ~count:3 ~write:(fun ~slot_off i ->
         write_slot l ~slot_off (Int64.of_int i);
-        if i = 0 then Hostos.Malice.smash_cons l 0x80000000)
+        if i = 0 then Rings.Layout.write_cons l 0x80000000)
   in
   check "produce burst ran on its validated snapshot" 3 n;
   check "published once, all three" 3 (Layout.read_prod l);
@@ -423,7 +423,7 @@ let test_naive_prod_nb_free_overshoot () =
      value makes it report more free slots than the ring has. *)
   let l = make_ring ~size:4 () in
   let naive = Naive.create l in
-  Hostos.Malice.smash_cons l 3 (* "consumed" 3 of 0 produced *);
+  Rings.Layout.write_cons l 3 (* "consumed" 3 of 0 produced *);
   let free = Naive.prod_nb_free naive ~wanted:5 in
   check_bool "reports > size (the libxdp bug)" true (free > 4)
 
@@ -436,7 +436,7 @@ let test_naive_batch_overwrites_inflight () =
   ignore
     (Naive.produce_batch naive ~count:4 ~write:(fun ~slot_off i ->
          write_slot l ~slot_off (Int64.of_int (100 + i))));
-  Hostos.Malice.smash_cons l 4 (* hostile: "all consumed" *);
+  Rings.Layout.write_cons l 4 (* hostile: "all consumed" *);
   let n =
     Naive.produce_batch naive ~count:4 ~write:(fun ~slot_off i ->
         write_slot l ~slot_off (Int64.of_int (200 + i)))
@@ -457,12 +457,12 @@ let test_naive_consumer_accepts_garbage () =
      hands back never-produced entries (Appendix A's primitive). *)
   let l = make_ring ~size:4 () in
   let naive = Naive.create l in
-  Hostos.Malice.smash_prod l 3;
+  Rings.Layout.write_prod l 3;
   check "fabricated availability" 3 (Naive.available naive);
   (match Naive.consume naive ~read:(fun ~slot_off -> read_slot l ~slot_off) with
   | Some _ -> ()
   | None -> Alcotest.fail "naive consumed nothing");
-  Hostos.Malice.smash_prod l (U32.mask - 1);
+  Rings.Layout.write_prod l (U32.mask - 1);
   check_bool "availability explodes past size" true
     (Naive.available naive > 4)
 
@@ -472,8 +472,8 @@ let test_certified_vs_naive_same_attack () =
   let l2 = make_ring ~size:4 () in
   let cert = Certified.create l1 ~role:Certified.Consumer () in
   let naive = Naive.create l2 in
-  Hostos.Malice.smash_prod l1 9;
-  Hostos.Malice.smash_prod l2 9;
+  Rings.Layout.write_prod l1 9;
+  Rings.Layout.write_prod l2 9;
   check "certified refuses" 0 (Certified.available cert);
   check_bool "naive accepts" true (Naive.available naive > 4)
 
@@ -494,8 +494,8 @@ let prop_certified_invariant_any_smash =
       let prod = Certified.create l2 ~role:Certified.Producer () in
       List.iter
         (fun (v, op) ->
-          Hostos.Malice.smash_prod l v;
-          Hostos.Malice.smash_cons l2 v;
+          Rings.Layout.write_prod l v;
+          Rings.Layout.write_cons l2 v;
           match op with
           | 0 -> ignore (Certified.available cons)
           | 1 ->

@@ -5,6 +5,11 @@
    shard-aware repro tokens. *)
 
 module F = Hostos.Faults
+module I = Hostos.Injector
+
+(* A schedule entry firing [what] once, at the first opportunity on or
+   after workload step [step]. *)
+let at step what = { I.what; when_ = I.At_step step; shard = None }
 module H = Rakis.Health
 
 let check = Alcotest.(check int)
@@ -165,12 +170,29 @@ let runtime h = Option.get (Libos.Env.runtime h.Apps.Harness.env)
 let install_faults h plan =
   let rt = runtime h in
   let f = Hostos.Faults.create ~obs:(Rakis.Runtime.obs rt) ~seed:11L () in
-  F.install_plan f plan;
+  F.install f plan;
   Hostos.Kernel.set_faults h.Apps.Harness.kernel (Some f);
   Rakis.Runtime.start_watchdog rt;
   f
 
 (* {1 Multi-shard traffic} *)
+
+(* An AF_XDP socket is bound to one NIC queue, so a boot asking for
+   more XSKs than the NIC has queues is refused rather than left with
+   XSKs no queue feeds; one queue per XSK boots. *)
+let test_boot_needs_a_queue_per_xsk () =
+  let boot nic_queues =
+    let kernel = Hostos.Kernel.create (Sim.Engine.create ()) ~nic_queues () in
+    Rakis.Runtime.boot kernel ~sgx:true
+      ~config:{ Rakis.Config.default with num_queues = 2; num_xsks = 4 }
+      ()
+  in
+  (match boot 4 with
+  | Ok _ -> Alcotest.fail "booted 2 x 4 XSKs on a 4-queue NIC"
+  | Error e ->
+      check_bool e true
+        (e = "rakis config: num_queues (2) x num_xsks (4) exceeds NIC queues (4)"));
+  check_bool "8 queues boot" true (Result.is_ok (boot 8))
 
 (* Eight RSS-spread flows over four shards: every shard must carry
    traffic, deliver everything it was offered, and the per-shard
@@ -236,11 +258,11 @@ let test_persistent_fault_contained_zero_loss () =
   let h = boot_sharded ~queues:2 () in
   let f =
     install_faults h
-      [ { F.fault = F.Drop_wakeup; when_ = F.Persistent; shard = Some 1 } ]
+      [ { I.what = F.Drop_wakeup; when_ = I.Persistent; shard = Some 1 } ]
   in
   let r = Apps.Udp_echo.run ~flows:4 h ~datagrams:400 ~payload_size:256 in
   check "zero loss under a dead shard" 400 r.Apps.Udp_echo.echoed;
-  check_bool "fault fired" true (F.injected_of f F.Drop_wakeup > 0);
+  check_bool "fault fired" true (F.fired_of f F.Drop_wakeup > 0);
   let rt = runtime h in
   let b1 = Rakis.Runtime.shard_breaker rt 1 in
   check_bool "shard 1 breaker opened" true (H.opens b1 >= 1);
@@ -317,7 +339,7 @@ let test_overload_flood_contained () =
 let test_malice_contained_to_target_shard () =
   let h = boot_sharded ~queues:2 () in
   let m = Hostos.Malice.create ~seed:99L () in
-  Hostos.Malice.arm m ~probability:0.3 ~shard:1 Hostos.Malice.Prod_overshoot;
+  Hostos.Malice.arm m (Hostos.Injector.Probability 0.3) ~shard:1 Hostos.Malice.Prod_overshoot;
   Hostos.Kernel.set_malice h.Apps.Harness.kernel (Some m);
   (* One flow per shard, source ports picked against the NIC's RSS. *)
   let port_for ~shard =
@@ -405,7 +427,7 @@ let test_campaign_shard_containment () =
         seed = 91L;
         queues = 2;
         faults =
-          [ { F.fault = F.Drop_wakeup; when_ = F.Persistent; shard = Some 1 } ];
+          [ { I.what = F.Drop_wakeup; when_ = I.Persistent; shard = Some 1 } ];
       }
   in
   check_bool "no violations" false (Tm.Campaign.failed o);
@@ -415,7 +437,7 @@ let test_campaign_shard_containment () =
 
 let test_campaign_repro_roundtrip_with_queues () =
   let schedule =
-    [ Tm.Campaign.At { step = 10; attack = Hostos.Malice.Prod_overshoot } ]
+    [ at 10 Hostos.Malice.Prod_overshoot ]
   in
   let spec =
     {
@@ -425,7 +447,7 @@ let test_campaign_repro_roundtrip_with_queues () =
       queues = 2;
       schedule;
       faults =
-        [ { F.fault = F.Drop_wakeup; when_ = F.At_step 20; shard = Some 1 } ];
+        [ { I.what = F.Drop_wakeup; when_ = I.At_step 20; shard = Some 1 } ];
     }
   in
   let o = Tm.Campaign.run spec in
@@ -450,7 +472,7 @@ let test_single_queue_tokens_unchanged () =
         budget = 48;
         schedule =
           [
-            Tm.Campaign.At { step = 10; attack = Hostos.Malice.Prod_overshoot };
+            at 10 Hostos.Malice.Prod_overshoot;
           ];
       }
   in
@@ -482,4 +504,6 @@ let suite =
     qcheck_rss_matches_reference;
     qcheck_rss_hash_symmetric;
     ("rss: hash allocates nothing", `Quick, test_rss_no_alloc);
+    Alcotest.test_case "boot: one NIC queue per XSK or an error" `Quick
+      test_boot_needs_a_queue_per_xsk;
   ]

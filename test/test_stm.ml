@@ -19,6 +19,7 @@
 
 module C = Tm.Campaign
 module F = Hostos.Faults
+module I = Hostos.Injector
 module M = Hostos.Malice
 module B = Tm.Stm_model.Breaker
 module R = Tm.Stm_model.Ring
@@ -426,40 +427,38 @@ let product_walk_clean choices =
 
 let probability_gen = QCheck.Gen.float_bound_inclusive 1.0
 
-let attack_gen = QCheck.Gen.oneofl M.all_attacks
-
-let entry_gen =
-  QCheck.Gen.(
-    oneof
-      [
-        map2 (fun step attack -> C.At { step; attack }) (int_bound 9999) attack_gen;
-        map3
-          (fun first width (probability, attack) ->
-            C.During { first; last = first + width; probability; attack })
-          (int_bound 5000) (int_bound 999)
-          (pair probability_gen attack_gen);
-      ])
-
 let trigger_gen =
   QCheck.Gen.(
     oneof
       [
-        map (fun p -> F.Probability p) probability_gen;
-        map (fun p -> F.Once p) probability_gen;
-        map (fun s -> F.At_step s) (int_bound 9999);
+        map (fun p -> I.Probability p) probability_gen;
+        map (fun p -> I.Once p) probability_gen;
+        map (fun s -> I.At_step s) (int_bound 9999);
         map3
           (fun first_step width probability ->
-            F.Burst { first_step; last_step = first_step + width; probability })
+            I.Burst { first_step; last_step = first_step + width; probability })
           (int_bound 5000) (int_bound 999) probability_gen;
-        return F.Persistent;
+        return I.Persistent;
       ])
 
-let plan_entry_gen =
+(* One plan-entry generator for both injectors: every trigger, with or
+   without a "#k" shard pin. *)
+let entry_gen all =
   QCheck.Gen.(
     map3
-      (fun fault when_ shard -> { F.fault; when_; shard })
-      (oneofl F.all_faults) trigger_gen
+      (fun what when_ shard -> { I.what; when_; shard })
+      (oneofl all) trigger_gen
       (oneof [ return None; map (fun k -> Some k) (int_bound 3) ]))
+
+let plan_arb all to_string =
+  QCheck.make ~print:to_string QCheck.Gen.(list_size (int_bound 6) (entry_gen all))
+
+let plan_roundtrip to_string of_string plan =
+  let s = to_string plan in
+  match of_string s with
+  | Ok plan' ->
+      plan' = plan || QCheck.Test.fail_reportf "%S parsed to another plan" s
+  | Error e -> QCheck.Test.fail_reportf "parse failed on %S: %s" s e
 
 let token_gen =
   QCheck.Gen.(
@@ -470,8 +469,8 @@ let token_gen =
       [
         (let* datapath = oneofl [ C.Xsk; C.Iouring ] in
          let* budget = int_range 1 99_999 in
-         let* schedule = list_size (int_bound 4) entry_gen in
-         let* faults = list_size (int_bound 4) plan_entry_gen in
+         let* schedule = list_size (int_bound 4) (entry_gen M.all) in
+         let* faults = list_size (int_bound 4) (entry_gen F.all) in
          let* zerocopy = bool in
          let* overload = bool in
          return
@@ -576,18 +575,70 @@ let test_malformed_messages () =
     [
       ("attacks=1=no-such-attack", "no-such-attack");
       ("attacks=frob=prod-overshoot", "frob");
-      ("attacks=7", "schedule entry");
+      ("attacks=7", "plan entry");
       ("attacks=1..x@0.5=replay", "window");
       ("attacks=1..5@p=replay", "probability");
-      (* triggers Malice cannot arm *)
-      ("attacks=@0.5=replay", "cannot arm");
-      ("attacks=once=replay", "cannot arm");
-      ("attacks=persist=replay", "cannot arm");
+      ("attacks=persist=replay#x", "shard suffix");
       ("faults=persist=no-such-fault", "no-such-fault");
       ("faults=persist=drop-wakeup#x", "shard suffix");
       ("faults=@x=short-io", "probability");
       ("faults=soon=short-io", "trigger");
     ]
+
+(* Every trigger arms an attack: a token whose schedule uses one prints
+   back unchanged, the attack fires, and two replays of the token are
+   the same run. *)
+let test_every_trigger_arms_an_attack () =
+  List.iter
+    (fun attacks ->
+      let token = "xsk:seed=5:budget=10:attacks=" ^ attacks in
+      (match C.token_of_string token with
+      | Ok t -> Alcotest.(check string) "round-trips" token (C.token_to_string t)
+      | Error e -> Alcotest.failf "%S: %s" token e);
+      match (C.run_repro token, C.run_repro token) with
+      | Ok o, Ok o' ->
+          Alcotest.(check bool)
+            (token ^ " fires") true
+            (List.mem_assoc M.Replay o.C.fired);
+          Alcotest.(check bool) (token ^ " replays") true (o = o')
+      | Error e, _ | _, Error e -> Alcotest.failf "%S: %s" token e)
+    [ "@0.5=replay"; "once=replay"; "persist=replay" ]
+
+(* [arm]'s replace rule, for both injectors: a Probability arming
+   replaces the event's earlier armings, every other trigger appends.
+   So "5=k;@0.1=k" rolls exactly like "@0.1=k" alone, while
+   "@0.1=k;5=k" also fires the step arming — at the first roll the
+   probability misses. *)
+let test_replace_rule () =
+  let check_rule (type e) (module J : I.S with type event = e) name =
+    let rolls plan =
+      match J.plan_of_string plan with
+      | Ok ({ I.what; _ } :: _ as p) ->
+          let t = J.create ~seed:11L () in
+          J.install t p;
+          J.set_step t 5;
+          List.init 40 (fun _ -> J.roll (Some t) what)
+      | _ -> Alcotest.failf "%S does not parse" plan
+    in
+    let alone = rolls ("@0.1=" ^ name) in
+    Alcotest.(check bool) (name ^ ": the probability misses") true
+      (List.mem false alone);
+    Alcotest.(check (list bool))
+      (name ^ ": @P replaces an earlier step arming")
+      alone
+      (rolls (Printf.sprintf "5=%s;@0.1=%s" name name));
+    let rec fill_first_miss = function
+      | [] -> []
+      | false :: rest -> true :: rest
+      | true :: rest -> true :: fill_first_miss rest
+    in
+    Alcotest.(check (list bool))
+      (name ^ ": a step arming appends to @P")
+      (fill_first_miss alone)
+      (rolls (Printf.sprintf "@0.1=%s;5=%s" name name))
+  in
+  check_rule (module F) "short-io";
+  check_rule (module M) "replay"
 
 (* The shared trigger printer keeps every digit a probability needs:
    [%g] would print 0.0123456789 as 0.0123457 and the replay would run
@@ -595,7 +646,7 @@ let test_malformed_messages () =
 let test_probability_digits () =
   let p = 0.0123456789 in
   let plan =
-    [ { F.fault = F.Transient_errno; when_ = F.Probability p; shard = None } ]
+    [ { I.what = F.Transient_errno; when_ = I.Probability p; shard = None } ]
   in
   Alcotest.(check string) "printed in full" "@0.0123456789=transient-errno"
     (F.plan_to_string plan);
@@ -603,8 +654,8 @@ let test_probability_digits () =
     (F.plan_of_string (F.plan_to_string plan) = Ok plan);
   let third = 1. /. 3. in
   Alcotest.(check bool) "17 digits when needed" true
-    (F.trigger_of_string (F.trigger_to_string (F.Probability third))
-    = Ok (F.Probability third))
+    (I.trigger_of_string (I.trigger_to_string (I.Probability third))
+    = Ok (I.Probability third))
 
 let q name arb prop =
   QCheck_alcotest.to_alcotest ~rand:(Flake.rand ())
@@ -617,10 +668,18 @@ let suite =
     q "stm: certified ring conforms to Stm_model.Ring" rcmds_arb ring_conforms;
     q "stm: product machine clean down random walks" walk_arb
       product_walk_clean;
+    q "plan: fault plans round-trip" (plan_arb F.all F.plan_to_string)
+      (plan_roundtrip F.plan_to_string F.plan_of_string);
+    q "plan: attack plans round-trip" (plan_arb M.all M.plan_to_string)
+      (plan_roundtrip M.plan_to_string M.plan_of_string);
     q "token: campaign and soak specs round-trip" token_arb token_roundtrip;
     q "token: malformed input never raises" garbage_arb malformed_never_raises;
     Alcotest.test_case "token: malformed messages are useful" `Quick
       test_malformed_messages;
+    Alcotest.test_case "token: every trigger arms an attack" `Quick
+      test_every_trigger_arms_an_attack;
+    Alcotest.test_case "plan: a probability arming replaces, others append"
+      `Quick test_replace_rule;
     Alcotest.test_case "token: probabilities keep every digit" `Quick
       test_probability_digits;
   ]

@@ -71,7 +71,7 @@ let test_curl_recovers_from_corruption () =
   | Error e -> Alcotest.fail e
   | Ok h ->
       let m = Hostos.Malice.create ~seed () in
-      Hostos.Malice.arm m ~probability:0.02 Hostos.Malice.Corrupt_packet;
+      Hostos.Malice.arm m (Hostos.Injector.Probability 0.02) Hostos.Malice.Corrupt_packet;
       Hostos.Kernel.set_malice h.kernel (Some m);
       let size = 2 * 1024 * 1024 in
       let r = Apps.Curl.run h ~file_size:size in

@@ -79,7 +79,7 @@ let transition t s =
     Obs.Metrics.set t.state_gauge (state_level s);
     (match t.trace with
     | None -> ()
-    | Some tr -> Obs.Trace.instant tr ~cat:"health" (state_label s));
+    | Some tr -> Obs.Trace.instant tr ~cat:"health" ~arg:0 (state_label s));
     match s with
     | Open ->
         Obs.Metrics.incr t.opens;

@@ -654,10 +654,7 @@ let submit_wait_once t ~opcode ~fd ~file_off ~addr ~len ~poll_events
   in
   if p == not_submitted then Error Abi.Errno.EAGAIN
   else begin
-    (* The span's start is the engine's boxed [now], which other events
-       at this instant share, so the trace ring retains no extra box. *)
-    let start = Sim.Engine.clock t.engine
-    and started = Sim.Engine.now t.engine in
+    let start = Sim.Engine.clock t.engine in
     let deadline =
       if prompt_class opcode then start + sync_op_timeout else max_int
     in
@@ -669,8 +666,7 @@ let submit_wait_once t ~opcode ~fd ~file_off ~addr ~len ~poll_events
     (match t.trace with
     | None -> ()
     | Some tr ->
-        Obs.Trace.span tr ~cat:"syncproxy" ~arg:fd (op_name opcode)
-          ~start:started);
+        Obs.Trace.span tr ~cat:"syncproxy" ~arg:fd (op_name opcode) ~start);
     r
   end
 
@@ -804,16 +800,14 @@ let zc_submit_wait t z ~fd ~addr ~len ~buf_index ~zoff =
   else begin
       Hashtbl.replace z.notif_pending p.user_data
         { zoff; completed = false };
-      let start = Sim.Engine.clock t.engine
-      and started = Sim.Engine.now t.engine in
+      let start = Sim.Engine.clock t.engine in
       Sgx.Enclave.charge t.enclave Sgx.Params.iouring_sync_wait_cycles;
       let r = await t p ~deadline:(start + sync_op_timeout) in
       Obs.Metrics.observe t.sync_wait_cycles (Sim.Engine.clock t.engine - start);
       (match t.trace with
       | None -> ()
       | Some tr ->
-          Obs.Trace.span tr ~cat:"syncproxy" ~arg:fd (op_name Send_zc)
-            ~start:started);
+          Obs.Trace.span tr ~cat:"syncproxy" ~arg:fd (op_name Send_zc) ~start);
       (* On failure or abandonment nothing is unwound: the SQE may
          still execute in the kernel, so the frame must stay Registered,
          recoverable only through a late notif ([zc_mark_completed]

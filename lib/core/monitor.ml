@@ -154,7 +154,7 @@ let wakeup t kind_counter label =
   Obs.Metrics.incr kind_counter;
   match t.trace with
   | None -> ()
-  | Some tr -> Obs.Trace.instant tr ~cat:"mm" label
+  | Some tr -> Obs.Trace.instant tr ~cat:"mm" ~arg:0 label
 
 let scan_one t = function
   | Xsk r ->

@@ -306,7 +306,7 @@ let boot kernel ~sgx ?(config = Config.default) () =
          instruments here under a per-instance name. *)
       let obs =
         Obs.create ~trace_capacity:8192
-          ~clock:(fun () -> Sim.Engine.now engine)
+          ~clock:(fun () -> Sim.Engine.clock engine)
           ()
       in
       let sharded = num_queues > 1 in

@@ -53,7 +53,7 @@ type t = {
      a fired timer's broadcast often wakes a *later* wait, which must
      still recognize the deadline as passed. *)
   mutable rekick_armed : bool;
-  mutable rekick_deadline : int64;
+  mutable rekick_deadline : int;  (* engine clock *)
   (* Stranded-RX reclaim (the RX analogue of the rekick): frames the
      kernel consumed off xFill that never surfaced on xRX are invisible
      to certification — every ring view stays self-consistent while the
@@ -62,9 +62,9 @@ type t = {
      the last instant the shard had no such frames; past
      {!Sgx.Params.xsk_rx_reclaim_period} they are declared lost and
      swept home by a full reinit. *)
-  mutable rx_stuck_since : int64;
+  mutable rx_stuck_since : int;
   mutable starve_armed : bool;
-  mutable starve_deadline : int64;
+  mutable starve_deadline : int;
   (* Wedge evidence feeding the deadman: [refill_blocked] — the last
      refill pass wanted frames promised but the outstanding-RX clamp
      pinned it at zero; [rx_progress] — at least one RX frame came
@@ -268,10 +268,10 @@ let create ?obs ?(name = "xsk") ~enclave ~kernel ~config ~stack ~monitor
         failure_mark = 0;
         failure_base = 0;
         rekick_armed = false;
-        rekick_deadline = 0L;
-        rx_stuck_since = 0L;
+        rekick_deadline = 0;
+        rx_stuck_since = 0;
         starve_armed = false;
-        starve_deadline = 0L;
+        starve_deadline = 0;
         refill_blocked = false;
         rx_progress = false;
         tx_inflight =
@@ -525,8 +525,8 @@ let stranded_rx t =
    Skipped while the breaker is [Open]: the failover reinit keeps xFill
    promises alive on purpose, and failback re-evaluates from scratch. *)
 let check_rx_starvation t engine =
-  let now = Sim.Engine.now engine in
-  if t.starve_armed && Int64.compare now t.starve_deadline >= 0 then
+  let now = Sim.Engine.clock engine in
+  if t.starve_armed && now >= t.starve_deadline then
     t.starve_armed <- false;
   if
     Health.state t.breaker = Health.Open
@@ -538,9 +538,7 @@ let check_rx_starvation t engine =
     t.rx_stuck_since <- now
   end
   else if
-    Int64.compare (Int64.sub now t.rx_stuck_since)
-      Sgx.Params.xsk_rx_reclaim_period
-    >= 0
+    now - t.rx_stuck_since >= Int64.to_int Sgx.Params.xsk_rx_reclaim_period
   then begin
     t.rx_stuck_since <- now;
     Obs.Metrics.incr t.rx_starvation_reclaims;
@@ -560,10 +558,7 @@ let check_rx_starvation t engine =
    outstanding): the flag would otherwise stay armed forever and no
    future timer could ever be set. *)
 let check_rekick t engine =
-  if
-    t.rekick_armed
-    && Int64.compare (Sim.Engine.now engine) t.rekick_deadline >= 0
-  then begin
+  if t.rekick_armed && Sim.Engine.clock engine >= t.rekick_deadline then begin
     t.rekick_armed <- false;
     if Umem.outstanding t.umem Umem.Tx > 0 then begin
       Obs.Metrics.incr t.tx_rekicks;
@@ -599,8 +594,8 @@ let idle_wait t =
   if Umem.outstanding t.umem Umem.Tx > 0 && not t.rekick_armed then begin
     t.rekick_armed <- true;
     t.rekick_deadline <-
-      Int64.add (Sim.Engine.now engine) Sgx.Params.xsk_rekick_period;
-    Sim.Engine.at engine t.rekick_deadline t.wake_rx
+      Sim.Engine.clock engine + Int64.to_int Sgx.Params.xsk_rekick_period;
+    Sim.Engine.at_clock engine t.rekick_deadline t.wake_rx
   end;
   (* Starvation deadman: a fully-wedged shard receives no rx/compl
      broadcasts at all (arrivals die at the NIC edge), so the
@@ -610,8 +605,8 @@ let idle_wait t =
   if Umem.outstanding t.umem Umem.Rx > 0 && not t.starve_armed then begin
     t.starve_armed <- true;
     t.starve_deadline <-
-      Int64.add (Sim.Engine.now engine) Sgx.Params.xsk_rx_reclaim_period;
-    Sim.Engine.at engine t.starve_deadline t.wake_rx
+      Sim.Engine.clock engine + Int64.to_int Sgx.Params.xsk_rx_reclaim_period;
+    Sim.Engine.at_clock engine t.starve_deadline t.wake_rx
   end;
   Sim.Condition.wait_any t.idle_conds;
   check_rekick t engine

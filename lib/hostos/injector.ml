@@ -199,7 +199,7 @@ module Make (E : EVENT) = struct
     Obs.Metrics.incr s.counter;
     match t.trace with
     | None -> ()
-    | Some tr -> Obs.Trace.instant tr ~cat:E.prefix s.label
+    | Some tr -> Obs.Trace.instant tr ~cat:E.prefix ~arg:0 s.label
 
   let fired t = Obs.Metrics.value t.total
 

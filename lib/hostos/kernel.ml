@@ -425,9 +425,8 @@ let xsk_rx_wakeup t xsk =
    pinned frame (docs/zerocopy.md). *)
 let charge_uring_copy ~fixed n =
   if (not fixed) && n > 0 then
-    Sim.Engine.delay
-      (Int64.of_float
-         (float_of_int n *. Sgx.Params.iouring_copy_cycles_per_byte))
+    Sim.Engine.delay_cycles
+      (int_of_float (float_of_int n *. Sgx.Params.iouring_copy_cycles_per_byte))
 
 (* The kernel memory an io_uring worker bounces inline ops through: one
    per ring, grown on demand, so a data op allocates no buffer.  A 4 KiB

@@ -185,11 +185,10 @@ let tx_process t () =
         Faults.record f Faults.Nic_stall;
         Sim.Engine.delay Sgx.Params.fault_nic_stall
     | _ -> ());
-    let wire_cycles =
-      Int64.of_float
-        (float_of_int (Bytes.length frame) *. !Sgx.Params.live_wire_cycles_per_byte)
-    in
-    Sim.Engine.delay wire_cycles;
+    Sim.Engine.delay_cycles
+      (int_of_float
+         (float_of_int (Bytes.length frame)
+         *. !Sgx.Params.live_wire_cycles_per_byte));
     Obs.Metrics.incr t.tx;
     (match t.peer with
     | Some peer -> wire_transmit t peer frame

@@ -60,8 +60,8 @@ let bind t sock ip port =
 let charge_softirq () = Sim.Engine.delay Sgx.Params.kernel_udp_softirq_per_packet
 
 let charge_copy len =
-  Sim.Engine.delay
-    (Int64.of_float (float_of_int len *. Sgx.Params.memcpy_cycles_per_byte))
+  Sim.Engine.delay_cycles
+    (int_of_float (float_of_int len *. Sgx.Params.memcpy_cycles_per_byte))
 
 let arp_resolve t ip = Hashtbl.find_opt t.arp (Packet.Addr.Ip.to_int ip)
 

@@ -20,11 +20,9 @@ let open_file t ?(create = false) ?(trunc = false) path =
 let size inode = Fbuf.length inode.buf
 
 let charge_io _t nbytes =
-  let cycles =
-    Int64.add Sgx.Params.vfs_per_op
-      (Int64.of_float (float_of_int nbytes *. Sgx.Params.storage_cycles_per_byte))
-  in
-  Sim.Engine.delay cycles
+  Sim.Engine.delay_cycles
+    (Int64.to_int Sgx.Params.vfs_per_op
+    + int_of_float (float_of_int nbytes *. Sgx.Params.storage_cycles_per_byte))
 
 let read t inode ~off dst doff len =
   let n = Fbuf.read inode.buf ~off dst doff len in

@@ -132,8 +132,8 @@ let edge_drop x cause =
 let charge_per_packet () = Sim.Engine.delay Sgx.Params.xdp_redirect_per_packet
 
 let charge_copy len =
-  Sim.Engine.delay
-    (Int64.of_float (float_of_int len *. Sgx.Params.memcpy_cycles_per_byte))
+  Sim.Engine.delay_cycles
+    (int_of_float (float_of_int len *. Sgx.Params.memcpy_cycles_per_byte))
 
 (* The kernel's own validation of a user-supplied UMem offset: in range
    and frame-aligned (AF_XDP aligned mode). *)

@@ -3,7 +3,7 @@ module Trace = Trace
 
 type t = { metrics : Metrics.t; trace : Trace.t }
 
-let create ?trace_capacity ?(clock = fun () -> 0L) () =
+let create ?trace_capacity ?(clock = fun () -> 0) () =
   {
     metrics = Metrics.create ();
     trace = Trace.create ?capacity:trace_capacity ~clock ();

@@ -22,10 +22,10 @@ module Trace = Trace
 
 type t
 
-val create : ?trace_capacity:int -> ?clock:(unit -> int64) -> unit -> t
+val create : ?trace_capacity:int -> ?clock:(unit -> int) -> unit -> t
 (** [trace_capacity] bounds the event ring (default 4096);  [clock]
-    timestamps trace events (default: a constant [0L] — fine for
-    metrics-only use). *)
+    timestamps trace events as native ints (default: a constant [0] —
+    fine for metrics-only use). *)
 
 val metrics : t -> Metrics.t
 (** The shared registry all subsystems register into. *)

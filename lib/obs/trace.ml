@@ -1,26 +1,27 @@
 type event = { ts : int64; dur : int64; cat : string; name : string; arg : int }
 
 (* Struct-of-arrays ring buffer: recording an event is five array
-   stores (the string stores are pointer writes of literals), so the
-   hot path neither allocates nor copies. *)
+   stores (the string stores are pointer writes of literals, the rest
+   native ints), so the hot path neither allocates nor copies.  An
+   [event] is built, with its boxed stamps, only on read. *)
 type t = {
   cap : int;
-  e_ts : int64 array;
-  e_dur : int64 array;
+  e_ts : int array;
+  e_dur : int array;
   e_cat : string array;
   e_name : string array;
   e_arg : int array;
   mutable total : int; (* events ever recorded *)
   mutable enabled : bool;
-  clock : unit -> int64;
+  clock : unit -> int;
 }
 
 let create ?(capacity = 4096) ~clock () =
   if capacity < 1 then invalid_arg "Trace.create: capacity must be >= 1";
   {
     cap = capacity;
-    e_ts = Array.make capacity 0L;
-    e_dur = Array.make capacity 0L;
+    e_ts = Array.make capacity 0;
+    e_dur = Array.make capacity 0;
     e_cat = Array.make capacity "";
     e_name = Array.make capacity "";
     e_arg = Array.make capacity 0;
@@ -46,11 +47,10 @@ let record t ~ts ~dur ~cat ~arg name =
     t.total <- t.total + 1
   end
 
-let instant t ~cat ?(arg = 0) name =
-  record t ~ts:(t.clock ()) ~dur:0L ~cat ~arg name
+let instant t ~cat ~arg name = record t ~ts:(t.clock ()) ~dur:0 ~cat ~arg name
 
-let span t ~cat ?(arg = 0) name ~start =
-  record t ~ts:start ~dur:(Int64.sub (t.clock ()) start) ~cat ~arg name
+let span t ~cat ~arg name ~start =
+  record t ~ts:start ~dur:(t.clock () - start) ~cat ~arg name
 
 let retained t = min t.total t.cap
 
@@ -59,8 +59,8 @@ let nth_oldest t i =
   let first = if t.total <= t.cap then 0 else t.total mod t.cap in
   let j = (first + i) mod t.cap in
   {
-    ts = t.e_ts.(j);
-    dur = t.e_dur.(j);
+    ts = Int64.of_int t.e_ts.(j);
+    dur = Int64.of_int t.e_dur.(j);
     cat = t.e_cat.(j);
     name = t.e_name.(j);
     arg = t.e_arg.(j);

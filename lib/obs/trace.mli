@@ -29,25 +29,27 @@ type event = {
 
 type t
 
-val create : ?capacity:int -> clock:(unit -> int64) -> unit -> t
+val create : ?capacity:int -> clock:(unit -> int) -> unit -> t
 (** [capacity] (default 4096, minimum 1) fixes the ring size — and
     thereby the memory footprint — forever.  [clock] supplies
-    timestamps; the RAKIS runtime passes the engine's cycle counter. *)
+    timestamps as native ints; the RAKIS runtime passes the engine's
+    cycle counter ({!Sim.Engine.clock}). *)
 
 val set_enabled : t -> bool -> unit
 (** Recording toggle; events arriving while disabled are discarded.
     Export still works on whatever the ring holds. *)
 
-val now : t -> int64
+val now : t -> int
 (** Read the trace clock — capture this before an operation and hand it
     to {!span} after. *)
 
 (** {1 Recording (allocation-free)} *)
 
-val instant : t -> cat:string -> ?arg:int -> string -> unit
-(** Record a point event at the current clock value. *)
+val instant : t -> cat:string -> arg:int -> string -> unit
+(** Record a point event at the current clock value.  [arg] is the
+    event's integer payload, [0] for none. *)
 
-val span : t -> cat:string -> ?arg:int -> string -> start:int64 -> unit
+val span : t -> cat:string -> arg:int -> string -> start:int -> unit
 (** Record a complete span from [start] (a {!now} capture) to the
     current clock value. *)
 

@@ -41,8 +41,9 @@ let copy_cycles t ~crossing len =
       Params.memcpy_cycles_per_byte +. Params.boundary_copy_extra_per_byte
     else Params.memcpy_cycles_per_byte
   in
-  Int64.of_float (ceil (float_of_int len *. per_byte))
+  int_of_float (ceil (float_of_int len *. per_byte))
 
 let charge_copy t ~crossing len =
   if crossing then Obs.Metrics.add t.boundary_bytes len;
-  charge t (copy_cycles t ~crossing len)
+  let cycles = copy_cycles t ~crossing len in
+  if cycles > 0 then Sim.Engine.delay_cycles cycles

@@ -42,5 +42,5 @@ val charge_copy : t -> crossing:bool -> int -> unit
 (** Spend the cost of copying [len] bytes; [crossing] adds the enclave
     boundary surcharge in SGX mode and counts the bytes. *)
 
-val copy_cycles : t -> crossing:bool -> int -> int64
+val copy_cycles : t -> crossing:bool -> int -> int
 (** The cost {!charge_copy} would charge, without spending it. *)

@@ -9,7 +9,17 @@
 
     The engine is strictly single-threaded: processes interleave only at
     suspension points, so shared state needs no locking (simulated locks
-    exist purely to model contention costs). *)
+    exist purely to model contention costs).
+
+    Events wait in two queues.  A binary heap holds everything due
+    later; a FIFO ready ring holds events due at the current time whose
+    scheduling order is above the ring tail's — every {!wake}, {!spawn}
+    and {!yield}, which then cost a ring store instead of a heap sift.
+    The run loop takes whichever of the ring head and the heap minimum
+    comes first on (time, order scheduled), so events run in exactly
+    the order one queue would run them.  Scheduling an event stores
+    ints only: processes are named by number, and callbacks sit in a
+    table whose slot is emptied when the callback runs. *)
 
 type time = int64
 (** Simulated time in CPU cycles since the start of the run. *)
@@ -52,10 +62,11 @@ val at_clock : t -> int -> (unit -> unit) -> unit
 (** {!at} with a native time, as {!clock} reads it: the same event, at
     the same (time, order scheduled), with nothing boxed. *)
 
-val delay : time -> unit
-(** [delay d] suspends the calling process for [d] cycles, saturating
-    at the end of time like {!at}: a [d] that would overflow the clock
-    parks the process behind every finite event.  Outside any
+val delay_cycles : int -> unit
+(** [delay_cycles d] suspends the calling process for [d] cycles, a
+    native int as {!clock} reads it, saturating at the end of time like
+    {!at}: a [d] that would overflow the clock parks the process behind
+    every finite event.  A [d] of 0 or less is a {!yield}.  Outside any
     process (setup code running before {!run}) it is a no-op: simulated
     time cannot advance there and setup costs precede every measurement
     window.
@@ -65,7 +76,13 @@ val delay : time -> unit
     event, no later than the running {!run}'s [until], and {!stop} has
     not been called, the clock moves to the wake time and the process
     carries on without suspending.  It still takes the [seq] its event
-    would have had, so every event runs exactly when it would have. *)
+    would have had, so every event runs exactly when it would have.
+    The ready ring must be empty too: an event in it is due now, and so
+    comes before any resumption the delay could take. *)
+
+val delay : time -> unit
+(** {!delay_cycles} with an [int64] count: the same event, and nothing
+    boxed beyond the argument. *)
 
 val yield : unit -> unit
 (** Suspend and resume at the same simulated time, after other events
@@ -140,7 +157,8 @@ val run : ?until:time -> t -> unit
     resume after a [stop] or [until] cut-off. *)
 
 val pending : t -> int
-(** Number of queued events (diagnostic).  A process's timeouts count
+(** Number of queued events (diagnostic): the heap plus the ready
+    ring.  A process's timeouts count
     as one event, not one per armed deadline (plus one per deadline it
     armed earlier than the queued one, until the later one's time
     comes); a delay that skipped the queue counts as none.  A run ends

@@ -25,4 +25,5 @@ let () =
       ("obs", Test_obs.suite);
       ("shard", Test_shard.suite);
       ("overload", Test_overload.suite);
+      ("engine", Test_engine.suite);
     ]

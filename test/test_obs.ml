@@ -168,7 +168,7 @@ let prop_bucket_of_bounds =
 (* {1 Trace ring} *)
 
 let make_trace ?(capacity = 4) () =
-  let now = ref 0L in
+  let now = ref 0 in
   let t =
     T.create ~capacity ~clock:(fun () -> !now) ()
   in
@@ -176,8 +176,8 @@ let make_trace ?(capacity = 4) () =
 
 let test_trace_records_in_order () =
   let t, now = make_trace ~capacity:8 () in
-  T.instant t ~cat:"a" "first";
-  now := 5L;
+  T.instant t ~cat:"a" ~arg:0 "first";
+  now := 5;
   T.instant t ~cat:"a" ~arg:42 "second";
   match T.events t with
   | [ e1; e2 ] ->
@@ -191,7 +191,7 @@ let test_trace_records_in_order () =
 let test_trace_wraparound () =
   let t, now = make_trace ~capacity:4 () in
   for i = 1 to 10 do
-    now := Int64.of_int i;
+    now := i;
     T.instant t ~cat:"w" ~arg:i "e"
   done;
   check "recorded counts everything" 10 (T.recorded t);
@@ -208,8 +208,8 @@ let test_trace_wraparound () =
 let test_trace_span_duration () =
   let t, now = make_trace ~capacity:4 () in
   let start = T.now t in
-  now := 100L;
-  T.span t ~cat:"s" "op" ~start;
+  now := 100;
+  T.span t ~cat:"s" ~arg:0 "op" ~start;
   match T.events t with
   | [ e ] ->
       Alcotest.(check int64) "ts is start" 0L e.T.ts;
@@ -219,10 +219,10 @@ let test_trace_span_duration () =
 let test_trace_disable () =
   let t, _ = make_trace () in
   T.set_enabled t false;
-  T.instant t ~cat:"x" "dropped";
+  T.instant t ~cat:"x" ~arg:0 "dropped";
   check "nothing recorded" 0 (T.recorded t);
   T.set_enabled t true;
-  T.instant t ~cat:"x" "kept";
+  T.instant t ~cat:"x" ~arg:0 "kept";
   check "recording again" 1 (T.recorded t)
 
 (* {1 Chrome JSON export} *)
@@ -258,11 +258,11 @@ let json_well_formed s =
 let test_chrome_json () =
   let t, now = make_trace ~capacity:16 () in
   T.instant t ~cat:"umem" ~arg:4096 "umem.alloc";
-  now := 2400L;
+  now := 2400;
   let start = T.now t in
-  now := 4800L;
+  now := 4800;
   T.span t ~cat:"syncproxy" ~arg:3 "uring.read" ~start;
-  T.instant t ~cat:"esc" "quote\"back\\slash";
+  T.instant t ~cat:"esc" ~arg:0 "quote\"back\\slash";
   let buf = Buffer.create 256 in
   let ppf = Format.formatter_of_buffer buf in
   T.to_chrome ~us_per_cycle:(1. /. 2400.) ppf t;
@@ -302,8 +302,25 @@ let test_obs_shared_registry () =
   let c = Obs.counter o "shared.c" in
   M.incr c;
   check "visible through metrics" 1 (M.get_counter (Obs.metrics o) "shared.c");
-  T.instant (Obs.trace o) ~cat:"t" "e";
+  T.instant (Obs.trace o) ~cat:"t" ~arg:0 "e";
   check "trace attached" 1 (T.recorded (Obs.trace o))
+
+(* Recording stores ints and string pointers into the preallocated
+   ring, so a run of instants and spans, wrapping the ring many times,
+   allocates no minor word. *)
+let test_trace_records_without_allocating () =
+  let t, now = make_trace ~capacity:64 () in
+  let w0 = Gc.minor_words () in
+  for i = 1 to 10_000 do
+    now := i;
+    T.instant t ~cat:"ring" ~arg:i "xsk0.xRX.consume";
+    let start = T.now t in
+    now := i + 3;
+    T.span t ~cat:"syncproxy" ~arg:0 "uring.read" ~start
+  done;
+  let words = Gc.minor_words () -. w0 in
+  check "recorded" 20_000 (T.recorded t);
+  if words > 0. then Alcotest.failf "recording allocated %.0f minor words" words
 
 let suite =
   [
@@ -340,4 +357,6 @@ let suite =
       test_timeline_mentions_drops;
     Alcotest.test_case "obs: shared registry + trace" `Quick
       test_obs_shared_registry;
+    Alcotest.test_case "trace: recording allocates nothing" `Quick
+      test_trace_records_without_allocating;
   ]

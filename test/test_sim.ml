@@ -298,12 +298,12 @@ let test_condition_broadcast_current_waiters () =
    mostly poll timeouts) a steady-state delay resume and a wait/broadcast
    wake-up must stay within a fixed minor-heap budget per event.  The
    (time, seq) heap, the effects and the condition ring allocate
-   nothing, so the budget is exactly what the runtime allocates per
-   suspension: the continuation and its option, 4 words.  A waker
-   closure per wait adds 2.5 words per event, and a closure or tuple per
-   sift level (about 11 levels at this depth, twice per event) far
-   more. *)
-let words_per_event_budget = 4.
+   nothing, and a process holds its continuation unboxed, so the budget
+   is exactly what the runtime allocates per suspension: the
+   continuation, 2 words.  An option around it adds 2 words per event,
+   a waker closure per wait 2.5, and a closure or tuple per sift level
+   (about 11 levels at this depth, twice per event) far more. *)
+let words_per_event_budget = 2.
 
 let test_engine_alloc_budget () =
   let e = Engine.create () in
@@ -785,7 +785,7 @@ let test_timed_wait_stale_firing () =
   check "no event left" 0 (Engine.pending e)
 
 (* A timed wait queues at most one event and allocates nothing beyond the
-   suspended continuation (the 4 words of {!words_per_event_budget}), so
+   suspended continuation (the 2 words of {!words_per_event_budget}), so
    a wait that times out costs one continuation and one that is woken
    costs the same. *)
 let test_timed_wait_alloc () =

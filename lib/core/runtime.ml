@@ -29,7 +29,7 @@ type t = {
   shards : shard array;
   nic_queues : int; (* RSS universe the TX shard pick must match *)
   shared_alloc : Mem.Alloc.t;
-  owned_ports : (int, unit) Hashtbl.t;
+  owned_ports : unit Sim.Int_table.t;
   (* The io_uring and Monitor breakers stay runtime-wide: io_uring FMs
      are per-thread (not per-queue), and the watchdog is one enclave
      thread overseeing every shard's MM.  XSK breakers are per shard
@@ -128,7 +128,7 @@ let any_shard_degraded t =
 let xdp_program t shard frame =
   let dst_port = Packet.Frame.udp_dst_port frame in
   if dst_port >= 0 then
-    if not (Hashtbl.mem t.owned_ports dst_port) then Hostos.Xdp.Pass
+    if not (Sim.Int_table.mem t.owned_ports dst_port) then Hostos.Xdp.Pass
     else if Health.degraded shard.sh_breaker then Hostos.Xdp.Pass
     else Hostos.Xdp.Redirect
   else (
@@ -423,7 +423,7 @@ let boot kernel ~sgx ?(config = Config.default) () =
               shards;
               nic_queues;
               shared_alloc;
-              owned_ports = Hashtbl.create 16;
+              owned_ports = Sim.Int_table.create 16;
               uring_breaker = breaker "uring";
               mm_breaker = breaker "mm";
               uring_overload = overload "overload.uring" ~sources:1;
@@ -502,7 +502,7 @@ let udp_bind t sock port =
           sock.bound <- socks;
           sock.activity <-
             Array.to_list (Array.map Netstack.Udp_socket.activity socks);
-          Hashtbl.replace t.owned_ports p ();
+          Sim.Int_table.replace t.owned_ports p ();
           (* Bound while a breaker is already open: create the fallback
              immediately, or PASSed traffic for this port would be
              lost. *)
@@ -685,7 +685,7 @@ let udp_close t sock =
   sock.host_fd <- None;
   t.udp_socks <- List.filter (fun o -> o != sock) t.udp_socks;
   if Array.length sock.bound > 0 then begin
-    Hashtbl.remove t.owned_ports (Netstack.Udp_socket.port sock.bound.(0));
+    Sim.Int_table.remove t.owned_ports (Netstack.Udp_socket.port sock.bound.(0));
     Array.iteri
       (fun k s -> Netstack.Stack.unbind t.shards.(k).sh_stack s)
       sock.bound;

@@ -18,7 +18,7 @@ type t = {
   tcp : Tcp_core.t;
   xdp : Xdp.t;
   nics : Nic.t array;
-  fds : (fd, fd_obj) Hashtbl.t;
+  fds : fd_obj Sim.Int_table.t;
   mutable next_fd : fd;
   malice_ref : Malice.t option ref;
   faults_ref : Faults.t option ref;
@@ -62,7 +62,7 @@ let create engine ?(nic_queues = 4) () =
       tcp = Tcp_core.create engine;
       xdp = Xdp.create engine ~malice:malice_ref;
       nics;
-      fds = Hashtbl.create 32;
+      fds = Sim.Int_table.create 32;
       next_fd = 3;
       malice_ref;
       faults_ref;
@@ -99,17 +99,17 @@ let syscall _t = Sim.Engine.delay Sgx.Params.syscall_cycles
 let alloc_fd t obj =
   let fd = t.next_fd in
   t.next_fd <- t.next_fd + 1;
-  Hashtbl.add t.fds fd obj;
+  Sim.Int_table.add t.fds fd obj;
   fd
 
-let find t fd = Hashtbl.find_opt t.fds fd
+let find t fd = Sim.Int_table.find_opt t.fds fd
 
 let close t fd =
   syscall t;
   match find t fd with
   | None -> Error Abi.Errno.EBADF
   | Some obj ->
-      Hashtbl.remove t.fds fd;
+      Sim.Int_table.remove t.fds fd;
       (match obj with
       | Udp_sock s -> Udp_core.close t.udp s
       | Tcp_sock ep -> Tcp_core.close t.tcp ep
@@ -136,14 +136,14 @@ let bind t fd ip port =
 (* The datagram syscalls look their fd up without an option. *)
 let sendto t fd payload ~dst =
   syscall t;
-  match Hashtbl.find t.fds fd with
+  match Sim.Int_table.find t.fds fd with
   | Udp_sock s -> Udp_core.sendto t.udp s payload ~dst
   | _ -> Error Abi.Errno.EINVAL
   | exception Not_found -> Error Abi.Errno.EBADF
 
 let recvfrom t fd ~max =
   syscall t;
-  match Hashtbl.find t.fds fd with
+  match Sim.Int_table.find t.fds fd with
   | Udp_sock s -> Udp_core.recvfrom t.udp s ~max
   | _ -> Error Abi.Errno.EINVAL
   | exception Not_found -> Error Abi.Errno.EBADF
@@ -160,7 +160,7 @@ let listen t fd =
   | Some (Tcp_new { addr = Some (ip, port) }) -> (
       match Tcp_core.listen t.tcp ~ip ~port with
       | Ok l ->
-          Hashtbl.replace t.fds fd (Tcp_listener l);
+          Sim.Int_table.replace t.fds fd (Tcp_listener l);
           Ok ()
       | Error e -> Error e)
   | Some (Tcp_new { addr = None }) -> Error Abi.Errno.EINVAL
@@ -183,7 +183,7 @@ let connect t fd ip port =
   | Some (Tcp_new _) -> (
       match Tcp_core.connect t.tcp ~ip ~port with
       | Ok ep ->
-          Hashtbl.replace t.fds fd (Tcp_sock ep);
+          Sim.Int_table.replace t.fds fd (Tcp_sock ep);
           Ok ()
       | Error e -> Error e)
   | Some _ -> Error Abi.Errno.EINVAL
@@ -267,7 +267,7 @@ let obj_ready obj (ev : poll_event) =
   | (Xsk_fd _ | Uring_fd _), _ -> false
 
 let fd_ready t fd ev =
-  match Hashtbl.find t.fds fd with
+  match Sim.Int_table.find t.fds fd with
   | obj -> obj_ready obj ev
   | exception Not_found -> false
 
@@ -288,7 +288,7 @@ let listen_obj = function
   | File _ | Tcp_new _ | Xsk_fd _ | Uring_fd _ -> false
 
 let fd_waiters t fd =
-  match Hashtbl.find t.fds fd with
+  match Sim.Int_table.find t.fds fd with
   | Udp_sock s -> Sim.Condition.waiters (Udp_core.activity s)
   | Tcp_sock ep -> Sim.Condition.waiters (Tcp_core.activity ep)
   | Tcp_listener l -> Sim.Condition.waiters (Tcp_core.listener_activity l)
@@ -308,7 +308,7 @@ let rec any_ready obj = function
   | ev :: evs -> obj_ready obj ev || any_ready obj evs
 
 let spec_ready t ~all (fd, evs) =
-  match Hashtbl.find t.fds fd with
+  match Sim.Int_table.find t.fds fd with
   | obj -> if all then evs <> [] && all_ready obj evs else any_ready obj evs
   | exception Not_found -> false
 
@@ -338,7 +338,7 @@ let rec listen_specs t = function
   | [] -> false
   | (fd, _) :: rest ->
       let here =
-        match Hashtbl.find t.fds fd with
+        match Sim.Int_table.find t.fds fd with
         | obj -> listen_obj obj
         | exception Not_found -> false
       in
@@ -346,7 +346,7 @@ let rec listen_specs t = function
 
 let rec all_open t = function
   | [] -> true
-  | (fd, _) :: rest -> Hashtbl.mem t.fds fd && all_open t rest
+  | (fd, _) :: rest -> Sim.Int_table.mem t.fds fd && all_open t rest
 
 (* Block until some requested event is ready, waking on the fds'
    activity conditions (edge events) and falling back to a short delay
@@ -593,14 +593,14 @@ let exec_on t region ~uring ~bounce obj ~(opcode : Abi.Uring_abi.opcode)
             in
             wait ())
 
-(* Any SQE: a closed fd fails with [EBADF] ([Hashtbl.find], not
+(* Any SQE: a closed fd fails with [EBADF] ([Sim.Int_table.find], not
    [find], so the lookup allocates no option). *)
 let exec_sqe t region ~uring ~bounce ~(opcode : Abi.Uring_abi.opcode) ~fd
     ~file_off ~addr ~len ~poll_events ~fixed =
   match opcode with
   | Nop -> Io_uring.Done 0
   | _ -> (
-      match Hashtbl.find t.fds fd with
+      match Sim.Int_table.find t.fds fd with
       | exception Not_found -> err EBADF
       | obj ->
           exec_on t region ~uring ~bounce obj ~opcode ~file_off ~addr ~len

@@ -8,8 +8,8 @@ type sock = {
 type t = {
   engine : Sim.Engine.t;
   route : Packet.Addr.Ip.t -> Nic.t option;
-  by_port : (int, sock) Hashtbl.t;
-  arp : (int, Packet.Addr.Mac.t) Hashtbl.t; (* keyed by Ip as int *)
+  by_port : sock Sim.Int_table.t;
+  arp : Packet.Addr.Mac.t Sim.Int_table.t; (* keyed by Ip as int *)
   arp_resolved : Sim.Condition.t;
   mutable next_ephemeral : int;
   (* On the engine's registry, shared by every kernel on the engine. *)
@@ -24,8 +24,8 @@ let create engine ~route =
   {
     engine;
     route;
-    by_port = Hashtbl.create 16;
-    arp = Hashtbl.create 8;
+    by_port = Sim.Int_table.create 16;
+    arp = Sim.Int_table.create 8;
     arp_resolved = Sim.Condition.create ();
     next_ephemeral = 40000;
     no_socket_drops = counter "udp.no_socket_drops";
@@ -43,17 +43,17 @@ let socket _t =
 let bind t sock ip port =
   let port =
     if port = 0 then begin
-      while Hashtbl.mem t.by_port t.next_ephemeral do
+      while Sim.Int_table.mem t.by_port t.next_ephemeral do
         t.next_ephemeral <- t.next_ephemeral + 1
       done;
       t.next_ephemeral
     end
     else port
   in
-  if Hashtbl.mem t.by_port port then Error Abi.Errno.EADDRINUSE
+  if Sim.Int_table.mem t.by_port port then Error Abi.Errno.EADDRINUSE
   else begin
     sock.bound <- Some (ip, port);
-    Hashtbl.add t.by_port port sock;
+    Sim.Int_table.add t.by_port port sock;
     Ok ()
   end
 
@@ -63,9 +63,9 @@ let charge_copy len =
   Sim.Engine.delay_cycles
     (int_of_float (float_of_int len *. Sgx.Params.memcpy_cycles_per_byte))
 
-let arp_resolve t ip = Hashtbl.find_opt t.arp (Packet.Addr.Ip.to_int ip)
+let arp_resolve t ip = Sim.Int_table.find_opt t.arp (Packet.Addr.Ip.to_int ip)
 
-let add_arp t ip mac = Hashtbl.replace t.arp (Packet.Addr.Ip.to_int ip) mac
+let add_arp t ip mac = Sim.Int_table.replace t.arp (Packet.Addr.Ip.to_int ip) mac
 
 let send_arp_request nic target_ip =
   let arp =
@@ -135,7 +135,7 @@ let sendto t sock payload ~dst:(dst_ip, dst_port) =
             Error Abi.Errno.EMSGSIZE
           else
             (* A neighbour hit is read in place, with no option. *)
-            match Hashtbl.find t.arp (Packet.Addr.Ip.to_int dst_ip) with
+            match Sim.Int_table.find t.arp (Packet.Addr.Ip.to_int dst_ip) with
             | dst_mac ->
                 transmit nic ~src_port ~dst_mac ~dst_ip ~dst_port payload
             | exception Not_found -> (
@@ -160,7 +160,7 @@ let readable sock = not (Sim.Mailbox.is_empty sock.rxq)
 let close t sock =
   sock.closed <- true;
   match sock.bound with
-  | Some (_, port) -> Hashtbl.remove t.by_port port
+  | Some (_, port) -> Sim.Int_table.remove t.by_port port
   | None -> ()
 
 let handle_arp t nic arp =
@@ -191,7 +191,7 @@ let stack_input t nic frame =
   match Packet.Frame.validate_udp frame with
   | Ok payload_len -> (
       let udp_off = Packet.Eth.header_size + Packet.Ipv4.header_size in
-      match Hashtbl.find t.by_port (Packet.Udp.dst_port_at frame udp_off) with
+      match Sim.Int_table.find t.by_port (Packet.Udp.dst_port_at frame udp_off) with
       | exception Not_found -> Obs.Metrics.incr t.no_socket_drops
       | sock ->
           let payload =

@@ -6,17 +6,17 @@ type entry = Rudp of R.udp_sock | Rhost of { kfd : int; mutable pos : int }
 type env = {
   runtime : R.t;
   kernel : K.t;
-  fds : (int, entry) Hashtbl.t;
+  fds : entry Sim.Int_table.t;
   mutable next_fd : int;
 }
 
 let alloc_fd env entry =
   let fd = env.next_fd in
   env.next_fd <- env.next_fd + 1;
-  Hashtbl.add env.fds fd entry;
+  Sim.Int_table.add env.fds fd entry;
   fd
 
-let find env fd = Hashtbl.find_opt env.fds fd
+let find env fd = Sim.Int_table.find_opt env.fds fd
 
 (* The regular LibOS path for syscalls RAKIS does not accelerate:
    in-enclave dispatch plus one enclave exit. *)
@@ -34,7 +34,7 @@ type poll_set = Not_open | Rakis_only | Mixed
 let rec classify env set = function
   | [] -> set
   | (fd, _) :: rest -> (
-      match Hashtbl.find env.fds fd with
+      match Sim.Int_table.find env.fds fd with
       | exception Not_found -> Not_open
       | Rudp _ -> classify env set rest
       | Rhost _ -> classify env Mixed rest)
@@ -69,7 +69,7 @@ let rakis_ready runtime sock evs =
 let ready_revents env specs =
   List.filter_map
     (fun (fd, evs) ->
-      match Hashtbl.find env.fds fd with
+      match Sim.Int_table.find env.fds fd with
       | Rudp sock when rakis_ready env.runtime sock evs ->
           Some (fd, rakis_revents env.runtime sock evs)
       | Rudp _ | Rhost _ -> None)
@@ -78,7 +78,7 @@ let ready_revents env specs =
 let rec any_ready env = function
   | [] -> false
   | (fd, evs) :: rest -> (
-      match Hashtbl.find env.fds fd with
+      match Sim.Int_table.find env.fds fd with
       | Rudp sock -> rakis_ready env.runtime sock evs || any_ready env rest
       | Rhost _ -> any_ready env rest)
 
@@ -88,7 +88,7 @@ let rec listen_socks env = function
   | [] -> false
   | (fd, _) :: rest ->
       let conds =
-        match Hashtbl.find env.fds fd with
+        match Sim.Int_table.find env.fds fd with
         | Rudp sock -> R.udp_activity env.runtime sock
         | Rhost _ -> []
       in
@@ -124,7 +124,7 @@ let poll_mixed env proxy specs ~timeout =
   let host_specs =
     List.filter_map
       (fun (fd, evs) ->
-        match Hashtbl.find env.fds fd with
+        match Sim.Int_table.find env.fds fd with
         | Rhost { kfd; _ } -> Some (fd, kfd, evs)
         | Rudp _ -> None)
       specs
@@ -269,11 +269,11 @@ let rec api env proxy : Api.t =
         match host_call env (fun k -> K.openf k ~create ~trunc path) with
         | Ok kfd -> Ok (alloc_fd env (Rhost { kfd; pos = 0 }))
         | Error e -> Error e);
-    (* The file ops look the fd up with [Hashtbl.find], not [find]: the
+    (* The file ops look the fd up with [Sim.Int_table.find], not [find]: the
        per-op path allocates no option. *)
     read =
       (fun fd buf off len ->
-        match Hashtbl.find env.fds fd with
+        match Sim.Int_table.find env.fds fd with
         | Rhost st -> (
             match
               Rakis.Syncproxy.read proxy ~fd:st.kfd ~off:st.pos ~buf ~pos:off ~len
@@ -286,7 +286,7 @@ let rec api env proxy : Api.t =
         | exception Not_found -> Error Abi.Errno.EBADF);
     write =
       (fun fd buf off len ->
-        match Hashtbl.find env.fds fd with
+        match Sim.Int_table.find env.fds fd with
         | Rhost st -> (
             match
               Rakis.Syncproxy.write proxy ~fd:st.kfd ~off:st.pos ~buf ~pos:off ~len
@@ -299,7 +299,7 @@ let rec api env proxy : Api.t =
         | exception Not_found -> Error Abi.Errno.EBADF);
     lseek =
       (fun fd pos ->
-        match Hashtbl.find env.fds fd with
+        match Sim.Int_table.find env.fds fd with
         | Rhost st ->
             if pos < 0 then Error Abi.Errno.EINVAL
             else begin
@@ -319,13 +319,13 @@ let rec api env proxy : Api.t =
         match find env fd with
         | Some (Rudp sock) ->
             R.udp_close env.runtime sock;
-            Hashtbl.remove env.fds fd;
+            Sim.Int_table.remove env.fds fd;
             Ok ()
         | Some (Rhost { kfd; _ }) ->
             (* Drop any abandoned probe SQE still charged to this fd so
                the FM's in-flight accounting doesn't leak (§9). *)
             Rakis.Syncproxy.forget_fd proxy ~fd:kfd;
-            Hashtbl.remove env.fds fd;
+            Sim.Int_table.remove env.fds fd;
             host_call env (fun k -> K.close k kfd)
         | None -> Error Abi.Errno.EBADF);
     poll = (fun specs ~timeout -> poll env proxy specs ~timeout);
@@ -342,7 +342,7 @@ let create kernel ~sgx ?config () =
   match R.boot kernel ~sgx ?config () with
   | Error e -> Error e
   | Ok runtime -> (
-      let env = { runtime; kernel; fds = Hashtbl.create 32; next_fd = 1000 } in
+      let env = { runtime; kernel; fds = Sim.Int_table.create 32; next_fd = 1000 } in
       match R.new_thread runtime with
       | Error e -> Error e
       | Ok thread -> Ok (api env (R.syncproxy thread), runtime))

@@ -16,15 +16,21 @@ let is_trusted t = t.kind = Trusted
 
 let same a b = a.data == b.data
 
-let in_bounds t ~off ~len =
-  off >= 0 && len >= 0 && off + len >= 0 && off + len <= Bytes.length t.data
+(* With [off] and [len] non-negative, [Bytes.length t.data - len]
+   cannot overflow, so [off + len] is never formed. *)
+let[@inline] in_bounds t ~off ~len =
+  off lor len >= 0 && off <= Bytes.length t.data - len
 
-let check t off len op =
-  if not (in_bounds t ~off ~len) then
-    raise
-      (Out_of_bounds
-         (Printf.sprintf "%s: %s [%d, +%d) outside region of %d bytes" t.name
-            op off len (Bytes.length t.data)))
+let[@inline never] out_of_bounds t off len op =
+  raise
+    (Out_of_bounds
+       (Printf.sprintf "%s: %s [%d, +%d) outside region of %d bytes" t.name op
+          off len (Bytes.length t.data)))
+
+(* Inline, so an accessor pays two compares; the raise stays out of
+   line. *)
+let[@inline] check t off len op =
+  if not (in_bounds t ~off ~len) then out_of_bounds t off len op
 
 let get_u8 t off =
   check t off 1 "get_u8";

@@ -22,7 +22,7 @@ let entry mac tick = { mac; answer = Some mac; tick }
 type t = {
   engine : Sim.Engine.t;
   capacity : int;
-  table : (int, entry) Hashtbl.t;
+  table : entry Sim.Int_table.t;
   mutable clock : int;  (* LRU clock: bumped on every hit and learn *)
   conflicts : Obs.Metrics.counter;
   evictions : Obs.Metrics.counter;
@@ -36,7 +36,7 @@ let create ?obs ?(capacity = Sgx.Params.arp_cache_capacity) engine () =
   {
     engine;
     capacity = max 1 capacity;
-    table = Hashtbl.create 8;
+    table = Sim.Int_table.create 8;
     clock = 0;
     conflicts = Obs.Metrics.counter metrics "arp.conflict";
     evictions = Obs.Metrics.counter metrics "arp.evicted";
@@ -48,15 +48,17 @@ let touch t e =
   e.tick <- t.clock
 
 let lookup t ip =
-  match Hashtbl.find t.table (Packet.Addr.Ip.to_int ip) with
+  match Sim.Int_table.find t.table (Packet.Addr.Ip.to_int ip) with
   | e ->
       touch t e;
       e.answer
   | exception Not_found -> None
 
+(* Every learn and hit takes a fresh [clock] tick, so ticks are unique
+   and the victim does not depend on the table's iteration order. *)
 let evict_lru t =
   let victim =
-    Hashtbl.fold
+    Sim.Int_table.fold
       (fun k e acc ->
         match acc with
         | Some (_, best) when best.tick <= e.tick -> acc
@@ -66,25 +68,25 @@ let evict_lru t =
   match victim with
   | None -> ()
   | Some (k, _) ->
-      Hashtbl.remove t.table k;
+      Sim.Int_table.remove t.table k;
       Obs.Metrics.incr t.evictions
 
 let insert t key mac =
-  if Hashtbl.length t.table >= t.capacity then evict_lru t;
+  if Sim.Int_table.length t.table >= t.capacity then evict_lru t;
   t.clock <- t.clock + 1;
-  Hashtbl.add t.table key (entry mac t.clock)
+  Sim.Int_table.add t.table key (entry mac t.clock)
 
 let is_placeholder mac = mac = Packet.Addr.Mac.broadcast
 
 let learn t ip mac =
   let key = Packet.Addr.Ip.to_int ip in
-  (match Hashtbl.find_opt t.table key with
+  (match Sim.Int_table.find_opt t.table key with
   | None -> insert t key mac
   | Some e when e.mac = mac -> touch t e
   | Some e when is_placeholder e.mac ->
       (* real sender information replaces the failover placeholder *)
-      Hashtbl.replace t.table key (entry mac e.tick);
-      touch t (Hashtbl.find t.table key)
+      Sim.Int_table.replace t.table key (entry mac e.tick);
+      touch t (Sim.Int_table.find t.table key)
   | Some e when is_placeholder mac ->
       (* a placeholder never downgrades a resolved entry *)
       touch t e
@@ -120,7 +122,7 @@ let resolve t ip ~request =
   in
   attempt 5
 
-let entries t = Hashtbl.length t.table
+let entries t = Sim.Int_table.length t.table
 
 let conflicts t = Obs.Metrics.value t.conflicts
 

@@ -62,7 +62,7 @@ type t = {
   locking : locking;
   global_lock : Sim.Lock.t;
   table_lock : Sim.Lock.t;
-  sockets : (int, Udp_socket.t) Hashtbl.t;
+  sockets : Udp_socket.t Sim.Int_table.t;
   arp : Arp_cache.t;
   reasm : Reassembly.t;
   (* Reassembly.expired value already folded into our drop counters —
@@ -114,7 +114,7 @@ let create ?obs ?name ?arp engine ~mac ~ip ?(locking = `Fine) () =
       locking;
       global_lock = Sim.Lock.create ();
       table_lock = Sim.Lock.create ();
-      sockets = Hashtbl.create 16;
+      sockets = Sim.Int_table.create 16;
       arp =
         (match arp with Some a -> a | None -> Arp_cache.create ?obs engine ());
       reasm = Reassembly.create ~clock:(fun () -> Sim.Engine.now engine) ();
@@ -140,8 +140,9 @@ let set_overload_hooks t ~rx_gate ~on_dequeue =
   t.rx_gate <- Some rx_gate;
   t.on_dequeue <- Some on_dequeue;
   (* Sockets bound before the hooks were installed get the observer
-     retrofitted (the gate reads [t.rx_gate] live, so it needs none). *)
-  Hashtbl.iter (fun _ sock -> Udp_socket.set_on_dequeue sock on_dequeue)
+     retrofitted (the gate reads [t.rx_gate] live, so it needs none).
+     Each socket gets the same hook, so the order does not matter. *)
+  Sim.Int_table.iter (fun _ sock -> Udp_socket.set_on_dequeue sock on_dequeue)
     t.sockets
 
 (* Registry counters named [stack.drop.<reason>], created on the first
@@ -178,7 +179,7 @@ let lock_contention t =
    the original LWIP discipline; in [`Fine] mode only the socket table
    is protected and the (charged) per-packet work runs concurrently.
    The [`Fine] datapath takes no closure: a socket lookup locks the
-   table around one [Hashtbl.find]. *)
+   table around one [Sim.Int_table.find]. *)
 let with_table t f =
   match t.locking with
   | `Global -> f () (* already inside the global lock *)
@@ -187,10 +188,10 @@ let with_table t f =
 (* The socket bound to [port]; raises [Not_found]. *)
 let find_socket t port =
   match t.locking with
-  | `Global -> Hashtbl.find t.sockets port
+  | `Global -> Sim.Int_table.find t.sockets port
   | `Fine -> (
       Sim.Lock.acquire t.table_lock;
-      match Hashtbl.find t.sockets port with
+      match Sim.Int_table.find t.sockets port with
       | sock ->
           Sim.Lock.release t.table_lock;
           sock
@@ -216,7 +217,7 @@ let bind t ~port =
              and keeps its RSS steering — like the original allocator. *)
           let rec scan p tries =
             if tries = 0 then None
-            else if Hashtbl.mem t.sockets p then
+            else if Sim.Int_table.mem t.sockets p then
               scan
                 (if p >= ephemeral_last then ephemeral_first else p + 1)
                 (tries - 1)
@@ -232,7 +233,7 @@ let bind t ~port =
       match port with
       | None -> Error `Port_in_use
       | Some port ->
-          if Hashtbl.mem t.sockets port then Error `Port_in_use
+          if Sim.Int_table.mem t.sockets port then Error `Port_in_use
           else begin
             let sock =
               Udp_socket.create
@@ -242,12 +243,12 @@ let bind t ~port =
             (match t.on_dequeue with
             | Some f -> Udp_socket.set_on_dequeue sock f
             | None -> ());
-            Hashtbl.add t.sockets port sock;
+            Sim.Int_table.add t.sockets port sock;
             Ok sock
           end)
 
 let unbind t sock =
-  with_table t (fun () -> Hashtbl.remove t.sockets (Udp_socket.port sock))
+  with_table t (fun () -> Sim.Int_table.remove t.sockets (Udp_socket.port sock))
 
 let send_frame t transmit ~src_port ~dst_mac ~dst_ip ~dst_port payload =
   charge_packet ();

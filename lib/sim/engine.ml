@@ -8,15 +8,16 @@ exception Not_in_process
    [-(s + 1)].  Scheduling an event therefore stores only ints, which
    neither allocate nor pass through the write barrier.
 
-   An event waits in one of two queues.  The heap is a binary min-heap
-   over (time, seq) kept as three parallel int arrays: slot [i] is event
-   [codes.(i)] due at [times.(i)], scheduled [seqs.(i)]-th.  The ready
-   ring is a FIFO of events due at the current clock, in (seq) order:
-   an event goes there when it is due now and its [seq] is above the
-   ring tail's, which is every wake, spawn and yield.  Nothing in the
-   ring is ever due later than [clock]: the clock moves only by running
-   the earliest event, and when [run ~until] winds it back the ring is
-   flushed into the heap.  [seq] is unique per engine, so the order is
+   An event waits in one of two queues.  The heap is a 4-ary min-heap
+   over (time, seq) in one flat int array: entry [i] is the triple at
+   [3 * i], event [heap.(3i + 2)] due at [heap.(3i)], scheduled
+   [heap.(3i + 1)]-th.  The ready ring is a FIFO of events due at the
+   current clock, in (seq) order: an event goes there when it is due
+   now and its [seq] is above the ring tail's, which is every wake,
+   spawn and yield.  Nothing in the ring is ever due later than
+   [clock], and the clock never moves back: it moves only by running
+   the earliest event or to a [run ~until] horizon, which is never
+   behind it.  [seq] is unique per engine, so the order is
    total, and running whichever of the ring head and the heap minimum
    comes first on (time, seq) runs events in exactly the order one
    queue would.  Times are kept as native ints (simulated cycles stay
@@ -29,9 +30,7 @@ type t = {
   mutable clock : int;
   mutable seq : int;
   mutable len : int;
-  mutable times : int array;
-  mutable seqs : int array;
-  mutable codes : int array;
+  mutable heap : int array;  (* [3 * capacity] *)
   mutable r_head : int;
   mutable r_len : int;
   mutable r_seqs : int array;  (* capacity a power of two *)
@@ -136,72 +135,88 @@ let current : process option ref = ref None
 
 let nop () = ()
 
-(* {1 Event heap} *)
+(* {1 Event heap}
 
-let set_entry t i time seq code =
-  t.times.(i) <- time;
-  t.seqs.(i) <- seq;
-  t.codes.(i) <- code
+   Entry [i]'s children are entries [4i + 1] to [4i + 4], its parent
+   entry [(i - 1) / 4]: half the depth of a binary heap, and a node's
+   children side by side in memory.  Every comparison and array access
+   is typed [int], so it compiles to a machine compare or load, not a
+   call to the polymorphic compare or to a generic array primitive. *)
 
-let move_entry t ~src ~dst =
-  set_entry t dst t.times.(src) t.seqs.(src) t.codes.(src)
-
-(* Whether heap entry [i] runs before an event at [(time, seq)]. *)
-let before t i time seq =
-  let ti = t.times.(i) in
-  ti < time || (ti = time && t.seqs.(i) < seq)
+(* Whether [(time, seq)] runs before [(time', seq')]. *)
+let[@inline] earlier (time : int) (seq : int) (time' : int) (seq' : int) =
+  time < time' || (time = time' && seq < seq')
 
 let extend a used cap fill =
   let b = Array.make cap fill in
   Array.blit a 0 b 0 used;
   b
 
-let grow t =
-  let cap = 2 * Array.length t.times in
-  t.times <- extend t.times t.len cap 0;
-  t.seqs <- extend t.seqs t.len cap 0;
-  t.codes <- extend t.codes t.len cap 0
+let[@inline] fill (h : int array) i time seq code =
+  let b = 3 * i in
+  h.(b) <- time;
+  h.(b + 1) <- seq;
+  h.(b + 2) <- code
+
+(* Move entry [src] into entry [dst]. *)
+let[@inline] move (h : int array) ~src ~dst =
+  let s = 3 * src and d = 3 * dst in
+  h.(d) <- h.(s);
+  h.(d + 1) <- h.(s + 1);
+  h.(d + 2) <- h.(s + 2)
 
 (* Move the hole at [i] up until its parent runs before [(time, seq)],
    then fill it. *)
-let rec sift_up t i time seq code =
-  let p = (i - 1) / 2 in
-  if i > 0 && not (before t p time seq) then begin
-    move_entry t ~src:p ~dst:i;
-    sift_up t p time seq code
-  end
-  else set_entry t i time seq code
-
-(* Move the hole at [i] down until both children run after
-   [(time, seq)], then fill it. *)
-let rec sift_down t i time seq code =
-  let l = (2 * i) + 1 in
-  if l >= t.len then set_entry t i time seq code
+let rec sift_up h i time seq code =
+  if i = 0 then fill h 0 time seq code
   else
-    let c =
-      if l + 1 < t.len && before t (l + 1) t.times.(l) t.seqs.(l) then l + 1
-      else l
-    in
-    if before t c time seq then begin
-      move_entry t ~src:c ~dst:i;
-      sift_down t c time seq code
+    let p = (i - 1) lsr 2 in
+    if earlier time seq h.(3 * p) h.((3 * p) + 1) then begin
+      move h ~src:p ~dst:i;
+      sift_up h p time seq code
     end
-    else set_entry t i time seq code
+    else fill h i time seq code
+
+(* Move the hole at [i] down until every child runs after
+   [(time, seq)], then fill it; [len] entries are in use. *)
+let rec sift_down h len i time seq code =
+  let first = (4 * i) + 1 in
+  if first >= len then fill h i time seq code
+  else begin
+    let last = if first + 3 < len then first + 3 else len - 1 in
+    let c = ref first in
+    let ct = ref h.(3 * first) and cs = ref h.((3 * first) + 1) in
+    for j = first + 1 to last do
+      let jt = h.(3 * j) and js = h.((3 * j) + 1) in
+      if earlier jt js !ct !cs then begin
+        c := j;
+        ct := jt;
+        cs := js
+      end
+    done;
+    if earlier !ct !cs time seq then begin
+      move h ~src:!c ~dst:i;
+      sift_down h len !c time seq code
+    end
+    else fill h i time seq code
+  end
 
 (* Queue [code] at [(time, seq)] in the heap; [seq] must be one no
    queued event has. *)
 let push_heap t time seq code =
-  if t.len = Array.length t.times then grow t;
+  if 3 * t.len = Array.length t.heap then
+    t.heap <- extend t.heap (3 * t.len) (2 * Array.length t.heap) 0;
   t.len <- t.len + 1;
-  sift_up t (t.len - 1) time seq code
+  sift_up t.heap (t.len - 1) time seq code
 
 (* Remove the earliest heap event and return its code. *)
 let pop_heap t =
-  let code = t.codes.(0) in
+  let h = t.heap in
+  let code = h.(2) in
   let last = t.len - 1 in
   t.len <- last;
   if last > 0 then
-    sift_down t 0 t.times.(last) t.seqs.(last) t.codes.(last);
+    sift_down h last 0 h.(3 * last) h.((3 * last) + 1) h.((3 * last) + 2);
   code
 
 (* {1 Ready ring} *)
@@ -244,14 +259,6 @@ let schedule t time seq code =
 let push t time code =
   t.seq <- t.seq + 1;
   schedule t time t.seq code
-
-(* Move everything in the ring to the heap, where it keeps its time and
-   [seq]: for a clock about to move back. *)
-let flush_ring t =
-  while t.r_len > 0 do
-    let seq = t.r_seqs.(t.r_head) in
-    push_heap t t.clock seq (ring_pop t)
-  done
 
 (* {1 Callback slots} *)
 
@@ -308,9 +315,7 @@ let create () =
     clock = 0;
     seq = 0;
     len = 0;
-    times = Array.make 64 0;
-    seqs = Array.make 64 0;
-    codes = Array.make 64 0;
+    heap = Array.make (3 * 64) 0;
     r_head = 0;
     r_len = 0;
     r_seqs = Array.make 64 0;
@@ -362,7 +367,7 @@ let delay_cycles d =
       let w = after t d in
       if
         w <= t.horizon && t.r_len = 0
-        && (t.len = 0 || w < t.times.(0))
+        && (t.len = 0 || w < t.heap.(0))
         && not t.stopped
       then begin
         (* The resumption would be the next event the run loop runs:
@@ -552,27 +557,29 @@ let dispatch t code =
   else (take_slot t (-code - 1)) ()
 
 let run ?until t =
-  t.stopped <- false;
   let horizon =
     match until with
     | None -> max_int
     | Some u -> native u
   in
-  t.horizon <- horizon;
   let rec loop () =
     if t.stopped then ()
     else
       let from_ring =
-        t.r_len > 0 && not (t.len > 0 && before t 0 t.clock t.r_seqs.(t.r_head))
+        t.r_len > 0
+        && not
+             (t.len > 0 && earlier t.heap.(0) t.heap.(1) t.clock t.r_seqs.(t.r_head))
       in
       if (not from_ring) && t.len = 0 then ()
       else
-        let time = if from_ring then t.clock else t.times.(0) in
+        let time = if from_ring then t.clock else t.heap.(0) in
         if time > horizon then begin
-          (* Leave future events queued so a later [run] can resume. *)
+          (* Leave future events queued so a later [run] can resume.
+             Only a heap event can be due after the horizon, and then
+             the ring is empty: its events are due at the clock, which
+             is no later than the horizon. *)
           match until with
           | Some u ->
-              flush_ring t;
               t.clock <- horizon;
               t.now <- u;
               t.boxed <- horizon
@@ -585,7 +592,7 @@ let run ?until t =
               ring_pop t
             end
             else begin
-              t.running <- t.seqs.(0);
+              t.running <- t.heap.(1);
               pop_heap t
             end
           in
@@ -599,6 +606,12 @@ let run ?until t =
           loop ()
         end
   in
-  loop ()
+  (* A horizon behind the clock has passed: nothing is due before it,
+     and the clock does not move back to it. *)
+  if horizon >= t.clock then begin
+    t.stopped <- false;
+    t.horizon <- horizon;
+    loop ()
+  end
 
 let in_process () = !current <> None

@@ -11,10 +11,11 @@
     suspension points, so shared state needs no locking (simulated locks
     exist purely to model contention costs).
 
-    Events wait in two queues.  A binary heap holds everything due
-    later; a FIFO ready ring holds events due at the current time whose
-    scheduling order is above the ring tail's — every {!wake}, {!spawn}
-    and {!yield}, which then cost a ring store instead of a heap sift.
+    Events wait in two queues.  A 4-ary heap in one flat [int] array
+    holds everything due later; a FIFO ready ring holds events due at
+    the current time whose scheduling order is above the ring tail's —
+    every {!wake}, {!spawn} and {!yield}, which then cost a ring store
+    instead of a heap sift.
     The run loop takes whichever of the ring head and the heap minimum
     comes first on (time, order scheduled), so events run in exactly
     the order one queue would run them.  Scheduling an event stores
@@ -154,7 +155,9 @@ val stop : t -> unit
 val run : ?until:time -> t -> unit
 (** Execute events in time order until the queue is empty, [stop] was
     called, or the clock would pass [until].  May be called again to
-    resume after a [stop] or [until] cut-off. *)
+    resume after a [stop] or [until] cut-off.  An [until] behind the
+    clock has passed: the run returns at once and leaves the clock and
+    the queue as they are. *)
 
 val pending : t -> int
 (** Number of queued events (diagnostic): the heap plus the ready

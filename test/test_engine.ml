@@ -47,7 +47,9 @@ let after clock d =
 
 (* {1 The engine} *)
 
-let run_engine prog =
+(* [most], if given, ends up holding the most events ever queued at
+   once just after a callback was scheduled. *)
+let run_engine ?(most = ref 0) prog =
   let e = Engine.create () in
   let log = ref [] in
   let note who what arg =
@@ -90,8 +92,12 @@ let run_engine prog =
         Engine.park ();
         note id "park" 0
     | Wake j -> wake_published j
-    | At (dt, w) -> Engine.at e (Int64.of_int (Engine.clock e + dt)) (callback w)
-    | At_clock (dt, w) -> Engine.at_clock e (Engine.clock e + dt) (callback w)
+    | At (dt, w) ->
+        Engine.at e (Int64.of_int (Engine.clock e + dt)) (callback w);
+        most := max !most (Engine.pending e)
+    | At_clock (dt, w) ->
+        Engine.at_clock e (Engine.clock e + dt) (callback w);
+        most := max !most (Engine.pending e)
     | Spawn script -> spawn script
     | Arm d -> Engine.arm_timeout (Int64.of_int d)
     | Arm_at dt -> Engine.arm_timeout_at (Engine.clock e + dt)
@@ -249,7 +255,6 @@ let run_reference prog =
         end
   in
   let run horizon =
-    stopped := false;
     let rec loop () =
       match !queue with
       | [] -> ()
@@ -263,7 +268,11 @@ let run_reference prog =
             loop ()
           end
     in
-    loop ()
+    (* A horizon already passed runs nothing and leaves the clock. *)
+    if horizon >= !clock then begin
+      stopped := false;
+      loop ()
+    end
   in
   List.iter spawn prog.procs;
   let after_runs =
@@ -365,6 +374,81 @@ let prop_order_matches_reference =
          || QCheck.Test.fail_reportf "engine:\n%s\nreference:\n%s"
               (print_outcome got) (print_outcome want)))
 
+(* {1 Many processes, many callbacks}
+
+   The programs above rarely queue more than a dozen events.  These
+   spawn 16 to 24 processes, each scheduling 13 to 16 callbacks at a
+   handful of colliding times, at least 8 of them before it first
+   suspends: over 200 callbacks in all and 128 or more queued at once, so
+   the heap grows past its initial 64 entries, and a sift compares all
+   four children of a node, mostly on [seq] because their times
+   tie. *)
+
+let gen_stress_program =
+  let open QCheck.Gen in
+  let target = 0 -- 23 in
+  let waker = opt ~ratio:0.3 target in
+  let callback =
+    frequency
+      [
+        (1, map2 (fun dt w -> At (dt, w)) (-2 -- 6) waker);
+        (1, map2 (fun dt w -> At_clock (dt, w)) (-2 -- 6) waker);
+      ]
+  in
+  let leaf =
+    frequency
+      [
+        (3, map (fun d -> Delay d) (0 -- 6));
+        (2, return Yield);
+        (2, return Park);
+        (3, map (fun j -> Wake j) target);
+        (2, map (fun d -> Arm d) (0 -- 6));
+        (2, return Timed_park);
+        (1, return Disarm);
+      ]
+  in
+  (* At least 8 callbacks before a process first suspends, so 16
+     processes starting at once queue 128 or more of them. *)
+  let script =
+    list_size (8 -- 10) callback >>= fun first ->
+    list_size (5 -- 6) callback >>= fun cbs ->
+    list_size (0 -- 8) leaf >>= fun rest ->
+    map (fun tail -> first @ tail) (shuffle_l (cbs @ rest))
+  in
+  let runs = map (fun rs -> rs @ [ None ]) (list_size (0 -- 2) (map Option.some (0 -- 6))) in
+  map2 (fun procs runs -> { procs; runs }) (list_size (16 -- 24) script) runs
+
+let prop_stress_matches_reference =
+  QCheck_alcotest.to_alcotest ~rand:(Flake.rand ())
+    (QCheck.Test.make
+       ~name:"engine: 16+ processes and 200+ colliding callbacks match the reference"
+       ~count:300
+       (QCheck.make ~print:print_program gen_stress_program)
+       (fun prog ->
+         let most = ref 0 in
+         let got = run_engine ~most prog and want = run_reference prog in
+         (got = want
+         || QCheck.Test.fail_reportf "engine:\n%s\nreference:\n%s"
+              (print_outcome got) (print_outcome want))
+         && (!most >= 128
+            || QCheck.Test.fail_reportf "only %d events queued at once" !most)))
+
+(* A horizon behind the clock: the first run stops at 10 with a
+   callback queued for 25; a run until 6 must neither run it nor wind
+   the clock back to 6. *)
+let test_past_horizon () =
+  let prog =
+    { procs = [ [ Delay 5; At (20, None) ] ]; runs = [ Some 10; Some (-4); None ] }
+  in
+  let got = run_engine prog in
+  Alcotest.(check (list (pair int bool)))
+    "clock and emptiness after each run"
+    [ (10, false); (10, false); (25, true) ]
+    got.after_runs;
+  Alcotest.(check string)
+    "same as the reference" (print_outcome (run_reference prog))
+    (print_outcome got)
+
 (* {1 What a suspension allocates}
 
    A suspension stores its continuation and queues an int, so the only
@@ -430,4 +514,7 @@ let suite =
      test_delay_alloc);
     ("engine: park/wake allocates only the continuation", `Quick,
      test_park_wake_alloc);
+    prop_stress_matches_reference;
+    ("engine: a run until a passed horizon leaves clock and queue", `Quick,
+     test_past_horizon);
   ]

@@ -90,6 +90,11 @@ let checksum =
     (let b = Bytes.make 1460 '\x5a' in
      Staged.stage (fun () -> ignore (Packet.Checksum.compute b 0 1460)))
 
+let checksum_header =
+  Test.make ~name:"checksum: 20 bytes (an IPv4 header)"
+    (let b = Bytes.make 20 '\x5a' in
+     Staged.stage (fun () -> ignore (Packet.Checksum.compute b 0 20)))
+
 let checksum_scalar =
   Test.make ~name:"checksum: 1460 bytes, 16-bit scalar loop"
     (let b = Bytes.make 1460 '\x5a' in
@@ -127,6 +132,7 @@ let run () =
       certified_batched_roundtrip;
       raw_roundtrip;
       checksum;
+      checksum_header;
       checksum_scalar;
       sqe_codec;
     ]

@@ -76,9 +76,9 @@ type zc = {
   pool : Umem.t;
   arena : Mem.Ptr.t;
   zframe : int; (* bytes per pool frame *)
-  notif_pending : (int, notif_rec) Hashtbl.t;
-  ms_by_fd : (int, ms) Hashtbl.t;
-  ms_by_ud : (int, ms) Hashtbl.t;
+  notif_pending : notif_rec Sim.Int_table.t;
+  ms_by_fd : ms Sim.Int_table.t;
+  ms_by_ud : ms Sim.Int_table.t;
   provide : int -> unit; (* push a buffer id into the shared buf_ring *)
   zc_sends : Obs.Metrics.counter;
   zc_fallbacks : Obs.Metrics.counter;
@@ -107,13 +107,14 @@ type t = {
   mutable reaped : int;
   mutable strays : int;
   mutable next_user_data : int;
-  (* By native [user_data]: [Hashtbl.find] neither boxes nor hashes an
-     [int64], and a miss raises instead of allocating an option. *)
-  pending : (int, pending) Hashtbl.t;
-  probes : (int, pending) Hashtbl.t; (* outstanding Poll_add per fd *)
+  (* By native [user_data]: a find neither boxes an [int64] nor calls the
+     polymorphic hash or compare, and a miss raises instead of
+     allocating an option. *)
+  pending : pending Sim.Int_table.t;
+  probes : pending Sim.Int_table.t; (* outstanding Poll_add per fd *)
   (* In-flight accounting: [live] is maintained op-by-op (incremented on
      submit, decremented on settle/abandon/forget) as an independent
-     shadow of [Hashtbl.length pending]; [accounting_holds] cross-checks
+     shadow of the length of [pending]; [accounting_holds] cross-checks
      the two so a path that drops a record without retiring it — the
      historical ETIMEDOUT leak — trips the runtime invariant. *)
   mutable live : int;
@@ -169,7 +170,7 @@ let retries_exhausted t = Obs.Metrics.value t.retry_exhausted
 let invariant_holds t =
   Rings.Certified.invariant_holds t.sq && Rings.Certified.invariant_holds t.cq
 
-let inflight t = Hashtbl.length t.pending
+let inflight t = Sim.Int_table.length t.pending
 
 let sheds t = Obs.Metrics.value t.sheds
 
@@ -180,16 +181,16 @@ let zc_leaks t =
   match t.zc with
   | None -> 0
   | Some z ->
-      Hashtbl.fold
+      Sim.Int_table.fold
         (fun _ (nr : notif_rec) n -> if nr.completed then n + 1 else n)
         z.notif_pending 0
 
 let accounting_holds t =
   t.live >= 0
-  && t.live = Hashtbl.length t.pending
-  && Hashtbl.fold
+  && t.live = Sim.Int_table.length t.pending
+  && Sim.Int_table.fold
        (fun _ (p : pending) ok ->
-         ok && (p.settled || Hashtbl.mem t.pending p.user_data))
+         ok && (p.settled || Sim.Int_table.mem t.pending p.user_data))
        t.probes true
   && (match t.zc with
      | None -> true
@@ -197,14 +198,14 @@ let accounting_holds t =
          (* Every Registered frame has exactly one notif-pending entry
             and vice versa — the notif-anchored ownership contract of
             docs/zerocopy.md, checked as a runtime invariant. *)
-         Umem.registered z.pool = Hashtbl.length z.notif_pending
+         Umem.registered z.pool = Sim.Int_table.length z.notif_pending
          && Umem.conservation_holds z.pool)
 
 (* The single point where an in-flight record is reclaimed; membership
    guard keeps settle-then-abandon races idempotent. *)
 let retire t user_data =
-  if Hashtbl.mem t.pending user_data then begin
-    Hashtbl.remove t.pending user_data;
+  if Sim.Int_table.mem t.pending user_data then begin
+    Sim.Int_table.remove t.pending user_data;
     t.live <- t.live - 1
   end
 
@@ -234,7 +235,7 @@ let settle t (p : pending) res =
 let zc_mark_completed t ~user_data ~flags =
   match t.zc with
   | Some z when flags land Abi.Uring_abi.cqe_f_more <> 0 -> (
-      match Hashtbl.find_opt z.notif_pending user_data with
+      match Sim.Int_table.find_opt z.notif_pending user_data with
       | Some nr when not nr.completed ->
           nr.completed <- true;
           true
@@ -253,9 +254,9 @@ let zc_cqe t ~user_data ~res ~flags =
   | None -> false
   | Some z ->
       if flags land Abi.Uring_abi.cqe_f_notif <> 0 then begin
-        (match Hashtbl.find_opt z.notif_pending user_data with
+        (match Sim.Int_table.find_opt z.notif_pending user_data with
         | Some nr when nr.completed -> (
-            Hashtbl.remove z.notif_pending user_data;
+            Sim.Int_table.remove z.notif_pending user_data;
             Obs.Metrics.incr z.zc_notifs;
             match Umem.release z.pool ~offset:nr.zoff with
             | Ok () -> ()
@@ -278,7 +279,7 @@ let zc_cqe t ~user_data ~res ~flags =
         true
       end
       else
-        match Hashtbl.find_opt z.ms_by_ud user_data with
+        match Sim.Int_table.find_opt z.ms_by_ud user_data with
         | None -> false
         | Some ms ->
             (if flags land Abi.Uring_abi.cqe_f_more <> 0 then begin
@@ -318,7 +319,7 @@ let zc_cqe t ~user_data ~res ~flags =
                (* Terminating CQE (no F_MORE): the multishot is over —
                   EOF, error, or ENOBUFS when the ring ran dry. *)
                ms.terminal <- Some res;
-               Hashtbl.remove z.ms_by_ud user_data;
+               Sim.Int_table.remove z.ms_by_ud user_data;
                retire t user_data
              end);
             true
@@ -331,7 +332,7 @@ let cqe_read t ~slot_off _ =
   and flags = Abi.Uring_abi.cqe_flags r slot_off in
   if zc_cqe t ~user_data ~res ~flags then t.reaped <- t.reaped + 1
   else
-    match Hashtbl.find t.pending user_data with
+    match Sim.Int_table.find t.pending user_data with
     | p ->
         retire t user_data;
         settle t p res;
@@ -371,7 +372,7 @@ let sqe_write t ~slot_off i =
     { user_data; expected_max = q.expected_max; settled = false;
       outcome = Error EAGAIN }
   in
-  Hashtbl.add t.pending user_data p;
+  Sim.Int_table.add t.pending user_data p;
   t.live <- t.live + 1;
   q.issued <- p
 
@@ -511,8 +512,8 @@ let create ?obs ?(name = "uring") ~enclave ~config ~monitor ~breaker ~fd ~uring
         reaped = 0;
         strays = 0;
         next_user_data = 1;
-        pending = Hashtbl.create 8;
-        probes = Hashtbl.create 8;
+        pending = Sim.Int_table.create 8;
+        probes = Sim.Int_table.create 8;
         live = 0;
         probe_mode = false;
         sq_full_streak = 0;
@@ -544,9 +545,9 @@ let create ?obs ?(name = "uring") ~enclave ~config ~monitor ~breaker ~fd ~uring
                     ~frame_size:Sgx.Params.zc_frame_size ();
                 arena = a;
                 zframe = Sgx.Params.zc_frame_size;
-                notif_pending = Hashtbl.create 8;
-                ms_by_fd = Hashtbl.create 4;
-                ms_by_ud = Hashtbl.create 4;
+                notif_pending = Sim.Int_table.create 8;
+                ms_by_fd = Sim.Int_table.create 4;
+                ms_by_ud = Sim.Int_table.create 4;
                 provide = (fun id -> Hostos.Io_uring.provide_buffer uring id);
                 zc_sends = Obs.Metrics.counter m (name ^ ".zc_sends");
                 zc_fallbacks = Obs.Metrics.counter m (name ^ ".zc_fallbacks");
@@ -719,7 +720,7 @@ let submit_wait t ~opcode ~fd ~file_off ~addr ~len ~poll_events ~buf_index
    ops are in flight — a bounded queue with EAGAIN backpressure to the
    app, never a silent drop of accepted work. *)
 let admit t =
-  if Hashtbl.length t.pending >= t.max_pending then begin
+  if Sim.Int_table.length t.pending >= t.max_pending then begin
     Obs.Metrics.incr t.sheds;
     Health.record_shed t.breaker;
     false
@@ -798,7 +799,7 @@ let zc_submit_wait t z ~fd ~addr ~len ~buf_index ~zoff =
     Error Abi.Errno.EAGAIN
   end
   else begin
-      Hashtbl.replace z.notif_pending p.user_data
+      Sim.Int_table.replace z.notif_pending p.user_data
         { zoff; completed = false };
       let start = Sim.Engine.clock t.engine in
       Sgx.Enclave.charge t.enclave Sgx.Params.iouring_sync_wait_cycles;
@@ -929,12 +930,12 @@ let ms_arm t z ~fd =
           { ms_p = p; outcomes = Queue.create (); terminal = None;
             leftover = None }
         in
-        Hashtbl.replace z.ms_by_fd fd ms;
-        Hashtbl.replace z.ms_by_ud p.user_data ms;
+        Sim.Int_table.replace z.ms_by_fd fd ms;
+        Sim.Int_table.replace z.ms_by_ud p.user_data ms;
         true
 
 let rec ms_recv t z ~fd ~buf ~pos ~len =
-  match Hashtbl.find_opt z.ms_by_fd fd with
+  match Sim.Int_table.find_opt z.ms_by_fd fd with
   | None ->
       if ms_arm t z ~fd then ms_recv t z ~fd ~buf ~pos ~len
       else begin
@@ -960,7 +961,7 @@ let rec ms_recv t z ~fd ~buf ~pos ~len =
           else (
             match ms.terminal with
             | Some res -> (
-                Hashtbl.remove z.ms_by_fd fd;
+                Sim.Int_table.remove z.ms_by_fd fd;
                 if res = 0 then Ok 0
                 else
                   match Abi.Errno.of_int (-res) with
@@ -1039,7 +1040,7 @@ let forget_fd t ~fd =
   (match t.zc with
   | None -> ()
   | Some z -> (
-      match Hashtbl.find_opt z.ms_by_fd fd with
+      match Sim.Int_table.find_opt z.ms_by_fd fd with
       | None -> ()
       | Some ms ->
           (* Closing an fd with a live multishot: retire its in-flight
@@ -1047,15 +1048,15 @@ let forget_fd t ~fd =
              stay [With_kernel Rx] — the shared ring still names them
              and any later stream on any fd may legitimately fill
              them. *)
-          Hashtbl.remove z.ms_by_fd fd;
-          Hashtbl.remove z.ms_by_ud ms.ms_p.user_data;
+          Sim.Int_table.remove z.ms_by_fd fd;
+          Sim.Int_table.remove z.ms_by_ud ms.ms_p.user_data;
           retire t ms.ms_p.user_data));
-  match Hashtbl.find_opt t.probes fd with
+  match Sim.Int_table.find_opt t.probes fd with
   | None -> ()
   | Some p ->
       (* Closing an fd with an unsettled readiness probe used to leak
          both the probe and its pending record forever. *)
-      Hashtbl.remove t.probes fd;
+      Sim.Int_table.remove t.probes fd;
       retire t p.user_data
 
 (* Multi-fd poll (the API submodule's io_uring side, paper §4.2): keep
@@ -1066,7 +1067,7 @@ let poll_multi t specs ~timeout =
   let staged =
     List.fold_left
       (fun i (fd, events) ->
-        if Hashtbl.mem t.probes fd then i
+        if Sim.Int_table.mem t.probes fd then i
         else begin
           stage t i ~opcode:Poll_add ~fd ~file_off:0 ~addr:0 ~len:0
             ~poll_events:events ~buf_index:0 ~fixed:false
@@ -1078,7 +1079,7 @@ let poll_multi t specs ~timeout =
   if staged > 0 then
     for i = 0 to submit_burst t staged - 1 do
       let q = t.reqs.(i) in
-      Hashtbl.add t.probes q.fd q.issued
+      Sim.Int_table.add t.probes q.fd q.issued
     done;
   let timer_fired = ref false in
   (match timeout with
@@ -1092,7 +1093,7 @@ let poll_multi t specs ~timeout =
   let completed () =
     List.find_map
       (fun (fd, _) ->
-        match Hashtbl.find_opt t.probes fd with
+        match Sim.Int_table.find_opt t.probes fd with
         | Some p when p.settled -> Some (fd, p.outcome)
         | Some _ | None -> None)
       specs
@@ -1100,7 +1101,7 @@ let poll_multi t specs ~timeout =
   let rec wait () =
     match completed () with
     | Some (fd, outcome) -> (
-        Hashtbl.remove t.probes fd;
+        Sim.Int_table.remove t.probes fd;
         match outcome with
         | Ok mask -> Ok (Some (fd, mask))
         | Error e -> Error e)

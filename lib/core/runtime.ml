@@ -656,8 +656,8 @@ let rec recv_any t sock socks conds ~max =
         let engine = Hostos.Kernel.engine t.kernel in
         let wake = List.hd conds in
         let fired = ref false in
-        Sim.Engine.at engine
-          (Int64.add (Sim.Engine.now engine) Sgx.Params.xsk_rekick_period)
+        Sim.Engine.at_clock engine
+          (Sim.Engine.clock engine + Int64.to_int Sgx.Params.xsk_rekick_period)
           (fun () ->
             if not !fired then begin
               fired := true;

@@ -2,10 +2,14 @@
 
 val ones_sum : ?init:int -> Bytes.t -> int -> int -> int
 (** [ones_sum ~init b off len] folds the 16-bit one's-complement sum of
-    [len] bytes starting at [off] into [init] (an odd trailing byte is
-    padded with zero, as the RFC specifies).  Internally sums 64-bit
-    big-endian words with a 16-bit tail loop — RFC 1071 §2(A) allows
-    any grouping because the sum is mod [0xffff]. *)
+    [len] bytes starting at [off] into [init], a non-negative partial
+    sum (an odd trailing byte is padded with zero, as the RFC
+    specifies).  A [len <= 0] sums nothing and returns [init] folded;
+    otherwise a range outside [b] raises [Invalid_argument] before any
+    byte is read.  Internally sums native-endian 64-bit words in two
+    accumulators and byte-swaps the folded sum once — RFC 1071 §2(A)
+    and §2(B) allow any grouping and either byte order because the sum
+    is mod [0xffff].  Allocates nothing. *)
 
 val ones_sum_scalar : ?init:int -> Bytes.t -> int -> int -> int
 (** The straightforward 16-bit-at-a-time loop, kept as the reference

@@ -417,21 +417,27 @@ let prop_parsers_total =
       true)
 
 let prop_checksum_word_equals_scalar =
-  (* The 64-bit-word ones_sum must agree with the 16-bit reference loop
-     for every buffer, offset, length and initial sum — including the
-     unaligned offsets and odd tails the rx path produces. *)
+  (* The word-parallel ones_sum must agree with the 16-bit reference loop
+     for every buffer, offset, length and initial sum.  Buffers reach
+     2048 bytes, so the 64-byte block loop runs and leaves every tail
+     (whole words, a 32-bit and a 16-bit piece, an odd last byte);
+     offsets take every residue mod 8, as the unaligned rx path does. *)
   QCheck.Test.make
     ~name:"checksum: word-at-a-time ones_sum == scalar reference" ~count:2000
     (QCheck.make
+       ~print:(fun (b, off, len, init) ->
+         Printf.sprintf "n=%d off=%d len=%d init=%d" (Bytes.length b) off len
+           init)
        QCheck.Gen.(
-         pair
-           (pair (map Bytes.of_string (string_size (0 -- 300))) (0 -- 300))
-           (pair (0 -- 300) (0 -- 0x1ffff)))
-    )
-    (fun ((b, off), (len, init)) ->
-      let n = Bytes.length b in
-      let off = if n = 0 then 0 else off mod n in
-      let len = min len (n - off) in
+         map Bytes.of_string (string_size (0 -- 2048)) >>= fun b ->
+         let n = Bytes.length b in
+         0 -- 7 >>= fun r ->
+         let r = min r n in
+         0 -- ((n - r) / 8) >>= fun k ->
+         let off = r + (8 * k) in
+         pair (0 -- (n - off)) (0 -- 0x1000000) >|= fun (len, init) ->
+         (b, off, len, init)))
+    (fun (b, off, len, init) ->
       Checksum.ones_sum ~init b off len
       = Checksum.ones_sum_scalar ~init b off len)
 
@@ -906,6 +912,38 @@ let test_build_udp_allocates_one_frame () =
     Alcotest.failf "build_udp allocated %.1f words (frame %d words)" per
       frame_words
 
+let test_checksum_empty_range_returns_init () =
+  let b = Bytes.make 16 '\xff' in
+  List.iter
+    (fun (init, off, len) ->
+      Alcotest.(check int)
+        (Printf.sprintf "init %#x, off %d, len %d" init off len)
+        (Checksum.ones_sum_scalar ~init b off len)
+        (Checksum.ones_sum ~init b off len))
+    [ (0, 0, 0); (0x12345, 3, 0); (0xffff, 16, 0); (0x1ffff, 100, -4);
+      (7, -1, -1) ];
+  Alcotest.(check int) "folded" 0x2346 (Checksum.ones_sum ~init:0x12345 b 3 0)
+
+let test_checksum_range_checked () =
+  let b = Bytes.make 64 'x' in
+  List.iter
+    (fun (off, len) ->
+      match Checksum.ones_sum b off len with
+      | s -> Alcotest.failf "off %d, len %d summed to %#x" off len s
+      | exception Invalid_argument _ -> ())
+    [ (-1, 4); (0, 65); (60, 5); (64, 1); (65, 1); (1, max_int);
+      (max_int, 1); (min_int, 8) ]
+
+let test_checksum_allocates_nothing () =
+  let b = Bytes.init 1480 (fun i -> Char.chr (i * 7 land 0xff)) in
+  let w0 = Gc.minor_words () in
+  for i = 0 to 9_999 do
+    ignore (Sys.opaque_identity (Checksum.ones_sum b (i land 7) 1472))
+  done;
+  ignore (Sys.opaque_identity (Checksum.ones_sum b 0 1480));
+  let words = Gc.minor_words () -. w0 in
+  if words > 0. then Alcotest.failf "ones_sum allocated %.0f minor words" words
+
 let props =
   List.map (QCheck_alcotest.to_alcotest ~rand:(Flake.rand ()))
     [
@@ -1050,3 +1088,11 @@ let suite =
   ]
   @ props @ differential
   @ [ prop_steering_matches_reference ]
+  @ [
+      ("checksum: len <= 0 returns the folded init", `Quick,
+       test_checksum_empty_range_returns_init);
+      ("checksum: an out-of-range (off, len) raises Invalid_argument", `Quick,
+       test_checksum_range_checked);
+      ("checksum: a 1480-byte sum allocates 0 minor words", `Quick,
+       test_checksum_allocates_nothing);
+    ]

@@ -173,7 +173,7 @@ let table2 () =
             let buf = Bytes.make 128 'b' in
             for i = 0 to 19 do
               ignore
-                (Rakis.Syncproxy.write proxy ~fd ~off:(i * 128) ~buf ~pos:0
+                (Rakis.Syncproxy.io proxy Write ~fd ~off:(i * 128) ~buf ~pos:0
                    ~len:128)
             done);
         Sim.Engine.delay (Sim.Cycles.of_ms 2.);

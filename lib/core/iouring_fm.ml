@@ -4,6 +4,8 @@ type init_error =
   | Overlapping of string
   | Bad_layout of string
 
+type op = Read | Write | Send | Recv
+
 (* An operation in flight: CQEs are validated against this record
    (Table 2: "return code is expected for the requested operation").
    [outcome] is meaningful once [settled]. *)
@@ -184,6 +186,9 @@ let zc_leaks t =
       Sim.Int_table.fold
         (fun _ (nr : notif_rec) n -> if nr.completed then n + 1 else n)
         z.notif_pending 0
+
+let zc_registered t =
+  match t.zc with None -> 0 | Some z -> Umem.registered z.pool
 
 let accounting_holds t =
   t.live >= 0
@@ -647,14 +652,39 @@ let prompt_class : Abi.Uring_abi.opcode -> bool = function
   | Send_zc | Sendmsg_zc -> true
   | Recv | Poll_add | Recv_multi -> false
 
-let submit_wait_once t ~opcode ~fd ~file_off ~addr ~len ~poll_events
-    ~buf_index ~fixed ~expected_max =
+(* One synchronous attempt: one SQE submitted and waited for, on the
+   copy path, the fixed-buffer path and SEND_ZC alike.  This is the
+   single place where a synchronous attempt ends: validated, refused,
+   or abandoned on its deadline.
+
+   A SEND_ZC attempt names a frame already Registered (by its
+   [buf_index]) and pairs it with a notif-pending entry under the
+   assigned user_data.  Only when iSub took nothing, so that no notif
+   will ever name the frame, does the FM unwind Registered itself.  On
+   failure or abandonment nothing is unwound: the SQE may still execute
+   in the kernel, so the frame stays Registered, recoverable only
+   through a late notif ([zc_mark_completed] keeps that path alive).
+   Freeing it here would be exactly the use-after-reuse-before-notif
+   violation. *)
+let attempt t ~(opcode : Abi.Uring_abi.opcode) ~fd ~file_off ~addr ~len
+    ~buf_index ~fixed =
   let p =
-    submit t ~opcode ~fd ~file_off ~addr ~len ~poll_events ~buf_index ~fixed
-      ~expected_max
+    submit t ~opcode ~fd ~file_off ~addr ~len ~poll_events:0 ~buf_index ~fixed
+      ~expected_max:len
   in
-  if p == not_submitted then Error Abi.Errno.EAGAIN
+  if p == not_submitted then begin
+    (match (opcode, t.zc) with
+    | Send_zc, Some z ->
+        ignore (Umem.release z.pool ~offset:(buf_index * z.zframe))
+    | _ -> ());
+    Error Abi.Errno.EAGAIN
+  end
   else begin
+    (match (opcode, t.zc) with
+    | Send_zc, Some z ->
+        Sim.Int_table.replace z.notif_pending p.user_data
+          { zoff = buf_index * z.zframe; completed = false }
+    | _ -> ());
     let start = Sim.Engine.clock t.engine in
     let deadline =
       if prompt_class opcode then start + sync_op_timeout else max_int
@@ -681,11 +711,8 @@ let submit_wait_once t ~opcode ~fd ~file_off ~addr ~len ~poll_events
    way (the SyncProxy's slow path) makes it at-least-once.  Attempt [n]
    of at most [limit + 1]. *)
 let rec submit_wait_from t n ~limit ~opcode ~fd ~file_off ~addr ~len
-    ~poll_events ~buf_index ~fixed ~expected_max =
-  match
-    submit_wait_once t ~opcode ~fd ~file_off ~addr ~len ~poll_events
-      ~buf_index ~fixed ~expected_max
-  with
+    ~buf_index ~fixed =
+  match attempt t ~opcode ~fd ~file_off ~addr ~len ~buf_index ~fixed with
   | Error e when Abi.Errno.is_transient e ->
       if n >= limit then begin
         Obs.Metrics.incr t.retry_exhausted;
@@ -697,7 +724,7 @@ let rec submit_wait_from t n ~limit ~opcode ~fd ~file_off ~addr ~len
         t.kick ();
         Sim.Engine.delay (Sim.Backoff.next t.backoff);
         submit_wait_from t (n + 1) ~limit ~opcode ~fd ~file_off ~addr ~len
-          ~poll_events ~buf_index ~fixed ~expected_max
+          ~buf_index ~fixed
       end
   | r ->
       if n > 0 then begin
@@ -708,13 +735,20 @@ let rec submit_wait_from t n ~limit ~opcode ~fd ~file_off ~addr ~len
       end;
       r
 
-let submit_wait t ~opcode ~fd ~file_off ~addr ~len ~poll_events ~buf_index
-    ~fixed ~expected_max =
-  (* Probe mode (Health half-open): one attempt, no retry budget — a
-     probe exists to answer "did the FIOKP heal?" cheaply, not to win. *)
-  let limit = if t.probe_mode then 0 else Sgx.Params.retry_limit in
-  submit_wait_from t 0 ~limit ~opcode ~fd ~file_off ~addr ~len ~poll_events
-    ~buf_index ~fixed ~expected_max
+(* SEND_ZC gets one attempt and no retry loop: a transient failure
+   surfaces to the transfer, which falls back to the copy path
+   (re-registering a frame across retries would race the kernel's view
+   of the first attempt).  Probe mode (Health half-open) gives every
+   other op one attempt too — a probe exists to answer "did the FIOKP
+   heal?" cheaply, not to win. *)
+let submit_wait t ~(opcode : Abi.Uring_abi.opcode) ~fd ~file_off ~addr ~len
+    ~buf_index ~fixed =
+  match opcode with
+  | Send_zc -> attempt t ~opcode ~fd ~file_off ~addr ~len ~buf_index ~fixed
+  | _ ->
+      let limit = if t.probe_mode then 0 else Sgx.Params.retry_limit in
+      submit_wait_from t 0 ~limit ~opcode ~fd ~file_off ~addr ~len ~buf_index
+        ~fixed
 
 (* Admission control: refuse new synchronous work once [max_pending]
    ops are in flight — a bounded queue with EAGAIN backpressure to the
@@ -727,174 +761,102 @@ let admit t =
   end
   else true
 
-(* Chunked data transfer through the bounce buffer: a [Write] or a
-   [Send] stages each chunk out before its SQE, a [Read] copies each
-   completion in.  [off] is the file offset of byte [pos] ([Send]
-   carries none).  [done_] bytes have moved so far. *)
-let rec copy_chunks t ~(opcode : Abi.Uring_abi.opcode) ~fd ~off ~buf ~pos ~len
-    done_ =
-  if done_ >= len then Ok done_
-  else begin
-    let chunk = min t.bounce_size (len - done_) in
-    let region = t.bounce.Mem.Ptr.region and addr = t.bounce.Mem.Ptr.off in
-    if opcode <> Read then begin
-      Sgx.Enclave.charge_copy t.enclave ~crossing:true chunk;
-      Mem.Region.blit_from_bytes buf (pos + done_) region addr chunk
-    end;
-    match
-      submit_wait t ~opcode ~fd
-        ~file_off:(if opcode = Send then 0 else off + done_)
-        ~addr ~len:chunk ~poll_events:0 ~buf_index:0 ~fixed:false
-        ~expected_max:chunk
-    with
-    | Error _ as e -> if done_ > 0 then Ok done_ else e
-    | Ok n ->
-        if opcode = Read && n > 0 then begin
-          Sgx.Enclave.charge_copy t.enclave ~crossing:true n;
-          Mem.Region.blit_to_bytes region addr buf (pos + done_) n
-        end;
-        (* A short completion (the kernel honoured a prefix — e.g. an
-           injected Short_io) is resubmitted for the remainder; only a
-           zero count (EOF / peer gone) ends the transfer early. *)
-        if n = 0 then Ok done_
-        else copy_chunks t ~opcode ~fd ~off ~buf ~pos ~len (done_ + n)
-  end
+(* {2 The chunked transfer}
 
-let send_copy t ~fd ~buf ~pos ~len =
-  copy_chunks t ~opcode:Send ~fd ~off:0 ~buf ~pos ~len 0
-
-let recv_copy t ~fd ~buf ~pos ~len =
-  (* A recv returns as soon as any bytes are available: do not chunk. *)
-  let chunk = min len t.bounce_size in
-  let region = t.bounce.Mem.Ptr.region and addr = t.bounce.Mem.Ptr.off in
-  match
-    submit_wait t ~opcode:Recv ~fd ~file_off:0 ~addr ~len:chunk ~poll_events:0
-      ~buf_index:0 ~fixed:false ~expected_max:chunk
-  with
-  | Error _ as e -> e
-  | Ok n as r ->
-      if n > 0 then begin
-        Sgx.Enclave.charge_copy t.enclave ~crossing:true n;
-        Mem.Region.blit_to_bytes region addr buf pos n
-      end;
-      r
-
-(* {2 Zero-copy send (SEND_ZC)} *)
-
-(* Submit one SEND_ZC and wait for its {e completion} CQE only.  The
-   frame at [zoff] is already Registered; this pairs it with a
-   notif-pending entry keyed by the assigned user_data.  No retry loop:
-   a transient failure surfaces to the caller, which falls back to the
-   copy path (re-registering a frame across retries would race the
-   kernel's view of the first attempt). *)
-let zc_submit_wait t z ~fd ~addr ~len ~buf_index ~zoff =
-  let p =
-    submit t ~opcode:Send_zc ~fd ~file_off:0 ~addr ~len ~poll_events:0
-      ~buf_index ~fixed:true ~expected_max:len
-  in
-  if p == not_submitted then begin
-    (* Never entered the ring, so no notif will ever name this frame:
-       the one case where the FM itself may unwind Registered. *)
-    ignore (Umem.release z.pool ~offset:zoff);
-    Error Abi.Errno.EAGAIN
-  end
-  else begin
-      Sim.Int_table.replace z.notif_pending p.user_data
-        { zoff; completed = false };
-      let start = Sim.Engine.clock t.engine in
-      Sgx.Enclave.charge t.enclave Sgx.Params.iouring_sync_wait_cycles;
-      let r = await t p ~deadline:(start + sync_op_timeout) in
-      Obs.Metrics.observe t.sync_wait_cycles (Sim.Engine.clock t.engine - start);
-      (match t.trace with
-      | None -> ()
-      | Some tr ->
-          Obs.Trace.span tr ~cat:"syncproxy" ~arg:fd (op_name Send_zc) ~start);
-      (* On failure or abandonment nothing is unwound: the SQE may
-         still execute in the kernel, so the frame must stay Registered,
-         recoverable only through a late notif ([zc_mark_completed]
-         keeps that path alive).  Freeing it here would be exactly the
-         use-after-reuse-before-notif violation. *)
-      r
-  end
-
-let zc_send t z ~fd ~buf ~pos ~len =
-  let rec go done_ =
-    if done_ >= len then Ok done_
-    else
+   A synchronous data op moves its bytes in chunks staged in untrusted
+   memory.  The stage is chosen once per op: [None] is the bounce
+   buffer, [Some z] a frame of [z]'s pool per chunk.  A pool frame is
+   named by its registration index, so the kernel skips its own bounce
+   copy ([Sgx.Params.iouring_copy_cycles_per_byte]).  For file IO the
+   frame sits in Allocated limbo for the chunk's op and returns to the
+   pool on completion; for a send it is lent to SEND_ZC until its notif.
+   A [Write] or [Send] copies each chunk out before its SQE, a [Read] or
+   [Recv] copies each completion in.  [off] is the file offset of byte
+   [pos] ([Send] and [Recv] carry none); [done_] bytes have moved so
+   far.  Each call moves one more chunk, so [done_ < len] except for a
+   zero-length [Recv], which still goes to the kernel. *)
+let rec transfer t (op : op) stage ~fd ~off ~buf ~pos ~len done_ =
+  match stage with
+  | None ->
+      move t op stage ~fd ~off ~buf ~pos ~len done_
+        ~region:t.bounce.Mem.Ptr.region ~addr:t.bounce.Mem.Ptr.off
+        ~size:t.bounce_size ~zoff:0
+  | Some z -> (
       match Umem.alloc z.pool with
-      | None ->
+      | Some zoff ->
+          move t op stage ~fd ~off ~buf ~pos ~len done_
+            ~region:z.arena.Mem.Ptr.region
+            ~addr:(z.arena.Mem.Ptr.off + zoff)
+            ~size:z.zframe ~zoff
+      | None when done_ > 0 ->
           (* Pool drained mid-transfer (withheld notifs): surface the
              prefix; the next call degrades to the copy path. *)
-          if done_ > 0 then Ok done_
-          else begin
-            Obs.Metrics.incr z.zc_fallbacks;
-            send_copy t ~fd ~buf ~pos ~len
-          end
-      | Some zoff -> (
-          let chunk = min z.zframe (len - done_) in
-          Sgx.Enclave.charge_copy t.enclave ~crossing:true chunk;
-          Mem.Region.blit_from_bytes buf (pos + done_) z.arena.Mem.Ptr.region
-            (z.arena.Mem.Ptr.off + zoff)
-            chunk;
-          Umem.register z.pool zoff;
-          Obs.Metrics.incr z.zc_sends;
-          match
-            zc_submit_wait t z ~fd ~addr:(z.arena.Mem.Ptr.off + zoff)
-              ~len:chunk ~buf_index:(zoff / z.zframe) ~zoff
-          with
-          | Ok 0 -> Ok done_
-          | Ok n -> go (done_ + n)
-          | Error _ when done_ > 0 -> Ok done_
-          | Error e when Abi.Errno.is_transient e ->
-              (* First chunk bounced: let the copy path (with its retry
-                 budget) carry the whole transfer. *)
-              Obs.Metrics.incr z.zc_fallbacks;
-              send_copy t ~fd ~buf ~pos ~len
-          | Error e -> Error e)
-  in
-  go 0
+          Ok done_
+      | None ->
+          (* Registered frames all awaiting notifs (a withholding host):
+             capacity is lost, correctness is not — degrade to the copy
+             path. *)
+          Obs.Metrics.incr z.zc_fallbacks;
+          transfer t op None ~fd ~off ~buf ~pos ~len 0)
 
-(* {2 Fixed-buffer file IO} *)
-
-(* Stage through a pool frame named by its registration index: the
-   kernel reads/writes the pinned frame directly, skipping its bounce
-   copy ([Sgx.Params.iouring_copy_cycles_per_byte]).  Single-CQE ops —
-   the frame stays in Allocated limbo for the op's duration and returns
-   to the pool on completion, no Registered state involved. *)
-let zc_file t z ~opcode ~fd ~off ~buf ~pos ~len ~read_back =
-  let rec go done_ =
-    if done_ >= len then Ok done_
-    else
-      match Umem.alloc z.pool with
-      | None -> if done_ > 0 then Ok done_ else Error Abi.Errno.EAGAIN
-      | Some zoff -> (
-          let chunk = min z.zframe (len - done_) in
-          if not read_back then begin
-            Sgx.Enclave.charge_copy t.enclave ~crossing:true chunk;
-            Mem.Region.blit_from_bytes buf (pos + done_)
-              z.arena.Mem.Ptr.region
-              (z.arena.Mem.Ptr.off + zoff)
-              chunk
-          end;
-          match
-            submit_wait t ~opcode ~fd ~file_off:(off + done_)
-              ~addr:(z.arena.Mem.Ptr.off + zoff) ~len:chunk ~poll_events:0
-              ~buf_index:(zoff / z.zframe) ~fixed:true ~expected_max:chunk
-          with
-          | Ok n ->
-              if read_back && n > 0 then begin
-                Sgx.Enclave.charge_copy t.enclave ~crossing:true n;
-                Mem.Region.blit_to_bytes z.arena.Mem.Ptr.region
-                  (z.arena.Mem.Ptr.off + zoff)
-                  buf (pos + done_) n
-              end;
-              Umem.cancel z.pool zoff;
-              if n = 0 then Ok done_ else go (done_ + n)
-          | Error e ->
-              Umem.cancel z.pool zoff;
-              if done_ > 0 then Ok done_ else Error e)
+(* One chunk of {!transfer}, staged at [addr] in [region]: pool frame
+   [zoff] when staged in the pool. *)
+and move t op stage ~fd ~off ~buf ~pos ~len done_ ~region ~addr ~size ~zoff =
+  let chunk = min size (len - done_) in
+  let opcode : Abi.Uring_abi.opcode =
+    match (op, stage) with
+    | Read, _ -> Read
+    | Write, _ -> Write
+    | Recv, _ -> Recv
+    | Send, None -> Send
+    | Send, Some _ -> Send_zc
   in
-  go 0
+  (match op with
+  | Write | Send ->
+      Sgx.Enclave.charge_copy t.enclave ~crossing:true chunk;
+      Mem.Region.blit_from_bytes buf (pos + done_) region addr chunk
+  | Read | Recv -> ());
+  (match (opcode, stage) with
+  | Send_zc, Some z ->
+      Umem.register z.pool zoff;
+      Obs.Metrics.incr z.zc_sends
+  | _ -> ());
+  let r =
+    submit_wait t ~opcode ~fd
+      ~file_off:(match op with Read | Write -> off + done_ | Send | Recv -> 0)
+      ~addr ~len:chunk ~buf_index:(zoff / size)
+      ~fixed:(match stage with None -> false | Some _ -> true)
+  in
+  (match (op, r) with
+  | (Read | Recv), Ok n when n > 0 ->
+      Sgx.Enclave.charge_copy t.enclave ~crossing:true n;
+      Mem.Region.blit_to_bytes region addr buf (pos + done_) n
+  | _ -> ());
+  (* A file frame goes back to the pool once its chunk is done with;
+     a SEND_ZC frame stays lent until its notif. *)
+  (match (opcode, stage) with
+  | Send_zc, _ | _, None -> ()
+  | _, Some z -> Umem.cancel z.pool zoff);
+  match r with
+  | Ok n -> (
+      (* A short completion (the kernel honoured a prefix — e.g. an
+         injected Short_io) is resubmitted for the remainder; a zero
+         count (EOF / peer gone) ends the transfer early, and a [Recv]
+         returns as soon as any bytes are available. *)
+      match op with
+      | Recv -> Ok n
+      | Read | Write | Send ->
+          if n = 0 || done_ + n >= len then Ok (done_ + n)
+          else transfer t op stage ~fd ~off ~buf ~pos ~len (done_ + n))
+  | Error _ when done_ > 0 -> Ok done_
+  | Error e -> (
+      match (opcode, stage) with
+      | Send_zc, Some z when Abi.Errno.is_transient e ->
+          (* First SEND_ZC bounced: let the copy path (with its retry
+             budget) carry the whole transfer. *)
+          Obs.Metrics.incr z.zc_fallbacks;
+          transfer t op None ~fd ~off ~buf ~pos ~len 0
+      | _ -> r)
 
 (* {2 Multishot receive} *)
 
@@ -940,7 +902,7 @@ let rec ms_recv t z ~fd ~buf ~pos ~len =
       if ms_arm t z ~fd then ms_recv t z ~fd ~buf ~pos ~len
       else begin
         Obs.Metrics.incr z.zc_fallbacks;
-        recv_copy t ~fd ~buf ~pos ~len
+        transfer t Recv None ~fd ~off:0 ~buf ~pos ~len 0
       end
   | Some ms -> (
       match ms.leftover with
@@ -981,60 +943,25 @@ let rec ms_recv t z ~fd ~buf ~pos ~len =
                 then wait_or_renudge t;
                 ms_recv t z ~fd ~buf ~pos ~len))
 
-(* {2 Dispatch: copy path vs zero-copy path} *)
+(* {2 The synchronous entry point} *)
 
-let read t ~fd ~off ~buf ~pos ~len =
+let io t op ~fd ~off ~buf ~pos ~len =
   if not (admit t) then Error Abi.Errno.EAGAIN
   else
-    match t.zc with
-    | Some z when len > 0 && Umem.free_frames z.pool > 0 ->
-        zc_file t z ~opcode:Abi.Uring_abi.Read ~fd ~off ~buf ~pos ~len
-          ~read_back:true
-    | Some z when len > 0 ->
-        Obs.Metrics.incr z.zc_fallbacks;
-        copy_chunks t ~opcode:Read ~fd ~off ~buf ~pos ~len 0
-    | _ -> copy_chunks t ~opcode:Read ~fd ~off ~buf ~pos ~len 0
-
-let write t ~fd ~off ~buf ~pos ~len =
-  if not (admit t) then Error Abi.Errno.EAGAIN
-  else
-    match t.zc with
-    | Some z when len > 0 && Umem.free_frames z.pool > 0 ->
-        zc_file t z ~opcode:Abi.Uring_abi.Write ~fd ~off ~buf ~pos ~len
-          ~read_back:false
-    | Some z when len > 0 ->
-        Obs.Metrics.incr z.zc_fallbacks;
-        copy_chunks t ~opcode:Write ~fd ~off ~buf ~pos ~len 0
-    | _ -> copy_chunks t ~opcode:Write ~fd ~off ~buf ~pos ~len 0
-
-let send t ~fd ~buf ~pos ~len =
-  if not (admit t) then Error Abi.Errno.EAGAIN
-  else
-    match t.zc with
-    | Some z when len > 0 && Umem.free_frames z.pool > 0 ->
-        zc_send t z ~fd ~buf ~pos ~len
-    | Some z when len > 0 ->
-        (* Registered frames all awaiting notifs (a withholding host):
-           capacity is lost, correctness is not — degrade to the copy
-           path. *)
-        Obs.Metrics.incr z.zc_fallbacks;
-        send_copy t ~fd ~buf ~pos ~len
-    | _ -> send_copy t ~fd ~buf ~pos ~len
-
-let recv t ~fd ~buf ~pos ~len =
-  if not (admit t) then Error Abi.Errno.EAGAIN
-  else
-    match t.zc with
-    | Some z when len > 0 -> ms_recv t z ~fd ~buf ~pos ~len
-    | _ -> recv_copy t ~fd ~buf ~pos ~len
+    match (op, t.zc) with
+    | Recv, Some z when len > 0 -> ms_recv t z ~fd ~buf ~pos ~len
+    | Recv, _ -> transfer t op None ~fd ~off:0 ~buf ~pos ~len 0
+    | (Read | Write | Send), _ when len <= 0 -> Ok 0
+    | (Read | Write | Send), stage ->
+        transfer t op stage ~fd ~off ~buf ~pos ~len 0
 
 let poll_mask = Abi.Uring_abi.pollin lor Abi.Uring_abi.pollout
 
 let nop t =
   if not (admit t) then Error Abi.Errno.EAGAIN
   else
-    submit_wait t ~opcode:Nop ~fd:(-1) ~file_off:0 ~addr:0 ~len:0
-      ~poll_events:0 ~buf_index:0 ~fixed:false ~expected_max:0
+    submit_wait t ~opcode:Nop ~fd:(-1) ~file_off:0 ~addr:0 ~len:0 ~buf_index:0
+      ~fixed:false
 
 let forget_fd t ~fd =
   (match t.zc with
@@ -1062,7 +989,7 @@ let forget_fd t ~fd =
 (* Multi-fd poll (the API submodule's io_uring side, paper §4.2): keep
    one outstanding Poll_add per fd, reusing probes across calls, and
    return the first fd whose probe completed. *)
-let poll_multi t specs ~timeout =
+let poll_multi t specs ~deadline =
   (* All missing probes go out as one SQ burst: one publish, one kick. *)
   let staged =
     List.fold_left
@@ -1082,14 +1009,10 @@ let poll_multi t specs ~timeout =
       Sim.Int_table.add t.probes q.fd q.issued
     done;
   let timer_fired = ref false in
-  (match timeout with
-  | None -> ()
-  | Some d ->
-      Sim.Engine.at t.engine
-        (Int64.add (Sim.Engine.now t.engine) d)
-        (fun () ->
-          timer_fired := true;
-          Sim.Condition.broadcast t.cq_notify));
+  if deadline <> max_int then
+    Sim.Engine.at_clock t.engine deadline (fun () ->
+        timer_fired := true;
+        Sim.Condition.broadcast t.cq_notify);
   let completed () =
     List.find_map
       (fun (fd, _) ->

@@ -19,20 +19,20 @@
     ([IORING_REGISTER_BUFFERS]) — docs/zerocopy.md is the full contract.
     Three mechanisms ride on it:
 
-    - {b SEND_ZC}: {!send} stages into a pool frame and lends it to the
+    - {b SEND_ZC}: a [Send] stages into a pool frame and lends it to the
       kernel ([Umem.Registered]).  The op completes on the first CQE
       ([F_MORE]); the frame returns to the pool only when the second —
       the notif ([F_NOTIF]) — is validated.  A notif arriving before
       its completion, twice, or for a frame never lent is refused
       (counted under [zc_notif_early]/[zc_notif_stray]); a withheld
       notif costs pool capacity, never memory safety.
-    - {b Multishot recv}: {!recv} arms one [Recv_multi] SQE per fd and
+    - {b Multishot recv}: a [Recv] arms one [Recv_multi] SQE per fd and
       promises pool frames through the shared provided-buffer ring
       ([With_kernel Rx], the XSK fill-ring discipline).  Data CQEs are
       validated by the pool's ownership map, staged in, and the frame
       is immediately re-provided; the stream ends on a CQE without
       [F_MORE] ([ENOBUFS] triggers re-arming).
-    - {b Fixed-buffer file IO}: {!read}/{!write} stage through a pool
+    - {b Fixed-buffer file IO}: a [Read] or [Write] stages through a pool
       frame named by its registration index, skipping the kernel-side
       bounce copy that classic SQEs pay.
 
@@ -96,28 +96,22 @@ val set_probe_mode : t -> bool -> unit
     [ETIMEDOUT]): half-open probes must answer cheaply, not win. *)
 
 val forget_fd : t -> fd:int -> unit
-(** Drop the outstanding readiness probe for a closed [fd], retiring
-    its in-flight record (previously leaked forever). *)
+(** Retire what a closed [fd] left in flight: its readiness probe and,
+    with zero-copy, its multishot receive stream. *)
 
-val read :
-  t -> fd:int -> off:int -> buf:Bytes.t -> pos:int -> len:int ->
+(** The four synchronous IO syscalls the SyncProxy forwards (§4.2). *)
+type op = Read | Write | Send | Recv
+
+val io :
+  t -> op -> fd:int -> off:int -> buf:Bytes.t -> pos:int -> len:int ->
   (int, Abi.Errno.t) result
-(** File read at absolute offset [off] into trusted [buf]; chunked
-    through the bounce buffer when larger than it. *)
-
-val write :
-  t -> fd:int -> off:int -> buf:Bytes.t -> pos:int -> len:int ->
-  (int, Abi.Errno.t) result
-(** File write at absolute offset [off] from trusted [buf]; chunked
-    like {!read}. *)
-
-val send :
-  t -> fd:int -> buf:Bytes.t -> pos:int -> len:int -> (int, Abi.Errno.t) result
-(** TCP send via the bounce buffer; returns bytes accepted. *)
-
-val recv :
-  t -> fd:int -> buf:Bytes.t -> pos:int -> len:int -> (int, Abi.Errno.t) result
-(** TCP receive via the bounce buffer; returns bytes read. *)
+(** One synchronous op on trusted [buf.[pos..pos+len-1]]; [off] is the
+    file offset of a [Read]/[Write].  Staged in chunks through the
+    bounce buffer, or through the zero-copy pool (above).  Returns the
+    bytes moved: a short completion is resubmitted, a zero count (EOF)
+    ends the transfer, a [Recv] returns as soon as any bytes are
+    available, and a failure after progress returns the prefix.
+    [EAGAIN] when [config.max_pending] ops are already in flight. *)
 
 val nop : t -> (int, Abi.Errno.t) result
 (** Submit a no-op SQE and wait for its CQE (plumbing check). *)
@@ -134,10 +128,9 @@ val invariant_holds : t -> bool
 (** Both certified rings satisfy the paper's eq. 1 invariant. *)
 
 val inflight : t -> int
-(** Ops submitted but not yet settled, abandoned or forgotten.  Zero at
-    quiescence (after every synchronous op has returned and every
-    polled fd is closed); a leak here is what the ETIMEDOUT regression
-    test pins. *)
+(** Ops submitted but not yet settled, abandoned or forgotten: zero at
+    quiescence, once every synchronous op has returned and every polled
+    fd is closed. *)
 
 val sheds : t -> int
 (** Ops refused with [EAGAIN] by admission control
@@ -166,16 +159,21 @@ val zc_leaks : t -> int
     dropped-notif availability attack's footprint, and a campaign
     failure condition. *)
 
+val zc_registered : t -> int
+(** Pool frames lent to SEND_ZC and not yet freed by a validated notif
+    ([Umem.Registered]); 0 without zero-copy. *)
+
 val pp_init_error : Format.formatter -> init_error -> unit
 (** Human-readable rendering of a {!init_error}. *)
 
 val poll_multi :
   t ->
   (int * int) list ->
-  timeout:Sim.Engine.time option ->
+  deadline:int ->
   ((int * int) option, Abi.Errno.t) result
-(** [poll_multi t [(fd, events); ...] ~timeout] maintains one
+(** [poll_multi t [(fd, events); ...] ~deadline] maintains one
     outstanding [Poll_add] per fd (reused across calls, like a
     level-triggered readiness cache) and blocks until one completes or
-    the timeout passes.  Returns [Some (fd, revents)] or [None] on
-    timeout. *)
+    the clock reaches [deadline], a native {!Sim.Engine.clock} time
+    ([max_int]: none; one already past still arms its timer, which
+    runs now).  Returns [Some (fd, revents)] or [None] on timeout. *)

@@ -15,8 +15,8 @@
      before paying the copy-in).
 
    - Token-bucket admission with priority classes: while the controller
-     is under pressure (shedding or saturated), [Data] admissions are
-     limited to [rate] per [interval] (burst [burst]); [Control]
+     is under pressure (shedding or saturated), data admissions are
+     limited to [rate] per [interval] (burst [burst]); control
      traffic — breaker probes, Monitor/Health housekeeping — is NEVER
      shed, because shedding the probe would wedge the very machinery
      that ends the overload.  Data requests that carry a deadline are
@@ -34,8 +34,6 @@
    the shared Obs registry (["overload.<shard>.*"]), sojourns feed a
    log2 histogram, and the saturated/shedding states are gauges — the
    soak harness's "shed + completed = offered" obligation reads these. *)
-
-type cls = Control | Data
 
 type t = {
   clock : unit -> int64;
@@ -205,45 +203,43 @@ let refill_tokens t now =
     t.last_refill <- now
   end
 
-(* Admission verdict.  [Control] is never refused.  [Data] is free while
-   the controller sees no pressure; under pressure it spends a token,
-   and a request whose [slack] (cycles until its deadline) is already
-   below the current standing sojourn is shed first — it would miss its
-   deadline even if admitted (earliest-deadline-first shedding). *)
-let admit ?slack t cls =
-  match cls with
-  | Control ->
-      Obs.Metrics.incr t.admitted_control;
-      true
-  | Data ->
-      if not (under_pressure t) then begin
+(* Admission verdict for data traffic: free while the controller sees
+   no pressure; under pressure it spends a token, and a request whose
+   [slack] (cycles until its deadline) is already below the current
+   standing sojourn is shed first — it would miss its deadline even if
+   admitted (earliest-deadline-first shedding). *)
+let admit ?slack t =
+  if not (under_pressure t) then begin
+    Obs.Metrics.incr t.admitted_data;
+    true
+  end
+  else begin
+    let doomed =
+      match slack with
+      | Some s -> Int64.compare s t.last_sojourn < 0
+      | None -> false
+    in
+    if doomed then begin
+      Obs.Metrics.incr t.shed_deadline;
+      Obs.Metrics.incr t.shed_data;
+      false
+    end
+    else begin
+      refill_tokens t (t.clock ());
+      if t.tokens >= 1. then begin
+        t.tokens <- t.tokens -. 1.;
         Obs.Metrics.incr t.admitted_data;
         true
       end
       else begin
-        let doomed =
-          match slack with
-          | Some s -> Int64.compare s t.last_sojourn < 0
-          | None -> false
-        in
-        if doomed then begin
-          Obs.Metrics.incr t.shed_deadline;
-          Obs.Metrics.incr t.shed_data;
-          false
-        end
-        else begin
-          refill_tokens t (t.clock ());
-          if t.tokens >= 1. then begin
-            t.tokens <- t.tokens -. 1.;
-            Obs.Metrics.incr t.admitted_data;
-            true
-          end
-          else begin
-            Obs.Metrics.incr t.shed_data;
-            false
-          end
-        end
+        Obs.Metrics.incr t.shed_data;
+        false
       end
+    end
+  end
+
+(* Control traffic is never refused: there is no verdict to return. *)
+let admit_control t = Obs.Metrics.incr t.admitted_control
 
 (* A data-class refusal decided elsewhere — the TX ring itself bounced
    the frame, or a degraded slow path had no route — recorded into the

@@ -17,12 +17,6 @@
 
 type t
 
-(** Priority class of one admission request.  [Control] — circuit
-    breaker probes and Monitor/Health housekeeping — is never shed:
-    refusing the probe would wedge the recovery machinery the overload
-    needs to end.  [Data] is application traffic. *)
-type cls = Control | Data
-
 val create :
   ?obs:Obs.t ->
   ?name:string ->
@@ -64,13 +58,19 @@ val observe_sojourn : t -> int64 -> unit
 
 (** {1 Verdicts} *)
 
-val admit : ?slack:int64 -> t -> cls -> bool
-(** Admission verdict, counted either way.  [Control] always passes.
-    [Data] passes freely under no pressure; under pressure (shedding or
-    saturated) it spends a token-bucket token ([rate] per [interval],
-    burst [burst]), and a request whose [slack] — cycles until its
-    deadline — is below the current standing sojourn is shed first
-    (earliest-deadline-first: it would miss even if admitted). *)
+val admit : ?slack:int64 -> t -> bool
+(** Admission verdict for data (application) traffic, counted either
+    way.  It passes freely under no pressure; under pressure (shedding
+    or saturated) it spends a token-bucket token ([rate] per
+    [interval], burst [burst]), and a request whose [slack] — cycles
+    until its deadline — is below the current standing sojourn is shed
+    first (earliest-deadline-first: it would miss even if admitted). *)
+
+val admit_control : t -> unit
+(** Count one control-class admission: circuit-breaker probes and
+    Monitor/Health housekeeping.  Control traffic is never shed —
+    refusing the probe would wedge the recovery machinery the overload
+    needs to end — so there is no verdict. *)
 
 val record_shed : t -> unit
 (** Record a data-class refusal decided outside {!admit} (a saturated

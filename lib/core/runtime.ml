@@ -447,7 +447,7 @@ let boot kernel ~sgx ?(config = Config.default) () =
                   Netstack.Stack.set_overload_hooks shard.sh_stack
                     ~rx_gate:(fun ~depth ->
                       Overload.note_depth ov ~src:0 depth;
-                      Overload.admit ov Overload.Data)
+                      Overload.admit ov)
                     ~on_dequeue:(fun ~sojourn ~depth ->
                       Overload.note_depth ov ~src:0 depth;
                       Overload.observe_sojourn ov sojourn))
@@ -548,8 +548,8 @@ let slow_sendto t sock payload ~dst =
   | Some fd -> Some (Slowpath.udp_sendto t.slow fd payload ~dst)
 
 (* Overload admission (DESIGN.md §15) for one shard. *)
-let admit shard cls =
-  match shard.sh_overload with None -> true | Some ov -> Overload.admit ov cls
+let admit shard =
+  match shard.sh_overload with None -> true | Some ov -> Overload.admit ov
 
 let record_tx_shed shard =
   match shard.sh_overload with
@@ -566,13 +566,13 @@ let udp_sendto t sock payload ~dst =
       let s = socks.(shard.sq) in
       (* Data traffic is refused with an {e accounted} [EAGAIN] while
          the shard is under pressure — the datagram was never accepted,
-         so nothing is silently lost.  Breaker probes classify as
-         [Control] and are never shed: the probe's round trip is the
+         so nothing is silently lost.  Breaker probes are control
+         traffic and are never shed: the probe's round trip is the
          signal that ends the failover, and starving it would make the
          overload metastable. *)
       match Health.allow shard.sh_breaker with
       | Health.Slow -> (
-          if not (admit shard Overload.Data) then Error Abi.Errno.EAGAIN
+          if not (admit shard) then Error Abi.Errno.EAGAIN
           else
             match slow_sendto t sock payload ~dst with
             | Some r -> r
@@ -581,14 +581,13 @@ let udp_sendto t sock payload ~dst =
                 record_tx_shed shard;
                 Error Abi.Errno.EAGAIN)
       | Health.Fast | Health.Probe as verdict -> (
-          if
-            not
-              (admit shard
-                 (if verdict = Health.Probe then Overload.Control
-                  else Overload.Data))
-          then Error Abi.Errno.EAGAIN
+          if verdict = Health.Fast && not (admit shard) then
+            Error Abi.Errno.EAGAIN
           else begin
-            if verdict = Health.Probe then shard.probing <- true;
+            if verdict = Health.Probe then begin
+              Option.iter Overload.admit_control shard.sh_overload;
+              shard.probing <- true
+            end;
             let sent =
               match fast_sendto shard s payload ~dst with
               | r ->

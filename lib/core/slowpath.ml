@@ -20,41 +20,36 @@ let libos_exit enclave =
   Sgx.Enclave.charge enclave Sgx.Params.libos_dispatch_cycles;
   Sgx.Enclave.ocall enclave
 
-(* One metered host syscall: dispatch and exit, then [f] on the host
-   kernel; its whole cycle cost lands in ["health.slow_path_cycles"]. *)
-let call t f =
-  let engine = K.engine t.kernel in
-  let start = Sim.Engine.now engine in
+(* A metered host syscall runs between [enter] (dispatch and exit) and
+   [leave], which files its whole cycle cost under [t.cycles]. *)
+let enter t =
+  let start = Sim.Engine.clock (K.engine t.kernel) in
   libos_exit t.enclave;
-  let r = f t.kernel in
+  start
+
+let leave t start r =
   Obs.Metrics.incr t.calls;
-  Obs.Metrics.observe t.cycles
-    (Int64.to_int (Int64.sub (Sim.Engine.now engine) start));
+  Obs.Metrics.observe t.cycles (Sim.Engine.clock (K.engine t.kernel) - start);
   r
+
+let call t f =
+  let start = enter t in
+  leave t start (f t.kernel)
 
 let copy t len = Sgx.Enclave.charge_copy t.enclave ~crossing:true len
 
-let copied t = function
-  | Ok n ->
-      copy t n;
-      Ok n
-  | Error _ as r -> r
-
-let read t ~fd ~off ~buf ~pos ~len =
-  call t (fun k -> copied t (K.pread k fd ~off buf pos len))
-
-let write t ~fd ~off ~buf ~pos ~len =
-  call t (fun k ->
-      copy t len;
-      K.pwrite k fd ~off buf pos len)
-
-let send t ~fd ~buf ~pos ~len =
-  call t (fun k ->
-      copy t len;
-      K.send k fd buf pos len)
-
-let recv t ~fd ~buf ~pos ~len =
-  call t (fun k -> copied t (K.recv k fd buf pos len))
+let io t (op : Iouring_fm.op) ~fd ~off ~buf ~pos ~len =
+  let start = enter t in
+  (match op with Write | Send -> copy t len | Read | Recv -> ());
+  let r =
+    match op with
+    | Read -> K.pread t.kernel fd ~off buf pos len
+    | Write -> K.pwrite t.kernel fd ~off buf pos len
+    | Send -> K.send t.kernel fd buf pos len
+    | Recv -> K.recv t.kernel fd buf pos len
+  in
+  (match (op, r) with (Read | Recv), Ok n -> copy t n | _ -> ());
+  leave t start r
 
 let udp_socket t = call t K.udp_socket
 

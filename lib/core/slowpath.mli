@@ -2,8 +2,8 @@
     LibOS route for a syscall RAKIS does not accelerate — in-enclave
     dispatch ({!Sgx.Params.libos_dispatch_cycles}), one enclave exit,
     the host syscall, and the payload copied across the boundary.  The
-    circuit breakers fail over to it: {!Syncproxy} for the five
-    io_uring ops, {!Runtime} for UDP (same-port host sockets bound on
+    circuit breakers fail over to it: {!Syncproxy} for its four IO
+    ops ({!io}), {!Runtime} for UDP (same-port host sockets bound on
     {!Hostos.Kernel.server_ip}).  Degraded RAKIS thus costs what
     Gramine-SGX costs, by construction.
 
@@ -24,19 +24,12 @@ val libos_exit : Sgx.Enclave.t -> unit
 
 (** {1 The io_uring fallback (SyncProxy ops)} *)
 
-val read :
-  t -> fd:int -> off:int -> buf:Bytes.t -> pos:int -> len:int ->
-  (int, Abi.Errno.t) result
-
-val write :
-  t -> fd:int -> off:int -> buf:Bytes.t -> pos:int -> len:int ->
-  (int, Abi.Errno.t) result
-
-val send :
-  t -> fd:int -> buf:Bytes.t -> pos:int -> len:int -> (int, Abi.Errno.t) result
-
-val recv :
-  t -> fd:int -> buf:Bytes.t -> pos:int -> len:int -> (int, Abi.Errno.t) result
+val io :
+  t -> Iouring_fm.op -> fd:int -> off:int -> buf:Bytes.t -> pos:int ->
+  len:int -> (int, Abi.Errno.t) result
+(** One SyncProxy op as a host syscall ([pread], [pwrite], [send] or
+    [recv]; [off] is the file offset of [Read]/[Write]), its payload
+    copied across the boundary. *)
 
 (** {1 The UDP fallback (host sockets)} *)
 

@@ -13,11 +13,12 @@
     and [Slow] ops go straight to the exit-based {!Slowpath}. *)
 
 type t
-(** A SyncProxy bound to one thread's io_uring FM.  Every fast call
-    submits a single SQE via {!Iouring_fm.submit_wait} and spins (inside
-    the enclave, no exit) until its CQE lands — so each call also emits
-    one ["syncproxy"] trace span and one [<name>.sync_wait_cycles]
-    histogram observation on the FM's Obs registry. *)
+(** A SyncProxy bound to one thread's io_uring FM.  A fast call is one
+    {!Iouring_fm.io}: it submits one SQE per chunk and attempt, and
+    spins (inside the enclave, no exit) until each CQE lands.  Every
+    attempt emits one ["syncproxy"] trace span and one
+    [<name>.sync_wait_cycles] histogram observation on the FM's Obs
+    registry. *)
 
 val create :
   slow:Slowpath.t ->
@@ -29,44 +30,32 @@ val create :
     one the FM was created with); [slow] is where failover goes.
 
     [overload] is the runtime-wide io_uring overload controller
-    (DESIGN.md §15), when the runtime runs one.  Data-class ops then
-    pass {!Overload.admit} before running — refusals surface as
-    accounted [EAGAIN] — while breaker probes classify as [Control] and
-    are never shed.  Admitted fast ops feed their wall time and the
-    FM's in-flight count back as the controller's sojourn/depth
-    samples. *)
+    (DESIGN.md §15), when the runtime runs one.  Ops then pass
+    {!Overload.admit} before running — refusals surface as accounted
+    [EAGAIN] — while breaker probes are control traffic
+    ({!Overload.admit_control}) and are never shed.  Admitted fast ops
+    feed their wall time and the FM's in-flight count back as the
+    controller's sojourn/depth samples. *)
 
 val fm : t -> Iouring_fm.t
 (** The underlying io_uring FastPath Module. *)
 
-val read :
-  t -> fd:int -> off:int -> buf:Bytes.t -> pos:int -> len:int ->
-  (int, Abi.Errno.t) result
-(** Positional file read into [buf.[pos..pos+len-1]]; returns the byte
-    count (0 at EOF). *)
-
-val write :
-  t -> fd:int -> off:int -> buf:Bytes.t -> pos:int -> len:int ->
-  (int, Abi.Errno.t) result
-(** Positional file write from [buf.[pos..pos+len-1]]. *)
-
-val send :
-  t -> fd:int -> buf:Bytes.t -> pos:int -> len:int -> (int, Abi.Errno.t) result
-(** Send on a connected TCP socket; returns bytes accepted. *)
-
-val recv :
-  t -> fd:int -> buf:Bytes.t -> pos:int -> len:int -> (int, Abi.Errno.t) result
-(** Receive from a connected TCP socket; returns bytes read.  Declines
-    probe slots: an abandoned probe [Recv] SQE executed late by the
-    kernel would consume stream bytes nobody is waiting for. *)
+val io :
+  t -> Iouring_fm.op -> fd:int -> off:int -> buf:Bytes.t -> pos:int ->
+  len:int -> (int, Abi.Errno.t) result
+(** One proxied op, as {!Iouring_fm.io} describes it: a positional file
+    [Read]/[Write] at [off], or a [Send]/[Recv] on a connected TCP
+    socket.  Returns the bytes moved ([Read]: 0 at EOF).  A [Recv]
+    declines probe slots: an abandoned probe [Recv] SQE executed late
+    by the kernel would consume stream bytes nobody is waiting for. *)
 
 val poll_multi :
   t ->
   (int * int) list ->
-  timeout:Sim.Engine.time option ->
+  deadline:int ->
   ((int * int) option, Abi.Errno.t) result
 (** See {!Iouring_fm.poll_multi}.  Not breaker-routed: callers own the
-    timeout and mix providers (see [Libos.Rakis_env.poll]). *)
+    deadline and mix providers (see [Libos.Rakis_env.poll]). *)
 
 val forget_fd : t -> fd:int -> unit
 (** {!Iouring_fm.forget_fd} on the underlying FM (called on fd close). *)

@@ -117,10 +117,10 @@ let rec poll_rakis env specs ~deadline =
 
 (* A poll naming at least one host fd: the host fds go to the io_uring
    [poll_multi], in steps no longer than the busy-wait quantum while
-   RAKIS sockets are polled too. *)
-let poll_mixed env proxy specs ~timeout =
+   RAKIS sockets are polled too.  [deadline] is a native clock time
+   ([max_int]: none). *)
+let poll_mixed env proxy specs ~deadline =
   let engine = K.engine env.kernel in
-  let deadline = Option.map (fun d -> Int64.add (Sim.Engine.now engine) d) timeout in
   let host_specs =
     List.filter_map
       (fun (fd, evs) ->
@@ -130,67 +130,54 @@ let poll_mixed env proxy specs ~timeout =
       specs
   in
   let rakis_too = List.compare_lengths host_specs specs <> 0 in
-  let host_poll ~timeout =
+  let quantum = Int64.to_int mixed_poll_quantum in
+  let host_poll ~deadline =
     Rakis.Syncproxy.poll_multi proxy
       (List.map
          (fun (_, kfd, evs) -> (kfd, Abi.Uring_abi.mask_of_events evs))
          host_specs)
-      ~timeout
+      ~deadline
   in
   let vfd_of_kfd kfd =
     List.find_map
       (fun (vfd, k, _) -> if k = kfd then Some vfd else None)
       host_specs
   in
-  let remaining () =
-    match deadline with
-    | None -> None
-    | Some d -> Some (Int64.max 0L (Int64.sub d (Sim.Engine.now engine)))
-  in
-  let expired () =
-    match deadline with
-    | None -> false
-    | Some d -> Int64.compare (Sim.Engine.now engine) d >= 0
-  in
   let rec loop () =
     match ready_revents env specs with
     | _ :: _ as r -> Ok r
     | [] -> (
-        let step_timeout =
-          if not rakis_too then remaining ()
-          else
-            Some
-              (match remaining () with
-              | None -> mixed_poll_quantum
-              | Some rem -> Int64.min rem mixed_poll_quantum)
+        let step =
+          if rakis_too then min deadline (Sim.Engine.clock engine + quantum)
+          else deadline
         in
-        match host_poll ~timeout:step_timeout with
+        match host_poll ~deadline:step with
         | Error e -> Error e
         | Ok (Some (kfd, mask)) -> (
             match vfd_of_kfd kfd with
             | Some vfd -> Ok [ (vfd, Abi.Uring_abi.events_of_mask mask) ]
             | None -> loop ())
-        | Ok None -> if expired () then Ok [] else loop ())
+        | Ok None ->
+            if Sim.Engine.clock engine >= deadline then Ok [] else loop ())
   in
   loop ()
 
 (* Like the host kernel's, a poll naming an fd that is not open fails
    at once with [EBADF] (there is no POLLNVAL here). *)
 let poll env proxy specs ~timeout =
+  let deadline =
+    match timeout with
+    | None -> max_int
+    | Some d ->
+        (* [d] from now, saturating at the end of time. *)
+        let now = Sim.Engine.clock (K.engine env.kernel) in
+        if d >= Int64.of_int (max_int - now) then max_int
+        else now + Int64.to_int d
+  in
   match classify env Rakis_only specs with
   | Not_open -> Error Abi.Errno.EBADF
-  | Mixed -> poll_mixed env proxy specs ~timeout
-  | Rakis_only ->
-      let deadline =
-        match timeout with
-        | None -> max_int
-        | Some d ->
-            (* [d] from now, saturating at the end of time. *)
-            let now = Sim.Engine.clock (K.engine env.kernel) in
-            if d >= Int64.of_int (max_int - now) then max_int
-            else now + Int64.to_int d
-      in
-      poll_rakis env specs ~deadline
+  | Mixed -> poll_mixed env proxy specs ~deadline
+  | Rakis_only -> poll_rakis env specs ~deadline
 
 let rec api env proxy : Api.t =
   let engine = K.engine env.kernel in
@@ -254,14 +241,14 @@ let rec api env proxy : Api.t =
       (fun fd buf off len ->
         match find env fd with
         | Some (Rhost { kfd; _ }) ->
-            Rakis.Syncproxy.send proxy ~fd:kfd ~buf ~pos:off ~len
+            Rakis.Syncproxy.io proxy Send ~fd:kfd ~off:0 ~buf ~pos:off ~len
         | Some (Rudp _) -> Error Abi.Errno.EINVAL
         | None -> Error Abi.Errno.EBADF);
     recv =
       (fun fd buf off len ->
         match find env fd with
         | Some (Rhost { kfd; _ }) ->
-            Rakis.Syncproxy.recv proxy ~fd:kfd ~buf ~pos:off ~len
+            Rakis.Syncproxy.io proxy Recv ~fd:kfd ~off:0 ~buf ~pos:off ~len
         | Some (Rudp _) -> Error Abi.Errno.EINVAL
         | None -> Error Abi.Errno.EBADF);
     openf =
@@ -276,7 +263,8 @@ let rec api env proxy : Api.t =
         match Sim.Int_table.find env.fds fd with
         | Rhost st -> (
             match
-              Rakis.Syncproxy.read proxy ~fd:st.kfd ~off:st.pos ~buf ~pos:off ~len
+              Rakis.Syncproxy.io proxy Read ~fd:st.kfd ~off:st.pos ~buf
+                ~pos:off ~len
             with
             | Ok n as r ->
                 st.pos <- st.pos + n;
@@ -289,7 +277,8 @@ let rec api env proxy : Api.t =
         match Sim.Int_table.find env.fds fd with
         | Rhost st -> (
             match
-              Rakis.Syncproxy.write proxy ~fd:st.kfd ~off:st.pos ~buf ~pos:off ~len
+              Rakis.Syncproxy.io proxy Write ~fd:st.kfd ~off:st.pos ~buf
+                ~pos:off ~len
             with
             | Ok n as r ->
                 st.pos <- st.pos + n;

@@ -112,12 +112,45 @@ let test_campaign_outcomes () =
           [ { I.what = F.Drop_wakeup; when_ = I.Persistent; shard = Some 1 } ];
       }
   in
+  (* The io_uring copy path under forged CQE results while the host
+     also truncates transfers and stalls mid-batch. *)
+  let attacked_uring =
+    C.run
+      {
+        C.defaults with
+        datapath = C.Iouring;
+        seed = 8L;
+        budget = 32;
+        schedule = [ during 4 20 0.3 Hostos.Malice.Cqe_bogus_res ];
+        faults = [ during 2 24 0.3 F.Short_io; during 2 24 0.2 F.Partial_cqe ];
+      }
+  in
+  (* The zero-copy io_uring path (SEND_ZC, fixed-buffer file IO,
+     multishot recv) under forged-early and duplicated notifs. *)
+  let attacked_zc =
+    C.run
+      {
+        C.defaults with
+        datapath = C.Iouring;
+        seed = 17L;
+        budget = 32;
+        zerocopy = true;
+        schedule =
+          [
+            during 4 16 0.5 Hostos.Malice.Forged_early_notif;
+            during 8 24 0.5 Hostos.Malice.Double_notif;
+          ];
+      }
+  in
   check_golden "campaign_outcomes"
     (Format.asprintf
        "@[<v>== clean xsk ==@,%a@,== attacked xsk ==@,%a@,== faulted \
-        io_uring ==@,%a@,== sharded xsk, fault pinned to shard 1 ==@,%a@]@."
+        io_uring ==@,%a@,== sharded xsk, fault pinned to shard 1 ==@,%a@,\
+        == attacked io_uring, copy path ==@,%a@,== attacked io_uring, \
+        zerocopy ==@,%a@]@."
        C.pp_outcome clean C.pp_outcome attacked C.pp_outcome faulted
-       C.pp_outcome sharded)
+       C.pp_outcome sharded C.pp_outcome attacked_uring C.pp_outcome
+       attacked_zc)
 
 (* {1 Breaker timeline} *)
 

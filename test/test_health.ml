@@ -520,7 +520,9 @@ let test_etimedout_settles_inflight_accounting () =
             Result.get_ok (Hostos.Kernel.openf fx.kernel ~create:true "/et")
           in
           let buf = Bytes.create 512 in
-          (match Rakis.Iouring_fm.write fm ~fd ~off:0 ~buf ~pos:0 ~len:512 with
+          (match
+             Rakis.Iouring_fm.io fm Write ~fd ~off:0 ~buf ~pos:0 ~len:512
+           with
           | Error Abi.Errno.ETIMEDOUT -> ()
           | Error e -> Alcotest.failf "expected ETIMEDOUT, got %a" Abi.Errno.pp e
           | Ok _ -> Alcotest.fail "FM write succeeded under probability-1 faults");
@@ -530,7 +532,9 @@ let test_etimedout_settles_inflight_accounting () =
           check_bool "accounting holds" true
             (Rakis.Iouring_fm.accounting_holds fm);
           let before = slow_calls fx in
-          (match Rakis.Syncproxy.write proxy ~fd ~off:0 ~buf ~pos:0 ~len:512 with
+          (match
+             Rakis.Syncproxy.io proxy Write ~fd ~off:0 ~buf ~pos:0 ~len:512
+           with
           | Ok 512 -> ()
           | Ok n -> Alcotest.failf "short slow-path write %d" n
           | Error e -> Alcotest.failf "proxy write: %a" Abi.Errno.pp e);
@@ -557,7 +561,7 @@ let test_admission_shed_backpressure () =
           (match
              Rakis.Syncproxy.poll_multi proxy
                [ (ufd, Abi.Uring_abi.pollin) ]
-               ~timeout:(Some 10_000L)
+               ~deadline:(Sim.Engine.clock fx.engine + 10_000)
            with
           | Ok None -> ()
           | Ok (Some _) -> Alcotest.fail "idle socket reported ready"
@@ -566,14 +570,18 @@ let test_admission_shed_backpressure () =
             Result.get_ok (Hostos.Kernel.openf fx.kernel ~create:true "/shed")
           in
           let buf = Bytes.make 64 'x' in
-          (match Rakis.Syncproxy.write proxy ~fd ~off:0 ~buf ~pos:0 ~len:64 with
+          (match
+             Rakis.Syncproxy.io proxy Write ~fd ~off:0 ~buf ~pos:0 ~len:64
+           with
           | Error Abi.Errno.EAGAIN -> ()
           | Error e -> Alcotest.failf "expected EAGAIN, got %a" Abi.Errno.pp e
           | Ok _ -> Alcotest.fail "write admitted past a full pending table");
           check_bool "shed counted" true (Rakis.Iouring_fm.sheds fm >= 1);
           (* Retiring the probe (fd close path) frees the slot. *)
           Rakis.Syncproxy.forget_fd proxy ~fd:ufd;
-          (match Rakis.Syncproxy.write proxy ~fd ~off:0 ~buf ~pos:0 ~len:64 with
+          (match
+             Rakis.Syncproxy.io proxy Write ~fd ~off:0 ~buf ~pos:0 ~len:64
+           with
           | Ok 64 -> ()
           | Ok n -> Alcotest.failf "short write %d" n
           | Error e -> Alcotest.failf "re-admitted write: %a" Abi.Errno.pp e);
@@ -634,7 +642,7 @@ let test_slow_path_cost_model () =
           let buf = Bytes.make n 'w' in
           open_breaker (Rakis.Runtime.uring_breaker fx.runtime);
           one_slow_op "write" (fun () ->
-              Rakis.Syncproxy.write proxy ~fd ~off:0 ~buf ~pos:0 ~len:n);
+              Rakis.Syncproxy.io proxy Write ~fd ~off:0 ~buf ~pos:0 ~len:n);
           let sock = Rakis.Runtime.udp_socket fx.runtime in
           (match Rakis.Runtime.udp_bind fx.runtime sock 7001 with
           | Ok () -> ()

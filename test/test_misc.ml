@@ -259,13 +259,18 @@ let test_iouring_fm_short_read_at_eof () =
             Result.get_ok (Hostos.Kernel.openf kernel ~create:true "/eof")
           in
           let data = Bytes.of_string "short" in
-          ignore (Rakis.Syncproxy.write proxy ~fd ~off:0 ~buf:data ~pos:0 ~len:5);
+          ignore
+            (Rakis.Syncproxy.io proxy Write ~fd ~off:0 ~buf:data ~pos:0 ~len:5);
           let buf = Bytes.create 100 in
-          (match Rakis.Syncproxy.read proxy ~fd ~off:0 ~buf ~pos:0 ~len:100 with
+          (match
+             Rakis.Syncproxy.io proxy Read ~fd ~off:0 ~buf ~pos:0 ~len:100
+           with
           | Ok 5 -> ()
           | Ok n -> Alcotest.failf "expected 5 bytes, got %d" n
           | Error e -> Alcotest.failf "read: %a" Abi.Errno.pp e);
-          match Rakis.Syncproxy.read proxy ~fd ~off:5 ~buf ~pos:0 ~len:100 with
+          match
+            Rakis.Syncproxy.io proxy Read ~fd ~off:5 ~buf ~pos:0 ~len:100
+          with
           | Ok 0 -> ()
           | _ -> Alcotest.fail "expected EOF");
       fin := true;

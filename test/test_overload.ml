@@ -38,26 +38,26 @@ let test_token_bucket () =
   let t, clock = make () in
   (* No pressure: data flows freely, no tokens spent. *)
   for _ = 1 to 20 do
-    check_bool "free under no pressure" true (O.admit t O.Data)
+    check_bool "free under no pressure" true (O.admit t)
   done;
   check "nothing shed yet" 0 (data_shed t);
   (* Saturate: the bucket gates data at [burst] then [rate]/[interval]. *)
   O.note_depth t ~src:0 8;
   check_bool "saturated at high watermark" true (O.saturated t);
   for i = 1 to 4 do
-    check_bool (Printf.sprintf "burst admit %d" i) true (O.admit t O.Data)
+    check_bool (Printf.sprintf "burst admit %d" i) true (O.admit t)
   done;
-  check_bool "bucket empty" false (O.admit t O.Data);
+  check_bool "bucket empty" false (O.admit t);
   check "one shed" 1 (data_shed t);
   (* rate=10 per interval=1000: 100 cycles buys exactly one token. *)
   clock := Int64.add !clock 100L;
-  check_bool "one refilled token" true (O.admit t O.Data);
-  check_bool "and only one" false (O.admit t O.Data);
+  check_bool "one refilled token" true (O.admit t);
+  check_bool "and only one" false (O.admit t);
   (* A long quiet period caps the bucket at [burst], not unbounded. *)
   clock := Int64.add !clock 1_000_000L;
   let admitted = ref 0 in
   for _ = 1 to 20 do
-    if O.admit t O.Data then incr admitted
+    if O.admit t then incr admitted
   done;
   check "refill capped at burst" 4 !admitted
 
@@ -138,10 +138,10 @@ let test_edf_slack () =
   check_bool "shedding" true (O.shedding t);
   (* Slack below the standing sojourn: doomed, shed before any token
      is spent. *)
-  check_bool "doomed request shed" false (O.admit ~slack:399L t O.Data);
+  check_bool "doomed request shed" false (O.admit ~slack:399L t);
   check "counted as deadline shed" 1 (O.deadline_shed t);
   (* Slack at/above the sojourn competes normally (tokens permitting). *)
-  check_bool "viable request admitted" true (O.admit ~slack:400L t O.Data);
+  check_bool "viable request admitted" true (O.admit ~slack:400L t);
   check "no further deadline sheds" 1 (O.deadline_shed t)
 
 (* {1 Control traffic is never shed} *)
@@ -151,14 +151,14 @@ let test_control_never_shed () =
   O.note_depth t ~src:0 100;
   (* Drain the bucket far past empty: 100% of data is being shed... *)
   for _ = 1 to 100 do
-    ignore (O.admit t O.Data)
+    ignore (O.admit t)
   done;
   let shed = data_shed t in
   check_bool "data is being shed" true (shed > 0);
-  (* ...and every control admission — the Half_open breaker probe the
-     runtime classifies as [Control] — still passes. *)
+  (* ...and every control admission — the Half_open breaker probe —
+     still passes: [admit_control] has no verdict to refuse with. *)
   for _ = 1 to 100 do
-    check_bool "control admitted" true (O.admit t O.Control)
+    O.admit_control t
   done;
   check "control admissions counted" 100 (O.control_admitted t);
   check "control admissions shed nothing" shed (data_shed t)

@@ -988,14 +988,14 @@ let test_syncproxy_file_io () =
           in
           let data = Bytes.of_string "syncproxy writes via io_uring" in
           (match
-             Rakis.Syncproxy.write proxy ~fd ~off:0 ~buf:data ~pos:0
+             Rakis.Syncproxy.io proxy Write ~fd ~off:0 ~buf:data ~pos:0
                ~len:(Bytes.length data)
            with
           | Ok n -> check "written" (Bytes.length data) n
           | Error e -> Alcotest.failf "write: %a" Abi.Errno.pp e);
           let buf = Bytes.create 64 in
           (match
-             Rakis.Syncproxy.read proxy ~fd ~off:0 ~buf ~pos:0 ~len:64
+             Rakis.Syncproxy.io proxy Read ~fd ~off:0 ~buf ~pos:0 ~len:64
            with
           | Ok n ->
               Alcotest.(check string) "readback"
@@ -1015,7 +1015,8 @@ let test_syncproxy_chunked_large_write () =
           in
           let data = Bytes.init 20000 (fun i -> Char.chr (i land 0xff)) in
           (match
-             Rakis.Syncproxy.write proxy ~fd ~off:0 ~buf:data ~pos:0 ~len:20000
+             Rakis.Syncproxy.io proxy Write ~fd ~off:0 ~buf:data ~pos:0
+               ~len:20000
            with
           | Ok n -> check "full write" 20000 n
           | Error e -> Alcotest.failf "write: %a" Abi.Errno.pp e);
@@ -1023,7 +1024,7 @@ let test_syncproxy_chunked_large_write () =
           let rec read_all off =
             if off < 20000 then begin
               match
-                Rakis.Syncproxy.read proxy ~fd ~off ~buf ~pos:off
+                Rakis.Syncproxy.io proxy Read ~fd ~off ~buf ~pos:off
                   ~len:(20000 - off)
               with
               | Ok 0 -> ()
@@ -1064,7 +1065,9 @@ let test_iouring_fm_rejects_bogus_res () =
           let buf = Bytes.create 64 in
           (* Kernel claims to have read 0x7FFFFFF0 bytes of a 64-byte
              request: must be refused as EPERM, not believed. *)
-          match Rakis.Syncproxy.read proxy ~fd ~off:0 ~buf ~pos:0 ~len:64 with
+          match
+            Rakis.Syncproxy.io proxy Read ~fd ~off:0 ~buf ~pos:0 ~len:64
+          with
           | Error Abi.Errno.EPERM -> ()
           | Error e -> Alcotest.failf "expected EPERM, got %a" Abi.Errno.pp e
           | Ok n -> Alcotest.failf "bogus result accepted as %d" n)
@@ -1091,7 +1094,9 @@ let test_iouring_poll_multi () =
           match
             Rakis.Syncproxy.poll_multi proxy
               [ (sock, Abi.Uring_abi.pollin) ]
-              ~timeout:(Some (Sim.Cycles.of_ms 10.))
+              ~deadline:
+                (Sim.Engine.clock fx.engine
+                + Int64.to_int (Sim.Cycles.of_ms 10.))
           with
           | Ok (Some (fd, mask)) ->
               check "fd" sock fd;
@@ -1113,7 +1118,9 @@ let test_iouring_poll_multi_timeout () =
           match
             Rakis.Syncproxy.poll_multi proxy
               [ (sock, Abi.Uring_abi.pollin) ]
-              ~timeout:(Some (Sim.Cycles.of_us 50.))
+              ~deadline:
+                (Sim.Engine.clock fx.engine
+                + Int64.to_int (Sim.Cycles.of_us 50.))
           with
           | Ok None -> ()
           | Ok (Some _) -> Alcotest.fail "spurious readiness"
@@ -1238,7 +1245,7 @@ let test_sqpoll_no_wakeup_syscalls () =
           let buf = Bytes.make 256 's' in
           for i = 0 to 49 do
             match
-              Rakis.Syncproxy.write proxy ~fd ~off:(i * 256) ~buf ~pos:0
+              Rakis.Syncproxy.io proxy Write ~fd ~off:(i * 256) ~buf ~pos:0
                 ~len:256
             with
             | Ok 256 -> ()
@@ -1310,6 +1317,312 @@ let test_round_trip_alloc () =
     Alcotest.failf "%d minor words per round trip, budget %d" per_trip
       round_trip_words_budget
 
+(* {1 The synchronous io_uring path, op by op}
+
+   Every synchronous op of the FM ({!Rakis.Iouring_fm}) on the copy
+   path and on the zero-copy path, under each host weather below.  Each
+   case runs on a fresh boot, sends or reads a 40,000-byte transfer
+   (two whole 16 KiB chunks and a tail, for the bounce buffer and for a
+   pool frame alike), lets the host settle and pins one row: the
+   result, the bytes that reached the file, peer or caller, the FM's
+   retries, the zero-copy sends and fallbacks, and the frames still
+   lent ([Umem.Registered]).  Every case must also end with nothing in
+   flight and the FM's accounting (pool conservation included)
+   holding. *)
+
+type weather =
+  | Honest
+  | Short_first  (** the host truncates the first transfer *)
+  | Bounce_first  (** the host bounces the first SQE with a transient errno *)
+  | Probe_bounce  (** [Bounce_first] in probe mode: no retry budget *)
+  | Forged_second  (** a forged result on the first CQE after chunk 1's *)
+  | Drained_before  (** every pool frame lent and never notified *)
+  | Drained_mid  (** all but one pool frame lent and never notified *)
+
+let weathers =
+  [ Honest; Short_first; Bounce_first; Probe_bounce; Forged_second;
+    Drained_before; Drained_mid ]
+
+let weather_name = function
+  | Honest -> "honest"
+  | Short_first -> "short-io"
+  | Bounce_first -> "bounce"
+  | Probe_bounce -> "probe-bounce"
+  | Forged_second -> "forged-2nd"
+  | Drained_before -> "drained"
+  | Drained_mid -> "drained-mid"
+
+let sync_op_name : Rakis.Iouring_fm.op -> string = function
+  | Read -> "read"
+  | Write -> "write"
+  | Send -> "send"
+  | Recv -> "recv"
+
+let io_len = 40_000
+
+let io_payload = Bytes.init io_len (fun i -> Char.chr (((i * 7) + 3) land 0xff))
+
+(* A connected TCP pair on the host: the FM's end and the peer's. *)
+let tcp_pair fx port =
+  let k = fx.kernel in
+  let ip = Hostos.Kernel.server_ip k in
+  let l = Hostos.Kernel.tcp_socket k in
+  ignore (Hostos.Kernel.bind k l ip port);
+  ignore (Hostos.Kernel.listen k l);
+  let peer = Hostos.Kernel.tcp_socket k in
+  let conn = ref (-1) in
+  Sim.Engine.spawn fx.engine (fun () ->
+      conn := Result.get_ok (Hostos.Kernel.accept k l));
+  ignore (Hostos.Kernel.connect k peer ip port);
+  Sim.Engine.delay (Sim.Cycles.of_us 50.);
+  (!conn, peer)
+
+(* Everything [fd] has ready to read, without blocking. *)
+let drain_ready k fd =
+  let out = Buffer.create io_len and chunk = Bytes.create io_len in
+  while Hostos.Kernel.fd_ready k fd `In do
+    match Hostos.Kernel.recv k fd chunk 0 io_len with
+    | Ok n when n > 0 -> Buffer.add_subbytes out chunk 0 n
+    | _ -> ()
+  done;
+  Buffer.to_bytes out
+
+let io_row ~zerocopy (op : Rakis.Iouring_fm.op) weather =
+  let fx =
+    boot ~config:{ small_config with zerocopy; max_io_size = 16384 } ()
+  in
+  let k = fx.kernel in
+  let m = Obs.metrics (Rakis.Runtime.obs fx.runtime) in
+  let retries () = Obs.Metrics.get_counter m "uring0.retries" in
+  let row = ref "" in
+  run_script fx (fun () ->
+      let thread = Result.get_ok (Rakis.Runtime.new_thread fx.runtime) in
+      let fm = Rakis.Syncproxy.fm (Rakis.Runtime.syncproxy thread) in
+      let file = Result.get_ok (Hostos.Kernel.openf k ~create:true "/io") in
+      let conn, peer = tcp_pair fx 9100 in
+      (* Frames lent and never notified: the withholding host drains the
+         pool (the copy path lends nothing). *)
+      let hold frames =
+        let dconn, _ = tcp_pair fx 9101 in
+        let malice = Hostos.Malice.create ~seed:5L () in
+        Hostos.Malice.arm malice (Hostos.Injector.Probability 1.0)
+          Hostos.Malice.Dropped_notif;
+        Hostos.Kernel.set_malice k (Some malice);
+        let len = frames * Sgx.Params.zc_frame_size in
+        let buf = Bytes.make len 'd' in
+        (match
+           Rakis.Iouring_fm.io fm Send ~fd:dconn ~off:0 ~buf ~pos:0 ~len
+         with
+        | Ok n -> check "pool drain sent" len n
+        | Error e -> Alcotest.failf "pool drain: %a" Abi.Errno.pp e);
+        Hostos.Kernel.set_malice k None;
+        check "frames lent" (if zerocopy then frames else 0)
+          (Rakis.Iouring_fm.zc_registered fm)
+      in
+      let fault what trigger =
+        let f = Hostos.Faults.create ~seed:3L () in
+        Hostos.Faults.arm f trigger what;
+        Hostos.Kernel.set_faults k (Some f)
+      in
+      (match weather with
+      | Honest -> ()
+      | Short_first -> fault Hostos.Faults.Short_io (Hostos.Injector.Once 1.0)
+      | Bounce_first | Probe_bounce ->
+          fault Hostos.Faults.Transient_errno (Hostos.Injector.Once 1.0)
+      | Forged_second ->
+          (* Forge the first CQE the host posts after chunk 1's
+             completion has been reaped. *)
+          let malice = Hostos.Malice.create ~seed:5L () in
+          Hostos.Malice.arm malice (Hostos.Injector.At_step 1)
+            Hostos.Malice.Cqe_bogus_res;
+          Hostos.Kernel.set_malice k (Some malice);
+          let reaped () = Obs.Metrics.get_counter m "uring0.cqes_reaped" in
+          let r0 = reaped () in
+          Sim.Engine.spawn fx.engine (fun () ->
+              while reaped () = r0 do
+                Sim.Engine.delay 50L
+              done;
+              Hostos.Malice.set_step malice 1)
+      | Drained_before -> hold Sgx.Params.zc_frames
+      | Drained_mid -> hold (Sgx.Params.zc_frames - 1));
+      (match op with
+      | Read ->
+          ignore
+            (Hostos.Kernel.pwrite k file ~off:0 io_payload 0 (io_len - 5000))
+      | Recv -> ignore (Hostos.Kernel.send k peer io_payload 0 io_len)
+      | Write | Send -> ());
+      let sends0 = Rakis.Runtime.total_zc_sends fx.runtime
+      and fallbacks0 = Rakis.Runtime.total_zc_fallbacks fx.runtime
+      and retries0 = retries () in
+      let buf = Bytes.make io_len '\000' in
+      if weather = Probe_bounce then Rakis.Iouring_fm.set_probe_mode fm true;
+      let fd = match op with Read | Write -> file | Send | Recv -> conn in
+      let src = match op with Write | Send -> io_payload | Read | Recv -> buf in
+      let r =
+        Rakis.Iouring_fm.io fm op ~fd ~off:0 ~buf:src ~pos:0 ~len:io_len
+      in
+      Rakis.Iouring_fm.set_probe_mode fm false;
+      let sends = Rakis.Runtime.total_zc_sends fx.runtime - sends0
+      and fallbacks = Rakis.Runtime.total_zc_fallbacks fx.runtime - fallbacks0
+      and retried = retries () - retries0 in
+      (* What reached the file, the peer or the caller. *)
+      let reached =
+        match op with
+        | Write ->
+            let back = Bytes.make io_len '\000' in
+            Bytes.sub back 0
+              (Result.get_ok (Hostos.Kernel.pread k file ~off:0 back 0 io_len))
+        | Send -> drain_ready k peer
+        | Read | Recv -> (
+            match r with Ok n -> Bytes.sub buf 0 n | Error _ -> Bytes.empty)
+      in
+      check_bool "reached bytes are the payload's prefix" true
+        (Bytes.equal reached (Bytes.sub io_payload 0 (Bytes.length reached)));
+      (* Let the host settle, then one op reaps what it posted. *)
+      Hostos.Kernel.set_faults k None;
+      Hostos.Kernel.set_malice k None;
+      Sim.Engine.delay (Sim.Cycles.of_ms 1.);
+      ignore (Rakis.Iouring_fm.nop fm);
+      Rakis.Iouring_fm.forget_fd fm ~fd:conn;
+      check "nothing in flight" 0 (Rakis.Iouring_fm.inflight fm);
+      check_bool "accounting holds" true (Rakis.Iouring_fm.accounting_holds fm);
+      row :=
+        Printf.sprintf "%s %s %s: %s reached=%d retries=%d zc=%d/%d lent=%d"
+          (sync_op_name op)
+          (if zerocopy then "zc" else "copy")
+          (weather_name weather)
+          (match r with
+          | Ok n -> Printf.sprintf "Ok %d" n
+          | Error e -> "Error " ^ Abi.Errno.to_string e)
+          (Bytes.length reached) retried sends fallbacks
+          (Rakis.Iouring_fm.zc_registered fm));
+  !row
+
+(* One row per case: the result, the bytes that reached the file, the
+   peer or the caller, the FM's retries, [zc=<zc_sends>/<zc_fallbacks>]
+   and the frames still lent once the host has settled.  Rows worth
+   reading: a short completion is resubmitted ([short-io]); a read
+   ends at EOF on a zero count ([read], 35,000 bytes on file); copy
+   and fixed-buffer IO retry a bounce while probe mode does not; a
+   SEND_ZC that bounces falls back to the copy path and its frame
+   stays lent ([send zc bounce]); a send that finds the pool drained
+   falls back whole, one drained mid-transfer returns its prefix; a
+   forged result after progress returns the prefix even where the host
+   moved more ([write copy forged-2nd]); recv is never chunked. *)
+let expected_io_rows =
+  [
+    "read copy honest: Ok 35000 reached=35000 retries=0 zc=0/0 lent=0";
+    "read copy short-io: Ok 35000 reached=35000 retries=0 zc=0/0 lent=0";
+    "read copy bounce: Ok 35000 reached=35000 retries=1 zc=0/0 lent=0";
+    "read copy probe-bounce: Error ETIMEDOUT reached=0 retries=0 zc=0/0 lent=0";
+    "read copy forged-2nd: Ok 16384 reached=16384 retries=0 zc=0/0 lent=0";
+    "read copy drained: Ok 35000 reached=35000 retries=0 zc=0/0 lent=0";
+    "read copy drained-mid: Ok 35000 reached=35000 retries=0 zc=0/0 lent=0";
+    "read zc honest: Ok 35000 reached=35000 retries=0 zc=0/0 lent=0";
+    "read zc short-io: Ok 35000 reached=35000 retries=0 zc=0/0 lent=0";
+    "read zc bounce: Ok 35000 reached=35000 retries=1 zc=0/0 lent=0";
+    "read zc probe-bounce: Error ETIMEDOUT reached=0 retries=0 zc=0/0 lent=0";
+    "read zc forged-2nd: Ok 16384 reached=16384 retries=0 zc=0/0 lent=0";
+    "read zc drained: Ok 35000 reached=35000 retries=0 zc=0/1 lent=32";
+    "read zc drained-mid: Ok 35000 reached=35000 retries=0 zc=0/0 lent=31";
+    "write copy honest: Ok 40000 reached=40000 retries=0 zc=0/0 lent=0";
+    "write copy short-io: Ok 40000 reached=40000 retries=0 zc=0/0 lent=0";
+    "write copy bounce: Ok 40000 reached=40000 retries=1 zc=0/0 lent=0";
+    "write copy probe-bounce: Error ETIMEDOUT reached=0 retries=0 zc=0/0 lent=0";
+    "write copy forged-2nd: Ok 16384 reached=32768 retries=0 zc=0/0 lent=0";
+    "write copy drained: Ok 40000 reached=40000 retries=0 zc=0/0 lent=0";
+    "write copy drained-mid: Ok 40000 reached=40000 retries=0 zc=0/0 lent=0";
+    "write zc honest: Ok 40000 reached=40000 retries=0 zc=0/0 lent=0";
+    "write zc short-io: Ok 40000 reached=40000 retries=0 zc=0/0 lent=0";
+    "write zc bounce: Ok 40000 reached=40000 retries=1 zc=0/0 lent=0";
+    "write zc probe-bounce: Error ETIMEDOUT reached=0 retries=0 zc=0/0 lent=0";
+    "write zc forged-2nd: Ok 16384 reached=32768 retries=0 zc=0/0 lent=0";
+    "write zc drained: Ok 40000 reached=40000 retries=0 zc=0/1 lent=32";
+    "write zc drained-mid: Ok 40000 reached=40000 retries=0 zc=0/0 lent=31";
+    "send copy honest: Ok 40000 reached=40000 retries=0 zc=0/0 lent=0";
+    "send copy short-io: Ok 40000 reached=40000 retries=0 zc=0/0 lent=0";
+    "send copy bounce: Ok 40000 reached=40000 retries=1 zc=0/0 lent=0";
+    "send copy probe-bounce: Error ETIMEDOUT reached=0 retries=0 zc=0/0 lent=0";
+    "send copy forged-2nd: Ok 16384 reached=32768 retries=0 zc=0/0 lent=0";
+    "send copy drained: Ok 40000 reached=40000 retries=0 zc=0/0 lent=0";
+    "send copy drained-mid: Ok 40000 reached=40000 retries=0 zc=0/0 lent=0";
+    "send zc honest: Ok 40000 reached=40000 retries=0 zc=3/0 lent=0";
+    "send zc short-io: Ok 40000 reached=40000 retries=0 zc=3/0 lent=0";
+    "send zc bounce: Ok 40000 reached=40000 retries=0 zc=1/1 lent=1";
+    "send zc probe-bounce: Ok 40000 reached=40000 retries=0 zc=1/1 lent=1";
+    "send zc forged-2nd: Ok 40000 reached=40000 retries=0 zc=3/0 lent=0";
+    "send zc drained: Ok 40000 reached=40000 retries=0 zc=0/1 lent=32";
+    "send zc drained-mid: Ok 16384 reached=16384 retries=0 zc=1/0 lent=31";
+    "recv copy honest: Ok 16384 reached=16384 retries=0 zc=0/0 lent=0";
+    "recv copy short-io: Ok 16384 reached=16384 retries=0 zc=0/0 lent=0";
+    "recv copy bounce: Ok 16384 reached=16384 retries=1 zc=0/0 lent=0";
+    "recv copy probe-bounce: Error ETIMEDOUT reached=0 retries=0 zc=0/0 lent=0";
+    "recv copy forged-2nd: Ok 16384 reached=16384 retries=0 zc=0/0 lent=0";
+    "recv copy drained: Ok 16384 reached=16384 retries=0 zc=0/0 lent=0";
+    "recv copy drained-mid: Ok 16384 reached=16384 retries=0 zc=0/0 lent=0";
+    "recv zc honest: Ok 16384 reached=16384 retries=0 zc=0/0 lent=0";
+    "recv zc short-io: Ok 16384 reached=16384 retries=0 zc=0/0 lent=0";
+    "recv zc bounce: Ok 16384 reached=16384 retries=0 zc=0/0 lent=0";
+    "recv zc probe-bounce: Ok 16384 reached=16384 retries=0 zc=0/0 lent=0";
+    "recv zc forged-2nd: Ok 16384 reached=16384 retries=0 zc=0/0 lent=0";
+    "recv zc drained: Ok 16384 reached=16384 retries=0 zc=0/1 lent=32";
+    "recv zc drained-mid: Ok 16384 reached=16384 retries=0 zc=0/1 lent=31";
+  ]
+
+let test_sync_io_table () =
+  let rows =
+    List.concat_map
+      (fun op ->
+        List.concat_map
+          (fun zerocopy ->
+            List.map (fun w -> io_row ~zerocopy op w) weathers)
+          [ false; true ])
+      Rakis.Iouring_fm.[ Read; Write; Send; Recv ]
+  in
+  Alcotest.(check (list string)) "one row per case" expected_io_rows rows
+
+(* A SEND_ZC abandoned on the sync-op deadline (every wakeup swallowed,
+   so the SQE never reaches the kernel in time) keeps its frame lent:
+   the kernel may still run it.  Once the host heals, the late
+   completion and its notif free the frame. *)
+let test_abandoned_send_zc_keeps_frame () =
+  let fx =
+    boot ~config:{ small_config with zerocopy = true; max_io_size = 16384 } ()
+  in
+  let k = fx.kernel in
+  run_script fx (fun () ->
+      let thread = Result.get_ok (Rakis.Runtime.new_thread fx.runtime) in
+      let fm = Rakis.Syncproxy.fm (Rakis.Runtime.syncproxy thread) in
+      let conn, peer = tcp_pair fx 9102 in
+      let f = Hostos.Faults.create ~seed:3L () in
+      Hostos.Faults.arm f Hostos.Injector.Persistent Hostos.Faults.Drop_wakeup;
+      Hostos.Kernel.set_faults k (Some f);
+      let buf = io_payload in
+      (match
+         Rakis.Iouring_fm.io fm Send ~fd:conn ~off:0 ~buf ~pos:0 ~len:1000
+       with
+      | Error Abi.Errno.ETIMEDOUT -> ()
+      | Ok n -> Alcotest.failf "sent %d with every wakeup dropped" n
+      | Error e -> Alcotest.failf "expected ETIMEDOUT, got %a" Abi.Errno.pp e);
+      check "one SEND_ZC, then the copy path" 1
+        (Rakis.Runtime.total_zc_sends fx.runtime);
+      check "one fallback" 1 (Rakis.Runtime.total_zc_fallbacks fx.runtime);
+      check "the abandoned frame stays lent" 1
+        (Rakis.Iouring_fm.zc_registered fm);
+      check "nothing in flight" 0 (Rakis.Iouring_fm.inflight fm);
+      check_bool "accounting holds" true (Rakis.Iouring_fm.accounting_holds fm);
+      Hostos.Kernel.set_faults k None;
+      ignore (Rakis.Iouring_fm.nop fm);
+      Sim.Engine.delay (Sim.Cycles.of_ms 1.);
+      ignore (Rakis.Iouring_fm.nop fm);
+      check "the late notif freed it" 0 (Rakis.Iouring_fm.zc_registered fm);
+      check "nothing in flight once healed" 0 (Rakis.Iouring_fm.inflight fm);
+      check_bool "accounting holds once healed" true
+        (Rakis.Iouring_fm.accounting_holds fm);
+      (* Every abandoned attempt ran late — the SEND_ZC and all nine
+         copy attempts: at-least-once (ROADMAP item 1). *)
+      check "bytes the peer got" 10_000 (Bytes.length (drain_ready k peer)))
+
 let suite =
   suite
   @ [
@@ -1319,4 +1632,8 @@ let suite =
        test_config_validate_rules);
       ("alloc: a UDP round trip allocates its data and continuations", `Quick,
        test_round_trip_alloc);
+      ("iouring fm: every sync op under every weather, copy and zero-copy",
+       `Quick, test_sync_io_table);
+      ("iouring fm: an abandoned SEND_ZC keeps its frame lent", `Quick,
+       test_abandoned_send_zc_keeps_frame);
     ]

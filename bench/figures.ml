@@ -166,7 +166,7 @@ let table2 () =
         (match Rakis.Runtime.new_thread runtime with
         | Error _ -> ()
         | Ok thread ->
-            let proxy = Rakis.Runtime.syncproxy thread in
+            let proxy = thread in
             let fd =
               Result.get_ok (Hostos.Kernel.openf kernel ~create:true "/t2")
             in
@@ -520,7 +520,7 @@ let ablation () =
     let r = Apps.Memcached.run h ~server_threads:4 ~ops:15_000 in
     let contention =
       match Libos.Env.runtime h.Apps.Harness.env with
-      | Some rt -> Netstack.Stack.lock_contention (Rakis.Runtime.stack rt)
+      | Some rt -> Netstack.Stack.lock_contention (Rakis.Runtime.shard_stack rt 0)
       | None -> 0
     in
     (r.kops_per_sec, contention)

@@ -298,7 +298,7 @@ let run_lossy_json () =
     in
     let s = Apps.Loadgen.run ~config h ~server_threads:kv_server_threads in
     let silent = Apps.Loadgen.silent_loss s h rt in
-    (s, Rakis.Runtime.total_wire_losses rt, max 0 silent)
+    (s, Hostos.Kernel.wire_losses (Rakis.Runtime.kernel rt), max 0 silent)
   in
   let plain, plain_wire, plain_silent = leg ~rdp:false in
   let over, over_wire, over_silent = leg ~rdp:true in

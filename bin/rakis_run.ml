@@ -184,7 +184,7 @@ let report_faults h injector =
                 (Rakis.Health.probes_sent b)
                 (Rakis.Health.sheds b)
           in
-          pb "xsk" (Rakis.Runtime.xsk_breaker rt);
+          pb "xsk" (Rakis.Runtime.shard_breaker rt 0);
           for k = 1 to Rakis.Runtime.shard_count rt - 1 do
             pb
               (Printf.sprintf "xsk.%d" k)

@@ -91,7 +91,7 @@ let campaign ~budget ~faults_plan ~queues ~wire =
     if Tm.Campaign.failed o then begin
       incr failures;
       Format.printf "%a@.repro: %s@.@." Tm.Campaign.pp_outcome o
-        (Tm.Campaign.repro o)
+        Tm.Campaign.(token_to_string (Campaign o.spec))
     end
   in
   List.iter
@@ -217,12 +217,13 @@ let campaign ~budget ~faults_plan ~queues ~wire =
         incr failures;
         Format.printf "%s: the lossy-wire plan never injected a fault@." label
       end;
-      (match Tm.Campaign.parse_repro (Tm.Campaign.repro o) with
+      let token = Tm.Campaign.(token_to_string (Campaign o.spec)) in
+      (match Tm.Campaign.parse_repro token with
       | Ok { Tm.Campaign.wire = true; _ } -> ()
       | _ ->
           incr failures;
           Format.printf "%s: repro token %S does not replay the wire@." label
-            (Tm.Campaign.repro o));
+            token);
       summarize o
     in
     check_wire "wire  "

@@ -20,10 +20,10 @@
    overload controller, only seen when the client API runs on RAKIS) /
    [lost] (no reply within [timeout]).  A reply that arrives after its
    op was declared lost is drained and counted [late] — it reached the
-   client, so it is not silent loss.  The soak harness checks
-   [lost - late] against the server-side accounted-drop counters
-   ({!Rakis.Runtime.total_accounted_drops}): any remainder is an
-   unaccounted datagram, which is a bug.  With [retries > 0] a timed-out
+   client, so it is not silent loss.  {!silent_loss} checks
+   [lost - late] against the server-side loss total
+   ({!Rakis.Runtime.total_losses}): any remainder is an unaccounted
+   datagram, which is a bug.  With [retries > 0] a timed-out
    op is re-sent (datagram-level accounting then overcounts offered
    traffic by [retried]); soak runs use [retries = 0].
 
@@ -99,14 +99,93 @@ let sample_key rng cdf n =
     !lo
   end
 
-(* {1 Shared run state} *)
+(* {1 Phase goodput} *)
 
 (* Recovery goodput is judged in fixed windows this wide. *)
 let recovery_window = Sim.Cycles.of_us 100.
 
+type phase = Baseline | Crowd | Recovery
+
+let index = function Baseline -> 0 | Crowd -> 1 | Recovery -> 2
+
+(* When each phase began (0 = not yet), completions per phase, and the
+   recovery completions per window since the crowd left. *)
+type phases = {
+  began : int64 array;
+  completions : int array;
+  windows : (int, int ref) Hashtbl.t;
+}
+
+let phases () =
+  {
+    began = Array.make 3 0L;
+    completions = Array.make 3 0;
+    windows = Hashtbl.create 64;
+  }
+
+let enter p phase ~now = p.began.(index phase) <- now
+
+let complete p phase ~now =
+  let i = index phase in
+  p.completions.(i) <- p.completions.(i) + 1;
+  if phase = Recovery then
+    let w =
+      Int64.to_int (Int64.div (Int64.sub now p.began.(i)) recovery_window)
+    in
+    match Hashtbl.find_opt p.windows w with
+    | Some r -> incr r
+    | None -> Hashtbl.add p.windows w (ref 1)
+
+(* The phase a completion belongs to when only its time tells. *)
+let current p =
+  if p.began.(1) = 0L then Baseline
+  else if p.began.(2) = 0L then Crowd
+  else Recovery
+
+let kops done_ cycles =
+  if Int64.compare cycles 0L <= 0 then 0.
+  else float_of_int done_ /. Sim.Cycles.to_sec cycles /. 1e3
+
+type goodput = {
+  baseline_kops : float;
+  crowd_kops : float;
+  recovery_kops : float;
+  recovered : bool;
+  recovery_window : int option;
+}
+
+let goodput p ~finish =
+  (* A phase lasts until the next one begins, or until [finish]. *)
+  let kops_in i =
+    let until =
+      if i < 2 && p.began.(i + 1) <> 0L then p.began.(i + 1) else finish
+    in
+    if i > 0 && p.began.(i) = 0L then 0.
+    else kops p.completions.(i) (Int64.sub until p.began.(i))
+  in
+  let baseline_kops = kops_in 0 in
+  let hit =
+    Hashtbl.fold
+      (fun w n best ->
+        if kops !n recovery_window >= 0.95 *. baseline_kops then
+          match best with Some b when b <= w -> best | _ -> Some w
+        else best)
+      p.windows None
+  in
+  {
+    baseline_kops;
+    crowd_kops = kops_in 1;
+    recovery_kops = kops_in 2;
+    recovered = p.began.(1) = 0L || hit <> None;
+    recovery_window = hit;
+  }
+
+(* {1 Shared run state} *)
+
 type state = {
   cfg : config;
   hist : Obs.Metrics.histogram;
+  ph : phases;
   mutable base_offered : int;
   mutable crowd_offered : int;
   mutable completed : int;
@@ -116,14 +195,6 @@ type state = {
   mutable retried : int;
   mutable rdp_retransmits : int;
   mutable rdp_gave_up : int;
-  mutable start : int64;
-  mutable crowd_launched : bool;
-  mutable crowd_start : int64;
-  mutable crowd_end : int64;
-  mutable baseline_done : int;
-  mutable crowd_done : int;
-  mutable recovery_done : int;
-  recovery_windows : (int, int ref) Hashtbl.t;
   mutable live : int;
   mutable crowd_live : int;
   on_done : unit -> unit;
@@ -133,6 +204,7 @@ let make_state cfg ~on_done =
   {
     cfg;
     hist = Obs.Metrics.histogram (Obs.Metrics.create ()) "loadgen.latency_cycles";
+    ph = phases ();
     base_offered = 0;
     crowd_offered = 0;
     completed = 0;
@@ -142,14 +214,6 @@ let make_state cfg ~on_done =
     retried = 0;
     rdp_retransmits = 0;
     rdp_gave_up = 0;
-    start = 0L;
-    crowd_launched = false;
-    crowd_start = 0L;
-    crowd_end = 0L;
-    baseline_done = 0;
-    crowd_done = 0;
-    recovery_done = 0;
-    recovery_windows = Hashtbl.create 64;
     live = 0;
     crowd_live = 0;
     on_done;
@@ -158,15 +222,7 @@ let make_state cfg ~on_done =
 let record_completion st now latency =
   st.completed <- st.completed + 1;
   Obs.Metrics.observe st.hist (Int64.to_int latency);
-  if st.crowd_start = 0L then st.baseline_done <- st.baseline_done + 1
-  else if st.crowd_end = 0L then st.crowd_done <- st.crowd_done + 1
-  else begin
-    st.recovery_done <- st.recovery_done + 1;
-    let idx = Int64.to_int (Int64.div (Int64.sub now st.crowd_end) recovery_window) in
-    match Hashtbl.find_opt st.recovery_windows idx with
-    | Some r -> incr r
-    | None -> Hashtbl.add st.recovery_windows idx (ref 1)
-  end
+  complete st.ph (current st.ph) ~now
 
 let maybe_finished st =
   if st.live = 0 && st.crowd_live = 0 then st.on_done ()
@@ -310,16 +366,15 @@ let crowd_client api st ~rng ~cdf ~budget () =
   done;
   finish_chan api st chan;
   st.crowd_live <- st.crowd_live - 1;
-  if st.crowd_live = 0 then st.crowd_end <- Libos.Api.now api;
+  if st.crowd_live = 0 then enter st.ph Recovery ~now:(Libos.Api.now api);
   maybe_finished st
 
 (* Fired from the regular clients' op loop the first time the global
    offered count crosses [f.at_op]. *)
 let maybe_flash api st ~cdf =
   match st.cfg.flash with
-  | Some f when (not st.crowd_launched) && st.base_offered >= f.at_op ->
-      st.crowd_launched <- true;
-      st.crowd_start <- Libos.Api.now api;
+  | Some f when current st.ph = Baseline && st.base_offered >= f.at_op ->
+      enter st.ph Crowd ~now:(Libos.Api.now api);
       st.crowd_live <- f.extra_connections;
       let budget = max 1 (f.crowd_ops / f.extra_connections) in
       for c = 1 to f.extra_connections do
@@ -417,11 +472,9 @@ let open_client api st ~rng ~cdf ~interarrival ~budget () =
                 if not (finished ()) then rx ())
       in
       rx ());
-  let since_churn = ref 0 in
   for _ = 1 to budget do
     maybe_flash api st ~cdf;
     (* No churn mid-open-loop: the receiver holds the channel. *)
-    ignore since_churn;
     st.base_offered <- st.base_offered + 1;
     let req = build_request st rng cdf value in
     (match chan with
@@ -453,16 +506,8 @@ type stats = {
   latency : Obs.Metrics.summary;
   duration : Sim.Engine.time;
   goodput_kops : float;
-  baseline_kops : float;
-  crowd_kops : float;
-  recovery_kops : float;
-  recovered : bool;
-  recovery_window : int option;
+  phase_goodput : goodput;
 }
-
-let kops done_ cycles =
-  if Int64.compare cycles 0L <= 0 then 0.
-  else float_of_int done_ /. Sim.Cycles.to_sec cycles /. 1e3
 
 let run ?(config = default) (h : Harness.t) ~server_threads =
   let st = make_state config ~on_done:(fun () -> Harness.stop h) in
@@ -471,7 +516,7 @@ let run ?(config = default) (h : Harness.t) ~server_threads =
   Sim.Engine.spawn h.engine ~name:"loadgen" (fun () ->
       (* Let the server bind before offering load. *)
       Sim.Engine.delay (Sim.Cycles.of_us 50.);
-      st.start <- Sim.Engine.now h.engine;
+      enter st.ph Baseline ~now:(Sim.Engine.now h.engine);
       let cdf = zipf_cdf ~n:config.key_space ~s:config.zipf in
       st.live <- config.connections;
       for c = 0 to config.connections - 1 do
@@ -490,27 +535,7 @@ let run ?(config = default) (h : Harness.t) ~server_threads =
       done);
   Harness.run h ~until:(Sim.Cycles.of_sec 60.);
   let finish = Sim.Engine.now h.engine in
-  let duration = Int64.sub finish st.start in
-  let baseline_cycles =
-    if st.crowd_start = 0L then duration else Int64.sub st.crowd_start st.start
-  in
-  let crowd_cycles =
-    if st.crowd_start = 0L then 0L
-    else Int64.sub (if st.crowd_end = 0L then finish else st.crowd_end) st.crowd_start
-  in
-  let recovery_cycles =
-    if st.crowd_end = 0L then 0L else Int64.sub finish st.crowd_end
-  in
-  let baseline_kops = kops st.baseline_done baseline_cycles in
-  let window_kops n = kops n recovery_window in
-  let recovery_window_hit =
-    Hashtbl.fold
-      (fun idx n best ->
-        if window_kops !n >= 0.95 *. baseline_kops then
-          match best with Some b when b <= idx -> best | _ -> Some idx
-        else best)
-      st.recovery_windows None
-  in
+  let duration = Int64.sub finish st.ph.began.(0) in
   {
     offered = st.base_offered + st.crowd_offered;
     completed = st.completed;
@@ -523,29 +548,25 @@ let run ?(config = default) (h : Harness.t) ~server_threads =
     latency = Obs.Metrics.summary st.hist;
     duration;
     goodput_kops = kops st.completed duration;
-    baseline_kops;
-    crowd_kops = kops st.crowd_done crowd_cycles;
-    recovery_kops = kops st.recovery_done recovery_cycles;
-    recovered = (st.crowd_start = 0L || recovery_window_hit <> None);
-    recovery_window = recovery_window_hit;
+    phase_goodput = goodput st.ph ~finish;
   }
 
 let silent_loss s (h : Harness.t) rt =
   let machine = Sim.Engine.stats h.Harness.engine in
   s.lost - s.late - s.rdp_gave_up
-  - Rakis.Runtime.total_accounted_drops rt
-  - Rakis.Runtime.total_overload_shed rt
+  - Rakis.Runtime.total_losses rt
   - Obs.Metrics.get_counter machine "udp.no_socket_drops"
   - Obs.Metrics.get_counter machine "udp.buffer_drops"
 
 let pp_stats ppf s =
+  let g = s.phase_goodput in
   Format.fprintf ppf
     "offered=%d completed=%d shed=%d lost=%d late=%d retried=%d@ latency: %a@ \
      goodput=%.1f kops/s (baseline=%.1f crowd=%.1f recovery=%.1f) recovered=%b%s"
     s.offered s.completed s.shed s.lost s.late s.retried Obs.Metrics.pp_summary
-    s.latency s.goodput_kops s.baseline_kops s.crowd_kops s.recovery_kops
-    s.recovered
-    (match s.recovery_window with
+    s.latency s.goodput_kops g.baseline_kops g.crowd_kops g.recovery_kops
+    g.recovered
+    (match g.recovery_window with
     | Some w -> Printf.sprintf " (window %d)" w
     | None -> "");
   if s.rdp_retransmits > 0 || s.rdp_gave_up > 0 then

@@ -9,9 +9,9 @@
     Accounting discipline: every offered op terminates as exactly one
     of [completed] / [shed] (synchronous [EAGAIN]) / [lost] (no reply
     within [timeout]); replies that arrive after their op was declared
-    lost are drained and counted [late].  The soak harness checks
-    [lost - late] against the server-side accounted-drop counters —
-    any remainder is silent loss, which is a bug.  Goodput is tracked
+    lost are drained and counted [late].  {!silent_loss} checks
+    [lost - late] against the server-side loss total — any remainder
+    is silent loss, which is a bug.  Goodput is tracked
     per phase (baseline / crowd / recovery), with the recovery phase
     split into 100 µs windows so "goodput recovers to >= 95% of
     baseline" means some window actually gets there, not just the
@@ -58,6 +58,41 @@ val default : config
 (** Closed-loop, 32 connections, 20k ops, Zipf 0.99, 9:1 GET/SET,
     300 µs timeout, no retries, no flash crowd, no churn. *)
 
+(** {1 Phase goodput}
+
+    The one tracker of goodput around a flash crowd, shared by {!run}
+    and the chaos soak ([Tm.Campaign.soak]).  The caller marks when
+    each phase begins and says which phase each completion belongs to:
+    {!run} classifies by time, the soak by request tag. *)
+
+type phase = Baseline | Crowd | Recovery
+
+type phases
+
+val phases : unit -> phases
+
+val enter : phases -> phase -> now:Sim.Engine.time -> unit
+(** [Baseline] marks the start of the run, [Crowd] the crowd's arrival
+    and [Recovery] its departure. *)
+
+val complete : phases -> phase -> now:Sim.Engine.time -> unit
+(** One completion in [phase]; a [Recovery] completion also counts in
+    its 100 µs window after the crowd left. *)
+
+type goodput = {
+  baseline_kops : float;  (** before the crowd (the whole run without one) *)
+  crowd_kops : float;
+  recovery_kops : float;
+  recovered : bool;
+      (** some recovery window reached >= 95% of baseline goodput
+          (vacuously true without a crowd) *)
+  recovery_window : int option;  (** the first such window *)
+}
+
+val goodput : phases -> finish:Sim.Engine.time -> goodput
+(** Completions per phase over each phase's span, in kops per
+    simulated second; a phase not yet left ends at [finish]. *)
+
 type stats = {
   offered : int;
   completed : int;
@@ -72,14 +107,7 @@ type stats = {
   latency : Obs.Metrics.summary;  (** per-op round trip, cycles *)
   duration : Sim.Engine.time;
   goodput_kops : float;
-  baseline_kops : float;  (** goodput before the flash crowd *)
-  crowd_kops : float;
-  recovery_kops : float;
-  recovered : bool;
-      (** some post-crowd window reached >= 95% of baseline goodput
-          (vacuously true without a flash crowd) *)
-  recovery_window : int option;
-      (** index of the first such 100 µs window after the crowd left *)
+  phase_goodput : goodput;  (** around the flash crowd, if any *)
 }
 
 val run : ?config:config -> Harness.t -> server_threads:int -> stats
@@ -91,9 +119,10 @@ val pp_stats : Format.formatter -> stats -> unit
 
 val silent_loss : stats -> Harness.t -> Rakis.Runtime.t -> int
 (** Ops lost that no counter accounts for: [lost - late], less the
-    client links' RDP give-ups, the runtime's accounted drops and
-    overload sheds, and the client kernel's [udp.no_socket_drops] and
-    [udp.buffer_drops] on the engine's registry.  A timed-out op
+    client links' RDP give-ups, the runtime's loss total
+    ({!Rakis.Runtime.total_losses}), and the client kernel's
+    [udp.no_socket_drops] and [udp.buffer_drops] on the engine's
+    registry.  A timed-out op
     recycles its socket, so a reply still coming dies in the host
     kernel as [udp.no_socket_drops]; a reply burst overrunning the
     client's socket buffer dies as [udp.buffer_drops].  Anything

@@ -71,107 +71,84 @@ let tag_of payload =
     int_of_string_opt (Bytes.sub_string payload 0 8)
   else None
 
-(* Closed-loop native client: each datagram waits (bounded) for its
-   echo, so the count measures round trips, not offered load.  [src]
-   pins the source port (multi-flow runs need distinct, deterministic
-   4-tuples so RSS spreads the flows over the shards); the single-flow
-   default keeps the historical ephemeral-port behaviour. *)
-let client api ~datagrams ~payload_size ~src ~echoed ~first ~last ~rtts ~fin ()
-    =
-  (* Let the server finish socket+bind before offering load. *)
-  Sim.Engine.delay (Sim.Cycles.of_us 50.);
-  let fd = api.Libos.Api.udp_socket () in
-  (match src with
-  | None -> ()
-  | Some addr -> (
-      match api.Libos.Api.bind fd addr with
-      | Ok () -> ()
-      | Error e ->
-          failwith (Format.asprintf "echo client bind: %a" Abi.Errno.pp e)));
-  let dst = (Packet.Addr.Ip.of_repr "10.0.0.1", port) in
+(* One flow of closed-loop round trips: each datagram waits (bounded)
+   for its tagged echo, so the count measures round trips, not offered
+   load.  [recv left] waits at most [left] cycles and answers [`Reply],
+   [`Again] (nothing usable, keep waiting) or [`Timeout]. *)
+let round_trips api ~datagrams ~payload_size ~send ~recv ~echoed ~first ~last
+    ~rtts =
   let payload = Bytes.make (max 8 payload_size) 'e' in
   if !first = 0L then first := Libos.Api.now api;
   for seq = 0 to datagrams - 1 do
     tag_payload payload seq;
     let sent_at = Libos.Api.now api in
     let deadline = Int64.add sent_at reply_timeout in
-    ignore (api.Libos.Api.sendto fd payload dst);
+    send payload;
     let rec await () =
       let left = Int64.sub deadline (Libos.Api.now api) in
       if Int64.compare left 0L > 0 then
-        match api.Libos.Api.poll [ (fd, [ `In ]) ] ~timeout:(Some left) with
-        | Ok ((_, _) :: _) -> (
-            match api.Libos.Api.recvfrom fd 65536 with
-            | Ok (reply, _) when tag_of reply = Some seq ->
-                incr echoed;
-                last := Int64.max !last (Libos.Api.now api);
-                Obs.Metrics.observe rtts
-                  (Int64.to_int (Int64.sub !last sent_at))
-            | Ok _ -> await () (* stale echo of a given-up round trip *)
-            | Error _ -> await ())
-        | Ok [] | Error _ -> ()
-    in
-    await ()
-  done;
-  fin ()
-
-(* The RDP client: each round trip sends over the reliable-datagram
-   link and waits (bounded) for the tagged echo; the link retransmits
-   on its own clock inside [recv].  A final [flush] turns any unacked
-   datagrams into counted give-ups before the flow finishes. *)
-let client_rdp api ~datagrams ~payload_size ~src ~links ~echoed ~first ~last
-    ~rtts ~fin () =
-  Sim.Engine.delay (Sim.Cycles.of_us 50.);
-  let link = Rdp_link.create api in
-  links := link :: !links;
-  (match src with
-  | None -> ()
-  | Some addr -> (
-      match Rdp_link.bind link addr with
-      | Ok () -> ()
-      | Error e ->
-          failwith (Format.asprintf "echo client bind: %a" Abi.Errno.pp e)));
-  let dst = (Packet.Addr.Ip.of_repr "10.0.0.1", port) in
-  let payload = Bytes.make (max 8 payload_size) 'e' in
-  if !first = 0L then first := Libos.Api.now api;
-  for seq = 0 to datagrams - 1 do
-    tag_payload payload seq;
-    let sent_at = Libos.Api.now api in
-    let deadline = Int64.add sent_at reply_timeout in
-    Rdp_link.send link (Bytes.copy payload) dst;
-    let rec await () =
-      let left = Int64.sub deadline (Libos.Api.now api) in
-      if Int64.compare left 0L > 0 then
-        match Rdp_link.recv ~timeout:left link with
-        | Some (reply, _) when tag_of reply = Some seq ->
+        match recv left with
+        | `Reply reply when tag_of reply = Some seq ->
             incr echoed;
             last := Int64.max !last (Libos.Api.now api);
             Obs.Metrics.observe rtts (Int64.to_int (Int64.sub !last sent_at))
-        | Some _ -> await () (* stale echo of a given-up round trip *)
-        | None -> ()
+        | `Reply _ (* stale echo of a given-up round trip *) | `Again ->
+            await ()
+        | `Timeout -> ()
     in
     await ()
-  done;
-  Rdp_link.flush ~timeout:reply_timeout link;
+  done
+
+(* The native client of one flow.  [src] pins the source port
+   (multi-flow runs need distinct, deterministic 4-tuples so RSS
+   spreads the flows over the shards); the single-flow default keeps
+   the historical ephemeral-port behaviour.  With [rdp] each round trip
+   rides the reliable-datagram link, which retransmits on its own clock
+   inside [recv]; a final [flush] turns any unacked datagrams into
+   counted give-ups before the flow finishes. *)
+let client api ~rdp ~datagrams ~payload_size ~src ~links ~echoed ~first ~last
+    ~rtts ~fin () =
+  (* Let the server finish socket+bind before offering load. *)
+  Sim.Engine.delay (Sim.Cycles.of_us 50.);
+  let dst = (Packet.Addr.Ip.of_repr "10.0.0.1", port) in
+  let bind_src bind =
+    match src with
+    | None -> ()
+    | Some addr -> (
+        match bind addr with
+        | Ok () -> ()
+        | Error e ->
+            failwith (Format.asprintf "echo client bind: %a" Abi.Errno.pp e))
+  in
+  let round_trips =
+    round_trips api ~datagrams ~payload_size ~echoed ~first ~last ~rtts
+  in
+  if rdp then begin
+    let link = Rdp_link.create api in
+    links := link :: !links;
+    bind_src (Rdp_link.bind link);
+    round_trips
+      ~send:(fun p -> Rdp_link.send link (Bytes.copy p) dst)
+      ~recv:(fun left ->
+        match Rdp_link.recv ~timeout:left link with
+        | Some (reply, _) -> `Reply reply
+        | None -> `Timeout);
+    Rdp_link.flush ~timeout:reply_timeout link
+  end
+  else begin
+    let fd = api.Libos.Api.udp_socket () in
+    bind_src (api.Libos.Api.bind fd);
+    round_trips
+      ~send:(fun p -> ignore (api.Libos.Api.sendto fd p dst))
+      ~recv:(fun left ->
+        match api.Libos.Api.poll [ (fd, [ `In ]) ] ~timeout:(Some left) with
+        | Ok (_ :: _) -> (
+            match api.Libos.Api.recvfrom fd 65536 with
+            | Ok (reply, _) -> `Reply reply
+            | Error _ -> `Again)
+        | Ok [] | Error _ -> `Timeout)
+  end;
   fin ()
-
-(* Server-side accounted refusals: overload sheds (rx-gate and reply
-   EAGAIN) plus every counted drop stream.  What the client failed to
-   hear back minus this is silent loss. *)
-let accounted_sheds (h : Harness.t) =
-  match Libos.Env.runtime h.env with
-  | None -> 0
-  | Some rt ->
-      Rakis.Runtime.total_overload_shed rt
-      + Rakis.Runtime.total_accounted_drops rt
-
-(* Accounted wire-fault losses (drop/truncate/runt/giant on either
-   NIC): the middle leg of the tri-state loss accounting — neither an
-   overload shed nor silent loss. *)
-let wire_losses (h : Harness.t) =
-  match Libos.Env.runtime h.env with
-  | None -> 0
-  | Some rt -> Rakis.Runtime.total_wire_losses rt
 
 let run ?(flows = 1) ?(rdp = false) (h : Harness.t) ~datagrams ~payload_size =
   let echoed = ref 0 and first = ref 0L and last = ref 0L in
@@ -186,12 +163,8 @@ let run ?(flows = 1) ?(rdp = false) (h : Harness.t) ~datagrams ~payload_size =
   in
   let spawn_client ~name ~datagrams ~src =
     Sim.Engine.spawn h.engine ~name
-      (if rdp then
-         client_rdp h.peer ~datagrams ~payload_size ~src ~links ~echoed ~first
-           ~last ~rtts ~fin
-       else
-         client h.peer ~datagrams ~payload_size ~src ~echoed ~first ~last ~rtts
-           ~fin)
+      (client h.peer ~rdp ~datagrams ~payload_size ~src ~links ~echoed ~first
+         ~last ~rtts ~fin)
   in
   if flows <= 1 then spawn_client ~name:"echo-client" ~datagrams ~src:None
   else begin
@@ -213,16 +186,21 @@ let run ?(flows = 1) ?(rdp = false) (h : Harness.t) ~datagrams ~payload_size =
   let duration = if !echoed = 0 then 0L else Int64.sub !last !first in
   let shards = Shards.capture h in
   Shards.check_exn ~what:"udp_echo" shards;
-  let wire_dropped = wire_losses h in
+  (* The two accounted legs of the tri-state loss split: wire-fault
+     losses, and every other server-side loss. *)
+  let losses, wire_dropped =
+    match Libos.Env.runtime h.env with
+    | None -> (0, 0)
+    | Some rt ->
+        ( Rakis.Runtime.total_losses rt,
+          Hostos.Kernel.wire_losses (Rakis.Runtime.kernel rt) )
+  in
   let fold f = List.fold_left (fun acc l -> acc + f (Rdp_link.rdp l)) 0 !links in
   {
     env = (Harness.api h).Libos.Api.name;
     datagrams;
     echoed = !echoed;
-    (* [total_accounted_drops] already folds the wire-loss counters in;
-       subtract them back out so [shed] and [wire_dropped] are the two
-       disjoint accounted legs of the tri-state split. *)
-    shed = accounted_sheds h - wire_dropped;
+    shed = losses - wire_dropped;
     wire_dropped;
     flows;
     payload_size;

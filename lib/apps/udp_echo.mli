@@ -14,8 +14,8 @@ type result = {
   datagrams : int;  (** round trips attempted *)
   echoed : int;  (** round trips completed *)
   shed : int;
-      (** server-side {e accounted} refusals excluding wire faults
-          (overload sheds + non-wire counted drop streams);
+      (** server-side {e accounted} losses excluding wire faults:
+          {!Rakis.Runtime.total_losses} less [wire_dropped];
           [datagrams - echoed - shed - wire_dropped > 0] means silent
           loss.  [0] for non-RAKIS baselines. *)
   wire_dropped : int;
@@ -63,3 +63,7 @@ val run :
     [rdp_gave_up] — counted, never silent. *)
 
 val pp_result : Format.formatter -> result -> unit
+
+val tag_of : Bytes.t -> int option
+(** The sequence tag in a round trip's first 8 payload bytes (decimal,
+    zero-padded), or [None] when they hold none. *)

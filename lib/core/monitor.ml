@@ -258,4 +258,3 @@ let start t =
       in
       loop ())
 
-let restart t = start t

@@ -57,20 +57,18 @@ val nudge_xsk : t -> Hostos.Xdp.xsk -> unit
     recovery for a dropped or withheld xTX wakeup (DESIGN.md §8). *)
 
 val start : t -> unit
-(** Spawn the MM thread (a new generation; see {!restart}). *)
+(** Spawn the MM thread: a new generation, superseding any prior
+    incarnation (the watchdog's restart). *)
 
 (** {1 Liveness and the watchdog (DESIGN.md §8)}
 
     The MM thread is untrusted and may crash or hang ({!Hostos.Faults}).
     While a fault injector is installed it maintains a heartbeat every
     {!Sgx.Params.mm_heartbeat_period} cycles; {!Runtime}'s in-enclave
-    watchdog samples {!alive} and {!last_beat} and calls {!restart} when
+    watchdog samples {!alive} and {!last_beat} and calls {!start} again when
     the beat goes stale.  Generations fence superseded incarnations out:
     a hung thread that wakes after a restart exits without touching
     anything. *)
-
-val restart : t -> unit
-(** Spawn a replacement MM thread, superseding any prior incarnation. *)
 
 val force_scan : t -> unit
 (** Run one watched-ring scan in the {e caller's} context — the
@@ -86,7 +84,7 @@ val last_beat : t -> int
     {!Sim.Engine.clock} reads it. *)
 
 val generation : t -> int
-(** Number of times the MM has been started ({!start} + {!restart}). *)
+(** Number of times the MM has been started (boot plus every watchdog restart). *)
 
 val wakeup_syscalls : t -> int
 (** Wakeup syscalls issued so far (all kinds). *)

@@ -17,9 +17,6 @@ type shard = {
   mutable tx_counter : int;
 }
 
-(* A user thread's io_uring context is its SyncProxy, which holds the
-   thread's FM. *)
-type thread = Syncproxy.t
 
 type t = {
   enclave : Sgx.Enclave.t;
@@ -42,7 +39,7 @@ type t = {
   uring_overload : Overload.t option;
   slow : Slowpath.t; (* what the XSK and io_uring breakers fail over to *)
   mutable udp_socks : udp_sock list;
-  mutable threads : thread list;
+  mutable threads : Syncproxy.t list;  (* one per user thread *)
   mutable thread_counter : int;
 }
 
@@ -62,8 +59,6 @@ let enclave t = t.enclave
 
 let kernel t = t.kernel
 
-let stack t = t.shards.(0).sh_stack
-
 let monitor t = t.shards.(0).sh_monitor
 
 let config t = t.config
@@ -73,8 +68,6 @@ let obs t = t.obs
 let shard_count t = Array.length t.shards
 
 let xsk_fms t = Array.concat (Array.to_list (Array.map (fun sh -> sh.sh_fms) t.shards))
-
-let xsk_breaker t = t.shards.(0).sh_breaker
 
 let uring_breaker t = t.uring_breaker
 
@@ -758,8 +751,6 @@ let new_thread t =
       t.threads <- proxy :: t.threads;
       Ok proxy
 
-let syncproxy thread = thread
-
 (* {1 Introspection}
 
    Each counter total is one registry query (DESIGN.md §7) over the
@@ -817,23 +808,18 @@ let total_edge_drops t = query t ~prefix:"xsk" ~suffix:".xdp.rx_dropped"
 
 let total_fill_throttles t = query t ~prefix:"xsk" ~suffix:".fill_throttled"
 
-(* Frames the injected wire faults destroyed in flight, either link
-   direction.  A truncated frame is double-booked (once here, once as
-   the parse-reject it becomes downstream); the accounting gates are
-   one-sided inequalities, so over-counting is safe where an uncounted
-   loss would not be. *)
-let total_wire_losses t = Hostos.Kernel.wire_losses t.kernel
-
-(* Datagrams that died with an accounting trail, runtime-wide: netstack
-   drop counters (bad packets, queue-full, overload sheds), NIC edge
-   drops, wire-fault losses, and descriptor/ring rejects.  The soak
-   harness checks every client-side loss against this total — silent
-   loss means a datagram vanished with {e no} counter anywhere, which is
-   a soak failure. *)
-let total_accounted_drops t =
+(* The one server-side loss total (DESIGN.md §7): every datagram that
+   died with an accounting trail, each counted once.  An rx-gate shed is
+   both a stack [drop.overload-shed] and a controller [shed.data], so the
+   stack's count of them comes off the shed total.  A truncated wire
+   frame is still booked twice, as a wire loss and as the parse reject
+   it becomes (ROADMAP item 3). *)
+let total_losses t =
   query t ~prefix:"stack" ~infix:".drop." ~suffix:""
   + total_edge_drops t + total_desc_rejects t + total_ring_check_failures t
-  + total_wire_losses t
+  + Hostos.Kernel.wire_losses t.kernel
+  + total_overload_shed t
+  - query t ~prefix:"stack" ~suffix:".drop.overload-shed"
 
 let shard_stack t k = t.shards.(k).sh_stack
 
@@ -894,7 +880,7 @@ let start_watchdog t =
               match Health.allow t.mm_breaker with
               | Health.Fast | Health.Probe ->
                   Obs.Metrics.incr restarts;
-                  Monitor.restart mon;
+                  Monitor.start mon;
                   Monitor.kick mon
               | Health.Slow -> ()
             end)

@@ -47,9 +47,6 @@ type udp_sock
     on every shard's stack (same port), so a flow's datagrams surface on
     the shard its RSS hash selects. *)
 
-type thread
-(** A user thread's io_uring context: its FM plus its SyncProxy. *)
-
 val boot :
   Hostos.Kernel.t -> sgx:bool -> ?config:Config.t -> unit -> (t, string) result
 (** Run the boot sequence above against [kernel].  [sgx:false] skips
@@ -65,10 +62,6 @@ val enclave : t -> Sgx.Enclave.t
 
 val kernel : t -> Hostos.Kernel.t
 (** The (untrusted) host kernel this runtime was booted against. *)
-
-val stack : t -> Netstack.Stack.t
-(** Shard 0's in-enclave UDP/IP network stack (the only one when
-    [num_queues = 1]). *)
 
 val monitor : t -> Monitor.t
 (** Shard 0's Monitor Module thread. *)
@@ -148,16 +141,15 @@ val total_edge_drops : t -> int
 val total_fill_throttles : t -> int
 (** Refill iterations clamped by the overload edge throttle. *)
 
-val total_wire_losses : t -> int
-(** Frames the injected wire faults destroyed in flight on either link
-    direction (drop + trunc + runt + giant), summed over every NIC the
-    kernel built ({!Hostos.Kernel.wire_losses}). *)
-
-val total_accounted_drops : t -> int
-(** Every datagram death that left an accounting trail: netstack drop
-    counters (including overload sheds), NIC edge drops, wire-fault
-    losses, and descriptor/ring rejects.  The soak harness requires
-    every client-observed loss to be covered by this total. *)
+val total_losses : t -> int
+(** The one server-side loss total: every datagram death that left an
+    accounting trail, each counted once — netstack drop counters
+    (rx-gate overload sheds included), NIC edge drops, descriptor and
+    ring rejects, wire-fault losses ({!Hostos.Kernel.wire_losses}) and
+    the overload sheds the stack never saw (TX-side and io_uring
+    refusals).  Every silent-loss check ([Apps.Loadgen.silent_loss],
+    [Apps.Udp_echo]'s [shed] leg, the chaos soak) subtracts this and
+    nothing else of the runtime's. *)
 
 (** {1 Degraded mode (DESIGN.md §9)}
 
@@ -169,10 +161,6 @@ val total_accounted_drops : t -> int
     the host socket, paying the modeled SGX exit and copy costs.  The
     host stack is not sharded: one fallback socket per port serves
     every shard. *)
-
-val xsk_breaker : t -> Health.t
-(** Shard 0's XSK circuit breaker — the runtime-wide breaker when
-    [num_queues = 1]; see {!shard_breaker} for the rest. *)
 
 val uring_breaker : t -> Health.t
 (** The io_uring circuit breaker (["health.uring.*"]), shared by every
@@ -232,14 +220,11 @@ val udp_close : t -> udp_sock -> unit
 
 (** {1 Per-thread io_uring contexts} *)
 
-val new_thread : t -> (thread, string) result
+val new_thread : t -> (Syncproxy.t, string) result
 (** Create the calling user thread's io_uring FM + SyncProxy (the
     io_uring setup syscalls run via one OCALL).  The thread is assigned
     to a shard round-robin: that shard's MM watches its ring, and
     shard-pinned faults on the io_uring path key off the assignment. *)
-
-val syncproxy : thread -> Syncproxy.t
-(** The thread's SyncProxy, through which blocking IO syscalls go. *)
 
 (** {1 Introspection}
 

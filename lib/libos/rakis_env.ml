@@ -324,7 +324,7 @@ let rec api env proxy : Api.t =
         | Error e -> failwith ("rakis spawn: " ^ e)
         | Ok thread ->
             Sim.Engine.spawn engine ~name (fun () ->
-                body (api env (R.syncproxy thread))));
+                body (api env thread)));
   }
 
 let create kernel ~sgx ?config () =
@@ -334,4 +334,4 @@ let create kernel ~sgx ?config () =
       let env = { runtime; kernel; fds = Sim.Int_table.create 32; next_fd = 1000 } in
       match R.new_thread runtime with
       | Error e -> Error e
-      | Ok thread -> Ok (api env (R.syncproxy thread), runtime))
+      | Ok thread -> Ok (api env thread, runtime))

@@ -12,8 +12,8 @@
      SyncProxy / io_uring FM.
 
    Everything is seeded, so any outcome — in particular any violation —
-   replays exactly from its {!spec}; {!repro} prints the spec as a
-   copy-pasteable token and {!run_repro} replays it.
+   replays exactly from its {!spec}; {!token_to_string} prints the spec
+   as a copy-pasteable token and {!parse_repro} reads it back.
 
    What counts as a violation is exactly the paper's Table 2 contract:
    the enclave must never act on corrupted control data (wrong payload
@@ -22,7 +22,9 @@
    frames) are the *correct* outcome under attack, and data-level
    corruption ([Corrupt_packet]) is deliberately not detected by RAKIS
    (TLS territory): payload mismatches while it is live are recorded as
-   tolerated, not violations. *)
+   tolerated, not violations.  A refused file write is not proof that
+   the host did nothing: the file oracle ({!File_model}) admits old or
+   new data for every byte a write did not confirm. *)
 
 type datapath = Xsk | Iouring
 
@@ -81,9 +83,12 @@ type outcome = {
   steps_run : int;
   ok : int;  (* operations that completed and verified against the model *)
   late_ok : int;  (* verified operations in the last quarter (recovery) *)
-  refused : int;  (* detected-and-refused operations (EPERM & friends) *)
+  refused : int;  (* an errno, or a write that wrote nothing *)
   lost : int;  (* timeouts / drops: availability, not integrity *)
-  tolerated : int;  (* payload mismatches while Corrupt_packet was live *)
+  tolerated : int;
+      (* payload mismatches while Corrupt_packet was live, and file reads
+         a forged CQE result cut short *)
+  indeterminate : int;  (* file writes that left bytes old-or-new *)
   fired : (Hostos.Malice.attack * int) list;
   injected : (Hostos.Faults.fault * int) list;
   ring_rejects : int;
@@ -165,6 +170,7 @@ type state = {
   mutable refused : int;
   mutable lost : int;
   mutable tolerated : int;
+  mutable indeterminate : int;
   mutable violations : violation list;
   malice : Hostos.Malice.t;
   faults : Hostos.Faults.t option;
@@ -182,6 +188,12 @@ let violate st ~step what = st.violations <- { at_step = step; what } :: st.viol
 let data_attack_live st =
   Hostos.Malice.fired_of st.malice Hostos.Malice.Corrupt_packet > 0
 
+(* A forged CQE result may end a chunked transfer early with a true
+   prefix of its data (docs/zerocopy.md, "One synchronous path"). *)
+let cqe_forged st =
+  Hostos.Malice.fired_of st.malice Hostos.Malice.Cqe_bogus_res > 0
+  || Hostos.Malice.fired_of st.malice Hostos.Malice.Cqe_wrong_user_data > 0
+
 let good st ~step =
   st.ok <- st.ok + 1;
   if step >= 3 * st.budget / 4 then st.late_ok <- st.late_ok + 1
@@ -191,11 +203,6 @@ let mismatch st ~step what =
   else violate st ~step what
 
 (* {1 XSK datapath: UDP echo with step-tagged datagrams} *)
-
-let tag_of payload =
-  if Bytes.length payload >= 8 then
-    int_of_string_opt (Bytes.sub_string payload 0 8)
-  else None
 
 let mk_datagram step =
   let len = 64 + (step * 13 mod 192) in
@@ -252,7 +259,7 @@ let run_xsk_workload (h : Apps.Harness.t) st =
                     | Ok (reply, _) ->
                         if Bytes.equal reply payload then good st ~step
                         else
-                          (match tag_of reply with
+                          (match Apps.Udp_echo.tag_of reply with
                           | Some t when t < step -> collect (tries - 1)
                           | _ ->
                               mismatch st ~step
@@ -314,12 +321,7 @@ let run_iouring_workload ?(zerocopy = false) (h : Apps.Harness.t) st =
   Sim.Engine.spawn h.engine (fun () ->
       Sim.Engine.delay (Sim.Cycles.of_us 50.);
       let api = Apps.Harness.api h in
-      (* Golden in-enclave file model: EPERM means the kernel *did*
-         execute the operation (only the completion was refused), so
-         the model applies the write; EAGAIN means it never reached the
-         ring. *)
-      let model = Bytes.make (n_slots * block_size) '\000' in
-      let high = ref 0 in
+      let model = File_model.create ~size:(n_slots * block_size) in
       let fd =
         match api.Libos.Api.openf ~create:true ~trunc:true "campaign.dat" with
         | Ok fd -> fd
@@ -339,38 +341,28 @@ let run_iouring_workload ?(zerocopy = false) (h : Apps.Harness.t) st =
         tcp := None
       in
       let file_step step =
-        let slot = step mod n_slots in
-        let off = slot * block_size in
+        let off = step mod n_slots * block_size in
         let data = mk_block step in
-        let apply_model () =
-          Bytes.blit data 0 model off block_size;
-          high := max !high (off + block_size)
-        in
         (match api.Libos.Api.lseek fd off with Ok _ -> () | Error _ -> ());
-        (match api.Libos.Api.write fd data 0 block_size with
-        | Ok n when n > 0 ->
-            Bytes.blit data 0 model off n;
-            high := max !high (off + n)
-        | Ok _ -> st.refused <- st.refused + 1
-        | Error Abi.Errno.EPERM ->
-            st.refused <- st.refused + 1;
-            apply_model ()
-        | Error _ -> st.refused <- st.refused + 1);
+        let written = api.Libos.Api.write fd data 0 block_size in
+        (match written with
+        | Ok n when n > 0 -> ()
+        | Ok _ | Error _ -> st.refused <- st.refused + 1);
+        if not (File_model.write model ~off data written) then
+          st.indeterminate <- st.indeterminate + 1;
         match api.Libos.Api.lseek fd off with
         | Error _ -> st.refused <- st.refused + 1
         | Ok _ -> (
             let buf = Bytes.create block_size in
             match api.Libos.Api.read fd buf 0 block_size with
             | Error _ -> st.refused <- st.refused + 1
-            | Ok n ->
-                let expected = max 0 (min block_size (!high - off)) in
-                if n <> expected then
-                  mismatch st ~step
-                    (Printf.sprintf "file read length %d, expected %d" n
-                       expected)
-                else if Bytes.sub buf 0 n = Bytes.sub model off n then
-                  good st ~step
-                else mismatch st ~step "file read-back mismatch")
+            | Ok n -> (
+                match
+                  File_model.read model ~off buf n ~cqe_forged:(cqe_forged st)
+                with
+                | Exact -> good st ~step
+                | Prefix -> st.tolerated <- st.tolerated + 1
+                | Mismatch what -> mismatch st ~step what))
       in
       let tcp_step step =
         if !tcp = None then tcp_connect ();
@@ -480,6 +472,9 @@ let boot config ~seed ~schedule ~plan =
       in
       (h, rt, malice, injector)
 
+let shard_breakers rt =
+  List.init (Rakis.Runtime.shard_count rt) (Rakis.Runtime.shard_breaker rt)
+
 let run (spec : spec) =
   if spec.budget < 1 then invalid_arg "Campaign.run: budget must be positive";
   let budget = spec.budget in
@@ -502,6 +497,7 @@ let run (spec : spec) =
       refused = 0;
       lost = 0;
       tolerated = 0;
+      indeterminate = 0;
       violations = [];
       malice;
       faults = injector;
@@ -526,9 +522,7 @@ let run (spec : spec) =
     violate st ~step:st.steps_run
       (Printf.sprintf "stalled after %d/%d steps" st.steps_run budget);
   let invariant_ok = Rakis.Runtime.invariant_holds rt in
-  let shards =
-    List.init (Rakis.Runtime.shard_count rt) (Rakis.Runtime.shard_breaker rt)
-  in
+  let shards = shard_breakers rt in
   let sum f =
     List.fold_left (fun acc b -> acc + f b) 0 shards
     + f (Rakis.Runtime.uring_breaker rt)
@@ -544,6 +538,7 @@ let run (spec : spec) =
     refused = st.refused;
     lost = st.lost;
     tolerated = st.tolerated;
+    indeterminate = st.indeterminate;
     fired = Hostos.Malice.fired_counts malice;
     injected =
       (match injector with
@@ -790,15 +785,11 @@ let token_of_string s =
              wire = flag "wire";
            })
 
-let repro (o : outcome) = token_to_string (Campaign o.spec)
-
 let parse_repro s =
   match token_of_string s with
   | Ok (Campaign spec) -> Ok spec
   | Ok (Soak _) -> Error "a soak token names a soak, not a campaign run"
   | Error _ as e -> e
-
-let run_repro s = Result.map run (parse_repro s)
 
 (* {1 Shrinking a failing campaign} *)
 
@@ -929,11 +920,7 @@ type soak_outcome = {
   sk_unaccounted : int;  (* max 0 (lost - late - accounted): must be 0 *)
   sk_latency : Obs.Metrics.summary;
   sk_slo_ok : bool;
-  sk_baseline_kops : float;
-  sk_crowd_kops : float;
-  sk_recovery_kops : float;
-  sk_recovered : bool;
-  sk_recovery_window : int option;
+  sk_goodput : Apps.Loadgen.goodput;
   sk_breaker_opens : int;
   sk_watchdog_restarts : int;
   sk_stalled : bool;
@@ -972,9 +959,6 @@ let soak_flows = 8
 let soak_crowd_fibers = 4
 
 let soak_crowd_pace = Sim.Cycles.of_us 2.
-
-(* 100 µs goodput windows for the recovery-phase metastability check. *)
-let soak_window = Sim.Cycles.of_us 100.
 
 let soak (spec : soak_spec) =
   let { seed; steps; queues; slo_p99; wire } = spec in
@@ -1015,11 +999,7 @@ let soak (spec : soak_spec) =
       and completed = ref 0
       and late = ref 0
       and steps_run = ref 0 in
-      let baseline_done = ref 0 and crowd_done = ref 0 in
-      let recovery_windows : (int, int ref) Hashtbl.t = Hashtbl.create 256 in
-      let t_start = ref 0L
-      and t_crowd_start = ref 0L
-      and t_crowd_end = ref 0L in
+      let phases = Apps.Loadgen.phases () in
       let outstanding : (int, int64) Hashtbl.t = Hashtbl.create 1024 in
       (* Enclave echo server, one worker per shard's worth of service
          capacity.  Unlike the regular campaign's server it survives
@@ -1077,29 +1057,21 @@ let soak (spec : soak_spec) =
                        port_for_queue (k mod queues) ));
                 fd)
           in
-          t_start := Sim.Engine.now h.engine;
+          Apps.Loadgen.enter phases Baseline ~now:(Sim.Engine.now h.engine);
           let handle_reply reply =
             let now = Sim.Engine.now h.engine in
-            match tag_of reply with
+            match Apps.Udp_echo.tag_of reply with
             | Some tag when Hashtbl.mem outstanding tag ->
                 let t0 = Hashtbl.find outstanding tag in
                 Hashtbl.remove outstanding tag;
                 incr completed;
                 let lat = Int64.sub now t0 in
                 Obs.Metrics.observe hist (Int64.to_int lat);
-                if tag >= steps then incr crowd_done
-                  (* blast-fiber datagram: tag space [steps, ...) *)
-                else if tag < crowd_from then incr baseline_done
-                else if tag < crowd_until then incr crowd_done
-                else if Int64.compare !t_crowd_end 0L > 0 then begin
-                  let idx =
-                    Int64.to_int
-                      (Int64.div (Int64.sub now !t_crowd_end) soak_window)
-                  in
-                  match Hashtbl.find_opt recovery_windows idx with
-                  | Some r -> Stdlib.incr r
-                  | None -> Hashtbl.add recovery_windows idx (ref 1)
-                end
+                (* Blast-fiber datagrams own the tag space [steps, ...). *)
+                Apps.Loadgen.complete phases ~now
+                  (if tag < crowd_from then Baseline
+                   else if tag < crowd_until || tag >= steps then Crowd
+                   else Recovery)
             | _ -> incr late
           in
           let timeout = Sim.Cycles.of_us 300. in
@@ -1149,14 +1121,15 @@ let soak (spec : soak_spec) =
             Hostos.Malice.set_step malice step;
             Option.iter (fun f -> Hostos.Faults.set_step f step) injector;
             if step = crowd_from then begin
-              t_crowd_start := Sim.Engine.now h.engine;
+              Apps.Loadgen.enter phases Crowd ~now:(Sim.Engine.now h.engine);
               for j = 0 to soak_crowd_fibers - 1 do
                 Sim.Engine.spawn h.engine
                   ~name:(Printf.sprintf "soak-blast-%d" j)
                   (fun () -> blast j)
               done
             end;
-            if step = crowd_until then t_crowd_end := Sim.Engine.now h.engine;
+            if step = crowd_until then
+              Apps.Loadgen.enter phases Recovery ~now:(Sim.Engine.now h.engine);
             let fd = fds.(step mod soak_flows) in
             let payload = mk_datagram step in
             (match peer.Libos.Api.sendto fd payload dst with
@@ -1164,13 +1137,11 @@ let soak (spec : soak_spec) =
                 incr offered;
                 Hashtbl.replace outstanding step (Sim.Engine.now h.engine)
             | Error _ -> ());
-            if step >= crowd_from && step < crowd_until then
-              (* Flash crowd: open loop — the blast fibers add their
-                 load, the drain fiber collects whatever comes back. *)
-              ()
-            else begin
-              (* Closed loop: wait (bounded) for this step's echo —
-                 the drain fiber removes it from [outstanding]. *)
+            if step < crowd_from || step >= crowd_until then begin
+              (* Closed loop: wait (bounded) for this step's echo — the
+                 drain fiber removes it from [outstanding].  The flash
+                 crowd is open loop: the blast fibers add their load and
+                 the drain fibers collect whatever comes back. *)
               let deadline = Int64.add (Sim.Engine.now h.engine) timeout in
               let rec await () =
                 if
@@ -1204,74 +1175,28 @@ let soak (spec : soak_spec) =
           (Int64.mul (Int64.of_int steps) (Sim.Cycles.of_us 400.))
       in
       Apps.Harness.run h ~until:horizon;
-      let finish = Sim.Engine.now h.engine in
-      (* Server-side accounted drops.  [total_accounted_drops] already
-         contains the rx-gate sheds (they land in the stack's
-         [drop.overload-shed] counter), so only the TX-side remainder of
-         the overload shed total is added on top — no double count. *)
-      let rx_gate_sheds =
-        List.fold_left
-          (fun acc k ->
-            acc
-            + Option.value ~default:0
-                (List.assoc_opt "overload-shed"
-                   (Netstack.Stack.drop_reasons (Rakis.Runtime.shard_stack rt k))))
-          0
-          (List.init (Rakis.Runtime.shard_count rt) Fun.id)
-      in
-      let ov_shed = Rakis.Runtime.total_overload_shed rt in
-      let accounted =
-        Rakis.Runtime.total_accounted_drops rt + (ov_shed - rx_gate_sheds)
-      in
+      let accounted = Rakis.Runtime.total_losses rt in
       let lost = Hashtbl.length outstanding in
-      let unaccounted = max 0 (lost - !late - accounted) in
       let latency = Obs.Metrics.summary hist in
-      let rate n cycles =
-        if Int64.compare cycles 0L <= 0 then 0.
-        else float_of_int n /. Sim.Cycles.to_sec cycles /. 1e3
-      in
-      let baseline_kops =
-        rate !baseline_done (Int64.sub !t_crowd_start !t_start)
-      in
-      let crowd_kops =
-        rate !crowd_done (Int64.sub !t_crowd_end !t_crowd_start)
-      in
-      let recovery_kops =
-        rate
-          (Hashtbl.fold (fun _ r acc -> acc + !r) recovery_windows 0)
-          (Int64.sub finish !t_crowd_end)
-      in
-      let recovery_window =
-        Hashtbl.fold
-          (fun idx n best ->
-            if rate !n soak_window >= 0.95 *. baseline_kops then
-              match best with Some b when b <= idx -> best | _ -> Some idx
-            else best)
-          recovery_windows None
-      in
       {
         sk_spec = spec;
         sk_offered = !offered;
         sk_completed = !completed;
         sk_lost = lost;
         sk_late = !late;
-        sk_shed = ov_shed;
+        sk_shed = Rakis.Runtime.total_overload_shed rt;
         sk_control_shed = Rakis.Runtime.total_control_shed rt;
         sk_edge_drops = Rakis.Runtime.total_edge_drops rt;
         sk_accounted = accounted;
-        sk_unaccounted = unaccounted;
+        sk_unaccounted = max 0 (lost - !late - accounted);
         sk_latency = latency;
         sk_slo_ok = Int64.compare (Int64.of_int latency.Obs.Metrics.s_p99) slo_p99 <= 0;
-        sk_baseline_kops = baseline_kops;
-        sk_crowd_kops = crowd_kops;
-        sk_recovery_kops = recovery_kops;
-        sk_recovered = recovery_window <> None;
-        sk_recovery_window = recovery_window;
+        sk_goodput =
+          Apps.Loadgen.goodput phases ~finish:(Sim.Engine.now h.engine);
         sk_breaker_opens =
           List.fold_left
-            (fun acc k -> acc + Rakis.Health.opens (Rakis.Runtime.shard_breaker rt k))
-            0
-            (List.init (Rakis.Runtime.shard_count rt) Fun.id);
+            (fun acc b -> acc + Rakis.Health.opens b)
+            0 (shard_breakers rt);
         sk_watchdog_restarts = Rakis.Runtime.watchdog_restarts rt;
         sk_stalled = !steps_run < steps;
       }
@@ -1280,7 +1205,7 @@ let soak (spec : soak_spec) =
    and the CI smoke). *)
 let soak_failed (o : soak_outcome) =
   o.sk_stalled || o.sk_unaccounted > 0 || o.sk_control_shed > 0
-  || (not o.sk_slo_ok) || not o.sk_recovered
+  || (not o.sk_slo_ok) || not o.sk_goodput.recovered
 
 let pp_soak_outcome ppf (o : soak_outcome) =
   Format.fprintf ppf
@@ -1297,8 +1222,9 @@ let pp_soak_outcome ppf (o : soak_outcome) =
     o.sk_accounted o.sk_unaccounted o.sk_edge_drops Obs.Metrics.pp_summary
     o.sk_latency o.sk_spec.slo_p99
     (if o.sk_slo_ok then "ok" else "VIOLATED")
-    o.sk_baseline_kops o.sk_crowd_kops o.sk_recovery_kops o.sk_recovered
-    (match o.sk_recovery_window with
+    o.sk_goodput.baseline_kops o.sk_goodput.crowd_kops
+    o.sk_goodput.recovery_kops o.sk_goodput.recovered
+    (match o.sk_goodput.recovery_window with
     | Some w -> Printf.sprintf " (window %d)" w
     | None -> "")
     o.sk_breaker_opens o.sk_watchdog_restarts

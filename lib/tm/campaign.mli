@@ -9,7 +9,9 @@
 
     Violations are Table 2 contract breaches only: a broken certified
     invariant, corrupted data acted on as if intact, an out-of-range
-    transfer count, or a stalled workload.  Detected refusals (EPERM,
+    transfer count, or a stalled workload.  The io_uring file oracle is
+    {!File_model}: a write is executed only as far as its result
+    confirms.  Detected refusals (EPERM,
     rejected indices, dropped frames) and data-level corruption while
     [Corrupt_packet] is live (deliberately unchecked by RAKIS — TLS
     territory) are counted separately, not as violations. *)
@@ -76,9 +78,17 @@ type outcome = {
   steps_run : int;
   ok : int;  (** operations verified against the golden model *)
   late_ok : int;  (** verified operations in the last quarter (recovery) *)
-  refused : int;  (** detected-and-refused operations *)
+  refused : int;
+      (** detected-and-refused operations: an errno, or a write that
+          wrote nothing *)
   lost : int;  (** timeouts / drops (availability, not integrity) *)
-  tolerated : int;  (** mismatches while a data-level attack was live *)
+  tolerated : int;
+      (** mismatches while a data-level attack was live, and file reads
+          that a forged CQE result cut to a prefix *)
+  indeterminate : int;
+      (** file writes whose result left some byte old-or-new
+          ({!File_model.write}): a short [Ok] or an errno other than
+          the admission [EAGAIN] *)
   fired : (Hostos.Malice.attack * int) list;
   injected : (Hostos.Faults.fault * int) list;
       (** faults actually injected, with counts *)
@@ -216,14 +226,8 @@ val token_of_string : string -> (token, string) result
     and a bad value (including [budget], [steps] or [q] below 1 and a
     non-positive [slo]) are each an [Error] naming the key. *)
 
-val repro : outcome -> string
-(** The campaign token of [o.spec].  Feed it to {!run_repro} or
-    [tm_verify --replay]. *)
-
 val parse_repro : string -> (spec, string) result
 (** {!token_of_string}, refusing soak tokens. *)
-
-val run_repro : string -> (outcome, string) result
 
 type shrunk = {
   shrunk_schedule : Hostos.Malice.plan;
@@ -256,22 +260,16 @@ type soak_outcome = {
   sk_shed : int;  (** overload data-class sheds, summed over controllers *)
   sk_control_shed : int;  (** must be 0: control is never shed *)
   sk_edge_drops : int;  (** NIC-edge drops while fill was throttled *)
-  sk_accounted : int;
-      (** all server-side accounted drops: stack drop counters
-          (including rx-gate sheds), NIC edge drops, ring/descriptor
-          rejects, plus TX-side overload sheds *)
+  sk_accounted : int;  (** {!Rakis.Runtime.total_losses} *)
   sk_unaccounted : int;
       (** [max 0 (lost - late - accounted)] — a non-zero value is a
           silently lost datagram, which fails the soak *)
   sk_latency : Obs.Metrics.summary;  (** completed-op round trips, cycles *)
   sk_slo_ok : bool;  (** [p99 <= slo_p99] (conservative: p99 is a log2
                          bucket upper bound) *)
-  sk_baseline_kops : float;  (** goodput before the flash crowd *)
-  sk_crowd_kops : float;
-  sk_recovery_kops : float;
-  sk_recovered : bool;
-      (** some post-crowd 100 µs window reached >= 95% of baseline *)
-  sk_recovery_window : int option;
+  sk_goodput : Apps.Loadgen.goodput;
+      (** baseline, crowd and recovery goodput; [recovered]: some
+          post-crowd 100 µs window reached >= 95% of baseline *)
   sk_breaker_opens : int;
   sk_watchdog_restarts : int;
   sk_stalled : bool;  (** the driver did not finish inside the horizon *)

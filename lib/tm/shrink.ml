@@ -56,10 +56,6 @@ let minimize ~fails trace =
     let trace = ddmin ~try_fails:(fun c -> c <> [] && try_fails c) trace in
     { trace; original; tests = !tests }
 
-let ratio r =
-  if r.trace = [] then 1.0
-  else float_of_int r.original /. float_of_int (List.length r.trace)
-
 (* {1 Two-list minimization}
 
    A failing campaign has two coordinates: the attack schedule AND the

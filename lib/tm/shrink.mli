@@ -21,9 +21,6 @@ val minimize : fails:('a list -> bool) -> 'a list -> 'a result
     exhaustion the best trace found so far is returned (still
     failing). *)
 
-val ratio : 'a result -> float
-(** Shrink ratio: original length / minimized length. *)
-
 type ('a, 'b) result2 = {
   trace2 : 'a list;  (** the minimized failing trace *)
   plan2 : 'b list;  (** the minimized companion list (e.g. fault plan) *)

@@ -302,7 +302,7 @@ let test_campaign_fault_repro_roundtrip () =
         faults = fault_mix;
       }
   in
-  let token = Tm.Campaign.repro o in
+  let token = Tm.Campaign.(token_to_string (Campaign o.spec)) in
   (* kind, seed, budget, attacks, faults *)
   check_bool "token has 5 segments" true
     (List.length (String.split_on_char ':' token) = 5);
@@ -313,8 +313,8 @@ let test_campaign_fault_repro_roundtrip () =
         (spec.Tm.Campaign.schedule = schedule);
       check_bool "fault plan survives" true
         (spec.Tm.Campaign.faults = fault_mix));
-  match Tm.Campaign.run_repro token with
-  | Error e -> Alcotest.failf "run_repro %S: %s" token e
+  match Result.map Tm.Campaign.run (Tm.Campaign.parse_repro token) with
+  | Error e -> Alcotest.failf "replay %S: %s" token e
   | Ok o' -> check_bool "bit-for-bit replay" true (o = o')
 
 (* A probability with more than six significant digits (fault_soup
@@ -337,8 +337,9 @@ let test_campaign_full_precision_replay () =
           ];
       }
   in
-  match Tm.Campaign.run_repro (Tm.Campaign.repro o) with
-  | Error e -> Alcotest.failf "run_repro: %s" e
+  let token = Tm.Campaign.(token_to_string (Campaign o.spec)) in
+  match Result.map Tm.Campaign.run (Tm.Campaign.parse_repro token) with
+  | Error e -> Alcotest.failf "replay: %s" e
   | Ok o' -> check_bool "bit-for-bit replay" true (o = o')
 
 let test_fault_soup_generator () =

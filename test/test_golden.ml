@@ -142,15 +142,42 @@ let test_campaign_outcomes () =
           ];
       }
   in
+  (* Two io_uring runs that need the file model's rule for unconfirmed
+     results (DESIGN.md §6b): a write refused after a relabelled CQE
+     whose read-back shows the old block (the CI faults x malice seed),
+     and a read a forged CQE result cut to a prefix. *)
+  let replay token =
+    match C.parse_repro token with
+    | Ok spec -> C.run spec
+    | Error e -> Alcotest.failf "%s: %s" token e
+  in
+  let refused_write =
+    replay
+      "io_uring:seed=71:budget=50:attacks=6=prod-overshoot;36=prod-regress;\
+       11..19@0.3=cqe-wrong-user-data;43=bad-umem-offset;14=cons-regress;\
+       33=prod-regress;19..25@0.3=foreign-frame;16=corrupt-packet;\
+       31=bad-umem-offset;39=corrupt-packet;5..10@0.3=cqe-bogus-res;\
+       36=prod-overshoot;37=oversize-len;20..24@0.3=cqe-wrong-user-data;\
+       5..16@0.3=misaligned-offset;41=misaligned-offset:\
+       faults=@0.05=transient-errno;@0.02=short-io;@0.02=partial-cqe;\
+       @0.05=drop-wakeup;@0.01=nic-stall"
+  in
+  let prefix_read =
+    replay
+      "io_uring:seed=1:budget=32:attacks=4..20@0.3=cqe-bogus-res:\
+       faults=2..24@0.3=short-io;2..24@0.2=partial-cqe"
+  in
   check_golden "campaign_outcomes"
     (Format.asprintf
        "@[<v>== clean xsk ==@,%a@,== attacked xsk ==@,%a@,== faulted \
         io_uring ==@,%a@,== sharded xsk, fault pinned to shard 1 ==@,%a@,\
         == attacked io_uring, copy path ==@,%a@,== attacked io_uring, \
-        zerocopy ==@,%a@]@."
+        zerocopy ==@,%a@,== io_uring, write refused after a relabelled \
+        CQE ==@,%a@,== io_uring, read cut short by a forged CQE result \
+        ==@,%a@]@."
        C.pp_outcome clean C.pp_outcome attacked C.pp_outcome faulted
        C.pp_outcome sharded C.pp_outcome attacked_uring C.pp_outcome
-       attacked_zc)
+       attacked_zc C.pp_outcome refused_write C.pp_outcome prefix_read)
 
 (* {1 Breaker timeline} *)
 
@@ -352,7 +379,7 @@ let test_zc_dropped_notif_failure () =
     C.run
       { o.C.spec with schedule = s.C.shrunk_schedule; faults = s.C.shrunk_plan }
   in
-  let token = C.repro minimal in
+  let token = C.(token_to_string (Campaign minimal.spec)) in
   Alcotest.(check bool)
     (Printf.sprintf "token %S carries the zc flag" token)
     true

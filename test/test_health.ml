@@ -326,7 +326,7 @@ let test_xsk_persistent_fault_zero_loss () =
   let r = Apps.Udp_echo.run h ~datagrams:300 ~payload_size:256 in
   check "all datagrams echoed" 300 r.Apps.Udp_echo.echoed;
   check_bool "faults fired" true (F.fired_of f F.Drop_wakeup > 0);
-  let b = Rakis.Runtime.xsk_breaker (runtime h) in
+  let b = Rakis.Runtime.shard_breaker (runtime h) 0 in
   check_bool "xsk breaker opened" true (H.opens b >= 1);
   check_bool "traffic rerouted" true (H.failovers b > 0);
   check_bool "still degraded under persistent fault" true (H.degraded b);
@@ -354,7 +354,7 @@ let test_xsk_failback_after_burst () =
   check "all datagrams echoed across the arc" 600 r.Apps.Udp_echo.echoed;
   check_bool "burst fired" true (F.fired_of f F.Drop_wakeup > 0);
   let rt = runtime h in
-  let b = Rakis.Runtime.xsk_breaker rt in
+  let b = Rakis.Runtime.shard_breaker rt 0 in
   check_bool "breaker opened" true (H.opens b >= 1);
   check_bool "breaker closed again" true (H.closes b >= 1);
   check_bool "probes were sent" true (H.probes_sent b > 0);
@@ -381,7 +381,7 @@ let test_iperf_persistent_fault_zero_loss () =
   check "every sent packet received" r.Apps.Iperf.sent_packets
     r.Apps.Iperf.received_packets;
   check "all packets" 2000 r.Apps.Iperf.received_packets;
-  let b = Rakis.Runtime.xsk_breaker (runtime h) in
+  let b = Rakis.Runtime.shard_breaker (runtime h) 0 in
   check_bool "xsk breaker opened" true (H.opens b >= 1);
   check_bool "rx rode the fallback socket" true (H.failovers b > 0);
   assert_no_leaks h
@@ -406,7 +406,7 @@ let test_monitor_crash_plus_xsk_fault () =
     (F.fired_of f F.Monitor_crash = 0
     || Rakis.Runtime.watchdog_restarts rt >= 1);
   check_bool "xsk breaker opened" true
-    (H.opens (Rakis.Runtime.xsk_breaker rt) >= 1);
+    (H.opens (Rakis.Runtime.shard_breaker rt 0) >= 1);
   assert_no_leaks h
 
 (* The io_uring side of the same property: with every host submission
@@ -448,8 +448,8 @@ let test_campaign_failover_repro_roundtrip () =
       check_bool "no violations" false (Tm.Campaign.failed o);
       check_bool "breaker opened" true (o.Tm.Campaign.breaker_opens >= 1);
       check_bool "slow path served traffic" true (o.Tm.Campaign.slow_calls > 0);
-      match Tm.Campaign.run_repro (Tm.Campaign.repro o) with
-      | Error e -> Alcotest.failf "run_repro: %s" e
+      match Result.map Tm.Campaign.run (Tm.Campaign.parse_repro (Tm.Campaign.(token_to_string (Campaign o.spec)))) with
+      | Error e -> Alcotest.failf "replay: %s" e
       | Ok o' -> check_bool "bit-for-bit replay" true (o = o'))
     [ Tm.Campaign.Xsk; Tm.Campaign.Iouring ]
 
@@ -514,7 +514,7 @@ let test_etimedout_settles_inflight_accounting () =
       match Rakis.Runtime.new_thread fx.runtime with
       | Error e -> Alcotest.fail e
       | Ok thread ->
-          let proxy = Rakis.Runtime.syncproxy thread in
+          let proxy = thread in
           let fm = Rakis.Syncproxy.fm proxy in
           let fd =
             Result.get_ok (Hostos.Kernel.openf fx.kernel ~create:true "/et")
@@ -552,7 +552,7 @@ let test_admission_shed_backpressure () =
       match Rakis.Runtime.new_thread fx.runtime with
       | Error e -> Alcotest.fail e
       | Ok thread ->
-          let proxy = Rakis.Runtime.syncproxy thread in
+          let proxy = thread in
           let fm = Rakis.Syncproxy.fm proxy in
           (* Park a readiness probe on an idle UDP socket: it never
              completes, so its pending record occupies the whole
@@ -635,7 +635,7 @@ let test_slow_path_cost_model () =
       match Rakis.Runtime.new_thread fx.runtime with
       | Error e -> Alcotest.fail e
       | Ok thread ->
-          let proxy = Rakis.Runtime.syncproxy thread in
+          let proxy = thread in
           let fd =
             Result.get_ok (Hostos.Kernel.openf fx.kernel ~create:true "/cost")
           in

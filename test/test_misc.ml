@@ -254,7 +254,7 @@ let test_iouring_fm_short_read_at_eof () =
       (match Rakis.Runtime.new_thread runtime with
       | Error e -> Alcotest.fail e
       | Ok thread ->
-          let proxy = Rakis.Runtime.syncproxy thread in
+          let proxy = thread in
           let fd =
             Result.get_ok (Hostos.Kernel.openf kernel ~create:true "/eof")
           in

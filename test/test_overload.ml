@@ -184,6 +184,97 @@ let soak_accounting =
       && o.C.sk_unaccounted = 0
       && o.C.sk_control_shed = 0)
 
+(* {1 The one loss total}
+
+   Every silent-loss check subtracts {!Rakis.Runtime.total_losses}.  An
+   rx-gate shed is both a stack drop ([drop.overload-shed]) and a
+   controller shed ([shed.data]); the total must count it once. *)
+
+let overload_harness () =
+  match
+    Apps.Harness.make Libos.Env.Rakis_sgx
+      ~rakis_config:{ Rakis.Config.default with overload = true }
+      ()
+  with
+  | Ok h -> h
+  | Error e -> Alcotest.fail e
+
+let runtime (h : Apps.Harness.t) = Option.get (Libos.Env.runtime h.env)
+
+(* [(total_losses, rx-gate sheds)], the total recomputed from its parts
+   with every rx-gate shed counted once. *)
+let losses_once rt =
+  let module R = Rakis.Runtime in
+  let shards = List.init (R.shard_count rt) Fun.id in
+  let sum f = List.fold_left (fun acc k -> acc + f k) 0 shards in
+  let drops k = Netstack.Stack.drop_reasons (R.shard_stack rt k) in
+  let stack_drops = sum (fun k -> List.fold_left (fun a (_, n) -> a + n) 0 (drops k)) in
+  let rx_gate =
+    sum (fun k -> Option.value ~default:0 (List.assoc_opt "overload-shed" (drops k)))
+  in
+  let parts =
+    stack_drops + R.total_edge_drops rt + R.total_desc_rejects rt
+    + R.total_ring_check_failures rt
+    + Hostos.Kernel.wire_losses (R.kernel rt)
+    + R.total_overload_shed rt
+  in
+  (parts - rx_gate, rx_gate)
+
+let test_loss_total_counts_rx_gate_sheds_once () =
+  (* A flash crowd of 640 connections on an overload-controlled
+     server: the rx gate sheds thousands of requests. *)
+  let h = overload_harness () in
+  let s =
+    Apps.Loadgen.run h ~server_threads:4
+      ~config:
+        {
+          Apps.Loadgen.default with
+          connections = 640;
+          ops = 12_000;
+          flash = Some { at_op = 2000; extra_connections = 64; crowd_ops = 2000 };
+        }
+  in
+  let rt = runtime h in
+  let once, rx_gate = losses_once rt in
+  check_bool "the rx gate shed" true (rx_gate > 1000);
+  check "rx-gate sheds counted once" once (Rakis.Runtime.total_losses rt);
+  let machine = Sim.Engine.stats h.engine in
+  check "silent_loss subtracts the total"
+    (s.Apps.Loadgen.lost - s.late - s.rdp_gave_up - once
+    - Obs.Metrics.get_counter machine "udp.no_socket_drops"
+    - Obs.Metrics.get_counter machine "udp.buffer_drops")
+    (Apps.Loadgen.silent_loss s h rt);
+  check_bool "no silent loss" true (Apps.Loadgen.silent_loss s h rt <= 0);
+  (* The echo workload's shed leg, beside a flood into an enclave
+     socket nobody reads: its queue passes the high watermark and the
+     rx gate sheds the rest. *)
+  let h = overload_harness () in
+  let sink = (Packet.Addr.Ip.of_repr "10.0.0.1", 9000) in
+  Sim.Engine.spawn h.engine ~name:"sink" (fun () ->
+      let api = Apps.Harness.api h in
+      ignore (api.Libos.Api.bind (api.Libos.Api.udp_socket ()) sink));
+  Sim.Engine.spawn h.engine ~name:"flood" (fun () ->
+      let peer = h.peer in
+      let fd = peer.Libos.Api.udp_socket () in
+      Sim.Engine.delay (Sim.Cycles.of_us 60.);
+      for _ = 1 to 2000 do
+        ignore (peer.Libos.Api.sendto fd (Bytes.make 64 'f') sink)
+      done);
+  let r = Apps.Udp_echo.run h ~datagrams:400 ~payload_size:64 in
+  let rt = runtime h in
+  let once, rx_gate = losses_once rt in
+  check_bool "the flood hit the rx gate" true (rx_gate > 0);
+  check "udp_echo shed leg"
+    (once - Hostos.Kernel.wire_losses (Rakis.Runtime.kernel rt))
+    r.Apps.Udp_echo.shed;
+  (* The soak's books close on the same total. *)
+  let o = C.soak { C.soak_defaults with steps = 1500; seed = 7L } in
+  check_bool "soak crowd shed" true (o.C.sk_shed > 0);
+  check "soak unaccounted" (max 0 (o.C.sk_lost - o.C.sk_late - o.C.sk_accounted))
+    o.C.sk_unaccounted;
+  check_bool "soak accounted covers its sheds and edge drops" true
+    (o.C.sk_accounted >= o.C.sk_shed + o.C.sk_edge_drops)
+
 let suite =
   [
     Alcotest.test_case "overload: token bucket under pressure" `Quick
@@ -199,4 +290,6 @@ let suite =
     Alcotest.test_case "overload: control class never shed" `Quick
       test_control_never_shed;
     QCheck_alcotest.to_alcotest ~long:false soak_accounting;
+    Alcotest.test_case "loss total: rx-gate sheds counted once" `Quick
+      test_loss_total_counts_rx_gate_sheds_once;
   ]

@@ -906,6 +906,15 @@ let totals_vs_instances rt =
   in
   let p name = List.assoc name patterns in
   let ps names = sum p names in
+  (* Each rx-gate shed is both a stack drop and a controller shed. *)
+  let rx_gate_sheds =
+    sum
+      (fun k ->
+        Option.value ~default:0
+          (List.assoc_opt "overload-shed"
+             (Netstack.Stack.drop_reasons (R.shard_stack rt k))))
+      shards
+  in
   let ring = [ "xsk ring failures"; "uring ring failures" ]
   and desc = [ "umem rejects"; "cqe rejects" ] in
   ( [
@@ -923,10 +932,12 @@ let totals_vs_instances rt =
         ps [ "overload data admitted"; "overload control admitted" ] );
       ("edge drops", R.total_edge_drops rt, p "edge drops");
       ("fill throttles", R.total_fill_throttles rt, p "fill throttles");
-      ("wire losses", R.total_wire_losses rt, p "wire losses");
-      ( "accounted drops",
-        R.total_accounted_drops rt,
-        ps ([ "stack drops"; "edge drops"; "wire losses" ] @ ring @ desc) );
+      ( "losses",
+        R.total_losses rt,
+        ps
+          ([ "stack drops"; "edge drops"; "wire losses"; "overload data shed" ]
+          @ ring @ desc)
+        - rx_gate_sheds );
     ],
     patterns )
 
@@ -980,7 +991,7 @@ let test_syncproxy_file_io () =
       match Rakis.Runtime.new_thread fx.runtime with
       | Error e -> Alcotest.fail e
       | Ok thread ->
-          let proxy = Rakis.Runtime.syncproxy thread in
+          let proxy = thread in
           let fd =
             match Hostos.Kernel.openf fx.kernel ~create:true ~trunc:true "/sp" with
             | Ok fd -> fd
@@ -1009,7 +1020,7 @@ let test_syncproxy_chunked_large_write () =
       match Rakis.Runtime.new_thread fx.runtime with
       | Error e -> Alcotest.fail e
       | Ok thread ->
-          let proxy = Rakis.Runtime.syncproxy thread in
+          let proxy = thread in
           let fd =
             Result.get_ok (Hostos.Kernel.openf fx.kernel ~create:true "/big")
           in
@@ -1043,7 +1054,7 @@ let test_iouring_fm_rejects_forged_cqe () =
       match Rakis.Runtime.new_thread fx.runtime with
       | Error e -> Alcotest.fail e
       | Ok thread ->
-          let proxy = Rakis.Runtime.syncproxy thread in
+          let proxy = thread in
           let fm = Rakis.Syncproxy.fm proxy in
           (match Rakis.Iouring_fm.nop fm with
           | Error Abi.Errno.EPERM -> () (* Table 2 fail action *)
@@ -1058,7 +1069,7 @@ let test_iouring_fm_rejects_bogus_res () =
       match Rakis.Runtime.new_thread fx.runtime with
       | Error e -> Alcotest.fail e
       | Ok thread ->
-          let proxy = Rakis.Runtime.syncproxy thread in
+          let proxy = thread in
           let fd =
             Result.get_ok (Hostos.Kernel.openf fx.kernel ~create:true "/b")
           in
@@ -1079,7 +1090,7 @@ let test_iouring_poll_multi () =
       match Rakis.Runtime.new_thread fx.runtime with
       | Error e -> Alcotest.fail e
       | Ok thread ->
-          let proxy = Rakis.Runtime.syncproxy thread in
+          let proxy = thread in
           (* A host UDP socket that becomes readable after a delay. *)
           let sock = Hostos.Kernel.udp_socket fx.kernel in
           ignore
@@ -1110,7 +1121,7 @@ let test_iouring_poll_multi_timeout () =
       match Rakis.Runtime.new_thread fx.runtime with
       | Error e -> Alcotest.fail e
       | Ok thread ->
-          let proxy = Rakis.Runtime.syncproxy thread in
+          let proxy = thread in
           let sock = Hostos.Kernel.udp_socket fx.kernel in
           ignore
             (Hostos.Kernel.bind fx.kernel sock
@@ -1236,7 +1247,7 @@ let test_sqpoll_no_wakeup_syscalls () =
       match Rakis.Runtime.new_thread fx.runtime with
       | Error e -> Alcotest.fail e
       | Ok thread ->
-          let proxy = Rakis.Runtime.syncproxy thread in
+          let proxy = thread in
           let fd =
             Result.get_ok (Hostos.Kernel.openf fx.kernel ~create:true "/sq")
           in
@@ -1271,7 +1282,7 @@ let test_round_trip_alloc () =
   let nic1 = Hostos.Kernel.nic fx.kernel 1 in
   let client_ip = Hostos.Kernel.client_ip fx.kernel in
   Netstack.Arp_cache.learn
-    (Netstack.Stack.arp (Rakis.Runtime.stack rt))
+    (Netstack.Stack.arp (Rakis.Runtime.shard_stack rt 0))
     client_ip (Hostos.Nic.mac nic1);
   let port = 7 in
   Sim.Engine.spawn fx.engine (fun () ->
@@ -1397,7 +1408,7 @@ let io_row ~zerocopy (op : Rakis.Iouring_fm.op) weather =
   let row = ref "" in
   run_script fx (fun () ->
       let thread = Result.get_ok (Rakis.Runtime.new_thread fx.runtime) in
-      let fm = Rakis.Syncproxy.fm (Rakis.Runtime.syncproxy thread) in
+      let fm = Rakis.Syncproxy.fm thread in
       let file = Result.get_ok (Hostos.Kernel.openf k ~create:true "/io") in
       let conn, peer = tcp_pair fx 9100 in
       (* Frames lent and never notified: the withholding host drains the
@@ -1592,7 +1603,7 @@ let test_abandoned_send_zc_keeps_frame () =
   let k = fx.kernel in
   run_script fx (fun () ->
       let thread = Result.get_ok (Rakis.Runtime.new_thread fx.runtime) in
-      let fm = Rakis.Syncproxy.fm (Rakis.Runtime.syncproxy thread) in
+      let fm = Rakis.Syncproxy.fm thread in
       let conn, peer = tcp_pair fx 9102 in
       let f = Hostos.Faults.create ~seed:3L () in
       Hostos.Faults.arm f Hostos.Injector.Persistent Hostos.Faults.Drop_wakeup;

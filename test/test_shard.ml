@@ -451,14 +451,14 @@ let test_campaign_repro_roundtrip_with_queues () =
     }
   in
   let o = Tm.Campaign.run spec in
-  let token = Tm.Campaign.repro o in
+  let token = Tm.Campaign.(token_to_string (Campaign o.spec)) in
   (* kind, seed, budget, attacks, faults, q *)
   check "six-segment token" 6 (List.length (String.split_on_char ':' token));
   (match Tm.Campaign.parse_repro token with
   | Ok spec' -> check_bool "spec survives" true (spec' = spec)
   | Error e -> Alcotest.failf "parse_repro: %s" e);
-  match Tm.Campaign.run_repro token with
-  | Error e -> Alcotest.failf "run_repro: %s" e
+  match Result.map Tm.Campaign.run (Tm.Campaign.parse_repro token) with
+  | Error e -> Alcotest.failf "replay: %s" e
   | Ok o' -> check_bool "bit-for-bit replay" true (o = o')
 
 (* A single-queue token leaves out the default [q] key, so it keeps
@@ -477,7 +477,7 @@ let test_single_queue_tokens_unchanged () =
       }
   in
   check "four-segment token at queues=1" 4
-    (List.length (String.split_on_char ':' (Tm.Campaign.repro o)))
+    (List.length (String.split_on_char ':' (Tm.Campaign.(token_to_string (Campaign o.spec)))))
 
 let suite =
   [

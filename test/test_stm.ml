@@ -595,7 +595,7 @@ let test_every_trigger_arms_an_attack () =
       (match C.token_of_string token with
       | Ok t -> Alcotest.(check string) "round-trips" token (C.token_to_string t)
       | Error e -> Alcotest.failf "%S: %s" token e);
-      match (C.run_repro token, C.run_repro token) with
+      match (Result.map C.run (C.parse_repro token), Result.map C.run (C.parse_repro token)) with
       | Ok o, Ok o' ->
           Alcotest.(check bool)
             (token ^ " fires") true

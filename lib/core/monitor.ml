@@ -156,46 +156,92 @@ let wakeup t kind_counter label =
   | None -> ()
   | Some tr -> Obs.Trace.instant tr ~cat:"mm" ~arg:0 label
 
-let scan_one t = function
-  | Xsk r ->
-      let fill_now = Rings.Layout.read_prod r.fill in
-      if advanced ~seen:r.fill_seen ~now:fill_now then begin
-        r.fill_seen <- fill_now;
-        wakeup t t.rx_wakeups "mm.wakeup.rx";
-        Hostos.Kernel.xsk_rx_wakeup t.kernel r.xsk
-      end;
-      let tx_now = Rings.Layout.read_prod r.tx in
-      let adv = advanced ~seen:r.tx_seen ~now:tx_now in
-      if r.forced || adv then begin
-        if r.forced && not adv then Obs.Metrics.incr t.forced_tx;
-        r.forced <- false;
-        r.tx_seen <- tx_now;
-        wakeup t t.tx_wakeups "mm.wakeup.tx";
-        Hostos.Kernel.xsk_tx_wakeup t.kernel r.xsk
-      end
-  | Uring r ->
-      let sq_now = Rings.Layout.read_prod r.sq in
-      if r.forced || advanced ~seen:r.sq_seen ~now:sq_now then begin
-        if r.forced && not (advanced ~seen:r.sq_seen ~now:sq_now) then
-          Obs.Metrics.incr t.forced_enters;
-        r.forced <- false;
-        r.sq_seen <- sq_now;
-        wakeup t t.uring_wakeups "mm.wakeup.uring";
-        Hostos.Kernel.uring_enter t.kernel r.uring
-      end
+let syscall_cycles = Int64.to_int Sgx.Params.syscall_cycles
 
-(* A walk, not [List.iter]: a scan allocates no closure. *)
-let rec scan_all t = function
-  | [] -> ()
-  | w :: ws ->
-      scan_one t w;
-      scan_all t ws
+let hang_cycles = Int64.to_int Sgx.Params.fault_monitor_hang
 
-let scan t =
-  Obs.Metrics.incr t.scans;
-  scan_all t t.watched
+let wakeup_delay = Int64.to_int Sgx.Params.fault_wakeup_delay
 
-let force_scan t = scan t
+(* What a wakeup in flight asks the kernel for. *)
+type kind = Rx | Tx | Enter
+
+(* One scan of the watched rings, staged: the stage returned walks
+   [t.watched] and issues a wakeup syscall for each producer index that
+   advanced (or that an FM nudged).  A wakeup charges the syscall, rolls its fate
+   ({!Hostos.Kernel.wakeup_fate}), charges a delayed one's delay, and
+   lands.  [next] runs when the walk is done.  [here] is the watched
+   ring in hand, [kind] the wakeup in flight.  Charged to [p]; from a
+   fiber, the whole walk runs in that fiber. *)
+let scanner t p ~next =
+  let here = ref [] and kind = ref Rx in
+  let rec walk = function
+    | [] -> next ()
+    | (Xsk r :: _) as ws ->
+        here := ws;
+        let fill_now = Rings.Layout.read_prod r.fill in
+        if advanced ~seen:r.fill_seen ~now:fill_now then begin
+          r.fill_seen <- fill_now;
+          wakeup t t.rx_wakeups "mm.wakeup.rx";
+          syscall Rx
+        end
+        else tx ()
+    | (Uring r :: _) as ws ->
+        here := ws;
+        let sq_now = Rings.Layout.read_prod r.sq in
+        if r.forced || advanced ~seen:r.sq_seen ~now:sq_now then begin
+          if r.forced && not (advanced ~seen:r.sq_seen ~now:sq_now) then
+            Obs.Metrics.incr t.forced_enters;
+          r.forced <- false;
+          r.sq_seen <- sq_now;
+          wakeup t t.uring_wakeups "mm.wakeup.uring";
+          syscall Enter
+        end
+        else rest ()
+  and tx () =
+    match !here with
+    | Xsk r :: _ ->
+        let tx_now = Rings.Layout.read_prod r.tx in
+        let adv = advanced ~seen:r.tx_seen ~now:tx_now in
+        if r.forced || adv then begin
+          if r.forced && not adv then Obs.Metrics.incr t.forced_tx;
+          r.forced <- false;
+          r.tx_seen <- tx_now;
+          wakeup t t.tx_wakeups "mm.wakeup.tx";
+          syscall Tx
+        end
+        else rest ()
+    | _ -> rest ()
+  and rest () = match !here with _ :: ws -> walk ws | [] -> next ()
+  and syscall k =
+    kind := k;
+    Sim.Engine.charge p syscall_cycles trapped
+  and trapped () =
+    let shard =
+      match !here with
+      | Xsk r :: _ -> Hostos.Xdp.shard r.xsk
+      | Uring r :: _ -> Hostos.Io_uring.shard r.uring
+      | [] -> None
+    in
+    match Hostos.Kernel.wakeup_fate ?shard t.kernel with
+    | Lands -> lands ()
+    | Dropped -> landed ()
+    | Delayed -> Sim.Engine.charge p wakeup_delay lands
+  and lands () =
+    (match (!kind, !here) with
+    | Rx, Xsk r :: _ -> Hostos.Xdp.rx_wakeup r.xsk
+    | Tx, Xsk r :: _ -> Hostos.Xdp.tx_wakeup r.xsk
+    | Enter, Uring r :: _ -> Hostos.Io_uring.enter r.uring
+    | _ -> ());
+    landed ()
+  and landed () = match !kind with Rx -> tx () | Tx | Enter -> rest ()
+  in
+  fun () ->
+    Obs.Metrics.incr t.scans;
+    walk t.watched
+
+(* From inside the enclave (the watchdog's fiber), so the wakeups'
+   charges are that fiber's delays; a stopgap, built per call. *)
+let force_scan t = scanner t (Sim.Engine.self ()) ~next:ignore ()
 
 (* Idle wait, with a liveness beat.  Arming the heartbeat timer only
    when a fault injector is installed keeps fault-free runs' event
@@ -211,50 +257,50 @@ let heartbeat_wait t =
         (Sim.Engine.clock t.engine + heartbeat_period)
         t.hb_fire
   | _ -> ());
-  Sim.Condition.wait t.work
+  Sim.Condition.listen t.work
+
+(* One MM incarnation, an actor: beat, roll the crash and hang faults,
+   scan if kicked, else wait for a kick or the heartbeat timer. *)
+let incarnation t gen p =
+  let scan = ref ignore in
+  let rec loop () =
+    (* A later restart fences this incarnation out: scans and beats
+       from a superseded MM thread must stop (it may have been woken
+       from a hang long after its replacement took over). *)
+    if t.generation = gen then begin
+      t.last_beat <- Sim.Engine.clock t.engine;
+      Obs.Metrics.incr t.beats;
+      match Hostos.Kernel.faults t.kernel with
+      | Some f
+        when Hostos.Faults.roll ?shard:t.shard (Some f)
+               Hostos.Faults.Monitor_crash ->
+          Hostos.Faults.record f Hostos.Faults.Monitor_crash;
+          Obs.Metrics.incr t.crashes;
+          t.alive <- false
+          (* thread exits; the watchdog notices the stale beat *)
+      | Some f
+        when Hostos.Faults.roll ?shard:t.shard (Some f)
+               Hostos.Faults.Monitor_hang ->
+          Hostos.Faults.record f Hostos.Faults.Monitor_hang;
+          Sim.Engine.charge p hang_cycles loop
+      | _ ->
+          if t.pending then begin
+            t.pending <- false;
+            !scan ()
+          end
+          else heartbeat_wait t
+    end
+  in
+  scan := scanner t p ~next:loop;
+  loop
 
 let start t =
   t.generation <- t.generation + 1;
-  let gen = t.generation in
   t.alive <- true;
   t.last_beat <- Sim.Engine.clock t.engine;
-  let thread_name =
+  let name =
     match t.shard with
     | None -> "rakis-mm"
     | Some k -> Printf.sprintf "rakis-mm%d" k
   in
-  Sim.Engine.spawn t.engine ~name:thread_name (fun () ->
-      let rec loop () =
-        (* A later restart fences this incarnation out: scans and beats
-           from a superseded MM thread must stop (it may have been woken
-           from a hang long after its replacement took over). *)
-        if t.generation <> gen then ()
-        else begin
-          t.last_beat <- Sim.Engine.clock t.engine;
-          Obs.Metrics.incr t.beats;
-          match Hostos.Kernel.faults t.kernel with
-          | Some f when Hostos.Faults.roll ?shard:t.shard (Some f) Hostos.Faults.Monitor_crash
-            ->
-              Hostos.Faults.record f Hostos.Faults.Monitor_crash;
-              Obs.Metrics.incr t.crashes;
-              t.alive <- false
-              (* thread exits; the watchdog notices the stale beat *)
-          | Some f when Hostos.Faults.roll ?shard:t.shard (Some f) Hostos.Faults.Monitor_hang
-            ->
-              Hostos.Faults.record f Hostos.Faults.Monitor_hang;
-              Sim.Engine.delay Sgx.Params.fault_monitor_hang;
-              loop ()
-          | _ ->
-              if t.pending then begin
-                t.pending <- false;
-                scan t;
-                loop ()
-              end
-              else begin
-                heartbeat_wait t;
-                loop ()
-              end
-        end
-      in
-      loop ())
-
+  ignore (Sim.Engine.actor t.engine ~name (incarnation t t.generation))

@@ -53,6 +53,18 @@ and udp_sock = {
   mutable activity : Sim.Condition.t list;
       (* the [bound] sockets' activity conditions, listed once at bind *)
   mutable host_fd : int option; (* exit-based fallback socket, same port *)
+  (* Rekick timers of receivers parked in [recv_any], oldest first.
+     All have one period, so they fire in the order armed: timer [i]
+     (counting from 0, ever) is slot [i land (capacity - 1)] of
+     [parked], 1 while its park has not resumed.  [armed] timers were
+     queued, [fired] of them have fired; the ring is empty until the
+     first park.  [rekick] is the firing, built once, and broadcasts
+     [rekick_wake] (shard 0's activity) for a park still waiting. *)
+  mutable parked : int array;
+  mutable armed : int;
+  mutable fired : int;
+  mutable rekick_wake : Sim.Condition.t;
+  rekick : unit -> unit;
 }
 
 let enclave t = t.enclave
@@ -476,10 +488,55 @@ let boot kernel ~sgx ?(config = Config.default) () =
 
 (* {1 UDP} *)
 
+let rekick sock () =
+  let i = sock.fired in
+  sock.fired <- i + 1;
+  if sock.parked.(i land (Array.length sock.parked - 1)) = 1 then
+    Sim.Condition.broadcast sock.rekick_wake
+
 let udp_socket t =
-  let sock = { bound = [||]; activity = []; host_fd = None } in
+  let rec sock =
+    {
+      bound = [||];
+      activity = [];
+      host_fd = None;
+      parked = [||];
+      armed = 0;
+      fired = 0;
+      rekick_wake = Sim.Condition.create ();
+      rekick = (fun () -> rekick sock ());
+    }
+  in
   t.udp_socks <- sock :: t.udp_socks;
   sock
+
+let rekick_period = Int64.to_int Sgx.Params.xsk_rekick_period
+
+(* Queue a rekick timer for a park about to begin; returns its number. *)
+let arm_rekick engine sock =
+  let cap = Array.length sock.parked in
+  if sock.armed - sock.fired = cap then begin
+    (* Every slot waits to fire: double the ring, each timer at its
+       number's slot in the new one. *)
+    let cap' = max 4 (2 * cap) in
+    let parked = Array.make cap' 0 in
+    for i = sock.fired to sock.armed - 1 do
+      parked.(i land (cap' - 1)) <- sock.parked.(i land (cap - 1))
+    done;
+    sock.parked <- parked
+  end;
+  let i = sock.armed in
+  sock.parked.(i land (Array.length sock.parked - 1)) <- 1;
+  sock.armed <- i + 1;
+  Sim.Engine.at_clock engine
+    (Sim.Engine.clock engine + rekick_period)
+    sock.rekick;
+  i
+
+(* Park [i] resumed: its timer, if still queued, fires as a no-op. *)
+let resumed sock i =
+  if i >= sock.fired then
+    sock.parked.(i land (Array.length sock.parked - 1)) <- 0
 
 let udp_bind t sock port =
   match Netstack.Stack.bind t.shards.(0).sh_stack ~port with
@@ -495,6 +552,7 @@ let udp_bind t sock port =
           sock.bound <- socks;
           sock.activity <-
             Array.to_list (Array.map Netstack.Udp_socket.activity socks);
+          sock.rekick_wake <- List.hd sock.activity;
           Sim.Int_table.replace t.owned_ports p ();
           (* Bound while a breaker is already open: create the fallback
              immediately, or PASSed traffic for this port would be
@@ -645,18 +703,9 @@ let rec recv_any t sock socks conds ~max =
         (* Park on enclave-socket activity, plus a quantum timer:
            host-socket arrivals broadcast a different condition, so the
            timer bounds how stale the host-side check can get. *)
-        let engine = Hostos.Kernel.engine t.kernel in
-        let wake = List.hd conds in
-        let fired = ref false in
-        Sim.Engine.at_clock engine
-          (Sim.Engine.clock engine + Int64.to_int Sgx.Params.xsk_rekick_period)
-          (fun () ->
-            if not !fired then begin
-              fired := true;
-              Sim.Condition.broadcast wake
-            end);
+        let i = arm_rekick (Hostos.Kernel.engine t.kernel) sock in
         Sim.Condition.wait_any conds;
-        fired := true;
+        resumed sock i;
         recv_any t sock socks conds ~max
 
 let udp_recvfrom t sock ~max =

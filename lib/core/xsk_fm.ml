@@ -581,7 +581,7 @@ let check_rekick t engine =
    without repair the shard is silenced forever (the metastable failure
    the 100k soak found).  Rewriting the owned words from the trusted
    copies on the idle edge makes every such smash transient: the next
-   starvation-drop wakeup (see [Hostos.Xdp.rx_deliver]) lands after the
+   starvation-drop wakeup (see [Hostos.Xdp.claim]) lands after the
    words are honest again. *)
 let republish_owned t =
   Rings.Certified.republish t.fill;

@@ -220,12 +220,18 @@ let zero_copy t ~user_data ~res ~notif_delay =
             true
         | _ -> false
       in
-      Sim.Engine.spawn t.engine
-        ~name:(Printf.sprintf "uring%d-notif" t.id)
-        (fun () ->
-          Sim.Engine.delay notif_delay;
-          notif ();
-          if dup then notif ())
+      (* Two events, the ones a kernel thread that sleeps
+         [notif_delay] and then posts would take: a hop now, which
+         queues the notif [notif_delay] later. *)
+      let engine = t.engine in
+      let post () =
+        notif ();
+        if dup then notif ()
+      in
+      Sim.Engine.at_clock engine (Sim.Engine.clock engine) (fun () ->
+          Sim.Engine.at_clock engine
+            (Sim.Engine.clock engine + Int64.to_int notif_delay)
+            post)
 
 (* Multishot: one SQE, a stream of CQEs.  Every hit carries F_MORE (plus
    the provided-buffer id); the terminating CQE — EOF, error, or no free

@@ -71,8 +71,7 @@ let create engine ?(nic_queues = 4) () =
   Array.iter
     (fun nic ->
       for q = 0 to Nic.queue_count nic - 1 do
-        Nic.set_rx_handler nic ~queue:q (fun frame ->
-            Udp_core.stack_input t.udp nic frame)
+        Nic.set_rx_handler nic ~queue:q (Udp_core.stack_input t.udp nic)
       done)
     nics;
   t
@@ -393,31 +392,42 @@ let xsk_create ?obs ?name t ~alloc ~umem_size ~frame_size ~ring_size =
 let xsk_attach t ~xsk ~nic_id ~queue ~prog =
   syscall t;
   let nic = t.nics.(nic_id) in
-  Xdp.attach t.xdp ~nic ~queue ~prog ~xsk ~stack_fallback:(fun frame ->
-      Udp_core.stack_input t.udp nic frame)
+  Xdp.attach t.xdp ~nic ~queue ~prog ~xsk
+    ~stack_fallback:(Udp_core.stack_input t.udp nic)
 
 (* Wakeups pay the syscall cost regardless; whether the kernel then acts
    on them is where faults bite — a dropped wakeup is swallowed after
    the trap, a delayed one takes effect fault_wakeup_delay later.
-   [wakeup_lands] says whether the kernel acts. *)
-let wakeup_lands ?shard t =
+   [wakeup_fate] rolls which. *)
+type wakeup_fate = Lands | Dropped | Delayed
+
+let wakeup_fate ?shard t =
   match !(t.faults_ref) with
   | Some f when Faults.roll ?shard !(t.faults_ref) Faults.Drop_wakeup ->
       Faults.record f Faults.Drop_wakeup;
-      false
+      Dropped
   | Some f when Faults.roll ?shard !(t.faults_ref) Faults.Delay_wakeup ->
       Faults.record f Faults.Delay_wakeup;
-      Sim.Engine.delay Sgx.Params.fault_wakeup_delay;
+      Delayed
+  | _ -> Lands
+
+let wakeup_delay = Int64.to_int Sgx.Params.fault_wakeup_delay
+
+let wakeup_lands ?shard t =
+  match wakeup_fate ?shard t with
+  | Lands -> true
+  | Dropped -> false
+  | Delayed ->
+      Sim.Engine.delay_cycles wakeup_delay;
       true
-  | _ -> true
 
 let xsk_tx_wakeup t xsk =
   syscall t;
-  if wakeup_lands ?shard:(Xdp.shard xsk) t then Xdp.tx_wakeup t.xdp xsk
+  if wakeup_lands ?shard:(Xdp.shard xsk) t then Xdp.tx_wakeup xsk
 
 let xsk_rx_wakeup t xsk =
   syscall t;
-  if wakeup_lands ?shard:(Xdp.shard xsk) t then Xdp.rx_wakeup t.xdp xsk
+  if wakeup_lands ?shard:(Xdp.shard xsk) t then Xdp.rx_wakeup xsk
 
 (* Kernel-side bounce between the shared IO buffer and kernel memory on
    the classic io_uring data ops.  Fixed-buffer SQEs skip it — the whole

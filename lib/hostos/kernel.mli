@@ -131,9 +131,20 @@ val xsk_attach :
   t -> xsk:Xdp.xsk -> nic_id:int -> queue:int -> prog:Xdp.prog -> unit
 
 val xsk_tx_wakeup : t -> Xdp.xsk -> unit
-(** The [sendto] flavour of XSK wakeup (MM path). *)
+(** The [sendto] flavour of XSK wakeup, from the calling fiber: the
+    syscall, then its {!wakeup_fate}, then {!Xdp.tx_wakeup} unless
+    dropped. *)
 
 val xsk_rx_wakeup : t -> Xdp.xsk -> unit
+
+type wakeup_fate = Lands | Dropped | Delayed
+
+val wakeup_fate : ?shard:int -> t -> wakeup_fate
+(** Roll what the kernel does with a wakeup syscall whose trap has been
+    paid ({!Sgx.Params.syscall_cycles}): act on it, swallow it
+    ([Drop_wakeup]) or act {!Sgx.Params.fault_wakeup_delay} cycles late
+    ([Delay_wakeup]).  The staged Monitor charges the syscall and the
+    delay itself. *)
 
 val uring_create : t -> alloc:Mem.Alloc.t -> entries:int -> fd * Io_uring.t
 

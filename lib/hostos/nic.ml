@@ -9,12 +9,18 @@ type wire_counters = {
   reorder : Obs.Metrics.counter;
 }
 
+type rx_handler = Sim.Engine.process -> next:(unit -> unit) -> Bytes.t -> unit
+
 type t = {
   engine : Sim.Engine.t;
   mac : Packet.Addr.Mac.t;
   ip : Packet.Addr.Ip.t;
   tx_queue : Bytes.t Sim.Mailbox.t;
   rx_queues : Bytes.t Sim.Mailbox.t array;
+  (* Per receive queue: its actor, the stage that takes its next frame,
+     and the installed handler's per-frame entry. *)
+  mutable rx_actors : Sim.Engine.process array;
+  rx_polls : (unit -> unit) array;
   handlers : (Bytes.t -> unit) array;
   udp_rx : int array; (* UDP frames enqueued, per receive queue *)
   mutable peer : t option;
@@ -33,6 +39,7 @@ type t = {
      overtaken by its successor (or flushed by timer). *)
   mutable held : Bytes.t option;
   mutable held_gen : int;
+  mutable tx_frame : Bytes.t;  (* the frame the transmit actor serializes *)
 }
 
 let mac t = t.mac
@@ -130,6 +137,10 @@ let corrupt_length t ?shard frame =
       Bytes.cat frame g
   | _ -> frame
 
+let wire_delay = Int64.to_int Sgx.Params.fault_wire_delay
+
+let reorder_flush = Int64.to_int Sgx.Params.fault_wire_reorder_flush
+
 let wire_transmit t peer frame =
   (* Only a fault plan reads the shard: skip the hash on a clean wire. *)
   let shard =
@@ -153,8 +164,8 @@ let wire_transmit t peer frame =
     for _ = 1 to copies do
       if roll_wire t ?shard Faults.Wire_delay then begin
         Obs.Metrics.incr t.wire_counts.delay;
-        Sim.Engine.at t.engine
-          (Int64.add (Sim.Engine.now t.engine) Sgx.Params.fault_wire_delay)
+        Sim.Engine.at_clock t.engine
+          (Sim.Engine.clock t.engine + wire_delay)
           (fun () -> arrive t peer frame)
       end
       else if t.held = None && roll_wire t ?shard Faults.Wire_reorder then begin
@@ -163,49 +174,54 @@ let wire_transmit t peer frame =
         let gen = t.held_gen in
         (* Bounded in time as well as distance: if no successor overtakes
            the held frame, the link delivers it anyway. *)
-        Sim.Engine.at t.engine
-          (Int64.add (Sim.Engine.now t.engine)
-             Sgx.Params.fault_wire_reorder_flush)
+        Sim.Engine.at_clock t.engine
+          (Sim.Engine.clock t.engine + reorder_flush)
           (fun () -> if t.held_gen = gen then flush_held t)
       end
       else arrive t peer frame
     done
   end
 
-(* The transmit process: serialize frames at the link rate and deliver
+let stall_cycles = Int64.to_int Sgx.Params.fault_nic_stall
+
+(* The transmit actor: serialize frames at the link rate and deliver
    them to the wired peer. *)
-let tx_process t () =
-  let rec loop () =
-    let frame = Sim.Mailbox.get t.tx_queue in
-    (* A stall window pauses the transmit engine (PHY retraining, PCIe
-       hiccup): frames are delayed, never dropped — queues above absorb
-       the back-pressure. *)
-    (match !(t.faults) with
-    | Some f when Faults.roll !(t.faults) Faults.Nic_stall ->
-        Faults.record f Faults.Nic_stall;
-        Sim.Engine.delay Sgx.Params.fault_nic_stall
-    | _ -> ());
-    Sim.Engine.delay_cycles
+let tx_actor t p =
+  let rec poll () =
+    if Sim.Mailbox.is_empty t.tx_queue then Sim.Mailbox.listen t.tx_queue
+    else begin
+      t.tx_frame <- Sim.Mailbox.get t.tx_queue;
+      (* A stall window pauses the transmit engine (PHY retraining, PCIe
+         hiccup): frames are delayed, never dropped — queues above
+         absorb the back-pressure. *)
+      match !(t.faults) with
+      | Some f when Faults.roll !(t.faults) Faults.Nic_stall ->
+          Faults.record f Faults.Nic_stall;
+          Sim.Engine.charge p stall_cycles serialize
+      | _ -> serialize ()
+    end
+  and serialize () =
+    Sim.Engine.charge p
       (int_of_float
-         (float_of_int (Bytes.length frame)
-         *. !Sgx.Params.live_wire_cycles_per_byte));
+         (float_of_int (Bytes.length t.tx_frame)
+         *. !Sgx.Params.live_wire_cycles_per_byte))
+      send
+  and send () =
     Obs.Metrics.incr t.tx;
     (match t.peer with
-    | Some peer -> wire_transmit t peer frame
+    | Some peer -> wire_transmit t peer t.tx_frame
     | None -> ());
-    loop ()
+    poll ()
   in
-  loop ()
+  poll
 
-(* One process per receive queue, standing in for the softirq that
-   drains a NIC queue. *)
-let rx_process t q () =
-  let rec loop () =
-    let frame = Sim.Mailbox.get t.rx_queues.(q) in
-    t.handlers.(q) frame;
-    loop ()
-  in
-  loop ()
+(* One actor per receive queue, standing in for the softirq that drains
+   a NIC queue: take a frame and hand it to the queue's handler, which
+   comes back to [poll] when it is done with it. *)
+let rx_poll t q () =
+  let rxq = t.rx_queues.(q) in
+  if Sim.Mailbox.is_empty rxq then Sim.Mailbox.listen rxq
+  else t.handlers.(q) (Sim.Mailbox.get rxq)
 
 let create ?(faults = ref None) engine ~id ~mac ~ip ~queues =
   if queues <= 0 then invalid_arg "Nic.create: need at least one queue";
@@ -223,7 +239,9 @@ let create ?(faults = ref None) engine ~id ~mac ~ip ~queues =
       rx_queues =
         Array.init queues (fun _ ->
             Sim.Mailbox.create ~capacity:Sgx.Params.nic_queue_len ());
-      handlers = Array.make queues (fun _ -> ());
+      rx_actors = [||];
+      rx_polls = Array.make queues ignore;
+      handlers = Array.make queues ignore;
       udp_rx = Array.make queues 0;
       peer = None;
       faults;
@@ -243,24 +261,30 @@ let create ?(faults = ref None) engine ~id ~mac ~ip ~queues =
       shards = queues;
       held = None;
       held_gen = 0;
+      tx_frame = Bytes.empty;
     }
   in
-  Sim.Engine.spawn engine ~name:(Printf.sprintf "nic%d-tx" id) (tx_process t);
-  for q = 0 to queues - 1 do
-    Sim.Engine.spawn engine
-      ~name:(Printf.sprintf "nic%d-rxq%d" id q)
-      (rx_process t q)
-  done;
+  ignore
+    (Sim.Engine.actor engine ~name:(Printf.sprintf "nic%d-tx" id) (tx_actor t));
+  t.rx_actors <-
+    Array.init queues (fun q ->
+        let poll = rx_poll t q in
+        t.rx_polls.(q) <- poll;
+        (* Until a handler is installed, a frame is dropped. *)
+        t.handlers.(q) <- (fun _ -> poll ());
+        Sim.Engine.actor engine
+          ~name:(Printf.sprintf "nic%d-rxq%d" id q)
+          (fun _ -> poll));
   t
 
 let wire a b =
   a.peer <- Some b;
   b.peer <- Some a
 
-let set_rx_handler t ~queue f =
+let set_rx_handler t ~queue h =
   if queue < 0 || queue >= Array.length t.handlers then
     invalid_arg "Nic.set_rx_handler: bad queue";
-  t.handlers.(queue) <- f
+  t.handlers.(queue) <- h t.rx_actors.(queue) ~next:t.rx_polls.(queue)
 
 let transmit t frame =
   if not (Sim.Mailbox.try_put t.tx_queue frame) then Obs.Metrics.incr t.drops

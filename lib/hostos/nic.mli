@@ -8,9 +8,10 @@
     (counted under ["nic.<id>.drops"]) — the memory-pressure drop
     behaviour the paper's QoS discussion (§4.1) is about.
 
-    Each receive queue runs its own handler process ("softirq"): the
-    handler installed by the kernel may block and charge cycles without
-    stalling the wire.
+    The transmit side and each receive queue ("softirq") run as actors
+    ({!Sim.Engine.actor}): loops with no stack of their own.  A receive
+    handler is staged: it may charge cycles without stalling the wire,
+    but never blocks.
 
     The link between the two interfaces can turn hostile: the shared
     {!Faults} injector drives seeded wire faults per transmitted frame —
@@ -46,9 +47,18 @@ val queue_count : t -> int
 val wire : t -> t -> unit
 (** Connect two interfaces; must be called once per pair. *)
 
-val set_rx_handler : t -> queue:int -> (Bytes.t -> unit) -> unit
-(** Install the consumer for one receive queue.  The handler runs in a
-    dedicated queue process and may suspend. *)
+type rx_handler = Sim.Engine.process -> next:(unit -> unit) -> Bytes.t -> unit
+(** A staged receive handler.  [h p ~next] is applied once, when the
+    handler is installed, to the queue's actor [p] and the stage [next]
+    that takes the queue's next frame; it returns the per-frame entry.
+    The entry builds nothing per frame: it keeps the frame in state
+    built with it, charges with {!Sim.Engine.charge} [p], and ends
+    every frame by calling [next] (last, or as the stage of its final
+    charge). *)
+
+val set_rx_handler : t -> queue:int -> rx_handler -> unit
+(** Install the consumer for one receive queue.  Until one is
+    installed, the queue drops what it receives. *)
 
 val transmit : t -> Bytes.t -> unit
 (** Hand a frame to the interface for transmission.  Returns

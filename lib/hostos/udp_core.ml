@@ -57,7 +57,7 @@ let bind t sock ip port =
     Ok ()
   end
 
-let charge_softirq () = Sim.Engine.delay Sgx.Params.kernel_udp_softirq_per_packet
+let softirq_cycles = Int64.to_int Sgx.Params.kernel_udp_softirq_per_packet
 
 let charge_copy len =
   Sim.Engine.delay_cycles
@@ -81,6 +81,8 @@ let send_arp_request nic target_ip =
     (Packet.Frame.build_arp ~src_mac:(Nic.mac nic)
        ~dst_mac:Packet.Addr.Mac.broadcast arp)
 
+let arp_retry_cycles = Int64.to_int (Sim.Cycles.of_us 100.)
+
 (* Resolve [ip] to a MAC, emitting ARP requests and blocking until the
    reply is learned.  Gives up after a few retries. *)
 let resolve_blocking t nic ip =
@@ -92,8 +94,8 @@ let resolve_blocking t nic ip =
         send_arp_request nic ip;
         (* Wait for any ARP learning event, or a retransmit timeout. *)
         let timer_fired = ref false in
-        Sim.Engine.at t.engine
-          (Int64.add (Sim.Engine.now t.engine) (Sim.Cycles.of_us 100.))
+        Sim.Engine.at_clock t.engine
+          (Sim.Engine.clock t.engine + arp_retry_cycles)
           (fun () ->
             if not !timer_fired then begin
               timer_fired := true;
@@ -186,8 +188,7 @@ let handle_arp t nic arp =
 
 (* Each frame is validated once, in place; only a delivered payload is
    copied. *)
-let stack_input t nic frame =
-  charge_softirq ();
+let input t nic frame =
   match Packet.Frame.validate_udp frame with
   | Ok payload_len -> (
       let udp_off = Packet.Eth.header_size + Packet.Ipv4.header_size in
@@ -213,5 +214,15 @@ let stack_input t nic frame =
       | Ok arp -> handle_arp t nic arp
       | Error _ -> ())
   | Error _ -> ()
+
+let stack_input t nic p ~next =
+  let frame = ref Bytes.empty in
+  let input_frame () =
+    input t nic !frame;
+    next ()
+  in
+  fun f ->
+    frame := f;
+    Sim.Engine.charge p softirq_cycles input_frame
 
 let activity sock = sock.activity

@@ -38,11 +38,11 @@ val readable : sock -> bool
 
 val close : t -> sock -> unit
 
-val stack_input : t -> Nic.t -> Bytes.t -> unit
-(** Kernel network-stack entry point, called from a NIC receive-queue
-    process for frames not claimed by XDP.  Handles ARP (request reply +
-    table learning) and UDP delivery; everything else is dropped.
-    Charges stack traversal cost. *)
+val stack_input : t -> Nic.t -> Nic.rx_handler
+(** Kernel network-stack entry point, the staged handler of a NIC
+    receive queue for frames not claimed by XDP.  Charges the softirq's
+    stack traversal first, then handles ARP (request reply + table
+    learning) and UDP delivery; everything else is dropped. *)
 
 val activity : sock -> Sim.Condition.t
 (** Broadcast whenever a datagram lands in the socket buffer. *)

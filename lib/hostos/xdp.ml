@@ -129,11 +129,10 @@ let edge_drop x cause =
   Obs.Metrics.incr x.rx_dropped;
   Obs.Metrics.incr cause
 
-let charge_per_packet () = Sim.Engine.delay Sgx.Params.xdp_redirect_per_packet
+let per_packet_cycles = Int64.to_int Sgx.Params.xdp_redirect_per_packet
 
-let charge_copy len =
-  Sim.Engine.delay_cycles
-    (int_of_float (float_of_int len *. Sgx.Params.memcpy_cycles_per_byte))
+let copy_cycles len =
+  int_of_float (float_of_int len *. Sgx.Params.memcpy_cycles_per_byte)
 
 (* The kernel's own validation of a user-supplied UMem offset: in range
    and frame-aligned (AF_XDP aligned mode). *)
@@ -208,31 +207,35 @@ let maybe_corrupt t x frame =
       frame
   | _ -> frame
 
-(* Deliver one redirected frame into the XSK: consume a fill entry,
-   write the packet into UMem, announce it on xRX. *)
-let rx_deliver t x frame =
-  charge_per_packet ();
-  let frame = maybe_corrupt t x frame in
-  let len = Bytes.length frame in
-  (* Starvation drops wake the XSK owner even though no descriptor moved
-     — AF_XDP's need-wakeup contract.  An empty xFill (or a full xRX)
-     means the enclave-side FM is parked or starved: dropping silently
-     would withhold the only event that could ever prompt it to restock
-     (or to republish an owned index word Malice smashed — see
-     [Rings.Certified.republish]), turning a transient condition into a
-     permanently dead shard that edge-drops every arrival. *)
-  if len > x.frame_size then begin
-    edge_drop x x.rx_drop_oversize
+(* Delivering one redirected frame into the XSK is two stages around
+   the copy charge: [claim] takes a fill entry for the frame (after the
+   per-packet charge), [announce] writes the packet into UMem and announces
+   it on xRX.  [claim] returns the UMem offset to copy into, or -1 when
+   the frame is dropped at the edge.
+
+   Starvation drops wake the XSK owner even though no descriptor moved
+   — AF_XDP's need-wakeup contract.  An empty xFill (or a full xRX)
+   means the enclave-side FM is parked or starved: dropping silently
+   would withhold the only event that could ever prompt it to restock
+   (or to republish an owned index word Malice smashed — see
+   [Rings.Certified.republish]), turning a transient condition into a
+   permanently dead shard that edge-drops every arrival. *)
+let claim x frame =
+  if Bytes.length frame > x.frame_size then begin
+    edge_drop x x.rx_drop_oversize;
+    -1
   end
   else if Kring.free x.krx <= 0 then begin
     edge_drop x x.rx_drop_krx_full;
-    Sim.Condition.broadcast x.rx_notify
+    Sim.Condition.broadcast x.rx_notify;
+    -1
   end
   else begin
     let fill_slot = Kring.consume_slot x.kfill in
     if fill_slot < 0 then begin
       edge_drop x x.rx_drop_fill_empty;
-      Sim.Condition.broadcast x.rx_notify
+      Sim.Condition.broadcast x.rx_notify;
+      -1
     end
     else begin
       let offset =
@@ -242,69 +245,78 @@ let rx_deliver t x frame =
       if not (umem_offset_ok x offset) then begin
         (* Kernel refuses garbage fill entries. *)
         edge_drop x x.rx_drop_bad_fill;
-        Sim.Condition.broadcast x.rx_notify
+        Sim.Condition.broadcast x.rx_notify;
+        -1
       end
-      else begin
-        charge_copy len;
-        Mem.Region.blit_from_bytes frame 0 x.umem.Mem.Ptr.region
-          (x.umem.Mem.Ptr.off + offset) len;
-        let slot = Kring.produce_slot x.krx in
-        rx_descriptor t x ~slot ~offset ~len;
-        if slot >= 0 then begin
-          Kring.advance x.krx;
-          Obs.Metrics.incr x.rx_delivered
-        end
-        else edge_drop x x.rx_drop_krx_full;
-        tamper_after_rx t x;
-        Sim.Condition.broadcast x.rx_notify
-      end
+      else offset
     end
   end
 
-(* Drain the xTX ring: validate each descriptor, put the frame on the
-   wire and recycle the UMem offset through xCompl. *)
-let rec tx_drain t x =
-  let slot = Kring.consume_slot x.ktx in
+let announce t x frame offset =
+  let len = Bytes.length frame in
+  Mem.Region.blit_from_bytes frame 0 x.umem.Mem.Ptr.region
+    (x.umem.Mem.Ptr.off + offset) len;
+  let slot = Kring.produce_slot x.krx in
+  rx_descriptor t x ~slot ~offset ~len;
   if slot >= 0 then begin
-    let region = x.tx.Rings.Layout.region in
-    let offset = Abi.Xsk_desc.get_offset region slot
-    and len = Abi.Xsk_desc.get_len region slot in
-    Kring.advance x.ktx;
-    if umem_offset_ok x offset && len > 0 && len <= x.frame_size then begin
-      charge_per_packet ();
-      charge_copy len;
-      let frame = Bytes.create len in
-      Mem.Region.blit_to_bytes x.umem.Mem.Ptr.region
-        (x.umem.Mem.Ptr.off + offset) frame 0 len;
-      x.transmit frame;
-      Obs.Metrics.incr x.tx_sent
-    end;
-    let compl_off =
-      match !(t.malice) with
-      | Some m when Malice.roll ?shard:x.shard !(t.malice) Foreign_frame ->
-          Malice.record m Foreign_frame;
-          0 (* recycle a frame the FM did not send *)
-      | Some m when Malice.roll ?shard:x.shard !(t.malice) Bad_umem_offset ->
-          Malice.record m Bad_umem_offset;
-          x.umem_size + x.frame_size
-      | _ -> offset
-    in
-    let compl_slot = Kring.produce_slot x.kcompl in
-    if compl_slot >= 0 then begin
-      Abi.Xsk_desc.set_offset x.compl_.Rings.Layout.region compl_slot compl_off;
-      Kring.advance x.kcompl
-    end;
-    Sim.Condition.broadcast x.compl_notify;
-    tx_drain t x
+    Kring.advance x.krx;
+    Obs.Metrics.incr x.rx_delivered
   end
+  else edge_drop x x.rx_drop_krx_full;
+  tamper_after_rx t x;
+  Sim.Condition.broadcast x.rx_notify
 
-let tx_worker t x () =
-  let rec loop () =
-    Sim.Condition.wait x.tx_wake;
-    tx_drain t x;
-    loop ()
+(* Recycle a transmitted (or refused) descriptor's UMem offset through
+   xCompl. *)
+let complete t x offset =
+  let compl_off =
+    match !(t.malice) with
+    | Some m when Malice.roll ?shard:x.shard !(t.malice) Foreign_frame ->
+        Malice.record m Foreign_frame;
+        0 (* recycle a frame the FM did not send *)
+    | Some m when Malice.roll ?shard:x.shard !(t.malice) Bad_umem_offset ->
+        Malice.record m Bad_umem_offset;
+        x.umem_size + x.frame_size
+    | _ -> offset
   in
-  loop ()
+  let compl_slot = Kring.produce_slot x.kcompl in
+  if compl_slot >= 0 then begin
+    Abi.Xsk_desc.set_offset x.compl_.Rings.Layout.region compl_slot compl_off;
+    Kring.advance x.kcompl
+  end;
+  Sim.Condition.broadcast x.compl_notify
+
+(* The XSK's kernel transmit worker, an actor: woken by a TX wakeup, it
+   drains the xTX ring — validate each descriptor, put the frame on the
+   wire (a per-packet and a copy charge) and recycle the UMem offset
+   through xCompl — then waits for the next wakeup. *)
+let tx_actor t x p =
+  let offset = ref 0 and len = ref 0 in
+  let rec drain () =
+    let slot = Kring.consume_slot x.ktx in
+    if slot < 0 then Sim.Condition.listen x.tx_wake
+    else begin
+      let region = x.tx.Rings.Layout.region in
+      offset := Abi.Xsk_desc.get_offset region slot;
+      len := Abi.Xsk_desc.get_len region slot;
+      Kring.advance x.ktx;
+      if umem_offset_ok x !offset && !len > 0 && !len <= x.frame_size then
+        Sim.Engine.charge p per_packet_cycles copy
+      else recycle ()
+    end
+  and copy () = Sim.Engine.charge p (copy_cycles !len) send
+  and send () =
+    let frame = Bytes.create !len in
+    Mem.Region.blit_to_bytes x.umem.Mem.Ptr.region
+      (x.umem.Mem.Ptr.off + !offset) frame 0 !len;
+    x.transmit frame;
+    Obs.Metrics.incr x.tx_sent;
+    recycle ()
+  and recycle () =
+    complete t x !offset;
+    drain ()
+  in
+  drain
 
 (* --- Hostile wire: Malice re-presenting traffic it legitimately saw
    (the [Replay]/[Reorder_burst]/[Fragment_storm] attacks).  The host
@@ -349,63 +361,152 @@ let storm_fragments rng frame =
 
 let burst_window = 4
 
-(* [burst_hold] is newest-first, so delivering the list as-is IS the
-   reversed release. *)
-let flush_burst x ~deliver =
+(* The held window, newest first — so delivering the list as-is IS the
+   reversed release — and a new generation for the flush timer. *)
+let take_burst x =
   let held = x.burst_hold in
   x.burst_hold <- [];
   x.burst_gen <- x.burst_gen + 1;
-  List.iter deliver held
+  held
 
-let hostile_rx t x frame ~deliver =
-  match !(t.malice) with
-  | None -> deliver frame
-  | Some m ->
-      if Malice.roll ?shard:x.shard !(t.malice) Fragment_storm then begin
-        (* The volley arrives in addition to the original frame, keeping
-           the attack availability-only for flows that never fragment. *)
-        let volley = storm_fragments (Malice.rng m) frame in
-        if volley <> [] then begin
-          Malice.record m Fragment_storm;
-          List.iter deliver volley
+let reorder_flush = Int64.to_int Sgx.Params.fault_wire_reorder_flush
+
+(* Per-frame state of one receive path, kept across its charges. *)
+type rx_state = {
+  mutable frame : Bytes.t;  (* the frame being redirected *)
+  mutable offset : int;  (* its UMem frame *)
+  mutable arrived : Bytes.t;  (* the frame the NIC handed over *)
+  mutable malice : Malice.t option;  (* armed when it arrived *)
+  mutable phase : int;  (* which Malice phase runs after [pending] *)
+  mutable pending : Bytes.t list;  (* frames to deliver first *)
+}
+
+(* The receive path of one NIC queue bound to [x], staged: Malice
+   re-presenting traffic it saw (the hostile wire above), then the XDP
+   program, then the stack or the XSK.  Each arriving frame may turn into
+   several deliveries; [pending] and [phase] say which come next, and
+   [next] runs once they are all done.  Returns the per-frame entry and
+   [release], which delivers a list of frames and nothing else; [flush]
+   is the [release] a reorder burst's timer calls.  No Malice: one
+   delivery, nothing allocated. *)
+let rx_path t x ~prog ~stack_fallback ~flush p ~next =
+  let st =
+    {
+      frame = Bytes.empty;
+      offset = 0;
+      arrived = Bytes.empty;
+      malice = None;
+      phase = 0;
+      pending = [];
+    }
+  in
+  let fallback = ref ignore in
+  let rec deliver frame =
+    match prog frame with
+    | Pass -> !fallback frame
+    | Drop -> delivered ()
+    | Redirect ->
+        st.frame <- frame;
+        Sim.Engine.charge p per_packet_cycles redirect
+  and redirect () =
+    let frame = maybe_corrupt t x st.frame in
+    if frame != st.frame then st.frame <- frame;
+    let offset = claim x frame in
+    if offset < 0 then delivered ()
+    else begin
+      st.offset <- offset;
+      Sim.Engine.charge p (copy_cycles (Bytes.length frame)) copied
+    end
+  and copied () =
+    announce t x st.frame st.offset;
+    delivered ()
+  and delivered () =
+    match st.pending with
+    | frame :: rest ->
+        st.pending <- rest;
+        deliver frame
+    | [] -> hostile ()
+  (* Malice's phases, each after the deliveries the one before it
+     queued: a fragment storm's volley, a replay, then the frame
+     itself, held back in a reorder burst or delivered. *)
+  and hostile () =
+    match (st.phase, st.malice) with
+    | 1, Some m -> (
+        st.phase <- 2;
+        match x.replay_stash with
+        | Some old when Malice.roll ?shard:x.shard !(t.malice) Replay ->
+            Malice.record m Replay;
+            deliver old
+        | _ -> hostile ())
+    | 2, Some m ->
+        st.phase <- 0;
+        let frame = st.arrived in
+        x.replay_stash <- Some frame;
+        if Malice.roll ?shard:x.shard !(t.malice) Reorder_burst then begin
+          Malice.record m Reorder_burst;
+          x.burst_hold <- frame :: x.burst_hold;
+          if List.length x.burst_hold >= burst_window then
+            st.pending <- take_burst x
+          else begin
+            (* A held frame with no successors must still arrive — the
+               attack may reorder, never silently lose.  The timer is
+               generation-guarded against a window that already
+               flushed. *)
+            let gen = x.burst_gen in
+            Sim.Engine.at_clock x.engine
+              (Sim.Engine.clock x.engine + reorder_flush)
+              (fun () -> if x.burst_gen = gen then flush (take_burst x))
+          end;
+          delivered ()
         end
-      end;
-      (match x.replay_stash with
-      | Some old when Malice.roll ?shard:x.shard !(t.malice) Replay ->
-          Malice.record m Replay;
-          deliver old
-      | _ -> ());
-      x.replay_stash <- Some frame;
-      if Malice.roll ?shard:x.shard !(t.malice) Reorder_burst then begin
-        Malice.record m Reorder_burst;
-        x.burst_hold <- frame :: x.burst_hold;
-        if List.length x.burst_hold >= burst_window then
-          flush_burst x ~deliver
-        else begin
-          (* A held frame with no successors must still arrive — the
-             attack may reorder, never silently lose.  The timer is
-             generation-guarded against a window that already flushed. *)
-          let gen = x.burst_gen in
-          Sim.Engine.at x.engine
-            (Int64.add (Sim.Engine.now x.engine)
-               Sgx.Params.fault_wire_reorder_flush)
-            (fun () -> if x.burst_gen = gen then flush_burst x ~deliver)
-        end
-      end
-      else deliver frame
+        else deliver frame
+    | _ -> next ()
+  in
+  fallback := stack_fallback p ~next:delivered;
+  let release held =
+    st.pending <- held;
+    delivered ()
+  in
+  ( (fun frame ->
+    match !(t.malice) with
+    | None -> deliver frame
+    | Some m as malice ->
+        st.arrived <- frame;
+        st.malice <- malice;
+        st.phase <- 1;
+        if Malice.roll ?shard:x.shard !(t.malice) Fragment_storm then begin
+          (* The volley arrives in addition to the original frame,
+             keeping the attack availability-only for flows that never
+             fragment. *)
+          let volley = storm_fragments (Malice.rng m) frame in
+          if volley <> [] then begin
+            Malice.record m Fragment_storm;
+            st.pending <- volley
+          end
+        end;
+        delivered ()),
+    release )
+
+(* The NIC queue's handler: a receive path in the queue's actor, and
+   one that releases reorder bursts from their timer, in callback
+   context, where charges are free. *)
+let rx_handler t x ~prog ~stack_fallback p ~next =
+  (* Built at the first flush: only Malice holds frames back. *)
+  let timer_path =
+    lazy (snd (rx_path t x ~prog ~stack_fallback ~flush:ignore p ~next:ignore))
+  in
+  fst
+    (rx_path t x ~prog ~stack_fallback
+       ~flush:(fun held -> Lazy.force timer_path held)
+       p ~next)
 
 let attach t ~nic ~queue ~prog ~xsk ~stack_fallback =
   xsk.transmit <- (fun frame -> Nic.transmit nic frame);
-  Sim.Engine.spawn t.engine
-    ~name:(Printf.sprintf "xsk%d-tx-worker" xsk.id)
-    (tx_worker t xsk);
-  let deliver frame =
-    match prog frame with
-    | Pass -> stack_fallback frame
-    | Drop -> ()
-    | Redirect -> rx_deliver t xsk frame
-  in
-  Nic.set_rx_handler nic ~queue (fun frame -> hostile_rx t xsk frame ~deliver)
+  ignore
+    (Sim.Engine.actor t.engine
+       ~name:(Printf.sprintf "xsk%d-tx-worker" xsk.id)
+       (tx_actor t xsk));
+  Nic.set_rx_handler nic ~queue (rx_handler t xsk ~prog ~stack_fallback)
 
 (* Wakeup syscalls re-enter the kernel, which rewrites the shared ring
    words from its private cursors as a side effect — in a real kernel
@@ -417,11 +518,11 @@ let republish x =
   Kring.publish_consumer x.ktx;
   Kring.publish_producer x.kcompl
 
-let tx_wakeup _t x =
+let tx_wakeup x =
   republish x;
   Sim.Condition.signal x.tx_wake
 
-let rx_wakeup _t x = republish x
+let rx_wakeup x = republish x
 
 let rx_notify x = x.rx_notify
 

@@ -74,16 +74,22 @@ val attach :
   queue:int ->
   prog:prog ->
   xsk:xsk ->
-  stack_fallback:(Bytes.t -> unit) ->
+  stack_fallback:Nic.rx_handler ->
   unit
 (** Install the XDP program on one NIC queue, binding the XSK to it and
-    starting the XSK's kernel transmit worker.  PASS frames go to
-    [stack_fallback]. *)
+    starting the XSK's kernel transmit worker.  Both run as actors
+    ({!Sim.Engine.actor}).  The queue's handler is staged: Malice's
+    wire attacks (replay, fragment storm, reorder burst) first, then
+    [prog]; a redirected frame costs a per-packet charge, the kernel's
+    checks, a copy charge and the xRX publish, and PASS frames go to
+    the staged [stack_fallback].  The transmit worker drains xTX with
+    the same two charges per descriptor.  A reorder burst's flush
+    timer delivers in callback context, where charges are free. *)
 
-val tx_wakeup : t -> xsk -> unit
+val tx_wakeup : xsk -> unit
 (** The [sendto] wakeup: non-blocking; nudges the transmit worker. *)
 
-val rx_wakeup : t -> xsk -> unit
+val rx_wakeup : xsk -> unit
 (** The [recvfrom] wakeup: a no-op here (frames arriving while xFill is
     empty are dropped, per the QoS discussion in §4.1). *)
 

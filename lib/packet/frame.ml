@@ -109,16 +109,16 @@ let udp_dst_port frame =
   let off = peek_udp_off frame in
   if off < 0 then -1 else Bytes.get_uint16_be frame (off + 2)
 
+(* An IPv4 address in host order, straight from the header. *)
+let ip32_at frame o =
+  (Bytes.get_uint16_be frame o lsl 16) lor Bytes.get_uint16_be frame (o + 2)
+
 let rss_queue ~queues frame =
   let off = peek_udp_off frame in
   if off < 0 then -1
   else
-    (* IPs in host order straight from the IPv4 header. *)
-    let ip32 o =
-      (Bytes.get_uint16_be frame o lsl 16) lor Bytes.get_uint16_be frame (o + 2)
-    in
     Rss.queue ~queues
-      ~src_ip:(ip32 (Eth.header_size + 12))
-      ~dst_ip:(ip32 (Eth.header_size + 16))
+      ~src_ip:(ip32_at frame (Eth.header_size + 12))
+      ~dst_ip:(ip32_at frame (Eth.header_size + 16))
       ~src_port:(Bytes.get_uint16_be frame off)
       ~dst_port:(Bytes.get_uint16_be frame (off + 2))

@@ -54,7 +54,9 @@ let add t p n =
     if t.len = Array.length t.procs then grow t p
   end;
   let i = (t.head + t.len) land (Array.length t.procs - 1) in
-  t.procs.(i) <- p;
+  (* A waiter that waits again often finds its own slot: skip the
+     write barrier then. *)
+  if t.procs.(i) != p then t.procs.(i) <- p;
   t.ns.(i) <- n;
   t.len <- t.len + 1
 

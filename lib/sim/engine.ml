@@ -2,6 +2,8 @@ type time = int64
 
 exception Not_in_process
 
+exception Suspend_in_actor
+
 (* Events are ints.  Process [p]'s resumption is code [2 * pid], its
    timeout firing [2 * pid + 1]; a callback ({!at}, {!at_clock}, a
    {!spawn}'s start) lives in slot [s] of [slots] and is code
@@ -47,7 +49,11 @@ type t = {
   mutable stopped : bool;
   mutable horizon : int;  (* the running {!run}'s [until], native *)
   mutable wake_at : int;  (* due time of the delay being performed *)
+  mutable fibers : int;  (* spawned and not yet returned *)
+  mutable inline : bool;  (* the running actor's charge came due at once *)
+  mutable cur : int;  (* pid of the running process; -1: none *)
   stats : Obs.Metrics.t;
+  some : t option;  (* [Some t], allocated once: what a run installs *)
 }
 
 (* A process waits on at most one event at a time, so everything a
@@ -81,10 +87,18 @@ type t = {
    A finished process's pid is reused once no tracked timeout event of
    its is queued.  An untracked one may still run after that, as a
    firing of the new process whose [seq] that process never armed: the
-   same no-op. *)
+   same no-op.
+
+   An actor is a process without a stack: [k] stays {!sentinel} and
+   its resumption event calls a stage instead.  Its [stages] say which:
+   [next] when [charged] ({!charge} queued the event), else [resume],
+   the actor's wake stage.  A charge whose event would run next anyway
+   sets the engine's [inline] instead of queueing, and the dispatch
+   loop runs [next] at once.  Every fiber shares {!no_stages}. *)
 and process = {
   engine : t;
   pid : int;
+  stages : stages;
   mutable k : (unit, unit) Effect.Deep.continuation;
   mutable wakes : int;
   mutable timeout_at : int;
@@ -94,9 +108,13 @@ and process = {
   mutable ghost_at : int;
   mutable ghost_seq : int;
   mutable timeout_n : int;
-  self : process option;
-      (* [Some p], allocated once: the ambient process a resumption
-         installs. *)
+}
+
+and stages = {
+  name : string;
+  mutable next : unit -> unit;
+  mutable resume : unit -> unit;
+  mutable charged : bool;
 }
 
 let disarmed = -1
@@ -128,12 +146,11 @@ let sentinel : (unit, unit) Effect.Deep.continuation =
     };
   match !captured with Some k -> k | None -> assert false
 
-(* The process currently running, so the argument-free
-   [delay]/[park] API works; the effects themselves are handled by the
-   handler [spawn] installed. *)
-let current : process option ref = ref None
-
 let nop () = ()
+
+let no_stages = { name = "fiber"; next = nop; resume = nop; charged = false }
+
+let[@inline] is_actor p = p.stages != no_stages
 
 (* {1 Event heap}
 
@@ -309,31 +326,43 @@ let[@inline] after t d =
   else t.clock + d
 
 let create () =
-  {
-    now = 0L;
-    boxed = 0;
-    clock = 0;
-    seq = 0;
-    len = 0;
-    heap = Array.make (3 * 64) 0;
-    r_head = 0;
-    r_len = 0;
-    r_seqs = Array.make 64 0;
-    r_codes = Array.make 64 0;
-    slots = Array.make 64 nop;
-    free_slots = Array.make 64 0;
-    n_free_slots = 0;
-    n_slots = 0;
-    procs = [||];
-    free_pids = [||];
-    n_free_pids = 0;
-    n_pids = 0;
-    running = 0;
-    stopped = false;
-    horizon = max_int;
-    wake_at = 0;
-    stats = Obs.Metrics.create ();
-  }
+  let rec t =
+    {
+      now = 0L;
+      boxed = 0;
+      clock = 0;
+      seq = 0;
+      len = 0;
+      heap = Array.make (3 * 64) 0;
+      r_head = 0;
+      r_len = 0;
+      r_seqs = Array.make 64 0;
+      r_codes = Array.make 64 0;
+      slots = Array.make 64 nop;
+      free_slots = Array.make 64 0;
+      n_free_slots = 0;
+      n_slots = 0;
+      procs = [||];
+      free_pids = [||];
+      n_free_pids = 0;
+      n_pids = 0;
+      running = 0;
+      stopped = false;
+      horizon = max_int;
+      wake_at = 0;
+      fibers = 0;
+      inline = false;
+      cur = -1;
+      stats = Obs.Metrics.create ();
+      some = Some t;
+    }
+  in
+  t
+
+(* The engine whose run is in progress, so the argument-free
+   [delay]/[park] API finds the running process, its [cur]; the effects
+   themselves are handled by the handler [spawn] installed. *)
+let active : t option ref = ref None
 
 let now t =
   if t.boxed <> t.clock then begin
@@ -355,21 +384,21 @@ let pending t = t.len + t.r_len
 
 (* {1 Processes} *)
 
+(* Whether an event due at [w] and scheduled now would be the next one
+   the run loop runs. *)
+let[@inline] next_anyway t w =
+  w <= t.horizon && t.r_len = 0 && (t.len = 0 || w < t.heap.(0)) && not t.stopped
+
 let delay_cycles d =
   (* Outside any process (e.g. environment boot code running before the
      simulation starts) time cannot advance: treat the charge as free
      rather than failing — setup costs are not part of any measurement
      window.  Parking, by contrast, is always an error there. *)
-  match !current with
-  | None -> ()
-  | Some p ->
-      let t = p.engine in
+  match !active with
+  | Some t when t.cur >= 0 ->
+      if is_actor t.procs.(t.cur) then raise Suspend_in_actor;
       let w = after t d in
-      if
-        w <= t.horizon && t.r_len = 0
-        && (t.len = 0 || w < t.heap.(0))
-        && not t.stopped
-      then begin
+      if next_anyway t w then begin
         (* The resumption would be the next event the run loop runs:
            nothing queued comes first, the loop would not stop before
            it, and it would run at [w].  Take its [seq] and time and
@@ -382,20 +411,28 @@ let delay_cycles d =
         t.wake_at <- w;
         Effect.perform Delay
       end
+  | _ -> ()
 
 let delay d = delay_cycles (cycles d)
 
 let yield () = delay_cycles 0
 
 let self () =
-  match !current with None -> raise Not_in_process | Some p -> p
+  match !active with
+  | Some t when t.cur >= 0 -> t.procs.(t.cur)
+  | _ -> raise Not_in_process
+
+(* The calling process, which must be able to suspend. *)
+let fiber () =
+  let p = self () in
+  if is_actor p then raise Suspend_in_actor;
+  p
 
 let suspension p = p.wakes
 
 let park () =
-  match !current with
-  | None -> raise Not_in_process
-  | Some _ -> Effect.perform Park
+  ignore (fiber ());
+  Effect.perform Park
 
 (* Suspension [n] is woken at most once, and never after a later
    suspension began. *)
@@ -422,23 +459,27 @@ let[@inline] arm p at =
   end
 
 let arm_timeout d =
-  let p = self () in
+  let p = fiber () in
   arm p (after p.engine (cycles d))
 
 let arm_timeout_at at =
-  let p = self () in
+  let p = fiber () in
   arm p (if at < p.engine.clock then p.engine.clock else at)
 
 let disarm_timeout () =
-  match !current with
-  | Some p when p.timeout_seq >= 0 -> p.timeout_seq <- disarmed
+  match !active with
+  | Some t when t.cur >= 0 ->
+      let p = t.procs.(t.cur) in
+      if p.timeout_seq >= 0 then p.timeout_seq <- disarmed
   | _ -> ()
 
 let timed_out () =
-  match !current with None -> false | Some p -> p.timeout_seq = fired
+  match !active with
+  | Some t when t.cur >= 0 -> t.procs.(t.cur).timeout_seq = fired
+  | _ -> false
 
 let timed_park () =
-  let p = self () in
+  let p = fiber () in
   p.timeout_n <- p.wakes;
   Effect.perform Park
 
@@ -469,6 +510,7 @@ let fire p =
   end
 
 let finish p =
+  p.engine.fibers <- p.engine.fibers - 1;
   p.wakes <- finished;
   if p.queued_seq < 0 then release_pid p.engine p
 
@@ -478,7 +520,7 @@ let resume p =
   let k = p.k in
   assert (k != sentinel);
   p.k <- sentinel;
-  current := p.self;
+  p.engine.cur <- p.pid;
   Effect.Deep.continue k ()
 
 let new_pid t =
@@ -500,13 +542,13 @@ let install t p =
   end;
   t.procs.(p.pid) <- p
 
-let spawn t ?(name = "proc") f =
-  let open Effect.Deep in
+let make t stages =
   let pid = new_pid t in
-  let rec p =
+  let p =
     {
       engine = t;
       pid;
+      stages;
       k = sentinel;
       wakes = 0;
       timeout_at = 0;
@@ -516,10 +558,15 @@ let spawn t ?(name = "proc") f =
       ghost_at = 0;
       ghost_seq = 0;
       timeout_n = -1;
-      self = Some p;
     }
   in
   install t p;
+  p
+
+let spawn t ?(name = "proc") f =
+  let open Effect.Deep in
+  let p = make t no_stages in
+  t.fibers <- t.fibers + 1;
   let on_delay =
     Some
       (fun k ->
@@ -546,15 +593,81 @@ let spawn t ?(name = "proc") f =
       }
   in
   at_clock t t.clock (fun () ->
-      current := p.self;
+      t.cur <- p.pid;
       body ())
+
+let actor t ?(name = "actor") build =
+  let p = make t { name; next = nop; resume = nop; charged = false } in
+  let stage = build p in
+  p.stages.resume <- stage;
+  p.stages.next <- stage;
+  (* Its start takes the [seq] a {!spawn}'s start would. *)
+  push t t.clock (2 * p.pid);
+  p
+
+(* Run the stage an actor's event stands for, then every stage a
+   charge made due at once. *)
+let run_actor t p =
+  t.cur <- p.pid;
+  let a = p.stages in
+  match
+    if a.charged then begin
+      a.charged <- false;
+      a.next ()
+    end
+    else a.resume ();
+    while t.inline do
+      t.inline <- false;
+      a.next ()
+    done
+  with
+  | () -> ()
+  | exception e ->
+      let bt = Printexc.get_raw_backtrace () in
+      Logs.err (fun m -> m "actor %s died: %s" a.name (Printexc.to_string e));
+      Printexc.raise_with_backtrace e bt
+
+let charge p d stage =
+  let t = p.engine in
+  if t.cur = p.pid && is_actor p then begin
+    let w = after t d in
+    let a = p.stages in
+    (* A loop charges the same stage again and again: skip the write
+       barrier then. *)
+    if a.next != stage then a.next <- stage;
+    if next_anyway t w then begin
+      (* As in {!delay_cycles}: the event's [seq] and time, no queue. *)
+      t.seq <- t.seq + 1;
+      t.running <- t.seq;
+      t.clock <- w;
+      t.inline <- true
+    end
+    else begin
+      a.charged <- true;
+      push t w (2 * p.pid)
+    end
+  end
+  else
+    match !active with
+    | Some t when t.cur >= 0 ->
+        delay_cycles d;
+        stage ()
+    | _ -> stage ()
+
+let fibers t = t.fibers
 
 let dispatch t code =
   if code >= 0 then begin
     let p = t.procs.(code lsr 1) in
-    if code land 1 = 0 then resume p else fire p
+    if code land 1 = 1 then fire p
+    else if is_actor p then run_actor t p
+    else resume p
   end
-  else (take_slot t (-code - 1)) ()
+  else begin
+    (* A callback runs outside any process. *)
+    t.cur <- -1;
+    (take_slot t (-code - 1)) ()
+  end
 
 let run ?until t =
   let horizon =
@@ -597,12 +710,9 @@ let run ?until t =
             end
           in
           t.clock <- time;
-          let saved = !current in
-          (match dispatch t code with
-          | () -> current := saved
-          | exception e ->
-              current := saved;
-              raise e);
+          (* A process event makes its process [cur], and it stays so
+             until the next event replaces it. *)
+          dispatch t code;
           loop ()
         end
   in
@@ -611,7 +721,19 @@ let run ?until t =
   if horizon >= t.clock then begin
     t.stopped <- false;
     t.horizon <- horizon;
-    loop ()
+    let caller = !active and cur = t.cur in
+    active := t.some;
+    match loop () with
+    | () ->
+        t.cur <- cur;
+        active := caller
+    | exception e ->
+        t.cur <- cur;
+        active := caller;
+        raise e
   end
 
-let in_process () = !current <> None
+let in_process () =
+  match !active with
+  | Some t when t.cur >= 0 -> not (is_actor t.procs.(t.cur))
+  | _ -> false

@@ -6,6 +6,10 @@
     handlers: a process is a plain [unit -> unit] function that may call
     {!delay}, {!yield} or {!park} (directly or through {!Condition} /
     {!Mailbox}), which suspend it and hand control back to the scheduler.
+    A loop that never needs a stack can instead be an {e actor}
+    ({!actor}): a process whose work is a chain of stages, woken and
+    charged at the same (time, order) a fiber would be, with no stack
+    to switch to.
 
     The engine is strictly single-threaded: processes interleave only at
     suspension points, so shared state needs no locking (simulated locks
@@ -31,6 +35,12 @@ type t
 exception Not_in_process
 (** Raised when {!self} or {!park} is called outside a process spawned
     on an engine. *)
+
+exception Suspend_in_actor
+(** Raised when an actor calls {!delay}, {!delay_cycles}, {!yield},
+    {!park}, {!timed_park} or arms a timeout: an actor has no stack to
+    suspend.  It waits with {!Condition.listen} and charges with
+    {!charge} instead. *)
 
 val create : unit -> t
 
@@ -148,6 +158,40 @@ val timed_park : unit -> unit
     suspension.  Suspensions entered any other way ({!delay}, plain
     {!park}) are never woken by the timeout. *)
 
+(** {2 Actors}
+
+    An actor is a process without a stack: a pid, suspensions and
+    {!wake} like a fiber's, but no continuation.  Its work is a chain
+    of {e stages}, closures built once when the actor is made.  A wake
+    runs its {e wake stage}, at the (time, [seq]) where a woken fiber
+    would have resumed.  A stage waits by queueing the actor's
+    suspension ({!Condition.listen}, or {!suspension} published to a
+    waker) and returning; it costs time by ending with {!charge}.  A
+    stage that returns having done neither leaves the actor idle for
+    good. *)
+
+val actor : t -> ?name:string -> (process -> unit -> unit) -> process
+(** [actor t build] makes an actor whose wake stage is [build p], [p]
+    being the new actor.  Like {!spawn}, it runs its wake stage first
+    at the current time, in an event taking the [seq] a spawn's start
+    would.  An exception escaping a stage aborts the run, as from a
+    fiber. *)
+
+val charge : process -> int -> (unit -> unit) -> unit
+(** [charge p d stage], called last in a stage of the running actor
+    [p], runs [stage] [d] cycles later: the same event, at the same
+    (time, [seq]), that {!delay_cycles} [d] would queue, and the same
+    fast path — when that event would run next anyway, the clock moves
+    and [stage] runs in this event, without queueing.  Called from a
+    callback ({!at}, {!at_clock}) the charge is free, as a delay there
+    is, and [stage] runs at once.  Called from a fiber it is
+    {!delay_cycles} [d] then [stage ()], so a chain of stages also runs
+    in the caller's context. *)
+
+val fibers : t -> int
+(** Fibers spawned and not yet returned (diagnostic); actors do not
+    count. *)
+
 val stop : t -> unit
 (** Request the run loop to return after the current event.  Used by
     workloads to end a run while server processes are still live. *)
@@ -169,5 +213,5 @@ val pending : t -> int
     stayed queued. *)
 
 val in_process : unit -> bool
-(** Whether the caller is executing inside a simulated process (i.e.
-    suspension is possible). *)
+(** Whether the caller is executing inside a simulated fiber (i.e.
+    suspension is possible): false in callbacks and actors. *)

@@ -70,6 +70,8 @@ let rec put t x =
     put t x
   end
 
+let listen t = Condition.listen t.not_empty
+
 let try_get t =
   if t.len = 0 then None
   else begin

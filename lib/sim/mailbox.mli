@@ -18,6 +18,12 @@ val try_put : 'a t -> 'a -> bool
 val get : 'a t -> 'a
 (** Blocking dequeue; suspends while empty. *)
 
+val listen : 'a t -> unit
+(** Queue the calling process's next suspension on the mailbox's next
+    {!put}, as {!Condition.listen} does: how an actor
+    ({!Engine.actor}) waits for an item.  Check {!is_empty} first: a
+    non-empty mailbox signals nobody until it empties and refills. *)
+
 val try_get : 'a t -> 'a option
 
 val peek : 'a t -> 'a option

@@ -48,8 +48,13 @@ let after clock d =
 (* {1 The engine} *)
 
 (* [most], if given, ends up holding the most events ever queued at
-   once just after a callback was scheduled. *)
-let run_engine ?(most = ref 0) prog =
+   once just after a callback was scheduled.  [actor id] says whether
+   process [id] runs as an actor: [Delay] becomes a {!Engine.charge},
+   [Park] publishing the suspension and returning, and the rest of the
+   script runs in the stage the charge or the wake calls.  Actors
+   cannot time out, so their scripts hold no timeout instructions
+   (see {!actorize}). *)
+let run_engine ?(most = ref 0) ?(actor = fun _ -> false) prog =
   let e = Engine.create () in
   let log = ref [] in
   let note who what arg =
@@ -73,10 +78,42 @@ let run_engine ?(most = ref 0) prog =
   let rec spawn script =
     let id = !next_id in
     incr next_id;
-    Engine.spawn e (fun () ->
-        note id "start" 0;
-        List.iter (exec id) script;
-        note id "end" 0)
+    if actor id then spawn_actor id script
+    else
+      Engine.spawn e (fun () ->
+          note id "start" 0;
+          List.iter (exec id) script;
+          note id "end" 0)
+  and spawn_actor id script =
+    let rest = ref script and on_wake = ref ("start", 0) in
+    ignore
+      (Engine.actor e (fun p ->
+           let rec step () =
+             match !rest with
+             | [] -> note id "end" 0
+             | i :: tl -> (
+                 rest := tl;
+                 let charge d =
+                   Engine.charge p d (fun () ->
+                       note id (if i = Yield then "yield" else "delay") d;
+                       step ())
+                 in
+                 match i with
+                 | Delay d | Delay_cycles d -> charge d
+                 | Yield -> charge 0
+                 | Park ->
+                     publish id;
+                     on_wake := ("park", 0)
+                 | Arm _ | Arm_at _ | Disarm | Timed_park ->
+                     invalid_arg "an actor cannot time out"
+                 | i ->
+                     exec id i;
+                     step ())
+           in
+           fun () ->
+             let what, arg = !on_wake in
+             note id what arg;
+             step ()))
   and exec id = function
     | Delay d ->
         Engine.delay (Int64.of_int d);
@@ -374,6 +411,43 @@ let prop_order_matches_reference =
          || QCheck.Test.fail_reportf "engine:\n%s\nreference:\n%s"
               (print_outcome got) (print_outcome want)))
 
+(* {1 Actors}
+
+   The same programs with some or all processes run as actors, minus
+   the timeout instructions an actor cannot perform, against the
+   unchanged reference: an actor's charge must be the event a delay
+   would be, its fast path included, and a wake must run its stage
+   where a fiber would resume. *)
+
+let rec actorize_script script =
+  List.filter_map
+    (function
+      | Arm _ | Arm_at _ | Disarm | Timed_park -> None
+      | Spawn s -> Some (Spawn (actorize_script s))
+      | i -> Some i)
+    script
+
+let actorize prog = { prog with procs = List.map actorize_script prog.procs }
+
+let prop_actors_match_reference =
+  QCheck_alcotest.to_alcotest ~rand:(Flake.rand ())
+    (QCheck.Test.make
+       ~name:"engine: actors, alone or among fibers, match the reference"
+       ~count:3000
+       (QCheck.make ~print:print_program (QCheck.Gen.map actorize gen_program))
+       (fun prog ->
+         let want = run_reference prog in
+         List.for_all
+           (fun (mode, actor) ->
+             let got = run_engine ~actor prog in
+             got = want
+             || QCheck.Test.fail_reportf "%s:\n%s\nreference:\n%s" mode
+                  (print_outcome got) (print_outcome want))
+           [
+             ("all actors", fun _ -> true);
+             ("odd ids actors", fun id -> id land 1 = 1);
+           ]))
+
 (* {1 Many processes, many callbacks}
 
    The programs above rarely queue more than a dozen events.  These
@@ -454,6 +528,8 @@ let test_past_horizon () =
    A suspension stores its continuation and queues an int, so the only
    allocation is the continuation itself. *)
 
+let check_bool = Alcotest.(check bool)
+
 let words_per_suspension = 2.
 
 let check_words what ~suspensions words =
@@ -507,9 +583,71 @@ let test_park_wake_alloc () =
   Engine.run e;
   check_words "park/wake" ~suspensions:(2 * n) !words
 
+(* {1 What an actor may not do, and where a charge is free} *)
+
+(* Every way to suspend raises the named exception inside an actor;
+   in a fiber the same calls suspend. *)
+let test_actor_cannot_suspend () =
+  let attempts =
+    [
+      ("delay", fun () -> Engine.delay 5L);
+      ("delay_cycles", fun () -> Engine.delay_cycles 5);
+      ("yield", Engine.yield);
+      ("park", Engine.park);
+      ("timed_park", Engine.timed_park);
+      ("arm_timeout", fun () -> Engine.arm_timeout 5L);
+    ]
+  in
+  List.iter
+    (fun (what, f) ->
+      let e = Engine.create () in
+      let raised = ref false and in_fiber = ref true in
+      ignore
+        (Engine.actor e (fun _ () ->
+             in_fiber := Engine.in_process ();
+             match f () with
+             | () -> ()
+             | exception Engine.Suspend_in_actor -> raised := true));
+      Engine.run e;
+      Alcotest.(check bool) (what ^ " raises Suspend_in_actor") true !raised;
+      Alcotest.(check bool) "an actor is not a fiber" false !in_fiber)
+    attempts
+
+(* A charge made from a callback is free, as a delay there is: the
+   stage runs at once, the clock stays.  From a fiber, a charge is a
+   delay, then the stage. *)
+let test_charge_contexts () =
+  let e = Engine.create () in
+  let p = Engine.actor e (fun _ () -> ()) in
+  let seen = ref [] in
+  let log what = seen := (what, Engine.clock e) :: !seen in
+  Engine.at_clock e 10 (fun () ->
+      Engine.charge p 1000 (fun () ->
+          log "callback stage";
+          Engine.charge p 1000 (fun () -> log "second callback stage")));
+  Engine.spawn e (fun () ->
+      Engine.charge p 7 (fun () -> log "fiber stage");
+      log "fiber after");
+  Engine.run e;
+  Alcotest.(check (list (pair string int)))
+    "stages and their clocks"
+    [
+      ("fiber stage", 7);
+      ("fiber after", 7);
+      ("callback stage", 10);
+      ("second callback stage", 10);
+    ]
+    (List.rev !seen);
+  check_bool "fibers" true (Engine.fibers e = 0)
+
 let suite =
   [
     prop_order_matches_reference;
+    prop_actors_match_reference;
+    ("engine: an actor that tries to suspend raises Suspend_in_actor", `Quick,
+     test_actor_cannot_suspend);
+    ("engine: a charge is free in a callback, a delay in a fiber", `Quick,
+     test_charge_contexts);
     ("engine: a queued delay allocates only its continuation", `Quick,
      test_delay_alloc);
     ("engine: park/wake allocates only the continuation", `Quick,

@@ -396,6 +396,143 @@ let test_xsk_tx_path () =
       check "completion recycled" 1
         (Rings.Raw.available (Hostos.Xdp.compl_layout xsk)))
 
+(* {1 Host actors}
+
+   The NIC's transmit and receive queues and each XSK's transmit
+   worker are actors: they run to completion on wakes and charges,
+   with no stack to switch to. *)
+
+(* A client-to-server UDP frame of [len] payload bytes. *)
+let client_frame k len =
+  Packet.Frame.build_udp
+    {
+      Packet.Frame.src_mac = Hostos.Nic.mac (K.nic k 1);
+      dst_mac = Hostos.Nic.mac (K.nic k 0);
+      src_ip = ip "10.0.0.2";
+      dst_ip = ip "10.0.0.1";
+      src_port = 40000;
+      dst_port = 4242;
+    }
+    (Bytes.make len 'a')
+
+(* Stock xFill with UMem frames [0, n), as the user would. *)
+let stock_fill xsk n =
+  let fill = Hostos.Kring.producer (Hostos.Xdp.fill_layout xsk) in
+  let region = (Hostos.Xdp.fill_layout xsk).Rings.Layout.region in
+  for i = 0 to n - 1 do
+    Abi.Xsk_desc.set_offset region (Hostos.Kring.produce_slot fill)
+      (i * Hostos.Xdp.frame_size xsk);
+    Hostos.Kring.advance fill
+  done;
+  fill
+
+(* 1,000 frames bounce between the client NIC and an XSK: NIC -> XDP
+   redirect -> xRX, then a user actor moves each descriptor to xTX and
+   its completion back to xFill, and xTX -> NIC carries it back, where
+   the client NIC's handler sends it again.  The host side allocates
+   one thing per round trip: the frame xTX copies out of UMem. *)
+let test_host_round_trip_alloc () =
+  let engine = Sim.Engine.create () in
+  let k = K.create engine () in
+  let _, xsk = make_xsk k in
+  let frame = client_frame k 64 in
+  K.xsk_attach k ~xsk ~nic_id:0
+    ~queue:(Hostos.Nic.steer (K.nic k 0) frame)
+    ~prog:(fun _ -> Hostos.Xdp.Redirect);
+  let fill = stock_fill xsk 16 in
+  let rx = Hostos.Kring.consumer (Hostos.Xdp.rx_layout xsk)
+  and tx = Hostos.Kring.producer (Hostos.Xdp.tx_layout xsk)
+  and compl = Hostos.Kring.consumer (Hostos.Xdp.compl_layout xsk) in
+  let region = (Hostos.Xdp.rx_layout xsk).Rings.Layout.region in
+  ignore
+    (Sim.Engine.actor engine ~name:"user" (fun _ ->
+         let rec recycle () =
+           let slot = Hostos.Kring.consume_slot compl in
+           if slot >= 0 then begin
+             let off = Abi.Xsk_desc.get_offset region slot in
+             Hostos.Kring.advance compl;
+             Abi.Xsk_desc.set_offset region (Hostos.Kring.produce_slot fill) off;
+             Hostos.Kring.advance fill;
+             recycle ()
+           end
+         in
+         let rec echo sent =
+           let slot = Hostos.Kring.consume_slot rx in
+           if slot < 0 then sent
+           else begin
+             let offset = Abi.Xsk_desc.get_offset region slot
+             and len = Abi.Xsk_desc.get_len region slot in
+             Hostos.Kring.advance rx;
+             Abi.Xsk_desc.set region (Hostos.Kring.produce_slot tx) ~offset ~len;
+             Hostos.Kring.advance tx;
+             echo true
+           end
+         in
+         fun () ->
+           recycle ();
+           if echo false then Hostos.Xdp.tx_wakeup xsk;
+           Sim.Condition.listen (Hostos.Xdp.rx_notify xsk);
+           Sim.Condition.listen (Hostos.Xdp.compl_notify xsk)));
+  let warm = 1000 and n = 1000 in
+  (* Word counts as ints: boxing a float would count itself. *)
+  let back = ref 0 and w0 = ref 0 and words = ref 0 in
+  let nic1 = K.nic k 1 in
+  for queue = 0 to Hostos.Nic.queue_count nic1 - 1 do
+    Hostos.Nic.set_rx_handler nic1 ~queue (fun _ ~next f ->
+        incr back;
+        if !back = warm then w0 := int_of_float (Gc.minor_words ());
+        if !back = warm + n then
+          words := int_of_float (Gc.minor_words ()) - !w0
+        else Hostos.Nic.transmit nic1 f;
+        next ())
+  done;
+  Hostos.Nic.transmit nic1 frame;
+  Sim.Engine.run engine;
+  check "every frame came back" (warm + n) !back;
+  check "no fiber ran" 0 (Sim.Engine.fibers engine);
+  (* Bytes of length [l]: a header and [l / 8 + 1] words. *)
+  let frame_words = 2 + (Bytes.length frame / 8) in
+  if !words > n * frame_words then
+    Alcotest.failf "%.3f minor words per round trip, the frame is %d"
+      (float_of_int !words /. float_of_int n)
+      frame_words
+
+(* A reorder burst's flush runs in its timer callback, where charges
+   are free: the held frames land on xRX at the timer's time, with no
+   per-packet or copy charge between them. *)
+let test_burst_flush_is_free () =
+  let engine = Sim.Engine.create () in
+  let k = K.create engine () in
+  let _, xsk = make_xsk k in
+  let frame = client_frame k 64 in
+  K.xsk_attach k ~xsk ~nic_id:0
+    ~queue:(Hostos.Nic.steer (K.nic k 0) frame)
+    ~prog:(fun _ -> Hostos.Xdp.Redirect);
+  ignore (stock_fill xsk 16);
+  let m = Hostos.Malice.create ~seed:7L () in
+  Hostos.Malice.arm m (Hostos.Injector.Probability 1.0) Hostos.Malice.Reorder_burst;
+  K.set_malice k (Some m);
+  (* Two frames, fewer than a burst window: the first arrives after its
+     serialization, is held, and the flush timer releases both. *)
+  Hostos.Nic.transmit (K.nic k 1) frame;
+  Hostos.Nic.transmit (K.nic k 1) frame;
+  let arrival =
+    int_of_float
+      (float_of_int (Bytes.length frame) *. !Sgx.Params.live_wire_cycles_per_byte)
+  in
+  let flush = arrival + Int64.to_int Sgx.Params.fault_wire_reorder_flush in
+  let seen = ref [] in
+  let probe at = Sim.Engine.at_clock engine at (fun () ->
+      seen := (at - flush, Hostos.Xdp.rx_delivered xsk) :: !seen) in
+  probe (flush - 1);
+  probe (flush + 1);
+  Sim.Engine.run engine;
+  Alcotest.(check (list (pair int int)))
+    "delivered just before and just after the flush"
+    [ (-1, 0); (1, 2) ]
+    (List.rev !seen);
+  check "both held" 2 (Hostos.Malice.fired_of m Hostos.Malice.Reorder_burst)
+
 (* {1 Kernel-side io_uring} *)
 
 let make_uring k =
@@ -625,6 +762,10 @@ let suite =
     ("xsk: PASS falls through to kernel stack", `Quick,
      test_xsk_pass_falls_through);
     ("xsk: tx path transmits and completes", `Quick, test_xsk_tx_path);
+    ("host actors: a NIC -> XSK -> NIC round trip allocates only the frame",
+     `Quick, test_host_round_trip_alloc);
+    ("host actors: a reorder burst's timer flush pays no charge", `Quick,
+     test_burst_flush_is_free);
     ("uring: nop", `Quick, test_uring_nop);
     ("uring: file write/read", `Quick, test_uring_file_write_read);
     ("uring: bad fd", `Quick, test_uring_bad_fd);

@@ -68,8 +68,9 @@ let test_nic_wire_pacing () =
      wire: the receive timestamp must reflect it. *)
   let engine, a, b = nic_fixture () in
   let arrived_at = ref 0L in
-  Hostos.Nic.set_rx_handler b ~queue:0 (fun _ ->
-      arrived_at := Sim.Engine.now engine);
+  Hostos.Nic.set_rx_handler b ~queue:0 (fun _ ~next _ ->
+      arrived_at := Sim.Engine.now engine;
+      next ());
   let frame = Bytes.create 1500 in
   Sim.Engine.spawn engine (fun () -> Hostos.Nic.transmit a frame);
   Sim.Engine.run ~until:(Sim.Cycles.of_ms 1.) engine;
@@ -80,7 +81,7 @@ let test_nic_wire_pacing () =
 
 let test_nic_counts_traffic () =
   let engine, a, b = nic_fixture () in
-  Hostos.Nic.set_rx_handler b ~queue:0 (fun _ -> ());
+  Hostos.Nic.set_rx_handler b ~queue:0 (fun _ ~next _ -> next ());
   Sim.Engine.spawn engine (fun () ->
       for _ = 1 to 5 do
         Hostos.Nic.transmit a (Bytes.create 64)

@@ -128,6 +128,48 @@ let test_smashed_index_bounded_wakeups () =
       check "quiescent after repair" after_repair
         (Mon.wakeup_syscalls r.monitor))
 
+(* The MM is an actor: 1,000 kicked scans, each issuing an rx and a tx
+   wakeup (a syscall charge, a fate roll and the landing), allocate
+   nothing.  The kicks come from a timer callback built once, so
+   nothing else in the run allocates either. *)
+let test_scans_allocate_nothing () =
+  let engine = Sim.Engine.create () in
+  let kernel = Hostos.Kernel.create engine () in
+  let region =
+    Mem.Region.create ~kind:Untrusted ~name:"mon-shared" ~size:(1 lsl 20)
+  in
+  let alloc = Mem.Alloc.create region () in
+  let _fd, xsk =
+    Hostos.Kernel.xsk_create kernel ~alloc ~umem_size:(16 * 2048)
+      ~frame_size:2048 ~ring_size:8
+  in
+  let _fd, uring = Hostos.Kernel.uring_create kernel ~alloc ~entries:8 in
+  let monitor = Mon.create engine ~kernel in
+  Mon.watch_xsk monitor xsk;
+  Mon.watch_uring monitor uring;
+  Mon.start monitor;
+  let fill = Hostos.Xdp.fill_layout xsk and tx = Hostos.Xdp.tx_layout xsk in
+  let warm = 100 and n = 1000 in
+  (* Word counts as ints: boxing a float would count itself. *)
+  let ticks = ref 0 and w0 = ref 0 and words = ref 0 in
+  let rec tick () =
+    incr ticks;
+    if !ticks = warm then w0 := int_of_float (Gc.minor_words ());
+    if !ticks = warm + n then words := int_of_float (Gc.minor_words ()) - !w0
+    else begin
+      Rings.Layout.write_prod fill (Rings.U32.succ (Rings.Layout.read_prod fill));
+      Rings.Layout.write_prod tx (Rings.U32.succ (Rings.Layout.read_prod tx));
+      Mon.kick monitor;
+      Sim.Engine.at_clock engine (Sim.Engine.clock engine + 10_000) tick
+    end
+  in
+  Sim.Engine.at_clock engine 10_000 tick;
+  Sim.Engine.run engine;
+  check "fibers: the io_uring worker only" 1 (Sim.Engine.fibers engine);
+  check "rx wakeups, one per scan" (warm + n - 1) (Mon.rx_wakeup_syscalls monitor);
+  check "tx wakeups, one per scan" (warm + n - 1) (Mon.tx_wakeup_syscalls monitor);
+  check "minor words in 1,000 scans" 0 !words
+
 let suite =
   [
     Alcotest.test_case "monitor: no movement, no wakeup" `Quick
@@ -142,4 +184,6 @@ let suite =
       test_nudge_forces_enter;
     Alcotest.test_case "monitor: smashed index stays bounded" `Quick
       test_smashed_index_bounded_wakeups;
+    Alcotest.test_case "monitor: 1,000 scans allocate nothing" `Quick
+      test_scans_allocate_nothing;
   ]

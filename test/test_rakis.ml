@@ -1310,14 +1310,15 @@ let test_round_trip_alloc () =
   in
   let warm = 200 and n = 2000 in
   let echoes = ref 0 and w0 = ref 0. and words = ref 0. in
-  Hostos.Nic.set_rx_handler nic1 ~queue:0 (fun _ ->
+  Hostos.Nic.set_rx_handler nic1 ~queue:0 (fun _ ~next _ ->
       incr echoes;
       if !echoes = warm then w0 := Gc.minor_words ();
       if !echoes = warm + n then begin
         words := Gc.minor_words () -. !w0;
         Sim.Engine.stop fx.engine
       end
-      else Hostos.Nic.transmit nic1 request);
+      else Hostos.Nic.transmit nic1 request;
+      next ());
   Sim.Engine.spawn fx.engine (fun () ->
       Sim.Engine.delay (Sim.Cycles.of_us 50.);
       Hostos.Nic.transmit nic1 request);

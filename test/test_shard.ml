@@ -479,6 +479,21 @@ let test_single_queue_tokens_unchanged () =
   check "four-segment token at queues=1" 4
     (List.length (String.split_on_char ':' (Tm.Campaign.(token_to_string (Campaign o.spec)))))
 
+(* echo64's topology, 2 shards x 1 XSK on 2 NIC queues: the host's
+   loops (NIC transmit and receive queues, XSK transmit workers,
+   Monitors) are actors, so the boot leaves three fibers — each
+   shard's xRX thread and the main thread's io_uring worker, enclave
+   and io_uring work that needs a stack.  With every host loop a fiber
+   it was 13. *)
+let test_echo64_boot_fibers () =
+  match
+    Apps.Harness.make Libos.Env.Rakis_sgx
+      ~rakis_config:{ Rakis.Config.default with num_queues = 2; num_xsks = 1 }
+      ~nic_queues:2 ()
+  with
+  | Error e -> Alcotest.failf "harness boot: %s" e
+  | Ok h -> check "fibers after boot" 3 (Sim.Engine.fibers h.Apps.Harness.engine)
+
 let suite =
   [
     qcheck_rss_bounded;
@@ -506,4 +521,6 @@ let suite =
     ("rss: hash allocates nothing", `Quick, test_rss_no_alloc);
     Alcotest.test_case "boot: one NIC queue per XSK or an error" `Quick
       test_boot_needs_a_queue_per_xsk;
+    Alcotest.test_case "boot: echo64's topology runs 3 fibers" `Quick
+      test_echo64_boot_fibers;
   ]
